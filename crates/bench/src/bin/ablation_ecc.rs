@@ -3,13 +3,14 @@
 //! codes push the conventional cache, and shows REAP + SEC still wins at
 //! far lower check-bit cost in the high-accumulation regime.
 //!
-//! Runs two-phase: one exposure capture per workload, replayed at every
-//! ECC strength — the results are bit-identical to per-point runs (the
-//! replay-equivalence property tests enforce this), at roughly a third of
-//! the trace-driving cost.
+//! Runs two-phase: one exposure capture per workload, scored at every ECC
+//! strength in one batched replay — the results are bit-identical to
+//! per-point runs (the replay-equivalence property tests enforce this), at
+//! roughly a third of the trace-driving cost.
 
 use reap_bench::{access_budget, enable_telemetry, print_csv, print_two_phase_summary};
-use reap_core::{EccStrength, Experiment, ProtectionScheme};
+use reap_core::sweep::replay_ecc_sweep;
+use reap_core::{Experiment, ProtectionScheme};
 use reap_trace::SpecWorkload;
 
 fn main() {
@@ -32,13 +33,7 @@ fn main() {
             .workload(w)
             .accesses(accesses)
             .seed(2019);
-        let capture = base.capture().expect("valid configuration");
-        for ecc in EccStrength::ALL {
-            let report = base
-                .clone()
-                .ecc(ecc)
-                .replay(&capture)
-                .expect("capture shares the behavioural configuration");
+        for (ecc, report) in replay_ecc_sweep(&base).expect("valid configuration") {
             let conv = report.expected_failures(ProtectionScheme::Conventional);
             let reap = report.expected_failures(ProtectionScheme::Reap);
             let gain = report.mttf_improvement(ProtectionScheme::Reap);

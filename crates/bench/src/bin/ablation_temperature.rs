@@ -6,14 +6,14 @@
 //! decides whether a target FIT rate survives at `T_max`.
 //!
 //! Runs two-phase: the MTJ card only rescales the per-read disturbance
-//! probability, so one exposure capture of the workload replays at every
-//! temperature point — bit-identical to per-point runs, paying the trace
-//! cost once instead of five times.
+//! probability, so one exposure capture of the workload is scored at every
+//! temperature point in one batched replay — bit-identical to per-point
+//! runs, paying the trace cost once instead of five times.
 
 use reap_bench::{
     access_budget, enable_telemetry, print_csv, print_two_phase_summary, DEFAULT_SEED,
 };
-use reap_core::{Experiment, ProtectionScheme};
+use reap_core::{Experiment, ProtectionScheme, Simulator};
 use reap_mtj::temperature::at_temperature;
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_trace::SpecWorkload;
@@ -34,15 +34,15 @@ fn main() {
         .accesses(accesses)
         .seed(DEFAULT_SEED);
     let capture = base.capture().expect("valid configuration");
+    let cards = temperatures.map(|t| at_temperature(&nominal, t).expect("within operating range"));
+    let points = cards.map(|card| {
+        Simulator::new(base.clone().mtj(card).config().clone()).expect("valid configuration")
+    });
+    let reports = Simulator::replay_batch(&points, &capture)
+        .expect("capture shares the behavioural configuration");
     let mut rows = Vec::new();
-    for t in temperatures {
-        let card = at_temperature(&nominal, t).expect("within operating range");
+    for ((t, card), report) in temperatures.into_iter().zip(cards).zip(reports) {
         let p_rd = read_disturbance_probability(&card);
-        let report = base
-            .clone()
-            .mtj(card)
-            .replay(&capture)
-            .expect("capture shares the behavioural configuration");
         let conv = report.expected_failures(ProtectionScheme::Conventional);
         let gain = report.mttf_improvement(ProtectionScheme::Reap);
         let mttf = report.mttf(ProtectionScheme::Conventional);

@@ -5,15 +5,16 @@
 //! cache failure laws at variation-aware effective probabilities.
 //!
 //! Runs two-phase: the variation-adjusted MTJ card is analysis-side, so
-//! one exposure capture of the workload replays at every sigma point —
-//! bit-identical to per-point runs, paying the trace cost once.
+//! one exposure capture of the workload is scored at every sigma point in
+//! one batched replay — bit-identical to per-point runs, paying the trace
+//! cost once.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reap_bench::{
     access_budget, enable_telemetry, print_csv, print_two_phase_summary, DEFAULT_SEED,
 };
-use reap_core::{Experiment, ProtectionScheme};
+use reap_core::{Experiment, ProtectionScheme, Simulator};
 use reap_mtj::{read_disturbance_probability, MtjParams, VariationModel};
 use reap_trace::SpecWorkload;
 
@@ -38,25 +39,27 @@ fn main() {
         .accesses(accesses)
         .seed(DEFAULT_SEED);
     let capture = base.capture().expect("valid configuration");
-    let mut rows = Vec::new();
-    for sigma in sigmas {
+    let stats = sigmas.map(|sigma| {
         let model = VariationModel::new(sigma, 0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(99);
-        let (mean_p, max_p) = model.disturbance_statistics(&nominal, 10_000, &mut rng);
-        // Evaluate the cache at the variation-aware mean cell probability:
-        // the block failure law is linear in per-cell probability mass for
-        // the dominant double-error term, so E over cells of p is the
-        // first-order effective rate.
+        model.disturbance_statistics(&nominal, 10_000, &mut rng)
+    });
+    // Evaluate the cache at the variation-aware mean cell probability: the
+    // block failure law is linear in per-cell probability mass for the
+    // dominant double-error term, so E over cells of p is the first-order
+    // effective rate.
+    let points = stats.map(|(mean_p, _)| {
         let i_eff = reap_mtj::read_current_for_probability(&nominal, mean_p.min(0.5));
         let card = match i_eff {
             Some(i) => nominal.with_read_current(i).expect("valid current"),
             None => nominal,
         };
-        let report = base
-            .clone()
-            .mtj(card)
-            .replay(&capture)
-            .expect("capture shares the behavioural configuration");
+        Simulator::new(base.clone().mtj(card).config().clone()).expect("valid configuration")
+    });
+    let reports = Simulator::replay_batch(&points, &capture)
+        .expect("capture shares the behavioural configuration");
+    let mut rows = Vec::new();
+    for ((sigma, (mean_p, max_p)), report) in sigmas.into_iter().zip(stats).zip(reports) {
         let conv = report.expected_failures(ProtectionScheme::Conventional);
         let gain = report.mttf_improvement(ProtectionScheme::Reap);
         println!(

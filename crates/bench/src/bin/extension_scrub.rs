@@ -17,13 +17,11 @@
 //! no-scrub baseline would silently truncate its own accumulated risk.
 
 use reap_bench::{access_budget, enable_telemetry, print_csv, TwoPhaseSummary, DEFAULT_SEED};
-use reap_cache::{sample_ones, Hierarchy, HierarchyConfig, Replacement};
+use reap_cache::{Hierarchy, HierarchyConfig, Replacement};
 use reap_core::{
-    CaptureObserver, EccStrength, ExposureCapture, ExposureStream, HierarchySnapshot,
-    SimulationConfig,
+    CaptureObserver, EccStrength, ExposureCapture, HierarchySnapshot, ProtectionScheme,
+    SimulationConfig, Simulator,
 };
-use reap_mtj::read_disturbance_probability;
-use reap_reliability::{AccumulationModel, ReplayAggregator};
 use reap_trace::SpecWorkload;
 
 /// Phase 1 for one scrub period: drives the paper hierarchy once with a
@@ -78,57 +76,44 @@ fn capture_with_scrub(
     (capture, scrub_checks)
 }
 
-/// Phase 2: scores a capture at one ECC strength, resampling each event's
-/// line weight at that strength's stored width. Returns conventional and
-/// REAP expected failures.
-fn replay_at(capture: &ExposureCapture, ecc: EccStrength, p_rd: f64) -> (f64, f64) {
-    let mut span = reap_obs::span("replay");
-    span.add_events(capture.event_count());
-    let check_bits = ecc
-        .build_code(capture.line_bits())
-        .expect("code fits a 64 B line")
-        .check_bits();
-    let stored_bits = capture.line_bits() + check_bits;
-    let mut agg = ReplayAggregator::new(AccumulationModel::new(p_rd, ecc.t()), stored_bits as u32);
-    let seed = capture.ones_seed();
-    let mut events = capture.iter().expect("local capture streams");
-    while let Some(record) = events.next_record().expect("local capture streams") {
-        let ones = sample_ones(
-            seed,
-            record.key.tag,
-            record.key.set,
-            record.key.version,
-            stored_bits,
-        );
-        agg.record(record.kind, ones, record.unchecked_reads);
-    }
-    (
-        agg.conventional().expected_failures(),
-        agg.reap().expected_failures(),
-    )
-}
-
-/// Replays one capture at every ECC strength, returning the per-strength
-/// `(conventional, REAP)` failures.
-fn replay_all(capture: &ExposureCapture, p_rd: f64) -> [(f64, f64); 3] {
-    let mut out = [(0.0, 0.0); 3];
-    for (i, ecc) in EccStrength::ALL.into_iter().enumerate() {
-        out[i] = replay_at(capture, ecc, p_rd);
-    }
-    out
+/// Phase 2: scores one capture at every ECC strength in a single batched
+/// pass (each point resamples the line weights at its own stored width),
+/// returning the per-strength `(conventional, REAP)` failures.
+fn replay_all(capture: &ExposureCapture) -> [(f64, f64); 3] {
+    // The points share the capture's behavioural configuration — scrub
+    // period included — and differ only in ECC strength.
+    let points = EccStrength::ALL.map(|ecc| {
+        Simulator::new(SimulationConfig {
+            hierarchy: capture.hierarchy().clone(),
+            replacement: capture.replacement(),
+            ecc,
+            warmup_accesses: capture.warmup_accesses(),
+            measure_accesses: capture.measure_accesses(),
+            scrub_period: capture.scrub_period(),
+            ..SimulationConfig::default()
+        })
+        .expect("paper configuration is valid")
+    });
+    let reports = Simulator::replay_batch(&points, capture)
+        .expect("points share the capture's behavioural configuration");
+    std::array::from_fn(|i| {
+        (
+            reports[i].expected_failures(ProtectionScheme::Conventional),
+            reports[i].expected_failures(ProtectionScheme::Reap),
+        )
+    })
 }
 
 fn main() {
     enable_telemetry();
     let accesses = access_budget().min(4_000_000);
     let workload = SpecWorkload::DealII;
-    let p_rd = read_disturbance_probability(&SimulationConfig::default().mtj);
     let periods = [1_000_000u64, 300_000, 100_000, 30_000, 10_000];
 
     println!("Extension — periodic scrubbing vs REAP ({workload}, {accesses} accesses)");
     println!();
     let (baseline, _) = capture_with_scrub(workload, accesses, None);
-    let base_fails = replay_all(&baseline, p_rd);
+    let base_fails = replay_all(&baseline);
     let (no_scrub, reap) = base_fails[0];
     println!("no scrub (conventional): E[fail] = {no_scrub:.3e}");
     println!(
@@ -145,7 +130,7 @@ fn main() {
     let mut cross = vec![("none".to_string(), base_fails)];
     for period in periods {
         let (capture, scrubs) = capture_with_scrub(workload, accesses, Some(period));
-        let fails = replay_all(&capture, p_rd);
+        let fails = replay_all(&capture);
         let (fail, _) = fails[0];
         let extra = scrubs as f64 / accesses as f64;
         println!(

@@ -6,7 +6,11 @@
 //! ways over the same captures:
 //!
 //! 1. **per-point** — one [`Simulator::replay`] walk of the exposure
-//!    stream per analysis point (the historical hot path),
+//!    stream per analysis point. `replay` is itself a one-point batched
+//!    pass, so this is N one-point runs of the vectorized kernel and
+//!    `speedup` prices amortising the stream walk and weight draws
+//!    across points — not the retired per-record scalar loop that the
+//!    committed `BENCH_replay.json` figure was measured against,
 //! 2. **scalar batched** — one [`Simulator::replay_batch_scalar`] walk
 //!    driving the pre-vectorization per-record kernel, and
 //! 3. **batched** — one [`Simulator::replay_batch`] walk driving the

@@ -120,10 +120,11 @@ pub fn enable_telemetry() {
 /// The capture/replay wall-clock split of a two-phase experiment, read
 /// back from the global telemetry (see [`enable_telemetry`]).
 ///
-/// The `capture` and `replay` spans are recorded by
-/// `Simulator::capture`/`replay` themselves (or by an experiment's own
-/// `reap_obs::span("capture")` blocks for hand-rolled capture passes), so
-/// regenerators no longer stopwatch the phases by hand.
+/// The `capture` and `replay_batch` spans and the
+/// `sim.replay_batch.points` counter are recorded by
+/// `Simulator::capture`/`replay_batch` themselves (or by an experiment's
+/// own `reap_obs::span("capture")` blocks for hand-rolled capture
+/// passes), so regenerators never stopwatch the phases by hand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoPhaseSummary {
     /// Total seconds spent in capture passes.
@@ -142,9 +143,9 @@ impl TwoPhaseSummary {
         let registry = reap_obs::global();
         Self {
             capture_s: registry.span_seconds("capture"),
-            replay_s: registry.span_seconds("replay"),
+            replay_s: registry.span_seconds("replay_batch"),
             captures: registry.span_count("capture"),
-            replays: registry.span_count("replay"),
+            replays: registry.counter("sim.replay_batch.points").get(),
         }
     }
 

@@ -5,7 +5,7 @@ use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
 use crate::report::Report;
-use reap_cache::{sample_ones, sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacement};
+use reap_cache::{sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacement};
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
@@ -378,56 +378,22 @@ impl Simulator {
     /// analysis point (ECC strength, MTJ parameters, technology node,
     /// access rate) and produces the report.
     ///
-    /// Each recorded event's line weight is resampled from its content
-    /// version key at *this* configuration's stored width, and the events
-    /// are scored in capture order — making the result bit-identical to a
-    /// direct [`run_single_pass`](Self::run_single_pass) of the same
-    /// trace at this configuration. Cost is O(events), independent of the
-    /// trace length.
+    /// A one-point [`replay_batch`](Self::replay_batch): each recorded
+    /// event's line weight is resampled from its content version key at
+    /// *this* configuration's stored width, and the events are scored in
+    /// capture order by the batched kernel — making the result
+    /// bit-identical to a direct [`run_single_pass`](Self::run_single_pass)
+    /// of the same trace at this configuration. Cost is O(events),
+    /// independent of the trace length.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::CaptureMismatch`] if the capture was
     /// taken under a different behavioural configuration.
     pub fn replay(&self, capture: &ExposureCapture) -> Result<Report, SimulationError> {
-        self.check_capture(capture)?;
-
-        // No snapshot emit here: the capture already published its cache
-        // counters once; re-emitting per replayed point would count the
-        // trace pass once per sweep point.
-        let mut span = reap_obs::span("replay");
-        span.add_events(capture.event_count());
-        let stored_bits = capture.line_bits() + self.check_bits;
-        let model = AccumulationModel::new(self.p_rd, self.config.ecc.t());
-        let mut aggregator = ReplayAggregator::new(model, stored_bits as u32);
-        let seed = capture.ones_seed();
-        // Pull through the stream interface: an in-memory capture walks
-        // its slice, a store-backed one decodes frame-by-frame in O(1)
-        // memory.
-        let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
-        while let Some(record) = events
-            .next_record()
-            .map_err(SimulationError::CaptureStream)?
-        {
-            let ones = sample_ones(
-                seed,
-                record.key.tag,
-                record.key.set,
-                record.key.version,
-                stored_bits,
-            );
-            aggregator.record(record.kind, ones, record.unchecked_reads);
-        }
-
-        let duration_seconds = self.config.measure_accesses as f64 / self.config.access_rate_hz;
-        Ok(Report::assemble(
-            capture.snapshot(),
-            &aggregator,
-            self.energy_model,
-            self.readpath_model,
-            duration_seconds,
-            self.p_rd,
-        ))
+        let mut reports =
+            Self::replay_batch_mode(std::slice::from_ref(self), capture, KernelMode::Exact)?;
+        Ok(reports.pop().expect("one point in, one report out"))
     }
 
     /// Verifies that `capture` was taken under this simulator's
@@ -459,8 +425,9 @@ impl Simulator {
     /// analysis point in `points` in a **single pass** over the events,
     /// returning one report per point in input order.
     ///
-    /// Equivalent to calling [`replay`](Self::replay) on each point —
-    /// bit-identical, property-tested — but the stream is walked once:
+    /// Each report is bit-identical to a direct
+    /// [`run_single_pass`](Self::run_single_pass) at its point
+    /// (property-tested), and the stream is walked once:
     /// per record, the line weight is resampled once per *distinct*
     /// stored width among the points (ECC strengths share a width when
     /// their check-bit counts match) and scored against all points by a
@@ -904,37 +871,44 @@ mod tests {
     }
 
     #[test]
-    fn replay_batch_matches_per_point_replay_bit_for_bit() {
-        let capture = Simulator::new(quick_config())
-            .unwrap()
-            .capture(SpecWorkload::Namd.stream(3))
-            .unwrap();
-        // Heterogeneous points: every ECC width crossed with two MTJ
-        // operating points, so the batch mixes distinct stored widths
-        // *and* distinct P_rd values at the same width.
-        let mut points = Vec::new();
-        for ecc in EccStrength::ALL {
-            for i_read in [70e-6, 55e-6] {
-                let config = SimulationConfig {
-                    ecc,
-                    mtj: MtjParams::default().with_read_current(i_read).unwrap(),
-                    ..quick_config()
-                };
-                points.push(Simulator::new(config).unwrap());
+    fn replay_batch_matches_single_pass_bit_for_bit() {
+        for scrub_period in [0, 5_000] {
+            let base = SimulationConfig {
+                scrub_period,
+                ..quick_config()
+            };
+            let capture = Simulator::new(base.clone())
+                .unwrap()
+                .capture(SpecWorkload::Namd.stream(3))
+                .unwrap();
+            // Heterogeneous points: every ECC width crossed with two MTJ
+            // operating points, so the batch mixes distinct stored widths
+            // *and* distinct P_rd values at the same width.
+            let mut points = Vec::new();
+            for ecc in EccStrength::ALL {
+                for i_read in [70e-6, 55e-6] {
+                    let config = SimulationConfig {
+                        ecc,
+                        mtj: MtjParams::default().with_read_current(i_read).unwrap(),
+                        ..base.clone()
+                    };
+                    points.push(Simulator::new(config).unwrap());
+                }
             }
-        }
-        let batched = Simulator::replay_batch(&points, &capture).unwrap();
-        assert_eq!(batched.len(), points.len());
-        for (sim, got) in points.iter().zip(&batched) {
-            let want = sim.replay(&capture).unwrap();
-            assert_eq!(
-                failure_bits(got),
-                failure_bits(&want),
-                "batched point (ecc {}, P_rd {}) diverged from its own replay",
-                sim.config.ecc,
-                sim.p_rd()
-            );
-            assert_eq!(got.histogram(), want.histogram());
+            let batched = Simulator::replay_batch(&points, &capture).unwrap();
+            assert_eq!(batched.len(), points.len());
+            for (sim, got) in points.iter().zip(&batched) {
+                let want = sim.run_single_pass(SpecWorkload::Namd.stream(3)).unwrap();
+                assert_eq!(
+                    failure_bits(got),
+                    failure_bits(&want),
+                    "batched point (ecc {}, P_rd {}, scrub {scrub_period}) diverged from \
+                     the single pass",
+                    sim.config.ecc,
+                    sim.p_rd()
+                );
+                assert_eq!(got.histogram(), want.histogram());
+            }
         }
     }
 

@@ -218,14 +218,14 @@ proptest! {
 
     /// The batched multi-point kernel is a pure optimisation: scoring a
     /// capture at N analysis points in one pass over the exposure stream
-    /// ([`Simulator::replay_batch`]) is bit-identical to N independent
-    /// replays — failure sums per scheme, writeback exposure and every
+    /// ([`Simulator::replay_batch`]) is bit-identical to N single-pass
+    /// runs — failure sums per scheme, writeback exposure and every
     /// histogram bin — for arbitrary workloads, seeds, replacement
-    /// policies and MTJ operating points, with the points deliberately
-    /// mixing distinct stored widths (ECC strengths) and distinct `P_rd`
-    /// values at equal width (read currents).
+    /// policies, scrub periods and MTJ operating points, with the points
+    /// deliberately mixing distinct stored widths (ECC strengths) and
+    /// distinct `P_rd` values at equal width (read currents).
     #[test]
-    fn batched_replay_is_bit_identical_to_independent_replays(
+    fn batched_replay_is_bit_identical_to_single_pass(
         workload_index in 0usize..21,
         seed in any::<u64>(),
         read_current_ua in 45.0f64..75.0,
@@ -235,12 +235,14 @@ proptest! {
             Just(Replacement::Fifo),
             Just(Replacement::Srrip),
         ],
+        scrub_period in prop_oneof![Just(0u64), Just(700u64)],
     ) {
         let workload = SpecWorkload::ALL[workload_index];
         let base = Experiment::paper_hierarchy()
             .workload(workload)
             .replacement(replacement)
             .budgets(500, 4_000)
+            .scrub(scrub_period)
             .seed(seed);
         let capture = base.clone().capture().expect("capture");
         // Six heterogeneous points: every ECC width at two MTJ cards.
@@ -260,12 +262,15 @@ proptest! {
         let batched = Simulator::replay_batch(&points, &capture).expect("batch");
         prop_assert_eq!(batched.len(), points.len());
         for (sim, got) in points.iter().zip(&batched) {
-            let want = sim.replay(&capture).expect("independent replay");
+            let want = sim
+                .run_single_pass(workload.stream(seed))
+                .expect("single pass");
             for scheme in ProtectionScheme::ALL {
                 prop_assert_eq!(
                     got.expected_failures(scheme).to_bits(),
                     want.expected_failures(scheme).to_bits(),
-                    "{} failures diverged in the batch", scheme
+                    "{} failures diverged from the single pass (scrub {})",
+                    scheme, scrub_period
                 );
             }
             prop_assert_eq!(
