@@ -14,11 +14,31 @@ struct Line {
     /// Reads (concealed) since the last ECC check or rewrite. A demand
     /// read reports `unchecked + 1` and resets this to zero.
     unchecked: u64,
-    /// Number of stored `1` bits in the current content (data + check
-    /// bits), sampled deterministically from the content version.
-    ones: u32,
     /// Bumped every rewrite, so resampled contents differ.
     version: u64,
+}
+
+impl Line {
+    /// The content key of this line, resident in `set`.
+    fn key(&self, set: usize) -> LineKey {
+        LineKey {
+            tag: self.tag,
+            set: set as u64,
+            version: self.version,
+        }
+    }
+}
+
+/// The `line_ones` argument `O`'s hooks receive for the content `key`:
+/// its [`sample_ones`] weight at `bits` stored bits, or `0` when `O`
+/// does not read weights.
+#[inline]
+fn hook_ones<O: AccessObserver>(seed: u64, bits: usize, key: LineKey) -> u32 {
+    if O::NEEDS_WEIGHTS {
+        sample_ones(seed, key.tag, key.set, key.version, bits)
+    } else {
+        0
+    }
 }
 
 /// Information about a line evicted by a fill.
@@ -50,10 +70,12 @@ pub struct AccessResult {
 /// concealed reads. Event hooks are delivered to an
 /// [`AccessObserver`].
 ///
-/// Line contents are not stored; instead each line carries a
+/// Line contents are not stored; instead each line's content has a
 /// deterministic pseudo-random `ones` weight (`n` of the paper's
-/// equations), resampled whenever the line is rewritten. The expected
-/// weight is half the line width, matching random data.
+/// equations), a hash of its [`LineKey`] that changes whenever the line
+/// is rewritten. The expected weight is half the line width, matching
+/// random data. The weight is sampled when a hook passes it, and only
+/// for observers that declare [`AccessObserver::NEEDS_WEIGHTS`].
 ///
 /// # Examples
 ///
@@ -112,7 +134,14 @@ impl Cache {
     /// Declares that each stored line carries `check_bits` additional ECC
     /// bits, included in the sampled content weight (disturbance strikes
     /// check bits too).
+    ///
+    /// Call it before the first access: weights are sampled at the hook
+    /// from the current width, so resident lines would change weight.
     pub fn set_check_bits(&mut self, check_bits: usize) {
+        debug_assert!(
+            self.lines.iter().all(|l| !l.valid),
+            "check bits must be set before any line is filled"
+        );
         self.check_bits = check_bits;
     }
 
@@ -156,6 +185,7 @@ impl Cache {
             let l = &self.lines[base + w];
             l.valid && l.tag == tag
         });
+        let (seed, bits) = (self.ones_seed, self.stored_line_bits());
 
         // Parallel mode: every valid way in the set is physically read.
         if self.config.access_mode() == AccessMode::Parallel {
@@ -165,7 +195,7 @@ impl Cache {
                     continue;
                 }
                 self.stats.line_reads += 1;
-                observer.line_read(line.ones);
+                observer.line_read(hook_ones::<O>(seed, bits, line.key(set)));
                 if hit_way != Some(w) {
                     line.unchecked += 1;
                     self.stats.concealed_reads += 1;
@@ -176,7 +206,7 @@ impl Cache {
             // Serial mode: only the matching way is read.
             let line = &self.lines[base + w];
             self.stats.line_reads += 1;
-            observer.line_read(line.ones);
+            observer.line_read(hook_ones::<O>(seed, bits, line.key(set)));
         }
 
         match hit_way {
@@ -186,12 +216,8 @@ impl Cache {
                 line.unchecked = 0;
                 self.stats.read_hits += 1;
                 self.stats.demand_checks += 1;
-                let key = LineKey {
-                    tag,
-                    set: set as u64,
-                    version: line.version,
-                };
-                observer.demand_read_keyed(key, line.ones, n);
+                let key = line.key(set);
+                observer.demand_read_keyed(key, hook_ones::<O>(seed, bits, key), n);
                 self.policy.on_access(set, w);
                 AccessResult {
                     hit: true,
@@ -224,14 +250,12 @@ impl Cache {
         match hit_way {
             Some(w) => {
                 self.stats.write_hits += 1;
-                let stored_bits = self.stored_line_bits();
-                let seed = self.ones_seed;
+                let (seed, bits) = (self.ones_seed, self.stored_line_bits());
                 let line = &mut self.lines[base + w];
                 line.dirty = true;
                 line.unchecked = 0;
                 line.version += 1;
-                line.ones = sample_ones(seed, tag, set as u64, line.version, stored_bits);
-                observer.line_write(line.ones);
+                observer.line_write(hook_ones::<O>(seed, bits, line.key(set)));
                 self.policy.on_access(set, w);
                 AccessResult {
                     hit: true,
@@ -281,6 +305,7 @@ impl Cache {
     ) -> Option<EvictionInfo> {
         let ways = self.config.associativity();
         let base = set * ways;
+        let (seed, bits) = (self.ones_seed, self.stored_line_bits());
         let (way, evicted) = match (0..ways).find(|&w| !self.lines[base + w].valid) {
             Some(w) => (w, None),
             None => {
@@ -296,29 +321,22 @@ impl Cache {
                 if victim.dirty {
                     self.stats.dirty_evictions += 1;
                 }
-                let key = LineKey {
-                    tag: victim.tag,
-                    set: set as u64,
-                    version: victim.version,
-                };
-                observer.eviction_keyed(key, victim.dirty, victim.ones, victim.unchecked);
+                let key = victim.key(set);
+                let ones = hook_ones::<O>(seed, bits, key);
+                observer.eviction_keyed(key, victim.dirty, ones, victim.unchecked);
                 (w, Some(info))
             }
         };
         self.stats.fills += 1;
-        let stored_bits = self.stored_line_bits();
-        let seed = self.ones_seed;
         let line = &mut self.lines[base + way];
-        line.version += 1;
         *line = Line {
             valid: true,
             dirty,
             tag,
             unchecked: 0,
-            ones: sample_ones(seed, tag, set as u64, line.version, stored_bits),
-            version: line.version,
+            version: line.version + 1,
         };
-        observer.line_write(line.ones);
+        observer.line_write(hook_ones::<O>(seed, bits, line.key(set)));
         self.policy.on_fill(set, way);
         evicted
     }
@@ -334,6 +352,7 @@ impl Cache {
     /// Returns the number of lines scrubbed.
     pub fn scrub<O: AccessObserver>(&mut self, observer: &mut O) -> u64 {
         let ways = self.config.associativity();
+        let (seed, bits) = (self.ones_seed, self.stored_line_bits());
         let mut scrubbed = 0;
         for (idx, line) in self.lines.iter_mut().enumerate() {
             if !line.valid {
@@ -341,13 +360,10 @@ impl Cache {
             }
             self.stats.line_reads += 1;
             self.stats.scrub_checks += 1;
-            observer.line_read(line.ones);
-            let key = LineKey {
-                tag: line.tag,
-                set: (idx / ways) as u64,
-                version: line.version,
-            };
-            observer.scrub_check_keyed(key, line.dirty, line.ones, line.unchecked + 1);
+            let key = line.key(idx / ways);
+            let ones = hook_ones::<O>(seed, bits, key);
+            observer.line_read(ones);
+            observer.scrub_check_keyed(key, line.dirty, ones, line.unchecked + 1);
             line.unchecked = 0;
             scrubbed += 1;
         }
@@ -765,6 +781,130 @@ mod tests {
         }
         let distinct: std::collections::HashSet<u32> = obs.0.iter().copied().collect();
         assert!(distinct.len() > 5, "rewrites should resample the weight");
+    }
+
+    /// Records every weight a hook hands over, keyed where the hook is.
+    #[derive(Default)]
+    struct WeightLog {
+        reads: Vec<u32>,
+        writes: Vec<u32>,
+        keyed: Vec<(LineKey, u32)>,
+    }
+
+    impl AccessObserver for WeightLog {
+        fn line_read(&mut self, ones: u32) {
+            self.reads.push(ones);
+        }
+
+        fn line_write(&mut self, ones: u32) {
+            self.writes.push(ones);
+        }
+
+        fn demand_read_keyed(&mut self, key: LineKey, ones: u32, _n: u64) {
+            self.keyed.push((key, ones));
+        }
+
+        fn eviction_keyed(&mut self, key: LineKey, _dirty: bool, ones: u32, _n: u64) {
+            self.keyed.push((key, ones));
+        }
+
+        fn scrub_check_keyed(&mut self, key: LineKey, _dirty: bool, ones: u32, _n: u64) {
+            self.keyed.push((key, ones));
+        }
+    }
+
+    /// Keys of the valid lines of `set`, in way order.
+    fn resident(c: &Cache, set: usize) -> Vec<LineKey> {
+        let ways = c.config.associativity();
+        c.lines[set * ways..(set + 1) * ways]
+            .iter()
+            .filter(|l| l.valid)
+            .map(|l| l.key(set))
+            .collect()
+    }
+
+    #[test]
+    fn hooks_see_key_weights_after_a_weightless_warm_up() {
+        for mode in [AccessMode::Parallel, AccessMode::Serial] {
+            let mut c = small(mode);
+            c.set_check_bits(8);
+            let (seed, bits) = (c.ones_seed(), c.stored_line_bits());
+            let weight = move |k: &LineKey| sample_ones(seed, k.tag, k.set, k.version, bits);
+            // The warm-up samples nothing; fills, rewrites and evictions
+            // still move every slot's version on.
+            for i in 0..24u64 {
+                c.write((i * 5 % 14) * 64, &mut ());
+                c.read((i * 3 % 11) * 64, &mut ());
+            }
+            let mut keyed_events = 0;
+            for step in 0..60u64 {
+                let address = (step * 7 % 13) * 64;
+                let (tag, set) = c.config.split_address(address);
+                let before = resident(&c, set);
+                let mut log = WeightLog::default();
+                let is_write = step % 3 == 0;
+                if is_write {
+                    c.write(address, &mut log);
+                } else {
+                    c.read(address, &mut log);
+                }
+                let after = resident(&c, set);
+
+                for (key, ones) in &log.keyed {
+                    assert_eq!(*ones, weight(key), "step {step}: keyed hook on {key:?}");
+                }
+                keyed_events += log.keyed.len();
+                let read: Vec<u32> = match (is_write, mode) {
+                    (true, _) => Vec::new(),
+                    (false, AccessMode::Parallel) => before.iter().map(weight).collect(),
+                    (false, AccessMode::Serial) => {
+                        before.iter().filter(|k| k.tag == tag).map(weight).collect()
+                    }
+                };
+                assert_eq!(log.reads, read, "step {step}: line reads");
+                // A fill or rewrite leaves exactly one content the set did
+                // not hold before; a read hit leaves none.
+                let written: Vec<u32> = after
+                    .iter()
+                    .filter(|k| !before.contains(k))
+                    .map(weight)
+                    .collect();
+                assert_eq!(log.writes, written, "step {step}: line writes");
+            }
+            assert!(keyed_events > 20, "demands and evictions were exercised");
+
+            let valid: Vec<u32> = (0..c.config.num_sets())
+                .flat_map(|set| resident(&c, set))
+                .map(|k| weight(&k))
+                .collect();
+            let mut log = WeightLog::default();
+            c.scrub(&mut log);
+            assert_eq!(log.reads, valid, "scrub reads every valid line");
+            let scrubbed: Vec<u32> = log.keyed.iter().map(|(_, ones)| *ones).collect();
+            assert_eq!(scrubbed, valid, "scrub checks carry the same weights");
+        }
+    }
+
+    #[test]
+    fn weightless_observers_get_zero_weights() {
+        struct KeysOnly(Vec<u32>);
+        impl AccessObserver for KeysOnly {
+            const NEEDS_WEIGHTS: bool = false;
+            fn line_read(&mut self, ones: u32) {
+                self.0.push(ones);
+            }
+            fn line_write(&mut self, ones: u32) {
+                self.0.push(ones);
+            }
+        }
+        let mut c = small(AccessMode::Parallel);
+        let mut obs = KeysOnly(Vec::new());
+        for i in 0..10u64 {
+            c.read(i * 128, &mut obs);
+        }
+        c.scrub(&mut obs);
+        assert!(obs.0.len() > 10);
+        assert!(obs.0.iter().all(|&ones| ones == 0));
     }
 
     /// Observer that records scrub events.

@@ -29,6 +29,8 @@ pub struct LineKey {
 ///
 /// `line_ones` is the number of `1` bits (`n` in Eqs. (2)–(6) of the
 /// paper) currently stored in the touched line, including check bits.
+/// The cache samples it at the hook from the line's [`LineKey`], and
+/// only for observers that declare [`NEEDS_WEIGHTS`](Self::NEEDS_WEIGHTS).
 ///
 /// # Examples
 ///
@@ -45,6 +47,13 @@ pub struct LineKey {
 /// }
 /// ```
 pub trait AccessObserver {
+    /// Whether any hook reads its `line_ones` argument. Sampling a weight
+    /// costs several hash rounds per line, so the cache does it only for
+    /// observers that need it; when this is `false`, every `line_ones`
+    /// argument is `0`. Override it to `false` only if no hook of the
+    /// implementation looks at `line_ones`.
+    const NEEDS_WEIGHTS: bool = true;
+
     /// A demand read hit: the one moment the *conventional* cache checks
     /// ECC. `unchecked_reads` is `N` of Eq. (3): the concealed reads
     /// accumulated since the line was last checked or rewritten, **plus
@@ -112,9 +121,13 @@ pub trait AccessObserver {
     }
 }
 
-impl AccessObserver for () {}
+impl AccessObserver for () {
+    const NEEDS_WEIGHTS: bool = false;
+}
 
 impl<T: AccessObserver + ?Sized> AccessObserver for &mut T {
+    const NEEDS_WEIGHTS: bool = T::NEEDS_WEIGHTS;
+
     fn demand_read(&mut self, line_ones: u32, unchecked_reads: u64) {
         (**self).demand_read(line_ones, unchecked_reads);
     }
@@ -191,6 +204,22 @@ mod tests {
         obs.line_read(3);
         obs.eviction(true, 4, 5);
         obs.line_write(6);
+    }
+
+    fn needs_weights<O: AccessObserver>() -> bool {
+        O::NEEDS_WEIGHTS
+    }
+
+    #[test]
+    fn weight_need_forwards_through_mut_ref() {
+        struct KeysOnly;
+        impl AccessObserver for KeysOnly {
+            const NEEDS_WEIGHTS: bool = false;
+        }
+        assert!(!needs_weights::<()>());
+        assert!(!needs_weights::<&mut KeysOnly>());
+        assert!(needs_weights::<Recorder>());
+        assert!(needs_weights::<&mut &mut Recorder>());
     }
 
     #[test]

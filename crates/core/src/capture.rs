@@ -462,6 +462,10 @@ impl CaptureObserver {
 }
 
 impl AccessObserver for CaptureObserver {
+    /// Records keep the key and drop the weight (replay resamples it at
+    /// each analysis point's width), so the cache need not sample it.
+    const NEEDS_WEIGHTS: bool = false;
+
     fn demand_read_keyed(&mut self, key: LineKey, _line_ones: u32, unchecked_reads: u64) {
         self.records.push(ExposureRecord {
             kind: ExposureKind::Demand,

@@ -303,9 +303,10 @@ impl Simulator {
             .then(|| reap_obs::Progress::new("capture", Some(total_accesses)));
         let mut hierarchy = Hierarchy::new(self.config.hierarchy.clone(), self.config.replacement);
         // Check bits widen the sampled content weights, but the capture
-        // ignores weights entirely (replay resamples them at the analysis
-        // point's width), so the capture is ECC-independent even though
-        // the driving cache carries this simulator's check bits.
+        // samples no weights at all (`CaptureObserver` reads none; replay
+        // resamples them at the analysis point's width), so the capture
+        // is ECC-independent even though the driving cache carries this
+        // simulator's check bits.
         hierarchy.l2_mut().set_check_bits(self.check_bits);
         let line_bits = self.config.hierarchy.l2.line_bits();
         let ones_seed = hierarchy.l2().ones_seed();
@@ -756,6 +757,25 @@ mod tests {
         let trace: Vec<MemoryAccess> = (0..100).map(|i| MemoryAccess::load(i * 64)).collect();
         let err = sim.run(trace).unwrap_err();
         assert!(matches!(err, SimulationError::BadParameter(_)));
+
+        // Capture and the oracle name the same budget the trace fell short of.
+        let trace = |n: u64| (0..n).map(|i| MemoryAccess::load(i * 64));
+        for (len, want) in [
+            (1_999, "trace shorter than warm-up budget"),
+            (2_000, "trace shorter than access budget"),
+            (31_999, "trace shorter than access budget"),
+        ] {
+            for err in [
+                sim.capture(trace(len)).unwrap_err(),
+                sim.run_single_pass(trace(len)).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, SimulationError::BadParameter(what) if what == want),
+                    "{len}-access trace: {err}"
+                );
+            }
+        }
+        assert!(sim.capture(trace(32_000)).is_ok());
     }
 
     #[test]

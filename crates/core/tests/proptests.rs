@@ -2,12 +2,15 @@
 //! for arbitrary event streams, not just the built-in workloads.
 
 use proptest::prelude::*;
-use reap_cache::{AccessObserver, Replacement};
+use reap_cache::{sample_ones, AccessObserver, Hierarchy, LineKey, Replacement};
 use reap_core::analysis::NumericExample;
 use reap_core::campaign::{run_sweep_campaign, CampaignConfig, CampaignError, SweepMode};
 use reap_core::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
 use reap_core::supervise::{pool_map_supervised, SupervisorConfig};
-use reap_core::{EccStrength, Experiment, ProtectionScheme, ReliabilityObserver, Simulator};
+use reap_core::{
+    EccStrength, Experiment, ExposureRecord, HierarchySnapshot, ProtectionScheme,
+    ReliabilityObserver, Simulator,
+};
 use reap_fault::FaultPlan;
 use reap_reliability::{
     AccumulationModel, ExposureKind, KernelMode, MultiReplayAggregator, ScalarMultiReplayAggregator,
@@ -93,6 +96,55 @@ fn feed_kernel<F: FnMut(ExposureKind, &[u32], u64)>(
             *slot = (mix(ones_seed, p as u64) % (u64::from(points[p].1) + 2)) as u32;
         }
         record(kind, &ones, n);
+    }
+}
+
+/// The capture's reference observer: it records what `CaptureObserver`
+/// records, but reads weights, so the cache samples every one it hands
+/// over. Each is checked against `sample_ones` of the line's key.
+struct WeighedRecorder {
+    seed: u64,
+    bits: usize,
+    records: Vec<ExposureRecord>,
+    weighed: u64,
+    wrong_weights: u64,
+}
+
+impl WeighedRecorder {
+    fn weigh(&mut self, key: LineKey, ones: u32) {
+        self.weighed += 1;
+        if ones != sample_ones(self.seed, key.tag, key.set, key.version, self.bits) {
+            self.wrong_weights += 1;
+        }
+    }
+
+    fn push(&mut self, kind: ExposureKind, key: LineKey, unchecked_reads: u64) {
+        self.records.push(ExposureRecord {
+            kind,
+            key,
+            unchecked_reads,
+        });
+    }
+}
+
+impl AccessObserver for WeighedRecorder {
+    fn demand_read_keyed(&mut self, key: LineKey, ones: u32, unchecked_reads: u64) {
+        self.weigh(key, ones);
+        self.push(ExposureKind::Demand, key, unchecked_reads);
+    }
+
+    fn eviction_keyed(&mut self, key: LineKey, dirty: bool, ones: u32, unchecked_reads: u64) {
+        self.weigh(key, ones);
+        if dirty && unchecked_reads > 0 {
+            self.push(ExposureKind::DirtyEviction, key, unchecked_reads);
+        }
+    }
+
+    fn scrub_check_keyed(&mut self, key: LineKey, dirty: bool, ones: u32, unchecked_reads: u64) {
+        self.weigh(key, ones);
+        if dirty {
+            self.push(ExposureKind::DirtyScrub, key, unchecked_reads);
+        }
     }
 }
 
@@ -214,6 +266,80 @@ proptest! {
             prop_assert_eq!(replayed.memory_reads(), direct.memory_reads());
             prop_assert_eq!(replayed.memory_writes(), direct.memory_writes());
         }
+    }
+
+    /// Capture samples no weights (`CaptureObserver` declares it does not
+    /// read them), yet records exactly what a serial `Hierarchy::access`
+    /// drive with a weight-reading observer records: the same records in
+    /// the same order and the same hierarchy counters. Warm-ups range from
+    /// none to several thousand accesses, so the warm-up/measure switch
+    /// and the L2 stats reset land after a weightless warm-up of any
+    /// length; scrub periods include every access. Every weight the
+    /// reference was handed equals `sample_ones` of its line key.
+    #[test]
+    fn capture_records_match_a_weighed_serial_drive(
+        workload_index in 0usize..21,
+        seed in any::<u64>(),
+        replacement in prop_oneof![
+            Just(Replacement::Lru),
+            Just(Replacement::TreePlru),
+            Just(Replacement::Fifo),
+            any::<u64>().prop_map(Replacement::Random),
+            Just(Replacement::Srrip),
+            Just(Replacement::LeastErrorRate),
+        ],
+        budgets in (
+            prop_oneof![Just(0u64), 1u64..64, 3_000u64..6_000],
+            prop_oneof![1u64..300, 3_000u64..6_000],
+        ),
+        scrub_period in prop_oneof![Just(0u64), Just(1u64), Just(700u64)],
+        check_bits in prop_oneof![Just(0usize), Just(64usize)],
+    ) {
+        let (warmup, measure) = budgets;
+        // A scrub every access sweeps all 16,384 L2 lines each time, so
+        // those cases keep the measured window short.
+        let measure = if scrub_period == 1 { measure % 300 + 1 } else { measure };
+        let workload = SpecWorkload::ALL[workload_index];
+        let experiment = Experiment::paper_hierarchy()
+            .workload(workload)
+            .replacement(replacement)
+            .budgets(warmup, measure)
+            .scrub(scrub_period)
+            .seed(seed);
+        let capture = experiment.capture().expect("capture");
+
+        let config = experiment.config();
+        let mut hierarchy = Hierarchy::new(config.hierarchy.clone(), replacement);
+        hierarchy.l2_mut().set_check_bits(check_bits);
+        let mut reference = WeighedRecorder {
+            seed: hierarchy.l2().ones_seed(),
+            bits: hierarchy.l2().stored_line_bits(),
+            records: Vec::new(),
+            weighed: 0,
+            wrong_weights: 0,
+        };
+        let mut trace = workload.stream(seed);
+        for a in trace.by_ref().take(warmup as usize) {
+            hierarchy.access(a, &mut ());
+        }
+        hierarchy.l2_mut().reset_stats();
+        let mut since_scrub = 0u64;
+        for a in trace.take(measure as usize) {
+            hierarchy.access(a, &mut reference);
+            if scrub_period > 0 {
+                since_scrub += 1;
+                if since_scrub >= scrub_period {
+                    hierarchy.l2_mut().scrub(&mut reference);
+                    since_scrub = 0;
+                }
+            }
+        }
+
+        prop_assert_eq!(capture.ones_seed(), reference.seed);
+        prop_assert_eq!(capture.events(), reference.records.as_slice());
+        prop_assert_eq!(*capture.snapshot(), HierarchySnapshot::of(&hierarchy));
+        prop_assert!(reference.weighed >= reference.records.len() as u64);
+        prop_assert_eq!(reference.wrong_weights, 0);
     }
 
     /// The batched multi-point kernel is a pure optimisation: scoring a
