@@ -12,10 +12,19 @@
 //! `read-current` — they only change how events are scored). The
 //! explorer exploits that split: one capture per (geometry, scrub,
 //! workload), served from the [`CaptureStore`] when one is configured,
-//! then [`Simulator::replay_batch_mode`] scores *every* analysis point
-//! against that capture in a single pass over the events. A grid of
-//! `W×S` behavioural combos and `E×R` analysis points costs `W×S` trace
-//! passes (zero when the store is warm), never `W×S×E×R`.
+//! then one batched replay ([`Simulator::replay_batch_into`]) scores
+//! *every* analysis point against that capture in a single pass over
+//! the events. A grid of `W×S` behavioural combos and `E×R` analysis
+//! points costs `W×S` trace passes per workload (zero when the store is
+//! warm), never `W×S×E×R`.
+//!
+//! A pool task is one `(combo, workload)` pair, so even a one-combo
+//! grid keeps every worker busy. A combo's simulators are built once
+//! and shared by its tasks; each worker keeps one replay kernel (its
+//! lookup tables and memo) and reuses it for every task whose analysis
+//! points match. The task that delivers a combo's last workload folds
+//! the per-workload sums in canonical workload order, so rows do not
+//! depend on which workload finished first.
 //!
 //! After the base grid, one **refinement pass** subdivides the
 //! continuous dimensions (`read-current`, `scrub`) around each front
@@ -30,8 +39,9 @@
 //! [`CheckpointWriter::record_json_rows`] entry points); every float
 //! travels as its IEEE-754 bit pattern, making a killed-and-resumed
 //! exploration **bit-identical** to an uninterrupted one — and, because
-//! each job depends only on its own inputs, identical at any
-//! parallelism.
+//! each task depends only on its own inputs and the fold order is
+//! fixed, identical at any parallelism. Only whole combos are
+//! journaled, one row group each.
 //!
 //! # Grid grammar
 //!
@@ -50,17 +60,21 @@
 //! `ways=8 ecc=sec read-current=1.0 scrub=0`. Values are sorted and
 //! deduplicated; listing order never matters.
 
+use crate::capture::ExposureCapture;
 use crate::capture_store::CaptureStore;
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, CheckpointWriter};
 use crate::experiment::{Experiment, ExperimentError};
+use crate::report::Report;
 use crate::scheme::ProtectionScheme;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
-use crate::sweep::pool_map;
+use crate::sweep::pool_map_with;
 use reap_cache::{ConfigError, HierarchyConfig};
 use reap_mtj::{MtjParams, ParamsError};
 use reap_nvarray::{estimate, ArraySpec, MemTech, TechnologyNode};
 use reap_obs::json;
-use reap_reliability::{pareto_front_indices, KernelMode, Mttf, ParetoPoint};
+use reap_reliability::{
+    pareto_front_indices, KernelMode, Mttf, MultiReplayAggregator, ParetoPoint,
+};
 use reap_trace::SpecWorkload;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -650,45 +664,69 @@ fn area_mm2_for(
     Ok(estimate(&spec, MemTech::SttMram, node).area_mm2())
 }
 
-/// Scores one behavioural combo at every analysis point: one capture
-/// per workload (store-served when possible), one batched replay per
-/// capture, workload sums folded into per-point rows.
-fn run_combo(
-    job: &ComboJob,
-    accesses: u64,
-    seed: u64,
-    workloads: &[SpecWorkload],
-    store: Option<&CaptureStore>,
-) -> Result<Vec<ExploreRow>, ExploreError> {
-    let hierarchy = HierarchyConfig::paper_with_l2_ways(job.ways)?;
-    let template = SimulationConfig::default();
-    let base_read = MtjParams::default().read_current();
-    let mut sims = Vec::with_capacity(job.points.len());
-    for &(ecc, scale) in &job.points {
-        let config = SimulationConfig {
-            hierarchy: hierarchy.clone(),
-            ecc,
-            mtj: MtjParams::default().with_read_current(scale * base_read)?,
-            warmup_accesses: accesses / 10,
-            measure_accesses: accesses,
-            scrub_period: job.scrub,
-            ..template.clone()
-        };
-        sims.push(Simulator::new(config)?);
+/// A behavioural combo being scored: its simulators (one per analysis
+/// point, built once and shared by every workload task of the combo)
+/// and the per-workload sums that have arrived so far, slotted by
+/// workload index.
+struct ComboRun<'a> {
+    job: &'a ComboJob,
+    hierarchy: HierarchyConfig,
+    sims: Vec<Simulator>,
+    parts: Mutex<Vec<Option<WorkloadSums>>>,
+}
+
+/// One workload's contribution to a combo: its measured duration and,
+/// per analysis point, expected REAP failures and REAP energy.
+struct WorkloadSums {
+    duration: f64,
+    fail: Vec<f64>,
+    energy: Vec<f64>,
+}
+
+impl<'a> ComboRun<'a> {
+    fn new(job: &'a ComboJob, accesses: u64, workloads: usize) -> Result<Self, ExploreError> {
+        let hierarchy = HierarchyConfig::paper_with_l2_ways(job.ways)?;
+        let base_read = MtjParams::default().read_current();
+        let mut sims = Vec::with_capacity(job.points.len());
+        for &(ecc, scale) in &job.points {
+            let config = SimulationConfig {
+                hierarchy: hierarchy.clone(),
+                ecc,
+                mtj: MtjParams::default().with_read_current(scale * base_read)?,
+                warmup_accesses: accesses / 10,
+                measure_accesses: accesses,
+                scrub_period: job.scrub,
+                ..SimulationConfig::default()
+            };
+            sims.push(Simulator::new(config)?);
+        }
+        Ok(Self {
+            job,
+            hierarchy,
+            sims,
+            parts: Mutex::new((0..workloads).map(|_| None).collect()),
+        })
     }
 
-    let mut fail = vec![0.0f64; job.points.len()];
-    let mut energy = vec![0.0f64; job.points.len()];
-    let mut duration = 0.0f64;
-    for &workload in workloads {
+    /// Scores one workload at every analysis point: one capture
+    /// (store-served when possible) and one batched replay through the
+    /// worker's reusable kernel.
+    fn score(
+        &self,
+        workload: SpecWorkload,
+        accesses: u64,
+        seed: u64,
+        store: Option<&CaptureStore>,
+        kernel: &mut Option<MultiReplayAggregator>,
+    ) -> Result<WorkloadSums, ExploreError> {
         let experiment = Experiment::paper_hierarchy()
-            .hierarchy(hierarchy.clone())
-            .scrub(job.scrub)
+            .hierarchy(self.hierarchy.clone())
+            .scrub(self.job.scrub)
             .accesses(accesses)
             .seed(seed)
             .workload(workload);
         let capture = experiment.capture_with(store)?;
-        let reports = match Simulator::replay_batch_mode(&sims, &capture, KernelMode::Exact) {
+        let reports = match replay_reusing(&self.sims, &capture, kernel) {
             // Same defect handling as Experiment::run_with: a
             // store-backed entry can rot between validation and the
             // streamed replay — recapture rather than fail the job.
@@ -696,36 +734,90 @@ fn run_combo(
                 eprintln!("warning: streamed capture failed mid-replay ({defect}); recapturing");
                 let sim = Simulator::new(experiment.config().clone())?;
                 let fresh = sim.capture(workload.stream(seed))?;
-                Simulator::replay_batch_mode(&sims, &fresh, KernelMode::Exact)?
+                replay_reusing(&self.sims, &fresh, kernel)?
             }
             other => other?,
         };
-        duration += reports[0].duration_seconds();
-        for (i, report) in reports.iter().enumerate() {
-            fail[i] += report.expected_failures(ProtectionScheme::Reap);
-            energy[i] += report.energy(ProtectionScheme::Reap).total();
-        }
+        Ok(WorkloadSums {
+            duration: reports[0].duration_seconds(),
+            fail: reports
+                .iter()
+                .map(|r| r.expected_failures(ProtectionScheme::Reap))
+                .collect(),
+            energy: reports
+                .iter()
+                .map(|r| r.energy(ProtectionScheme::Reap).total())
+                .collect(),
+        })
     }
 
-    job.points
-        .iter()
-        .enumerate()
-        .map(|(i, &(ecc, scale))| {
-            Ok(ExploreRow {
-                ways: job.ways,
-                scrub: job.scrub,
-                ecc,
-                read_scale: scale,
-                // Σ duration / Σ failures: +inf when nothing is expected
-                // to fail — the total-ordered Pareto comparison handles
-                // it (see reap_reliability::Mttf::total_cmp).
-                mttf_s: duration / fail[i],
-                energy_j: energy[i],
-                area_mm2: area_mm2_for(&hierarchy, ecc, template.tech_nm)?,
-                refined: job.refined,
+    /// Slots workload `w`'s sums in; once every workload has reported,
+    /// returns them all in canonical workload order.
+    fn deliver(&self, w: usize, sums: WorkloadSums) -> Option<Vec<WorkloadSums>> {
+        let mut parts = self.parts.lock().expect("combo parts lock");
+        parts[w] = Some(sums);
+        if parts.iter().any(Option::is_none) {
+            return None;
+        }
+        Some(parts.drain(..).flatten().collect())
+    }
+
+    /// Folds the per-workload sums, in canonical workload order, into
+    /// per-point rows — the same additions in the same order whatever
+    /// order the workloads finished in, so rows are bit-identical at any
+    /// parallelism.
+    fn fold(&self, parts: Vec<WorkloadSums>) -> Result<Vec<ExploreRow>, ExploreError> {
+        let npts = self.job.points.len();
+        let mut fail = vec![0.0f64; npts];
+        let mut energy = vec![0.0f64; npts];
+        let mut duration = 0.0f64;
+        for part in &parts {
+            duration += part.duration;
+            for i in 0..npts {
+                fail[i] += part.fail[i];
+                energy[i] += part.energy[i];
+            }
+        }
+        let tech_nm = SimulationConfig::default().tech_nm;
+        self.job
+            .points
+            .iter()
+            .enumerate()
+            .map(|(i, &(ecc, scale))| {
+                Ok(ExploreRow {
+                    ways: self.job.ways,
+                    scrub: self.job.scrub,
+                    ecc,
+                    read_scale: scale,
+                    // Σ duration / Σ failures: +inf when nothing is expected
+                    // to fail — the total-ordered Pareto comparison handles
+                    // it (see reap_reliability::Mttf::total_cmp).
+                    mttf_s: duration / fail[i],
+                    energy_j: energy[i],
+                    area_mm2: area_mm2_for(&self.hierarchy, ecc, tech_nm)?,
+                    refined: self.job.refined,
+                })
             })
-        })
-        .collect()
+            .collect()
+    }
+}
+
+/// Replays `capture` at `sims` through the worker's kernel, rebuilding
+/// it only when the batch's analysis points differ from the ones it was
+/// built for. The old kernel is freed before the new one is allocated,
+/// so a worker never holds two memos.
+fn replay_reusing(
+    sims: &[Simulator],
+    capture: &ExposureCapture,
+    kernel: &mut Option<MultiReplayAggregator>,
+) -> Result<Vec<Report>, SimulationError> {
+    let points = Simulator::batch_kernel_points(sims, capture);
+    if !kernel.as_ref().is_some_and(|k| k.matches_points(&points)) {
+        *kernel = None;
+        *kernel = Some(MultiReplayAggregator::with_mode(points, KernelMode::Exact));
+    }
+    let kernel = kernel.as_mut().expect("kernel was just built");
+    Simulator::replay_batch_into(sims, capture, kernel)
 }
 
 /// Indices of the Pareto front of `rows` (MTTF ↑, energy ↓, area ↓).
@@ -792,8 +884,9 @@ fn refinement_candidates(
 
 /// Runs the full exploration: base grid, refinement pass, final front.
 ///
-/// Deterministic by construction: each job depends only on its own
-/// inputs (results are identical at any `parallelism`), rows checkpoint
+/// Deterministic by construction: each (combo, workload) task depends
+/// only on its own inputs and each combo folds its workloads in
+/// canonical order (results are identical at any `parallelism`), rows checkpoint
 /// bit-exactly, and the refinement set is a pure function of the base
 /// rows — so a killed-and-resumed exploration reproduces an
 /// uninterrupted one bit for bit.
@@ -877,36 +970,57 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let mut resumed = 0usize;
 
     // Runs `jobs` (skipping checkpointed ones) and returns each job's
-    // rows in input order, streaming finished jobs into the journal.
+    // rows in input order. A pool task is one (combo, workload) pair;
+    // the task that completes a combo folds its rows and streams them
+    // into the journal, so the journal only ever holds whole combos.
     let run_phase = |jobs: &[ComboJob],
                      pool: &str,
                      resumed: &mut usize|
      -> Result<Vec<Vec<ExploreRow>>, ExploreError> {
-        let pending: Vec<ComboJob> = jobs
+        let pending: Vec<&ComboJob> = jobs
             .iter()
             .filter(|j| !completed.contains_key(&j.key()))
-            .cloned()
             .collect();
         *resumed += jobs.len() - pending.len();
         let (accesses, seed) = (config.accesses, config.seed);
         let workloads = &config.workloads;
-        let store = config.capture_store.clone();
-        let results = pool_map(pending, config.parallelism.max(1), pool, |job| {
-            let rows = run_combo(&job, accesses, seed, workloads, store.as_ref())?;
-            if let Some(w) = writer.lock().expect("writer lock").as_mut() {
-                let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
-                // A journal write failure must not kill the run; the
-                // rows are still in memory. Surface it on stderr.
-                if let Err(e) = w.record_json_rows(&job.key(), &encoded) {
-                    eprintln!("warning: {e}");
+        let store = config.capture_store.as_ref();
+        let combos = pending
+            .iter()
+            .map(|job| ComboRun::new(job, accesses, workloads.len()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let tasks: Vec<(usize, usize)> = (0..combos.len())
+            .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
+            .collect();
+        let results = pool_map_with(
+            tasks,
+            config.parallelism.max(1),
+            pool,
+            || None,
+            |kernel, (c, w)| {
+                let combo = &combos[c];
+                let sums = combo.score(workloads[w], accesses, seed, store, kernel)?;
+                let Some(parts) = combo.deliver(w, sums) else {
+                    return Ok(None);
+                };
+                let rows = combo.fold(parts)?;
+                let key = combo.job.key();
+                if let Some(journal) = writer.lock().expect("writer lock").as_mut() {
+                    let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
+                    // A journal write failure must not kill the run; the
+                    // rows are still in memory. Surface it on stderr.
+                    if let Err(e) = journal.record_json_rows(&key, &encoded) {
+                        eprintln!("warning: {e}");
+                    }
                 }
-            }
-            Ok::<(String, Vec<ExploreRow>), ExploreError>((job.key(), rows))
-        });
+                Ok::<_, ExploreError>(Some((key, rows)))
+            },
+        );
         let mut fresh: HashMap<String, Vec<ExploreRow>> = HashMap::new();
         for result in results {
-            let (key, rows) = result?;
-            fresh.insert(key, rows);
+            if let Some((key, rows)) = result? {
+                fresh.insert(key, rows);
+            }
         }
         Ok(jobs
             .iter()
@@ -1161,14 +1275,90 @@ mod tests {
 
     #[test]
     fn results_are_identical_at_any_parallelism() {
-        let mut wide = quick("ways=4,8 ecc=sec,dec read-current=0.8,1.0");
-        wide.parallelism = 4;
-        let mut narrow = wide.clone();
-        narrow.parallelism = 1;
-        let a = explore(&wide).unwrap();
-        let b = explore(&narrow).unwrap();
-        assert_eq!(row_bits(&a.rows), row_bits(&b.rows));
-        assert_eq!(a.front, b.front);
+        // Two combos with refinement on, folded over three workloads
+        // (enough for float addition order to matter) and over one. At
+        // -j 3 and 8 workers outnumber a combo's tasks, so combos finish
+        // out of order and workloads land in any order.
+        for (grid, workloads) in [
+            (
+                "ways=4,8 ecc=sec,dec read-current=0.8,1.0",
+                DEFAULT_WORKLOADS.to_vec(),
+            ),
+            (
+                "ecc=sec,dec read-current=0.8,1.0 scrub=0,2k",
+                vec![SpecWorkload::Libquantum],
+            ),
+        ] {
+            let mut config = quick(grid);
+            config.workloads = workloads;
+            config.parallelism = 1;
+            assert!(config.refine);
+            let serial = explore(&config).unwrap();
+            assert!(serial.refined_points > 0, "{grid}: {serial:?}");
+            for jobs in [2, 3, 8] {
+                config.parallelism = jobs;
+                let wide = explore(&config).unwrap();
+                assert_eq!(
+                    row_bits(&wide.rows),
+                    row_bits(&serial.rows),
+                    "{grid} at -j {jobs}"
+                );
+                assert_eq!(wide.front, serial.front, "{grid} at -j {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_journal_holds_whole_combos_under_stable_keys() {
+        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("explore-keys.jsonl");
+        std::fs::remove_file(&path).ok();
+
+        let mut config = quick("ways=4,8 ecc=sec,dec read-current=0.8,1.0 scrub=0,2k");
+        config.parallelism = 3;
+        config.checkpoint = Some(path.clone());
+        let outcome = explore(&config).unwrap();
+        let journal = checkpoint::load_with(&path, explore_row_from_json).unwrap();
+        std::fs::remove_file(path).ok();
+
+        // Pinned to what the one-task-per-combo explorer wrote for this
+        // grid, so checkpoints it left behind still resume.
+        assert_eq!(journal.meta.fingerprint, 0xdff2_71f1_def5_2a27);
+        assert_eq!(journal.truncated_tail, None);
+        // Exactly one row group per combo, each holding every point of
+        // its combo: no partial combos, no repeats.
+        let mut groups: Vec<(String, usize)> = journal
+            .completed
+            .iter()
+            .map(|(key, rows)| (key.clone(), rows.len()))
+            .collect();
+        groups.sort();
+        let want: Vec<(String, usize)> = [
+            ("r/w4/s0", 2),
+            ("r/w4/s1000", 2),
+            ("r/w4/s2000", 2),
+            ("w4/s0", 4),
+            ("w4/s2000", 4),
+            ("w8/s0", 4),
+            ("w8/s2000", 4),
+        ]
+        .into_iter()
+        .map(|(key, rows)| (key.to_owned(), rows))
+        .collect();
+        assert_eq!(groups, want);
+        // The journaled rows are the outcome's rows, bit for bit.
+        let mut journaled: Vec<ExploreRow> = journal
+            .completed
+            .into_iter()
+            .flat_map(|(_, rows)| rows)
+            .collect();
+        journaled.sort_by(|a, b| {
+            (a.ways, a.scrub, a.ecc.t())
+                .cmp(&(b.ways, b.scrub, b.ecc.t()))
+                .then(a.read_scale.total_cmp(&b.read_scale))
+        });
+        assert_eq!(row_bits(&journaled), row_bits(&outcome.rows));
     }
 
     #[test]

@@ -461,11 +461,46 @@ impl Simulator {
         capture: &ExposureCapture,
         mode: KernelMode,
     ) -> Result<Vec<Report>, SimulationError> {
+        if points.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut multi =
+            MultiReplayAggregator::with_mode(Self::batch_kernel_points(points, capture), mode);
+        Self::replay_batch_into(points, capture, &mut multi)
+    }
+
+    /// [`replay_batch`](Self::replay_batch) into a caller-owned kernel:
+    /// scores `capture` at every point through `multi` and hands back the
+    /// reports, leaving `multi` emptied by
+    /// [`MultiReplayAggregator::take_reports`] but holding its tables and
+    /// memo, ready for the next capture. A caller replaying many captures
+    /// at the same points builds the kernel once; the results are
+    /// bit-identical to a fresh kernel per capture. The kernel's own
+    /// [`KernelMode`] applies.
+    ///
+    /// `multi` must hold no records fed outside this call. A stream that
+    /// fails mid-replay leaves it empty too, so a retry starts clean.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::CaptureMismatch`] if any point's
+    /// behavioural configuration differs from the capture's,
+    /// [`SimulationError::BadParameter`] if `multi` was built for other
+    /// analysis points than [`batch_kernel_points`](Self::batch_kernel_points)
+    /// of this batch, and [`SimulationError::CaptureStream`] if the
+    /// capture fails while being streamed.
+    pub fn replay_batch_into(
+        points: &[Simulator],
+        capture: &ExposureCapture,
+        multi: &mut MultiReplayAggregator,
+    ) -> Result<Vec<Report>, SimulationError> {
         for sim in points {
             sim.check_capture(capture)?;
         }
-        if points.is_empty() {
-            return Ok(Vec::new());
+        if !multi.matches_points(&Self::batch_kernel_points(points, capture)) {
+            return Err(SimulationError::BadParameter(
+                "replay kernel was built for different analysis points",
+            ));
         }
         let mut span = reap_obs::span("replay_batch");
         span.add_events(capture.event_count());
@@ -475,12 +510,12 @@ impl Simulator {
                 .add(points.len() as u64);
         }
 
-        let mut multi =
-            MultiReplayAggregator::with_mode(Self::batch_kernel_points(points, capture), mode);
-        Self::feed_batch(points, capture, |records, ones| {
+        let fed = Self::feed_batch(points, capture, |records, ones| {
             multi.record_block(records, ones);
-        })?;
-        Ok(Self::assemble_batch(points, capture, multi.finish()))
+        });
+        let aggregators = multi.take_reports();
+        fed?;
+        Ok(Self::assemble_batch(points, capture, aggregators))
     }
 
     /// [`replay_batch`](Self::replay_batch) driven by the pre-vectorization
@@ -521,8 +556,9 @@ impl Simulator {
     }
 
     /// Per-point `(model, stored width)` pairs both batch kernels are
-    /// built from.
-    fn batch_kernel_points(
+    /// built from — what a kernel passed to
+    /// [`replay_batch_into`](Self::replay_batch_into) must match.
+    pub fn batch_kernel_points(
         points: &[Simulator],
         capture: &ExposureCapture,
     ) -> Vec<(AccumulationModel, u32)> {
@@ -987,6 +1023,47 @@ mod tests {
         .unwrap();
         let err = Simulator::replay_batch(&[good, bad], &capture).unwrap_err();
         assert!(matches!(err, SimulationError::CaptureMismatch(_)));
+    }
+
+    #[test]
+    fn replay_batch_into_refuses_a_kernel_built_for_other_points() {
+        let capture = Simulator::new(quick_config())
+            .unwrap()
+            .capture(SpecWorkload::Gcc.stream(1))
+            .unwrap();
+        let sims = |eccs: &[EccStrength]| {
+            eccs.iter()
+                .map(|&ecc| {
+                    Simulator::new(SimulationConfig {
+                        ecc,
+                        ..quick_config()
+                    })
+                    .unwrap()
+                })
+                .collect::<Vec<_>>()
+        };
+        let sec_dec = sims(&[EccStrength::Sec, EccStrength::Dec]);
+        let mut kernel =
+            MultiReplayAggregator::new(Simulator::batch_kernel_points(&sec_dec, &capture));
+        // Other widths, a missing point, swapped order: all refused.
+        for other in [
+            sims(&[EccStrength::Sec, EccStrength::Tec]),
+            sims(&[EccStrength::Sec]),
+            sims(&[EccStrength::Dec, EccStrength::Sec]),
+            Vec::new(),
+        ] {
+            let err = Simulator::replay_batch_into(&other, &capture, &mut kernel).unwrap_err();
+            assert!(
+                matches!(err, SimulationError::BadParameter(m) if m.contains("analysis points")),
+                "{err}"
+            );
+        }
+        // A refusal leaves the kernel as it was.
+        let reused = Simulator::replay_batch_into(&sec_dec, &capture, &mut kernel).unwrap();
+        let fresh = Simulator::replay_batch(&sec_dec, &capture).unwrap();
+        for (got, want) in reused.iter().zip(&fresh) {
+            assert_eq!(failure_bits(got), failure_bits(want));
+        }
     }
 
     #[test]

@@ -17,16 +17,8 @@ use std::time::Instant;
 /// Runs `f` over `jobs` on up to `parallelism` threads, returning results
 /// in input order.
 ///
-/// This is the shared pool behind [`run_parallel`] and
-/// [`replay_ecc_sweep_all`]. When telemetry is enabled
-/// ([`reap_obs::set_enabled`]), the batch is wrapped in a `pool_name` span
-/// whose event count is the job count, and each worker publishes its
-/// utilization as `{pool_name}.worker.{w}.busy_s` / `.idle_s` /
-/// `.utilization` gauges plus a `.jobs` counter. With telemetry disabled
-/// (the default) the pool takes no timestamps at all.
-///
-/// Determinism is unaffected: each job's result depends only on its own
-/// input, never on scheduling.
+/// This is [`pool_map_with`] without per-worker state, the shared pool
+/// behind [`run_parallel`] and [`replay_ecc_sweep_all`].
 ///
 /// # Panics
 ///
@@ -36,6 +28,41 @@ where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
+{
+    pool_map_with(jobs, parallelism, pool_name, || (), |_, job| f(job))
+}
+
+/// Runs `f` over `jobs` on up to `parallelism` threads, returning results
+/// in input order; each worker builds its own state with `init` once,
+/// before its first job, and lends it to every job it runs. State that
+/// is expensive to build and safe to reuse (a replay kernel's tables)
+/// is then built once per worker, not once per job.
+///
+/// When telemetry is enabled ([`reap_obs::set_enabled`]), the batch is
+/// wrapped in a `pool_name` span whose event count is the job count, and
+/// each worker publishes its utilization as
+/// `{pool_name}.worker.{w}.busy_s` / `.idle_s` / `.utilization` gauges
+/// plus a `.jobs` counter. With telemetry disabled (the default) the
+/// pool takes no timestamps at all.
+///
+/// Determinism is unaffected as long as a job's result depends only on
+/// its own input, never on which worker's state it borrowed.
+///
+/// # Panics
+///
+/// Panics if `parallelism == 0` or a worker thread panics.
+pub fn pool_map_with<T, R, S, I, F>(
+    jobs: Vec<T>,
+    parallelism: usize,
+    pool_name: &str,
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
 {
     assert!(parallelism > 0, "need at least one worker");
     let total = jobs.len();
@@ -57,10 +84,11 @@ where
             let sender = sender.clone();
             let slots = &slots;
             let next = &next;
-            let f = &f;
+            let (init, f) = (&init, &f);
             let pool = pool_name;
             scope.spawn(move || {
                 let started = telemetry.then(Instant::now);
+                let mut state = init();
                 let job_span_name = telemetry.then(|| format!("{pool}.job"));
                 let mut busy = std::time::Duration::ZERO;
                 let mut jobs_done = 0u64;
@@ -75,7 +103,7 @@ where
                     // Per-job span: feeds the `span.{pool}.job.us`
                     // latency histogram behind `reap obs report`.
                     let _job_span = job_span_name.as_deref().map(reap_obs::span);
-                    let result = f(job);
+                    let result = f(&mut state, job);
                     drop(_job_span);
                     if let Some(t0) = t0 {
                         busy += t0.elapsed();
@@ -422,6 +450,42 @@ mod tests {
         let jobs: Vec<Job> = (0..32).map(Job).collect();
         let out = pool_map(jobs, 4, "test_pool", |j| j.0 * 2);
         assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_map_with_builds_state_once_per_worker_and_keeps_order() {
+        for width in [1, 2, 64] {
+            let inits = AtomicUsize::new(0);
+            let jobs: Vec<u64> = (0..40).collect();
+            let out = pool_map_with(
+                jobs,
+                width,
+                "test_pool_with",
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    // Each worker's state counts the jobs it ran.
+                    0u64
+                },
+                |ran, j| {
+                    *ran += 1;
+                    (j * 3, *ran)
+                },
+            );
+            assert_eq!(
+                inits.load(Ordering::Relaxed),
+                width.min(40),
+                "one init per spawned worker at width {width}"
+            );
+            let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, (0..40).map(|j| j * 3).collect::<Vec<_>>());
+            // The state persisted across a worker's jobs: some worker's
+            // counter reached the average share.
+            let most = out.iter().map(|&(_, ran)| ran).max().unwrap();
+            assert!(most as usize >= 40 / width.min(40), "width {width}: {most}");
+            if width == 1 {
+                assert_eq!(most, 40);
+            }
+        }
     }
 
     #[test]

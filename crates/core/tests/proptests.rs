@@ -407,6 +407,75 @@ proptest! {
         }
     }
 
+    /// A replay kernel reused across captures
+    /// ([`Simulator::replay_batch_into`] on one aggregator) is
+    /// bit-identical to a fresh kernel per capture
+    /// ([`Simulator::replay_batch_mode`]): every scheme sum, writeback
+    /// exposure, histogram bin and energy total agrees, at 1, 3, 5 and 21
+    /// analysis points (remainder lanes alone and beside full 4-wide
+    /// chunks), with scrubbing off and on (dirty scrubs beside dirty
+    /// evictions), in both kernel modes.
+    #[test]
+    fn a_reused_replay_kernel_matches_a_fresh_one_per_capture(
+        first in 0usize..21,
+        seed in any::<u64>(),
+        scrub_period in prop_oneof![Just(0u64), Just(700u64)],
+        num_points in prop_oneof![Just(1usize), Just(3), Just(5), Just(21)],
+        fast in any::<bool>(),
+    ) {
+        let mode = if fast { KernelMode::FastMath } else { KernelMode::Exact };
+        let base = Experiment::paper_hierarchy()
+            .budgets(500, 4_000)
+            .scrub(scrub_period)
+            .seed(seed);
+        let captures: Vec<_> = (0..3)
+            .map(|k| {
+                base.clone()
+                    .workload(SpecWorkload::ALL[(first + 7 * k) % 21])
+                    .capture()
+                    .expect("capture")
+            })
+            .collect();
+        // ECC strengths cycle fastest, read currents step every three
+        // points: the explorer's ecc × read-current layout.
+        let points: Vec<Simulator> = (0..num_points)
+            .map(|i| {
+                let card = reap_mtj::MtjParams::default()
+                    .with_read_current((0.7 + 0.05 * (i / 3) as f64) * 70e-6)
+                    .expect("valid read current");
+                let e = base.clone().ecc(EccStrength::ALL[i % 3]).mtj(card);
+                Simulator::new(e.config().clone()).expect("simulator")
+            })
+            .collect();
+        let mut kernel = MultiReplayAggregator::with_mode(
+            Simulator::batch_kernel_points(&points, &captures[0]),
+            mode,
+        );
+        for capture in &captures {
+            let reused = Simulator::replay_batch_into(&points, capture, &mut kernel)
+                .expect("reused replay");
+            let fresh = Simulator::replay_batch_mode(&points, capture, mode).expect("fresh");
+            prop_assert_eq!(reused.len(), num_points);
+            for (got, want) in reused.iter().zip(&fresh) {
+                for scheme in ProtectionScheme::ALL {
+                    prop_assert_eq!(
+                        got.expected_failures(scheme).to_bits(),
+                        want.expected_failures(scheme).to_bits()
+                    );
+                    prop_assert_eq!(
+                        got.energy(scheme).total().to_bits(),
+                        want.energy(scheme).total().to_bits()
+                    );
+                }
+                prop_assert_eq!(
+                    got.writeback_exposure().to_bits(),
+                    want.writeback_exposure().to_bits()
+                );
+                prop_assert_eq!(got.histogram(), want.histogram());
+            }
+        }
+    }
+
     /// The vectorized batched kernel is pinned bit-identical to the
     /// scalar reference kernel for arbitrary record streams: every
     /// failure sum, event count and histogram bin agrees to the bit

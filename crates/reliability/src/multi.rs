@@ -556,18 +556,42 @@ impl MultiReplayAggregator {
         }
     }
 
+    /// Whether this aggregator scores exactly `points`, in order — the
+    /// check a caller makes before reusing it on another stream.
+    pub fn matches_points(&self, points: &[(AccumulationModel, u32)]) -> bool {
+        points.len() == self.models.len()
+            && points
+                .iter()
+                .zip(self.models.iter().zip(&self.widths))
+                .all(|(&(model, width), (&m, &w))| model == m && width == w)
+    }
+
     /// Tears the batch apart into one [`ReplayAggregator`] per point, in
     /// construction order, each indistinguishable from an independent
     /// replay of the stream.
-    pub fn finish(self) -> Vec<ReplayAggregator> {
+    pub fn finish(mut self) -> Vec<ReplayAggregator> {
+        self.take_reports()
+    }
+
+    /// [`finish`](Self::finish) without giving up the kernel tables:
+    /// returns the per-point reports of every record fed so far and
+    /// zeroes the sums, histogram and event counts, so the next stream
+    /// starts from scratch. The stacked `single`/`ln(1 − u)` tables and
+    /// the memo survive. Memo cells cache a pure function of
+    /// `(model, ones, N)`, so a reused aggregator is bit-identical to a
+    /// fresh one — it only skips rebuilding the tables and re-deriving
+    /// the terms a previous stream already computed, and keeps one memo
+    /// allocation alive instead of one per stream.
+    pub fn take_reports(&mut self) -> Vec<ReplayAggregator> {
         let conv_events = self.demand_events + self.scrub_events;
         let shared_counts = self.hist_counts[..self.hist_len].to_vec();
-        self.models
+        let npts = self.models.len();
+        let reports = self
+            .models
             .iter()
             .zip(&self.widths)
             .enumerate()
             .map(|(p, (&model, &width))| {
-                let npts = self.models.len();
                 let histogram = LogHistogram::from_parts(
                     shared_counts.clone(),
                     (0..self.hist_len)
@@ -585,7 +609,22 @@ impl MultiReplayAggregator {
                     self.wb_sum[p],
                 )
             })
-            .collect()
+            .collect();
+        for sums in [
+            &mut self.conv_sum,
+            &mut self.reap_sum,
+            &mut self.serial_sum,
+            &mut self.wb_sum,
+        ] {
+            sums.fill(0.0);
+        }
+        self.hist_fail.fill(0.0);
+        self.hist_counts.fill(0);
+        self.hist_len = 0;
+        self.hist_max_n = 0;
+        self.demand_events = 0;
+        self.scrub_events = 0;
+        reports
     }
 
     /// `fail_conventional(ones, n_reads)` for point `p`, memoized over
@@ -885,14 +924,26 @@ mod tests {
     }
 
     fn pseudo_records(widths: &[u32], count: u64) -> Vec<(ExposureKind, Vec<u32>, u64)> {
+        seeded_records(widths, count, 0x9e37, true)
+    }
+
+    /// A pseudo-random stream of every record kind; without `scrub` the
+    /// dirty-scrub slots become demand reads, as in a capture taken with
+    /// scrubbing off.
+    fn seeded_records(
+        widths: &[u32],
+        count: u64,
+        seed: u64,
+        scrub: bool,
+    ) -> Vec<(ExposureKind, Vec<u32>, u64)> {
         let mut records = Vec::new();
-        let mut state = 0x9e37u64;
+        let mut state = seed;
         for i in 0..count {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let kind = match state % 5 {
-                0 => ExposureKind::DirtyScrub,
+                0 if scrub => ExposureKind::DirtyScrub,
                 1 => ExposureKind::DirtyEviction,
                 _ => ExposureKind::Demand,
             };
@@ -1069,6 +1120,101 @@ mod tests {
         for (agg, (model, _)) in finished.iter().zip(&pts) {
             assert_eq!(agg.model(), model);
         }
+    }
+
+    /// `n` heterogeneous points: widths, disturb probabilities and
+    /// correction strengths all vary, so every lane differs.
+    fn n_points(n: usize) -> Vec<(AccumulationModel, u32)> {
+        (0..n)
+            .map(|p| {
+                let p_rd = 10f64.powi(-(3 + (p % 6) as i32));
+                let t = 1 + p % 3;
+                (AccumulationModel::new(p_rd, t), 130 + 23 * (p as u32 % 20))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reused_aggregator_matches_a_fresh_one_per_stream() {
+        // 1 and 3 points run only remainder lanes, 5 and 21 a mix of
+        // full 4-wide chunks and remainders.
+        for n in [1, 3, 5, 21] {
+            let pts = n_points(n);
+            let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
+            // Scrub and no-scrub streams, a long-N stream followed by a
+            // one-record stream (the histogram must shrink back), and a
+            // repeat of the first stream (all memo hits).
+            let streams = [
+                seeded_records(&widths, 400, 0x5eed, true),
+                seeded_records(&widths, 300, 0xface, false),
+                vec![(
+                    ExposureKind::Demand,
+                    widths.iter().map(|w| w / 2).collect(),
+                    2,
+                )],
+                seeded_records(&widths, 400, 0x5eed, true),
+            ];
+            for mode in [KernelMode::Exact, KernelMode::FastMath] {
+                let mut reused = MultiReplayAggregator::with_mode(pts.clone(), mode);
+                for (i, records) in streams.iter().enumerate() {
+                    let mut fresh = MultiReplayAggregator::with_mode(pts.clone(), mode);
+                    // Stream 1 goes through the block entry, the others
+                    // record by record.
+                    if i == 1 {
+                        let recs: Vec<(ExposureKind, u64)> =
+                            records.iter().map(|&(k, _, n)| (k, n)).collect();
+                        let flat: Vec<u32> =
+                            records.iter().flat_map(|(_, o, _)| o.clone()).collect();
+                        reused.record_block(&recs, &flat);
+                    } else {
+                        for (kind, ones, n) in records {
+                            reused.record(*kind, ones, *n);
+                        }
+                    }
+                    for (kind, ones, n) in records {
+                        fresh.record(*kind, ones, *n);
+                    }
+                    let got = reused.take_reports();
+                    let want = fresh.finish();
+                    assert_eq!(got.len(), want.len());
+                    for (got, want) in got.iter().zip(&want) {
+                        assert_bit_equal(got, want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn take_reports_leaves_an_empty_aggregator() {
+        let pts = seven_points();
+        let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
+        let mut multi = MultiReplayAggregator::new(pts.clone());
+        for (kind, ones, n) in seeded_records(&widths, 200, 3, true) {
+            multi.record(kind, &ones, n);
+        }
+        let _ = multi.take_reports();
+        let empty = MultiReplayAggregator::new(pts);
+        for (got, want) in multi.take_reports().iter().zip(&empty.finish()) {
+            assert_bit_equal(got, want);
+        }
+    }
+
+    #[test]
+    fn matches_points_requires_the_same_points_in_order() {
+        let pts = n_points(5);
+        let multi = MultiReplayAggregator::new(pts.clone());
+        assert!(multi.matches_points(&pts));
+        assert!(!multi.matches_points(&pts[..4]));
+        let mut swapped = pts.clone();
+        swapped.swap(0, 1);
+        assert!(!multi.matches_points(&swapped));
+        let mut wider = pts.clone();
+        wider[2].1 += 1;
+        assert!(!multi.matches_points(&wider));
+        let mut hotter = pts;
+        hotter[4].0 = AccumulationModel::new(0.5, 1);
+        assert!(!multi.matches_points(&hotter));
     }
 
     #[test]
