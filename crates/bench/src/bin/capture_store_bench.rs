@@ -18,9 +18,10 @@
 //! smoke mode — tiny captures leave little trace cost to amortise) and
 //! the v2 store directory must be at least 2x smaller than v1 (1.2x in
 //! smoke mode, where fixed headers dominate). The bench also reports the
-//! peak RSS of each warm pass — the bounded-memory streaming claim in
-//! numbers. Results land in `BENCH_capture.json` (override the path with
-//! the first argument).
+//! peak RSS of each cold pass (a fresh capture held as v2 frames while
+//! it is replayed and stored) and of each warm pass (streamed from disk)
+//! — the memory claims in numbers. Results land in `BENCH_capture.json`
+//! (override the path with the first argument).
 //!
 //! `--smoke` (or `REAP_BENCH_SMOKE=1`) shrinks the access budget for CI.
 
@@ -79,6 +80,7 @@ struct FormatRun {
     bytes: u64,
     bytes_written: u64,
     bytes_read: u64,
+    cold_peak_rss: Option<u64>,
     warm_peak_rss: Option<u64>,
     results: Vec<Vec<(EccStrength, Report)>>,
 }
@@ -98,11 +100,13 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
     // per format so the counters below cover exactly this pair.
     reap_bench::enable_telemetry();
 
+    // Scope one peak-RSS watermark to each pass: the cold one is the
+    // memory cost of capturing, the warm one of replaying from disk.
+    let rss_scoped = reset_peak_rss();
     let (cold_s, cold) = sweep_all(accesses, &store);
+    let cold_peak_rss = if rss_scoped { peak_rss_bytes() } else { None };
     let bytes = store_bytes(&dir);
 
-    // Scope the peak-RSS watermark to the warm pass: this is the memory
-    // cost of replaying from disk, the number the streaming path bounds.
     let rss_scoped = reset_peak_rss();
     let (warm_s, warm) = sweep_all(accesses, &store);
     let warm_peak_rss = if rss_scoped { peak_rss_bytes() } else { None };
@@ -143,6 +147,7 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
         bytes,
         bytes_written,
         bytes_read,
+        cold_peak_rss,
         warm_peak_rss,
         results: cold,
     }
@@ -150,19 +155,28 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
 
 fn format_json(run: &FormatRun) -> String {
     let speedup = run.cold_s / run.warm_s;
+    let rss = |b: Option<u64>| b.map_or("null".to_string(), |b| b.to_string());
     format!(
         "{{\n    \"cold_s\": {:.6},\n    \"warm_s\": {:.6},\n    \"speedup\": {speedup:.3},\n    \
          \"hits\": {},\n    \"store_bytes\": {},\n    \"bytes_written\": {},\n    \
-         \"bytes_read\": {},\n    \"warm_peak_rss_bytes\": {}\n  }}",
+         \"bytes_read\": {},\n    \"cold_peak_rss_bytes\": {},\n    \
+         \"warm_peak_rss_bytes\": {}\n  }}",
         run.cold_s,
         run.warm_s,
         run.hits,
         run.bytes,
         run.bytes_written,
         run.bytes_read,
-        run.warm_peak_rss
-            .map_or("null".to_string(), |b| b.to_string()),
+        rss(run.cold_peak_rss),
+        rss(run.warm_peak_rss),
     )
+}
+
+/// A peak-RSS reading in MiB, or `n/a` where the platform has none.
+fn fmt_rss(bytes: Option<u64>) -> String {
+    bytes.map_or("n/a".to_string(), |b| {
+        format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
+    })
 }
 
 fn main() {
@@ -213,14 +227,12 @@ fn main() {
     for (label, run, speedup) in [("v1", &v1, speedup_v1), ("v2", &v2, speedup_v2)] {
         println!(
             "{label}: cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   \
-             {} B on disk   warm peak RSS {}",
+             {} B on disk   peak RSS cold {} warm {}",
             run.cold_s,
             run.warm_s,
             run.bytes,
-            run.warm_peak_rss.map_or("n/a".to_string(), |b| format!(
-                "{:.1} MiB",
-                b as f64 / (1 << 20) as f64
-            )),
+            fmt_rss(run.cold_peak_rss),
+            fmt_rss(run.warm_peak_rss),
         );
     }
     println!("compression: v2 entries {compression_ratio:.2}x smaller than v1 (bit-identical)");

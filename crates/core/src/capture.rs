@@ -33,6 +33,7 @@
 //! # }
 //! ```
 
+use crate::capture_store::{frame_decoder, FrameChain, FrameEncoder, V2Decoder};
 use reap_cache::{AccessObserver, CacheStats, Hierarchy, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use std::fmt;
@@ -116,20 +117,29 @@ pub trait ExposureStream {
 pub type StreamOpener =
     dyn Fn() -> Result<Box<dyn ExposureStream + Send>, StreamDefect> + Send + Sync;
 
-/// Where a capture's events live: owned in memory (fresh captures,
-/// `reap-capture/1` loads) or behind a re-openable stream
-/// (`reap-capture/2` loads, decoded frame-by-frame at replay time).
+/// Where a capture's events live: a fresh capture holds them as
+/// `reap-capture/2` frames in memory, a store entry (either format) as an
+/// opener that re-reads the file on each pass. Either way replay decodes
+/// them a frame (or v1 block) at a time.
+#[derive(Clone)]
 enum EventSource {
-    Memory(Vec<ExposureRecord>),
-    Streamed { count: u64, open: Arc<StreamOpener> },
+    Frames {
+        count: u64,
+        frames: Arc<[Box<[u8]>]>,
+    },
+    Streamed {
+        count: u64,
+        open: Arc<StreamOpener>,
+    },
 }
 
 impl fmt::Debug for EventSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Memory(events) => f
-                .debug_tuple("Memory")
-                .field(&format_args!("{} events", events.len()))
+            Self::Frames { count, frames } => f
+                .debug_struct("Frames")
+                .field("count", count)
+                .field("frames", &frames.len())
                 .finish(),
             Self::Streamed { count, .. } => f
                 .debug_struct("Streamed")
@@ -139,23 +149,12 @@ impl fmt::Debug for EventSource {
     }
 }
 
-impl Clone for EventSource {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Memory(events) => Self::Memory(events.clone()),
-            Self::Streamed { count, open } => Self::Streamed {
-                count: *count,
-                open: Arc::clone(open),
-            },
-        }
-    }
-}
-
 /// A borrowed pass over a capture's events, in capture order.
 ///
-/// Implements [`ExposureStream`]: for in-memory captures it walks the
-/// owned slice; for streamed captures it decodes the backing source
-/// frame-by-frame without materializing.
+/// Implements [`ExposureStream`]: it decodes a fresh capture's frames
+/// straight from memory, pulls a store entry's records from its re-opened
+/// stream, and walks the slice once [`ExposureCapture::events`] has
+/// materialized one.
 pub struct ExposureEvents<'a> {
     total: u64,
     inner: EventsInner<'a>,
@@ -163,6 +162,7 @@ pub struct ExposureEvents<'a> {
 
 enum EventsInner<'a> {
     Slice(std::slice::Iter<'a, ExposureRecord>),
+    Frames(V2Decoder<FrameChain<'a>>),
     Stream(Box<dyn ExposureStream + Send>),
 }
 
@@ -174,6 +174,9 @@ impl ExposureStream for ExposureEvents<'_> {
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
         match &mut self.inner {
             EventsInner::Slice(iter) => Ok(iter.next().copied()),
+            EventsInner::Frames(decoder) => decoder
+                .next_record()
+                .map_err(|e| StreamDefect::new(e.to_string())),
             EventsInner::Stream(stream) => stream.next_record(),
         }
     }
@@ -238,8 +241,8 @@ impl HierarchySnapshot {
 #[derive(Debug, Clone)]
 pub struct ExposureCapture {
     source: EventSource,
-    /// Lazily collected copy of a streamed source, filled the first time
-    /// [`ExposureCapture::events`] is called on one. `OnceLock` keeps the
+    /// Lazily decoded copy of the events, filled the first time
+    /// [`ExposureCapture::events`] is called. `OnceLock` keeps the
     /// slice-returning accessor available behind a `&self` receiver.
     materialized: OnceLock<Vec<ExposureRecord>>,
     snapshot: HierarchySnapshot,
@@ -258,10 +261,9 @@ pub struct ExposureCapture {
 }
 
 impl ExposureCapture {
-    /// Assembles a capture from its parts. Used by
-    /// [`crate::Simulator::capture`] and by harnesses (e.g. scrub-period
-    /// studies) that drive a [`Hierarchy`] manually with a
-    /// [`CaptureObserver`].
+    /// Assembles a capture from its parts, encoding `events` into
+    /// frames. Used by harnesses (e.g. scrub-period studies) that drive a
+    /// [`Hierarchy`] manually with a [`CaptureObserver`].
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         events: Vec<ExposureRecord>,
@@ -274,8 +276,41 @@ impl ExposureCapture {
         measure_accesses: u64,
         scrub_period: u64,
     ) -> Self {
+        let mut frames = FrameEncoder::new();
+        frames.extend(&events);
+        Self::from_frames(
+            frames,
+            snapshot,
+            line_bits,
+            ones_seed,
+            hierarchy,
+            replacement,
+            warmup_accesses,
+            measure_accesses,
+            scrub_period,
+        )
+    }
+
+    /// Assembles a capture whose events were coded into `frames` as they
+    /// were recorded, the form [`crate::Simulator::capture`] produces.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn from_frames(
+        frames: FrameEncoder,
+        snapshot: HierarchySnapshot,
+        line_bits: usize,
+        ones_seed: u64,
+        hierarchy: HierarchyConfig,
+        replacement: Replacement,
+        warmup_accesses: u64,
+        measure_accesses: u64,
+        scrub_period: u64,
+    ) -> Self {
+        let (count, frames) = frames.finish();
         Self {
-            source: EventSource::Memory(events),
+            source: EventSource::Frames {
+                count,
+                frames: frames.into(),
+            },
             materialized: OnceLock::new(),
             snapshot,
             line_bits,
@@ -322,47 +357,53 @@ impl ExposureCapture {
 
     /// The recorded exposure events, in simulation order, as a slice.
     ///
-    /// For a streamed capture this materializes the full stream on first
-    /// call (and caches it), trading the bounded-memory property for
-    /// random access — fine for tests and external consumers; internal
-    /// replay paths use [`ExposureCapture::iter`] instead.
+    /// Decodes every event on first call (and caches the result), trading
+    /// the compact form for random access — fine for tests and external
+    /// consumers; internal replay paths use [`ExposureCapture::iter`]
+    /// instead.
     ///
     /// # Panics
     ///
-    /// Panics if a streamed source fails mid-collection (e.g. the store
-    /// entry was deleted after validation). Fallible callers should use
+    /// Panics if the source fails mid-collection (e.g. the store entry
+    /// was deleted after validation). Fallible callers should use
     /// [`ExposureCapture::iter`].
     pub fn events(&self) -> &[ExposureRecord] {
-        match &self.source {
-            EventSource::Memory(events) => events,
-            EventSource::Streamed { .. } => self.materialized.get_or_init(|| {
-                self.collect_stream()
-                    .expect("streamed capture must materialize")
-            }),
-        }
+        self.materialized.get_or_init(|| {
+            self.collect_events()
+                .expect("capture events must materialize")
+        })
     }
 
     /// Total recorded events, without touching the event data. O(1) for
-    /// both in-memory and streamed captures.
+    /// every source.
     pub fn event_count(&self) -> u64 {
         match &self.source {
-            EventSource::Memory(events) => events.len() as u64,
-            EventSource::Streamed { count, .. } => *count,
+            EventSource::Frames { count, .. } | EventSource::Streamed { count, .. } => *count,
+        }
+    }
+
+    /// A fresh capture's `reap-capture/2` frames, one slice per frame;
+    /// in order they are byte for byte what follows the header of a store
+    /// entry. `None` for a store-backed capture.
+    pub fn frames(&self) -> Option<&[Box<[u8]>]> {
+        match &self.source {
+            EventSource::Frames { frames, .. } => Some(frames),
+            EventSource::Streamed { .. } => None,
         }
     }
 
     /// Opens a bounded-memory pass over the events, in capture order.
     ///
-    /// In-memory captures iterate the owned slice; streamed captures
-    /// re-open the backing source and decode as the caller pulls. Fails
+    /// A fresh capture decodes its in-memory frames as the caller pulls;
+    /// a store-backed one re-opens its entry and decodes the file. Fails
     /// only if a streamed source cannot be re-opened.
     pub fn iter(&self) -> Result<ExposureEvents<'_>, StreamDefect> {
-        let inner = match &self.source {
-            EventSource::Memory(events) => EventsInner::Slice(events.iter()),
-            EventSource::Streamed { open, .. } => match self.materialized.get() {
-                Some(events) => EventsInner::Slice(events.iter()),
-                None => EventsInner::Stream(open()?),
-            },
+        let inner = match (self.materialized.get(), &self.source) {
+            (Some(events), _) => EventsInner::Slice(events.iter()),
+            (None, EventSource::Frames { count, frames }) => {
+                EventsInner::Frames(frame_decoder(frames, *count))
+            }
+            (None, EventSource::Streamed { open, .. }) => EventsInner::Stream(open()?),
         };
         Ok(ExposureEvents {
             total: self.event_count(),
@@ -370,24 +411,20 @@ impl ExposureCapture {
         })
     }
 
-    fn collect_stream(&self) -> Result<Vec<ExposureRecord>, StreamDefect> {
-        match &self.source {
-            EventSource::Memory(events) => Ok(events.clone()),
-            EventSource::Streamed { count, open } => {
-                let mut stream = open()?;
-                let mut events = Vec::with_capacity((*count).min(1 << 24) as usize);
-                while let Some(record) = stream.next_record()? {
-                    events.push(record);
-                }
-                if events.len() as u64 != *count {
-                    return Err(StreamDefect::new(format!(
-                        "stream yielded {} records, expected {count}",
-                        events.len()
-                    )));
-                }
-                Ok(events)
-            }
+    fn collect_events(&self) -> Result<Vec<ExposureRecord>, StreamDefect> {
+        let count = self.event_count();
+        let mut stream = self.iter()?;
+        let mut events = Vec::with_capacity(count.min(1 << 24) as usize);
+        while let Some(record) = stream.next_record()? {
+            events.push(record);
         }
+        if events.len() as u64 != count {
+            return Err(StreamDefect::new(format!(
+                "stream yielded {} records, expected {count}",
+                events.len()
+            )));
+        }
+        Ok(events)
     }
 
     /// Final hierarchy counters of the capture run.
@@ -450,14 +487,22 @@ impl CaptureObserver {
         Self::default()
     }
 
-    /// The events recorded so far, in simulation order.
+    /// The events recorded so far (since the capture loop last coded them
+    /// into frames), in simulation order.
     pub fn records(&self) -> &[ExposureRecord] {
         &self.records
     }
 
-    /// Consumes the recorder, yielding the event stream.
+    /// Consumes the recorder, yielding the events it still holds.
     pub fn into_records(self) -> Vec<ExposureRecord> {
         self.records
+    }
+
+    /// Codes the events recorded so far into `frames` and forgets them,
+    /// keeping the buffer for the next ones.
+    pub(crate) fn drain_into(&mut self, frames: &mut FrameEncoder) {
+        frames.extend(&self.records);
+        self.records.clear();
     }
 }
 
@@ -621,11 +666,9 @@ mod tests {
         assert_eq!(drain(&capture), records);
     }
 
-    #[test]
-    fn memory_capture_iter_matches_events() {
-        let records = sample_records();
-        let capture = ExposureCapture::from_parts(
-            records.clone(),
+    fn frame_capture(records: Vec<ExposureRecord>) -> ExposureCapture {
+        ExposureCapture::from_parts(
+            records,
             HierarchySnapshot {
                 l1i: CacheStats::default(),
                 l1d: CacheStats::default(),
@@ -640,10 +683,29 @@ mod tests {
             0,
             0,
             0,
-        );
+        )
+    }
+
+    #[test]
+    fn memory_capture_iter_matches_events() {
+        let records = sample_records();
+        let capture = frame_capture(records.clone());
         assert_eq!(capture.event_count(), records.len() as u64);
+        assert_eq!(capture.frames().map(<[_]>::len), Some(1));
         assert_eq!(drain(&capture), records);
         assert_eq!(capture.events(), records.as_slice());
+    }
+
+    #[test]
+    fn corrupt_in_memory_frames_fail_their_checksum() {
+        let mut capture = frame_capture(sample_records());
+        let EventSource::Frames { frames, .. } = &mut capture.source else {
+            panic!("a capture built from parts holds frames");
+        };
+        Arc::get_mut(frames).expect("sole owner")[0][12] ^= 0x01;
+        let mut stream = capture.iter().expect("open");
+        let defect = stream.next_record().expect_err("flipped payload bit");
+        assert!(defect.to_string().contains("checksum"), "{defect}");
     }
 
     #[test]

@@ -34,7 +34,10 @@
 //! `reap-capture/2` (the write default) keeps the v1 header fields but
 //! delta/varint-codes the records into independently checksummed frames,
 //! so entries are several times smaller and decode frame-by-frame
-//! straight into the replay iterator without materializing:
+//! straight into the replay iterator without materializing. It is also
+//! the in-memory form of a fresh capture: one frame encoder codes records
+//! into frames while the trace runs, and a store write is the header
+//! followed by those frames verbatim:
 //!
 //! ```text
 //! magic            "RCAP"     (4 bytes)
@@ -119,7 +122,7 @@ const VERSION_V2: u8 = 2;
 /// Records per full v2 frame. Bounds replay memory to one decoded frame
 /// (~160 KB of records) and bounds the blast radius of corruption to a
 /// single frame's checksum.
-const FRAME_RECORDS: u32 = 4096;
+pub(crate) const FRAME_RECORDS: u32 = 4096;
 /// Worst-case encoded size of one v2 record: a kind byte plus four
 /// 10-byte LEB128 varints. Used to bound declared payload lengths.
 const MAX_RECORD_BYTES: u32 = 1 + 4 * 10;
@@ -680,6 +683,8 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 
 /// Decodes one LEB128 varint from `payload` at `*pos`, advancing it.
 /// `None` on truncation, a non-terminating encoding, or 64-bit overflow.
+/// Always inlined: it is the inner loop of every frame decode.
+#[inline(always)]
 fn get_varint(payload: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -698,32 +703,123 @@ fn get_varint(payload: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Incremental `reap-capture/2` frame encoder: the one encoder of the
+/// format.
+///
+/// Records are delta/varint-coded into an open frame as they are pushed,
+/// and a frame is sealed (record count, payload length, payload,
+/// checksum) every 4096 records, so the frame cuts depend
+/// only on the record sequence and never on how it was fed. The sealed
+/// frames, in order, are byte for byte the bytes that follow the header
+/// of a v2 entry: [`crate::Simulator::capture`] drains its observer into
+/// one as it runs, the capture keeps the result as its only in-memory
+/// form, and [`write_capture_v2`] writes it verbatim after the header.
+/// Each frame is its own allocation, so a growing capture never copies
+/// the frames it already holds.
+#[derive(Debug, Default)]
+pub(crate) struct FrameEncoder {
+    /// Sealed frames, in stream order.
+    frames: Vec<Box<[u8]>>,
+    /// The open frame's payload.
+    payload: Vec<u8>,
+    /// The open frame's delta state (zeros at each frame start, so each
+    /// frame decodes on its own).
+    prev: [u64; 4],
+    /// Records in the open frame.
+    open: u32,
+    /// Records pushed in total.
+    count: u64,
+}
+
+impl FrameEncoder {
+    /// An encoder with no records.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Codes one record, sealing the frame it completes.
+    pub(crate) fn push(&mut self, record: &ExposureRecord) {
+        self.payload.push(kind_tag(record.kind));
+        let cur = [
+            record.key.tag,
+            record.key.set,
+            record.key.version,
+            record.unchecked_reads,
+        ];
+        for (p, c) in self.prev.iter_mut().zip(cur) {
+            put_varint(&mut self.payload, zigzag_delta(c, *p));
+            *p = c;
+        }
+        self.open += 1;
+        self.count += 1;
+        if self.open == FRAME_RECORDS {
+            self.seal();
+        }
+    }
+
+    /// Codes `records` in order.
+    pub(crate) fn extend(&mut self, records: &[ExposureRecord]) {
+        for record in records {
+            self.push(record);
+        }
+    }
+
+    /// Appends the open frame, if any, to the sealed ones.
+    fn seal(&mut self) {
+        if self.open == 0 {
+            return;
+        }
+        let mut head = [0u8; 8];
+        head[..4].copy_from_slice(&self.open.to_le_bytes());
+        head[4..].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        let checksum = fnv1a(fnv1a(FNV_BASIS, &head), &self.payload);
+        let mut frame = Vec::with_capacity(head.len() + self.payload.len() + 8);
+        frame.extend_from_slice(&head);
+        frame.extend_from_slice(&self.payload);
+        frame.extend_from_slice(&checksum.to_le_bytes());
+        self.frames.push(frame.into_boxed_slice());
+        self.payload.clear();
+        self.prev = [0; 4];
+        self.open = 0;
+    }
+
+    /// Seals the last, possibly short, frame and yields the record count
+    /// and the frames.
+    pub(crate) fn finish(mut self) -> (u64, Vec<Box<[u8]>>) {
+        self.seal();
+        (self.count, self.frames)
+    }
+}
+
 /// Serializes `capture` (stamped with `fingerprint`) as `reap-capture/2`,
-/// returning the total bytes written. Records are pulled through
-/// [`ExposureCapture::iter`], so encoding a streamed capture is itself
-/// bounded-memory.
+/// returning the total bytes written: the header, then the frames. A
+/// fresh capture already holds its frames, which are written verbatim; a
+/// store-backed one is first re-encoded into frames.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer (and stream defects from a
 /// streamed source, wrapped as I/O), stamped with the byte offset.
 pub fn write_capture_v2<W: Write>(
-    writer: W,
+    mut writer: W,
     fingerprint: u64,
     capture: &ExposureCapture,
 ) -> Result<u64, CaptureStoreError> {
-    let mut w = writer;
-    let mut offset = 0u64;
-    let put = |w: &mut W, offset: &mut u64, bytes: &[u8]| {
-        w.write_all(bytes).map_err(|source| CaptureStoreError::Io {
-            offset: *offset,
-            source,
-        })?;
-        *offset += bytes.len() as u64;
-        Ok::<(), CaptureStoreError>(())
+    let reencoded;
+    let frames = match capture.frames() {
+        Some(frames) => frames,
+        None => {
+            let mut encoder = FrameEncoder::new();
+            let mut events = capture.iter().map_err(defect_to_io)?;
+            while let Some(record) = events.next_record().map_err(defect_to_io)? {
+                encoder.push(&record);
+            }
+            reencoded = encoder.finish().1;
+            &reencoded
+        }
     };
 
-    let mut header = Vec::with_capacity(V2_HEADER_BYTES);
+    let mut header = Vec::with_capacity(V2_HEADER_BYTES + 8);
     header.extend_from_slice(MAGIC);
     header.push(VERSION_V2);
     header.extend_from_slice(&fingerprint.to_le_bytes());
@@ -735,49 +831,18 @@ pub fn write_capture_v2<W: Write>(
     header.extend_from_slice(&capture.event_count().to_le_bytes());
     header.extend_from_slice(&FRAME_RECORDS.to_le_bytes());
     debug_assert_eq!(header.len(), V2_HEADER_BYTES);
-    put(&mut w, &mut offset, &header)?;
-    put(
-        &mut w,
-        &mut offset,
-        &fnv1a(FNV_BASIS, &header).to_le_bytes(),
-    )?;
+    let header_checksum = fnv1a(FNV_BASIS, &header);
+    header.extend_from_slice(&header_checksum.to_le_bytes());
 
-    let mut events = capture.iter().map_err(defect_to_io)?;
-    let mut payload = Vec::with_capacity((FRAME_RECORDS * 8) as usize);
-    loop {
-        payload.clear();
-        // Delta state restarts at zeros so each frame decodes on its own.
-        let mut prev = [0u64; 4];
-        let mut records = 0u32;
-        while records < FRAME_RECORDS {
-            let Some(record) = events.next_record().map_err(defect_to_io)? else {
-                break;
-            };
-            payload.push(kind_tag(record.kind));
-            let cur = [
-                record.key.tag,
-                record.key.set,
-                record.key.version,
-                record.unchecked_reads,
-            ];
-            for (p, c) in prev.iter_mut().zip(cur) {
-                put_varint(&mut payload, zigzag_delta(c, *p));
-                *p = c;
-            }
-            records += 1;
-        }
-        if records == 0 {
-            break;
-        }
-        let mut frame_head = [0u8; 8];
-        frame_head[..4].copy_from_slice(&records.to_le_bytes());
-        frame_head[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        let checksum = fnv1a(fnv1a(FNV_BASIS, &frame_head), &payload);
-        put(&mut w, &mut offset, &frame_head)?;
-        put(&mut w, &mut offset, &payload)?;
-        put(&mut w, &mut offset, &checksum.to_le_bytes())?;
+    let mut offset = 0u64;
+    for bytes in std::iter::once(&header[..]).chain(frames.iter().map(|f| &f[..])) {
+        writer
+            .write_all(bytes)
+            .map_err(|source| CaptureStoreError::Io { offset, source })?;
+        offset += bytes.len() as u64;
     }
-    w.flush()
+    writer
+        .flush()
         .map_err(|source| CaptureStoreError::Io { offset, source })?;
     Ok(offset)
 }
@@ -789,16 +854,21 @@ struct V2Header {
     ones_seed: u64,
     snapshot: HierarchySnapshot,
     count: u64,
-    frame_len: u32,
 }
 
-/// Frame-at-a-time decoder of a `reap-capture/2` stream. Holds at most
-/// one decoded frame (≤ `frame_len` records), so both the load-time
-/// validation sweep and the replay iterator run in bounded memory.
-struct V2Decoder<R: Read> {
+/// Frame-at-a-time decoder of a `reap-capture/2` stream, the one decoder
+/// of the format: it reads store entries from disk and a fresh capture's
+/// frames from memory alike, verifying every frame checksum either way.
+/// Holds at most one decoded frame (≤ `frame_len` records), so both the
+/// load-time validation sweep and the replay iterator run in bounded
+/// memory.
+pub(crate) struct V2Decoder<R: Read> {
     reader: R,
     offset: u64,
-    header: V2Header,
+    /// Records the stream declares.
+    count: u64,
+    /// Records per full frame.
+    frame_len: u32,
     yielded: u64,
     frame: Vec<ExposureRecord>,
     frame_pos: usize,
@@ -812,7 +882,10 @@ impl<R: Read> V2Decoder<R> {
     /// Parses and verifies the header (magic, version, fingerprint,
     /// header checksum, frame-length sanity), leaving the reader at the
     /// first frame.
-    fn open(mut reader: R, expected_fingerprint: u64) -> Result<Self, CaptureStoreError> {
+    fn open(
+        mut reader: R,
+        expected_fingerprint: u64,
+    ) -> Result<(V2Header, Self), CaptureStoreError> {
         let mut offset = 0u64;
         let mut fixed = [0u8; V2_HEADER_BYTES];
         fill(&mut reader, &mut fixed, &mut offset, Section::Header)?;
@@ -862,28 +935,50 @@ impl<R: Read> V2Decoder<R> {
                 detail: "frame length out of range",
             });
         }
-        Ok(Self {
+        let header = V2Header {
+            line_bits,
+            ones_seed,
+            snapshot,
+            count,
+        };
+        Ok((header, Self::frames_at(reader, offset, count, frame_len)))
+    }
+
+    /// A decoder over the frame region of a stream of `count` records,
+    /// starting at byte `offset` of the entry.
+    fn frames_at(reader: R, offset: u64, count: u64, frame_len: u32) -> Self {
+        Self {
             reader,
             offset,
-            header: V2Header {
-                line_bits,
-                ones_seed,
-                snapshot,
-                count,
-                frame_len,
-            },
+            count,
+            frame_len,
             yielded: 0,
             frame: Vec::new(),
             frame_pos: 0,
             payload: Vec::new(),
             probed: false,
-        })
+        }
     }
 
     /// Yields the next record, reading and verifying the next frame when
     /// the buffered one is exhausted. After the final record, probes that
     /// the stream ends exactly (once).
-    fn next_record(&mut self) -> Result<Option<ExposureRecord>, CaptureStoreError> {
+    #[inline]
+    pub(crate) fn next_record(&mut self) -> Result<Option<ExposureRecord>, CaptureStoreError> {
+        match self.frame.get(self.frame_pos) {
+            Some(&record) => {
+                self.frame_pos += 1;
+                self.yielded += 1;
+                Ok(Some(record))
+            }
+            None => self.next_frame_record(),
+        }
+    }
+
+    /// [`next_record`](Self::next_record) at a frame boundary: kept out
+    /// of line so the per-record path stays small enough to inline.
+    #[inline(never)]
+    fn next_frame_record(&mut self) -> Result<Option<ExposureRecord>, CaptureStoreError> {
         loop {
             if self.frame_pos < self.frame.len() {
                 let record = self.frame[self.frame_pos];
@@ -891,7 +986,7 @@ impl<R: Read> V2Decoder<R> {
                 self.yielded += 1;
                 return Ok(Some(record));
             }
-            if self.yielded == self.header.count {
+            if self.yielded == self.count {
                 if !self.probed {
                     self.probed = true;
                     let mut probe = [0u8; 1];
@@ -925,13 +1020,13 @@ impl<R: Read> V2Decoder<R> {
         fill(&mut self.reader, &mut head, &mut self.offset, section)?;
         let records = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
         let payload_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        if records == 0 || records > self.header.frame_len {
+        if records == 0 || records > self.frame_len {
             return Err(CaptureStoreError::Malformed {
                 offset: frame_offset,
                 detail: "frame record count out of range",
             });
         }
-        if u64::from(records) > self.header.count - self.yielded {
+        if u64::from(records) > self.count - self.yielded {
             return Err(CaptureStoreError::Malformed {
                 offset: frame_offset,
                 detail: "frames exceed the declared record count",
@@ -1030,16 +1125,16 @@ pub fn read_capture_v2<R: Read>(
     reader: R,
     expected_fingerprint: u64,
 ) -> Result<CapturePayload, CaptureStoreError> {
-    let mut decoder = V2Decoder::open(reader, expected_fingerprint)?;
-    let mut events = Vec::with_capacity(decoder.header.count.min(1 << 20) as usize);
+    let (header, mut decoder) = V2Decoder::open(reader, expected_fingerprint)?;
+    let mut events = Vec::with_capacity(header.count.min(1 << 20) as usize);
     while let Some(record) = decoder.next_record()? {
         events.push(record);
     }
     Ok(CapturePayload {
         events,
-        snapshot: decoder.header.snapshot,
-        line_bits: decoder.header.line_bits as usize,
-        ones_seed: decoder.header.ones_seed,
+        snapshot: header.snapshot,
+        line_bits: header.line_bits as usize,
+        ones_seed: header.ones_seed,
     })
 }
 
@@ -1051,9 +1146,9 @@ fn validate_v2<R: Read>(
     reader: R,
     expected_fingerprint: u64,
 ) -> Result<V2Header, CaptureStoreError> {
-    let mut decoder = V2Decoder::open(reader, expected_fingerprint)?;
+    let (header, mut decoder) = V2Decoder::open(reader, expected_fingerprint)?;
     while decoder.next_record()?.is_some() {}
-    Ok(decoder.header)
+    Ok(header)
 }
 
 /// [`ExposureStream`] adapter over a [`V2Decoder`]: the replay-time
@@ -1064,7 +1159,7 @@ struct V2CaptureStream {
 
 impl ExposureStream for V2CaptureStream {
     fn len(&self) -> u64 {
-        self.decoder.header.count
+        self.decoder.count
     }
 
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
@@ -1072,6 +1167,37 @@ impl ExposureStream for V2CaptureStream {
             .next_record()
             .map_err(|e| StreamDefect::new(e.to_string()))
     }
+}
+
+/// A fresh capture's in-memory frames read as one byte stream, straight
+/// from their slices.
+pub(crate) struct FrameChain<'a> {
+    rest: &'a [Box<[u8]>],
+    current: &'a [u8],
+}
+
+impl Read for FrameChain<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.current.is_empty() {
+            let Some((first, rest)) = self.rest.split_first() else {
+                return Ok(0);
+            };
+            self.current = first;
+            self.rest = rest;
+        }
+        self.current.read(buf)
+    }
+}
+
+/// A decoder over a fresh capture's `count` records held as in-memory
+/// frames (as [`FrameEncoder::finish`] yields them). Offsets in its
+/// errors are those the frames take in a v2 entry.
+pub(crate) fn frame_decoder(frames: &[Box<[u8]>], count: u64) -> V2Decoder<FrameChain<'_>> {
+    let chain = FrameChain {
+        rest: frames,
+        current: &[],
+    };
+    V2Decoder::frames_at(chain, V2_HEADER_BYTES as u64 + 8, count, FRAME_RECORDS)
 }
 
 /// The verified fixed header of a `reap-capture/1` stream.
@@ -1457,7 +1583,7 @@ impl CaptureStore {
                         reopen_path.display()
                     ))
                 })?;
-                let decoder = V2Decoder::open(BufReader::new(file), fingerprint)
+                let (_, decoder) = V2Decoder::open(BufReader::new(file), fingerprint)
                     .map_err(|e| StreamDefect::new(e.to_string()))?;
                 Ok(Box::new(V2CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
             });

@@ -1,6 +1,7 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
 use crate::capture::{CaptureObserver, ExposureCapture, ExposureStream, HierarchySnapshot};
+use crate::capture_store::{FrameEncoder, FRAME_RECORDS};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
@@ -311,6 +312,9 @@ impl Simulator {
         let line_bits = self.config.hierarchy.l2.line_bits();
         let ones_seed = hierarchy.l2().ones_seed();
         let mut observer = CaptureObserver::new();
+        // Records reach the frame encoder a frame's worth at a time, so
+        // the capture never holds more than one frame of raw records.
+        let mut frames = FrameEncoder::new();
 
         let mut iter = trace.into_iter();
         for _ in 0..self.config.warmup_accesses {
@@ -344,6 +348,9 @@ impl Simulator {
                     since_scrub = 0;
                 }
             }
+            if observer.records().len() >= FRAME_RECORDS as usize {
+                observer.drain_into(&mut frames);
+            }
             if let Some(p) = &progress {
                 p.tick(1);
             }
@@ -352,18 +359,11 @@ impl Simulator {
             p.finish();
         }
 
-        let records = observer.into_records();
+        observer.drain_into(&mut frames);
         let snapshot = HierarchySnapshot::of(&hierarchy);
         span.add_events(total_accesses);
-        if span.is_recording() {
-            let registry = reap_obs::global();
-            registry
-                .counter("sim.capture.exposure_events")
-                .add(records.len() as u64);
-            snapshot.emit_metrics(registry);
-        }
-        Ok(ExposureCapture::from_parts(
-            records,
+        let capture = ExposureCapture::from_frames(
+            frames,
             snapshot,
             line_bits,
             ones_seed,
@@ -372,7 +372,20 @@ impl Simulator {
             self.config.warmup_accesses,
             self.config.measure_accesses,
             self.config.scrub_period,
-        ))
+        );
+        if span.is_recording() {
+            let registry = reap_obs::global();
+            registry
+                .counter("sim.capture.exposure_events")
+                .add(capture.event_count());
+            registry.counter("sim.capture.frame_bytes").add(
+                capture
+                    .frames()
+                    .map_or(0, |f| f.iter().map(|f| f.len() as u64).sum()),
+            );
+            snapshot.emit_metrics(registry);
+        }
+        Ok(capture)
     }
 
     /// Phase 2: evaluates a captured exposure stream at this simulator's

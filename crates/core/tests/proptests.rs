@@ -8,8 +8,8 @@ use reap_core::campaign::{run_sweep_campaign, CampaignConfig, CampaignError, Swe
 use reap_core::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
 use reap_core::supervise::{pool_map_supervised, SupervisorConfig};
 use reap_core::{
-    EccStrength, Experiment, ExposureRecord, HierarchySnapshot, ProtectionScheme,
-    ReliabilityObserver, Simulator,
+    EccStrength, Experiment, ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot,
+    ProtectionScheme, ReliabilityObserver, Simulator,
 };
 use reap_fault::FaultPlan;
 use reap_reliability::{
@@ -275,7 +275,10 @@ proptest! {
     /// none to several thousand accesses, so the warm-up/measure switch
     /// and the L2 stats reset land after a weightless warm-up of any
     /// length; scrub periods include every access. Every weight the
-    /// reference was handed equals `sample_ones` of its line key.
+    /// reference was handed equals `sample_ones` of its line key. The
+    /// capture holds its records only as frames, coded while it ran: a
+    /// streamed pass over them, and the frames themselves, equal those of
+    /// a capture assembled from the reference's whole record vector.
     #[test]
     fn capture_records_match_a_weighed_serial_drive(
         workload_index in 0usize..21,
@@ -336,6 +339,25 @@ proptest! {
         }
 
         prop_assert_eq!(capture.ones_seed(), reference.seed);
+        let mut stream = capture.iter().expect("open frames");
+        let mut streamed = Vec::new();
+        while let Some(record) = stream.next_record().expect("decode frame") {
+            streamed.push(record);
+        }
+        prop_assert_eq!(&streamed, &reference.records);
+        let whole = ExposureCapture::from_parts(
+            reference.records.clone(),
+            *capture.snapshot(),
+            capture.line_bits(),
+            capture.ones_seed(),
+            config.hierarchy.clone(),
+            replacement,
+            warmup,
+            measure,
+            scrub_period,
+        );
+        let frames = capture.frames().expect("a fresh capture holds frames");
+        prop_assert!(Some(frames) == whole.frames(), "frames depend on how records were fed");
         prop_assert_eq!(capture.events(), reference.records.as_slice());
         prop_assert_eq!(*capture.snapshot(), HierarchySnapshot::of(&hierarchy));
         prop_assert!(reference.weighed >= reference.records.len() as u64);

@@ -242,6 +242,21 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         let _ = writeln!(out);
     }
 
+    // A fresh capture holds its events as v2 frames until it is dropped,
+    // so this is its resident cost per event.
+    if let (Some(events @ 1..), Some(bytes)) = (
+        counter("sim.capture.exposure_events"),
+        counter("sim.capture.frame_bytes"),
+    ) {
+        let _ = writeln!(
+            out,
+            "fresh captures: {events} events in {} of frames ({:.2} B/event)",
+            fmt_bytes(bytes),
+            bytes as f64 / events as f64,
+        );
+        let _ = writeln!(out);
+    }
+
     if snapshot
         .counters
         .iter()
@@ -620,6 +635,8 @@ mod tests {
         r.counter("capture_store.hit").add(21);
         r.counter("capture_store.bytes_read").add(2 << 20);
         r.gauge("capture_store.compression_ratio").set(5.29);
+        r.counter("sim.capture.exposure_events").add(1000);
+        r.counter("sim.capture.frame_bytes").add(5_500);
 
         let text = render_report(&r.snapshot(), &ReportOptions::default());
         assert!(text.contains("replay"), "{text}");
@@ -628,6 +645,7 @@ mod tests {
         assert!(text.contains("0.80-1.00"), "{text}");
         assert!(text.contains("hits 21"), "{text}");
         assert!(text.contains("compression 5.29x"), "{text}");
+        assert!(text.contains("(5.50 B/event)"), "{text}");
         assert!(text.contains("process: wall"), "{text}");
     }
 

@@ -1,25 +1,38 @@
 #!/bin/bash
-# Final-scale campaign driving every figure regenerator; outputs land in results/.
-cd /root/repo
+# Final-scale campaign driving every figure regenerator. Build the regenerators
+# first (`cargo build --release -p reap-bench`). Each regenerator's stdout lands
+# in results/<name>.txt and its stderr in results/<name>.err; progress and
+# the first failure, if any, go to results/campaign.log.
+set -Eeuo pipefail
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$ROOT"
 BIN=target/release
-echo "start: $(date)" > results/campaign.log
-REAP_ACCESSES=50000000 $BIN/fig5 > results/fig5.txt 2>/dev/null
-echo "fig5 done: $(date)" >> results/campaign.log
-REAP_ACCESSES=50000000 $BIN/fig3 > results/fig3.txt 2>/dev/null
-echo "fig3 done: $(date)" >> results/campaign.log
-REAP_ACCESSES=10000000 $BIN/fig6 > results/fig6.txt 2>/dev/null
-echo "fig6 done: $(date)" >> results/campaign.log
-$BIN/table1 > results/table1.txt 2>/dev/null
-$BIN/fig1_disturbance > results/fig1_disturbance.txt 2>/dev/null
-$BIN/numeric_example > results/numeric_example.txt 2>/dev/null
-$BIN/overheads > results/overheads.txt 2>/dev/null
-REAP_ACCESSES=2000000 $BIN/ablation_ecc > results/ablation_ecc.txt 2>/dev/null
-REAP_ACCESSES=8000000 $BIN/ablation_assoc > results/ablation_assoc.txt 2>/dev/null
-REAP_ACCESSES=8000000 $BIN/ablation_schemes > results/ablation_schemes.txt 2>/dev/null
-REAP_ACCESSES=4000000 $BIN/ablation_replacement > results/ablation_replacement.txt 2>/dev/null
-REAP_ACCESSES=2000000 $BIN/ablation_variation > results/ablation_variation.txt 2>/dev/null
-REAP_ACCESSES=2000000 $BIN/ablation_temperature > results/ablation_temperature.txt 2>/dev/null
-REAP_ACCESSES=4000000 $BIN/extension_scrub > results/extension_scrub.txt 2>/dev/null
-REAP_ACCESSES=4000000 $BIN/extension_writeback > results/extension_writeback.txt 2>/dev/null
-$BIN/montecarlo_check > results/montecarlo_check.txt 2>/dev/null
-echo "all done: $(date)" >> results/campaign.log
+LOG=results/campaign.log
+
+# run NAME [ACCESSES]: one regenerator, at REAP_ACCESSES=ACCESSES when given.
+run() {
+    local name=$1 accesses=${2:-}
+    env ${accesses:+REAP_ACCESSES=$accesses} "$BIN/$name" \
+        > "results/$name.txt" 2> "results/$name.err"
+    echo "$name done: $(date)" >> "$LOG"
+}
+
+echo "start: $(date)" > "$LOG"
+trap 'echo "failed (see results/*.err): $(date)" >> "$LOG"' ERR
+run fig5 50000000
+run fig3 50000000
+run fig6 10000000
+run table1
+run fig1_disturbance
+run numeric_example
+run overheads
+run ablation_ecc 2000000
+run ablation_assoc 8000000
+run ablation_schemes 8000000
+run ablation_replacement 4000000
+run ablation_variation 2000000
+run ablation_temperature 2000000
+run extension_scrub 4000000
+run extension_writeback 4000000
+run montecarlo_check
+echo "all done: $(date)" >> "$LOG"
