@@ -1,32 +1,31 @@
 //! Performance benchmark for the persistent capture store.
 //!
-//! Runs the full per-workload ECC sweep twice per on-disk format
-//! (`reap-capture/1` and `/2`) against a fresh [`CaptureStore`] each:
+//! Runs the full per-workload ECC sweep twice against a fresh
+//! [`CaptureStore`]:
 //!
 //! 1. **cold** — the store directory starts empty, so every workload pays
 //!    its trace pass and persists the capture, and
 //! 2. **warm** — the same sweep again, now served entirely from disk: the
 //!    trace pass is skipped and only the replay kernel runs, streamed
-//!    straight out of the decoder's reusable buffers (frame-by-frame for
-//!    v2, block-by-block for v1) without materializing the event vector.
+//!    frame-by-frame straight out of the decoder's reusable buffers
+//!    without materializing the event vector.
 //!
-//! Correctness gates: cold and warm must agree bit-for-bit within a
-//! format, the v1 and v2 cold sweeps must agree bit-for-bit with each
-//! other (the encoding must never leak into results), and every warm
-//! workload must register a `capture_store.hit`. Performance gates: each
-//! warm pass must clear the speedup floor (2x at full budget, 1x in
-//! smoke mode — tiny captures leave little trace cost to amortise) and
-//! the v2 store directory must be at least 2x smaller than v1 (1.2x in
-//! smoke mode, where fixed headers dominate). The bench also reports the
-//! peak RSS of each cold pass (a fresh capture held as v2 frames while
-//! it is replayed and stored) and of each warm pass (streamed from disk)
-//! — the memory claims in numbers. Results land in `BENCH_capture.json`
-//! (override the path with the first argument).
+//! Correctness gates: cold and warm must agree bit-for-bit, and every
+//! warm workload must register a `capture_store.hit`. Performance gates:
+//! the warm pass must clear the speedup floor (2x at full budget, 1x in
+//! smoke mode — tiny captures leave little trace cost to amortise), and
+//! the store must spend at most 16.5 bytes per exposure event (27.5 in
+//! smoke mode, where fixed headers weigh more). Those ceilings are half
+//! and 1/1.2 of the retired fixed-width layout's 33 bytes per event. The
+//! bench also reports the peak RSS of the cold pass (a fresh capture held
+//! as frames while it is replayed and stored) and of the warm pass
+//! (streamed from disk) — the memory claims in numbers. Results land in
+//! `BENCH_capture.json` (override the path with the first argument).
 //!
 //! `--smoke` (or `REAP_BENCH_SMOKE=1`) shrinks the access budget for CI.
 
 use reap_bench::{access_budget, peak_rss_bytes, reset_peak_rss};
-use reap_core::capture_store::{CaptureFormat, CapturePolicy, CaptureStore};
+use reap_core::capture_store::{CapturePolicy, CaptureStore};
 use reap_core::sweep::replay_ecc_sweep_with;
 use reap_core::{EccStrength, Experiment, ProtectionScheme, Report};
 use reap_trace::SpecWorkload;
@@ -72,32 +71,28 @@ fn store_bytes(dir: &std::path::Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Everything one format's cold/warm pair produces.
-struct FormatRun {
+/// Everything the cold/warm pair produces.
+struct StoreRun {
     cold_s: f64,
     warm_s: f64,
     hits: u64,
+    events: u64,
     bytes: u64,
     bytes_written: u64,
     bytes_read: u64,
     cold_peak_rss: Option<u64>,
     warm_peak_rss: Option<u64>,
-    results: Vec<Vec<(EccStrength, Report)>>,
 }
 
-/// Runs the cold+warm sweep pair for one on-disk format in a fresh store
-/// directory, verifying warm ≡ cold bit-for-bit and full store service.
-fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
-    let dir = std::env::temp_dir().join(format!(
-        "reap-capture-bench-{}-{format}",
-        std::process::id()
-    ));
+/// Runs the cold+warm sweep pair in a fresh store directory, verifying
+/// warm ≡ cold bit-for-bit and full store service.
+fn run_store(accesses: u64) -> StoreRun {
+    let dir = std::env::temp_dir().join(format!("reap-capture-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
 
     // Count the store traffic, so the bench can prove the warm pass was
-    // actually served from disk rather than quietly recapturing. Reset
-    // per format so the counters below cover exactly this pair.
+    // actually served from disk rather than quietly recapturing.
     reap_bench::enable_telemetry();
 
     // Scope one peak-RSS watermark to each pass: the cold one is the
@@ -118,7 +113,7 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
             assert_eq!(
                 failure_bits(ra),
                 failure_bits(rb),
-                "warm sweep diverged from cold ({format}, {} at {ecc_a:?})",
+                "warm sweep diverged from cold ({} at {ecc_a:?})",
                 w.name()
             );
         }
@@ -129,47 +124,30 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
     assert_eq!(
         hits,
         SpecWorkload::ALL.len() as u64,
-        "every warm workload must be served from the store ({format})"
+        "every warm workload must be served from the store"
     );
     let bytes_written = registry.counter("capture_store.bytes_written").get();
     let bytes_read = registry.counter("capture_store.bytes_read").get();
     assert!(
         bytes_written >= bytes && bytes_read >= bytes,
-        "store I/O counters must cover the on-disk entries ({format}: \
-         wrote {bytes_written}, read {bytes_read}, on disk {bytes})"
+        "store I/O counters must cover the on-disk entries \
+         (wrote {bytes_written}, read {bytes_read}, on disk {bytes})"
     );
+    // Only the cold pass runs trace passes, one per workload.
+    let events = registry.counter("sim.capture.exposure_events").get();
 
     std::fs::remove_dir_all(&dir).ok();
-    FormatRun {
+    StoreRun {
         cold_s,
         warm_s,
         hits,
+        events,
         bytes,
         bytes_written,
         bytes_read,
         cold_peak_rss,
         warm_peak_rss,
-        results: cold,
     }
-}
-
-fn format_json(run: &FormatRun) -> String {
-    let speedup = run.cold_s / run.warm_s;
-    let rss = |b: Option<u64>| b.map_or("null".to_string(), |b| b.to_string());
-    format!(
-        "{{\n    \"cold_s\": {:.6},\n    \"warm_s\": {:.6},\n    \"speedup\": {speedup:.3},\n    \
-         \"hits\": {},\n    \"store_bytes\": {},\n    \"bytes_written\": {},\n    \
-         \"bytes_read\": {},\n    \"cold_peak_rss_bytes\": {},\n    \
-         \"warm_peak_rss_bytes\": {}\n  }}",
-        run.cold_s,
-        run.warm_s,
-        run.hits,
-        run.bytes,
-        run.bytes_written,
-        run.bytes_read,
-        rss(run.cold_peak_rss),
-        rss(run.warm_peak_rss),
-    )
 }
 
 /// A peak-RSS reading in MiB, or `n/a` where the platform has none.
@@ -197,59 +175,46 @@ fn main() {
     let workloads = SpecWorkload::ALL;
     let points = EccStrength::ALL.len();
     println!(
-        "capture store benchmark — {} workloads x {points} ECC points, {accesses} accesses each, \
-         formats v1+v2{}",
+        "capture store benchmark — {} workloads x {points} ECC points, {accesses} accesses each{}",
         workloads.len(),
         if smoke { " (smoke)" } else { "" }
     );
 
-    let v1 = run_format(accesses, CaptureFormat::V1);
-    let v2 = run_format(accesses, CaptureFormat::V2);
+    let run = run_store(accesses);
+    let speedup = run.cold_s / run.warm_s;
+    let bytes_per_event = run.bytes as f64 / run.events.max(1) as f64;
+    println!(
+        "cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   {} B on disk \
+         ({bytes_per_event:.2} B/event)   peak RSS cold {} warm {}",
+        run.cold_s,
+        run.warm_s,
+        run.bytes,
+        fmt_rss(run.cold_peak_rss),
+        fmt_rss(run.warm_peak_rss),
+    );
 
-    // The serialization format must never leak into results: the v1 and
-    // v2 cold sweeps saw identical captures, so they must agree exactly.
-    for (&w, (a, b)) in workloads.iter().zip(v1.results.iter().zip(&v2.results)) {
-        assert_eq!(a.len(), b.len());
-        for ((ecc_a, ra), (ecc_b, rb)) in a.iter().zip(b) {
-            assert_eq!(ecc_a, ecc_b);
-            assert_eq!(
-                failure_bits(ra),
-                failure_bits(rb),
-                "v2 sweep diverged from v1 ({} at {ecc_a:?})",
-                w.name()
-            );
-        }
-    }
-
-    let speedup_v1 = v1.cold_s / v1.warm_s;
-    let speedup_v2 = v2.cold_s / v2.warm_s;
-    let compression_ratio = v1.bytes as f64 / v2.bytes.max(1) as f64;
-    for (label, run, speedup) in [("v1", &v1, speedup_v1), ("v2", &v2, speedup_v2)] {
-        println!(
-            "{label}: cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   \
-             {} B on disk   peak RSS cold {} warm {}",
-            run.cold_s,
-            run.warm_s,
-            run.bytes,
-            fmt_rss(run.cold_peak_rss),
-            fmt_rss(run.warm_peak_rss),
-        );
-    }
-    println!("compression: v2 entries {compression_ratio:.2}x smaller than v1 (bit-identical)");
-
+    let rss = |b: Option<u64>| b.map_or("null".to_string(), |b| b.to_string());
     let json = format!(
         "{{\n  \"accesses\": {accesses},\n  \"workloads\": {},\n  \"points\": {points},\n  \
-         \"v1\": {},\n  \"v2\": {},\n  \"compression_ratio\": {compression_ratio:.3},\n  \
-         \"bit_identical\": true,\n  \"smoke\": {smoke}\n}}\n",
+         \"cold_s\": {:.6},\n  \"warm_s\": {:.6},\n  \"speedup\": {speedup:.3},\n  \
+         \"hits\": {},\n  \"exposure_events\": {},\n  \"store_bytes\": {},\n  \
+         \"bytes_per_event\": {bytes_per_event:.3},\n  \"bytes_written\": {},\n  \
+         \"bytes_read\": {},\n  \"cold_peak_rss_bytes\": {},\n  \
+         \"warm_peak_rss_bytes\": {},\n  \"bit_identical\": true,\n  \"smoke\": {smoke}\n}}\n",
         workloads.len(),
-        format_json(&v1),
-        format_json(&v2),
+        run.cold_s,
+        run.warm_s,
+        run.hits,
+        run.events,
+        run.bytes,
+        run.bytes_written,
+        run.bytes_read,
+        rss(run.cold_peak_rss),
+        rss(run.warm_peak_rss),
     );
     std::fs::write(&out_path, json).expect("write benchmark results");
     println!("wrote {out_path}");
 
-    // `run_format` resets the registry per format, so the snapshot here
-    // covers the v2 cold/warm pair — the store path we actually ship.
     if let Some(path) = &metrics_out {
         let mut buf = Vec::new();
         reap_obs::export::write_jsonl(&reap_obs::global().snapshot(), &mut buf)
@@ -260,20 +225,13 @@ fn main() {
 
     let floor = if smoke { 1.0 } else { 2.0 };
     let mut failed = false;
-    for (label, speedup) in [("v1", speedup_v1), ("v2", speedup_v2)] {
-        if speedup < floor {
-            eprintln!(
-                "FAIL: {label} warm sweep below the {floor:.0}x speedup floor ({speedup:.2}x)"
-            );
-            failed = true;
-        }
+    if speedup < floor {
+        eprintln!("FAIL: warm sweep below the {floor:.0}x speedup floor ({speedup:.2}x)");
+        failed = true;
     }
-    let size_floor = if smoke { 1.2 } else { 2.0 };
-    if compression_ratio < size_floor {
-        eprintln!(
-            "FAIL: v2 store only {compression_ratio:.2}x smaller than v1 \
-             (floor {size_floor:.1}x)"
-        );
+    let size_ceiling = if smoke { 27.5 } else { 16.5 };
+    if bytes_per_event > size_ceiling {
+        eprintln!("FAIL: store spends {bytes_per_event:.2} B/event (ceiling {size_ceiling:.1})");
         failed = true;
     }
     if failed {

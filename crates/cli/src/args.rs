@@ -1,7 +1,7 @@
 //! Command-line argument parsing.
 
 use reap_cache::Replacement;
-use reap_core::{CaptureFormat, CapturePolicy, CaptureStore, EccStrength, RetryBackoff};
+use reap_core::{CapturePolicy, CaptureStore, EccStrength, RetryBackoff};
 use reap_obs::GateMetric;
 use reap_trace::SpecWorkload;
 use std::error::Error;
@@ -148,9 +148,6 @@ pub struct CaptureArgs {
     pub dir: Option<PathBuf>,
     /// Store policy; defaults to `readwrite` when a directory is given.
     pub policy: Option<CapturePolicy>,
-    /// On-disk format for new entries; defaults to `v2` (reads accept
-    /// both formats regardless).
-    pub format: Option<CaptureFormat>,
 }
 
 impl CaptureArgs {
@@ -158,10 +155,10 @@ impl CaptureArgs {
     /// `--capture-dir` was given.
     pub fn to_store(&self) -> Option<CaptureStore> {
         let dir = self.dir.as_ref()?;
-        Some(
-            CaptureStore::new(dir.clone(), self.policy.unwrap_or(CapturePolicy::ReadWrite))
-                .with_format(self.format.unwrap_or_default()),
-        )
+        Some(CaptureStore::new(
+            dir.clone(),
+            self.policy.unwrap_or(CapturePolicy::ReadWrite),
+        ))
     }
 }
 
@@ -214,12 +211,6 @@ pub struct SweepArgs {
     /// Also sweep ECC strengths, replaying one exposure capture per
     /// workload instead of re-running the trace per strength.
     pub ecc_sweep: bool,
-    /// Run the batched replay kernel in fast-math mode: the REAP term's
-    /// `exp_m1` is shortcut for tiny exponents, with relative error
-    /// bounded at 5e-9 per event. Checkpoints are fingerprinted per
-    /// kernel mode, so exact and fast-math runs never resume into each
-    /// other.
-    pub fast_math: bool,
     /// Worker threads (defaults to the available parallelism).
     pub jobs: Option<usize>,
     /// Stream completed jobs to this checkpoint file.
@@ -250,7 +241,6 @@ impl Default for SweepArgs {
             accesses: 4_000_000,
             seed: 2019,
             ecc_sweep: false,
-            fast_math: false,
             jobs: None,
             checkpoint: None,
             resume: false,
@@ -554,36 +544,17 @@ fn parse_capture_flag(
                 }
             });
         }
-        "--capture-format" => {
-            let v = c.value_for(flag)?;
-            capture.format = Some(match v.to_ascii_lowercase().as_str() {
-                "v1" => CaptureFormat::V1,
-                "v2" => CaptureFormat::V2,
-                _ => {
-                    return Err(ParseCliError::BadValue {
-                        flag: flag.to_owned(),
-                        value: v,
-                        expected: "one of v1/v2",
-                    })
-                }
-            });
-        }
         _ => return Ok(false),
     }
     Ok(true)
 }
 
-/// A policy or format without a directory configures nothing — reject
-/// it instead of silently ignoring the flag.
+/// A policy without a directory configures nothing — reject it instead
+/// of silently ignoring the flag.
 fn check_capture(capture: &CaptureArgs) -> Result<(), ParseCliError> {
     if capture.policy.is_some() && capture.dir.is_none() {
         return Err(ParseCliError::MissingRequired {
             name: "--capture-dir (required by --capture-policy)",
-        });
-    }
-    if capture.format.is_some() && capture.dir.is_none() {
-        return Err(ParseCliError::MissingRequired {
-            name: "--capture-dir (required by --capture-format)",
         });
     }
     Ok(())
@@ -792,7 +763,6 @@ fn parse_sweep(mut c: Cursor) -> Result<Command, ParseCliError> {
             "--accesses" | "-n" => a.accesses = parse_num(&flag, c.value_for(&flag)?, "count")?,
             "--seed" | "-s" => a.seed = parse_num(&flag, c.value_for(&flag)?, "seed")?,
             "--ecc-sweep" => a.ecc_sweep = true,
-            "--fast-math" => a.fast_math = true,
             "--jobs" | "-j" => a.jobs = Some(parse_num(&flag, c.value_for(&flag)?, "count")?),
             "--checkpoint" => a.checkpoint = Some(PathBuf::from(c.value_for(&flag)?)),
             "--resume" => a.resume = true,
@@ -1123,15 +1093,6 @@ mod tests {
         };
         assert_eq!(a.accesses, 50_000);
         assert!(a.ecc_sweep);
-        assert!(!a.fast_math);
-    }
-
-    #[test]
-    fn sweep_fast_math_flag() {
-        let Command::Sweep(a) = p("sweep --ecc-sweep --fast-math").unwrap() else {
-            panic!()
-        };
-        assert!(a.fast_math);
     }
 
     #[test]
@@ -1258,42 +1219,6 @@ mod tests {
         let err = p("sweep --capture-dir caps --capture-policy sometimes").unwrap_err();
         assert!(matches!(err, ParseCliError::BadValue { .. }));
         assert!(err.to_string().contains("off/read/readwrite"), "{err}");
-    }
-
-    #[test]
-    fn capture_format_parses_defaults_and_rejects_unknown_values() {
-        // Explicit v1 on either command.
-        let Command::Sweep(a) =
-            p("sweep --ecc-sweep --capture-dir caps --capture-format v1").unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(a.capture.format, Some(CaptureFormat::V1));
-        assert_eq!(a.capture.to_store().unwrap().format(), CaptureFormat::V1);
-
-        let Command::Run(a) = p("run -w namd --capture-dir caps --capture-format V2").unwrap()
-        else {
-            panic!()
-        };
-        assert_eq!(a.capture.format, Some(CaptureFormat::V2));
-
-        // No flag → v2 by default.
-        let Command::Run(a) = p("run -w namd --capture-dir caps").unwrap() else {
-            panic!()
-        };
-        assert_eq!(a.capture.format, None);
-        assert_eq!(a.capture.to_store().unwrap().format(), CaptureFormat::V2);
-
-        // A format without a directory configures nothing.
-        assert_eq!(
-            p("sweep --capture-format v2"),
-            Err(ParseCliError::MissingRequired {
-                name: "--capture-dir (required by --capture-format)"
-            })
-        );
-        let err = p("sweep --capture-dir caps --capture-format v3").unwrap_err();
-        assert!(matches!(err, ParseCliError::BadValue { .. }));
-        assert!(err.to_string().contains("v1/v2"), "{err}");
     }
 
     #[test]

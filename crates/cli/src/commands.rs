@@ -32,19 +32,14 @@ COMMANDS:
                  --replacement/-r lru|plru|fifo|random|srrip|ler
                  --l2-ways K  --capture-dir DIR
                  --capture-policy off|read|readwrite (default readwrite)
-                 --capture-format v1|v2 (default v2; reads accept both)
     sweep        all 21 workloads: MTTF gain and energy overhead
                  --accesses/-n N  --seed/-s S  --jobs/-j K
                  --ecc-sweep  also sweep sec/dec/tec per workload,
                  replaying one exposure capture instead of re-simulating
-                 --fast-math         shortcut tiny exp_m1 in the replay
-                                     kernel (rel. error <= 5e-9/event;
-                                     checkpoints keyed per kernel mode)
                  --checkpoint FILE   stream completed jobs to FILE
                  --capture-dir DIR   persistent exposure-capture store:
                                      warm runs skip the trace pass
                  --capture-policy off|read|readwrite (default readwrite)
-                 --capture-format v1|v2 (default v2; reads accept both)
                  --resume            skip jobs already in the checkpoint
                  --max-retries K     retries per failed job (default 2)
                  --job-deadline-ms T per-attempt deadline
@@ -68,7 +63,7 @@ COMMANDS:
                  --no-refine         skip the refinement pass
                  --checkpoint FILE  --resume
                  --jsonl-out FILE    write the front rows as JSON-lines
-                 --capture-dir DIR [--capture-policy P] [--capture-format F]
+                 --capture-dir DIR [--capture-policy P]
                  (one capture per geometry×scrub×workload, replay-batched
                  across all ECC×read-current points; stdout is
                  byte-identical across -j and across kill/resume)
@@ -81,7 +76,7 @@ COMMANDS:
                  --max-retries K  --job-deadline-ms T  --retry-backoff SPEC
                  --inject SPEC       also drives connection faults:
                                      refuse=R,drop=R,stall-ms=T
-                 --capture-dir DIR [--capture-policy P] [--capture-format F]
+                 --capture-dir DIR [--capture-policy P]
                  --journal-gc-age-secs T  sweep abandoned job journals
                                      older than T (0 disables; default
                                      7 days; live jobs never swept)
@@ -406,7 +401,6 @@ fn sweep<W: Write>(args: SweepArgs, mut out: W) -> io::Result<i32> {
     config.checkpoint = args.checkpoint.clone();
     config.resume = args.resume;
     config.capture_store = args.capture.to_store();
-    config.fast_math = args.fast_math;
 
     let outcome = match run_sweep_campaign(&config) {
         Ok(o) => o,
@@ -944,30 +938,31 @@ mod tests {
     }
 
     #[test]
-    fn capture_formats_produce_identical_reports_and_interoperate() {
-        let dir = std::env::temp_dir().join(format!("reap-run-capfmt-{}", std::process::id()));
+    fn a_stale_capture_entry_is_recaptured_with_an_identical_report() {
+        let dir = std::env::temp_dir().join(format!("reap-run-stale-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let line = |fmt: &str| {
-            format!(
-                "run -w hmmer -n 20000 --seed 5 --capture-dir {} --capture-format {fmt}",
-                dir.display()
-            )
-        };
+        let line = format!(
+            "run -w hmmer -n 20000 --seed 5 --capture-dir {}",
+            dir.display()
+        );
+        let (cold_code, cold) = exec(&line);
+        assert_eq!(cold_code, 0);
+        let entry = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "rcap"))
+            .expect("cold run must have persisted an entry");
+        let fresh = std::fs::read(&entry).unwrap();
 
-        // Cold v1 write, then a warm read through a v2-configured store:
-        // the v1 entry is served as-is, byte-identical output.
-        let (cold_code, cold_v1) = exec(&line("v1"));
-        let (warm_code, warm_v2_reads_v1) = exec(&line("v2"));
-        assert_eq!((cold_code, warm_code), (0, 0));
-        assert_eq!(cold_v1, warm_v2_reads_v1, "v2 store must serve v1 entries");
-
-        // Fresh store in v2, warm read through a v1-configured store.
-        std::fs::remove_dir_all(&dir).ok();
-        let (cold_code, cold_v2) = exec(&line("v2"));
-        let (warm_code, warm_v1_reads_v2) = exec(&line("v1"));
-        assert_eq!((cold_code, warm_code), (0, 0));
-        assert_eq!(cold_v2, warm_v1_reads_v2, "v1 store must serve v2 entries");
-        assert_eq!(cold_v1, cold_v2, "format must never change the report");
+        // An entry in a version this build does not read is a miss: the
+        // run recaptures, reports the same, and rewrites the entry.
+        let mut stale = fresh.clone();
+        stale[4] = 1;
+        std::fs::write(&entry, &stale).unwrap();
+        let (warm_code, warm) = exec(&line);
+        assert_eq!(warm_code, 0);
+        assert_eq!(cold, warm, "a stale entry must never change the report");
+        assert_eq!(std::fs::read(&entry).unwrap(), fresh);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -22,7 +22,6 @@ use crate::capture_store::CaptureStore;
 use crate::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
 use crate::experiment::{Experiment, ExperimentError};
 use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
-use reap_reliability::KernelMode;
 use reap_trace::SpecWorkload;
 use std::collections::HashMap;
 use std::error::Error;
@@ -71,12 +70,6 @@ pub struct CampaignConfig {
     pub resume: bool,
     /// Persistent exposure-capture cache; `None` recaptures every run.
     pub capture_store: Option<CaptureStore>,
-    /// Run ECC-sweep replays with the batched kernel's fast-math mode
-    /// (documented `5e-9`-relative `exp_m1` shortcut) instead of the
-    /// bit-exact default. Folded into the checkpoint fingerprint so an
-    /// exact checkpoint never resumes into a fast-math run or vice
-    /// versa.
-    pub fast_math: bool,
 }
 
 impl CampaignConfig {
@@ -91,7 +84,6 @@ impl CampaignConfig {
             checkpoint: None,
             resume: false,
             capture_store: None,
-            fast_math: false,
         }
     }
 }
@@ -205,7 +197,6 @@ fn run_job(
     seed: u64,
     mode: SweepMode,
     store: Option<&CaptureStore>,
-    kernel: KernelMode,
 ) -> Result<Vec<SweepRow>, ExperimentError> {
     let experiment = Experiment::paper_hierarchy()
         .workload(workload)
@@ -220,14 +211,22 @@ fn run_job(
             // One capture (possibly served from the store), then the
             // batched multi-point kernel scores all strengths in a single
             // pass over the exposure stream.
-            Ok(
-                crate::sweep::replay_ecc_sweep_mode(&experiment, store, kernel)?
-                    .into_iter()
-                    .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-                    .collect(),
-            )
+            Ok(crate::sweep::replay_ecc_sweep_with(&experiment, store)?
+                .into_iter()
+                .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
+                .collect())
         }
     }
+}
+
+/// The checkpoint identity of `config`'s campaign: its mode, budget,
+/// seed and the canonical workload list.
+fn checkpoint_meta(config: &CampaignConfig) -> CheckpointMeta {
+    let keys: Vec<String> = SpecWorkload::ALL
+        .iter()
+        .map(|w| w.name().to_owned())
+        .collect();
+    CheckpointMeta::new(config.mode.tag(), config.accesses, config.seed, &keys)
 }
 
 /// Runs the full 21-workload campaign under supervision, streaming
@@ -251,13 +250,7 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
     // pool time.
     let _campaign_span = reap_obs::span("campaign");
     let workloads = SpecWorkload::ALL;
-    let keys: Vec<String> = workloads.iter().map(|w| w.name().to_owned()).collect();
-    let mode_tag = if config.fast_math {
-        format!("{}+fast-math", config.mode.tag())
-    } else {
-        config.mode.tag().to_owned()
-    };
-    let meta = CheckpointMeta::new(&mode_tag, config.accesses, config.seed, &keys);
+    let meta = checkpoint_meta(config);
 
     // Load and repair the checkpoint when resuming.
     let mut completed: HashMap<String, Vec<SweepRow>> = HashMap::new();
@@ -306,11 +299,6 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
     // this thread: checkpoint them and honour the simulated kill.
     let interrupt_after = config.supervisor.fault_plan.and_then(|p| p.interrupt_after);
     let (accesses, seed, mode) = (config.accesses, config.seed, config.mode);
-    let kernel = if config.fast_math {
-        KernelMode::FastMath
-    } else {
-        KernelMode::Exact
-    };
     // Each workload addresses its own store entry (the fingerprint covers
     // the workload), so concurrent workers never contend on one file.
     let store = config.capture_store.clone();
@@ -328,7 +316,7 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
         config.parallelism.max(1),
         pool_name,
         &config.supervisor,
-        move |w| run_job(w, accesses, seed, mode, store.as_ref(), kernel),
+        move |w| run_job(w, accesses, seed, mode, store.as_ref()),
         |i, outcome| {
             if let Ok(Ok(rows)) = &outcome.result {
                 if let Some(writer) = writer.as_mut() {
@@ -483,6 +471,20 @@ mod tests {
         assert_eq!(resumed.failed, 0);
         assert_eq!(rows_bits(&clean), rows_bits(&resumed));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn checkpoint_fingerprints_keep_their_values() {
+        // Checkpoints written by earlier builds must keep resuming: these
+        // are the fingerprints of the default `reap sweep --ecc-sweep`
+        // campaign and of a 50k-access one, both at seed 2019.
+        for (accesses, fingerprint) in [
+            (4_000_000, 0x0ca6_09e2_6d31_5554),
+            (50_000, 0x8d0b_660a_f240_f957),
+        ] {
+            let config = CampaignConfig::new(accesses, 2019, SweepMode::EccSweep, 2);
+            assert_eq!(checkpoint_meta(&config).fingerprint, fingerprint);
+        }
     }
 
     #[test]

@@ -118,9 +118,9 @@ pub type StreamOpener =
     dyn Fn() -> Result<Box<dyn ExposureStream + Send>, StreamDefect> + Send + Sync;
 
 /// Where a capture's events live: a fresh capture holds them as
-/// `reap-capture/2` frames in memory, a store entry (either format) as an
-/// opener that re-reads the file on each pass. Either way replay decodes
-/// them a frame (or v1 block) at a time.
+/// `reap-capture/2` frames in memory, a store entry as an opener that
+/// re-reads the file on each pass. Either way replay decodes them a frame
+/// at a time.
 #[derive(Clone)]
 enum EventSource {
     Frames {

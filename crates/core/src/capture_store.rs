@@ -8,44 +8,24 @@
 //! only integers, so it serializes bit-exactly. This module caches
 //! captures on disk and replays warm sweeps without touching the trace.
 //!
-//! Two on-disk formats are supported, both compact little-endian
-//! streams following the `reap-trace` conventions (every decode error
-//! names the byte offset where it stopped). `reap-capture/1` is the
-//! original fixed-width layout:
-//!
-//! ```text
-//! magic       "RCAP"          (4 bytes)
-//! version     u8 = 1
-//! fingerprint u64 LE          (the entry's CaptureKey fingerprint)
-//! line_bits   u64 LE
-//! ones_seed   u64 LE
-//! snapshot    38 × u64 LE     (l1i, l1d, l2 CacheStats in field order,
-//!                              then memory_reads, memory_writes)
-//! count       u64 LE
-//! count × records:
-//!   kind      u8              (0 demand, 1 dirty-scrub, 2 dirty-eviction)
-//!   tag       u64 LE
-//!   set       u64 LE
-//!   version   u64 LE
-//!   unchecked u64 LE
-//! checksum    u64 LE          (FNV-1a over every preceding byte)
-//! ```
-//!
-//! `reap-capture/2` (the write default) keeps the v1 header fields but
-//! delta/varint-codes the records into independently checksummed frames,
-//! so entries are several times smaller and decode frame-by-frame
-//! straight into the replay iterator without materializing. It is also
-//! the in-memory form of a fresh capture: one frame encoder codes records
-//! into frames while the trace runs, and a store write is the header
-//! followed by those frames verbatim:
+//! Entries use one on-disk format, `reap-capture/2`: a compact
+//! little-endian stream following the `reap-trace` conventions (every
+//! decode error names the byte offset where it stopped). A fixed header
+//! is followed by delta/varint-coded records in independently
+//! checksummed frames, which decode frame-by-frame straight into the
+//! replay iterator without materializing. It is also the in-memory form
+//! of a fresh capture: one frame encoder codes records into frames while
+//! the trace runs, and a store write is the header followed by those
+//! frames verbatim:
 //!
 //! ```text
 //! magic            "RCAP"     (4 bytes)
 //! version          u8 = 2
-//! fingerprint      u64 LE
+//! fingerprint      u64 LE     (the entry's CaptureKey fingerprint)
 //! line_bits        u64 LE
 //! ones_seed        u64 LE
-//! snapshot         38 × u64 LE
+//! snapshot         38 × u64 LE (l1i, l1d, l2 CacheStats in field order,
+//!                              then memory_reads, memory_writes)
 //! count            u64 LE
 //! frame_len        u32 LE     (records per full frame; 4096)
 //! header_checksum  u64 LE     (FNV-1a over the 345 header bytes)
@@ -54,12 +34,18 @@
 //!                              frame may be short)
 //!   payload_len    u32 LE
 //!   payload        payload_len bytes:
-//!     per record: kind u8, then zigzag(delta) LEB128 varints of
-//!     tag, set, version, unchecked_reads vs the previous record
-//!     (delta state resets to zeros at each frame start)
+//!     per record: kind u8 (0 demand, 1 dirty-scrub, 2 dirty-eviction),
+//!     then zigzag(delta) LEB128 varints of tag, set, version,
+//!     unchecked_reads vs the previous record (delta state resets to
+//!     zeros at each frame start)
 //!   checksum       u64 LE     (FNV-1a over the 8 frame-header bytes
 //!                              and the payload)
 //! ```
+//!
+//! An entry in any other version (such as one left by the retired
+//! fixed-width `reap-capture/1` writer) is rejected as
+//! [`CaptureStoreError::UnsupportedVersion`] and, like every other read
+//! failure, becomes a miss that is recaptured and overwritten once.
 //!
 //! A [`CaptureStore`] addresses entries by a fingerprint over everything
 //! the capture depends on — and *nothing* it does not: ECC strength, MTJ
@@ -103,22 +89,21 @@ use reap_trace::SpecWorkload;
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Schema identifier of the original fixed-width capture format. Also
-/// the seed of the *fingerprint* chain for every format — the
-/// fingerprint addresses capture content, not its encoding, so a v1 and
-/// a v2 entry of the same configuration share one store slot.
+/// The seed of the [`CaptureKey::fingerprint`] chain, and nothing else.
+/// It names the retired fixed-width format but must stay byte for byte:
+/// the fingerprint addresses capture content, not its encoding, and
+/// changing the seed would re-key every existing store entry.
 pub const CAPTURE_SCHEMA: &str = "reap-capture/1";
 
-/// Schema identifier of the delta/varint frame format.
+/// Schema identifier of the on-disk format.
 pub const CAPTURE_SCHEMA_V2: &str = "reap-capture/2";
 
 const MAGIC: &[u8; 4] = b"RCAP";
-const VERSION: u8 = 1;
-const VERSION_V2: u8 = 2;
+const VERSION: u8 = 2;
 /// Records per full v2 frame. Bounds replay memory to one decoded frame
 /// (~160 KB of records) and bounds the blast radius of corruption to a
 /// single frame's checksum.
@@ -129,26 +114,15 @@ const MAX_RECORD_BYTES: u32 = 1 + 4 * 10;
 /// v2 fixed header bytes (magic through frame_len, before the header
 /// checksum).
 const V2_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 8 + 38 * 8 + 8 + 4;
-/// v1 file overhead: 341 header bytes plus the 8-byte trailer.
-const V1_FILE_OVERHEAD: u64 = 349;
-/// v1 header bytes: magic, version, fingerprint, line_bits, ones_seed,
-/// 38 snapshot words, count.
-const V1_HEADER_BYTES: u64 = 4 + 1 + 8 + 8 + 8 + 38 * 8 + 8;
-/// v1 fixed record width.
-const V1_RECORD_BYTES: u64 = 33;
-/// Records per block read by the v1 decoder (~132 KB raw). Bounds
-/// decode memory while amortizing read calls, mirroring the v2 frame.
-const V1_BLOCK_RECORDS: u64 = 4096;
 /// FNV-1a 64-bit offset basis — the seed of both the fingerprint chain
-/// and the streamed checksum.
+/// and the frame checksums.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Plain streaming FNV-1a over `bytes`, chained from `hash`. This is
-/// the checksum primitive of both formats (matching
-/// `HashWriter`/`HashReader`); it deliberately does *not* mix in a
-/// length marker the way the checkpoint fingerprint `fnv` does, so a
-/// checksum computed over split buffers equals one computed over their
+/// the checksum primitive of the format; it deliberately does *not* mix
+/// in a length marker the way the checkpoint fingerprint `fnv` does, so
+/// a checksum computed over split buffers equals one computed over their
 /// concatenation.
 fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -156,27 +130,6 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
-}
-
-/// The on-disk encoding a store writes new entries in. Readers accept
-/// both formats regardless of this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CaptureFormat {
-    /// Fixed-width records (`reap-capture/1`).
-    V1,
-    /// Delta/varint frames (`reap-capture/2`) — smaller on disk and
-    /// streamable at replay; the default.
-    #[default]
-    V2,
-}
-
-impl fmt::Display for CaptureFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CaptureFormat::V1 => f.write_str("v1"),
-            CaptureFormat::V2 => f.write_str("v2"),
-        }
-    }
 }
 
 /// How a [`CaptureStore`] participates in a run.
@@ -284,7 +237,7 @@ fn hash_level(mut h: u64, level: &CacheConfig) -> u64 {
 /// a damaged entry is diagnosable without a hex editor. Callers going
 /// through [`CaptureStore::load`] never see these — the store maps them
 /// all to a miss — but tests and tools can use
-/// [`read_capture`]/[`write_capture`] directly.
+/// [`read_capture_v2`]/[`write_capture_v2`] directly.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum CaptureStoreError {
@@ -307,7 +260,8 @@ pub enum CaptureStoreError {
         /// The bytes found instead.
         found: [u8; 4],
     },
-    /// The format version is newer than this reader.
+    /// The format version is not the one this reader decodes — a newer
+    /// one, or the retired `reap-capture/1`.
     UnsupportedVersion {
         /// The version byte found.
         found: u8,
@@ -417,64 +371,6 @@ impl Error for CaptureStoreError {
     }
 }
 
-/// A writer adapter that streams the FNV-1a checksum over everything
-/// written through it (captures run to tens of megabytes; buffering the
-/// whole body to hash it would double the peak memory).
-struct HashWriter<W: Write> {
-    inner: W,
-    hash: u64,
-}
-
-impl<W: Write> HashWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            hash: FNV_BASIS,
-        }
-    }
-}
-
-impl<W: Write> Write for HashWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// The mirror-image reader adapter: hashes every byte it yields.
-struct HashReader<R: Read> {
-    inner: R,
-    hash: u64,
-}
-
-impl<R: Read> HashReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            hash: FNV_BASIS,
-        }
-    }
-}
-
-impl<R: Read> Read for HashReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        for &b in &buf[..n] {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        Ok(n)
-    }
-}
-
 /// Where in the stream a read was positioned, for error context.
 #[derive(Debug, Clone, Copy)]
 enum Section {
@@ -566,7 +462,7 @@ fn stats_from_words(w: &[u64; 12]) -> CacheStats {
     }
 }
 
-/// The serializable core of a capture: what both on-disk formats store. The
+/// The serializable core of a capture: what an entry stores. The
 /// behavioural configuration is *not* serialized — it is implied by the
 /// fingerprint and re-supplied from the caller's [`CaptureKey`] when the
 /// full [`ExposureCapture`] is reassembled.
@@ -597,60 +493,6 @@ fn defect_to_io(defect: StreamDefect) -> CaptureStoreError {
         offset: 0,
         source: io::Error::other(defect.to_string()),
     }
-}
-
-/// Serializes `capture` (stamped with `fingerprint`) as `reap-capture/1`,
-/// returning the total bytes written.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer, stamped with the byte offset.
-pub fn write_capture<W: Write>(
-    writer: W,
-    fingerprint: u64,
-    capture: &ExposureCapture,
-) -> Result<u64, CaptureStoreError> {
-    let mut w = HashWriter::new(writer);
-    let mut offset = 0u64;
-    let put = |w: &mut HashWriter<W>, offset: &mut u64, bytes: &[u8]| {
-        w.write_all(bytes).map_err(|source| CaptureStoreError::Io {
-            offset: *offset,
-            source,
-        })?;
-        *offset += bytes.len() as u64;
-        Ok::<(), CaptureStoreError>(())
-    };
-    put(&mut w, &mut offset, MAGIC)?;
-    put(&mut w, &mut offset, &[VERSION])?;
-    put(&mut w, &mut offset, &fingerprint.to_le_bytes())?;
-    put(
-        &mut w,
-        &mut offset,
-        &(capture.line_bits() as u64).to_le_bytes(),
-    )?;
-    put(&mut w, &mut offset, &capture.ones_seed().to_le_bytes())?;
-    for word in snapshot_words(capture.snapshot()) {
-        put(&mut w, &mut offset, &word.to_le_bytes())?;
-    }
-    put(&mut w, &mut offset, &capture.event_count().to_le_bytes())?;
-    let mut events = capture.iter().map_err(defect_to_io)?;
-    while let Some(record) = events.next_record().map_err(defect_to_io)? {
-        put(&mut w, &mut offset, &[kind_tag(record.kind)])?;
-        put(&mut w, &mut offset, &record.key.tag.to_le_bytes())?;
-        put(&mut w, &mut offset, &record.key.set.to_le_bytes())?;
-        put(&mut w, &mut offset, &record.key.version.to_le_bytes())?;
-        put(&mut w, &mut offset, &record.unchecked_reads.to_le_bytes())?;
-    }
-    // The trailer is written to the inner writer so it is not folded into
-    // its own hash.
-    let checksum = w.hash;
-    w.inner
-        .write_all(&checksum.to_le_bytes())
-        .map_err(|source| CaptureStoreError::Io { offset, source })?;
-    w.inner
-        .flush()
-        .map_err(|source| CaptureStoreError::Io { offset, source })?;
-    Ok(offset + 8)
 }
 
 /// Zigzag-codes the wrapping delta from `prev` to `cur`, mapping small
@@ -821,7 +663,7 @@ pub fn write_capture_v2<W: Write>(
 
     let mut header = Vec::with_capacity(V2_HEADER_BYTES + 8);
     header.extend_from_slice(MAGIC);
-    header.push(VERSION_V2);
+    header.push(VERSION);
     header.extend_from_slice(&fingerprint.to_le_bytes());
     header.extend_from_slice(&(capture.line_bits() as u64).to_le_bytes());
     header.extend_from_slice(&capture.ones_seed().to_le_bytes());
@@ -894,7 +736,7 @@ impl<R: Read> V2Decoder<R> {
                 found: fixed[..4].try_into().expect("4 bytes"),
             });
         }
-        if fixed[4] != VERSION_V2 {
+        if fixed[4] != VERSION {
             return Err(CaptureStoreError::UnsupportedVersion { found: fixed[4] });
         }
         let u64_at = |at: usize| u64::from_le_bytes(fixed[at..at + 8].try_into().expect("8 bytes"));
@@ -1200,263 +1042,6 @@ pub(crate) fn frame_decoder(frames: &[Box<[u8]>], count: u64) -> V2Decoder<Frame
     V2Decoder::frames_at(chain, V2_HEADER_BYTES as u64 + 8, count, FRAME_RECORDS)
 }
 
-/// The verified fixed header of a `reap-capture/1` stream.
-struct V1Header {
-    line_bits: u64,
-    ones_seed: u64,
-    snapshot: HierarchySnapshot,
-    count: u64,
-}
-
-/// Block-at-a-time decoder of a `reap-capture/1` stream: reads up to
-/// [`V1_BLOCK_RECORDS`] fixed-width records into one reusable buffer and
-/// decodes them in place, so both the load-time validation sweep and the
-/// replay iterator run in bounded memory with no per-record reads and no
-/// per-entry `Vec` churn.
-struct V1Decoder<R: Read> {
-    reader: HashReader<R>,
-    offset: u64,
-    header: V1Header,
-    yielded: u64,
-    /// Reusable raw block of whole 33-byte records.
-    block: Vec<u8>,
-    block_pos: usize,
-    /// Whether the trailer check and trailing-bytes probe have run.
-    probed: bool,
-}
-
-impl<R: Read> V1Decoder<R> {
-    /// Parses and verifies the header (magic, version, fingerprint),
-    /// leaving the reader at the first record.
-    fn open(reader: R, expected_fingerprint: u64) -> Result<Self, CaptureStoreError> {
-        let mut r = HashReader::new(reader);
-        let mut offset = 0u64;
-        let mut magic = [0u8; 4];
-        fill(&mut r, &mut magic, &mut offset, Section::Header)?;
-        if &magic != MAGIC {
-            return Err(CaptureStoreError::BadMagic { found: magic });
-        }
-        let mut version = [0u8; 1];
-        fill(&mut r, &mut version, &mut offset, Section::Header)?;
-        if version[0] != VERSION {
-            return Err(CaptureStoreError::UnsupportedVersion { found: version[0] });
-        }
-        let fingerprint = read_u64(&mut r, &mut offset, Section::Header)?;
-        if fingerprint != expected_fingerprint {
-            return Err(CaptureStoreError::FingerprintMismatch {
-                expected: expected_fingerprint,
-                found: fingerprint,
-            });
-        }
-        let line_bits = read_u64(&mut r, &mut offset, Section::Header)?;
-        let ones_seed = read_u64(&mut r, &mut offset, Section::Header)?;
-        let mut words = [0u64; 38];
-        for w in &mut words {
-            *w = read_u64(&mut r, &mut offset, Section::Header)?;
-        }
-        let snapshot = HierarchySnapshot {
-            l1i: stats_from_words(words[0..12].try_into().expect("12 words")),
-            l1d: stats_from_words(words[12..24].try_into().expect("12 words")),
-            l2: stats_from_words(words[24..36].try_into().expect("12 words")),
-            memory_reads: words[36],
-            memory_writes: words[37],
-        };
-        let count = read_u64(&mut r, &mut offset, Section::Header)?;
-        Ok(Self {
-            reader: r,
-            offset,
-            header: V1Header {
-                line_bits,
-                ones_seed,
-                snapshot,
-                count,
-            },
-            yielded: 0,
-            block: Vec::new(),
-            block_pos: 0,
-            probed: false,
-        })
-    }
-
-    /// Yields the next record, refilling the block buffer when the
-    /// buffered one is exhausted. After the final record, verifies the
-    /// checksum trailer and probes for trailing bytes (once).
-    fn next_record(&mut self) -> Result<Option<ExposureRecord>, CaptureStoreError> {
-        if self.yielded == self.header.count {
-            self.finish()?;
-            return Ok(None);
-        }
-        if self.block_pos == self.block.len() {
-            self.refill()?;
-        }
-        let at = &self.block[self.block_pos..self.block_pos + V1_RECORD_BYTES as usize];
-        let kind = match at[0] {
-            0 => ExposureKind::Demand,
-            1 => ExposureKind::DirtyScrub,
-            2 => ExposureKind::DirtyEviction,
-            other => {
-                return Err(CaptureStoreError::UnknownKind {
-                    found: other,
-                    record: self.yielded,
-                    offset: V1_HEADER_BYTES + self.yielded * V1_RECORD_BYTES,
-                })
-            }
-        };
-        let word =
-            |i: usize| u64::from_le_bytes(at[1 + 8 * i..9 + 8 * i].try_into().expect("8 bytes"));
-        let record = ExposureRecord {
-            kind,
-            key: LineKey {
-                tag: word(0),
-                set: word(1),
-                version: word(2),
-            },
-            unchecked_reads: word(3),
-        };
-        self.block_pos += V1_RECORD_BYTES as usize;
-        self.yielded += 1;
-        Ok(Some(record))
-    }
-
-    /// Reads the next block of whole records into the reusable buffer.
-    /// A short read names the exact record and byte it stopped inside.
-    fn refill(&mut self) -> Result<(), CaptureStoreError> {
-        let records = (self.header.count - self.yielded).min(V1_BLOCK_RECORDS);
-        self.block.clear();
-        self.block.resize((records * V1_RECORD_BYTES) as usize, 0);
-        self.block_pos = 0;
-        let mut filled = 0usize;
-        while filled < self.block.len() {
-            match self.reader.read(&mut self.block[filled..]) {
-                Ok(0) => {
-                    return Err(CaptureStoreError::Truncated {
-                        offset: self.offset + filled as u64,
-                        record: Some(self.yielded + filled as u64 / V1_RECORD_BYTES),
-                    })
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(source) => {
-                    return Err(CaptureStoreError::Io {
-                        offset: self.offset + filled as u64,
-                        source,
-                    })
-                }
-            }
-        }
-        self.offset += self.block.len() as u64;
-        Ok(())
-    }
-
-    /// Verifies the checksum trailer and the exact end of stream. Runs
-    /// once, after the final record has been yielded.
-    fn finish(&mut self) -> Result<(), CaptureStoreError> {
-        if self.probed {
-            return Ok(());
-        }
-        self.probed = true;
-        // The trailer is read from the inner reader so the comparison
-        // hash covers exactly the body.
-        let expected = self.reader.hash;
-        let trailer_offset = self.offset;
-        let mut trailer = [0u8; 8];
-        match self.reader.inner.read_exact(&mut trailer) {
-            Ok(()) => self.offset += 8,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(CaptureStoreError::Truncated {
-                    offset: trailer_offset,
-                    record: None,
-                })
-            }
-            Err(source) => {
-                return Err(CaptureStoreError::Io {
-                    offset: trailer_offset,
-                    source,
-                })
-            }
-        }
-        let found = u64::from_le_bytes(trailer);
-        if found != expected {
-            return Err(CaptureStoreError::ChecksumMismatch {
-                expected,
-                found,
-                offset: trailer_offset,
-            });
-        }
-        // Read-ahead one byte: a valid entry ends exactly at the trailer.
-        let mut probe = [0u8; 1];
-        match self.reader.inner.read_exact(&mut probe) {
-            Ok(()) => Err(CaptureStoreError::TrailingBytes {
-                offset: self.offset,
-            }),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(()),
-            Err(source) => Err(CaptureStoreError::Io {
-                offset: self.offset,
-                source,
-            }),
-        }
-    }
-}
-
-/// Deserializes a `reap-capture/1` stream into a materialized payload,
-/// verifying the magic, version, `expected_fingerprint`, checksum
-/// trailer and the absence of trailing bytes. The streaming equivalent
-/// used by the store is [`CaptureStore::load`], which hands blocks
-/// straight to the replay iterator.
-///
-/// # Errors
-///
-/// Returns [`CaptureStoreError`] naming the byte offset on any defect.
-pub fn read_capture<R: Read>(
-    reader: R,
-    expected_fingerprint: u64,
-) -> Result<CapturePayload, CaptureStoreError> {
-    let mut decoder = V1Decoder::open(reader, expected_fingerprint)?;
-    // A corrupt count field cannot make us balloon: reserve at most a
-    // sane chunk up front and let push() grow the rest.
-    let mut events = Vec::with_capacity(decoder.header.count.min(1 << 20) as usize);
-    while let Some(record) = decoder.next_record()? {
-        events.push(record);
-    }
-    Ok(CapturePayload {
-        events,
-        snapshot: decoder.header.snapshot,
-        line_bits: decoder.header.line_bits as usize,
-        ones_seed: decoder.header.ones_seed,
-    })
-}
-
-/// Full-file validation sweep of a v1 entry in O(block) memory: header,
-/// every record tag, the checksum trailer, exact end of file. Returns
-/// the verified header so the caller can build a streamed capture
-/// without re-parsing.
-fn validate_v1<R: Read>(
-    reader: R,
-    expected_fingerprint: u64,
-) -> Result<V1Header, CaptureStoreError> {
-    let mut decoder = V1Decoder::open(reader, expected_fingerprint)?;
-    while decoder.next_record()?.is_some() {}
-    Ok(decoder.header)
-}
-
-/// [`ExposureStream`] adapter over a [`V1Decoder`]: the replay-time
-/// face of a v1 store entry.
-struct V1CaptureStream {
-    decoder: V1Decoder<BufReader<File>>,
-}
-
-impl ExposureStream for V1CaptureStream {
-    fn len(&self) -> u64 {
-        self.decoder.header.count
-    }
-
-    fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
-        self.decoder
-            .next_record()
-            .map_err(|e| StreamDefect::new(e.to_string()))
-    }
-}
-
 /// A directory of fingerprint-addressed capture entries.
 ///
 /// Cloneable and `Sync`: campaign workers share one store and hit
@@ -1465,26 +1050,15 @@ impl ExposureStream for V1CaptureStream {
 pub struct CaptureStore {
     dir: PathBuf,
     policy: CapturePolicy,
-    format: CaptureFormat,
 }
 
 impl CaptureStore {
-    /// A store rooted at `dir` (created lazily on the first write),
-    /// writing new entries in the default format
-    /// ([`CaptureFormat::V2`]).
+    /// A store rooted at `dir` (created lazily on the first write).
     pub fn new(dir: impl Into<PathBuf>, policy: CapturePolicy) -> Self {
         Self {
             dir: dir.into(),
             policy,
-            format: CaptureFormat::default(),
         }
-    }
-
-    /// Selects the on-disk format for *new* entries. Reads accept both
-    /// formats regardless.
-    pub fn with_format(mut self, format: CaptureFormat) -> Self {
-        self.format = format;
-        self
     }
 
     /// The store's root directory.
@@ -1497,11 +1071,6 @@ impl CaptureStore {
         self.policy
     }
 
-    /// The format new entries are written in.
-    pub fn format(&self) -> CaptureFormat {
-        self.format
-    }
-
     /// The on-disk path of `key`'s entry.
     pub fn entry_path(&self, key: &CaptureKey) -> PathBuf {
         self.dir.join(format!("{:016x}.rcap", key.fingerprint()))
@@ -1512,11 +1081,11 @@ impl CaptureStore {
     /// counts a `capture_store.invalid`, and both return `None` so the
     /// caller recaptures.
     ///
-    /// Both formats are fully validated before a hit is reported, then
-    /// returned as *streamed* captures that re-open the file and decode
-    /// block-by-block (v1) or frame-by-frame (v2) into one reusable
-    /// buffer at replay time, so replay memory stays O(1) in events and
-    /// a warm hit allocates no per-entry event `Vec`.
+    /// An entry is fully validated before a hit is reported, then
+    /// returned as a *streamed* capture that re-opens the file and
+    /// decodes frame-by-frame into one reusable buffer at replay time,
+    /// so replay memory stays O(1) in events and a warm hit allocates no
+    /// per-entry event `Vec`.
     pub fn load(&self, key: &CaptureKey) -> Option<ExposureCapture> {
         if self.policy == CapturePolicy::Off {
             return None;
@@ -1555,78 +1124,40 @@ impl CaptureStore {
         }
     }
 
-    /// Version-dispatched entry decode: peeks the version byte, then
-    /// hands the rewound file to the matching reader. Unreadable
-    /// prefixes defer to the v1 reader for its typed defect.
+    /// Validates the entry at `path` in one full pass, then wraps it as a
+    /// streamed capture that re-opens and re-decodes the file per replay.
     fn load_entry(
         &self,
         path: &Path,
-        mut file: File,
+        file: File,
         key: &CaptureKey,
     ) -> Result<ExposureCapture, CaptureStoreError> {
-        let mut prefix = [0u8; 5];
-        let version = match file
-            .read_exact(&mut prefix)
-            .and_then(|()| file.seek(SeekFrom::Start(0)))
-        {
-            Ok(_) => prefix[4],
-            Err(_) => VERSION,
-        };
-        if version == VERSION_V2 {
-            let header = validate_v2(BufReader::new(file), key.fingerprint())?;
-            let reopen_path = path.to_path_buf();
-            let fingerprint = key.fingerprint();
-            let open: Arc<StreamOpener> = Arc::new(move || {
-                let file = File::open(&reopen_path).map_err(|e| {
-                    StreamDefect::new(format!(
-                        "cannot reopen capture entry {}: {e}",
-                        reopen_path.display()
-                    ))
-                })?;
-                let (_, decoder) = V2Decoder::open(BufReader::new(file), fingerprint)
-                    .map_err(|e| StreamDefect::new(e.to_string()))?;
-                Ok(Box::new(V2CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
-            });
-            Ok(ExposureCapture::from_streamed_parts(
-                header.count,
-                open,
-                header.snapshot,
-                header.line_bits as usize,
-                header.ones_seed,
-                key.hierarchy.clone(),
-                key.replacement,
-                key.warmup_accesses,
-                key.measure_accesses,
-                key.scrub_period,
-            ))
-        } else {
-            let header = validate_v1(BufReader::new(file), key.fingerprint())?;
-            let reopen_path = path.to_path_buf();
-            let fingerprint = key.fingerprint();
-            let open: Arc<StreamOpener> = Arc::new(move || {
-                let file = File::open(&reopen_path).map_err(|e| {
-                    StreamDefect::new(format!(
-                        "cannot reopen capture entry {}: {e}",
-                        reopen_path.display()
-                    ))
-                })?;
-                let decoder = V1Decoder::open(BufReader::new(file), fingerprint)
-                    .map_err(|e| StreamDefect::new(e.to_string()))?;
-                Ok(Box::new(V1CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
-            });
-            Ok(ExposureCapture::from_streamed_parts(
-                header.count,
-                open,
-                header.snapshot,
-                header.line_bits as usize,
-                header.ones_seed,
-                key.hierarchy.clone(),
-                key.replacement,
-                key.warmup_accesses,
-                key.measure_accesses,
-                key.scrub_period,
-            ))
-        }
+        let fingerprint = key.fingerprint();
+        let header = validate_v2(BufReader::new(file), fingerprint)?;
+        let reopen_path = path.to_path_buf();
+        let open: Arc<StreamOpener> = Arc::new(move || {
+            let file = File::open(&reopen_path).map_err(|e| {
+                StreamDefect::new(format!(
+                    "cannot reopen capture entry {}: {e}",
+                    reopen_path.display()
+                ))
+            })?;
+            let (_, decoder) = V2Decoder::open(BufReader::new(file), fingerprint)
+                .map_err(|e| StreamDefect::new(e.to_string()))?;
+            Ok(Box::new(V2CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
+        });
+        Ok(ExposureCapture::from_streamed_parts(
+            header.count,
+            open,
+            header.snapshot,
+            header.line_bits as usize,
+            header.ones_seed,
+            key.hierarchy.clone(),
+            key.replacement,
+            key.warmup_accesses,
+            key.measure_accesses,
+            key.scrub_period,
+        ))
     }
 
     /// Persists `capture` under `key`, via a temp file and an atomic
@@ -1652,14 +1183,7 @@ impl CaptureStore {
         ));
         let result = (|| {
             let file = File::create(&tmp).map_err(io_err)?;
-            let bytes = match self.format {
-                CaptureFormat::V1 => {
-                    write_capture(BufWriter::new(file), key.fingerprint(), capture)?
-                }
-                CaptureFormat::V2 => {
-                    write_capture_v2(BufWriter::new(file), key.fingerprint(), capture)?
-                }
-            };
+            let bytes = write_capture_v2(BufWriter::new(file), key.fingerprint(), capture)?;
             std::fs::rename(&tmp, &path).map_err(io_err)?;
             Ok(bytes)
         })();
@@ -1720,27 +1244,21 @@ fn bump(name: &str) {
     }
 }
 
-/// The size a capture of `events` records occupies in `reap-capture/1`
-/// (fixed 33-byte records plus file overhead) — the baseline of the
-/// `capture_store.compression_ratio` gauge.
-pub fn v1_equivalent_bytes(events: u64) -> u64 {
-    V1_FILE_OVERHEAD + V1_RECORD_BYTES * events
-}
-
 /// Accounts one entry's worth of store I/O: adds `bytes` to the named
-/// counter and refreshes the `capture_store.compression_ratio` gauge
-/// (v1-equivalent size over actual size, so v1 entries read ~1.0 and v2
-/// entries read the on-disk shrink factor). Emitted on every hit and
-/// every write so BENCH numbers are cross-checkable from telemetry.
+/// counter and refreshes the `capture_store.bytes_per_event` gauge (the
+/// entry's size over its record count). Emitted on every hit and every
+/// write so BENCH numbers are cross-checkable from telemetry.
 fn emit_entry_io(counter: &str, bytes: u64, events: u64) {
     if !reap_obs::enabled() || bytes == 0 {
         return;
     }
     let registry = reap_obs::global();
     registry.counter(counter).add(bytes);
-    registry
-        .gauge("capture_store.compression_ratio")
-        .set(v1_equivalent_bytes(events) as f64 / bytes as f64);
+    if events > 0 {
+        registry
+            .gauge("capture_store.bytes_per_event")
+            .set(bytes as f64 / events as f64);
+    }
 }
 
 #[cfg(test)]
@@ -1764,22 +1282,8 @@ mod tests {
 
     fn encode(capture: &ExposureCapture, fingerprint: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_capture(&mut buf, fingerprint, capture).unwrap();
+        write_capture_v2(&mut buf, fingerprint, capture).unwrap();
         buf
-    }
-
-    #[test]
-    fn round_trip_preserves_every_field() {
-        let (capture, key) = small_capture();
-        let buf = encode(&capture, key.fingerprint());
-        let payload = read_capture(&buf[..], key.fingerprint()).unwrap();
-        assert_eq!(payload.events, capture.events());
-        assert_eq!(payload.line_bits, capture.line_bits());
-        assert_eq!(payload.ones_seed, capture.ones_seed());
-        assert_eq!(
-            snapshot_words(&payload.snapshot),
-            snapshot_words(capture.snapshot())
-        );
     }
 
     #[test]
@@ -1814,25 +1318,12 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_version_and_fingerprint_are_typed() {
-        let (capture, key) = small_capture();
-        let fp = key.fingerprint();
-        let mut buf = encode(&capture, fp);
-        buf[0] = b'X';
-        assert!(matches!(
-            read_capture(&buf[..], fp).unwrap_err(),
-            CaptureStoreError::BadMagic { .. }
-        ));
-        let mut buf = encode(&capture, fp);
-        buf[4] = 9;
-        assert!(matches!(
-            read_capture(&buf[..], fp).unwrap_err(),
-            CaptureStoreError::UnsupportedVersion { found: 9 }
-        ));
-        let buf = encode(&capture, fp);
-        let err = read_capture(&buf[..], fp ^ 1).unwrap_err();
-        assert!(matches!(err, CaptureStoreError::FingerprintMismatch { .. }));
-        assert!(err.to_string().contains("fingerprint"), "{err}");
+    fn fingerprint_of_a_paper_key_keeps_its_value() {
+        // Entries written by earlier builds stay addressable only while
+        // the fingerprint chain, seeded with CAPTURE_SCHEMA, is unchanged.
+        let config = Experiment::paper_hierarchy().config().clone();
+        let key = CaptureKey::new(SpecWorkload::H264ref, 2019, &config);
+        assert_eq!(key.fingerprint(), 0x1ff1_277c_b109_d699);
     }
 
     #[test]
@@ -1840,9 +1331,14 @@ mod tests {
         let (capture, key) = small_capture();
         let fp = key.fingerprint();
         let buf = encode(&capture, fp);
+        // Cutting into the final frame's checksum stops the read where
+        // that checksum starts.
         let cut = &buf[..buf.len() - 3];
-        let err = read_capture(cut, fp).unwrap_err();
-        assert!(matches!(err, CaptureStoreError::Truncated { .. }), "{err}");
+        let err = read_capture_v2(cut, fp).unwrap_err();
+        assert!(
+            matches!(err, CaptureStoreError::Truncated { offset, .. } if offset == buf.len() as u64 - 8),
+            "{err}"
+        );
         assert!(err.to_string().contains("byte"), "{err}");
     }
 
@@ -1851,28 +1347,12 @@ mod tests {
         let (capture, key) = small_capture();
         let fp = key.fingerprint();
         let mut buf = encode(&capture, fp);
-        // Flip one bit deep in the record body: only the trailer catches it.
-        let mid = buf.len() / 2;
-        buf[mid] ^= 0x10;
-        let err = read_capture(&buf[..], fp).unwrap_err();
+        // Flip one bit deep in the first frame's payload: the frame
+        // checksum catches it before the payload is decoded.
+        buf[V2_HEADER_BYTES + 8 + 8 + 12] ^= 0x10;
+        let err = read_capture_v2(&buf[..], fp).unwrap_err();
         assert!(
-            matches!(
-                err,
-                CaptureStoreError::ChecksumMismatch { .. } | CaptureStoreError::UnknownKind { .. }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn trailing_bytes_are_rejected() {
-        let (capture, key) = small_capture();
-        let fp = key.fingerprint();
-        let mut buf = encode(&capture, fp);
-        buf.push(0);
-        let err = read_capture(&buf[..], fp).unwrap_err();
-        assert!(
-            matches!(err, CaptureStoreError::TrailingBytes { .. }),
+            matches!(err, CaptureStoreError::ChecksumMismatch { .. }),
             "{err}"
         );
     }
@@ -1934,19 +1414,6 @@ mod tests {
         assert_eq!(CapturePolicy::ReadWrite.to_string(), "readwrite");
     }
 
-    fn encode_v2(capture: &ExposureCapture, fingerprint: u64) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_capture_v2(&mut buf, fingerprint, capture).unwrap();
-        buf
-    }
-
-    #[test]
-    fn format_displays_cli_names() {
-        assert_eq!(CaptureFormat::V1.to_string(), "v1");
-        assert_eq!(CaptureFormat::V2.to_string(), "v2");
-        assert_eq!(CaptureFormat::default(), CaptureFormat::V2);
-    }
-
     #[test]
     fn varint_and_zigzag_round_trip_edge_values() {
         for v in [
@@ -1999,7 +1466,7 @@ mod tests {
     #[test]
     fn v2_round_trip_preserves_every_field() {
         let (capture, key) = small_capture();
-        let buf = encode_v2(&capture, key.fingerprint());
+        let buf = encode(&capture, key.fingerprint());
         let payload = read_capture_v2(&buf[..], key.fingerprint()).unwrap();
         assert_eq!(payload.events, capture.events());
         assert_eq!(payload.line_bits, capture.line_bits());
@@ -2011,15 +1478,16 @@ mod tests {
     }
 
     #[test]
-    fn v2_entries_are_smaller_than_v1() {
+    fn v2_entries_are_compact() {
+        // At most half the retired fixed-width layout's size, which was
+        // exactly 33 bytes per record plus 349.
         let (capture, key) = small_capture();
-        let v1 = encode(&capture, key.fingerprint());
-        let v2 = encode_v2(&capture, key.fingerprint());
+        let v2 = encode(&capture, key.fingerprint());
+        let fixed_width = 33 * capture.event_count() + 349;
         assert!(
-            2 * v2.len() <= v1.len(),
-            "v2 ({}) must be at least 2x smaller than v1 ({})",
-            v2.len(),
-            v1.len()
+            2 * v2.len() as u64 <= fixed_width,
+            "entry ({}) must be at most half of {fixed_width}",
+            v2.len()
         );
     }
 
@@ -2027,26 +1495,25 @@ mod tests {
     fn v2_header_defects_are_typed() {
         let (capture, key) = small_capture();
         let fp = key.fingerprint();
-        let mut buf = encode_v2(&capture, fp);
+        let mut buf = encode(&capture, fp);
         buf[0] = b'X';
         assert!(matches!(
             read_capture_v2(&buf[..], fp).unwrap_err(),
             CaptureStoreError::BadMagic { .. }
         ));
-        let mut buf = encode_v2(&capture, fp);
+        let mut buf = encode(&capture, fp);
         buf[4] = 9;
         assert!(matches!(
             read_capture_v2(&buf[..], fp).unwrap_err(),
             CaptureStoreError::UnsupportedVersion { found: 9 }
         ));
-        let buf = encode_v2(&capture, fp);
-        assert!(matches!(
-            read_capture_v2(&buf[..], fp ^ 1).unwrap_err(),
-            CaptureStoreError::FingerprintMismatch { .. }
-        ));
+        let buf = encode(&capture, fp);
+        let err = read_capture_v2(&buf[..], fp ^ 1).unwrap_err();
+        assert!(matches!(err, CaptureStoreError::FingerprintMismatch { .. }));
+        assert!(err.to_string().contains("fingerprint"), "{err}");
         // A flip in an otherwise-unvalidated header field (the snapshot)
         // is caught by the header checksum.
-        let mut buf = encode_v2(&capture, fp);
+        let mut buf = encode(&capture, fp);
         buf[40] ^= 0x04;
         assert!(matches!(
             read_capture_v2(&buf[..], fp).unwrap_err(),
@@ -2058,7 +1525,7 @@ mod tests {
     fn v2_frame_corruption_truncation_and_trailing_bytes_are_caught() {
         let (capture, key) = small_capture();
         let fp = key.fingerprint();
-        let clean = encode_v2(&capture, fp);
+        let clean = encode(&capture, fp);
         assert!(
             clean.len() > V2_HEADER_BYTES + 8,
             "capture must have frames"
@@ -2123,35 +1590,23 @@ mod tests {
             0,
             0,
         );
-        let buf = encode_v2(&capture, 77);
+        let buf = encode(&capture, 77);
         let payload = read_capture_v2(&buf[..], 77).unwrap();
         assert_eq!(payload.events, events);
     }
 
     #[test]
-    fn store_format_dispatch_writes_the_requested_version() {
-        let dir = scratch("format");
+    fn store_writes_the_current_version() {
+        let dir = scratch("version");
         std::fs::remove_dir_all(&dir).ok();
         let (capture, key) = small_capture();
-
-        let v1_store =
-            CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(CaptureFormat::V1);
-        let path = v1_store.store(&key, &capture).unwrap();
-        let v1_bytes = std::fs::read(&path).unwrap();
-        assert_eq!(v1_bytes[4], VERSION);
-
-        // A v2-format store reads the v1 entry…
-        let v2_store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
-        let from_v1 = v2_store.load(&key).expect("v1 entry loads");
-        assert_eq!(from_v1.events(), capture.events());
-
-        // …and overwrites it in v2, which the v1-format store can read back.
-        let path = v2_store.store(&key, &capture).unwrap();
-        let v2_bytes = std::fs::read(&path).unwrap();
-        assert_eq!(v2_bytes[4], VERSION_V2);
-        assert!(2 * v2_bytes.len() <= v1_bytes.len());
-        let from_v2 = v1_store.load(&key).expect("v2 entry loads");
-        assert_eq!(from_v2.events(), capture.events());
+        let path = CaptureStore::new(&dir, CapturePolicy::ReadWrite)
+            .store(&key, &capture)
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..4], MAGIC);
+        assert_eq!(bytes[4], VERSION);
+        assert_eq!(bytes, encode(&capture, key.fingerprint()));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2185,35 +1640,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_loads_stream_without_materializing() {
-        use crate::capture::ExposureStream as _;
-        let dir = scratch("streamed-v1");
-        std::fs::remove_dir_all(&dir).ok();
-        let store =
-            CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(CaptureFormat::V1);
-        let (capture, key) = small_capture();
-        store.store(&key, &capture).unwrap();
-        let loaded = store.load(&key).expect("entry just written");
-        assert_eq!(loaded.event_count(), capture.event_count());
-
-        // Two independent streaming passes, no events() call anywhere.
-        for _ in 0..2 {
-            let mut stream = loaded.iter().expect("open stream");
-            assert_eq!(stream.len(), capture.event_count());
-            for (i, expected) in capture.events().iter().enumerate() {
-                let got = stream.next_record().expect("pull").expect("record");
-                assert_eq!(&got, expected, "record {i}");
-            }
-            assert!(stream.next_record().expect("end").is_none());
-        }
-
-        std::fs::remove_file(store.entry_path(&key)).unwrap();
-        assert!(loaded.iter().is_err(), "vanished entry must defect");
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn store_hits_and_writes_account_bytes_and_ratio() {
+    fn store_hits_and_writes_account_bytes_per_event() {
         reap_obs::set_enabled(true);
         let dir = scratch("telemetry");
         std::fs::remove_dir_all(&dir).ok();
@@ -2235,15 +1662,15 @@ mod tests {
         let read = reap_obs::global().counter("capture_store.bytes_read").get();
         assert!(read >= read0 + entry_len, "hit must account bytes");
 
-        let ratio = reap_obs::global()
-            .gauge("capture_store.compression_ratio")
+        let per_event = reap_obs::global()
+            .gauge("capture_store.bytes_per_event")
             .get();
-        let expected = v1_equivalent_bytes(capture.event_count()) as f64 / entry_len as f64;
+        let expected = entry_len as f64 / capture.event_count() as f64;
         assert!(
-            (ratio - expected).abs() < 1e-9,
-            "gauge {ratio} vs expected {expected}"
+            (per_event - expected).abs() < 1e-9,
+            "gauge {per_event} vs expected {expected}"
         );
-        assert!(ratio >= 2.0, "v2 must be at least 2x smaller, got {ratio}");
+        assert!(per_event <= 16.5, "entry too large: {per_event} B/event");
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -72,9 +72,7 @@ use reap_cache::{ConfigError, HierarchyConfig};
 use reap_mtj::{MtjParams, ParamsError};
 use reap_nvarray::{estimate, ArraySpec, MemTech, TechnologyNode};
 use reap_obs::json;
-use reap_reliability::{
-    pareto_front_indices, KernelMode, Mttf, MultiReplayAggregator, ParetoPoint,
-};
+use reap_reliability::{pareto_front_indices, Mttf, MultiReplayAggregator, ParetoPoint};
 use reap_trace::SpecWorkload;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -814,7 +812,7 @@ fn replay_reusing(
     let points = Simulator::batch_kernel_points(sims, capture);
     if !kernel.as_ref().is_some_and(|k| k.matches_points(&points)) {
         *kernel = None;
-        *kernel = Some(MultiReplayAggregator::with_mode(points, KernelMode::Exact));
+        *kernel = Some(MultiReplayAggregator::new(points));
     }
     let kernel = kernel.as_mut().expect("kernel was just built");
     Simulator::replay_batch_into(sims, capture, kernel)

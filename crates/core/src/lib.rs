@@ -63,9 +63,7 @@ pub use capture::{
     CaptureObserver, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
     HierarchySnapshot, StreamDefect, StreamOpener,
 };
-pub use capture_store::{
-    CaptureFormat, CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError,
-};
+pub use capture_store::{CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError};
 pub use checkpoint::{CheckpointError, SweepRow};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use experiment::{Experiment, ExperimentError};

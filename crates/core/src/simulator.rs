@@ -10,10 +10,7 @@ use reap_cache::{sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacemen
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
-use reap_reliability::{
-    AccumulationModel, ExposureKind, KernelMode, MultiReplayAggregator, ReplayAggregator,
-    ScalarMultiReplayAggregator,
-};
+use reap_reliability::{AccumulationModel, ExposureKind, MultiReplayAggregator, ReplayAggregator};
 use reap_trace::MemoryAccess;
 use std::fmt;
 
@@ -405,8 +402,7 @@ impl Simulator {
     /// Returns [`SimulationError::CaptureMismatch`] if the capture was
     /// taken under a different behavioural configuration.
     pub fn replay(&self, capture: &ExposureCapture) -> Result<Report, SimulationError> {
-        let mut reports =
-            Self::replay_batch_mode(std::slice::from_ref(self), capture, KernelMode::Exact)?;
+        let mut reports = Self::replay_batch(std::slice::from_ref(self), capture)?;
         Ok(reports.pop().expect("one point in, one report out"))
     }
 
@@ -456,29 +452,10 @@ impl Simulator {
         points: &[Simulator],
         capture: &ExposureCapture,
     ) -> Result<Vec<Report>, SimulationError> {
-        Self::replay_batch_mode(points, capture, KernelMode::Exact)
-    }
-
-    /// [`replay_batch`](Self::replay_batch) with an explicit
-    /// [`KernelMode`]. `KernelMode::Exact` keeps the bit-identity
-    /// contract; `KernelMode::FastMath` permits the kernel's documented
-    /// small-argument `exp_m1` shortcut (every scheme sum within `5e-9`
-    /// relative of exact).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::CaptureMismatch`] if any point's
-    /// behavioural configuration differs from the capture's.
-    pub fn replay_batch_mode(
-        points: &[Simulator],
-        capture: &ExposureCapture,
-        mode: KernelMode,
-    ) -> Result<Vec<Report>, SimulationError> {
         if points.is_empty() {
             return Ok(Vec::new());
         }
-        let mut multi =
-            MultiReplayAggregator::with_mode(Self::batch_kernel_points(points, capture), mode);
+        let mut multi = MultiReplayAggregator::new(Self::batch_kernel_points(points, capture));
         Self::replay_batch_into(points, capture, &mut multi)
     }
 
@@ -488,8 +465,7 @@ impl Simulator {
     /// [`MultiReplayAggregator::take_reports`] but holding its tables and
     /// memo, ready for the next capture. A caller replaying many captures
     /// at the same points builds the kernel once; the results are
-    /// bit-identical to a fresh kernel per capture. The kernel's own
-    /// [`KernelMode`] applies.
+    /// bit-identical to a fresh kernel per capture.
     ///
     /// `multi` must hold no records fed outside this call. A stream that
     /// fails mid-replay leaves it empty too, so a retry starts clean.
@@ -523,53 +499,14 @@ impl Simulator {
                 .add(points.len() as u64);
         }
 
-        let fed = Self::feed_batch(points, capture, |records, ones| {
-            multi.record_block(records, ones);
-        });
+        let fed = Self::feed_batch(points, capture, multi);
         let aggregators = multi.take_reports();
         fed?;
         Ok(Self::assemble_batch(points, capture, aggregators))
     }
 
-    /// [`replay_batch`](Self::replay_batch) driven by the pre-vectorization
-    /// per-record kernel ([`ScalarMultiReplayAggregator`]) over the exact
-    /// same width scatter and record stream.
-    ///
-    /// The scalar kernel is the reference the vectorized one is
-    /// property-tested against; this entry point exists so benchmarks can
-    /// price the two on identical inputs and assert bit-identity end to
-    /// end. Results are bit-identical to [`replay_batch`](Self::replay_batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::CaptureMismatch`] if any point's
-    /// behavioural configuration differs from the capture's.
-    pub fn replay_batch_scalar(
-        points: &[Simulator],
-        capture: &ExposureCapture,
-    ) -> Result<Vec<Report>, SimulationError> {
-        for sim in points {
-            sim.check_capture(capture)?;
-        }
-        if points.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut span = reap_obs::span("replay_batch_scalar");
-        span.add_events(capture.event_count());
-
-        let mut multi =
-            ScalarMultiReplayAggregator::new(Self::batch_kernel_points(points, capture));
-        let npts = points.len();
-        Self::feed_batch(points, capture, |records, ones| {
-            for (r, &(kind, reads)) in records.iter().enumerate() {
-                multi.record(kind, &ones[r * npts..(r + 1) * npts], reads);
-            }
-        })?;
-        Ok(Self::assemble_batch(points, capture, multi.finish()))
-    }
-
-    /// Per-point `(model, stored width)` pairs both batch kernels are
-    /// built from — what a kernel passed to
+    /// Per-point `(model, stored width)` pairs the batch kernel is built
+    /// from — what a kernel passed to
     /// [`replay_batch_into`](Self::replay_batch_into) must match.
     pub fn batch_kernel_points(
         points: &[Simulator],
@@ -588,11 +525,12 @@ impl Simulator {
 
     /// Streams the capture once in blocks of [`Self::FEED_BLOCK`]
     /// records, resampling each record's weight once per *distinct*
-    /// stored width and scattering to the per-point slots the kernels
-    /// expect. Each block is handed to `record` as
-    /// `(records, ones)` — `records[r]` is `(kind, unchecked_reads)`
-    /// and `ones[r * points.len() ..]` its per-point weights, in
-    /// capture order.
+    /// stored width and scattering to the per-point slots the kernel
+    /// expects. Each block is handed to
+    /// [`MultiReplayAggregator::record_block`] as `(records, ones)` —
+    /// `records[r]` is `(kind, unchecked_reads)` and
+    /// `ones[r * points.len() ..]` its per-point weights, in capture
+    /// order.
     ///
     /// Blocking serves both halves of the pipeline: one record's hash
     /// walk is a serial feedback chain, so `sample_ones_multi_batch`
@@ -600,14 +538,11 @@ impl Simulator {
     /// the vectorized kernel register-blocks its running sums across
     /// each block. The block buffers are reused across the stream — no
     /// per-record allocation.
-    fn feed_batch<F>(
+    fn feed_batch(
         points: &[Simulator],
         capture: &ExposureCapture,
-        mut record: F,
-    ) -> Result<(), SimulationError>
-    where
-        F: FnMut(&[(ExposureKind, u64)], &[u32]),
-    {
+        multi: &mut MultiReplayAggregator,
+    ) -> Result<(), SimulationError> {
         let stored_bits: Vec<usize> = points
             .iter()
             .map(|sim| capture.line_bits() + sim.check_bits)
@@ -656,7 +591,7 @@ impl Simulator {
                     ones_by_point[row * npts + i] = ones_by_width[row * nw + w];
                 }
             }
-            record(&kinds, &ones_by_point[..keys.len() * npts]);
+            multi.record_block(&kinds, &ones_by_point[..keys.len() * npts]);
         }
     }
 
@@ -978,38 +913,6 @@ mod tests {
                 );
                 assert_eq!(got.histogram(), want.histogram());
             }
-        }
-    }
-
-    #[test]
-    fn replay_batch_scalar_matches_vectorized_bit_for_bit() {
-        let capture = Simulator::new(quick_config())
-            .unwrap()
-            .capture(SpecWorkload::Namd.stream(3))
-            .unwrap();
-        let mut points = Vec::new();
-        for ecc in EccStrength::ALL {
-            for i_read in [70e-6, 55e-6] {
-                let config = SimulationConfig {
-                    ecc,
-                    mtj: MtjParams::default().with_read_current(i_read).unwrap(),
-                    ..quick_config()
-                };
-                points.push(Simulator::new(config).unwrap());
-            }
-        }
-        let vectorized = Simulator::replay_batch(&points, &capture).unwrap();
-        let scalar = Simulator::replay_batch_scalar(&points, &capture).unwrap();
-        assert_eq!(vectorized.len(), scalar.len());
-        for ((sim, got), want) in points.iter().zip(&vectorized).zip(&scalar) {
-            assert_eq!(
-                failure_bits(got),
-                failure_bits(want),
-                "vectorized point (ecc {}, P_rd {}) diverged from the scalar kernel",
-                sim.config.ecc,
-                sim.p_rd()
-            );
-            assert_eq!(got.histogram(), want.histogram());
         }
     }
 

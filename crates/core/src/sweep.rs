@@ -9,7 +9,6 @@ use crate::capture_store::CaptureStore;
 use crate::experiment::{Experiment, ExperimentError};
 use crate::report::Report;
 use crate::simulator::{EccStrength, SimulationError, Simulator};
-use reap_reliability::KernelMode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
@@ -236,25 +235,6 @@ pub fn replay_ecc_sweep_with(
     experiment: &Experiment,
     store: Option<&CaptureStore>,
 ) -> Result<Vec<(EccStrength, Report)>, ExperimentError> {
-    replay_ecc_sweep_mode(experiment, store, KernelMode::Exact)
-}
-
-/// [`replay_ecc_sweep_with`] with an explicit replay [`KernelMode`].
-/// `Exact` (what every other entry point uses) keeps the bit-identity
-/// contract; `FastMath` permits the batched kernel's documented
-/// small-argument `exp_m1` shortcut, keeping every scheme sum within
-/// `5e-9` relative of the exact result.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] when the configuration cannot be
-/// instantiated. Store defects are never errors: they fall back to
-/// recapture.
-pub fn replay_ecc_sweep_mode(
-    experiment: &Experiment,
-    store: Option<&CaptureStore>,
-    kernel: KernelMode,
-) -> Result<Vec<(EccStrength, Report)>, ExperimentError> {
     let capture = experiment.capture_with(store)?;
     let points = EccStrength::ALL
         .into_iter()
@@ -264,14 +244,14 @@ pub fn replay_ecc_sweep_mode(
             Simulator::new(config)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let reports = match Simulator::replay_batch_mode(&points, &capture, kernel) {
+    let reports = match Simulator::replay_batch(&points, &capture) {
         // A store-backed capture streams from disk; if the entry rots
         // between load-time validation and the replay pass, recapture
         // from the trace instead of failing the sweep.
         Err(SimulationError::CaptureStream(defect)) => {
             eprintln!("warning: streamed capture failed mid-sweep ({defect}); recapturing");
             let fresh = experiment.capture_with(None)?;
-            Simulator::replay_batch_mode(&points, &fresh, kernel)?
+            Simulator::replay_batch(&points, &fresh)?
         }
         other => other?,
     };

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use reap_cache::{CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_core::capture_store::{
-    read_capture_v2, write_capture_v2, CaptureFormat, CaptureKey, CapturePolicy, CaptureStore,
+    read_capture_v2, write_capture_v2, CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError,
 };
 use reap_core::sweep::replay_ecc_sweep_with;
 use reap_core::{
@@ -19,11 +19,6 @@ use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// An arbitrary on-disk format, so store properties hold for both.
-fn any_format() -> impl Strategy<Value = CaptureFormat> {
-    prop_oneof![Just(CaptureFormat::V1), Just(CaptureFormat::V2)]
-}
 
 /// An arbitrary exposure record: any kind, any key, any read count.
 fn any_record() -> impl Strategy<Value = ExposureRecord> {
@@ -77,7 +72,7 @@ proptest! {
     /// A store round-trip preserves the capture exactly — the loaded
     /// entry's events, metadata and every replayed report are
     /// bit-identical to the in-memory original, for arbitrary workloads,
-    /// seeds, replacement policies and on-disk formats.
+    /// seeds and replacement policies.
     #[test]
     fn store_round_trip_is_bit_identical(
         workload_index in 0usize..21,
@@ -88,7 +83,6 @@ proptest! {
             Just(Replacement::Fifo),
             Just(Replacement::Srrip),
         ],
-        format in any_format(),
     ) {
         let workload = SpecWorkload::ALL[workload_index];
         let experiment = Experiment::paper_hierarchy()
@@ -97,7 +91,7 @@ proptest! {
             .budgets(500, 4_000)
             .seed(seed);
         let dir = scratch("roundtrip");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
 
         let original = experiment.capture().expect("capture");
         let key = CaptureKey::new(workload, seed, experiment.config());
@@ -116,7 +110,7 @@ proptest! {
     }
 
     /// Any corruption of a store entry — truncation, a chopped tail, or
-    /// a silent byte flip anywhere in the file, in either format — makes
+    /// a silent byte flip anywhere in the file — makes
     /// the load fall back to recapture, bumps `capture_store.invalid`,
     /// and leaves the final reports bit-identical to an uncorrupted run.
     /// Never a wrong report.
@@ -126,7 +120,6 @@ proptest! {
         seed in any::<u64>(),
         corruption in 0usize..3,
         damage in any::<u64>(),
-        format in any_format(),
     ) {
         reap_obs::set_enabled(true);
         let workload = SpecWorkload::ALL[workload_index];
@@ -135,7 +128,7 @@ proptest! {
             .budgets(500, 4_000)
             .seed(seed);
         let dir = scratch("corrupt");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
 
         // Reference sweep and a populated store entry.
         let clean = replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
@@ -220,32 +213,161 @@ proptest! {
     }
 }
 
-/// Warm sweeps from a v1 store, a v2 store and no store at all agree
+/// A warm sweep from the store and a sweep with no store at all agree
 /// bit-for-bit: the on-disk encoding never leaks into results.
 #[test]
-fn warm_sweeps_agree_across_formats_and_with_fresh_capture() {
+fn warm_sweeps_agree_with_fresh_capture() {
     let experiment = Experiment::paper_hierarchy()
         .workload(SpecWorkload::Soplex)
         .budgets(500, 6_000)
         .seed(77);
     let fresh = replay_ecc_sweep_with(&experiment, None).expect("fresh sweep");
 
-    let mut warm = Vec::new();
-    for format in [CaptureFormat::V1, CaptureFormat::V2] {
-        let dir = scratch("crossfmt");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
-        replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
-        warm.push(replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep"));
-        std::fs::remove_dir_all(dir).ok();
-    }
+    let dir = scratch("warm");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
+    let warm = replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep");
+    std::fs::remove_dir_all(dir).ok();
 
-    for sweep in &warm {
-        assert_eq!(sweep.len(), fresh.len());
-        for ((ecc_a, a), (ecc_b, b)) in fresh.iter().zip(sweep) {
-            assert_eq!(ecc_a, ecc_b);
-            assert_eq!(report_bits(a), report_bits(b));
+    assert_eq!(warm.len(), fresh.len());
+    for ((ecc_a, a), (ecc_b, b)) in fresh.iter().zip(&warm) {
+        assert_eq!(ecc_a, ecc_b);
+        assert_eq!(report_bits(a), report_bits(b));
+    }
+}
+
+/// Streaming FNV-1a, the checksum of the retired fixed-width format.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `capture` encoded as a `reap-capture/1` entry — the fixed-width
+/// layout older builds wrote: magic, version 1, fingerprint, line bits,
+/// ones seed, the 38 snapshot words, the record count, 33-byte records
+/// (kind, tag, set, version, unchecked reads) and an FNV-1a trailer
+/// over everything before it.
+fn v1_entry(fingerprint: u64, capture: &ExposureCapture) -> Vec<u8> {
+    let snapshot = capture.snapshot();
+    let mut words = vec![fingerprint, capture.line_bits() as u64, capture.ones_seed()];
+    for s in [&snapshot.l1i, &snapshot.l1d, &snapshot.l2] {
+        words.extend([
+            s.reads,
+            s.writes,
+            s.read_hits,
+            s.write_hits,
+            s.fills,
+            s.evictions,
+            s.dirty_evictions,
+            s.concealed_reads,
+            s.line_reads,
+            s.demand_checks,
+            s.scrub_checks,
+            s.writeback_installs,
+        ]);
+    }
+    words.extend([
+        snapshot.memory_reads,
+        snapshot.memory_writes,
+        capture.event_count(),
+    ]);
+    let mut bytes = b"RCAP\x01".to_vec();
+    for w in words {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    for r in capture.events() {
+        bytes.push(match r.kind {
+            ExposureKind::Demand => 0,
+            ExposureKind::DirtyScrub => 1,
+            ExposureKind::DirtyEviction => 2,
+        });
+        for w in [r.key.tag, r.key.set, r.key.version, r.unchecked_reads] {
+            bytes.extend_from_slice(&w.to_le_bytes());
         }
     }
+    let checksum = fnv1a(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// An entry an older build wrote in `reap-capture/1` is a fail-open
+/// miss: it is counted invalid, recaptured bit-identically, overwritten
+/// as version 2 and served as a hit from then on.
+#[test]
+fn a_stale_v1_entry_is_recaptured_once_and_rewritten() {
+    reap_obs::set_enabled(true);
+    let dir = scratch("stale");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Gcc)
+        .budgets(500, 6_000)
+        .seed(21);
+    let sim = Simulator::new(experiment.config().clone()).unwrap();
+    let fresh = sim.capture(SpecWorkload::Gcc.stream(21)).unwrap();
+    let key = CaptureKey::new(SpecWorkload::Gcc, 21, experiment.config());
+    let stale = v1_entry(key.fingerprint(), &fresh);
+    assert_eq!(stale.len() as u64, 33 * fresh.event_count() + 349);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(store.entry_path(&key), &stale).unwrap();
+
+    let invalid0 = counter("capture_store.invalid");
+    assert!(store.load(&key).is_none(), "a v1 entry must not load");
+    assert!(counter("capture_store.invalid") > invalid0);
+    assert!(matches!(
+        read_capture_v2(&stale[..], key.fingerprint()),
+        Err(CaptureStoreError::UnsupportedVersion { found: 1 })
+    ));
+
+    let recaptured = store.load_or_capture(&sim, SpecWorkload::Gcc, 21).unwrap();
+    assert_eq!(recaptured.events(), fresh.events());
+    assert_eq!(recaptured.snapshot(), fresh.snapshot());
+    assert_eq!(recaptured.line_bits(), fresh.line_bits());
+    assert_eq!(recaptured.ones_seed(), fresh.ones_seed());
+
+    let rewritten = std::fs::read(store.entry_path(&key)).unwrap();
+    assert_eq!(rewritten[4], 2, "the entry is rewritten as version 2");
+    let hit0 = counter("capture_store.hit");
+    let warm = store.load(&key).expect("the rewritten entry is a hit");
+    assert!(counter("capture_store.hit") > hit0);
+    assert_eq!(warm.events(), fresh.events());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Entries too short to hold a header — empty, or the magic alone — are
+/// typed truncations at byte 0, and the store treats them as misses.
+#[test]
+fn empty_and_magic_only_entries_are_typed_truncations() {
+    reap_obs::set_enabled(true);
+    let dir = scratch("short");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Mcf)
+        .budgets(500, 6_000)
+        .seed(8);
+    let key = CaptureKey::new(SpecWorkload::Mcf, 8, experiment.config());
+    std::fs::create_dir_all(&dir).unwrap();
+    for prefix in [&b""[..], &b"RCAP"[..]] {
+        let err = read_capture_v2(prefix, key.fingerprint()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CaptureStoreError::Truncated {
+                    offset: 0,
+                    record: None
+                }
+            ),
+            "{} bytes: {err}",
+            prefix.len()
+        );
+        assert!(err.to_string().contains("at byte 0"), "{err}");
+
+        std::fs::write(store.entry_path(&key), prefix).unwrap();
+        let invalid0 = counter("capture_store.invalid");
+        assert!(store.load(&key).is_none());
+        assert!(counter("capture_store.invalid") > invalid0);
+    }
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

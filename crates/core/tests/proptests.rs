@@ -12,9 +12,7 @@ use reap_core::{
     ProtectionScheme, ReliabilityObserver, Simulator,
 };
 use reap_fault::FaultPlan;
-use reap_reliability::{
-    AccumulationModel, ExposureKind, KernelMode, MultiReplayAggregator, ScalarMultiReplayAggregator,
-};
+use reap_reliability::{AccumulationModel, ExposureKind, MultiReplayAggregator, ReplayAggregator};
 use reap_trace::SpecWorkload;
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -432,20 +430,18 @@ proptest! {
     /// A replay kernel reused across captures
     /// ([`Simulator::replay_batch_into`] on one aggregator) is
     /// bit-identical to a fresh kernel per capture
-    /// ([`Simulator::replay_batch_mode`]): every scheme sum, writeback
+    /// ([`Simulator::replay_batch`]): every scheme sum, writeback
     /// exposure, histogram bin and energy total agrees, at 1, 3, 5 and 21
     /// analysis points (remainder lanes alone and beside full 4-wide
     /// chunks), with scrubbing off and on (dirty scrubs beside dirty
-    /// evictions), in both kernel modes.
+    /// evictions).
     #[test]
     fn a_reused_replay_kernel_matches_a_fresh_one_per_capture(
         first in 0usize..21,
         seed in any::<u64>(),
         scrub_period in prop_oneof![Just(0u64), Just(700u64)],
         num_points in prop_oneof![Just(1usize), Just(3), Just(5), Just(21)],
-        fast in any::<bool>(),
     ) {
-        let mode = if fast { KernelMode::FastMath } else { KernelMode::Exact };
         let base = Experiment::paper_hierarchy()
             .budgets(500, 4_000)
             .scrub(scrub_period)
@@ -469,14 +465,12 @@ proptest! {
                 Simulator::new(e.config().clone()).expect("simulator")
             })
             .collect();
-        let mut kernel = MultiReplayAggregator::with_mode(
-            Simulator::batch_kernel_points(&points, &captures[0]),
-            mode,
-        );
+        let mut kernel =
+            MultiReplayAggregator::new(Simulator::batch_kernel_points(&points, &captures[0]));
         for capture in &captures {
             let reused = Simulator::replay_batch_into(&points, capture, &mut kernel)
                 .expect("reused replay");
-            let fresh = Simulator::replay_batch_mode(&points, capture, mode).expect("fresh");
+            let fresh = Simulator::replay_batch(&points, capture).expect("fresh");
             prop_assert_eq!(reused.len(), num_points);
             for (got, want) in reused.iter().zip(&fresh) {
                 for scheme in ProtectionScheme::ALL {
@@ -498,15 +492,16 @@ proptest! {
         }
     }
 
-    /// The vectorized batched kernel is pinned bit-identical to the
-    /// scalar reference kernel for arbitrary record streams: every
-    /// failure sum, event count and histogram bin agrees to the bit
-    /// across adversarial point counts (full 4-wide chunks plus
-    /// remainders), stored widths, disturb probabilities (including the
-    /// certain-failure corner), out-of-range ones counts and read
-    /// counts spanning the memo boundary up to `u64::MAX`.
+    /// The vectorized batched kernel is pinned bit-identical to
+    /// independent per-point [`ReplayAggregator`]s for arbitrary record
+    /// streams, fed record by record and in blocks: every failure sum,
+    /// event count and histogram bin agrees to the bit across
+    /// adversarial point counts (full 4-wide chunks plus remainders),
+    /// stored widths, disturb probabilities (including the
+    /// certain-failure corner), out-of-range ones counts and read counts
+    /// spanning the memo boundary up to `u64::MAX`.
     #[test]
-    fn vectorized_kernel_is_bit_identical_to_scalar_reference(
+    fn vectorized_kernel_is_bit_identical_to_per_point_aggregators(
         num_points in 1usize..10,
         seed in any::<u64>(),
         certain in any::<bool>(),
@@ -514,78 +509,49 @@ proptest! {
     ) {
         let points = kernel_points(num_points, seed, certain);
         let mut vectorized = MultiReplayAggregator::new(points.clone());
-        let mut scalar = ScalarMultiReplayAggregator::new(points.clone());
+        let mut blocked = MultiReplayAggregator::new(points.clone());
+        let mut solo: Vec<ReplayAggregator> = points
+            .iter()
+            .map(|&(model, width)| ReplayAggregator::new(model, width))
+            .collect();
+        let (mut block, mut block_ones) = (Vec::new(), Vec::new());
         feed_kernel(&records, &points, |kind, ones, n| {
             vectorized.record(kind, ones, n);
+            for (agg, &o) in solo.iter_mut().zip(ones) {
+                agg.record(kind, o, n);
+            }
+            block.push((kind, n));
+            block_ones.extend_from_slice(ones);
+            if block.len() == 64 {
+                blocked.record_block(&block, &block_ones);
+                block.clear();
+                block_ones.clear();
+            }
         });
-        feed_kernel(&records, &points, |kind, ones, n| {
-            scalar.record(kind, ones, n);
-        });
-        for (got, want) in vectorized.finish().iter().zip(&scalar.finish()) {
-            prop_assert_eq!(
-                got.conventional().expected_failures().to_bits(),
-                want.conventional().expected_failures().to_bits()
-            );
-            prop_assert_eq!(got.conventional().events(), want.conventional().events());
-            prop_assert_eq!(
-                got.reap().expected_failures().to_bits(),
-                want.reap().expected_failures().to_bits()
-            );
-            prop_assert_eq!(got.reap().events(), want.reap().events());
-            prop_assert_eq!(
-                got.serial().expected_failures().to_bits(),
-                want.serial().expected_failures().to_bits()
-            );
-            prop_assert_eq!(
-                got.writeback_exposure().to_bits(),
-                want.writeback_exposure().to_bits()
-            );
-            prop_assert_eq!(got.histogram(), want.histogram());
-        }
-    }
-
-    /// Fast-math mode only ever touches the REAP term, and its deviation
-    /// stays inside the documented bound: relative error at most 5e-9.
-    /// Every other observable — conventional and serial sums, writeback
-    /// exposure, histogram, event counts — is bit-identical to exact.
-    #[test]
-    fn fast_math_kernel_error_is_bounded(
-        num_points in 1usize..10,
-        seed in any::<u64>(),
-        records in kernel_record_strategy(),
-    ) {
-        let points = kernel_points(num_points, seed, false);
-        let mut exact = MultiReplayAggregator::new(points.clone());
-        let mut fast = MultiReplayAggregator::with_mode(points.clone(), KernelMode::FastMath);
-        feed_kernel(&records, &points, |kind, ones, n| {
-            exact.record(kind, ones, n);
-        });
-        feed_kernel(&records, &points, |kind, ones, n| {
-            fast.record(kind, ones, n);
-        });
-        for (e, f) in exact.finish().iter().zip(&fast.finish()) {
-            let (er, fr) = (
-                e.reap().expected_failures(),
-                f.reap().expected_failures(),
-            );
-            prop_assert!(
-                (fr - er).abs() <= 5e-9 * er.abs(),
-                "reap sum off by more than the documented bound: {er} vs {fr}"
-            );
-            prop_assert_eq!(
-                e.conventional().expected_failures().to_bits(),
-                f.conventional().expected_failures().to_bits()
-            );
-            prop_assert_eq!(
-                e.serial().expected_failures().to_bits(),
-                f.serial().expected_failures().to_bits()
-            );
-            prop_assert_eq!(
-                e.writeback_exposure().to_bits(),
-                f.writeback_exposure().to_bits()
-            );
-            prop_assert_eq!(e.histogram(), f.histogram());
-            prop_assert_eq!(e.reap().events(), f.reap().events());
+        blocked.record_block(&block, &block_ones);
+        for batch in [vectorized.finish(), blocked.finish()] {
+            for (got, want) in batch.iter().zip(&solo) {
+                prop_assert_eq!(
+                    got.conventional().expected_failures().to_bits(),
+                    want.conventional().expected_failures().to_bits()
+                );
+                prop_assert_eq!(got.conventional().events(), want.conventional().events());
+                prop_assert_eq!(
+                    got.reap().expected_failures().to_bits(),
+                    want.reap().expected_failures().to_bits()
+                );
+                prop_assert_eq!(got.reap().events(), want.reap().events());
+                prop_assert_eq!(
+                    got.serial().expected_failures().to_bits(),
+                    want.serial().expected_failures().to_bits()
+                );
+                prop_assert_eq!(got.serial().events(), want.serial().events());
+                prop_assert_eq!(
+                    got.writeback_exposure().to_bits(),
+                    want.writeback_exposure().to_bits()
+                );
+                prop_assert_eq!(got.histogram(), want.histogram());
+            }
         }
     }
 

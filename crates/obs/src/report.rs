@@ -231,12 +231,12 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
             fmt_bytes(c("bytes_read")),
             fmt_bytes(c("bytes_written")),
         );
-        if let Some((_, ratio)) = snapshot
+        if let Some((_, per_event)) = snapshot
             .gauges
             .iter()
-            .find(|(n, _)| n == "capture_store.compression_ratio")
+            .find(|(n, _)| n == "capture_store.bytes_per_event")
         {
-            let _ = write!(line, "   compression {ratio:.2}x");
+            let _ = write!(line, "   {per_event:.2} B/event");
         }
         let _ = writeln!(out, "{line}");
         let _ = writeln!(out);
@@ -314,7 +314,7 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         .iter()
         .filter(|(n, _)| {
             !n.contains(".worker.")
-                && n != "capture_store.compression_ratio"
+                && n != "capture_store.bytes_per_event"
                 && (options.timings || !is_run_variant_metric(n))
         })
         .collect();
@@ -634,7 +634,7 @@ mod tests {
         r.gauge("ecc_sweep.worker.1.utilization").set(1.0);
         r.counter("capture_store.hit").add(21);
         r.counter("capture_store.bytes_read").add(2 << 20);
-        r.gauge("capture_store.compression_ratio").set(5.29);
+        r.gauge("capture_store.bytes_per_event").set(6.24);
         r.counter("sim.capture.exposure_events").add(1000);
         r.counter("sim.capture.frame_bytes").add(5_500);
 
@@ -644,7 +644,7 @@ mod tests {
         assert!(text.contains("ecc_sweep"), "{text}");
         assert!(text.contains("0.80-1.00"), "{text}");
         assert!(text.contains("hits 21"), "{text}");
-        assert!(text.contains("compression 5.29x"), "{text}");
+        assert!(text.contains("written 0 B   6.24 B/event"), "{text}");
         assert!(text.contains("(5.50 B/event)"), "{text}");
         assert!(text.contains("process: wall"), "{text}");
     }

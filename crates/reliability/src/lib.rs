@@ -55,6 +55,6 @@ pub use histogram::LogHistogram;
 pub use model::{uncorrectable_probability, AccumulationModel};
 pub use montecarlo::{McLineResult, MonteCarloLine};
 pub use mttf::{FailureAggregator, Mttf};
-pub use multi::{KernelMode, MultiReplayAggregator, ScalarMultiReplayAggregator};
+pub use multi::MultiReplayAggregator;
 pub use pareto::{pareto_front_indices, ParetoPoint};
 pub use replay::{ExposureKind, ReplayAggregator};

@@ -9,23 +9,17 @@
 //! point before moving to the next record, so the stream is traversed
 //! exactly once.
 //!
-//! Two kernels implement the same contract:
+//! [`MultiReplayAggregator`] is the one batched kernel. All per-point
+//! state lives in flat structure-of-arrays lanes (`conv_sum[p]`,
+//! `reap_sum[p]`, …), the per-record hot path walks points in explicit
+//! 4-wide chunks (table gathers, dense memo probes and the three scheme
+//! accumulations are all straight-line array arithmetic the compiler can
+//! vectorize), and both the Eq. (3) conventional tail *and* the Eq. (6)
+//! REAP term are memoized over the dense small-`N` region, so the
+//! `exp_m1` transcendental runs once per distinct `(point, ones, N)` key
+//! instead of once per record.
 //!
-//! * [`MultiReplayAggregator`] — the production kernel. All per-point
-//!   state lives in flat structure-of-arrays lanes (`conv_sum[p]`,
-//!   `reap_sum[p]`, …), the per-record hot path walks points in explicit
-//!   4-wide chunks (table gathers, dense memo probes and the three
-//!   scheme accumulations are all straight-line array arithmetic the
-//!   compiler can vectorize), and both the Eq. (3) conventional tail
-//!   *and* the Eq. (6) REAP term are memoized over the dense small-`N`
-//!   region, so the `exp_m1` transcendental runs once per distinct
-//!   `(point, ones, N)` key instead of once per record.
-//! * [`ScalarMultiReplayAggregator`] — the original points-inner scalar
-//!   kernel (PR 4), kept verbatim as the reference implementation. The
-//!   benchmark suite and the proptests pin the vectorized kernel
-//!   bit-identical to it.
-//!
-//! Shared data-layout tricks:
+//! Data-layout tricks:
 //!
 //! * the per-point `single_read_table`s are stacked into one
 //!   point-innermost `stride × points` matrix (`stride = global
@@ -41,28 +35,20 @@
 //!   nothing), so the binomial tail series runs once per distinct key
 //!   instead of once per record;
 //! * histogram bin membership and event counts depend only on the record
-//!   (`N` and kind), not on the point, so the vectorized kernel keeps
-//!   *one* shared count vector and per-point failure lanes, rebuilding
-//!   per-point [`LogHistogram`]s only at [`finish`].
+//!   (`N` and kind), not on the point, so the kernel keeps *one* shared
+//!   count vector and per-point failure lanes, rebuilding per-point
+//!   [`LogHistogram`]s only at [`finish`].
 //!
 //! # Bit-identity contract
 //!
-//! In [`KernelMode::Exact`] (the default) both kernels are
-//! **bit-identical** to running `points.len()` independent
+//! The kernel is **bit-identical** to running `points.len()` independent
 //! [`ReplayAggregator`]s over the stream in capture order: each point's
 //! floating-point sums see the same values in the same order (records
 //! outer, points inner preserves per-point record order), the stacked
 //! rows reproduce the per-point clamp semantics exactly, and every
 //! memoized value is the output of the same pure function on the same
-//! inputs. `crates/core/tests/proptests.rs` pins this contract.
-//!
-//! [`KernelMode::FastMath`] relaxes it: when the Eq. (6) argument
-//! `x = N·ln(1−u)` satisfies `|x| < 1e-8`, the kernel uses the linear
-//! approximation `exp(x) − 1 ≈ x` instead of calling `exp_m1`. The
-//! truncation error of that shortcut is `x²/2 + O(x³)`, i.e. a
-//! *relative* error below `|x|/2 < 5e-9` per event, so every
-//! accumulated scheme sum is within `5e-9` relative of the exact
-//! kernel's. A bounded-error test pins that envelope.
+//! inputs. The unit tests below and `crates/core/tests/proptests.rs` pin
+//! this contract against per-point [`ReplayAggregator`]s.
 //!
 //! [`finish`]: MultiReplayAggregator::finish
 
@@ -105,49 +91,25 @@ fn memo_put(value: f64) -> u64 {
 /// Number of log₂ histogram bins a `u64` read count can land in.
 const HIST_BINS: usize = 64;
 
-/// Numerical mode of the batched kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Bit-identical to independent per-point [`ReplayAggregator`]s
-    /// (the default — accumulation order and every intermediate are
-    /// preserved exactly).
-    #[default]
-    Exact,
-    /// Permits the documented small-argument `exp_m1` shortcut in the
-    /// Eq. (6) REAP term: for `|N·ln(1−u)| < 1e-8` the linear
-    /// approximation is used, bounding each event's relative error by
-    /// `5e-9` (and therefore each accumulated sum's relative error by
-    /// the same factor). Not bit-identical to [`KernelMode::Exact`].
-    FastMath,
-}
-
 /// Eq. (6) REAP term `1 − (1 − u)^N` from the precomputed `ln(1 − u)`,
 /// with the degenerate corners pinned exactly as in
 /// [`AccumulationModel::fail_reap`]: zero reads can't fail, and a
 /// certainly-failing read (`u = 1`, where `ln(1 − u) = −inf`) fails for
 /// any `N ≥ 1`. Without the guards `0 × −inf` goes NaN.
 #[inline]
-fn reap_term(u: f64, ln1m_u: f64, n_reads: u64, fast: bool) -> f64 {
+fn reap_term(u: f64, ln1m_u: f64, n_reads: u64) -> f64 {
     if u == 0.0 || n_reads == 0 {
         0.0
     } else if u == 1.0 {
         1.0
     } else {
-        let x = n_reads as f64 * ln1m_u;
-        if fast && x > -1e-8 {
-            // exp(x) - 1 = x + x²/2 + …; dropping the tail keeps the
-            // relative error below |x|/2 < 5e-9.
-            -x
-        } else {
-            -x.exp_m1()
-        }
+        -(n_reads as f64 * ln1m_u).exp_m1()
     }
 }
 
 /// Scores a captured exposure stream against many analysis points in a
 /// single pass — the vectorized structure-of-arrays kernel,
-/// bit-identical (in [`KernelMode::Exact`]) to independent per-point
-/// replays and to [`ScalarMultiReplayAggregator`].
+/// bit-identical to independent per-point [`ReplayAggregator`]s.
 ///
 /// # Examples
 ///
@@ -181,7 +143,6 @@ pub struct MultiReplayAggregator {
     models: Vec<AccumulationModel>,
     /// Per-point stored line widths (`max_ones`).
     widths: Vec<u32>,
-    mode: KernelMode,
     /// Row length of the stacked tables: global `max_ones + 1`.
     stride: usize,
     /// Point-innermost `stride × points`: `single[n * points + p] =
@@ -231,23 +192,14 @@ pub struct MultiReplayAggregator {
 
 impl MultiReplayAggregator {
     /// Creates a batched aggregator for the given `(model, max_ones)`
-    /// analysis points in [`KernelMode::Exact`]. `max_ones` is the
-    /// stored line width in bits for that point (data + check bits),
-    /// exactly as passed to [`ReplayAggregator::new`].
+    /// analysis points. `max_ones` is the stored line width in bits for
+    /// that point (data + check bits), exactly as passed to
+    /// [`ReplayAggregator::new`].
     ///
     /// # Panics
     ///
     /// Panics if `points` is empty or any `max_ones == 0`.
     pub fn new(points: Vec<(AccumulationModel, u32)>) -> Self {
-        Self::with_mode(points, KernelMode::Exact)
-    }
-
-    /// Creates a batched aggregator with an explicit [`KernelMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or any `max_ones == 0`.
-    pub fn with_mode(points: Vec<(AccumulationModel, u32)>, mode: KernelMode) -> Self {
         assert!(!points.is_empty(), "need at least one analysis point");
         let stride = points
             .iter()
@@ -272,7 +224,6 @@ impl MultiReplayAggregator {
         Self {
             models,
             widths,
-            mode,
             stride,
             single,
             ln1m_single,
@@ -293,11 +244,6 @@ impl MultiReplayAggregator {
     /// Number of analysis points being scored.
     pub fn num_points(&self) -> usize {
         self.models.len()
-    }
-
-    /// The kernel's numerical mode.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Scores one exposure record against every point. `line_ones[p]` is
@@ -449,7 +395,6 @@ impl MultiReplayAggregator {
                     // all lanes.
                     let probe = pc[0] + pc[1] + pc[2] + pc[3] + pr[0] + pr[1] + pr[2] + pr[3];
                     if probe.is_nan() {
-                        let fast = self.mode == KernelMode::FastMath;
                         for l in 0..LANES {
                             if pc[l].is_nan() {
                                 let v = self.models[p + l].fail_conventional(row[p + l], n);
@@ -457,7 +402,7 @@ impl MultiReplayAggregator {
                                 pc[l] = v;
                             }
                             if pr[l].is_nan() {
-                                let v = reap_term(u[l], self.ln1m_single[ti[l]], n, fast);
+                                let v = reap_term(u[l], self.ln1m_single[ti[l]], n);
                                 self.memo[mi[l] + 1] = memo_put(v);
                                 pr[l] = v;
                             }
@@ -514,7 +459,6 @@ impl MultiReplayAggregator {
     /// only when it actually has to evaluate the REAP term.
     #[inline]
     fn demand_terms(&mut self, p: usize, ones: u32, n: u64, u: f64) -> (f64, f64) {
-        let fast = self.mode == KernelMode::FastMath;
         let npts = self.models.len();
         let l1m_at = (ones as usize).min(self.stride - 1) * npts + p;
         if n <= MEMO_MAX_READS && (ones as usize) < self.stride {
@@ -526,14 +470,14 @@ impl MultiReplayAggregator {
             }
             let mut pr = memo_get(self.memo[mi + 1]);
             if pr.is_nan() {
-                pr = reap_term(u, self.ln1m_single[l1m_at], n, fast);
+                pr = reap_term(u, self.ln1m_single[l1m_at], n);
                 self.memo[mi + 1] = memo_put(pr);
             }
             (pc, pr)
         } else {
             (
                 self.models[p].fail_conventional(ones, n),
-                reap_term(u, self.ln1m_single[l1m_at], n, fast),
+                reap_term(u, self.ln1m_single[l1m_at], n),
             )
         }
     }
@@ -649,185 +593,6 @@ impl MultiReplayAggregator {
     }
 }
 
-/// Per-point accumulation state of the scalar reference kernel,
-/// mirroring one [`ReplayAggregator`].
-#[derive(Debug, Clone)]
-struct PointState {
-    model: AccumulationModel,
-    max_ones: u32,
-    conventional: FailureAggregator,
-    reap: FailureAggregator,
-    serial: FailureAggregator,
-    histogram: LogHistogram,
-    writeback_exposure: f64,
-}
-
-/// The original points-inner scalar batched kernel (PR 4), kept as the
-/// reference implementation the vectorized [`MultiReplayAggregator`] is
-/// benchmarked and property-tested against. Same bit-identity contract,
-/// same API surface, no lane batching and no REAP-term memo.
-#[derive(Debug, Clone)]
-pub struct ScalarMultiReplayAggregator {
-    points: Vec<PointState>,
-    /// Row length of the stacked tables: global `max_ones + 1`.
-    stride: usize,
-    /// Row-major `points × stride` single-read failure table.
-    single: Vec<f64>,
-    /// `ln(1 − single[p][n])` for the Eq. (6) closed form.
-    ln1m_single: Vec<f64>,
-    /// Dense `(point, ones, N)` memo of `fail_conventional(ones, N)`.
-    conv_memo: Vec<f64>,
-}
-
-impl ScalarMultiReplayAggregator {
-    /// Creates the scalar reference aggregator; same contract as
-    /// [`MultiReplayAggregator::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or any `max_ones == 0`.
-    pub fn new(points: Vec<(AccumulationModel, u32)>) -> Self {
-        assert!(!points.is_empty(), "need at least one analysis point");
-        let stride = points
-            .iter()
-            .map(|&(_, w)| {
-                assert!(w > 0, "line width must be positive");
-                w as usize + 1
-            })
-            .max()
-            .expect("non-empty");
-        let mut single = Vec::with_capacity(points.len() * stride);
-        let mut ln1m_single = Vec::with_capacity(points.len() * stride);
-        for &(model, max_ones) in &points {
-            for n in 0..stride {
-                let u = model.fail_single((n as u32).min(max_ones));
-                single.push(u);
-                ln1m_single.push((-u).ln_1p());
-            }
-        }
-        let conv_memo = vec![f64::NAN; points.len() * stride * (MEMO_MAX_READS as usize + 1)];
-        let points = points
-            .into_iter()
-            .map(|(model, max_ones)| PointState {
-                model,
-                max_ones,
-                conventional: FailureAggregator::new(),
-                reap: FailureAggregator::new(),
-                serial: FailureAggregator::new(),
-                histogram: LogHistogram::new(),
-                writeback_exposure: 0.0,
-            })
-            .collect();
-        Self {
-            points,
-            stride,
-            single,
-            ln1m_single,
-            conv_memo,
-        }
-    }
-
-    /// Number of analysis points being scored.
-    pub fn num_points(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Scores one exposure record against every point; see
-    /// [`MultiReplayAggregator::record`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_ones.len() != self.num_points()`.
-    pub fn record(&mut self, kind: ExposureKind, line_ones: &[u32], unchecked_reads: u64) {
-        assert_eq!(
-            line_ones.len(),
-            self.points.len(),
-            "one ones-count per analysis point"
-        );
-        match kind {
-            ExposureKind::Demand => {
-                for (p, &ones) in line_ones.iter().enumerate() {
-                    let p_conv = self.conventional_tail(p, ones, unchecked_reads);
-                    let row = p * self.stride;
-                    let idx = row + (ones as usize).min(self.stride - 1);
-                    let u = self.single[idx];
-                    // Eq. (6) via the precomputed ln(1-u); corners pinned
-                    // as in `AccumulationModel::fail_reap`.
-                    let p_reap = reap_term(u, self.ln1m_single[idx], unchecked_reads, false);
-                    let point = &mut self.points[p];
-                    point.conventional.record(p_conv);
-                    point.reap.record(p_reap);
-                    point.serial.record(u);
-                    point.histogram.record(unchecked_reads, p_conv);
-                }
-            }
-            ExposureKind::DirtyScrub => {
-                for (p, &ones) in line_ones.iter().enumerate() {
-                    let p_conv = self.conventional_tail(p, ones, unchecked_reads);
-                    self.points[p].conventional.record(p_conv);
-                }
-            }
-            ExposureKind::DirtyEviction => {
-                for (p, &ones) in line_ones.iter().enumerate() {
-                    let p_conv = self.conventional_tail(p, ones, unchecked_reads);
-                    self.points[p].writeback_exposure += p_conv;
-                }
-            }
-        }
-    }
-
-    /// Streaming feeder; see [`MultiReplayAggregator::record_all`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any item's `line_ones.len() != self.num_points()`.
-    pub fn record_all<'a, I>(&mut self, records: I)
-    where
-        I: IntoIterator<Item = (ExposureKind, &'a [u32], u64)>,
-    {
-        for (kind, line_ones, unchecked_reads) in records {
-            self.record(kind, line_ones, unchecked_reads);
-        }
-    }
-
-    /// Tears the batch apart into one [`ReplayAggregator`] per point, in
-    /// construction order.
-    pub fn finish(self) -> Vec<ReplayAggregator> {
-        self.points
-            .into_iter()
-            .map(|p| {
-                ReplayAggregator::from_parts(
-                    p.model,
-                    p.max_ones,
-                    p.conventional,
-                    p.reap,
-                    p.serial,
-                    p.histogram,
-                    p.writeback_exposure,
-                )
-            })
-            .collect()
-    }
-
-    /// `fail_conventional(ones, n_reads)` for point `p`, memoized over
-    /// the dense small-`N` region.
-    fn conventional_tail(&mut self, p: usize, ones: u32, n_reads: u64) -> f64 {
-        if n_reads <= MEMO_MAX_READS && (ones as usize) < self.stride {
-            let idx = (p * self.stride + ones as usize) * (MEMO_MAX_READS as usize + 1)
-                + n_reads as usize;
-            let cached = self.conv_memo[idx];
-            if !cached.is_nan() {
-                return cached;
-            }
-            let value = self.points[p].model.fail_conventional(ones, n_reads);
-            self.conv_memo[idx] = value;
-            value
-        } else {
-            self.points[p].model.fail_conventional(ones, n_reads)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,21 +642,20 @@ mod tests {
         assert_eq!(got.histogram(), want.histogram());
     }
 
-    /// Feeds the same records to both batched kernels and to independent
-    /// per-point aggregators, asserting bit-equality of every observable.
+    /// Feeds the same records to the batched kernel (per record and per
+    /// block) and to independent per-point aggregators, asserting
+    /// bit-equality of every observable.
     fn assert_matches_solo_at(
         pts: Vec<(AccumulationModel, u32)>,
         records: &[(ExposureKind, Vec<u32>, u64)],
     ) {
         let mut multi = MultiReplayAggregator::new(pts.clone());
-        let mut scalar = ScalarMultiReplayAggregator::new(pts.clone());
         let mut solo: Vec<ReplayAggregator> = pts
             .iter()
             .map(|&(m, w)| ReplayAggregator::new(m, w))
             .collect();
         for (kind, ones, n) in records {
             multi.record(*kind, ones, *n);
-            scalar.record(*kind, ones, *n);
             for (p, agg) in solo.iter_mut().enumerate() {
                 agg.record(*kind, ones[p], *n);
             }
@@ -909,9 +673,6 @@ mod tests {
             blocked.record_block(&recs, &flat);
         }
         for (got, want) in multi.finish().iter().zip(&solo) {
-            assert_bit_equal(got, want);
-        }
-        for (got, want) in scalar.finish().iter().zip(&solo) {
             assert_bit_equal(got, want);
         }
         for (got, want) in blocked.finish().iter().zip(&solo) {
@@ -1019,47 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_math_stays_within_documented_bound() {
-        let pts = seven_points();
-        let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
-        let records = pseudo_records(&widths, 2_000);
-        let mut exact = MultiReplayAggregator::with_mode(pts.clone(), KernelMode::Exact);
-        let mut fast = MultiReplayAggregator::with_mode(pts.clone(), KernelMode::FastMath);
-        for (kind, ones, n) in &records {
-            exact.record(*kind, ones, *n);
-            fast.record(*kind, ones, *n);
-        }
-        for (e, f) in exact.finish().iter().zip(fast.finish().iter()) {
-            // Only the REAP term may deviate, by at most 5e-9 relative
-            // per event (see KernelMode::FastMath).
-            let ex = e.reap().expected_failures();
-            let fa = f.reap().expected_failures();
-            if ex != 0.0 {
-                assert!(
-                    ((fa - ex) / ex).abs() <= 5e-9,
-                    "fast-math drift {fa} vs {ex}"
-                );
-            } else {
-                assert_eq!(fa, 0.0);
-            }
-            // Everything else is untouched by the mode.
-            assert_eq!(
-                e.conventional().expected_failures().to_bits(),
-                f.conventional().expected_failures().to_bits()
-            );
-            assert_eq!(
-                e.serial().expected_failures().to_bits(),
-                f.serial().expected_failures().to_bits()
-            );
-            assert_eq!(
-                e.writeback_exposure().to_bits(),
-                f.writeback_exposure().to_bits()
-            );
-            assert_eq!(e.histogram(), f.histogram());
-        }
-    }
-
-    #[test]
     fn record_all_matches_per_record_feeding() {
         let records = [
             (ExposureKind::Demand, [288u32, 300, 310], 1000u64),
@@ -1154,32 +874,29 @@ mod tests {
                 )],
                 seeded_records(&widths, 400, 0x5eed, true),
             ];
-            for mode in [KernelMode::Exact, KernelMode::FastMath] {
-                let mut reused = MultiReplayAggregator::with_mode(pts.clone(), mode);
-                for (i, records) in streams.iter().enumerate() {
-                    let mut fresh = MultiReplayAggregator::with_mode(pts.clone(), mode);
-                    // Stream 1 goes through the block entry, the others
-                    // record by record.
-                    if i == 1 {
-                        let recs: Vec<(ExposureKind, u64)> =
-                            records.iter().map(|&(k, _, n)| (k, n)).collect();
-                        let flat: Vec<u32> =
-                            records.iter().flat_map(|(_, o, _)| o.clone()).collect();
-                        reused.record_block(&recs, &flat);
-                    } else {
-                        for (kind, ones, n) in records {
-                            reused.record(*kind, ones, *n);
-                        }
-                    }
+            let mut reused = MultiReplayAggregator::new(pts.clone());
+            for (i, records) in streams.iter().enumerate() {
+                let mut fresh = MultiReplayAggregator::new(pts.clone());
+                // Stream 1 goes through the block entry, the others
+                // record by record.
+                if i == 1 {
+                    let recs: Vec<(ExposureKind, u64)> =
+                        records.iter().map(|&(k, _, n)| (k, n)).collect();
+                    let flat: Vec<u32> = records.iter().flat_map(|(_, o, _)| o.clone()).collect();
+                    reused.record_block(&recs, &flat);
+                } else {
                     for (kind, ones, n) in records {
-                        fresh.record(*kind, ones, *n);
+                        reused.record(*kind, ones, *n);
                     }
-                    let got = reused.take_reports();
-                    let want = fresh.finish();
-                    assert_eq!(got.len(), want.len());
-                    for (got, want) in got.iter().zip(&want) {
-                        assert_bit_equal(got, want);
-                    }
+                }
+                for (kind, ones, n) in records {
+                    fresh.record(*kind, ones, *n);
+                }
+                let got = reused.take_reports();
+                let want = fresh.finish();
+                assert_eq!(got.len(), want.len());
+                for (got, want) in got.iter().zip(&want) {
+                    assert_bit_equal(got, want);
                 }
             }
         }
@@ -1224,22 +941,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one")]
-    fn scalar_rejects_empty_point_set() {
-        let _ = ScalarMultiReplayAggregator::new(Vec::new());
-    }
-
-    #[test]
     #[should_panic(expected = "one ones-count per analysis point")]
     fn rejects_mismatched_ones_slice() {
         let mut multi = MultiReplayAggregator::new(points());
-        multi.record(ExposureKind::Demand, &[1], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "one ones-count per analysis point")]
-    fn scalar_rejects_mismatched_ones_slice() {
-        let mut multi = ScalarMultiReplayAggregator::new(points());
         multi.record(ExposureKind::Demand, &[1], 1);
     }
 }
