@@ -17,9 +17,10 @@
 //! the store must spend at most 16.5 bytes per exposure event (27.5 in
 //! smoke mode, where fixed headers weigh more). Those ceilings are half
 //! and 1/1.2 of the retired fixed-width layout's 33 bytes per event. The
-//! bench also reports the peak RSS of the cold pass (a fresh capture held
-//! as frames while it is replayed and stored) and of the warm pass
-//! (streamed from disk) — the memory claims in numbers. Results land in
+//! bench also reports the peak RSS of the cold pass (each fresh capture
+//! streamed into its entry a frame at a time, then replayed from it) and
+//! of the warm pass (streamed from disk) — the memory claims in numbers.
+//! Results land in
 //! `BENCH_capture.json` (override the path with the first argument).
 //!
 //! `--smoke` (or `REAP_BENCH_SMOKE=1`) shrinks the access budget for CI.

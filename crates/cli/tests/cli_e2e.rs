@@ -231,6 +231,59 @@ fn ecc_sweep_stdout_is_byte_identical_across_runs_and_parallelism() {
 }
 
 #[test]
+fn store_backed_and_store_less_runs_report_the_same_fresh_captures() {
+    let dir = std::env::temp_dir().join(format!("reap-e2e-fresh-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    // A store-backed capture streams its frames to disk instead of
+    // holding them, yet must account the same frame bytes.
+    let report = |store: Option<&std::path::Path>, name: &str| {
+        let metrics = dir.join(name);
+        let mut cmd = reap();
+        cmd.args(["run", "-w", "h264ref", "-n", "30000", "-s", "5"]);
+        if let Some(store) = store {
+            cmd.arg("--capture-dir").arg(store);
+        }
+        let out = cmd
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let report = reap()
+            .args(["obs", "report", "--no-timings"])
+            .arg(&metrics)
+            .output()
+            .expect("runs");
+        assert!(report.status.success());
+        (out.stdout, String::from_utf8(report.stdout).unwrap())
+    };
+    let fresh_line = |report: &str| {
+        report
+            .lines()
+            .find(|l| l.starts_with("fresh captures:"))
+            .map(str::to_owned)
+            .unwrap_or_else(|| panic!("no fresh captures line in:\n{report}"))
+    };
+    let (plain_out, plain) = report(None, "plain.jsonl");
+    let (cold_out, cold) = report(Some(&dir.join("captures")), "cold.jsonl");
+    assert_eq!(plain_out, cold_out);
+    assert_eq!(fresh_line(&plain), fresh_line(&cold));
+    assert!(!fresh_line(&cold).contains(" 0 B "), "{cold}");
+    // The streamed write is accounted like any other.
+    let store_line = cold
+        .lines()
+        .find(|l| l.contains("written"))
+        .unwrap_or_else(|| panic!("no store line in:\n{cold}"));
+    assert!(store_line.contains("B/event"), "{store_line}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn warm_capture_store_sweep_is_byte_identical_and_reports_hits() {
     let dir = std::env::temp_dir().join(format!("reap-e2e-capstore-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

@@ -33,7 +33,7 @@
 //! # }
 //! ```
 
-use crate::capture_store::{frame_decoder, FrameChain, FrameEncoder, V2Decoder};
+use crate::capture_store::{frame_decoder, FrameChain, FrameEncoder, FrameSink, V2Decoder};
 use reap_cache::{AccessObserver, CacheStats, Hierarchy, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use std::fmt;
@@ -117,10 +117,10 @@ pub trait ExposureStream {
 pub type StreamOpener =
     dyn Fn() -> Result<Box<dyn ExposureStream + Send>, StreamDefect> + Send + Sync;
 
-/// Where a capture's events live: a fresh capture holds them as
-/// `reap-capture/2` frames in memory, a store entry as an opener that
-/// re-reads the file on each pass. Either way replay decodes them a frame
-/// at a time.
+/// Where a capture's events live: a store-less fresh capture holds them
+/// as `reap-capture/2` frames in memory, a store entry (loaded, or
+/// written by the capture itself) as an opener that re-reads the file on
+/// each pass. Either way replay decodes them a frame at a time.
 #[derive(Clone)]
 enum EventSource {
     Frames {
@@ -278,7 +278,9 @@ impl ExposureCapture {
     ) -> Self {
         let mut frames = FrameEncoder::new();
         frames.extend(&events);
+        let Ok((count, _, frames)) = frames.finish();
         Self::from_frames(
+            count,
             frames,
             snapshot,
             line_bits,
@@ -291,11 +293,13 @@ impl ExposureCapture {
         )
     }
 
-    /// Assembles a capture whose events were coded into `frames` as they
-    /// were recorded, the form [`crate::Simulator::capture`] produces.
+    /// Assembles a capture whose `count` events were coded into `frames`
+    /// as they were recorded, the form [`crate::Simulator::capture`]
+    /// produces.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_frames(
-        frames: FrameEncoder,
+        count: u64,
+        frames: Vec<Box<[u8]>>,
         snapshot: HierarchySnapshot,
         line_bits: usize,
         ones_seed: u64,
@@ -305,7 +309,6 @@ impl ExposureCapture {
         measure_accesses: u64,
         scrub_period: u64,
     ) -> Self {
-        let (count, frames) = frames.finish();
         Self {
             source: EventSource::Frames {
                 count,
@@ -382,9 +385,10 @@ impl ExposureCapture {
         }
     }
 
-    /// A fresh capture's `reap-capture/2` frames, one slice per frame;
-    /// in order they are byte for byte what follows the header of a store
-    /// entry. `None` for a store-backed capture.
+    /// A store-less fresh capture's `reap-capture/2` frames, one slice
+    /// per frame; in order they are byte for byte what follows the header
+    /// of a store entry. `None` for a store-backed capture, including a
+    /// fresh one streamed into its entry.
     pub fn frames(&self) -> Option<&[Box<[u8]>]> {
         match &self.source {
             EventSource::Frames { frames, .. } => Some(frames),
@@ -500,7 +504,7 @@ impl CaptureObserver {
 
     /// Codes the events recorded so far into `frames` and forgets them,
     /// keeping the buffer for the next ones.
-    pub(crate) fn drain_into(&mut self, frames: &mut FrameEncoder) {
+    pub(crate) fn drain_into<S: FrameSink>(&mut self, frames: &mut FrameEncoder<S>) {
         frames.extend(&self.records);
         self.records.clear();
     }

@@ -13,10 +13,11 @@
 //! decode error names the byte offset where it stopped). A fixed header
 //! is followed by delta/varint-coded records in independently
 //! checksummed frames, which decode frame-by-frame straight into the
-//! replay iterator without materializing. It is also the in-memory form
-//! of a fresh capture: one frame encoder codes records into frames while
-//! the trace runs, and a store write is the header followed by those
-//! frames verbatim:
+//! replay iterator without materializing. One frame encoder codes records
+//! into frames while the trace runs. A store-backed fresh capture streams
+//! each frame straight into its entry's temp file as it is sealed, so its
+//! memory is one frame whatever the window; a store-less capture keeps
+//! the frames in memory as its only form:
 //!
 //! ```text
 //! magic            "RCAP"     (4 bytes)
@@ -51,8 +52,9 @@
 //! the capture depends on — and *nothing* it does not: ECC strength, MTJ
 //! parameters, technology node and access rate are analysis-side, so one
 //! stored capture serves every analysis point of a sweep. Entries are
-//! written to a temp file and atomically renamed into place; a reader
-//! can never observe a half-written entry. **Any** read failure — bad
+//! written to a uniquely named temp file and atomically renamed into
+//! place; a reader can never observe a half-written entry, and a failed
+//! or abandoned write deletes its temp file. **Any** read failure — bad
 //! magic, foreign fingerprint, truncation, bit corruption caught by the
 //! checksum — falls back to recapturing from the trace: a corrupt store
 //! costs time, never correctness.
@@ -70,7 +72,7 @@
 //! let experiment = Experiment::paper_hierarchy()
 //!     .workload(SpecWorkload::Hmmer)
 //!     .accesses(20_000);
-//! let cold = experiment.capture_with(Some(&store))?; // trace pass + store write
+//! let cold = experiment.capture_with(Some(&store))?; // trace pass streamed to disk
 //! let warm = experiment.capture_with(Some(&store))?; // served from disk
 //! assert_eq!(cold.events(), warm.events());
 //! # std::fs::remove_dir_all(dir).ok();
@@ -86,11 +88,13 @@ use crate::simulator::{SimulationConfig, SimulationError, Simulator};
 use reap_cache::{AccessMode, CacheConfig, CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The seed of the [`CaptureKey::fingerprint`] chain, and nothing else.
@@ -114,6 +118,8 @@ const MAX_RECORD_BYTES: u32 = 1 + 4 * 10;
 /// v2 fixed header bytes (magic through frame_len, before the header
 /// checksum).
 const V2_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 8 + 38 * 8 + 8 + 4;
+/// The whole v2 header as written: the fixed fields and their checksum.
+const ENTRY_HEADER_BYTES: usize = V2_HEADER_BYTES + 8;
 /// FNV-1a 64-bit offset basis — the seed of both the fingerprint chain
 /// and the frame checksums.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -545,25 +551,85 @@ fn get_varint(payload: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Where a [`FrameEncoder`] puts each frame it seals.
+pub(crate) trait FrameSink {
+    /// Why a frame could not be taken.
+    type Error;
+
+    /// Takes the next sealed frame, in stream order.
+    fn put(&mut self, frame: &[u8]) -> Result<(), Self::Error>;
+}
+
+/// In-memory frames, one allocation each, so a growing capture never
+/// copies the frames it already holds.
+impl FrameSink for Vec<Box<[u8]>> {
+    type Error = Infallible;
+
+    fn put(&mut self, frame: &[u8]) -> Result<(), Infallible> {
+        self.push(frame.into());
+        Ok(())
+    }
+}
+
+impl<S: FrameSink> FrameSink for &mut S {
+    type Error = S::Error;
+
+    fn put(&mut self, frame: &[u8]) -> Result<(), S::Error> {
+        (**self).put(frame)
+    }
+}
+
+/// A writer and the bytes put into it so far: the offset its errors name.
+struct WriteSink<W> {
+    writer: W,
+    offset: u64,
+}
+
+impl<W: Write> WriteSink<W> {
+    fn flush(&mut self) -> Result<(), CaptureStoreError> {
+        self.writer.flush().map_err(|source| CaptureStoreError::Io {
+            offset: self.offset,
+            source,
+        })
+    }
+}
+
+impl<W: Write> FrameSink for WriteSink<W> {
+    type Error = CaptureStoreError;
+
+    fn put(&mut self, bytes: &[u8]) -> Result<(), CaptureStoreError> {
+        self.writer
+            .write_all(bytes)
+            .map_err(|source| CaptureStoreError::Io {
+                offset: self.offset,
+                source,
+            })?;
+        self.offset += bytes.len() as u64;
+        Ok(())
+    }
+}
+
 /// Incremental `reap-capture/2` frame encoder: the one encoder of the
 /// format.
 ///
 /// Records are delta/varint-coded into an open frame as they are pushed,
 /// and a frame is sealed (record count, payload length, payload,
-/// checksum) every 4096 records, so the frame cuts depend
-/// only on the record sequence and never on how it was fed. The sealed
-/// frames, in order, are byte for byte the bytes that follow the header
-/// of a v2 entry: [`crate::Simulator::capture`] drains its observer into
-/// one as it runs, the capture keeps the result as its only in-memory
-/// form, and [`write_capture_v2`] writes it verbatim after the header.
-/// Each frame is its own allocation, so a growing capture never copies
-/// the frames it already holds.
-#[derive(Debug, Default)]
-pub(crate) struct FrameEncoder {
-    /// Sealed frames, in stream order.
-    frames: Vec<Box<[u8]>>,
-    /// The open frame's payload.
-    payload: Vec<u8>,
+/// checksum) and put into the sink every 4096 records, so the frame cuts
+/// depend only on the record sequence and never on how it was fed. The
+/// sealed frames, in order, are byte for byte the bytes that follow the
+/// header of a v2 entry. [`crate::Simulator::capture`] drains its
+/// observer into an encoder over in-memory frames, a store-less
+/// capture's only form; a store-backed capture drains into one over an
+/// [`EntryWriter`], which writes each frame to disk as it is sealed.
+///
+/// The sink's first error ends the stream: later frames are coded but
+/// not put, [`failed`](Self::failed) turns true and
+/// [`finish`](Self::finish) returns the error.
+pub(crate) struct FrameEncoder<S: FrameSink = Vec<Box<[u8]>>> {
+    sink: S,
+    /// The open frame: 8 frame-header bytes, filled in when it is sealed,
+    /// then its payload.
+    frame: Vec<u8>,
     /// The open frame's delta state (zeros at each frame start, so each
     /// frame decodes on its own).
     prev: [u64; 4],
@@ -571,17 +637,36 @@ pub(crate) struct FrameEncoder {
     open: u32,
     /// Records pushed in total.
     count: u64,
+    /// Bytes of the sealed frames.
+    bytes: u64,
+    /// The first error the sink returned.
+    error: Option<S::Error>,
 }
 
 impl FrameEncoder {
-    /// An encoder with no records.
+    /// An encoder into in-memory frames, with no records.
     pub(crate) fn new() -> Self {
-        Self::default()
+        Self::with_sink(Vec::new())
+    }
+}
+
+impl<S: FrameSink> FrameEncoder<S> {
+    /// An encoder into `sink`, with no records.
+    pub(crate) fn with_sink(sink: S) -> Self {
+        Self {
+            sink,
+            frame: vec![0; 8],
+            prev: [0; 4],
+            open: 0,
+            count: 0,
+            bytes: 0,
+            error: None,
+        }
     }
 
     /// Codes one record, sealing the frame it completes.
     pub(crate) fn push(&mut self, record: &ExposureRecord) {
-        self.payload.push(kind_tag(record.kind));
+        self.frame.push(kind_tag(record.kind));
         let cur = [
             record.key.tag,
             record.key.set,
@@ -589,7 +674,7 @@ impl FrameEncoder {
             record.unchecked_reads,
         ];
         for (p, c) in self.prev.iter_mut().zip(cur) {
-            put_varint(&mut self.payload, zigzag_delta(c, *p));
+            put_varint(&mut self.frame, zigzag_delta(c, *p));
             *p = c;
         }
         self.open += 1;
@@ -606,96 +691,220 @@ impl FrameEncoder {
         }
     }
 
-    /// Appends the open frame, if any, to the sealed ones.
+    /// Whether the sink has refused a frame.
+    pub(crate) fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// Completes the open frame, if any, and puts it into the sink.
     fn seal(&mut self) {
         if self.open == 0 {
             return;
         }
-        let mut head = [0u8; 8];
-        head[..4].copy_from_slice(&self.open.to_le_bytes());
-        head[4..].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let checksum = fnv1a(fnv1a(FNV_BASIS, &head), &self.payload);
-        let mut frame = Vec::with_capacity(head.len() + self.payload.len() + 8);
-        frame.extend_from_slice(&head);
-        frame.extend_from_slice(&self.payload);
-        frame.extend_from_slice(&checksum.to_le_bytes());
-        self.frames.push(frame.into_boxed_slice());
-        self.payload.clear();
+        let payload_len = (self.frame.len() - 8) as u32;
+        self.frame[..4].copy_from_slice(&self.open.to_le_bytes());
+        self.frame[4..8].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = fnv1a(FNV_BASIS, &self.frame);
+        self.frame.extend_from_slice(&checksum.to_le_bytes());
+        self.bytes += self.frame.len() as u64;
+        if self.error.is_none() {
+            self.error = self.sink.put(&self.frame).err();
+        }
+        self.frame.truncate(8);
         self.prev = [0; 4];
         self.open = 0;
     }
 
-    /// Seals the last, possibly short, frame and yields the record count
-    /// and the frames.
-    pub(crate) fn finish(mut self) -> (u64, Vec<Box<[u8]>>) {
+    /// Seals the last, possibly short, frame and yields the record count,
+    /// the bytes of all frames and the sink, or the sink's first error.
+    pub(crate) fn finish(mut self) -> Result<(u64, u64, S), S::Error> {
         self.seal();
-        (self.count, self.frames)
-    }
-}
-
-/// Serializes `capture` (stamped with `fingerprint`) as `reap-capture/2`,
-/// returning the total bytes written: the header, then the frames. A
-/// fresh capture already holds its frames, which are written verbatim; a
-/// store-backed one is first re-encoded into frames.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer (and stream defects from a
-/// streamed source, wrapped as I/O), stamped with the byte offset.
-pub fn write_capture_v2<W: Write>(
-    mut writer: W,
-    fingerprint: u64,
-    capture: &ExposureCapture,
-) -> Result<u64, CaptureStoreError> {
-    let reencoded;
-    let frames = match capture.frames() {
-        Some(frames) => frames,
-        None => {
-            let mut encoder = FrameEncoder::new();
-            let mut events = capture.iter().map_err(defect_to_io)?;
-            while let Some(record) = events.next_record().map_err(defect_to_io)? {
-                encoder.push(&record);
-            }
-            reencoded = encoder.finish().1;
-            &reencoded
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok((self.count, self.bytes, self.sink)),
         }
-    };
-
-    let mut header = Vec::with_capacity(V2_HEADER_BYTES + 8);
-    header.extend_from_slice(MAGIC);
-    header.push(VERSION);
-    header.extend_from_slice(&fingerprint.to_le_bytes());
-    header.extend_from_slice(&(capture.line_bits() as u64).to_le_bytes());
-    header.extend_from_slice(&capture.ones_seed().to_le_bytes());
-    for word in snapshot_words(capture.snapshot()) {
-        header.extend_from_slice(&word.to_le_bytes());
     }
-    header.extend_from_slice(&capture.event_count().to_le_bytes());
-    header.extend_from_slice(&FRAME_RECORDS.to_le_bytes());
-    debug_assert_eq!(header.len(), V2_HEADER_BYTES);
-    let header_checksum = fnv1a(FNV_BASIS, &header);
-    header.extend_from_slice(&header_checksum.to_le_bytes());
-
-    let mut offset = 0u64;
-    for bytes in std::iter::once(&header[..]).chain(frames.iter().map(|f| &f[..])) {
-        writer
-            .write_all(bytes)
-            .map_err(|source| CaptureStoreError::Io { offset, source })?;
-        offset += bytes.len() as u64;
-    }
-    writer
-        .flush()
-        .map_err(|source| CaptureStoreError::Io { offset, source })?;
-    Ok(offset)
 }
 
-/// The fixed header of a v2 entry, after verification.
+/// The fixed header of a v2 entry: what [`V2Decoder::open`] verifies and
+/// [`V2Header::to_bytes`] writes.
 #[derive(Debug, Clone, Copy)]
 struct V2Header {
     line_bits: u64,
     ones_seed: u64,
     snapshot: HierarchySnapshot,
     count: u64,
+}
+
+impl V2Header {
+    /// The header of `capture`'s entry.
+    fn of(capture: &ExposureCapture) -> Self {
+        Self {
+            line_bits: capture.line_bits() as u64,
+            ones_seed: capture.ones_seed(),
+            snapshot: *capture.snapshot(),
+            count: capture.event_count(),
+        }
+    }
+
+    /// The header as written, stamped with `fingerprint`: the fixed
+    /// fields, then their checksum.
+    fn to_bytes(self, fingerprint: u64) -> Vec<u8> {
+        let mut header = Vec::with_capacity(ENTRY_HEADER_BYTES);
+        header.extend_from_slice(MAGIC);
+        header.push(VERSION);
+        header.extend_from_slice(&fingerprint.to_le_bytes());
+        header.extend_from_slice(&self.line_bits.to_le_bytes());
+        header.extend_from_slice(&self.ones_seed.to_le_bytes());
+        for word in snapshot_words(&self.snapshot) {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        header.extend_from_slice(&self.count.to_le_bytes());
+        header.extend_from_slice(&FRAME_RECORDS.to_le_bytes());
+        debug_assert_eq!(header.len(), V2_HEADER_BYTES);
+        let header_checksum = fnv1a(FNV_BASIS, &header);
+        header.extend_from_slice(&header_checksum.to_le_bytes());
+        header
+    }
+}
+
+/// Serializes `capture` (stamped with `fingerprint`) as `reap-capture/2`,
+/// returning the total bytes written: the header, then the frames. These
+/// are the bytes of the store entry [`CaptureStore`] writes for it,
+/// whether streamed during the capture or stored afterwards.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the writer (and stream defects from a
+/// streamed source, wrapped as I/O), stamped with the byte offset.
+pub fn write_capture_v2<W: Write>(
+    writer: W,
+    fingerprint: u64,
+    capture: &ExposureCapture,
+) -> Result<u64, CaptureStoreError> {
+    let mut out = WriteSink { writer, offset: 0 };
+    out.put(&V2Header::of(capture).to_bytes(fingerprint))?;
+    put_frames(capture, &mut out)?;
+    out.flush()?;
+    Ok(out.offset)
+}
+
+/// Puts `capture`'s frames into `sink` in order: a fresh capture's own
+/// frames verbatim, a store-backed one's re-encoded from its records.
+fn put_frames<S>(capture: &ExposureCapture, mut sink: S) -> Result<(), CaptureStoreError>
+where
+    S: FrameSink<Error = CaptureStoreError>,
+{
+    if let Some(frames) = capture.frames() {
+        return frames.iter().try_for_each(|frame| sink.put(frame));
+    }
+    let mut encoder = FrameEncoder::with_sink(sink);
+    let mut events = capture.iter().map_err(defect_to_io)?;
+    while let Some(record) = events.next_record().map_err(defect_to_io)? {
+        encoder.push(&record);
+    }
+    encoder.finish().map(drop)
+}
+
+/// A temp file that deletes itself when dropped, unless kept.
+struct TempFile {
+    path: PathBuf,
+    keep: bool,
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        if !self.keep {
+            std::fs::remove_file(&self.path).ok();
+        }
+    }
+}
+
+/// Numbers the temp files of one process, so concurrent writes of the
+/// same entry never share one.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes one store entry as it is produced: the one write path of a
+/// [`CaptureStore`].
+///
+/// [`create`](Self::create) opens a temp file beside the entry, named
+/// `{fingerprint}.rcap.tmp.{pid}.{seq}` so that no two writes share one,
+/// and reserves the header. Frames are written straight through as they
+/// are put ([`FrameSink`]), so a capture streamed into a writer holds one
+/// frame at a time, never the whole capture.
+/// [`commit`](Self::commit) then writes the header, whose snapshot and
+/// record count are known only at the end, and renames the file into
+/// place, so readers see the whole entry or none. A writer dropped
+/// uncommitted (an error or a panic mid-capture) deletes its temp file.
+pub(crate) struct EntryWriter {
+    out: WriteSink<BufWriter<File>>,
+    tmp: TempFile,
+    path: PathBuf,
+    fingerprint: u64,
+}
+
+impl EntryWriter {
+    /// Opens the temp file of `key`'s entry in `store`.
+    fn create(store: &CaptureStore, key: &CaptureKey) -> Result<Self, CaptureStoreError> {
+        let io_err = |source| CaptureStoreError::Io { offset: 0, source };
+        std::fs::create_dir_all(&store.dir).map_err(io_err)?;
+        let fingerprint = key.fingerprint();
+        let path = store.dir.join(format!(
+            "{fingerprint:016x}.rcap.tmp.{}.{}",
+            std::process::id(),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = File::create(&path).map_err(io_err)?;
+        let tmp = TempFile { path, keep: false };
+        let mut out = WriteSink {
+            writer: BufWriter::new(file),
+            offset: 0,
+        };
+        // Reserved for the header, which `commit` writes over.
+        out.put(&[0; ENTRY_HEADER_BYTES])?;
+        Ok(Self {
+            out,
+            tmp,
+            path: store.entry_path(key),
+            fingerprint,
+        })
+    }
+
+    /// Writes `header` over the reserved bytes, renames the entry into
+    /// place and accounts the write, returning the entry's path.
+    fn commit(self, header: &V2Header) -> Result<PathBuf, CaptureStoreError> {
+        let Self {
+            out,
+            mut tmp,
+            path,
+            fingerprint,
+        } = self;
+        let bytes = out.offset;
+        let mut file = out.writer.into_inner().map_err(|e| CaptureStoreError::Io {
+            offset: bytes,
+            source: e.into_error(),
+        })?;
+        let io_err = |source| CaptureStoreError::Io { offset: 0, source };
+        file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+        file.write_all(&header.to_bytes(fingerprint))
+            .map_err(io_err)?;
+        drop(file);
+        std::fs::rename(&tmp.path, &path).map_err(io_err)?;
+        tmp.keep = true;
+        bump("capture_store.write");
+        emit_entry_io("capture_store.bytes_written", bytes, header.count);
+        Ok(path)
+    }
+}
+
+impl FrameSink for EntryWriter {
+    type Error = CaptureStoreError;
+
+    fn put(&mut self, frame: &[u8]) -> Result<(), CaptureStoreError> {
+        #[cfg(test)]
+        tests::injected_write_failure(self.out.offset)?;
+        self.out.put(frame)
+    }
 }
 
 /// Frame-at-a-time decoder of a `reap-capture/2` stream, the one decoder
@@ -1099,10 +1308,10 @@ impl CaptureStore {
             }
             Err(e) => {
                 bump("capture_store.invalid");
-                eprintln!(
-                    "warning: capture store entry {} unreadable ({e}); recapturing",
+                warn(format_args!(
+                    "capture store entry {} unreadable ({e}); recapturing",
                     path.display()
-                );
+                ));
                 return None;
             }
         };
@@ -1115,49 +1324,25 @@ impl CaptureStore {
             }
             Err(e) => {
                 bump("capture_store.invalid");
-                eprintln!(
-                    "warning: capture store entry {} is invalid ({e}); recapturing",
+                warn(format_args!(
+                    "capture store entry {} is invalid ({e}); recapturing",
                     path.display()
-                );
+                ));
                 None
             }
         }
     }
 
     /// Validates the entry at `path` in one full pass, then wraps it as a
-    /// streamed capture that re-opens and re-decodes the file per replay.
+    /// streamed capture.
     fn load_entry(
         &self,
         path: &Path,
         file: File,
         key: &CaptureKey,
     ) -> Result<ExposureCapture, CaptureStoreError> {
-        let fingerprint = key.fingerprint();
-        let header = validate_v2(BufReader::new(file), fingerprint)?;
-        let reopen_path = path.to_path_buf();
-        let open: Arc<StreamOpener> = Arc::new(move || {
-            let file = File::open(&reopen_path).map_err(|e| {
-                StreamDefect::new(format!(
-                    "cannot reopen capture entry {}: {e}",
-                    reopen_path.display()
-                ))
-            })?;
-            let (_, decoder) = V2Decoder::open(BufReader::new(file), fingerprint)
-                .map_err(|e| StreamDefect::new(e.to_string()))?;
-            Ok(Box::new(V2CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
-        });
-        Ok(ExposureCapture::from_streamed_parts(
-            header.count,
-            open,
-            header.snapshot,
-            header.line_bits as usize,
-            header.ones_seed,
-            key.hierarchy.clone(),
-            key.replacement,
-            key.warmup_accesses,
-            key.measure_accesses,
-            key.scrub_period,
-        ))
+        let header = validate_v2(BufReader::new(file), key.fingerprint())?;
+        Ok(streamed_entry(path.to_path_buf(), key, &header))
     }
 
     /// Persists `capture` under `key`, via a temp file and an atomic
@@ -1173,41 +1358,24 @@ impl CaptureStore {
         key: &CaptureKey,
         capture: &ExposureCapture,
     ) -> Result<PathBuf, CaptureStoreError> {
-        let io_err = |source| CaptureStoreError::Io { offset: 0, source };
-        std::fs::create_dir_all(&self.dir).map_err(io_err)?;
-        let path = self.entry_path(key);
-        let tmp = self.dir.join(format!(
-            "{:016x}.rcap.tmp.{}",
-            key.fingerprint(),
-            std::process::id()
-        ));
-        let result = (|| {
-            let file = File::create(&tmp).map_err(io_err)?;
-            let bytes = write_capture_v2(BufWriter::new(file), key.fingerprint(), capture)?;
-            std::fs::rename(&tmp, &path).map_err(io_err)?;
-            Ok(bytes)
-        })();
-        let bytes = match result {
-            Err(e) => {
-                std::fs::remove_file(&tmp).ok();
-                return Err(e);
-            }
-            Ok(bytes) => bytes,
-        };
-        bump("capture_store.write");
-        emit_entry_io("capture_store.bytes_written", bytes, capture.event_count());
-        Ok(path)
+        let mut writer = EntryWriter::create(self, key)?;
+        put_frames(capture, &mut writer)?;
+        writer.commit(&V2Header::of(capture))
     }
 
     /// The store-aware capture entry point: serve `sim`'s capture of
     /// `workload` at `seed` from disk when possible, otherwise run the
-    /// trace pass (and persist it under a `ReadWrite` policy).
+    /// trace pass. Under a `ReadWrite` policy the pass streams its frames
+    /// straight into the new entry and returns it store-backed, so its
+    /// memory does not grow with the window; under `Off` and `Read` the
+    /// fresh capture keeps its frames in memory.
     ///
     /// Bit-identical to [`Simulator::capture`] in every case — the format
-    /// round-trips captures exactly, and any read defect falls back to
-    /// the trace pass. The whole attempt runs inside a `capture_store`
-    /// span; a hit deliberately does *not* emit the `sim.capture.*` or
-    /// `cache.*` counters, which count actual trace passes.
+    /// round-trips captures exactly, and any read or write defect falls
+    /// back to the trace pass. The whole attempt runs inside a
+    /// `capture_store` span; a hit deliberately does *not* emit the
+    /// `sim.capture.*` or `cache.*` counters, which count actual trace
+    /// passes.
     ///
     /// # Errors
     ///
@@ -1225,15 +1393,101 @@ impl CaptureStore {
             span.add_events(capture.event_count());
             return Ok(capture);
         }
-        let capture = sim.capture(workload.stream(seed))?;
+        let capture = if self.policy == CapturePolicy::ReadWrite {
+            self.capture_to_entry(sim, &key, workload, seed)?
+        } else {
+            sim.capture(workload.stream(seed))?
+        };
         span.add_events(capture.event_count());
-        if self.policy == CapturePolicy::ReadWrite {
-            if let Err(e) = self.store(&key, &capture) {
-                eprintln!("warning: capture store write failed: {e}");
-            }
-        }
         Ok(capture)
     }
+
+    /// Captures `workload` at `seed` straight into `key`'s entry, holding
+    /// one frame at a time, and returns the entry as a streamed capture.
+    /// Its metadata is the header the writer wrote, so the fresh entry is
+    /// not read back; replay still verifies every frame checksum as it
+    /// decodes.
+    ///
+    /// Fails open: if the temp file cannot be created, or a write fails
+    /// mid-capture, it warns and captures in memory instead. The trace is
+    /// deterministic, so a recapture costs time, never correctness.
+    fn capture_to_entry(
+        &self,
+        sim: &Simulator,
+        key: &CaptureKey,
+        workload: SpecWorkload,
+        seed: u64,
+    ) -> Result<ExposureCapture, SimulationError> {
+        let mut frames = match EntryWriter::create(self, key) {
+            Ok(writer) => FrameEncoder::with_sink(writer),
+            Err(e) => {
+                warn(format_args!(
+                    "capture store write failed: {e}; capturing in memory"
+                ));
+                return sim.capture(workload.stream(seed));
+            }
+        };
+        let pass = sim.capture_into(workload.stream(seed), &mut frames)?;
+        let committed = frames.finish().and_then(|(count, frame_bytes, writer)| {
+            let header = V2Header {
+                line_bits: pass.line_bits as u64,
+                ones_seed: pass.ones_seed,
+                snapshot: pass.snapshot,
+                count,
+            };
+            let path = writer.commit(&header)?;
+            Ok((path, header, frame_bytes))
+        });
+        match committed {
+            Ok((path, header, frame_bytes)) => {
+                pass.emit_metrics(header.count, frame_bytes);
+                Ok(streamed_entry(path, key, &header))
+            }
+            Err(e) => {
+                warn(format_args!(
+                    "capture store write failed: {e}; recapturing in memory"
+                ));
+                sim.capture(workload.stream(seed))
+            }
+        }
+    }
+}
+
+/// `key`'s entry at `path`, whose header is `header`, as a streamed
+/// capture: each pass re-opens the file and decodes it a frame at a
+/// time, verifying every frame checksum.
+fn streamed_entry(path: PathBuf, key: &CaptureKey, header: &V2Header) -> ExposureCapture {
+    let fingerprint = key.fingerprint();
+    let open: Arc<StreamOpener> = Arc::new(move || {
+        let file = File::open(&path).map_err(|e| {
+            StreamDefect::new(format!(
+                "cannot reopen capture entry {}: {e}",
+                path.display()
+            ))
+        })?;
+        let (_, decoder) = V2Decoder::open(BufReader::new(file), fingerprint)
+            .map_err(|e| StreamDefect::new(e.to_string()))?;
+        Ok(Box::new(V2CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
+    });
+    ExposureCapture::from_streamed_parts(
+        header.count,
+        open,
+        header.snapshot,
+        header.line_bits as usize,
+        header.ones_seed,
+        key.hierarchy.clone(),
+        key.replacement,
+        key.warmup_accesses,
+        key.measure_accesses,
+        key.scrub_period,
+    )
+}
+
+/// Reports a fail-open store problem on stderr.
+fn warn(message: fmt::Arguments<'_>) {
+    #[cfg(test)]
+    tests::WARNINGS.with(|w| w.borrow_mut().push(message.to_string()));
+    eprintln!("warning: {message}");
 }
 
 /// Increments a global counter when telemetry is enabled (the same
@@ -1265,9 +1519,65 @@ fn emit_entry_io(counter: &str, bytes: u64, events: u64) {
 mod tests {
     use super::*;
     use crate::experiment::Experiment;
+    use crate::scheme::ProtectionScheme;
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        /// The warnings store calls on this test thread printed.
+        pub(super) static WARNINGS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+        /// Entry writes on this test thread fail from this byte offset on.
+        static FAIL_WRITES_FROM: Cell<u64> = const { Cell::new(u64::MAX) };
+    }
+
+    /// The failing-writer seam of [`EntryWriter`]: an I/O error for a
+    /// frame put at or past [`FAIL_WRITES_FROM`].
+    pub(super) fn injected_write_failure(offset: u64) -> Result<(), CaptureStoreError> {
+        if offset < FAIL_WRITES_FROM.get() {
+            return Ok(());
+        }
+        Err(CaptureStoreError::Io {
+            offset,
+            source: io::Error::other("injected write failure"),
+        })
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("reap-capstore-unit-{tag}-{}", std::process::id()))
+    }
+
+    /// Names of the temp files left in `dir`.
+    fn temp_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .map(|e| e.unwrap().file_name().into_string().unwrap())
+                    .filter(|n| n.contains(".tmp."))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    fn report_bits(r: &crate::Report) -> [u64; 4] {
+        [
+            r.expected_failures(ProtectionScheme::Conventional)
+                .to_bits(),
+            r.expected_failures(ProtectionScheme::Reap).to_bits(),
+            r.expected_failures(ProtectionScheme::SerialTagFirst)
+                .to_bits(),
+            r.writeback_exposure().to_bits(),
+        ]
+    }
+
+    /// A scrubbed capture of several frames, and its key.
+    fn scrubbed_sim() -> (Simulator, CaptureKey) {
+        let config = SimulationConfig {
+            warmup_accesses: 1_000,
+            measure_accesses: 60_000,
+            scrub_period: 2_500,
+            ..SimulationConfig::default()
+        };
+        let key = CaptureKey::new(SpecWorkload::Gcc, 8, &config);
+        (Simulator::new(config).unwrap(), key)
     }
 
     fn small_capture() -> (ExposureCapture, CaptureKey) {
@@ -1395,15 +1705,205 @@ mod tests {
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
         let (capture, key) = small_capture();
         store.store(&key, &capture).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|n| n.contains(".tmp."))
-            .collect();
+        let leftovers = temp_files(&dir);
         assert!(
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn streamed_entries_match_write_capture_v2_at_frame_edges() {
+        let dir = scratch("frame-edges");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let snapshot = *small_capture().0.snapshot();
+        for n in [0usize, 1, 4095, 4096, 4097, 8193] {
+            // Demand reads, and one scrub's burst of dirty-scrub records
+            // straddling the first frame cut.
+            let burst = 4090..4102;
+            let records: Vec<ExposureRecord> = (0..n as u64)
+                .map(|i| ExposureRecord {
+                    kind: if burst.contains(&i) {
+                        ExposureKind::DirtyScrub
+                    } else {
+                        ExposureKind::Demand
+                    },
+                    key: LineKey {
+                        tag: (i * 37) % 1_000,
+                        set: i % 512,
+                        version: i / 5,
+                    },
+                    unchecked_reads: i % 13,
+                })
+                .collect();
+            let capture = ExposureCapture::from_parts(
+                records.clone(),
+                snapshot,
+                512,
+                9,
+                HierarchyConfig::paper(),
+                Replacement::Lru,
+                0,
+                0,
+                0,
+            );
+            let key = CaptureKey::new(SpecWorkload::Hmmer, n as u64, &SimulationConfig::default());
+
+            // Fed as the capture loop feeds it: the burst in one piece.
+            let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+            let (a, b) = (
+                burst.start.min(n as u64) as usize,
+                burst.end.min(n as u64) as usize,
+            );
+            for part in [&records[..a], &records[a..b], &records[b..]] {
+                frames.extend(part);
+            }
+            let (count, frame_bytes, writer) = frames.finish().unwrap();
+            assert_eq!(count, n as u64);
+            let header = V2Header {
+                count,
+                ..V2Header::of(&capture)
+            };
+            let path = writer.commit(&header).unwrap();
+            let streamed = std::fs::read(&path).unwrap();
+            let want = encode(&capture, key.fingerprint());
+            assert!(streamed == want, "{n} events: streamed entry differs");
+            assert_eq!(
+                streamed.len() as u64,
+                ENTRY_HEADER_BYTES as u64 + frame_bytes
+            );
+            store.store(&key, &capture).unwrap();
+            assert!(
+                std::fs::read(&path).unwrap() == want,
+                "{n} events: store differs"
+            );
+            let loaded = store.load(&key).expect("entry just written");
+            assert_eq!(loaded.events(), &records[..]);
+        }
+        assert!(temp_files(&dir).is_empty());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_fresh_readwrite_capture_streams_the_entry_a_store_writes() {
+        let dir = scratch("streamed-fresh");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let (sim, key) = scrubbed_sim();
+        let in_memory = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
+        assert!(
+            in_memory.event_count() > 2 * u64::from(FRAME_RECORDS),
+            "must span several frames"
+        );
+
+        let fresh = store.load_or_capture(&sim, SpecWorkload::Gcc, 8).unwrap();
+        assert!(
+            fresh.frames().is_none(),
+            "a streamed capture holds no frames"
+        );
+        let entry = std::fs::read(store.entry_path(&key)).unwrap();
+        assert!(entry == encode(&in_memory, key.fingerprint()));
+        assert_eq!(fresh.event_count(), in_memory.event_count());
+        assert_eq!(fresh.snapshot(), in_memory.snapshot());
+        assert_eq!(fresh.line_bits(), in_memory.line_bits());
+        assert_eq!(fresh.ones_seed(), in_memory.ones_seed());
+        assert_eq!(
+            report_bits(&sim.replay(&fresh).unwrap()),
+            report_bits(&sim.replay(&in_memory).unwrap())
+        );
+        assert!(temp_files(&dir).is_empty());
+
+        // Read and Off policies keep a fresh capture in memory.
+        for policy in [CapturePolicy::Read, CapturePolicy::Off] {
+            let other = scratch(&format!("streamed-fresh-{policy}"));
+            let capture = CaptureStore::new(&other, policy)
+                .load_or_capture(&sim, SpecWorkload::Gcc, 8)
+                .unwrap();
+            assert!(capture.frames() == in_memory.frames(), "{policy}");
+            assert!(!other.exists(), "{policy} must not write");
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_write_failure_mid_capture_recaptures_in_memory() {
+        let dir = scratch("write-failure");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let (sim, key) = scrubbed_sim();
+        let want = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
+
+        // The first frame is written, the second fails.
+        FAIL_WRITES_FROM.set(ENTRY_HEADER_BYTES as u64 + 1);
+        WARNINGS.take();
+        let got = store.load_or_capture(&sim, SpecWorkload::Gcc, 8);
+        FAIL_WRITES_FROM.set(u64::MAX);
+        let got = got.unwrap();
+
+        assert!(got.frames() == want.frames(), "recaptured in memory");
+        assert_eq!(got.snapshot(), want.snapshot());
+        assert_eq!(
+            report_bits(&sim.replay(&got).unwrap()),
+            report_bits(&sim.replay(&want).unwrap())
+        );
+        let warnings = WARNINGS.take();
+        assert!(
+            warnings.len() == 1
+                && warnings[0].contains("injected write failure")
+                && warnings[0].contains("recapturing in memory"),
+            "{warnings:?}"
+        );
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+        assert!(!store.entry_path(&key).exists(), "no entry is committed");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn an_uncreatable_temp_file_captures_in_memory() {
+        let dir = scratch("uncreatable");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::write(&dir, b"a file where the store directory should be").unwrap();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let (sim, _) = scrubbed_sim();
+        WARNINGS.take();
+        let got = store.load_or_capture(&sim, SpecWorkload::Gcc, 8).unwrap();
+        let want = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
+        assert!(got.frames() == want.frames());
+        let warnings = WARNINGS.take();
+        assert!(
+            warnings.iter().any(|w| w.contains("capturing in memory")),
+            "{warnings:?}"
+        );
+        std::fs::remove_file(dir).ok();
+    }
+
+    #[test]
+    fn an_abandoned_entry_writer_deletes_its_temp_file() {
+        let dir = scratch("abandoned");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let (sim, key) = scrubbed_sim();
+
+        // A capture that returns an error (the trace runs out).
+        let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+        assert_eq!(temp_files(&dir).len(), 1);
+        let short = SpecWorkload::Gcc.stream(8).take(30_000);
+        assert!(sim.capture_into(short, &mut frames).is_err());
+        drop(frames);
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+
+        // A capture that panics.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+            frames.extend(small_capture().0.events());
+            assert_eq!(temp_files(&dir).len(), 1);
+            panic!("capture aborted");
+        }));
+        assert!(panicked.is_err());
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+        assert!(!store.entry_path(&key).exists());
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -1,7 +1,7 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
 use crate::capture::{CaptureObserver, ExposureCapture, ExposureStream, HierarchySnapshot};
-use crate::capture_store::{FrameEncoder, FRAME_RECORDS};
+use crate::capture_store::{FrameEncoder, FrameSink, FRAME_RECORDS};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
@@ -168,6 +168,32 @@ impl From<SpecError> for SimulationError {
     }
 }
 
+/// What a capture pass leaves besides its exposure records.
+pub(crate) struct CapturePass {
+    /// Final hierarchy counters.
+    pub(crate) snapshot: HierarchySnapshot,
+    /// Data bits per L2 line.
+    pub(crate) line_bits: usize,
+    /// The content-weight hash seed of the captured cache.
+    pub(crate) ones_seed: u64,
+}
+
+impl CapturePass {
+    /// Counts the pass in the `sim.capture.*` and `cache.*` counters:
+    /// `events` records coded into `frame_bytes` bytes of frames. Called
+    /// once for the pass a capture keeps, so a pass abandoned to a failed
+    /// store write is not counted twice.
+    pub(crate) fn emit_metrics(&self, events: u64, frame_bytes: u64) {
+        if !reap_obs::enabled() {
+            return;
+        }
+        let registry = reap_obs::global();
+        registry.counter("sim.capture.exposure_events").add(events);
+        registry.counter("sim.capture.frame_bytes").add(frame_bytes);
+        self.snapshot.emit_metrics(registry);
+    }
+}
+
 /// Runs a configured simulation over a trace.
 ///
 /// # Examples
@@ -295,6 +321,43 @@ impl Simulator {
     where
         I: IntoIterator<Item = MemoryAccess>,
     {
+        let mut frames = FrameEncoder::new();
+        let pass = self.capture_into(trace, &mut frames)?;
+        let Ok((count, frame_bytes, frames)) = frames.finish();
+        pass.emit_metrics(count, frame_bytes);
+        Ok(ExposureCapture::from_frames(
+            count,
+            frames,
+            pass.snapshot,
+            pass.line_bits,
+            pass.ones_seed,
+            self.config.hierarchy.clone(),
+            self.config.replacement,
+            self.config.warmup_accesses,
+            self.config.measure_accesses,
+            self.config.scrub_period,
+        ))
+    }
+
+    /// The trace pass of [`capture`](Self::capture): drives `trace`
+    /// through the hierarchy, coding the exposure records into `frames`
+    /// as they are recorded, and returns the rest of the capture. The
+    /// frames' sink decides where they go: memory for a store-less
+    /// capture, the entry's file for a store-backed one.
+    ///
+    /// Stops early once the sink has failed, since its caller discards
+    /// the pass. Emits no `sim.capture.*` or `cache.*` counters: the
+    /// caller emits them through [`CapturePass::emit_metrics`] for the
+    /// pass it keeps.
+    pub(crate) fn capture_into<I, S>(
+        &self,
+        trace: I,
+        frames: &mut FrameEncoder<S>,
+    ) -> Result<CapturePass, SimulationError>
+    where
+        I: IntoIterator<Item = MemoryAccess>,
+        S: FrameSink,
+    {
         let mut span = reap_obs::span("capture");
         let total_accesses = self.config.warmup_accesses + self.config.measure_accesses;
         let progress = reap_obs::progress_enabled()
@@ -306,12 +369,7 @@ impl Simulator {
         // is ECC-independent even though the driving cache carries this
         // simulator's check bits.
         hierarchy.l2_mut().set_check_bits(self.check_bits);
-        let line_bits = self.config.hierarchy.l2.line_bits();
-        let ones_seed = hierarchy.l2().ones_seed();
         let mut observer = CaptureObserver::new();
-        // Records reach the frame encoder a frame's worth at a time, so
-        // the capture never holds more than one frame of raw records.
-        let mut frames = FrameEncoder::new();
 
         let mut iter = trace.into_iter();
         for _ in 0..self.config.warmup_accesses {
@@ -345,8 +403,14 @@ impl Simulator {
                     since_scrub = 0;
                 }
             }
+            // Records reach the frame encoder a frame's worth at a time,
+            // so the capture never holds more than one frame of raw
+            // records.
             if observer.records().len() >= FRAME_RECORDS as usize {
-                observer.drain_into(&mut frames);
+                observer.drain_into(frames);
+                if frames.failed() {
+                    break;
+                }
             }
             if let Some(p) = &progress {
                 p.tick(1);
@@ -356,33 +420,13 @@ impl Simulator {
             p.finish();
         }
 
-        observer.drain_into(&mut frames);
-        let snapshot = HierarchySnapshot::of(&hierarchy);
+        observer.drain_into(frames);
         span.add_events(total_accesses);
-        let capture = ExposureCapture::from_frames(
-            frames,
-            snapshot,
-            line_bits,
-            ones_seed,
-            self.config.hierarchy.clone(),
-            self.config.replacement,
-            self.config.warmup_accesses,
-            self.config.measure_accesses,
-            self.config.scrub_period,
-        );
-        if span.is_recording() {
-            let registry = reap_obs::global();
-            registry
-                .counter("sim.capture.exposure_events")
-                .add(capture.event_count());
-            registry.counter("sim.capture.frame_bytes").add(
-                capture
-                    .frames()
-                    .map_or(0, |f| f.iter().map(|f| f.len() as u64).sum()),
-            );
-            snapshot.emit_metrics(registry);
-        }
-        Ok(capture)
+        Ok(CapturePass {
+            snapshot: HierarchySnapshot::of(&hierarchy),
+            line_bits: self.config.hierarchy.l2.line_bits(),
+            ones_seed: hierarchy.l2().ones_seed(),
+        })
     }
 
     /// Phase 2: evaluates a captured exposure stream at this simulator's

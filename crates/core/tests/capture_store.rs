@@ -423,3 +423,56 @@ fn read_policy_never_writes_but_serves_existing_entries() {
     assert_eq!(loaded.events(), capture.events());
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Two threads of one process capturing the same key into one store at
+/// once (serve jobs with the hot cache off can) each stream into their
+/// own temp file: both get the store-less report, both writes commit,
+/// and the entry is byte for byte the one a solo write leaves.
+#[test]
+fn concurrent_captures_of_one_key_agree_and_leave_one_whole_entry() {
+    reap_obs::set_enabled(true);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Gcc)
+        .budgets(1_000, 40_000)
+        .seed(13);
+    let key = CaptureKey::new(SpecWorkload::Gcc, 13, experiment.config());
+    let want = report_bits(&experiment.clone().run().unwrap());
+
+    let solo_dir = scratch("solo");
+    let solo = CaptureStore::new(&solo_dir, CapturePolicy::ReadWrite);
+    experiment.clone().run_with(Some(&solo)).unwrap();
+    let solo_entry = std::fs::read(solo.entry_path(&key)).unwrap();
+
+    let dir = scratch("concurrent");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    let settled0 = counter("capture_store.write") + counter("capture_store.hit");
+    let written0 = counter("capture_store.bytes_written");
+    let barrier = std::sync::Barrier::new(2);
+    let reports: Vec<[u64; 4]> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    report_bits(&experiment.clone().run_with(Some(&store)).unwrap())
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for got in reports {
+        assert_eq!(got, want);
+    }
+    // Each thread either committed its entry or hit the other's; a write
+    // that lost its temp file to the other thread would count neither.
+    assert!(counter("capture_store.write") + counter("capture_store.hit") >= settled0 + 2);
+    assert!(counter("capture_store.bytes_written") >= written0 + solo_entry.len() as u64);
+    assert!(std::fs::read(store.entry_path(&key)).unwrap() == solo_entry);
+    let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.contains(".tmp."))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::remove_dir_all(solo_dir).ok();
+}

@@ -242,8 +242,8 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         let _ = writeln!(out);
     }
 
-    // A fresh capture holds its events as v2 frames until it is dropped,
-    // so this is its resident cost per event.
+    // The frames of fresh captures: what a store-less capture holds in
+    // memory per event, and what a store-backed one streams to disk.
     if let (Some(events @ 1..), Some(bytes)) = (
         counter("sim.capture.exposure_events"),
         counter("sim.capture.frame_bytes"),
