@@ -12,8 +12,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use reap_core::{Experiment, ProtectionScheme, Report};
+use reap_core::{pool_map_supervised, Experiment, ProtectionScheme, Report, SupervisorConfig};
 use reap_trace::SpecWorkload;
+use std::ops::ControlFlow;
 
 /// Default measured accesses per workload — ~10× the original budget,
 /// affordable now that captures are stored compressed and replayed
@@ -99,13 +100,40 @@ pub fn format_improvement(workload: SpecWorkload, gain: f64) -> String {
 }
 
 /// Convenience: the Fig. 5/6 per-workload sweep across all profiles,
-/// parallelized over the machine's cores (simulations are independent and
-/// deterministic, so scheduling never changes results).
+/// run on the supervised pool over the machine's cores (simulations are
+/// independent and deterministic, so scheduling never changes results).
+///
+/// # Panics
+///
+/// Panics if a workload fails every attempt — the paper configuration
+/// is valid, so that is a bug in the simulation stack.
 pub fn sweep_all_workloads(accesses: u64) -> Vec<(SpecWorkload, Report)> {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    reap_core::sweep::sweep_workloads(accesses, DEFAULT_SEED, parallelism)
+    let batch: Vec<Experiment> = SpecWorkload::ALL
         .into_iter()
-        .map(|(w, r)| (w, r.expect("paper configuration is valid")))
+        .map(|w| {
+            Experiment::paper_hierarchy()
+                .workload(w)
+                .accesses(accesses)
+                .seed(DEFAULT_SEED)
+        })
+        .collect();
+    let outcomes = pool_map_supervised(
+        batch,
+        parallelism,
+        "run_parallel",
+        &SupervisorConfig::default(),
+        || (),
+        |_, experiment| experiment.run(),
+        |_, _| ControlFlow::Continue(()),
+    );
+    SpecWorkload::ALL
+        .into_iter()
+        .zip(outcomes)
+        .map(|(w, outcome)| {
+            let report = outcome.result.expect("supervised run");
+            (w, report.expect("paper configuration is valid"))
+        })
         .collect()
 }
 

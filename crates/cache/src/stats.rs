@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::AddAssign;
+use std::sync::{Mutex, PoisonError};
 
 /// Counters accumulated by one [`Cache`](crate::Cache) over a simulation.
 ///
@@ -91,7 +92,11 @@ impl CacheStats {
     /// The `cache.{prefix}.hit_rate` gauge is recomputed from the
     /// registry's accumulated hit/access counters, so it stays the
     /// aggregate rate (not the last emitter's) under that summation.
+    /// Emits are serialized: two passes emitting at once could otherwise
+    /// finish in an order where the last `set` used stale totals.
     pub fn emit(&self, registry: &reap_obs::Registry, prefix: &str) {
+        static EMIT: Mutex<()> = Mutex::new(());
+        let _emitting = EMIT.lock().unwrap_or_else(PoisonError::into_inner);
         let add = |name: &str, v: u64| {
             let c = registry.counter(&format!("cache.{prefix}.{name}"));
             c.add(v);
@@ -160,6 +165,46 @@ impl fmt::Display for CacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn concurrent_emits_leave_the_aggregate_hit_rate() {
+        // Two passes emitting into one registry at once: the gauge must
+        // end at the rate of the summed counters, whichever finishes
+        // last. A stale gauge shows up as one pass's own rate.
+        let passes = [
+            CacheStats {
+                reads: 10,
+                read_hits: 1,
+                ..CacheStats::default()
+            },
+            CacheStats {
+                reads: 10,
+                read_hits: 9,
+                ..CacheStats::default()
+            },
+        ];
+        let mut stale = 0;
+        for _ in 0..2000 {
+            let registry = reap_obs::Registry::new();
+            let start = std::sync::Barrier::new(passes.len());
+            std::thread::scope(|scope| {
+                for pass in &passes {
+                    let (registry, start) = (&registry, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        pass.emit(registry, "l2");
+                    });
+                }
+            });
+            let hits = registry.counter("cache.l2.read_hits").get();
+            let reads = registry.counter("cache.l2.reads").get();
+            assert_eq!((hits, reads), (10, 20));
+            if registry.gauge("cache.l2.hit_rate").get() != 0.5 {
+                stale += 1;
+            }
+        }
+        assert_eq!(stale, 0, "stale hit-rate gauges in 2000 trials");
+    }
 
     #[test]
     fn derived_rates() {

@@ -1,7 +1,7 @@
 //! Command-line argument parsing.
 
 use reap_cache::Replacement;
-use reap_core::{CapturePolicy, CaptureStore, EccStrength, RetryBackoff};
+use reap_core::{CapturePolicy, CaptureStore, EccStrength, RetryBackoff, SupervisorConfig};
 use reap_obs::GateMetric;
 use reap_trace::SpecWorkload;
 use std::error::Error;
@@ -78,15 +78,11 @@ pub struct ServeArgs {
     pub cache_entries: Option<usize>,
     /// Retry-after hint carried by `busy` responses, in milliseconds.
     pub retry_after_ms: Option<u64>,
-    /// Retries per workload after the first attempt.
-    pub max_retries: u32,
-    /// Per-attempt deadline in milliseconds (`None` = no deadline).
-    pub job_deadline_ms: Option<u64>,
-    /// Wait schedule between retries.
-    pub retry_backoff: RetryBackoff,
-    /// Deterministic fault-injection plan; its `refuse=`/`drop=`/
-    /// `stall-ms=` fields also drive the connection paths.
-    pub inject: Option<reap_fault::FaultPlan>,
+    /// Supervision of job workloads (`--max-retries`,
+    /// `--job-deadline-ms`, `--retry-backoff`, `--inject`); the fault
+    /// plan's `refuse=`/`drop=`/`stall-ms=` fields also drive the
+    /// connection paths.
+    pub supervisor: SupervisorConfig,
     /// Persistent capture store shared with offline sweeps.
     pub capture: CaptureArgs,
     /// Age in seconds after which an abandoned job journal is swept
@@ -217,15 +213,9 @@ pub struct SweepArgs {
     pub checkpoint: Option<PathBuf>,
     /// Skip jobs already present in the checkpoint.
     pub resume: bool,
-    /// Retries per job after the first attempt.
-    pub max_retries: u32,
-    /// Per-attempt deadline in milliseconds (`None` = no deadline).
-    pub job_deadline_ms: Option<u64>,
-    /// Wait schedule between retries (`--retry-backoff ms[:exp[:cap]]`,
-    /// or the legacy linear `--retry-backoff-ms`).
-    pub retry_backoff: RetryBackoff,
-    /// Deterministic fault-injection plan (testing/CI only).
-    pub inject: Option<reap_fault::FaultPlan>,
+    /// Supervision of the workload jobs (`--max-retries`,
+    /// `--job-deadline-ms`, `--retry-backoff`, `--inject`).
+    pub supervisor: SupervisorConfig,
     /// Telemetry outputs.
     pub obs: ObsArgs,
     /// Persistent capture store.
@@ -244,10 +234,7 @@ impl Default for SweepArgs {
             jobs: None,
             checkpoint: None,
             resume: false,
-            max_retries: 2,
-            job_deadline_ms: None,
-            retry_backoff: RetryBackoff::default(),
-            inject: None,
+            supervisor: SupervisorConfig::default(),
             obs: ObsArgs::default(),
             capture: CaptureArgs::default(),
         }
@@ -560,6 +547,54 @@ fn check_capture(capture: &CaptureArgs) -> Result<(), ParseCliError> {
     Ok(())
 }
 
+/// `--inject` example for `reap sweep`, whose fault plan drives jobs.
+const SWEEP_INJECT_HINT: &str = "fault spec like seed=7,panic=0.2,interrupt=5";
+
+/// `--inject` example for `reap serve`, whose fault plan also drives
+/// the connection paths.
+const SERVE_INJECT_HINT: &str = "fault spec like seed=7,refuse=0.2,drop=0.1,stall-ms=20";
+
+/// Consumes a supervision flag shared by `sweep` and `serve`. Returns
+/// `true` when `flag` was one of them. `inject_hint` is the example a
+/// malformed `--inject` spec is answered with.
+fn parse_supervisor_flag(
+    supervisor: &mut SupervisorConfig,
+    flag: &str,
+    c: &mut Cursor,
+    inject_hint: &'static str,
+) -> Result<bool, ParseCliError> {
+    match flag {
+        "--max-retries" => {
+            supervisor.max_retries = parse_num(flag, c.value_for(flag)?, "retry count")?;
+        }
+        "--job-deadline-ms" => {
+            let ms = parse_num(flag, c.value_for(flag)?, "milliseconds")?;
+            supervisor.deadline = Some(std::time::Duration::from_millis(ms));
+        }
+        "--retry-backoff" => {
+            let v = c.value_for(flag)?;
+            supervisor.backoff =
+                RetryBackoff::parse_spec(&v).map_err(|e| ParseCliError::BadValue {
+                    flag: flag.to_owned(),
+                    value: format!("{v} ({e})"),
+                    expected: "backoff spec like 250, 100:2 or 100:2:5000",
+                })?;
+        }
+        "--inject" => {
+            let v = c.value_for(flag)?;
+            supervisor.fault_plan = Some(v.parse().map_err(|e: reap_fault::FaultSpecError| {
+                ParseCliError::BadValue {
+                    flag: flag.to_owned(),
+                    value: format!("{v} ({e})"),
+                    expected: inject_hint,
+                }
+            })?);
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 fn parse_obs(mut c: Cursor) -> Result<Command, ParseCliError> {
     match c.take().as_deref() {
         Some("check") => {
@@ -766,35 +801,7 @@ fn parse_sweep(mut c: Cursor) -> Result<Command, ParseCliError> {
             "--jobs" | "-j" => a.jobs = Some(parse_num(&flag, c.value_for(&flag)?, "count")?),
             "--checkpoint" => a.checkpoint = Some(PathBuf::from(c.value_for(&flag)?)),
             "--resume" => a.resume = true,
-            "--max-retries" => {
-                a.max_retries = parse_num(&flag, c.value_for(&flag)?, "retry count")?;
-            }
-            "--job-deadline-ms" => {
-                a.job_deadline_ms = Some(parse_num(&flag, c.value_for(&flag)?, "milliseconds")?);
-            }
-            "--retry-backoff-ms" => {
-                let ms = parse_num(&flag, c.value_for(&flag)?, "milliseconds")?;
-                a.retry_backoff = RetryBackoff::linear(std::time::Duration::from_millis(ms));
-            }
-            "--retry-backoff" => {
-                let v = c.value_for(&flag)?;
-                a.retry_backoff =
-                    RetryBackoff::parse_spec(&v).map_err(|e| ParseCliError::BadValue {
-                        flag,
-                        value: format!("{v} ({e})"),
-                        expected: "backoff spec like 250, 100:2 or 100:2:5000",
-                    })?;
-            }
-            "--inject" => {
-                let v = c.value_for(&flag)?;
-                a.inject = Some(v.parse().map_err(|e: reap_fault::FaultSpecError| {
-                    ParseCliError::BadValue {
-                        flag,
-                        value: format!("{v} ({e})"),
-                        expected: "fault spec like seed=7,panic=0.2,interrupt=5",
-                    }
-                })?);
-            }
+            _ if parse_supervisor_flag(&mut a.supervisor, &flag, &mut c, SWEEP_INJECT_HINT)? => {}
             _ if parse_obs_flag(&mut a.obs, &flag, &mut c)? => {}
             _ if parse_capture_flag(&mut a.capture, &flag, &mut c)? => {}
             _ => return Err(ParseCliError::UnknownFlag { flag }),
@@ -876,10 +883,7 @@ fn parse_serve(mut c: Cursor) -> Result<Command, ParseCliError> {
         queue_depth: None,
         cache_entries: None,
         retry_after_ms: None,
-        max_retries: 2,
-        job_deadline_ms: None,
-        retry_backoff: RetryBackoff::default(),
-        inject: None,
+        supervisor: SupervisorConfig::default(),
         capture: CaptureArgs::default(),
         journal_gc_age_secs: None,
     };
@@ -905,35 +909,7 @@ fn parse_serve(mut c: Cursor) -> Result<Command, ParseCliError> {
             "--retry-after-ms" => {
                 a.retry_after_ms = Some(parse_num(&flag, c.value_for(&flag)?, "milliseconds")?);
             }
-            "--max-retries" => {
-                a.max_retries = parse_num(&flag, c.value_for(&flag)?, "retry count")?;
-            }
-            "--job-deadline-ms" => {
-                a.job_deadline_ms = Some(parse_num(&flag, c.value_for(&flag)?, "milliseconds")?);
-            }
-            "--retry-backoff-ms" => {
-                let ms = parse_num(&flag, c.value_for(&flag)?, "milliseconds")?;
-                a.retry_backoff = RetryBackoff::linear(std::time::Duration::from_millis(ms));
-            }
-            "--retry-backoff" => {
-                let v = c.value_for(&flag)?;
-                a.retry_backoff =
-                    RetryBackoff::parse_spec(&v).map_err(|e| ParseCliError::BadValue {
-                        flag,
-                        value: format!("{v} ({e})"),
-                        expected: "backoff spec like 250, 100:2 or 100:2:5000",
-                    })?;
-            }
-            "--inject" => {
-                let v = c.value_for(&flag)?;
-                a.inject = Some(v.parse().map_err(|e: reap_fault::FaultSpecError| {
-                    ParseCliError::BadValue {
-                        flag,
-                        value: format!("{v} ({e})"),
-                        expected: "fault spec like seed=7,refuse=0.2,drop=0.1,stall-ms=20",
-                    }
-                })?);
-            }
+            _ if parse_supervisor_flag(&mut a.supervisor, &flag, &mut c, SERVE_INJECT_HINT)? => {}
             _ if parse_capture_flag(&mut a.capture, &flag, &mut c)? => {}
             _ => return Err(ParseCliError::UnknownFlag { flag }),
         }
@@ -1124,19 +1100,35 @@ mod tests {
     #[test]
     fn sweep_fault_tolerance_flags() {
         let Command::Sweep(a) = p("sweep --checkpoint ck.jsonl --resume --max-retries 5 \
-             --job-deadline-ms 30000 --retry-backoff-ms 250")
+             --job-deadline-ms 30000 --retry-backoff 250")
         .unwrap() else {
             panic!()
         };
         assert_eq!(a.checkpoint, Some(PathBuf::from("ck.jsonl")));
         assert!(a.resume);
-        assert_eq!(a.max_retries, 5);
-        assert_eq!(a.job_deadline_ms, Some(30_000));
+        assert_eq!(a.supervisor.max_retries, 5);
         assert_eq!(
-            a.retry_backoff,
+            a.supervisor.deadline,
+            Some(std::time::Duration::from_millis(30_000))
+        );
+        assert_eq!(
+            a.supervisor.backoff,
             RetryBackoff::linear(std::time::Duration::from_millis(250))
         );
-        assert_eq!(a.inject, None);
+        assert_eq!(a.supervisor.fault_plan, None);
+    }
+
+    #[test]
+    fn the_linear_backoff_flag_is_gone() {
+        for command in ["sweep", "serve --socket s --state-dir d"] {
+            assert_eq!(
+                p(&format!("{command} --retry-backoff-ms 250")),
+                Err(ParseCliError::UnknownFlag {
+                    flag: "--retry-backoff-ms".to_owned()
+                }),
+                "{command}"
+            );
+        }
     }
 
     #[test]
@@ -1144,10 +1136,11 @@ mod tests {
         let Command::Sweep(a) = p("sweep --retry-backoff 100:2:5000").unwrap() else {
             panic!()
         };
-        assert_eq!(a.retry_backoff.base, std::time::Duration::from_millis(100));
-        assert_eq!(a.retry_backoff.factor, 2.0);
-        assert_eq!(a.retry_backoff.cap, std::time::Duration::from_millis(5000));
-        assert!(a.retry_backoff.jitter);
+        let backoff = a.supervisor.backoff;
+        assert_eq!(backoff.base, std::time::Duration::from_millis(100));
+        assert_eq!(backoff.factor, 2.0);
+        assert_eq!(backoff.cap, std::time::Duration::from_millis(5000));
+        assert!(backoff.jitter);
 
         assert!(matches!(
             p("sweep --retry-backoff 100:0.5"),
@@ -1168,14 +1161,17 @@ mod tests {
         let Command::Sweep(a) = p("sweep --inject seed=7,panic=0.25,interrupt=5").unwrap() else {
             panic!()
         };
-        let plan = a.inject.unwrap();
+        let plan = a.supervisor.fault_plan.unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.panic_rate, 0.25);
         assert_eq!(plan.interrupt_after, Some(5));
 
         let err = p("sweep --inject panic=2.5").unwrap_err();
         assert!(matches!(err, ParseCliError::BadValue { .. }));
-        assert!(err.to_string().contains("fault spec"), "{err}");
+        assert!(err.to_string().contains("panic=0.2,interrupt=5"), "{err}");
+        // The hint names the command's own fault fields.
+        let err = p("serve --socket s --state-dir d --inject panic=2.5").unwrap_err();
+        assert!(err.to_string().contains("refuse=0.2"), "{err}");
     }
 
     #[test]
@@ -1469,10 +1465,13 @@ mod tests {
         assert_eq!(a.queue_depth, Some(6));
         assert_eq!(a.cache_entries, Some(16));
         assert_eq!(a.retry_after_ms, Some(500));
-        assert_eq!(a.max_retries, 4);
-        assert_eq!(a.job_deadline_ms, Some(30_000));
-        assert_eq!(a.retry_backoff.factor, 2.0);
-        let plan = a.inject.unwrap();
+        assert_eq!(a.supervisor.max_retries, 4);
+        assert_eq!(
+            a.supervisor.deadline,
+            Some(std::time::Duration::from_millis(30_000))
+        );
+        assert_eq!(a.supervisor.backoff.factor, 2.0);
+        let plan = a.supervisor.fault_plan.unwrap();
         assert_eq!(plan.refuse_rate, 0.2);
         assert_eq!(plan.stall(), Some(std::time::Duration::from_millis(20)));
         assert_eq!(a.capture.dir, Some(PathBuf::from("caps")));
@@ -1497,8 +1496,7 @@ mod tests {
         };
         assert_eq!(a.parallelism, None);
         assert_eq!(a.max_active, None);
-        assert_eq!(a.max_retries, 2);
-        assert_eq!(a.inject, None);
+        assert_eq!(a.supervisor, SupervisorConfig::default());
     }
 
     #[test]

@@ -43,9 +43,9 @@ COMMANDS:
                  --resume            skip jobs already in the checkpoint
                  --max-retries K     retries per failed job (default 2)
                  --job-deadline-ms T per-attempt deadline
-                 --retry-backoff SPEC ms[:factor[:cap-ms]] jittered
-                                     exponential wait between retries
-                                     (--retry-backoff-ms T = linear T)
+                 --retry-backoff SPEC ms[:factor[:cap-ms]] wait between
+                                     retries: T alone is linear (T, 2T, ...),
+                                     with a factor jittered exponential
                  --inject SPEC       deterministic fault injection, e.g.
                                      seed=7,panic=0.2,delay=0.1,delay-ms=40,interrupt=5
     explore      design-space exploration: Pareto front over MTTF,
@@ -394,10 +394,7 @@ fn sweep<W: Write>(args: SweepArgs, mut out: W) -> io::Result<i32> {
         SweepMode::Standard
     };
     let mut config = CampaignConfig::new(args.accesses, args.seed, mode, jobs);
-    config.supervisor.max_retries = args.max_retries;
-    config.supervisor.backoff = args.retry_backoff;
-    config.supervisor.deadline = args.job_deadline_ms.map(Duration::from_millis);
-    config.supervisor.fault_plan = args.inject;
+    config.supervisor = args.supervisor;
     config.checkpoint = args.checkpoint.clone();
     config.resume = args.resume;
     config.capture_store = args.capture.to_store();
@@ -615,10 +612,7 @@ fn serve<W: Write>(args: ServeArgs, mut out: W) -> io::Result<i32> {
     if let Some(v) = args.retry_after_ms {
         config.retry_after_ms = v;
     }
-    config.supervisor.max_retries = args.max_retries;
-    config.supervisor.backoff = args.retry_backoff;
-    config.supervisor.deadline = args.job_deadline_ms.map(Duration::from_millis);
-    config.supervisor.fault_plan = args.inject;
+    config.supervisor = args.supervisor;
     config.store = args.capture.to_store();
     if let Some(secs) = args.journal_gc_age_secs {
         config.journal_gc_age = (secs > 0).then(|| Duration::from_secs(secs));

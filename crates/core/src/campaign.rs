@@ -1,14 +1,15 @@
 //! Fault-tolerant sweep campaigns: supervision + checkpoint/resume.
 //!
-//! [`run_sweep_campaign`] is the resilient successor of
-//! [`crate::sweep::sweep_workloads`] / [`crate::sweep::replay_ecc_sweep_all`]:
-//! the same 21-workload batches, but each job runs under the supervised
-//! pool ([`crate::supervise`]) so a panic or hang in one configuration is
-//! retried, then reported — never fatal to the batch — and completed jobs
-//! stream into a [`crate::checkpoint`] file so a killed campaign resumes
-//! where it stopped. A resumed campaign's rows are **bit-identical** to
-//! an uninterrupted run's: each job depends only on its own
-//! configuration and seed, and checkpointed floats round-trip exactly.
+//! [`run_sweep_campaign`] is `reap sweep`: the 21-workload Fig. 5/6
+//! batch, one [`SweepJob`] per workload, run on the supervised pool
+//! ([`crate::supervise`]) so a panic or hang in one configuration is
+//! retried, then reported — never fatal to the batch — and completed
+//! jobs stream into a [`crate::checkpoint`] journal so a killed campaign
+//! resumes where it stopped. A resumed campaign's rows are
+//! **bit-identical** to an uninterrupted run's: each job depends only on
+//! its own configuration and seed, and checkpointed floats round-trip
+//! exactly. [`SweepJob`] is also the job `reap serve` runs, so a daemon
+//! serves the offline sweep's rows.
 //!
 //! The [`reap_fault::FaultPlan`] armed through
 //! [`SupervisorConfig::fault_plan`] drives all of this machinery in
@@ -18,10 +19,13 @@
 //! point (the checkpoint stays valid because every result line is
 //! flushed before the next job is counted).
 
+use crate::capture::ExposureCapture;
 use crate::capture_store::CaptureStore;
-use crate::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
+use crate::checkpoint::{self, CheckpointMeta, SweepRow};
 use crate::experiment::{Experiment, ExperimentError};
+use crate::simulator::EccStrength;
 use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
+use reap_reliability::MultiReplayAggregator;
 use reap_trace::SpecWorkload;
 use std::collections::HashMap;
 use std::error::Error;
@@ -31,12 +35,13 @@ use std::path::PathBuf;
 
 pub use crate::checkpoint::CheckpointError;
 
-/// Which sweep the campaign runs.
+/// Which sweep the campaign runs: its checkpoint and wire tag, and the
+/// analysis points each workload is scored at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepMode {
-    /// One run per workload at the configured ECC (Fig. 5/6 table).
+    /// One point per workload, at the configured ECC (Fig. 5/6 table).
     Standard,
-    /// One capture per workload, replayed at every [`EccStrength`].
+    /// One capture per workload, scored at every [`EccStrength`].
     EccSweep,
 }
 
@@ -47,6 +52,85 @@ impl SweepMode {
             SweepMode::Standard => "standard",
             SweepMode::EccSweep => "ecc-sweep",
         }
+    }
+
+    /// The ECC strengths one workload is scored at: the configured one,
+    /// or all of [`EccStrength::ALL`].
+    pub fn points(self, configured: EccStrength) -> Vec<EccStrength> {
+        match self {
+            SweepMode::Standard => vec![configured],
+            SweepMode::EccSweep => EccStrength::ALL.to_vec(),
+        }
+    }
+}
+
+/// One workload of a sweep — the job `reap sweep` and `reap serve` both
+/// run, and the unit a sweep journal records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepJob {
+    /// The workload profile.
+    pub workload: SpecWorkload,
+    /// Measured accesses.
+    pub accesses: u64,
+    /// Trace seed.
+    pub seed: u64,
+    /// Which points the rows cover.
+    pub mode: SweepMode,
+}
+
+impl SweepJob {
+    /// The experiment whose capture the job scores: the paper hierarchy
+    /// at the job's workload, budget and seed.
+    pub fn experiment(&self) -> Experiment {
+        Experiment::paper_hierarchy()
+            .workload(self.workload)
+            .accesses(self.accesses)
+            .seed(self.seed)
+    }
+
+    /// [`Self::score`] of the capture `store` serves (or a fresh trace
+    /// pass takes).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::score`]; store defects fall back to recapture.
+    pub fn rows(
+        &self,
+        store: Option<&CaptureStore>,
+        kernel: &mut Option<MultiReplayAggregator>,
+    ) -> Result<Vec<SweepRow>, ExperimentError> {
+        let experiment = self.experiment();
+        let capture = experiment.capture_with(store)?;
+        self.score(&experiment, &capture, kernel, || {})
+    }
+
+    /// The sweep job body: scores `capture` — [`Self::experiment`]'s
+    /// capture, from a store, a cache or a trace pass — at every point of
+    /// the job's mode in one batched replay through the caller's reusable
+    /// `kernel`. A capture that fails mid-replay is recaptured without
+    /// the store, after `on_defect` runs ([`Experiment::score`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::score`].
+    pub fn score(
+        &self,
+        experiment: &Experiment,
+        capture: &ExposureCapture,
+        kernel: &mut Option<MultiReplayAggregator>,
+        on_defect: impl FnOnce(),
+    ) -> Result<Vec<SweepRow>, ExperimentError> {
+        let strengths = self.mode.points(experiment.config().ecc);
+        let points = experiment.simulators_at(&strengths)?;
+        let reports = experiment.score(&points, capture, kernel, on_defect)?;
+        // A standard row's strength is the configuration's, so it
+        // carries none.
+        let tagged = self.mode == SweepMode::EccSweep;
+        Ok(strengths
+            .into_iter()
+            .zip(reports)
+            .map(|(ecc, report)| SweepRow::from_report(tagged.then_some(ecc), &report))
+            .collect())
     }
 }
 
@@ -190,35 +274,6 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
-/// Computes one workload's rows — the campaign's job body.
-fn run_job(
-    workload: SpecWorkload,
-    accesses: u64,
-    seed: u64,
-    mode: SweepMode,
-    store: Option<&CaptureStore>,
-) -> Result<Vec<SweepRow>, ExperimentError> {
-    let experiment = Experiment::paper_hierarchy()
-        .workload(workload)
-        .accesses(accesses)
-        .seed(seed);
-    match mode {
-        SweepMode::Standard => {
-            let report = experiment.run_with(store)?;
-            Ok(vec![SweepRow::from_report(None, &report)])
-        }
-        SweepMode::EccSweep => {
-            // One capture (possibly served from the store), then the
-            // batched multi-point kernel scores all strengths in a single
-            // pass over the exposure stream.
-            Ok(crate::sweep::replay_ecc_sweep_with(&experiment, store)?
-                .into_iter()
-                .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-                .collect())
-        }
-    }
-}
-
 /// The checkpoint identity of `config`'s campaign: its mode, budget,
 /// seed and the canonical workload list.
 fn checkpoint_meta(config: &CampaignConfig) -> CheckpointMeta {
@@ -252,84 +307,64 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
     let workloads = SpecWorkload::ALL;
     let meta = checkpoint_meta(config);
 
-    // Load and repair the checkpoint when resuming.
     let mut completed: HashMap<String, Vec<SweepRow>> = HashMap::new();
     let mut checkpoint_warning = None;
     let mut writer = None;
     if let Some(path) = &config.checkpoint {
-        if config.resume && path.exists() {
-            let loaded = checkpoint::load(path)?;
-            if loaded.meta.fingerprint != meta.fingerprint {
-                return Err(CheckpointError::FingerprintMismatch {
-                    expected: meta.fingerprint,
-                    found: loaded.meta.fingerprint,
-                }
-                .into());
-            }
-            if let Some(offset) = loaded.truncated_tail {
-                // Drop the half-written line so appended records start on
-                // a fresh line.
-                reap_fault::truncate_file(path, offset as u64).map_err(|source| {
-                    CheckpointError::Io {
-                        path: path.clone(),
-                        source,
-                    }
-                })?;
-                checkpoint_warning = Some(format!(
-                    "checkpoint {} had a truncated trailing line at byte {offset} \
-                     (crash-interrupted write); dropped it",
-                    path.display()
-                ));
-            }
-            completed = loaded.completed.into_iter().collect();
-            writer = Some(CheckpointWriter::append_to(path)?);
-        } else {
-            writer = Some(CheckpointWriter::create(path, &meta)?);
-        }
+        let journal =
+            checkpoint::open_journal(path, &meta, config.resume, checkpoint::row_from_json)?;
+        completed = journal.completed.into_iter().collect();
+        checkpoint_warning = journal.warning;
+        writer = Some(journal.writer);
     }
 
-    let pending: Vec<SpecWorkload> = workloads
+    let pending: Vec<SweepJob> = workloads
         .into_iter()
         .filter(|w| !completed.contains_key(w.name()))
+        .map(|workload| SweepJob {
+            workload,
+            accesses: config.accesses,
+            seed: config.seed,
+            mode: config.mode,
+        })
         .collect();
     let resumed = completed.len();
     let total_pending = pending.len();
 
-    // Fan the pending jobs out under supervision. Results stream back on
-    // this thread: checkpoint them and honour the simulated kill.
+    // Fan the pending jobs out under supervision, each worker reusing
+    // one replay kernel across its jobs. Results stream back on this
+    // thread: checkpoint them and honour the simulated kill.
     let interrupt_after = config.supervisor.fault_plan.and_then(|p| p.interrupt_after);
-    let (accesses, seed, mode) = (config.accesses, config.seed, config.mode);
     // Each workload addresses its own store entry (the fingerprint covers
     // the workload), so concurrent workers never contend on one file.
     let store = config.capture_store.clone();
-    let pending_for_pool = pending.clone();
+    let keys: Vec<&'static str> = pending.iter().map(|job| job.workload.name()).collect();
     let mut done_this_run = 0usize;
-    let mut interrupted = false;
-    // Pool names match the unsupervised sweep paths so existing telemetry
-    // expectations (worker gauges, phase spans) carry over.
+    // The pool names predate the supervised pool; metric names and CI
+    // greps depend on them.
     let pool_name = match config.mode {
         SweepMode::Standard => "run_parallel",
         SweepMode::EccSweep => "ecc_sweep",
     };
     let outcomes = pool_map_supervised(
-        pending_for_pool,
+        pending,
         config.parallelism.max(1),
         pool_name,
         &config.supervisor,
-        move |w| run_job(w, accesses, seed, mode, store.as_ref()),
+        || None,
+        move |kernel, job: SweepJob| job.rows(store.as_ref(), kernel),
         |i, outcome| {
             if let Ok(Ok(rows)) = &outcome.result {
                 if let Some(writer) = writer.as_mut() {
                     // A checkpoint write failure must not kill the
                     // campaign mid-flight; the rows are still in memory
                     // and will be reported. Surface it on stderr.
-                    if let Err(e) = writer.record(pending[i].name(), rows) {
+                    if let Err(e) = writer.record(keys[i], rows) {
                         eprintln!("warning: {e}");
                     }
                 }
                 done_this_run += 1;
                 if interrupt_after.is_some_and(|n| done_this_run as u64 >= n) {
-                    interrupted = true;
                     return ControlFlow::Break(());
                 }
             }

@@ -305,16 +305,6 @@ pub fn row_to_json(r: &SweepRow) -> String {
     )
 }
 
-/// Parses a row object produced by [`row_to_json`].
-///
-/// # Errors
-///
-/// Returns a human-readable message naming the missing or malformed
-/// field.
-pub fn row_from_json(row: &json::Value) -> Result<SweepRow, String> {
-    parse_row(row)
-}
-
 fn ecc_tag(ecc: Option<EccStrength>) -> &'static str {
     match ecc {
         None => "none",
@@ -364,7 +354,7 @@ pub type LoadedCheckpoint = LoadedRows<SweepRow>;
 /// mid-file corruption. Fingerprint checking is the caller's decision
 /// (compare against [`CheckpointMeta::new`] of the running campaign).
 pub fn load(path: &Path) -> Result<LoadedCheckpoint, CheckpointError> {
-    load_with(path, parse_row)
+    load_with(path, row_from_json)
 }
 
 /// [`load`] generalized over the row codec: the same `reap-checkpoint/1`
@@ -498,7 +488,86 @@ where
     })
 }
 
-fn parse_row(row: &json::Value) -> Result<SweepRow, String> {
+/// A journal opened for a run: the rows it already holds and a writer
+/// that appends after them.
+#[derive(Debug)]
+pub struct OpenJournal<R> {
+    /// Completed jobs read back from the file, in file order (empty for
+    /// a fresh journal).
+    pub completed: Vec<(String, Vec<R>)>,
+    /// Appends further completed jobs.
+    pub writer: CheckpointWriter,
+    /// Human-readable note when a crash-torn trailing line was dropped.
+    pub warning: Option<String>,
+}
+
+/// Opens the journal at `path` for the run `meta` identifies — the one
+/// journal opener behind `reap sweep`, `reap explore` and `reap serve`.
+///
+/// With `resume` and an existing file, the journal is loaded with the
+/// row codec `parse`, its fingerprint must match `meta`'s, a trailing
+/// line cut off mid-write is truncated away (reported in
+/// [`OpenJournal::warning`]), and the writer appends after the last
+/// whole record. Otherwise a fresh journal is created, truncating any
+/// file at `path`.
+///
+/// # Errors
+///
+/// Returns [`CheckpointError`] when the file cannot be read, created,
+/// repaired or appended to, is corrupt, or belongs to a different run
+/// ([`CheckpointError::FingerprintMismatch`]). Whether a bad journal is
+/// refused or recreated is the caller's policy.
+pub fn open_journal<R, F>(
+    path: &Path,
+    meta: &CheckpointMeta,
+    resume: bool,
+    parse: F,
+) -> Result<OpenJournal<R>, CheckpointError>
+where
+    F: Fn(&json::Value) -> Result<R, String>,
+{
+    if !(resume && path.exists()) {
+        return Ok(OpenJournal {
+            completed: Vec::new(),
+            writer: CheckpointWriter::create(path, meta)?,
+            warning: None,
+        });
+    }
+    let loaded = load_with(path, parse)?;
+    if loaded.meta.fingerprint != meta.fingerprint {
+        return Err(CheckpointError::FingerprintMismatch {
+            expected: meta.fingerprint,
+            found: loaded.meta.fingerprint,
+        });
+    }
+    let mut warning = None;
+    if let Some(offset) = loaded.truncated_tail {
+        // Drop the half-written line so appended records start on a
+        // fresh line.
+        reap_fault::truncate_file(path, offset as u64).map_err(|source| CheckpointError::Io {
+            path: path.to_owned(),
+            source,
+        })?;
+        warning = Some(format!(
+            "checkpoint {} had a truncated trailing line at byte {offset} \
+             (crash-interrupted write); dropped it",
+            path.display()
+        ));
+    }
+    Ok(OpenJournal {
+        completed: loaded.completed,
+        writer: CheckpointWriter::append_to(path)?,
+        warning,
+    })
+}
+
+/// Parses a row object produced by [`row_to_json`].
+///
+/// # Errors
+///
+/// Returns a human-readable message naming the missing or malformed
+/// field.
+pub fn row_from_json(row: &json::Value) -> Result<SweepRow, String> {
     let bits = |key: &str| {
         row.get(key)
             .and_then(json::Value::as_str)

@@ -6,6 +6,7 @@ use crate::report::Report;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
 use reap_cache::{HierarchyConfig, Replacement};
 use reap_mtj::MtjParams;
+use reap_reliability::MultiReplayAggregator;
 use reap_trace::SpecWorkload;
 use std::fmt;
 
@@ -134,20 +135,65 @@ impl Experiment {
     /// instantiated (bad geometry, unsupported node, zero budget). Store
     /// defects are never errors: they fall back to recapture.
     pub fn run_with(self, store: Option<&CaptureStore>) -> Result<Report, ExperimentError> {
-        let Some(store) = store else {
-            return self.run();
-        };
-        let sim = Simulator::new(self.config)?;
-        let capture = store.load_or_capture(&sim, self.workload, self.seed)?;
-        match sim.replay(&capture) {
-            // A store-backed capture is validated at load time, but the
-            // entry can still vanish or rot between validation and the
-            // streamed replay — treat that like any other store defect
-            // and recapture rather than fail the run.
+        let capture = self.capture_with(store)?;
+        let points = self.simulators_at(&[self.config.ecc])?;
+        let mut reports = self.score(&points, &capture, &mut None, || {})?;
+        Ok(reports.pop().expect("one point in, one report out"))
+    }
+
+    /// One simulator per strength in `strengths`, each this experiment's
+    /// configuration at that ECC — the analysis points a batched replay
+    /// of one capture scores.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentError`] when a configuration cannot be
+    /// instantiated.
+    pub(crate) fn simulators_at(
+        &self,
+        strengths: &[EccStrength],
+    ) -> Result<Vec<Simulator>, ExperimentError> {
+        strengths
+            .iter()
+            .map(|&ecc| {
+                let mut config = self.config.clone();
+                config.ecc = ecc;
+                Ok(Simulator::new(config)?)
+            })
+            .collect()
+    }
+
+    /// The one scoring body: replays `capture` — this experiment's, from
+    /// a store, a cache or a trace pass — at every simulator in `points`
+    /// in one batched pass, returning a report per point in input order.
+    ///
+    /// `kernel` is the caller's reusable replay kernel, rebuilt only when
+    /// `points` differ from the ones it was built for; `&mut None` is a
+    /// one-off replay. The reports are bit-identical either way.
+    ///
+    /// A store-backed capture can still vanish or rot after load-time
+    /// validation. That is never an error: the defect is reported on
+    /// stderr, `on_defect` runs (a cache drops the entry there), and the
+    /// points are scored again from a fresh capture taken without the
+    /// store.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentError`] when a point's behavioural
+    /// configuration differs from the capture's, or the recapture fails.
+    pub fn score(
+        &self,
+        points: &[Simulator],
+        capture: &ExposureCapture,
+        kernel: &mut Option<MultiReplayAggregator>,
+        on_defect: impl FnOnce(),
+    ) -> Result<Vec<Report>, ExperimentError> {
+        match replay_reusing(points, capture, kernel) {
             Err(SimulationError::CaptureStream(defect)) => {
                 eprintln!("warning: streamed capture failed mid-replay ({defect}); recapturing");
-                let fresh = sim.capture(self.workload.stream(self.seed))?;
-                Ok(sim.replay(&fresh)?)
+                on_defect();
+                let fresh = self.capture_with(None)?;
+                Ok(replay_reusing(points, &fresh, kernel)?)
             }
             other => Ok(other?),
         }
@@ -204,6 +250,24 @@ impl Experiment {
         let report = Simulator::new(self.config)?.replay(capture)?;
         Ok(report)
     }
+}
+
+/// Replays `capture` at `points` through `kernel`, rebuilding it only
+/// when the batch's analysis points differ from the ones it was built
+/// for. The old kernel is freed before the new one is allocated, so a
+/// caller never holds two memos.
+fn replay_reusing(
+    points: &[Simulator],
+    capture: &ExposureCapture,
+    kernel: &mut Option<MultiReplayAggregator>,
+) -> Result<Vec<Report>, SimulationError> {
+    let wanted = Simulator::batch_kernel_points(points, capture);
+    if !kernel.as_ref().is_some_and(|k| k.matches_points(&wanted)) {
+        *kernel = None;
+        *kernel = Some(MultiReplayAggregator::new(wanted));
+    }
+    let kernel = kernel.as_mut().expect("kernel was just built");
+    Simulator::replay_batch_into(points, capture, kernel)
 }
 
 /// Error raised by [`Experiment::run`].

@@ -19,12 +19,16 @@
 //! warm), never `W×S×E×R`.
 //!
 //! A pool task is one `(combo, workload)` pair, so even a one-combo
-//! grid keeps every worker busy. A combo's simulators are built once
-//! and shared by its tasks; each worker keeps one replay kernel (its
-//! lookup tables and memo) and reuses it for every task whose analysis
-//! points match. The task that delivers a combo's last workload folds
-//! the per-workload sums in canonical workload order, so rows do not
-//! depend on which workload finished first.
+//! grid keeps every worker busy. Tasks run on the supervised pool
+//! ([`crate::supervise`]) under [`ExploreConfig::supervisor`], so a
+//! panicking or stuck task is retried like a sweep job. A combo's
+//! simulators are built once and shared by its tasks; each worker keeps
+//! one replay kernel (its lookup tables and memo) and reuses it for
+//! every task whose analysis points match. A task returns only its
+//! workload's sums: the calling thread slots them into their combo and,
+//! once the combo's last workload arrives, folds the sums in canonical
+//! workload order and journals the combo, so rows do not depend on which
+//! workload finished first and a retried task cannot disturb a fold.
 //!
 //! After the base grid, one **refinement pass** subdivides the
 //! continuous dimensions (`read-current`, `scrub`) around each front
@@ -34,14 +38,13 @@
 //! derived deterministically from the base rows, so a resumed run
 //! refines exactly the same points.
 //!
-//! Completed jobs stream into the PR 3 `reap-checkpoint/1` journal (via
-//! the row-agnostic [`checkpoint::load_with`] /
-//! [`CheckpointWriter::record_json_rows`] entry points); every float
-//! travels as its IEEE-754 bit pattern, making a killed-and-resumed
-//! exploration **bit-identical** to an uninterrupted one — and, because
-//! each task depends only on its own inputs and the fold order is
-//! fixed, identical at any parallelism. Only whole combos are
-//! journaled, one row group each.
+//! Completed combos stream into a `reap-checkpoint/1` journal opened by
+//! [`checkpoint::open_journal`] with the explorer's row codec; every
+//! float travels as its IEEE-754 bit pattern, making a
+//! killed-and-resumed exploration **bit-identical** to an uninterrupted
+//! one — and, because each task depends only on its own inputs and the
+//! fold order is fixed, identical at any parallelism. Only whole combos
+//! are journaled, one row group each.
 //!
 //! # Grid grammar
 //!
@@ -60,14 +63,12 @@
 //! `ways=8 ecc=sec read-current=1.0 scrub=0`. Values are sorted and
 //! deduplicated; listing order never matters.
 
-use crate::capture::ExposureCapture;
 use crate::capture_store::CaptureStore;
-use crate::checkpoint::{self, CheckpointError, CheckpointMeta, CheckpointWriter};
+use crate::checkpoint::{self, CheckpointError, CheckpointMeta};
 use crate::experiment::{Experiment, ExperimentError};
-use crate::report::Report;
 use crate::scheme::ProtectionScheme;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
-use crate::sweep::pool_map_with;
+use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
 use reap_cache::{ConfigError, HierarchyConfig};
 use reap_mtj::{MtjParams, ParamsError};
 use reap_nvarray::{estimate, ArraySpec, MemTech, TechnologyNode};
@@ -77,8 +78,9 @@ use reap_trace::SpecWorkload;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// The parsed exploration grid: behavioural dimensions (`ways`,
 /// `scrub`) × analysis dimensions (`ecc`, `read_current`), each sorted
@@ -404,6 +406,9 @@ pub struct ExploreConfig {
     /// Persistent exposure-capture cache; `None` recaptures every
     /// behavioural combo.
     pub capture_store: Option<CaptureStore>,
+    /// Supervision policy for the `(combo, workload)` tasks (retries,
+    /// backoff, deadline, fault plan).
+    pub supervisor: SupervisorConfig,
 }
 
 /// The default workload fold: three profiles with distinct L2 behaviour
@@ -416,7 +421,8 @@ pub const DEFAULT_WORKLOADS: [SpecWorkload; 3] = [
 
 impl ExploreConfig {
     /// A plain exploration of `grid` with the default workload fold, a
-    /// 4096-point budget, refinement on and no checkpoint.
+    /// 4096-point budget, refinement on, default supervision and no
+    /// checkpoint.
     pub fn new(grid: ExploreGrid, accesses: u64, seed: u64, parallelism: usize) -> Self {
         Self {
             grid,
@@ -429,6 +435,7 @@ impl ExploreConfig {
             checkpoint: None,
             resume: false,
             capture_store: None,
+            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -563,6 +570,8 @@ pub enum ExploreError {
     Experiment(ExperimentError),
     /// The checkpoint could not be created, read or trusted.
     Checkpoint(CheckpointError),
+    /// A task failed every supervised attempt (panics, timeouts).
+    Supervision(JobError),
 }
 
 impl fmt::Display for ExploreError {
@@ -574,6 +583,7 @@ impl fmt::Display for ExploreError {
             ExploreError::Simulation(e) => write!(f, "{e}"),
             ExploreError::Experiment(e) => write!(f, "{e}"),
             ExploreError::Checkpoint(e) => write!(f, "{e}"),
+            ExploreError::Supervision(e) => write!(f, "{e}"),
         }
     }
 }
@@ -587,6 +597,7 @@ impl Error for ExploreError {
             ExploreError::Simulation(e) => Some(e),
             ExploreError::Experiment(e) => Some(e),
             ExploreError::Checkpoint(e) => Some(e),
+            ExploreError::Supervision(e) => Some(e),
         }
     }
 }
@@ -664,28 +675,30 @@ fn area_mm2_for(
 
 /// A behavioural combo being scored: its simulators (one per analysis
 /// point, built once and shared by every workload task of the combo)
-/// and the per-workload sums that have arrived so far, slotted by
-/// workload index.
-struct ComboRun<'a> {
-    job: &'a ComboJob,
+/// and each point's L2 area.
+struct ComboRun {
+    job: ComboJob,
     hierarchy: HierarchyConfig,
     sims: Vec<Simulator>,
-    parts: Mutex<Vec<Option<WorkloadSums>>>,
+    area_mm2: Vec<f64>,
 }
 
 /// One workload's contribution to a combo: its measured duration and,
 /// per analysis point, expected REAP failures and REAP energy.
+#[derive(Clone)]
 struct WorkloadSums {
     duration: f64,
     fail: Vec<f64>,
     energy: Vec<f64>,
 }
 
-impl<'a> ComboRun<'a> {
-    fn new(job: &'a ComboJob, accesses: u64, workloads: usize) -> Result<Self, ExploreError> {
+impl ComboRun {
+    fn new(job: ComboJob, accesses: u64) -> Result<Self, ExploreError> {
         let hierarchy = HierarchyConfig::paper_with_l2_ways(job.ways)?;
         let base_read = MtjParams::default().read_current();
+        let tech_nm = SimulationConfig::default().tech_nm;
         let mut sims = Vec::with_capacity(job.points.len());
+        let mut area_mm2 = Vec::with_capacity(job.points.len());
         for &(ecc, scale) in &job.points {
             let config = SimulationConfig {
                 hierarchy: hierarchy.clone(),
@@ -697,12 +710,13 @@ impl<'a> ComboRun<'a> {
                 ..SimulationConfig::default()
             };
             sims.push(Simulator::new(config)?);
+            area_mm2.push(area_mm2_for(&hierarchy, ecc, tech_nm)?);
         }
         Ok(Self {
             job,
             hierarchy,
             sims,
-            parts: Mutex::new((0..workloads).map(|_| None).collect()),
+            area_mm2,
         })
     }
 
@@ -724,18 +738,7 @@ impl<'a> ComboRun<'a> {
             .seed(seed)
             .workload(workload);
         let capture = experiment.capture_with(store)?;
-        let reports = match replay_reusing(&self.sims, &capture, kernel) {
-            // Same defect handling as Experiment::run_with: a
-            // store-backed entry can rot between validation and the
-            // streamed replay — recapture rather than fail the job.
-            Err(SimulationError::CaptureStream(defect)) => {
-                eprintln!("warning: streamed capture failed mid-replay ({defect}); recapturing");
-                let sim = Simulator::new(experiment.config().clone())?;
-                let fresh = sim.capture(workload.stream(seed))?;
-                replay_reusing(&self.sims, &fresh, kernel)?
-            }
-            other => other?,
-        };
+        let reports = experiment.score(&self.sims, &capture, kernel, || {})?;
         Ok(WorkloadSums {
             duration: reports[0].duration_seconds(),
             fail: reports
@@ -749,73 +752,41 @@ impl<'a> ComboRun<'a> {
         })
     }
 
-    /// Slots workload `w`'s sums in; once every workload has reported,
-    /// returns them all in canonical workload order.
-    fn deliver(&self, w: usize, sums: WorkloadSums) -> Option<Vec<WorkloadSums>> {
-        let mut parts = self.parts.lock().expect("combo parts lock");
-        parts[w] = Some(sums);
-        if parts.iter().any(Option::is_none) {
-            return None;
-        }
-        Some(parts.drain(..).flatten().collect())
-    }
-
-    /// Folds the per-workload sums, in canonical workload order, into
-    /// per-point rows — the same additions in the same order whatever
-    /// order the workloads finished in, so rows are bit-identical at any
-    /// parallelism.
-    fn fold(&self, parts: Vec<WorkloadSums>) -> Result<Vec<ExploreRow>, ExploreError> {
+    /// Folds the per-workload sums, given in canonical workload order,
+    /// into per-point rows — the same additions in the same order
+    /// whatever order the workloads finished in, so rows are
+    /// bit-identical at any parallelism.
+    fn fold<'a>(&self, parts: impl Iterator<Item = &'a WorkloadSums>) -> Vec<ExploreRow> {
         let npts = self.job.points.len();
         let mut fail = vec![0.0f64; npts];
         let mut energy = vec![0.0f64; npts];
         let mut duration = 0.0f64;
-        for part in &parts {
+        for part in parts {
             duration += part.duration;
             for i in 0..npts {
                 fail[i] += part.fail[i];
                 energy[i] += part.energy[i];
             }
         }
-        let tech_nm = SimulationConfig::default().tech_nm;
         self.job
             .points
             .iter()
             .enumerate()
-            .map(|(i, &(ecc, scale))| {
-                Ok(ExploreRow {
-                    ways: self.job.ways,
-                    scrub: self.job.scrub,
-                    ecc,
-                    read_scale: scale,
-                    // Σ duration / Σ failures: +inf when nothing is expected
-                    // to fail — the total-ordered Pareto comparison handles
-                    // it (see reap_reliability::Mttf::total_cmp).
-                    mttf_s: duration / fail[i],
-                    energy_j: energy[i],
-                    area_mm2: area_mm2_for(&self.hierarchy, ecc, tech_nm)?,
-                    refined: self.job.refined,
-                })
+            .map(|(i, &(ecc, scale))| ExploreRow {
+                ways: self.job.ways,
+                scrub: self.job.scrub,
+                ecc,
+                read_scale: scale,
+                // Σ duration / Σ failures: +inf when nothing is expected
+                // to fail — the total-ordered Pareto comparison handles
+                // it (see reap_reliability::Mttf::total_cmp).
+                mttf_s: duration / fail[i],
+                energy_j: energy[i],
+                area_mm2: self.area_mm2[i],
+                refined: self.job.refined,
             })
             .collect()
     }
-}
-
-/// Replays `capture` at `sims` through the worker's kernel, rebuilding
-/// it only when the batch's analysis points differ from the ones it was
-/// built for. The old kernel is freed before the new one is allocated,
-/// so a worker never holds two memos.
-fn replay_reusing(
-    sims: &[Simulator],
-    capture: &ExposureCapture,
-    kernel: &mut Option<MultiReplayAggregator>,
-) -> Result<Vec<Report>, SimulationError> {
-    let points = Simulator::batch_kernel_points(sims, capture);
-    if !kernel.as_ref().is_some_and(|k| k.matches_points(&points)) {
-        *kernel = None;
-        *kernel = Some(MultiReplayAggregator::new(points));
-    }
-    let kernel = kernel.as_mut().expect("kernel was just built");
-    Simulator::replay_batch_into(sims, capture, kernel)
 }
 
 /// Indices of the Pareto front of `rows` (MTTF ↑, energy ↓, area ↓).
@@ -936,89 +907,80 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let mut checkpoint_warning = None;
     let mut writer = None;
     if let Some(path) = &config.checkpoint {
-        if config.resume && path.exists() {
-            let loaded = checkpoint::load_with(path, explore_row_from_json)?;
-            if loaded.meta.fingerprint != meta.fingerprint {
-                return Err(CheckpointError::FingerprintMismatch {
-                    expected: meta.fingerprint,
-                    found: loaded.meta.fingerprint,
-                }
-                .into());
-            }
-            if let Some(offset) = loaded.truncated_tail {
-                reap_fault::truncate_file(path, offset as u64).map_err(|source| {
-                    CheckpointError::Io {
-                        path: path.clone(),
-                        source,
-                    }
-                })?;
-                checkpoint_warning = Some(format!(
-                    "checkpoint {} had a truncated trailing line at byte {offset} \
-                     (crash-interrupted write); dropped it",
-                    path.display()
-                ));
-            }
-            completed = loaded.completed.into_iter().collect();
-            writer = Some(CheckpointWriter::append_to(path)?);
-        } else {
-            writer = Some(CheckpointWriter::create(path, &meta)?);
-        }
+        let journal = checkpoint::open_journal(path, &meta, config.resume, explore_row_from_json)?;
+        completed = journal.completed.into_iter().collect();
+        checkpoint_warning = journal.warning;
+        writer = Some(journal.writer);
     }
-    let writer = Mutex::new(writer);
     let mut resumed = 0usize;
 
     // Runs `jobs` (skipping checkpointed ones) and returns each job's
-    // rows in input order. A pool task is one (combo, workload) pair;
-    // the task that completes a combo folds its rows and streams them
-    // into the journal, so the journal only ever holds whole combos.
-    let run_phase = |jobs: &[ComboJob],
-                     pool: &str,
-                     resumed: &mut usize|
+    // rows in input order. A pool task is one (combo, workload) pair and
+    // returns that workload's sums; this thread folds a combo once its
+    // last workload arrives and streams its rows into the journal, so
+    // the journal only ever holds whole combos.
+    let nw = config.workloads.len();
+    let mut run_phase = |jobs: &[ComboJob],
+                         pool: &str,
+                         resumed: &mut usize|
      -> Result<Vec<Vec<ExploreRow>>, ExploreError> {
         let pending: Vec<&ComboJob> = jobs
             .iter()
             .filter(|j| !completed.contains_key(&j.key()))
             .collect();
         *resumed += jobs.len() - pending.len();
-        let (accesses, seed) = (config.accesses, config.seed);
-        let workloads = &config.workloads;
-        let store = config.capture_store.as_ref();
         let combos = pending
             .iter()
-            .map(|job| ComboRun::new(job, accesses, workloads.len()))
+            .map(|&job| ComboRun::new(job.clone(), config.accesses))
             .collect::<Result<Vec<_>, _>>()?;
-        let tasks: Vec<(usize, usize)> = (0..combos.len())
-            .flat_map(|c| (0..workloads.len()).map(move |w| (c, w)))
-            .collect();
-        let results = pool_map_with(
+        let combos = Arc::new(combos);
+        // Task `c * nw + w` scores workload `w` of combo `c`.
+        let tasks: Vec<usize> = (0..combos.len() * nw).collect();
+        let score = {
+            let combos = Arc::clone(&combos);
+            let workloads = config.workloads.clone();
+            let store = config.capture_store.clone();
+            let (accesses, seed) = (config.accesses, config.seed);
+            move |kernel: &mut Option<MultiReplayAggregator>, task: usize| {
+                let (c, w) = (task / nw, task % nw);
+                combos[c].score(workloads[w], accesses, seed, store.as_ref(), kernel)
+            }
+        };
+        let mut parts: Vec<Vec<Option<WorkloadSums>>> = vec![vec![None; nw]; combos.len()];
+        let mut fresh: HashMap<String, Vec<ExploreRow>> = HashMap::new();
+        let outcomes = pool_map_supervised(
             tasks,
             config.parallelism.max(1),
             pool,
+            &config.supervisor,
             || None,
-            |kernel, (c, w)| {
-                let combo = &combos[c];
-                let sums = combo.score(workloads[w], accesses, seed, store, kernel)?;
-                let Some(parts) = combo.deliver(w, sums) else {
-                    return Ok(None);
+            score,
+            |i, outcome| {
+                let Ok(Ok(sums)) = &outcome.result else {
+                    return ControlFlow::Continue(());
                 };
-                let rows = combo.fold(parts)?;
-                let key = combo.job.key();
-                if let Some(journal) = writer.lock().expect("writer lock").as_mut() {
-                    let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
-                    // A journal write failure must not kill the run; the
-                    // rows are still in memory. Surface it on stderr.
-                    if let Err(e) = journal.record_json_rows(&key, &encoded) {
-                        eprintln!("warning: {e}");
+                let (c, w) = (i / nw, i % nw);
+                parts[c][w] = Some(sums.clone());
+                if parts[c].iter().all(Option::is_some) {
+                    let combo = &combos[c];
+                    let rows = combo.fold(parts[c].iter().flatten());
+                    let key = combo.job.key();
+                    if let Some(journal) = writer.as_mut() {
+                        let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
+                        // A journal write failure must not kill the run;
+                        // the rows are still in memory. Surface it on
+                        // stderr.
+                        if let Err(e) = journal.record_json_rows(&key, &encoded) {
+                            eprintln!("warning: {e}");
+                        }
                     }
+                    fresh.insert(key, rows);
                 }
-                Ok::<_, ExploreError>(Some((key, rows)))
+                ControlFlow::Continue(())
             },
         );
-        let mut fresh: HashMap<String, Vec<ExploreRow>> = HashMap::new();
-        for result in results {
-            if let Some((key, rows)) = result? {
-                fresh.insert(key, rows);
-            }
+        for outcome in outcomes {
+            outcome.result.map_err(ExploreError::Supervision)??;
         }
         Ok(jobs
             .iter()
@@ -1103,6 +1065,7 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reap_fault::{FaultAction, FaultPlan};
 
     #[test]
     fn issue_grid_parses_with_aliases_suffixes_and_ranges() {
@@ -1357,6 +1320,94 @@ mod tests {
                 .then(a.read_scale.total_cmp(&b.read_scale))
         });
         assert_eq!(row_bits(&journaled), row_bits(&outcome.rows));
+    }
+
+    /// The journal's row groups, sorted by key, with their rows' bits.
+    fn journal_groups(path: &std::path::Path) -> Vec<(String, Vec<RowBits>)> {
+        let journal = checkpoint::load_with(path, explore_row_from_json).unwrap();
+        assert_eq!(journal.truncated_tail, None);
+        let mut groups: Vec<(String, Vec<RowBits>)> = journal
+            .completed
+            .iter()
+            .map(|(key, rows)| (key.clone(), row_bits(rows)))
+            .collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        groups
+    }
+
+    #[test]
+    fn injected_panics_recover_to_the_clean_rows_front_and_journal() {
+        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = FaultPlan {
+            seed: 13,
+            panic_rate: 0.3,
+            ..FaultPlan::default()
+        };
+        // The base phase has 2 combos x 2 workloads = 4 tasks; some of
+        // them must draw a panic for the test to mean anything.
+        assert!((0..4).any(|task| plan.decide(task, 1) == FaultAction::Panic));
+        for jobs in [1, 3] {
+            let clean_path = dir.join(format!("explore-clean-j{jobs}.jsonl"));
+            let faulty_path = dir.join(format!("explore-faulty-j{jobs}.jsonl"));
+            let mut config = quick("ecc=sec,dec read-current=0.8,1.0 scrub=0,2k");
+            config.parallelism = jobs;
+            config.checkpoint = Some(clean_path.clone());
+            let clean = explore(&config).unwrap();
+
+            config.checkpoint = Some(faulty_path.clone());
+            config.supervisor.max_retries = 8;
+            config.supervisor.fault_plan = Some(plan);
+            let faulty = explore(&config).unwrap();
+
+            assert_eq!(row_bits(&faulty.rows), row_bits(&clean.rows), "-j {jobs}");
+            assert_eq!(faulty.front, clean.front, "-j {jobs}");
+            assert_eq!(
+                journal_groups(&faulty_path),
+                journal_groups(&clean_path),
+                "-j {jobs}"
+            );
+            std::fs::remove_file(clean_path).ok();
+            std::fs::remove_file(faulty_path).ok();
+        }
+    }
+
+    #[test]
+    fn exhausted_retries_fail_the_exploration_and_journal_only_whole_combos() {
+        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("explore-exhausted.jsonl");
+        let plan = FaultPlan {
+            seed: 3,
+            panic_rate: 0.3,
+            ..FaultPlan::default()
+        };
+        let mut config = quick("ecc=sec,dec read-current=0.8,1.0 scrub=0,2k");
+        config.parallelism = 3;
+        config.checkpoint = Some(path.clone());
+        config.supervisor.max_retries = 1;
+        config.supervisor.fault_plan = Some(plan);
+
+        // Task `c * 2 + w` scores workload `w` of base combo `c`; it
+        // fails when both of its attempts draw a panic.
+        let keys = ["w8/s0", "w8/s2000"];
+        let fails = |task: u64| (1..=2).all(|a| plan.decide(task, a) == FaultAction::Panic);
+        let whole: Vec<&str> = (0..keys.len() as u64)
+            .filter(|c| !fails(c * 2) && !fails(c * 2 + 1))
+            .map(|c| keys[c as usize])
+            .collect();
+        assert!(!whole.is_empty() && whole.len() < keys.len(), "{whole:?}");
+
+        let err = explore(&config).unwrap_err();
+        assert!(matches!(err, ExploreError::Supervision(_)), "{err}");
+        assert!(err.to_string().contains("injected panic"), "{err}");
+        let journaled: Vec<(String, usize)> = journal_groups(&path)
+            .into_iter()
+            .map(|(key, rows)| (key, rows.len()))
+            .collect();
+        let want: Vec<(String, usize)> = whole.iter().map(|k| (k.to_string(), 4)).collect();
+        assert_eq!(journaled, want);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub mod simulator;
 pub mod supervise;
 pub mod sweep;
 
-pub use campaign::{CampaignConfig, CampaignError, CampaignOutcome, SweepMode, WorkloadOutcome};
+pub use campaign::{
+    CampaignConfig, CampaignError, CampaignOutcome, SweepJob, SweepMode, WorkloadOutcome,
+};
 pub use capture::{
     CaptureObserver, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
     HierarchySnapshot, StreamDefect, StreamOpener,

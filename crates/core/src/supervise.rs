@@ -1,9 +1,10 @@
 //! Supervised parallel execution: panic isolation, retries, deadlines.
 //!
-//! [`crate::sweep::pool_map`] is the fast path for trusted jobs — a worker
-//! panic aborts the whole batch. Campaigns that run for hours over many
-//! configurations need the opposite contract: one poisoned configuration
-//! must degrade gracefully. [`pool_map_supervised`] provides it:
+//! [`pool_map_supervised`] is the workspace's one worker pool: `reap
+//! sweep`, `reap explore`, `reap serve` and the figure regenerators all
+//! fan their jobs out through it. A campaign that runs for hours over
+//! many configurations must degrade gracefully when one configuration
+//! is poisoned, so:
 //!
 //! * every job attempt runs under `catch_unwind`, so a panic becomes a
 //!   [`JobError::Panicked`] for that job only — and the default panic
@@ -18,13 +19,17 @@
 //!   [`pool_map_supervised`] for the leak caveat);
 //! * a [`reap_fault::FaultPlan`] can be armed to inject panics and delays
 //!   *inside* the supervision boundary, proving the recovery paths;
+//! * each worker lends state built by `init` (a replay kernel's tables)
+//!   to its attempts and rebuilds it after an attempt that fails;
 //! * the batch returns `Vec<JobOutcome<R>>` in input order, and an
-//!   `on_result` callback observes completions as they happen (checkpoint
-//!   writers hook in here) and can cancel the remainder of the batch.
+//!   `on_result` callback observes completions on the calling thread as
+//!   they happen (checkpoint writers and folds hook in here) and can
+//!   cancel the remainder of the batch.
 //!
-//! Failure, retry and timeout counts publish through `reap-obs` as
-//! `{pool}.supervised.{ok,failed,retries,panics,timeouts}` counters when
-//! telemetry is enabled.
+//! With telemetry enabled, the batch and each job run in `{pool}` and
+//! `{pool}.job` spans, each worker publishes `{pool}.worker.{w}.busy_s`,
+//! `.idle_s`, `.utilization` and `.jobs`, and the batch publishes
+//! `{pool}.supervised.{ok,failed,retries,panics,timeouts}` counters.
 
 use std::cell::Cell;
 use std::ops::ControlFlow;
@@ -295,6 +300,11 @@ enum AttemptFailure {
 /// isolation, retries and deadlines per [`SupervisorConfig`], returning
 /// an outcome per job in input order.
 ///
+/// Each worker builds its state with `init` once and lends it to every
+/// attempt it runs; an attempt that panics or times out drops it, and
+/// the worker rebuilds it before its next attempt. Results stay
+/// deterministic as long as they never depend on the borrowed state.
+///
 /// `on_result` runs on the calling thread as each outcome arrives
 /// (arrival order is scheduling-dependent; the returned `Vec` is not).
 /// Returning [`ControlFlow::Break`] cancels the batch: workers stop
@@ -302,29 +312,34 @@ enum AttemptFailure {
 ///
 /// Retrying re-runs the job with a fresh clone of its input, so `T:
 /// Clone`; the deadline path runs attempts on dedicated threads, so the
-/// usual `'static` bounds apply.
+/// usual `'static` bounds apply to jobs, results, state and `f`.
 ///
 /// A timed-out attempt's thread is *abandoned*, not killed (Rust offers
 /// no safe thread kill): it keeps running detached until its job
-/// finishes, and its result is discarded. Deadlines therefore bound the
-/// *campaign's* latency, not the OS-level resources of a wedged job.
+/// finishes, and its result and state are discarded. Deadlines
+/// therefore bound the *campaign's* latency, not the OS-level resources
+/// of a wedged job.
 ///
 /// # Panics
 ///
 /// Panics if `parallelism == 0` — the one contract violation that is a
-/// caller bug rather than a data-dependent condition.
-pub fn pool_map_supervised<T, R, F, C>(
+/// caller bug rather than a data-dependent condition — or if `init`
+/// panics (it runs outside the supervision boundary).
+pub fn pool_map_supervised<T, R, S, I, F, C>(
     jobs: Vec<T>,
     parallelism: usize,
     pool_name: &str,
     config: &SupervisorConfig,
+    init: I,
     f: F,
     mut on_result: C,
 ) -> Vec<JobOutcome<R>>
 where
     T: Clone + Send + 'static,
     R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
+    S: Send + 'static,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Send + Sync + 'static,
     C: FnMut(usize, &JobOutcome<R>) -> ControlFlow<()>,
 {
     assert!(parallelism > 0, "need at least one worker");
@@ -337,6 +352,8 @@ where
     span.add_events(total as u64);
     let stats = BatchStats::default();
     let f = Arc::new(f);
+    // Jobs are claimed by index and moved out exactly once; the mutexes
+    // are uncontended (each guards a distinct slot).
     let slots: Vec<Mutex<Option<T>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
     let next = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
@@ -352,10 +369,11 @@ where
             let next = &next;
             let cancelled = &cancelled;
             let stats = &stats;
-            let f = &f;
+            let (init, f) = (&init, &f);
             let pool = pool_name;
             scope.spawn(move || {
                 let started = telemetry.then(std::time::Instant::now);
+                let mut state = Some(init());
                 let job_span_name = telemetry.then(|| format!("{pool}.job"));
                 let mut busy = Duration::ZERO;
                 let mut jobs_done = 0u64;
@@ -376,7 +394,15 @@ where
                     // Per-job span: feeds the `span.{pool}.job.us`
                     // latency histogram (supervised attempts included).
                     let job_span = job_span_name.as_deref().map(reap_obs::span);
-                    let outcome = supervise_job(job, i, config, f, cancelled, stats);
+                    // Each attempt borrows the worker's state and hands
+                    // it back; a failed attempt's state is rebuilt.
+                    let attempt = |n| {
+                        let lent = state.take().unwrap_or_else(init);
+                        let (value, lent) = run_attempt(job.clone(), lent, i as u64, n, config, f)?;
+                        state = Some(lent);
+                        Ok(value)
+                    };
+                    let outcome = supervise_job(i, config, cancelled, stats, attempt);
                     drop(job_span);
                     if let Some(t0) = t0 {
                         busy += t0.elapsed();
@@ -386,8 +412,6 @@ where
                         break;
                     }
                 }
-                // Same per-worker utilization gauges as the unsupervised
-                // pool, so dashboards work across both.
                 if let Some(started) = started {
                     let wall = started.elapsed().as_secs_f64();
                     let busy = busy.as_secs_f64();
@@ -458,27 +482,22 @@ where
 }
 
 /// Runs one job to a final outcome: attempt, catch, retry, back off.
-fn supervise_job<T, R, F>(
-    job: T,
+/// `attempt(k)` runs the job's `k`-th attempt (1-based).
+fn supervise_job<R>(
     index: usize,
     config: &SupervisorConfig,
-    f: &Arc<F>,
     cancelled: &AtomicBool,
     stats: &BatchStats,
-) -> JobOutcome<R>
-where
-    T: Clone + Send + 'static,
-    R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
-{
+    mut attempt: impl FnMut(u32) -> Result<R, AttemptFailure>,
+) -> JobOutcome<R> {
     let max_attempts = config.max_retries + 1;
     let mut last_failure = None;
-    for attempt in 1..=max_attempts {
-        match run_attempt(job.clone(), index as u64, attempt, config, f) {
+    for k in 1..=max_attempts {
+        match attempt(k) {
             Ok(value) => {
                 return JobOutcome {
                     result: Ok(value),
-                    attempts: attempt,
+                    attempts: k,
                 }
             }
             Err(failure) => {
@@ -489,18 +508,18 @@ where
                 last_failure = Some(failure);
             }
         }
-        if attempt < max_attempts {
+        if k < max_attempts {
             if cancelled.load(Ordering::Relaxed) {
                 return JobOutcome {
                     result: Err(JobError::Cancelled),
-                    attempts: attempt,
+                    attempts: k,
                 };
             }
             stats.retries.fetch_add(1, Ordering::Relaxed);
             // Deterministic wait schedule; the fault-plan seed (if any)
             // keys the jitter draw so reruns reproduce exactly.
             let seed = config.fault_plan.map_or(0, |p| p.seed);
-            let backoff = config.backoff.delay(seed, index as u64, attempt);
+            let backoff = config.backoff.delay(seed, index as u64, k);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -519,18 +538,22 @@ where
 }
 
 /// Runs one attempt under `catch_unwind`, on a watchdog thread when a
-/// deadline is configured.
-fn run_attempt<T, R, F>(
+/// deadline is configured. The worker's state goes in by value and
+/// comes back with the result; a failed attempt drops it (a panic
+/// unwinds through it, a timed-out thread keeps it).
+fn run_attempt<T, R, S, F>(
     job: T,
+    mut state: S,
     index: u64,
     attempt: u32,
     config: &SupervisorConfig,
     f: &Arc<F>,
-) -> Result<R, AttemptFailure>
+) -> Result<(R, S), AttemptFailure>
 where
-    T: Clone + Send + 'static,
+    T: Send + 'static,
     R: Send + 'static,
-    F: Fn(T) -> R + Send + Sync + 'static,
+    S: Send + 'static,
+    F: Fn(&mut S, T) -> R + Send + Sync + 'static,
 {
     let plan = config.fault_plan;
     let body = {
@@ -540,7 +563,8 @@ where
             if let Some(plan) = &plan {
                 plan.apply(index, attempt);
             }
-            f(job)
+            let value = f(&mut state, job);
+            (value, state)
         }
     };
     match config.deadline {
@@ -596,12 +620,99 @@ mod tests {
     }
 
     #[test]
-    fn clean_batch_matches_pool_map() {
+    fn a_clean_batch_runs_each_job_once_in_input_order() {
         let jobs: Vec<u64> = (0..50).collect();
-        let out = pool_map_supervised(jobs, 4, "t", &strict(), |j| j * 3, keep_going);
+        let out = pool_map_supervised(jobs, 4, "t", &strict(), || (), |_, j| j * 3, keep_going);
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o.result, Ok(i as u64 * 3));
             assert_eq!(o.attempts, 1);
+        }
+        let empty =
+            pool_map_supervised(vec![], 4, "t", &strict(), || (), |_, j: u64| j, keep_going);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn worker_state_is_built_once_per_worker_and_order_is_kept() {
+        for width in [1, 2, 64] {
+            let inits = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&inits);
+            let jobs: Vec<u64> = (0..40).collect();
+            let out = pool_map_supervised(
+                jobs,
+                width,
+                "test_pool_with",
+                &strict(),
+                || {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                    // Each worker's state counts the jobs it ran.
+                    0u64
+                },
+                |ran, j| {
+                    *ran += 1;
+                    (j * 3, *ran)
+                },
+                keep_going,
+            );
+            assert_eq!(
+                inits.load(Ordering::Relaxed),
+                width.min(40),
+                "one init per spawned worker at width {width}"
+            );
+            let values: Vec<u64> = out.iter().map(|o| o.result.as_ref().unwrap().0).collect();
+            assert_eq!(values, (0..40).map(|j| j * 3).collect::<Vec<_>>());
+            // The state persisted across a worker's jobs: some worker's
+            // counter reached the average share.
+            let most = out
+                .iter()
+                .map(|o| o.result.as_ref().unwrap().1)
+                .max()
+                .unwrap();
+            assert!(most as usize >= 40 / width.min(40), "width {width}: {most}");
+            if width == 1 {
+                assert_eq!(most, 40);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_attempt_drops_its_state_and_the_retry_gets_a_fresh_one() {
+        // Deadline or not, an attempt that fails must not hand its
+        // (possibly half-updated) state to the retry or to later jobs.
+        for deadline in [None, Some(Duration::from_secs(30))] {
+            let inits = Arc::new(AtomicUsize::new(0));
+            let counted = Arc::clone(&inits);
+            let config = SupervisorConfig {
+                max_retries: 1,
+                deadline,
+                ..SupervisorConfig::default()
+            };
+            let out = pool_map_supervised(
+                (0..4u64).collect(),
+                1,
+                "t",
+                &config,
+                || {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u64>::new()
+                },
+                |seen, j| {
+                    // Job 2's first attempt dirties the state, then
+                    // panics; the attempt after it must start clean.
+                    if j == 2 && seen.len() == 2 {
+                        seen.push(99);
+                        panic!("poisoned state");
+                    }
+                    seen.push(j);
+                    seen.clone()
+                },
+                keep_going,
+            );
+            assert_eq!(inits.load(Ordering::Relaxed), 2, "{deadline:?}");
+            assert_eq!(out[2].attempts, 2, "{deadline:?}");
+            let seen: Vec<Vec<u64>> = out.into_iter().map(|o| o.result.unwrap()).collect();
+            let want: [&[u64]; 4] = [&[0], &[0, 1], &[2], &[2, 3]];
+            assert_eq!(seen, want, "{deadline:?}");
         }
     }
 
@@ -613,7 +724,8 @@ mod tests {
             4,
             "t",
             &strict(),
-            |j| {
+            || (),
+            |_, j| {
                 assert!(j != 7, "job 7 is poisoned");
                 j + 1
             },
@@ -640,7 +752,7 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let jobs: Vec<u64> = (0..32).collect();
-        let out = pool_map_supervised(jobs, 4, "t", &config, |j| j * j, keep_going);
+        let out = pool_map_supervised(jobs, 4, "t", &config, || (), |_, j| j * j, keep_going);
         let mut recovered = 0;
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o.result, Ok((i * i) as u64), "job {i}: {o:?}");
@@ -662,7 +774,7 @@ mod tests {
             fault_plan: Some(plan),
             ..SupervisorConfig::default()
         };
-        let out = pool_map_supervised(vec![0u64], 1, "t", &config, |j| j, keep_going);
+        let out = pool_map_supervised(vec![0u64], 1, "t", &config, || (), |_, j| j, keep_going);
         assert_eq!(out[0].attempts, 3);
         let Err(JobError::Panicked { message }) = &out[0].result else {
             panic!("must fail: {:?}", out[0]);
@@ -682,7 +794,8 @@ mod tests {
             2,
             "t",
             &config,
-            |j| {
+            || (),
+            |_, j| {
                 if j == 0 {
                     std::thread::sleep(Duration::from_secs(5));
                 }
@@ -716,7 +829,7 @@ mod tests {
             ..SupervisorConfig::default()
         };
         let jobs: Vec<u64> = (0..8).collect();
-        let out = pool_map_supervised(jobs, 4, "t", &config, |j| j + 100, keep_going);
+        let out = pool_map_supervised(jobs, 4, "t", &config, || (), |_, j| j + 100, keep_going);
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o.result, Ok(i as u64 + 100), "job {i}: {o:?}");
         }
@@ -731,7 +844,8 @@ mod tests {
             1, // single worker: deterministic claim order
             "t",
             &strict(),
-            |j| {
+            || (),
+            |_, j| {
                 // Slow enough that the collector's Break lands while the
                 // worker is still mid-batch.
                 std::thread::sleep(Duration::from_millis(3));
@@ -768,7 +882,15 @@ mod tests {
             fault_plan: Some(plan),
             ..SupervisorConfig::default()
         };
-        let _ = pool_map_supervised(vec![0u64, 1], 2, "sup_test", &config, |j| j, keep_going);
+        let _ = pool_map_supervised(
+            vec![0u64, 1],
+            2,
+            "sup_test",
+            &config,
+            || (),
+            |_, j| j,
+            keep_going,
+        );
         let snapshot = reap_obs::global().snapshot();
         reap_obs::set_enabled(false);
         let get = |name: &str| {
@@ -845,6 +967,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_parallelism_rejected() {
-        let _ = pool_map_supervised(Vec::<u64>::new(), 0, "t", &strict(), |j| j, keep_going);
+        let _ = pool_map_supervised(
+            Vec::<u64>::new(),
+            0,
+            "t",
+            &strict(),
+            || (),
+            |_, j| j,
+            keep_going,
+        );
     }
 }

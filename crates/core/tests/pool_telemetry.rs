@@ -1,4 +1,4 @@
-//! Telemetry accumulation semantics of the worker pools.
+//! Telemetry accumulation semantics of the worker pool.
 //!
 //! These tests own the process-global telemetry registry, so they live in
 //! their own integration-test binary (one process) rather than in the
@@ -6,7 +6,6 @@
 //! tests for the global state.
 
 use reap_core::supervise::{pool_map_supervised, JobOutcome, SupervisorConfig};
-use reap_core::sweep::pool_map;
 use std::ops::ControlFlow;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -19,6 +18,23 @@ fn keep_going<R>(_: usize, _: &JobOutcome<R>) -> ControlFlow<()> {
     ControlFlow::Continue(())
 }
 
+/// Runs `jobs` trivial jobs on one worker (so worker 0 owns every job)
+/// through the pool named `pool`, each job sleeping `nap`.
+fn batch(pool: &str, jobs: u64, nap: Duration) {
+    let _ = pool_map_supervised(
+        (0..jobs).collect::<Vec<u64>>(),
+        1,
+        pool,
+        &SupervisorConfig::default(),
+        || (),
+        move |_, j| {
+            std::thread::sleep(nap);
+            j
+        },
+        keep_going,
+    );
+}
+
 /// Two batches through the same pool name must *accumulate* the per-worker
 /// `.jobs` counter, like every other emitted counter. A `store` there (the
 /// old behaviour) silently overwrites the first batch's count, so repeated
@@ -29,30 +45,8 @@ fn worker_jobs_counter_accumulates_across_batches() {
     reap_obs::global().reset();
     reap_obs::set_enabled(true);
 
-    // Single worker so worker 0 owns every job deterministically.
-    let first: Vec<u64> = (0..3).collect();
-    let second: Vec<u64> = (0..5).collect();
-    let _ = pool_map(first, 1, "jobs_accum", |j| j);
-    let _ = pool_map(second, 1, "jobs_accum", |j| j);
-
-    // Same contract for the supervised pool.
-    let config = SupervisorConfig::default();
-    let _ = pool_map_supervised(
-        (0..2).collect::<Vec<u64>>(),
-        1,
-        "jobs_accum_sup",
-        &config,
-        |j| j,
-        keep_going,
-    );
-    let _ = pool_map_supervised(
-        (0..4).collect::<Vec<u64>>(),
-        1,
-        "jobs_accum_sup",
-        &config,
-        |j| j,
-        keep_going,
-    );
+    batch("jobs_accum_sup", 2, Duration::ZERO);
+    batch("jobs_accum_sup", 4, Duration::ZERO);
 
     let snapshot = reap_obs::global().snapshot();
     reap_obs::set_enabled(false);
@@ -64,11 +58,6 @@ fn worker_jobs_counter_accumulates_across_batches() {
             .map(|(_, v)| *v)
             .unwrap_or(0)
     };
-    assert_eq!(
-        get("jobs_accum.worker.0.jobs"),
-        8,
-        "second pool_map batch must add to the counter, not overwrite it"
-    );
     assert_eq!(
         get("jobs_accum_sup.worker.0.jobs"),
         6,
@@ -96,16 +85,15 @@ fn worker_seconds_gauges_accumulate_across_batches() {
             .map(|(_, v)| *v)
             .unwrap_or(0.0)
     };
-    let nap = |_j: u64| std::thread::sleep(Duration::from_millis(10));
+    let nap = Duration::from_millis(10);
 
-    // Single worker so worker 0 owns every job deterministically; sleeps
-    // make the per-batch busy time a guaranteed lower bound.
-    let _ = pool_map((0..3).collect::<Vec<u64>>(), 1, "secs_accum", nap);
-    let busy_after_first = gauge("secs_accum.worker.0.busy_s");
+    // Sleeps make the per-batch busy time a guaranteed lower bound.
+    batch("secs_accum_sup", 3, nap);
+    let busy_after_first = gauge("secs_accum_sup.worker.0.busy_s");
     assert!(busy_after_first >= 0.029, "3×10ms jobs: {busy_after_first}");
 
-    let _ = pool_map((0..2).collect::<Vec<u64>>(), 1, "secs_accum", nap);
-    let busy_after_second = gauge("secs_accum.worker.0.busy_s");
+    batch("secs_accum_sup", 2, nap);
+    let busy_after_second = gauge("secs_accum_sup.worker.0.busy_s");
     assert!(
         busy_after_second >= busy_after_first + 0.019,
         "second batch (2×10ms) must add to busy_s, not overwrite it: \
@@ -113,8 +101,8 @@ fn worker_seconds_gauges_accumulate_across_batches() {
     );
 
     // Utilization reflects the accumulated totals, not the last batch.
-    let idle = gauge("secs_accum.worker.0.idle_s");
-    let utilization = gauge("secs_accum.worker.0.utilization");
+    let idle = gauge("secs_accum_sup.worker.0.idle_s");
+    let utilization = gauge("secs_accum_sup.worker.0.utilization");
     assert!(idle >= 0.0);
     let expected = busy_after_second / (busy_after_second + idle);
     assert!(
@@ -122,27 +110,6 @@ fn worker_seconds_gauges_accumulate_across_batches() {
         "utilization {utilization} must equal accumulated busy/(busy+idle) {expected}"
     );
     assert!(utilization > 0.0 && utilization <= 1.0);
-
-    // Same contract for the supervised pool.
-    let config = SupervisorConfig::default();
-    let run = |jobs: u64| {
-        let _ = pool_map_supervised(
-            (0..jobs).collect::<Vec<u64>>(),
-            1,
-            "secs_accum_sup",
-            &config,
-            |_j| std::thread::sleep(Duration::from_millis(10)),
-            keep_going,
-        );
-    };
-    run(3);
-    let sup_first = gauge("secs_accum_sup.worker.0.busy_s");
-    run(2);
-    let sup_second = gauge("secs_accum_sup.worker.0.busy_s");
-    assert!(
-        sup_second >= sup_first + 0.019,
-        "supervised second batch must add to busy_s: {sup_first} -> {sup_second}"
-    );
 
     reap_obs::set_enabled(false);
 }

@@ -685,7 +685,8 @@ proptest! {
             4,
             "prop_pool",
             &config,
-            move |j| mix(job_seed, j),
+            || (),
+            move |_, j| mix(job_seed, j),
             |_, _| ControlFlow::Continue(()),
         );
         prop_assert_eq!(out.len(), 24);

@@ -10,14 +10,10 @@
 use crate::cache::HotCaptureCache;
 use reap_core::capture_store::CaptureKey;
 use reap_core::checkpoint::CheckpointMeta;
-use reap_core::simulator::SimulationError;
-use reap_core::sweep::replay_ecc_sweep_with;
-use reap_core::{
-    CaptureStore, EccStrength, Experiment, ExperimentError, Simulator, SweepMode, SweepRow,
-};
+use reap_core::{CaptureStore, ExperimentError, SweepJob, SweepMode, SweepRow};
+use reap_reliability::MultiReplayAggregator;
 use reap_trace::SpecWorkload;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// One submitted job: a full sweep at one configuration point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,80 +59,41 @@ impl JobSpec {
     }
 }
 
-/// Computes one workload's rows for `spec` — the daemon's job body.
+/// Computes one workload's rows for `spec`: the offline sweep's job
+/// body ([`SweepJob`]), scored through the worker's reusable `kernel`.
 ///
-/// The capture is sourced through up to three layers, outermost first:
-/// the in-memory [`HotCaptureCache`] (keyed by the capture store's
-/// content fingerprint, single-flight), the on-disk `store`, and a cold
+/// The hot cache only changes where the capture comes from: the
+/// in-memory [`HotCaptureCache`] (keyed by the capture store's content
+/// fingerprint, single-flight), then the on-disk `store`, then a cold
 /// trace capture. All three yield bit-identical rows; the property test
-/// in `tests/` pins that.
+/// in `tests/` pins that. A cached capture that rots mid-replay is
+/// evicted before the job recaptures.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] when the configuration cannot be
 /// instantiated. Capture-stream defects are never errors: they fall
-/// back to a fresh capture, like the offline sweep paths.
+/// back to a fresh capture, like the offline sweep.
 pub fn compute_rows(
     workload: SpecWorkload,
     spec: &JobSpec,
     cache: Option<&HotCaptureCache>,
     store: Option<&CaptureStore>,
+    kernel: &mut Option<MultiReplayAggregator>,
 ) -> Result<Vec<SweepRow>, ExperimentError> {
-    let experiment = Experiment::paper_hierarchy()
-        .workload(workload)
-        .accesses(spec.accesses)
-        .seed(spec.seed);
-    let Some(cache) = cache else {
-        // No hot layer: defer to the exact offline code paths.
-        return match spec.mode {
-            SweepMode::Standard => {
-                let report = experiment.run_with(store)?;
-                Ok(vec![SweepRow::from_report(None, &report)])
-            }
-            SweepMode::EccSweep => Ok(replay_ecc_sweep_with(&experiment, store)?
-                .into_iter()
-                .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-                .collect()),
-        };
+    let job = SweepJob {
+        workload,
+        accesses: spec.accesses,
+        seed: spec.seed,
+        mode: spec.mode,
     };
-
+    let Some(cache) = cache else {
+        return job.rows(store, kernel);
+    };
+    let experiment = job.experiment();
     let fingerprint = CaptureKey::new(workload, spec.seed, experiment.config()).fingerprint();
     let capture = cache.get_or_capture(fingerprint, || experiment.capture_with(store))?;
-
-    let points = match spec.mode {
-        SweepMode::Standard => vec![Simulator::new(experiment.config().clone())?],
-        SweepMode::EccSweep => EccStrength::ALL
-            .into_iter()
-            .map(|ecc| {
-                let mut config = experiment.config().clone();
-                config.ecc = ecc;
-                Simulator::new(config)
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let reports = match Simulator::replay_batch(&points, &capture) {
-        // A cached streamed capture can rot on disk between caching and
-        // this replay; recapture instead of failing the job (and drop
-        // the bad entry so later jobs do not trip over it again).
-        Err(SimulationError::CaptureStream(defect)) => {
-            eprintln!("warning: hot capture failed mid-replay ({defect}); recapturing");
-            cache.evict(fingerprint);
-            let fresh = Arc::new(experiment.capture_with(None)?);
-            Simulator::replay_batch(&points, &fresh)?
-        }
-        other => other?,
-    };
-    Ok(match spec.mode {
-        SweepMode::Standard => reports
-            .into_iter()
-            .map(|report| SweepRow::from_report(None, &report))
-            .collect(),
-        SweepMode::EccSweep => EccStrength::ALL
-            .into_iter()
-            .zip(reports)
-            .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-            .collect(),
-    })
+    job.score(&experiment, &capture, kernel, || cache.evict(fingerprint))
 }
 
 #[cfg(test)]
@@ -190,10 +147,11 @@ mod tests {
     fn hot_cached_rows_match_the_offline_path() {
         let s = spec(SweepMode::EccSweep);
         let workload = SpecWorkload::Hmmer;
-        let offline = compute_rows(workload, &s, None, None).unwrap();
+        let offline = compute_rows(workload, &s, None, None, &mut None).unwrap();
         let cache = HotCaptureCache::new(4);
-        let cold = compute_rows(workload, &s, Some(&cache), None).unwrap();
-        let hot = compute_rows(workload, &s, Some(&cache), None).unwrap();
+        let mut kernel = None;
+        let cold = compute_rows(workload, &s, Some(&cache), None, &mut kernel).unwrap();
+        let hot = compute_rows(workload, &s, Some(&cache), None, &mut kernel).unwrap();
         for (a, b) in offline.iter().zip(&cold).chain(offline.iter().zip(&hot)) {
             assert_eq!(a.ecc, b.ecc);
             assert_eq!(a.mttf_gain.to_bits(), b.mttf_gain.to_bits());

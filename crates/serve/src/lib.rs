@@ -1,8 +1,10 @@
 //! `reap serve`: a fault-tolerant, long-lived sweep service.
 //!
-//! The batch tools (`reap sweep`, `run_sweep_campaign`) pay one trace
-//! capture per workload and then answer replay queries cheaply; this
-//! crate turns that economy into a daemon. A [`server::Server`] listens
+//! `reap sweep` pays one trace capture per workload and then answers
+//! replay queries cheaply; this crate turns that economy into a daemon
+//! that runs the same job body (`reap_core::SweepJob`) on the same
+//! supervised pool, opening its journals with the same
+//! `reap_core::checkpoint::open_journal`. [`server::serve`] listens
 //! on a Unix-domain socket for newline-delimited JSON requests
 //! ([`protocol`]) and streams result rows back as JSONL, while staying
 //! correct through the failure modes a long-lived process actually

@@ -22,7 +22,7 @@ use crate::cache::{bump, HotCaptureCache};
 use crate::jobs::{compute_rows, JobSpec};
 use crate::protocol::{Request, Response};
 use crate::signal;
-use reap_core::checkpoint::{self, CheckpointWriter};
+use reap_core::checkpoint::{self, CheckpointWriter, OpenJournal};
 use reap_core::{pool_map_supervised, CaptureStore, JobError, SupervisorConfig};
 use reap_fault::ConnectionFault;
 use reap_trace::SpecWorkload;
@@ -371,42 +371,23 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
     let journal = spec.journal_path(&state.config.state_dir);
 
     // Resume: serve journaled rows first (bit-identical by the row
-    // codec), then append new results to the same journal.
-    let mut done: HashSet<String> = HashSet::new();
-    let mut resumed = 0u64;
-    let writer = if journal.exists() {
-        match checkpoint::load(&journal) {
-            Ok(loaded) if loaded.meta.fingerprint == meta.fingerprint => {
-                if let Some(offset) = loaded.truncated_tail {
-                    // Drop the crash-interrupted half line so appended
-                    // records start on a fresh line.
-                    let _ = reap_fault::truncate_file(&journal, offset as u64);
-                }
-                for (key, rows) in &loaded.completed {
-                    let Some(index) = SpecWorkload::ALL.iter().position(|w| w.name() == key) else {
-                        continue;
-                    };
-                    handle.send(Response::Row {
-                        index: index as u64,
-                        key: key.clone(),
-                        resumed: true,
-                        rows: rows.clone(),
-                    });
-                    done.insert(key.clone());
-                    resumed += 1;
-                    bump("serve.rows.resumed");
-                }
-                CheckpointWriter::append_to(&journal)
-            }
-            // Corrupt or foreign journal under our name: recompute from
-            // scratch rather than serving rows we cannot trust.
-            _ => CheckpointWriter::create(&journal, &meta),
-        }
-    } else {
-        CheckpointWriter::create(&journal, &meta)
-    };
-    let mut writer = match writer {
-        Ok(writer) => writer,
+    // codec), then append new results to the same journal. A corrupt or
+    // foreign journal under our name is recreated: recompute from scratch
+    // rather than serve rows we cannot trust.
+    let opened = checkpoint::open_journal(&journal, &meta, true, checkpoint::row_from_json)
+        .or_else(|_| {
+            CheckpointWriter::create(&journal, &meta).map(|writer| OpenJournal {
+                completed: Vec::new(),
+                writer,
+                warning: None,
+            })
+        });
+    let OpenJournal {
+        completed,
+        mut writer,
+        ..
+    } = match opened {
+        Ok(opened) => opened,
         Err(e) => {
             handle.send(Response::Error {
                 message: e.to_string(),
@@ -414,6 +395,22 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
             return;
         }
     };
+    let mut done: HashSet<String> = HashSet::new();
+    let mut resumed = 0u64;
+    for (key, rows) in completed {
+        let Some(index) = SpecWorkload::ALL.iter().position(|w| w.name() == key) else {
+            continue;
+        };
+        handle.send(Response::Row {
+            index: index as u64,
+            key: key.clone(),
+            resumed: true,
+            rows,
+        });
+        done.insert(key);
+        resumed += 1;
+        bump("serve.rows.resumed");
+    }
 
     let pending: Vec<(u64, SpecWorkload)> = SpecWorkload::ALL
         .iter()
@@ -457,8 +454,10 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
         state.config.parallelism.max(1),
         "serve.pool",
         &supervisor,
-        move |(_, workload)| {
-            compute_rows(workload, &spec, Some(&cache), store.as_ref()).map_err(|e| e.to_string())
+        || None,
+        move |kernel, (_, workload)| {
+            compute_rows(workload, &spec, Some(&cache), store.as_ref(), kernel)
+                .map_err(|e| e.to_string())
         },
         |slot, outcome| {
             let (index, key) = keys[slot];

@@ -51,20 +51,20 @@ proptest! {
 
         // The reference: a cold capture, no store, no cache — exactly
         // what an offline `reap sweep` computes.
-        let want = encode(&compute_rows(workload, &spec, None, None).unwrap());
+        let want = encode(&compute_rows(workload, &spec, None, None, &mut None).unwrap());
 
         // On-disk store: first call populates, second call replays the
         // stored capture.
         let dir = scratch("store");
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
-        let populating = encode(&compute_rows(workload, &spec, None, Some(&store)).unwrap());
-        let disk_hit = encode(&compute_rows(workload, &spec, None, Some(&store)).unwrap());
+        let populating = encode(&compute_rows(workload, &spec, None, Some(&store), &mut None).unwrap());
+        let disk_hit = encode(&compute_rows(workload, &spec, None, Some(&store), &mut None).unwrap());
 
         // Hot cache: first call fills it (here via the disk store),
         // second call replays the resident capture with no store at all.
         let cache = HotCaptureCache::new(2);
-        let cache_cold = encode(&compute_rows(workload, &spec, Some(&cache), Some(&store)).unwrap());
-        let cache_hot = encode(&compute_rows(workload, &spec, Some(&cache), None).unwrap());
+        let cache_cold = encode(&compute_rows(workload, &spec, Some(&cache), Some(&store), &mut None).unwrap());
+        let cache_hot = encode(&compute_rows(workload, &spec, Some(&cache), None, &mut None).unwrap());
         prop_assert!(!cache.is_empty(), "capture must be resident after a miss");
 
         std::fs::remove_dir_all(&dir).ok();

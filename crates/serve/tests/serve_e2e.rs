@@ -148,7 +148,7 @@ fn offline(spec: &JobSpec) -> Vec<(String, Vec<SweepRow>)> {
         .map(|w| {
             (
                 w.name().to_owned(),
-                compute_rows(*w, spec, None, None).expect("offline rows"),
+                compute_rows(*w, spec, None, None, &mut None).expect("offline rows"),
             )
         })
         .collect()
