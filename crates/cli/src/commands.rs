@@ -961,6 +961,33 @@ mod tests {
     }
 
     #[test]
+    fn a_rotted_capture_frame_is_recaptured_and_the_entry_healed() {
+        let dir = std::env::temp_dir().join(format!("reap-run-rotted-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let line = format!(
+            "run -w hmmer -n 20000 --seed 5 --capture-dir {}",
+            dir.display()
+        );
+        let (cold_code, cold) = exec(&line);
+        assert_eq!(cold_code, 0);
+        let entry = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "rcap"))
+            .expect("cold run must have persisted an entry");
+        let fresh = std::fs::read(&entry).unwrap();
+
+        // A flipped byte mid-file leaves the header whole, so the entry
+        // loads; replay finds the bad frame, recaptures and rewrites it.
+        reap_fault::flip_byte(&entry, fresh.len() as u64 / 2, 0x40).unwrap();
+        let (warm_code, warm) = exec(&line);
+        assert_eq!(warm_code, 0);
+        assert_eq!(cold, warm, "a rotted frame must never change the report");
+        assert!(std::fs::read(&entry).unwrap() == fresh, "entry not healed");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn obs_report_renders_phases_from_an_export() {
         let dir = std::env::temp_dir().join(format!("reap-obs-report-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

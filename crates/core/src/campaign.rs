@@ -101,14 +101,15 @@ impl SweepJob {
     ) -> Result<Vec<SweepRow>, ExperimentError> {
         let experiment = self.experiment();
         let capture = experiment.capture_with(store)?;
-        self.score(&experiment, &capture, kernel, || {})
+        self.score(&experiment, &capture, store, kernel, || {})
     }
 
     /// The sweep job body: scores `capture` — [`Self::experiment`]'s
-    /// capture, from a store, a cache or a trace pass — at every point of
+    /// capture, from `store`, a cache or a trace pass — at every point of
     /// the job's mode in one batched replay through the caller's reusable
-    /// `kernel`. A capture that fails mid-replay is recaptured without
-    /// the store, after `on_defect` runs ([`Experiment::score`]).
+    /// `kernel`. A capture that fails mid-replay is recaptured in memory
+    /// after `on_defect` runs, and its store entry healed
+    /// ([`Experiment::score`]).
     ///
     /// # Errors
     ///
@@ -117,12 +118,13 @@ impl SweepJob {
         &self,
         experiment: &Experiment,
         capture: &ExposureCapture,
+        store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
         on_defect: impl FnOnce(),
     ) -> Result<Vec<SweepRow>, ExperimentError> {
         let strengths = self.mode.points(experiment.config().ecc);
         let points = experiment.simulators_at(&strengths)?;
-        let reports = experiment.score(&points, capture, kernel, on_defect)?;
+        let reports = experiment.score(&points, capture, store, kernel, on_defect)?;
         // A standard row's strength is the configuration's, so it
         // carries none.
         let tagged = self.mode == SweepMode::EccSweep;

@@ -33,11 +33,16 @@
 //! # }
 //! ```
 
-use crate::capture_store::{frame_decoder, FrameChain, FrameEncoder, FrameSink, V2Decoder};
+use crate::capture_store::{
+    frame_decoder, reopen_entry, FrameChain, FrameEncoder, FrameSink, V2Decoder,
+};
 use reap_cache::{AccessObserver, CacheStats, Hierarchy, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::fs::File;
+use std::io::BufReader;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One scored exposure event: what happened, to which content version,
 /// and how many unchecked reads had accumulated.
@@ -55,10 +60,10 @@ pub struct ExposureRecord {
     pub unchecked_reads: u64,
 }
 
-/// A defect surfaced while pulling records from a streamed capture —
-/// typically the backing store entry vanished or was corrupted between
-/// validation and replay. Carries the rendered cause (offsets included)
-/// so callers can log it and fall back to a fresh capture.
+/// A defect surfaced while pulling records from a capture — typically
+/// its store entry vanished or a frame failed its checksum. Carries the
+/// rendered cause (offsets included) so callers can log it and fall back
+/// to a fresh capture.
 #[derive(Debug, Clone)]
 pub struct StreamDefect {
     detail: String,
@@ -109,42 +114,26 @@ pub trait ExposureStream {
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect>;
 }
 
-/// A factory that opens a fresh [`ExposureStream`] over the same records.
-///
-/// A capture can be replayed many times (once per analysis point batch),
-/// so a streamed capture holds a re-openable source, not a single
-/// exhausted iterator.
-pub type StreamOpener =
-    dyn Fn() -> Result<Box<dyn ExposureStream + Send>, StreamDefect> + Send + Sync;
-
 /// Where a capture's events live: a store-less fresh capture holds them
-/// as `reap-capture/2` frames in memory, a store entry (loaded, or
-/// written by the capture itself) as an opener that re-reads the file on
-/// each pass. Either way replay decodes them a frame at a time.
+/// as `reap-capture/2` frames in memory, a store-backed one (loaded, or
+/// written by the capture itself) in its entry, which each pass re-opens.
+/// Either way replay decodes them a frame at a time, verifying each
+/// frame's checksum as it goes.
 #[derive(Clone)]
-enum EventSource {
-    Frames {
-        count: u64,
-        frames: Arc<[Box<[u8]>]>,
-    },
-    Streamed {
-        count: u64,
-        open: Arc<StreamOpener>,
-    },
+pub(crate) enum EventSource {
+    Frames(Arc<[Box<[u8]>]>),
+    Entry { path: PathBuf, fingerprint: u64 },
 }
 
 impl fmt::Debug for EventSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Frames { count, frames } => f
-                .debug_struct("Frames")
-                .field("count", count)
-                .field("frames", &frames.len())
+            Self::Frames(frames) => f.debug_tuple("Frames").field(&frames.len()).finish(),
+            Self::Entry { path, fingerprint } => f
+                .debug_struct("Entry")
+                .field("path", path)
+                .field("fingerprint", &format_args!("{fingerprint:016x}"))
                 .finish(),
-            Self::Streamed { count, .. } => f
-                .debug_struct("Streamed")
-                .field("count", count)
-                .finish_non_exhaustive(),
         }
     }
 }
@@ -152,18 +141,15 @@ impl fmt::Debug for EventSource {
 /// A borrowed pass over a capture's events, in capture order.
 ///
 /// Implements [`ExposureStream`]: it decodes a fresh capture's frames
-/// straight from memory, pulls a store entry's records from its re-opened
-/// stream, and walks the slice once [`ExposureCapture::events`] has
-/// materialized one.
+/// straight from memory and a store entry's from its re-opened file.
 pub struct ExposureEvents<'a> {
     total: u64,
     inner: EventsInner<'a>,
 }
 
 enum EventsInner<'a> {
-    Slice(std::slice::Iter<'a, ExposureRecord>),
     Frames(V2Decoder<FrameChain<'a>>),
-    Stream(Box<dyn ExposureStream + Send>),
+    Entry(V2Decoder<BufReader<File>>),
 }
 
 impl ExposureStream for ExposureEvents<'_> {
@@ -173,12 +159,10 @@ impl ExposureStream for ExposureEvents<'_> {
 
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
         match &mut self.inner {
-            EventsInner::Slice(iter) => Ok(iter.next().copied()),
-            EventsInner::Frames(decoder) => decoder
-                .next_record()
-                .map_err(|e| StreamDefect::new(e.to_string())),
-            EventsInner::Stream(stream) => stream.next_record(),
+            EventsInner::Frames(decoder) => decoder.next_record(),
+            EventsInner::Entry(decoder) => decoder.next_record(),
         }
+        .map_err(|e| StreamDefect::new(e.to_string()))
     }
 }
 
@@ -241,10 +225,8 @@ impl HierarchySnapshot {
 #[derive(Debug, Clone)]
 pub struct ExposureCapture {
     source: EventSource,
-    /// Lazily decoded copy of the events, filled the first time
-    /// [`ExposureCapture::events`] is called. `OnceLock` keeps the
-    /// slice-returning accessor available behind a `&self` receiver.
-    materialized: OnceLock<Vec<ExposureRecord>>,
+    /// Records the source holds.
+    count: u64,
     snapshot: HierarchySnapshot,
     /// Data bits per L2 line (check bits are an analysis-side choice).
     line_bits: usize,
@@ -279,9 +261,9 @@ impl ExposureCapture {
         let mut frames = FrameEncoder::new();
         frames.extend(&events);
         let Ok((count, _, frames)) = frames.finish();
-        Self::from_frames(
+        Self::from_source(
+            EventSource::Frames(frames.into()),
             count,
-            frames,
             snapshot,
             line_bits,
             ones_seed,
@@ -293,13 +275,13 @@ impl ExposureCapture {
         )
     }
 
-    /// Assembles a capture whose `count` events were coded into `frames`
-    /// as they were recorded, the form [`crate::Simulator::capture`]
-    /// produces.
+    /// Assembles a capture whose `count` events live in `source`: the
+    /// frames [`crate::Simulator::capture`] coded as it recorded them, or
+    /// the store entry [`crate::CaptureStore`] loaded or wrote.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_frames(
+    pub(crate) fn from_source(
+        source: EventSource,
         count: u64,
-        frames: Vec<Box<[u8]>>,
         snapshot: HierarchySnapshot,
         line_bits: usize,
         ones_seed: u64,
@@ -310,11 +292,8 @@ impl ExposureCapture {
         scrub_period: u64,
     ) -> Self {
         Self {
-            source: EventSource::Frames {
-                count,
-                frames: frames.into(),
-            },
-            materialized: OnceLock::new(),
+            source,
+            count,
             snapshot,
             line_bits,
             ones_seed,
@@ -326,63 +305,31 @@ impl ExposureCapture {
         }
     }
 
-    /// Assembles a capture whose `count` events live behind a
-    /// re-openable stream instead of an owned `Vec` — the bounded-memory
-    /// path used by `reap-capture/2` store entries. The opener is called
-    /// once per replay pass; it must yield exactly `count` records in
-    /// capture order each time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_streamed_parts(
-        count: u64,
-        open: Arc<StreamOpener>,
-        snapshot: HierarchySnapshot,
-        line_bits: usize,
-        ones_seed: u64,
-        hierarchy: HierarchyConfig,
-        replacement: Replacement,
-        warmup_accesses: u64,
-        measure_accesses: u64,
-        scrub_period: u64,
-    ) -> Self {
-        Self {
-            source: EventSource::Streamed { count, open },
-            materialized: OnceLock::new(),
-            snapshot,
-            line_bits,
-            ones_seed,
-            hierarchy,
-            replacement,
-            warmup_accesses,
-            measure_accesses,
-            scrub_period,
-        }
-    }
-
-    /// The recorded exposure events, in simulation order, as a slice.
-    ///
-    /// Decodes every event on first call (and caches the result), trading
-    /// the compact form for random access — fine for tests and external
-    /// consumers; internal replay paths use [`ExposureCapture::iter`]
-    /// instead.
+    /// The recorded exposure events, in simulation order, decoded into
+    /// an owned `Vec` on every call — for tests and external consumers;
+    /// internal replay paths stream them with [`ExposureCapture::iter`].
     ///
     /// # Panics
     ///
-    /// Panics if the source fails mid-collection (e.g. the store entry
-    /// was deleted after validation). Fallible callers should use
-    /// [`ExposureCapture::iter`].
-    pub fn events(&self) -> &[ExposureRecord] {
-        self.materialized.get_or_init(|| {
-            self.collect_events()
-                .expect("capture events must materialize")
-        })
+    /// Panics if the events fail to decode (e.g. the store entry was
+    /// deleted or a frame fails its checksum). Fallible callers should
+    /// use [`ExposureCapture::iter`].
+    pub fn events(&self) -> Vec<ExposureRecord> {
+        let decode = || {
+            let mut stream = self.iter()?;
+            let mut events = Vec::with_capacity(self.count.min(1 << 24) as usize);
+            while let Some(record) = stream.next_record()? {
+                events.push(record);
+            }
+            Ok::<_, StreamDefect>(events)
+        };
+        decode().expect("capture events must decode")
     }
 
     /// Total recorded events, without touching the event data. O(1) for
     /// every source.
     pub fn event_count(&self) -> u64 {
-        match &self.source {
-            EventSource::Frames { count, .. } | EventSource::Streamed { count, .. } => *count,
-        }
+        self.count
     }
 
     /// A store-less fresh capture's `reap-capture/2` frames, one slice
@@ -391,44 +338,30 @@ impl ExposureCapture {
     /// fresh one streamed into its entry.
     pub fn frames(&self) -> Option<&[Box<[u8]>]> {
         match &self.source {
-            EventSource::Frames { frames, .. } => Some(frames),
-            EventSource::Streamed { .. } => None,
+            EventSource::Frames(frames) => Some(frames),
+            EventSource::Entry { .. } => None,
         }
     }
 
     /// Opens a bounded-memory pass over the events, in capture order.
     ///
     /// A fresh capture decodes its in-memory frames as the caller pulls;
-    /// a store-backed one re-opens its entry and decodes the file. Fails
-    /// only if a streamed source cannot be re-opened.
+    /// a store-backed one re-opens its entry and decodes the file. Either
+    /// way each frame's checksum is verified as it is read, and a defect
+    /// surfaces from [`ExposureStream::next_record`]. Fails up front only
+    /// if a store entry cannot be re-opened or its header no longer
+    /// checks out.
     pub fn iter(&self) -> Result<ExposureEvents<'_>, StreamDefect> {
-        let inner = match (self.materialized.get(), &self.source) {
-            (Some(events), _) => EventsInner::Slice(events.iter()),
-            (None, EventSource::Frames { count, frames }) => {
-                EventsInner::Frames(frame_decoder(frames, *count))
+        let inner = match &self.source {
+            EventSource::Frames(frames) => EventsInner::Frames(frame_decoder(frames, self.count)),
+            EventSource::Entry { path, fingerprint } => {
+                EventsInner::Entry(reopen_entry(path, *fingerprint, self.count)?)
             }
-            (None, EventSource::Streamed { open, .. }) => EventsInner::Stream(open()?),
         };
         Ok(ExposureEvents {
-            total: self.event_count(),
+            total: self.count,
             inner,
         })
-    }
-
-    fn collect_events(&self) -> Result<Vec<ExposureRecord>, StreamDefect> {
-        let count = self.event_count();
-        let mut stream = self.iter()?;
-        let mut events = Vec::with_capacity(count.min(1 << 24) as usize);
-        while let Some(record) = stream.next_record()? {
-            events.push(record);
-        }
-        if events.len() as u64 != count {
-            return Err(StreamDefect::new(format!(
-                "stream yielded {} records, expected {count}",
-                events.len()
-            )));
-        }
-        Ok(events)
     }
 
     /// Final hierarchy counters of the capture run.
@@ -595,53 +528,6 @@ mod tests {
             .collect()
     }
 
-    /// A Vec-backed [`ExposureStream`] for exercising the streamed path
-    /// without a disk store.
-    struct VecStream {
-        records: Vec<ExposureRecord>,
-        pos: usize,
-    }
-
-    impl ExposureStream for VecStream {
-        fn len(&self) -> u64 {
-            self.records.len() as u64
-        }
-
-        fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
-            let record = self.records.get(self.pos).copied();
-            self.pos += 1;
-            Ok(record)
-        }
-    }
-
-    fn streamed_capture(records: Vec<ExposureRecord>) -> ExposureCapture {
-        let count = records.len() as u64;
-        let open: Arc<StreamOpener> = Arc::new(move || {
-            Ok(Box::new(VecStream {
-                records: records.clone(),
-                pos: 0,
-            }) as Box<dyn ExposureStream + Send>)
-        });
-        ExposureCapture::from_streamed_parts(
-            count,
-            open,
-            HierarchySnapshot {
-                l1i: CacheStats::default(),
-                l1d: CacheStats::default(),
-                l2: CacheStats::default(),
-                memory_reads: 0,
-                memory_writes: 0,
-            },
-            512,
-            7,
-            HierarchyConfig::paper(),
-            Replacement::Lru,
-            0,
-            0,
-            0,
-        )
-    }
-
     fn drain(capture: &ExposureCapture) -> Vec<ExposureRecord> {
         let mut stream = capture.iter().expect("open");
         let mut out = Vec::new();
@@ -649,25 +535,6 @@ mod tests {
             out.push(record);
         }
         out
-    }
-
-    #[test]
-    fn streamed_capture_iterates_without_materializing() {
-        let records = sample_records();
-        let capture = streamed_capture(records.clone());
-        assert_eq!(capture.event_count(), records.len() as u64);
-        // Two independent passes over the same source.
-        assert_eq!(drain(&capture), records);
-        assert_eq!(drain(&capture), records);
-    }
-
-    #[test]
-    fn streamed_capture_materializes_on_events() {
-        let records = sample_records();
-        let capture = streamed_capture(records.clone());
-        assert_eq!(capture.events(), records.as_slice());
-        // After materialization, iter() serves the cached slice.
-        assert_eq!(drain(&capture), records);
     }
 
     fn frame_capture(records: Vec<ExposureRecord>) -> ExposureCapture {
@@ -703,38 +570,13 @@ mod tests {
     #[test]
     fn corrupt_in_memory_frames_fail_their_checksum() {
         let mut capture = frame_capture(sample_records());
-        let EventSource::Frames { frames, .. } = &mut capture.source else {
+        let EventSource::Frames(frames) = &mut capture.source else {
             panic!("a capture built from parts holds frames");
         };
         Arc::get_mut(frames).expect("sole owner")[0][12] ^= 0x01;
         let mut stream = capture.iter().expect("open");
         let defect = stream.next_record().expect_err("flipped payload bit");
         assert!(defect.to_string().contains("checksum"), "{defect}");
-    }
-
-    #[test]
-    fn opener_defects_surface_through_iter() {
-        let open: Arc<StreamOpener> = Arc::new(|| Err(StreamDefect::new("entry vanished")));
-        let capture = ExposureCapture::from_streamed_parts(
-            3,
-            open,
-            HierarchySnapshot {
-                l1i: CacheStats::default(),
-                l1d: CacheStats::default(),
-                l2: CacheStats::default(),
-                memory_reads: 0,
-                memory_writes: 0,
-            },
-            512,
-            7,
-            HierarchyConfig::paper(),
-            Replacement::Lru,
-            0,
-            0,
-            0,
-        );
-        let defect = capture.iter().err().expect("opener must fail");
-        assert!(defect.to_string().contains("entry vanished"));
     }
 
     #[test]

@@ -55,9 +55,11 @@
 //! written to a uniquely named temp file and atomically renamed into
 //! place; a reader can never observe a half-written entry, and a failed
 //! or abandoned write deletes its temp file. **Any** read failure — bad
-//! magic, foreign fingerprint, truncation, bit corruption caught by the
-//! checksum — falls back to recapturing from the trace: a corrupt store
-//! costs time, never correctness.
+//! magic, foreign fingerprint, truncation, bit corruption caught by a
+//! checksum — falls back to recapturing from the trace: a defect in the
+//! header when the entry loads, a defect in a frame when replay reads it
+//! ([`crate::Experiment::score`] heals the entry). A corrupt store costs
+//! time, never correctness.
 //!
 //! # Examples
 //!
@@ -81,7 +83,7 @@
 //! ```
 
 use crate::capture::{
-    ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot, StreamDefect, StreamOpener,
+    EventSource, ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot, StreamDefect,
 };
 use crate::checkpoint::fnv;
 use crate::simulator::{SimulationConfig, SimulationError, Simulator};
@@ -95,7 +97,6 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The seed of the [`CaptureKey::fingerprint`] chain, and nothing else.
 /// It names the retired fixed-width format but must stay byte for byte:
@@ -493,7 +494,7 @@ fn kind_tag(kind: ExposureKind) -> u8 {
 }
 
 /// Maps a stream-defect from the capture being encoded (possible when
-/// re-encoding a streamed capture) onto the store's error type.
+/// re-encoding a store-backed capture) onto the store's error type.
 fn defect_to_io(defect: StreamDefect) -> CaptureStoreError {
     CaptureStoreError::Io {
         offset: 0,
@@ -909,10 +910,11 @@ impl FrameSink for EntryWriter {
 
 /// Frame-at-a-time decoder of a `reap-capture/2` stream, the one decoder
 /// of the format: it reads store entries from disk and a fresh capture's
-/// frames from memory alike, verifying every frame checksum either way.
-/// Holds at most one decoded frame (≤ `frame_len` records), so both the
-/// load-time validation sweep and the replay iterator run in bounded
-/// memory.
+/// frames from memory alike. [`open`](Self::open) checks the header;
+/// [`read_frame`](Self::read_frame) verifies each frame's checksum as
+/// replay reaches it, the only place frame checksums are checked. Holds
+/// at most one decoded frame (≤ `frame_len` records), so replay runs in
+/// bounded memory.
 pub(crate) struct V2Decoder<R: Read> {
     reader: R,
     offset: u64,
@@ -1165,9 +1167,9 @@ impl<R: Read> V2Decoder<R> {
 
 /// Deserializes a `reap-capture/2` stream into a materialized payload,
 /// verifying the header, every frame checksum and the absence of
-/// trailing bytes. The streaming equivalent used by the store is
-/// [`CaptureStore::load`], which hands frames straight to the replay
-/// iterator.
+/// trailing bytes. The store instead checks an entry's header in
+/// [`CaptureStore::load`] and hands its frames straight to the replay
+/// iterator, which verifies each frame as it reads it.
 ///
 /// # Errors
 ///
@@ -1187,37 +1189,6 @@ pub fn read_capture_v2<R: Read>(
         line_bits: header.line_bits as usize,
         ones_seed: header.ones_seed,
     })
-}
-
-/// Full-file validation sweep of a v2 entry in O(frame) memory: header,
-/// every frame checksum, every structural invariant, exact end of file.
-/// Returns the verified header so the caller can build a streamed
-/// capture without re-parsing.
-fn validate_v2<R: Read>(
-    reader: R,
-    expected_fingerprint: u64,
-) -> Result<V2Header, CaptureStoreError> {
-    let (header, mut decoder) = V2Decoder::open(reader, expected_fingerprint)?;
-    while decoder.next_record()?.is_some() {}
-    Ok(header)
-}
-
-/// [`ExposureStream`] adapter over a [`V2Decoder`]: the replay-time
-/// face of a v2 store entry.
-struct V2CaptureStream {
-    decoder: V2Decoder<BufReader<File>>,
-}
-
-impl ExposureStream for V2CaptureStream {
-    fn len(&self) -> u64 {
-        self.decoder.count
-    }
-
-    fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
-        self.decoder
-            .next_record()
-            .map_err(|e| StreamDefect::new(e.to_string()))
-    }
 }
 
 /// A fresh capture's in-memory frames read as one byte stream, straight
@@ -1286,15 +1257,18 @@ impl CaptureStore {
     }
 
     /// Attempts to serve `key` from disk. Never fails outward: a missing
-    /// entry counts a `capture_store.miss`, an unreadable or corrupt one
-    /// counts a `capture_store.invalid`, and both return `None` so the
-    /// caller recaptures.
+    /// entry counts a `capture_store.miss`, an unreadable one or one whose
+    /// header fails its checks (magic, version, fingerprint, header
+    /// checksum, frame length) counts a `capture_store.invalid`, and both
+    /// return `None` so the caller recaptures.
     ///
-    /// An entry is fully validated before a hit is reported, then
-    /// returned as a *streamed* capture that re-opens the file and
-    /// decodes frame-by-frame into one reusable buffer at replay time,
-    /// so replay memory stays O(1) in events and a warm hit allocates no
-    /// per-entry event `Vec`.
+    /// Only the header is read. The hit is a store-backed capture that
+    /// re-opens the file on each replay pass and decodes it frame by frame
+    /// into one reusable buffer, verifying each frame's checksum as it
+    /// goes, so a warm hit decodes its entry once per pass and allocates
+    /// no per-entry event `Vec`. A frame defect therefore surfaces at
+    /// replay, where [`crate::Experiment::score`] recaptures and heals
+    /// the entry.
     pub fn load(&self, key: &CaptureKey) -> Option<ExposureCapture> {
         if self.policy == CapturePolicy::Off {
             return None;
@@ -1315,12 +1289,13 @@ impl CaptureStore {
                 return None;
             }
         };
-        match self.load_entry(&path, file, key) {
-            Ok(capture) => {
+        let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
+        let reader = BufReader::with_capacity(ENTRY_HEADER_BYTES, file);
+        match V2Decoder::open(reader, key.fingerprint()) {
+            Ok((header, _)) => {
                 bump("capture_store.hit");
-                let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                emit_entry_io("capture_store.bytes_read", bytes, capture.event_count());
-                Some(capture)
+                emit_entry_io("capture_store.bytes_read", bytes, header.count);
+                Some(entry_capture(path, key, &header))
             }
             Err(e) => {
                 bump("capture_store.invalid");
@@ -1331,18 +1306,6 @@ impl CaptureStore {
                 None
             }
         }
-    }
-
-    /// Validates the entry at `path` in one full pass, then wraps it as a
-    /// streamed capture.
-    fn load_entry(
-        &self,
-        path: &Path,
-        file: File,
-        key: &CaptureKey,
-    ) -> Result<ExposureCapture, CaptureStoreError> {
-        let header = validate_v2(BufReader::new(file), key.fingerprint())?;
-        Ok(streamed_entry(path.to_path_buf(), key, &header))
     }
 
     /// Persists `capture` under `key`, via a temp file and an atomic
@@ -1371,8 +1334,9 @@ impl CaptureStore {
     /// fresh capture keeps its frames in memory.
     ///
     /// Bit-identical to [`Simulator::capture`] in every case — the format
-    /// round-trips captures exactly, and any read or write defect falls
-    /// back to the trace pass. The whole attempt runs inside a
+    /// round-trips captures exactly, a header or write defect falls back
+    /// to the trace pass here, and a frame defect found at replay falls
+    /// back in [`crate::Experiment::score`]. The whole attempt runs inside a
     /// `capture_store` span; a hit deliberately does *not* emit the
     /// `sim.capture.*` or `cache.*` counters, which count actual trace
     /// passes.
@@ -1403,10 +1367,9 @@ impl CaptureStore {
     }
 
     /// Captures `workload` at `seed` straight into `key`'s entry, holding
-    /// one frame at a time, and returns the entry as a streamed capture.
-    /// Its metadata is the header the writer wrote, so the fresh entry is
-    /// not read back; replay still verifies every frame checksum as it
-    /// decodes.
+    /// one frame at a time, and returns the entry as a store-backed
+    /// capture built from the header the writer wrote, exactly as
+    /// [`load`](Self::load) builds one from the header it reads.
     ///
     /// Fails open: if the temp file cannot be created, or a write fails
     /// mid-capture, it warns and captures in memory instead. The trace is
@@ -1441,7 +1404,7 @@ impl CaptureStore {
         match committed {
             Ok((path, header, frame_bytes)) => {
                 pass.emit_metrics(header.count, frame_bytes);
-                Ok(streamed_entry(path, key, &header))
+                Ok(entry_capture(path, key, &header))
             }
             Err(e) => {
                 warn(format_args!(
@@ -1453,25 +1416,16 @@ impl CaptureStore {
     }
 }
 
-/// `key`'s entry at `path`, whose header is `header`, as a streamed
-/// capture: each pass re-opens the file and decodes it a frame at a
-/// time, verifying every frame checksum.
-fn streamed_entry(path: PathBuf, key: &CaptureKey, header: &V2Header) -> ExposureCapture {
-    let fingerprint = key.fingerprint();
-    let open: Arc<StreamOpener> = Arc::new(move || {
-        let file = File::open(&path).map_err(|e| {
-            StreamDefect::new(format!(
-                "cannot reopen capture entry {}: {e}",
-                path.display()
-            ))
-        })?;
-        let (_, decoder) = V2Decoder::open(BufReader::new(file), fingerprint)
-            .map_err(|e| StreamDefect::new(e.to_string()))?;
-        Ok(Box::new(V2CaptureStream { decoder }) as Box<dyn ExposureStream + Send>)
-    });
-    ExposureCapture::from_streamed_parts(
+/// `key`'s entry at `path`, whose header is `header`, as a store-backed
+/// capture: the one constructor of a loaded entry and of one a capture
+/// has just streamed.
+fn entry_capture(path: PathBuf, key: &CaptureKey, header: &V2Header) -> ExposureCapture {
+    ExposureCapture::from_source(
+        EventSource::Entry {
+            path,
+            fingerprint: key.fingerprint(),
+        },
         header.count,
-        open,
         header.snapshot,
         header.line_bits as usize,
         header.ones_seed,
@@ -1483,6 +1437,32 @@ fn streamed_entry(path: PathBuf, key: &CaptureKey, header: &V2Header) -> Exposur
     )
 }
 
+/// Re-opens the entry at `path` for one replay pass, leaving the decoder
+/// at its first frame. The header is checked again, and must still
+/// declare the `count` records the capture was built with.
+pub(crate) fn reopen_entry(
+    path: &Path,
+    fingerprint: u64,
+    count: u64,
+) -> Result<V2Decoder<BufReader<File>>, StreamDefect> {
+    let defect = |e: &dyn fmt::Display| {
+        StreamDefect::new(format!(
+            "cannot reopen capture entry {}: {e}",
+            path.display()
+        ))
+    };
+    let file = File::open(path).map_err(|e| defect(&e))?;
+    let (header, decoder) =
+        V2Decoder::open(BufReader::new(file), fingerprint).map_err(|e| defect(&e))?;
+    if header.count != count {
+        return Err(defect(&format_args!(
+            "it holds {} records, not {count}",
+            header.count
+        )));
+    }
+    Ok(decoder)
+}
+
 /// Reports a fail-open store problem on stderr.
 fn warn(message: fmt::Arguments<'_>) {
     #[cfg(test)]
@@ -1492,7 +1472,7 @@ fn warn(message: fmt::Arguments<'_>) {
 
 /// Increments a global counter when telemetry is enabled (the same
 /// gating the simulator spans use).
-fn bump(name: &str) {
+pub(crate) fn bump(name: &str) {
     if reap_obs::enabled() {
         reap_obs::global().counter(name).add(1);
     }
@@ -1801,7 +1781,7 @@ mod tests {
         let fresh = store.load_or_capture(&sim, SpecWorkload::Gcc, 8).unwrap();
         assert!(
             fresh.frames().is_none(),
-            "a streamed capture holds no frames"
+            "a store-backed capture holds no frames"
         );
         let entry = std::fs::read(store.entry_path(&key)).unwrap();
         assert!(entry == encode(&in_memory, key.fingerprint()));
@@ -1897,7 +1877,7 @@ mod tests {
         // A capture that panics.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
-            frames.extend(small_capture().0.events());
+            frames.extend(&small_capture().0.events());
             assert_eq!(temp_files(&dir).len(), 1);
             panic!("capture aborted");
         }));
@@ -2136,6 +2116,32 @@ mod tests {
         // panic or a wrong result.
         std::fs::remove_file(store.entry_path(&key)).unwrap();
         assert!(loaded.iter().is_err(), "vanished entry must defect");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_corrupt_last_frame_loads_as_a_hit_and_fails_at_replay() {
+        let dir = scratch("last-frame");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let (sim, key) = scrubbed_sim();
+        let capture = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
+        assert!(capture.event_count() > u64::from(FRAME_RECORDS));
+        let path = store.store(&key, &capture).unwrap();
+        let len = std::fs::metadata(&path).unwrap().len();
+        // The last payload byte, just before the final frame's checksum.
+        reap_fault::flip_byte(&path, len - 9, 0x01).unwrap();
+
+        WARNINGS.take();
+        let loaded = store.load(&key).expect("loads read only the header");
+        assert!(WARNINGS.take().is_empty());
+        assert_eq!(loaded.event_count(), capture.event_count());
+        match sim.replay(&loaded) {
+            Err(SimulationError::CaptureStream(defect)) => {
+                assert!(defect.to_string().contains("checksum"), "{defect}")
+            }
+            other => panic!("replay must report the defect, got {other:?}"),
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

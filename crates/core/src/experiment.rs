@@ -1,7 +1,7 @@
 //! High-level experiment builder — the one-call entry point.
 
 use crate::capture::ExposureCapture;
-use crate::capture_store::CaptureStore;
+use crate::capture_store::{self, CaptureKey, CapturePolicy, CaptureStore};
 use crate::report::Report;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
 use reap_cache::{HierarchyConfig, Replacement};
@@ -137,7 +137,7 @@ impl Experiment {
     pub fn run_with(self, store: Option<&CaptureStore>) -> Result<Report, ExperimentError> {
         let capture = self.capture_with(store)?;
         let points = self.simulators_at(&[self.config.ecc])?;
-        let mut reports = self.score(&points, &capture, &mut None, || {})?;
+        let mut reports = self.score(&points, &capture, store, &mut None, || {})?;
         Ok(reports.pop().expect("one point in, one report out"))
     }
 
@@ -164,18 +164,22 @@ impl Experiment {
     }
 
     /// The one scoring body: replays `capture` — this experiment's, from
-    /// a store, a cache or a trace pass — at every simulator in `points`
+    /// `store`, a cache or a trace pass — at every simulator in `points`
     /// in one batched pass, returning a report per point in input order.
     ///
     /// `kernel` is the caller's reusable replay kernel, rebuilt only when
     /// `points` differ from the ones it was built for; `&mut None` is a
     /// one-off replay. The reports are bit-identical either way.
     ///
-    /// A store-backed capture can still vanish or rot after load-time
-    /// validation. That is never an error: the defect is reported on
-    /// stderr, `on_defect` runs (a cache drops the entry there), and the
-    /// points are scored again from a fresh capture taken without the
-    /// store.
+    /// This is also the one recovery body for a capture that fails while
+    /// it is replayed: a store entry that vanished, or a frame that fails
+    /// its checksum (loads check only the header). That is never an
+    /// error. The defect is reported on stderr, `on_defect` runs (a cache
+    /// drops the entry there), and the points are scored again from a
+    /// fresh capture taken in memory, so recovery never re-reads the
+    /// entry it found rotten. A store-backed capture counts a
+    /// `capture_store.invalid`, and under a `ReadWrite` store its entry is
+    /// rewritten from the fresh capture; a failed write only warns.
     ///
     /// # Errors
     ///
@@ -185,18 +189,28 @@ impl Experiment {
         &self,
         points: &[Simulator],
         capture: &ExposureCapture,
+        store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
         on_defect: impl FnOnce(),
     ) -> Result<Vec<Report>, ExperimentError> {
-        match replay_reusing(points, capture, kernel) {
-            Err(SimulationError::CaptureStream(defect)) => {
-                eprintln!("warning: streamed capture failed mid-replay ({defect}); recapturing");
-                on_defect();
-                let fresh = self.capture_with(None)?;
-                Ok(replay_reusing(points, &fresh, kernel)?)
+        let defect = match replay_reusing(points, capture, kernel) {
+            Err(SimulationError::CaptureStream(defect)) => defect,
+            other => return Ok(other?),
+        };
+        eprintln!("warning: capture failed mid-replay ({defect}); recapturing");
+        on_defect();
+        let fresh = self.capture()?;
+        // Only a store-backed capture has no in-memory frames.
+        if capture.frames().is_none() {
+            capture_store::bump("capture_store.invalid");
+            if let Some(store) = store.filter(|s| s.policy() == CapturePolicy::ReadWrite) {
+                let key = CaptureKey::new(self.workload, self.seed, &self.config);
+                if let Err(e) = store.store(&key, &fresh) {
+                    eprintln!("warning: capture store write failed: {e}");
+                }
             }
-            other => Ok(other?),
         }
+        Ok(replay_reusing(points, &fresh, kernel)?)
     }
 
     /// Phase 1: drives the configured workload through the hierarchy once

@@ -63,7 +63,7 @@ pub use campaign::{
 };
 pub use capture::{
     CaptureObserver, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
-    HierarchySnapshot, StreamDefect, StreamOpener,
+    HierarchySnapshot, StreamDefect,
 };
 pub use capture_store::{CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError};
 pub use checkpoint::{CheckpointError, SweepRow};

@@ -1,6 +1,8 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{CaptureObserver, ExposureCapture, ExposureStream, HierarchySnapshot};
+use crate::capture::{
+    CaptureObserver, EventSource, ExposureCapture, ExposureStream, HierarchySnapshot,
+};
 use crate::capture_store::{FrameEncoder, FrameSink, FRAME_RECORDS};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
@@ -125,9 +127,9 @@ pub enum SimulationError {
     /// A replay was attempted against a capture whose behavioural
     /// configuration (hierarchy, replacement, budgets) does not match.
     CaptureMismatch(&'static str),
-    /// A streamed capture failed while being pulled — typically the
-    /// backing store entry vanished or was corrupted after load-time
-    /// validation. Callers should fall back to a fresh capture.
+    /// A capture failed while being pulled — typically its store entry
+    /// vanished, or a frame failed its checksum as replay read it.
+    /// [`crate::Experiment::score`] falls back to a fresh capture.
     CaptureStream(crate::capture::StreamDefect),
 }
 
@@ -325,9 +327,9 @@ impl Simulator {
         let pass = self.capture_into(trace, &mut frames)?;
         let Ok((count, frame_bytes, frames)) = frames.finish();
         pass.emit_metrics(count, frame_bytes);
-        Ok(ExposureCapture::from_frames(
+        Ok(ExposureCapture::from_source(
+            EventSource::Frames(frames.into()),
             count,
-            frames,
             pass.snapshot,
             pass.line_bits,
             pass.ones_seed,

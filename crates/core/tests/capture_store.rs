@@ -1,5 +1,6 @@
 //! Capture-store integration properties: round-trips are bit-identical,
-//! and a corrupted store can cost a recapture but never a wrong result.
+//! and stale or short entries miss at load. How a rotted entry is
+//! recovered and healed is pinned in `capture_recovery.rs`.
 //!
 //! Runs in its own test binary because it enables the global telemetry
 //! registry to observe the `capture_store.*` counters; counter
@@ -106,67 +107,6 @@ proptest! {
         let from_memory = experiment.clone().replay(&original).expect("replay");
         let from_disk = experiment.clone().replay(&loaded).expect("replay");
         prop_assert_eq!(report_bits(&from_memory), report_bits(&from_disk));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    /// Any corruption of a store entry — truncation, a chopped tail, or
-    /// a silent byte flip anywhere in the file — makes
-    /// the load fall back to recapture, bumps `capture_store.invalid`,
-    /// and leaves the final reports bit-identical to an uncorrupted run.
-    /// Never a wrong report.
-    #[test]
-    fn corruption_always_falls_back_to_an_identical_recapture(
-        workload_index in 0usize..21,
-        seed in any::<u64>(),
-        corruption in 0usize..3,
-        damage in any::<u64>(),
-    ) {
-        reap_obs::set_enabled(true);
-        let workload = SpecWorkload::ALL[workload_index];
-        let experiment = Experiment::paper_hierarchy()
-            .workload(workload)
-            .budgets(500, 4_000)
-            .seed(seed);
-        let dir = scratch("corrupt");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
-
-        // Reference sweep and a populated store entry.
-        let clean = replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
-        let key = CaptureKey::new(workload, seed, experiment.config());
-        let path = store.entry_path(&key);
-        let len = std::fs::metadata(&path).expect("entry exists").len();
-
-        // Damage the entry with one of the reap-fault corruption tools,
-        // at a position derived from the arbitrary `damage` value.
-        match corruption {
-            0 => {
-                reap_fault::truncate_file(&path, damage % len).expect("truncate");
-            }
-            1 => {
-                reap_fault::chop_tail(&path, 1 + damage % len).expect("chop");
-            }
-            _ => {
-                let mask = 1u8 << (damage % 8);
-                reap_fault::flip_byte(&path, damage % len, mask).expect("flip");
-            }
-        }
-
-        // The damaged entry must never load.
-        let invalid_before = counter("capture_store.invalid");
-        prop_assert!(store.load(&key).is_none(), "corrupt entry must not load");
-        prop_assert!(
-            counter("capture_store.invalid") > invalid_before,
-            "fallback must be counted"
-        );
-
-        // And the store-backed sweep must silently recapture to the same
-        // bits as the clean run.
-        let recovered = replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep");
-        prop_assert_eq!(clean.len(), recovered.len());
-        for ((ecc_a, a), (ecc_b, b)) in clean.iter().zip(&recovered) {
-            prop_assert_eq!(ecc_a, ecc_b);
-            prop_assert_eq!(report_bits(a), report_bits(b));
-        }
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -164,7 +164,7 @@ impl<V> HotCache<V> {
     }
 
     /// Drops the entry under `fingerprint`, if resident (used when a
-    /// cached streamed capture turns out to have rotted on disk).
+    /// cached store-backed capture turns out to have rotted on disk).
     pub fn evict(&self, fingerprint: u64) {
         let mut inner = self.inner.lock().expect("cache poisoned");
         if matches!(inner.map.get(&fingerprint), Some(Slot::Ready { .. })) {

@@ -66,8 +66,9 @@ impl JobSpec {
 /// in-memory [`HotCaptureCache`] (keyed by the capture store's content
 /// fingerprint, single-flight), then the on-disk `store`, then a cold
 /// trace capture. All three yield bit-identical rows; the property test
-/// in `tests/` pins that. A cached capture that rots mid-replay is
-/// evicted before the job recaptures.
+/// in `tests/` pins that. A cached capture whose entry rots is evicted
+/// when replay finds the defect, before the job recaptures and heals the
+/// entry ([`reap_core::Experiment::score`]).
 ///
 /// # Errors
 ///
@@ -93,7 +94,9 @@ pub fn compute_rows(
     let experiment = job.experiment();
     let fingerprint = CaptureKey::new(workload, spec.seed, experiment.config()).fingerprint();
     let capture = cache.get_or_capture(fingerprint, || experiment.capture_with(store))?;
-    job.score(&experiment, &capture, kernel, || cache.evict(fingerprint))
+    job.score(&experiment, &capture, store, kernel, || {
+        cache.evict(fingerprint)
+    })
 }
 
 #[cfg(test)]
