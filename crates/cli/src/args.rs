@@ -74,8 +74,6 @@ pub struct ServeArgs {
     pub max_active: Option<usize>,
     /// Jobs admitted beyond the active ones (`None` = the default).
     pub queue_depth: Option<usize>,
-    /// Hot capture cache capacity in entries; 0 disables the cache.
-    pub cache_entries: Option<usize>,
     /// Retry-after hint carried by `busy` responses, in milliseconds.
     pub retry_after_ms: Option<u64>,
     /// Supervision of job workloads (`--max-retries`,
@@ -881,7 +879,6 @@ fn parse_serve(mut c: Cursor) -> Result<Command, ParseCliError> {
         parallelism: None,
         max_active: None,
         queue_depth: None,
-        cache_entries: None,
         retry_after_ms: None,
         supervisor: SupervisorConfig::default(),
         capture: CaptureArgs::default(),
@@ -902,9 +899,6 @@ fn parse_serve(mut c: Cursor) -> Result<Command, ParseCliError> {
             }
             "--queue-depth" => {
                 a.queue_depth = Some(parse_num(&flag, c.value_for(&flag)?, "count")?);
-            }
-            "--cache-entries" => {
-                a.cache_entries = Some(parse_num(&flag, c.value_for(&flag)?, "count")?);
             }
             "--retry-after-ms" => {
                 a.retry_after_ms = Some(parse_num(&flag, c.value_for(&flag)?, "milliseconds")?);
@@ -1129,6 +1123,16 @@ mod tests {
                 "{command}"
             );
         }
+    }
+
+    #[test]
+    fn the_hot_cache_flag_is_gone() {
+        assert_eq!(
+            p("serve --socket s --state-dir d --cache-entries 8"),
+            Err(ParseCliError::UnknownFlag {
+                flag: "--cache-entries".to_owned()
+            })
+        );
     }
 
     #[test]
@@ -1451,7 +1455,7 @@ mod tests {
     #[test]
     fn serve_parses_tuning_supervision_and_capture_flags() {
         let Command::Serve(a) = p("serve --socket /tmp/reap.sock --state-dir /tmp/state \
-             --parallelism 8 --max-active 3 --queue-depth 6 --cache-entries 16 \
+             --parallelism 8 --max-active 3 --queue-depth 6 \
              --retry-after-ms 500 --max-retries 4 --job-deadline-ms 30000 \
              --retry-backoff 100:2:5000 --inject seed=7,refuse=0.2,stall-ms=20 \
              --capture-dir caps --journal-gc-age-secs 3600")
@@ -1463,7 +1467,6 @@ mod tests {
         assert_eq!(a.parallelism, Some(8));
         assert_eq!(a.max_active, Some(3));
         assert_eq!(a.queue_depth, Some(6));
-        assert_eq!(a.cache_entries, Some(16));
         assert_eq!(a.retry_after_ms, Some(500));
         assert_eq!(a.supervisor.max_retries, 4);
         assert_eq!(

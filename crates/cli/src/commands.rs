@@ -16,6 +16,7 @@ use reap_trace::{SpecWorkload, TraceStats};
 use std::error::Error;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::Duration;
 
@@ -71,12 +72,12 @@ COMMANDS:
                  --socket PATH --state-dir DIR (both required)
                  --parallelism/-j K  workers per job   --max-active K
                  --queue-depth K     beyond that, submits answer `busy`
-                 --cache-entries K   hot capture cache (0 disables)
                  --retry-after-ms T  hint carried by `busy` responses
                  --max-retries K  --job-deadline-ms T  --retry-backoff SPEC
                  --inject SPEC       also drives connection faults:
                                      refuse=R,drop=R,stall-ms=T
                  --capture-dir DIR [--capture-policy P]
+                                     capture store: reused across jobs
                  --journal-gc-age-secs T  sweep abandoned job journals
                                      older than T (0 disables; default
                                      7 days; live jobs never swept)
@@ -399,7 +400,7 @@ fn sweep<W: Write>(args: SweepArgs, mut out: W) -> io::Result<i32> {
     config.resume = args.resume;
     config.capture_store = args.capture.to_store();
 
-    let outcome = match run_sweep_campaign(&config) {
+    let outcome = match run_sweep_campaign(&config, |_| ControlFlow::Continue(())) {
         Ok(o) => o,
         Err(e @ CampaignError::Interrupted { .. }) => {
             eprintln!("reap: {}", cause_chain(&e));
@@ -605,9 +606,6 @@ fn serve<W: Write>(args: ServeArgs, mut out: W) -> io::Result<i32> {
     }
     if let Some(v) = args.queue_depth {
         config.queue_depth = v;
-    }
-    if let Some(v) = args.cache_entries {
-        config.cache_entries = v;
     }
     if let Some(v) = args.retry_after_ms {
         config.retry_after_ms = v;

@@ -97,6 +97,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// The seed of the [`CaptureKey::fingerprint`] chain, and nothing else.
 /// It names the retired fixed-width format but must stay byte for byte:
@@ -1333,6 +1334,11 @@ impl CaptureStore {
     /// memory does not grow with the window; under `Off` and `Read` the
     /// fresh capture keeps its frames in memory.
     ///
+    /// Under `ReadWrite`, threads of one process that ask for the same
+    /// entry at once run one trace pass: the first writes the entry, the
+    /// others wait for it and load it as a hit. Separate processes may
+    /// both capture; their atomic renames leave one whole entry.
+    ///
     /// Bit-identical to [`Simulator::capture`] in every case — the format
     /// round-trips captures exactly, a header or write defect falls back
     /// to the trace pass here, and a frame defect found at replay falls
@@ -1353,6 +1359,10 @@ impl CaptureStore {
     ) -> Result<ExposureCapture, SimulationError> {
         let key = CaptureKey::new(workload, seed, sim.config());
         let mut span = reap_obs::span("capture_store");
+        // Single flight: a second miss on an entry this process is
+        // writing waits for that write and loads it.
+        let _claim = (self.policy == CapturePolicy::ReadWrite)
+            .then(|| EntryClaim::take(self.entry_path(&key)));
         if let Some(capture) = self.load(&key) {
             span.add_events(capture.event_count());
             return Ok(capture);
@@ -1413,6 +1423,38 @@ impl CaptureStore {
                 sim.capture(workload.stream(seed))
             }
         }
+    }
+}
+
+/// Entry paths a thread of this process is loading or capturing.
+static CLAIMED: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+/// Signalled whenever a claim is released.
+static RELEASED: Condvar = Condvar::new();
+
+/// One thread's exclusive use of an entry path within this process,
+/// held from the load through the capture that follows a miss, and
+/// released on drop (a panic mid-capture included).
+struct EntryClaim(PathBuf);
+
+impl EntryClaim {
+    /// Waits until no other thread holds `path`, then claims it.
+    fn take(path: PathBuf) -> Self {
+        let mut claimed = CLAIMED.lock().unwrap_or_else(PoisonError::into_inner);
+        while claimed.contains(&path) {
+            claimed = RELEASED
+                .wait(claimed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        claimed.push(path.clone());
+        Self(path)
+    }
+}
+
+impl Drop for EntryClaim {
+    fn drop(&mut self) {
+        let mut claimed = CLAIMED.lock().unwrap_or_else(PoisonError::into_inner);
+        claimed.retain(|p| *p != self.0);
+        RELEASED.notify_all();
     }
 }
 

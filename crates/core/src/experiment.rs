@@ -137,7 +137,7 @@ impl Experiment {
     pub fn run_with(self, store: Option<&CaptureStore>) -> Result<Report, ExperimentError> {
         let capture = self.capture_with(store)?;
         let points = self.simulators_at(&[self.config.ecc])?;
-        let mut reports = self.score(&points, &capture, store, &mut None, || {})?;
+        let mut reports = self.score(&points, &capture, store, &mut None)?;
         Ok(reports.pop().expect("one point in, one report out"))
     }
 
@@ -164,8 +164,8 @@ impl Experiment {
     }
 
     /// The one scoring body: replays `capture` — this experiment's, from
-    /// `store`, a cache or a trace pass — at every simulator in `points`
-    /// in one batched pass, returning a report per point in input order.
+    /// `store` or a trace pass — at every simulator in `points` in one
+    /// batched pass, returning a report per point in input order.
     ///
     /// `kernel` is the caller's reusable replay kernel, rebuilt only when
     /// `points` differ from the ones it was built for; `&mut None` is a
@@ -174,10 +174,9 @@ impl Experiment {
     /// This is also the one recovery body for a capture that fails while
     /// it is replayed: a store entry that vanished, or a frame that fails
     /// its checksum (loads check only the header). That is never an
-    /// error. The defect is reported on stderr, `on_defect` runs (a cache
-    /// drops the entry there), and the points are scored again from a
-    /// fresh capture taken in memory, so recovery never re-reads the
-    /// entry it found rotten. A store-backed capture counts a
+    /// error. The defect is reported on stderr and the points are scored
+    /// again from a fresh capture taken in memory, so recovery never
+    /// re-reads the entry it found rotten. A store-backed capture counts a
     /// `capture_store.invalid`, and under a `ReadWrite` store its entry is
     /// rewritten from the fresh capture; a failed write only warns.
     ///
@@ -191,14 +190,12 @@ impl Experiment {
         capture: &ExposureCapture,
         store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
-        on_defect: impl FnOnce(),
     ) -> Result<Vec<Report>, ExperimentError> {
         let defect = match replay_reusing(points, capture, kernel) {
             Err(SimulationError::CaptureStream(defect)) => defect,
             other => return Ok(other?),
         };
         eprintln!("warning: capture failed mid-replay ({defect}); recapturing");
-        on_defect();
         let fresh = self.capture()?;
         // Only a store-backed capture has no in-memory frames.
         if capture.frames().is_none() {

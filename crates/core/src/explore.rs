@@ -738,7 +738,7 @@ impl ComboRun {
             .seed(seed)
             .workload(workload);
         let capture = experiment.capture_with(store)?;
-        let reports = experiment.score(&self.sims, &capture, store, kernel, || {})?;
+        let reports = experiment.score(&self.sims, &capture, store, kernel)?;
         Ok(WorkloadSums {
             duration: reports[0].duration_seconds(),
             fail: reports

@@ -269,7 +269,8 @@ pub struct JobOutcome<R> {
 }
 
 impl<R> JobOutcome<R> {
-    fn cancelled() -> Self {
+    /// A job the batch cancelled before claiming it.
+    pub(crate) fn cancelled() -> Self {
         Self {
             result: Err(JobError::Cancelled),
             attempts: 0,

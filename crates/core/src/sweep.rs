@@ -60,7 +60,7 @@ pub fn replay_ecc_sweep_with(
 ) -> Result<Vec<(EccStrength, Report)>, ExperimentError> {
     let capture = experiment.capture_with(store)?;
     let points = experiment.simulators_at(&EccStrength::ALL)?;
-    let reports = experiment.score(&points, &capture, store, &mut None, || {})?;
+    let reports = experiment.score(&points, &capture, store, &mut None)?;
     Ok(EccStrength::ALL.into_iter().zip(reports).collect())
 }
 

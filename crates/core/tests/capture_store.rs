@@ -364,10 +364,11 @@ fn read_policy_never_writes_but_serves_existing_entries() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Two threads of one process capturing the same key into one store at
-/// once (serve jobs with the hot cache off can) each stream into their
-/// own temp file: both get the store-less report, both writes commit,
-/// and the entry is byte for byte the one a solo write leaves.
+/// Two threads of one process asking for the same key at once (two
+/// serve jobs sharing a workload can) both get the store-less report:
+/// one streams the entry, the other hits it, and the entry is byte for
+/// byte the one a solo write leaves. That they run one trace pass is
+/// pinned in `capture_single_flight.rs`.
 #[test]
 fn concurrent_captures_of_one_key_agree_and_leave_one_whole_entry() {
     reap_obs::set_enabled(true);
@@ -402,8 +403,8 @@ fn concurrent_captures_of_one_key_agree_and_leave_one_whole_entry() {
     for got in reports {
         assert_eq!(got, want);
     }
-    // Each thread either committed its entry or hit the other's; a write
-    // that lost its temp file to the other thread would count neither.
+    // Each thread either committed the entry or hit it; a write that
+    // lost its temp file would count neither.
     assert!(counter("capture_store.write") + counter("capture_store.hit") >= settled0 + 2);
     assert!(counter("capture_store.bytes_written") >= written0 + solo_entry.len() as u64);
     assert!(std::fs::read(store.entry_path(&key)).unwrap() == solo_entry);

@@ -707,7 +707,7 @@ proptest! {
         kill_after in 1u64..8,
     ) {
         let base = CampaignConfig::new(1_000, seed, SweepMode::Standard, 4);
-        let clean = run_sweep_campaign(&base).expect("clean campaign");
+        let clean = run_sweep_campaign(&base, |_| ControlFlow::Continue(())).expect("clean campaign");
 
         let path = scratch("resume");
         let mut cfg = base.clone();
@@ -716,13 +716,13 @@ proptest! {
             interrupt_after: Some(kill_after),
             ..FaultPlan::default()
         });
-        let err = run_sweep_campaign(&cfg).expect_err("must interrupt");
+        let err = run_sweep_campaign(&cfg, |_| ControlFlow::Continue(())).expect_err("must interrupt");
         prop_assert!(matches!(err, CampaignError::Interrupted { .. }));
 
         let mut cfg = base.clone();
         cfg.checkpoint = Some(path.clone());
         cfg.resume = true;
-        let resumed = run_sweep_campaign(&cfg).expect("resumed campaign");
+        let resumed = run_sweep_campaign(&cfg, |_| ControlFlow::Continue(())).expect("resumed campaign");
         prop_assert!(resumed.resumed >= kill_after as usize);
         prop_assert_eq!(resumed.failed, 0);
         prop_assert_eq!(campaign_bits(&clean), campaign_bits(&resumed));

@@ -274,13 +274,9 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         );
         let _ = writeln!(
             out,
-            "       rows computed {}   resumed {}   cache hit {} miss {} coalesced {} evict {}",
+            "       rows computed {}   resumed {}",
             c("rows.computed"),
             c("rows.resumed"),
-            c("cache.hit"),
-            c("cache.miss"),
-            c("cache.coalesced"),
-            c("cache.evict"),
         );
         let _ = writeln!(
             out,
@@ -657,8 +653,6 @@ mod tests {
         r.counter("serve.jobs.busy").add(2);
         r.counter("serve.rows.computed").add(63);
         r.counter("serve.rows.resumed").add(21);
-        r.counter("serve.cache.hit").add(40);
-        r.counter("serve.cache.coalesced").add(3);
         r.counter("serve.conn.refused").add(1);
         r.counter("serve.conn.disconnected").add(2);
         let text = render_report(&r.snapshot(), &ReportOptions::default());
@@ -666,7 +660,7 @@ mod tests {
         assert!(text.contains("completed 4"), "{text}");
         assert!(text.contains("busy 2"), "{text}");
         assert!(text.contains("rows computed 63   resumed 21"), "{text}");
-        assert!(text.contains("cache hit 40"), "{text}");
+        assert!(!text.contains("cache"), "{text}");
         assert!(text.contains("refused 1"), "{text}");
         // Summarized counters stay out of the generic counter table.
         assert!(!text.contains("serve.jobs.accepted"), "{text}");

@@ -5,10 +5,10 @@
 //! [`crate::signal`]). Accepted connections each get a thread that reads
 //! exactly one request and answers it; `submit` streams rows until a
 //! terminal record. Jobs flow through a bounded queue into a fixed pool
-//! of runner threads, each of which fans its job's workloads out through
-//! [`reap_core::pool_map_supervised`] — so panic isolation, retries with
-//! (jittered) backoff, deadlines and fault injection all apply inside
-//! the daemon exactly as they do offline.
+//! of runner threads, each of which runs its job as the offline sweep
+//! campaign ([`reap_core::campaign::run_sweep_campaign`]) — so panic
+//! isolation, retries with (jittered) backoff, deadlines, fault injection
+//! and journaling all apply inside the daemon exactly as they do offline.
 //!
 //! Crash safety: every completed workload is appended (and flushed) to
 //! the job's `reap-checkpoint/1` journal before its row is streamed, so
@@ -18,12 +18,13 @@
 //! restarted daemon serves journaled rows byte-identically and computes
 //! only the remainder.
 
-use crate::cache::{bump, HotCaptureCache};
-use crate::jobs::{compute_rows, JobSpec};
+use crate::jobs::JobSpec;
 use crate::protocol::{Request, Response};
 use crate::signal;
-use reap_core::checkpoint::{self, CheckpointWriter, OpenJournal};
-use reap_core::{pool_map_supervised, CaptureStore, JobError, SupervisorConfig};
+use reap_core::campaign::{
+    run_sweep_campaign, CampaignConfig, CampaignError, JobFailure, WorkloadView,
+};
+use reap_core::{CaptureStore, JobError, SupervisorConfig};
 use reap_fault::ConnectionFault;
 use reap_trace::SpecWorkload;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -48,6 +49,13 @@ const READ_POLL: Duration = Duration::from_millis(50);
 /// abandoned journals (also swept once at startup).
 const JOURNAL_GC_INTERVAL: Duration = Duration::from_secs(60);
 
+/// Bump a `serve.*` counter when telemetry is enabled.
+fn bump(name: &str) {
+    if reap_obs::enabled() {
+        reap_obs::global().counter(name).add(1);
+    }
+}
+
 /// Everything the daemon needs to run. Build one with
 /// [`ServeConfig::new`] and adjust fields before calling [`serve`].
 #[derive(Debug)]
@@ -62,15 +70,14 @@ pub struct ServeConfig {
     pub max_active: usize,
     /// Jobs admitted beyond the active ones; a full queue answers `busy`.
     pub queue_depth: usize,
-    /// Hot capture cache capacity (entries; 0 disables the cache).
-    pub cache_entries: usize,
     /// The wait hint a `busy` response carries, in milliseconds.
     pub retry_after_ms: u64,
     /// Supervision policy for job workloads (retries, backoff, deadline,
     /// fault plan). The fault plan's connection fields drive the
     /// accept-path injection too.
     pub supervisor: SupervisorConfig,
-    /// Optional on-disk capture store shared with offline sweeps.
+    /// Optional on-disk capture store shared with offline sweeps: the
+    /// daemon's only capture cache, reused across jobs.
     pub store: Option<CaptureStore>,
     /// Age after which an abandoned job journal (interrupted or failed,
     /// never resubmitted) is collected from the state directory. `None`
@@ -81,7 +88,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A small-footprint default: 2 concurrent jobs of 4 workers each,
-    /// a queue of 4, an 8-entry hot cache, 250 ms retry hints.
+    /// a queue of 4, 250 ms retry hints, no capture store.
     pub fn new(socket: impl Into<PathBuf>, state_dir: impl Into<PathBuf>) -> Self {
         Self {
             socket: socket.into(),
@@ -89,7 +96,6 @@ impl ServeConfig {
             parallelism: 4,
             max_active: 2,
             queue_depth: 4,
-            cache_entries: 8,
             retry_after_ms: 250,
             supervisor: SupervisorConfig::default(),
             store: None,
@@ -129,7 +135,6 @@ impl JobHandle {
 
 struct ServerState {
     config: ServeConfig,
-    cache: Arc<HotCaptureCache>,
     queue: Mutex<VecDeque<Arc<JobHandle>>>,
     queue_ready: Condvar,
     /// Queued *and* running jobs, by id — the cancel path and the
@@ -181,10 +186,8 @@ pub fn serve(config: ServeConfig) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     signal::install_shutdown_handler();
 
-    let cache = Arc::new(HotCaptureCache::new(config.cache_entries));
     let state = Arc::new(ServerState {
         config,
-        cache,
         queue: Mutex::new(VecDeque::new()),
         queue_ready: Condvar::new(),
         jobs: Mutex::new(HashMap::new()),
@@ -363,77 +366,14 @@ fn runner_loop(state: &Arc<ServerState>) {
     }
 }
 
-/// Runs one job to a terminal response: resume from the journal, fan the
-/// remainder out under supervision, journal-then-stream each workload.
-fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
+/// Runs one job to a terminal response: the offline sweep campaign over
+/// the job's journal, streaming each workload as it becomes final.
+fn run_job(state: &ServerState, handle: &JobHandle) {
     let spec = handle.spec;
-    let meta = spec.meta();
     let journal = spec.journal_path(&state.config.state_dir);
 
-    // Resume: serve journaled rows first (bit-identical by the row
-    // codec), then append new results to the same journal. A corrupt or
-    // foreign journal under our name is recreated: recompute from scratch
-    // rather than serve rows we cannot trust.
-    let opened = checkpoint::open_journal(&journal, &meta, true, checkpoint::row_from_json)
-        .or_else(|_| {
-            CheckpointWriter::create(&journal, &meta).map(|writer| OpenJournal {
-                completed: Vec::new(),
-                writer,
-                warning: None,
-            })
-        });
-    let OpenJournal {
-        completed,
-        mut writer,
-        ..
-    } = match opened {
-        Ok(opened) => opened,
-        Err(e) => {
-            handle.send(Response::Error {
-                message: e.to_string(),
-            });
-            return;
-        }
-    };
-    let mut done: HashSet<String> = HashSet::new();
-    let mut resumed = 0u64;
-    for (key, rows) in completed {
-        let Some(index) = SpecWorkload::ALL.iter().position(|w| w.name() == key) else {
-            continue;
-        };
-        handle.send(Response::Row {
-            index: index as u64,
-            key: key.clone(),
-            resumed: true,
-            rows,
-        });
-        done.insert(key);
-        resumed += 1;
-        bump("serve.rows.resumed");
-    }
-
-    let pending: Vec<(u64, SpecWorkload)> = SpecWorkload::ALL
-        .iter()
-        .enumerate()
-        .filter(|(_, w)| !done.contains(w.name()))
-        .map(|(i, w)| (i as u64, *w))
-        .collect();
-    if pending.is_empty() {
-        // Remove the journal before answering: `done` is the client's
-        // cue that clean completion has no journal left behind, so the
-        // delete must not race a client that checks right away.
-        let _ = std::fs::remove_file(&journal);
-        handle.send(Response::Done {
-            job: handle.id.clone(),
-            ok: resumed,
-            failed: 0,
-            resumed,
-        });
-        bump("serve.jobs.completed");
-        return;
-    }
-
     // Per-job budget overrides ride on the daemon's supervision policy.
+    // A drain is the daemon's interrupt, so the simulated kill is off.
     let mut supervisor = state.config.supervisor;
     if let Some(retries) = spec.max_retries {
         supervisor.max_retries = retries;
@@ -441,77 +381,81 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
     if let Some(deadline_ms) = spec.deadline_ms {
         supervisor.deadline = Some(Duration::from_millis(deadline_ms));
     }
-
-    let cache = Arc::clone(&state.cache);
-    let store = state.config.store.clone();
-    let keys: Vec<(u64, &'static str)> = pending.iter().map(|(i, w)| (*i, w.name())).collect();
-
-    let mut ok = resumed;
-    let mut failed = 0u64;
-    let mut interrupted = false;
-    let outcomes = pool_map_supervised(
-        pending,
-        state.config.parallelism.max(1),
-        "serve.pool",
-        &supervisor,
-        || None,
-        move |kernel, (_, workload)| {
-            compute_rows(workload, &spec, Some(&cache), store.as_ref(), kernel)
-                .map_err(|e| e.to_string())
-        },
-        |slot, outcome| {
-            let (index, key) = keys[slot];
-            match &outcome.result {
-                Ok(Ok(rows)) => {
-                    // Journal first, stream second: the journal is never
-                    // behind what the client saw.
-                    if let Err(e) = writer.record(key, rows) {
-                        eprintln!("warning: {e}");
-                    }
-                    handle.send(Response::Row {
-                        index,
-                        key: key.to_owned(),
-                        resumed: false,
-                        rows: rows.clone(),
-                    });
-                    ok += 1;
-                    bump("serve.rows.computed");
-                }
-                Ok(Err(error)) => {
-                    handle.send(Response::Failed {
-                        index,
-                        key: key.to_owned(),
-                        error: error.clone(),
-                    });
-                    failed += 1;
-                }
-                // Unclaimed jobs of an interrupted batch: the terminal
-                // `interrupted` record covers them.
-                Err(JobError::Cancelled) => {}
-                Err(e) => {
-                    handle.send(Response::Failed {
-                        index,
-                        key: key.to_owned(),
-                        error: e.to_string(),
-                    });
-                    failed += 1;
-                }
-            }
-            if handle.is_cancelled() || state.draining() {
-                interrupted = true;
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        },
+    if let Some(plan) = supervisor.fault_plan.as_mut() {
+        plan.interrupt_after = None;
+    }
+    let mut config = CampaignConfig::new(
+        spec.accesses,
+        spec.seed,
+        spec.mode,
+        state.config.parallelism,
     );
-    if outcomes
-        .iter()
-        .any(|o| matches!(o.result, Err(JobError::Cancelled)))
-    {
-        interrupted = true;
+    config.supervisor = supervisor;
+    config.checkpoint = Some(journal.clone());
+    config.resume = true;
+    config.capture_store = state.config.store.clone();
+
+    // The campaign journals each fresh result before the hook sees it,
+    // so the journal is never behind what the client saw. Journaled rows
+    // come first, bit-identical by the row codec.
+    let mut stream = |o: WorkloadView<'_>| {
+        let index = SpecWorkload::ALL
+            .iter()
+            .position(|&w| w == o.workload)
+            .expect("a sweep workload") as u64;
+        let key = o.workload.name().to_owned();
+        match o.result {
+            Ok(rows) => {
+                handle.send(Response::Row {
+                    index,
+                    key,
+                    resumed: o.from_checkpoint,
+                    rows: rows.to_vec(),
+                });
+                bump(if o.from_checkpoint {
+                    "serve.rows.resumed"
+                } else {
+                    "serve.rows.computed"
+                });
+            }
+            Err(e) => handle.send(Response::Failed {
+                index,
+                key,
+                error: e.to_string(),
+            }),
+        }
+        if handle.is_cancelled() || state.draining() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    };
+    // A corrupt or foreign journal under our name is recreated: recompute
+    // from scratch rather than serve rows we cannot trust.
+    let mut outcome = run_sweep_campaign(&config, &mut stream);
+    if let Err(CampaignError::Checkpoint(_)) = outcome {
+        config.resume = false;
+        outcome = run_sweep_campaign(&config, &mut stream);
+    }
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            handle.send(Response::Error {
+                message: e.to_string(),
+            });
+            return;
+        }
+    };
+    if let Some(warning) = &outcome.checkpoint_warning {
+        eprintln!("warning: {warning}");
     }
 
+    // A `Break` only matters if it left work undone: a drain that lands
+    // after the last row still completes the job.
+    let interrupted = outcome
+        .outcomes
+        .iter()
+        .any(|o| matches!(o.result, Err(JobFailure::Supervision(JobError::Cancelled))));
     if interrupted {
         // Journal kept: a resubmission resumes from it.
         handle.send(Response::Interrupted {
@@ -520,6 +464,7 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
         });
         bump("serve.jobs.interrupted");
     } else {
+        let failed = outcome.failed as u64;
         if failed == 0 {
             // Clean completion: the journal has served its purpose.
             // Remove it before answering so a client that checks the
@@ -531,9 +476,9 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
         // successes and retries only the failed workloads.
         handle.send(Response::Done {
             job: handle.id.clone(),
-            ok,
+            ok: outcome.outcomes.len() as u64 - failed,
             failed,
-            resumed,
+            resumed: outcome.resumed as u64,
         });
         bump("serve.jobs.completed");
     }
@@ -694,7 +639,7 @@ fn handle_submit(
         // A duplicate id sheds too: two runners appending one journal
         // would corrupt it. The retry hint lets the client come back
         // after the in-flight twin finishes (and then hit its journal
-        // or the hot cache).
+        // or the capture store).
         if draining || queued >= state.config.queue_depth as u64 || jobs.contains_key(&id) {
             bump("serve.jobs.busy");
             Err(Response::Busy {
@@ -788,7 +733,6 @@ mod tests {
 
     fn state_with(config: ServeConfig) -> ServerState {
         ServerState {
-            cache: Arc::new(HotCaptureCache::new(config.cache_entries)),
             config,
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
@@ -855,6 +799,82 @@ mod tests {
         sweep_stale_journals(&state_with(config));
         assert!(orphan.exists(), "gc disabled must be a no-op");
 
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Runs `spec` on a state that is already draining, returning every
+    /// response it sent.
+    fn run_draining(dir: &std::path::Path, spec: JobSpec) -> Vec<Response> {
+        let state = state_with(ServeConfig::new(dir.join("drain.sock"), dir));
+        state.draining.store(true, Ordering::SeqCst);
+        let (tx, rx) = mpsc::channel();
+        let handle = JobHandle {
+            id: spec.id(),
+            spec,
+            cancelled: AtomicBool::new(false),
+            tx: Mutex::new(tx),
+        };
+        run_job(&state, &handle);
+        drop(handle);
+        rx.into_iter().collect()
+    }
+
+    #[test]
+    fn a_drain_interrupts_only_a_job_it_leaves_unfinished() {
+        let dir = std::env::temp_dir().join(format!("reap-serve-drain-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = JobSpec {
+            mode: SweepMode::Standard,
+            accesses: 2000,
+            seed: 5,
+            max_retries: None,
+            deadline_ms: None,
+        };
+        let journal = spec.journal_path(&dir);
+        let mut config = CampaignConfig::new(spec.accesses, spec.seed, spec.mode, 2);
+        config.checkpoint = Some(journal.clone());
+        run_sweep_campaign(&config, |_| ControlFlow::Continue(())).unwrap();
+        let full = std::fs::read_to_string(&journal).unwrap();
+        let total = SpecWorkload::ALL.len() as u64;
+
+        // Every workload is journaled: the drain stops nothing, so the
+        // job completes and its journal goes.
+        let responses = run_draining(&dir, spec);
+        let rows = responses
+            .iter()
+            .filter(|r| matches!(r, Response::Row { resumed: true, .. }))
+            .count() as u64;
+        assert_eq!(rows, total);
+        assert_eq!(
+            responses.last(),
+            Some(&Response::Done {
+                job: spec.id(),
+                ok: total,
+                failed: 0,
+                resumed: total,
+            })
+        );
+        assert!(!journal.exists(), "a completed job deletes its journal");
+
+        // Three journaled: the drain cancels the rest, so the job is
+        // interrupted and keeps its journal for a resubmission.
+        let head: Vec<&str> = full.lines().take(4).collect();
+        std::fs::write(&journal, head.join("\n") + "\n").unwrap();
+        let responses = run_draining(&dir, spec);
+        assert_eq!(
+            responses.last(),
+            Some(&Response::Interrupted {
+                job: spec.id(),
+                resumable: true,
+            })
+        );
+        assert_eq!(
+            responses.len(),
+            3 + 1,
+            "the journaled rows, then the terminal"
+        );
+        assert!(journal.exists(), "an interrupted job keeps its journal");
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -4,12 +4,10 @@
 //! delay), so "interrupt mid-job" tests do not race the simulator.
 
 use reap_core::checkpoint::row_to_json;
-use reap_core::{SupervisorConfig, SweepMode, SweepRow};
+use reap_core::{SupervisorConfig, SweepJob, SweepMode, SweepRow};
 use reap_fault::FaultPlan;
 use reap_serve::protocol::{Request, Response};
-use reap_serve::{
-    compute_rows, request_one, serve, submit, ClientConfig, JobSpec, ServeConfig, SubmitOutcome,
-};
+use reap_serve::{request_one, serve, submit, ClientConfig, JobSpec, ServeConfig, SubmitOutcome};
 use reap_trace::SpecWorkload;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -145,11 +143,15 @@ fn spec(mode: SweepMode, accesses: u64, seed: u64) -> JobSpec {
 fn offline(spec: &JobSpec) -> Vec<(String, Vec<SweepRow>)> {
     SpecWorkload::ALL
         .iter()
-        .map(|w| {
-            (
-                w.name().to_owned(),
-                compute_rows(*w, spec, None, None, &mut None).expect("offline rows"),
-            )
+        .map(|&workload| {
+            let job = SweepJob {
+                workload,
+                accesses: spec.accesses,
+                seed: spec.seed,
+                mode: spec.mode,
+            };
+            let rows = job.rows(None, &mut None).expect("offline rows");
+            (workload.name().to_owned(), rows)
         })
         .collect()
 }
