@@ -5,26 +5,54 @@ use crate::observer::{AccessObserver, LineKey};
 use crate::replacement::{PolicyState, Replacement, ReplacementPolicy};
 use crate::stats::CacheStats;
 
-/// Metadata of one cache line.
+/// Metadata of one cache line, 24 bytes: a 1 MB L2 of 64 B blocks keeps
+/// 384 KiB of it.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    valid: bool,
-    dirty: bool,
     tag: u64,
     /// Reads (concealed) since the last ECC check or rewrite. A demand
     /// read reports `unchecked + 1` and resets this to zero.
     unchecked: u64,
-    /// Bumped every rewrite, so resampled contents differ.
-    version: u64,
+    /// The valid and dirty bits above the content version, which every
+    /// rewrite bumps so resampled contents differ. Its 62 bits outlast
+    /// any simulation.
+    state: u64,
 }
 
+/// [`Line::state`] bit: the line holds data.
+const VALID: u64 = 1 << 63;
+/// [`Line::state`] bit: the line differs from memory.
+const DIRTY: u64 = 1 << 62;
+/// [`Line::state`] bits of the content version.
+const VERSION: u64 = DIRTY - 1;
+
 impl Line {
+    fn valid(&self) -> bool {
+        self.state & VALID != 0
+    }
+
+    fn dirty(&self) -> bool {
+        self.state & DIRTY != 0
+    }
+
+    fn version(&self) -> u64 {
+        self.state & VERSION
+    }
+
+    /// Rewrites the content: a new version, marked valid and dirty as
+    /// given, with no unchecked reads.
+    fn rewrite(&mut self, dirty: bool) {
+        let flags = if dirty { VALID | DIRTY } else { VALID };
+        self.state = flags | ((self.version() + 1) & VERSION);
+        self.unchecked = 0;
+    }
+
     /// The content key of this line, resident in `set`.
     fn key(&self, set: usize) -> LineKey {
         LineKey {
             tag: self.tag,
             set: set as u64,
-            version: self.version,
+            version: self.version(),
         }
     }
 }
@@ -139,7 +167,7 @@ impl Cache {
     /// from the current width, so resident lines would change weight.
     pub fn set_check_bits(&mut self, check_bits: usize) {
         debug_assert!(
-            self.lines.iter().all(|l| !l.valid),
+            self.lines.iter().all(|l| !l.valid()),
             "check bits must be set before any line is filled"
         );
         self.check_bits = check_bits;
@@ -183,7 +211,7 @@ impl Cache {
         let base = set * ways;
         let hit_way = (0..ways).find(|&w| {
             let l = &self.lines[base + w];
-            l.valid && l.tag == tag
+            l.valid() && l.tag == tag
         });
         let (seed, bits) = (self.ones_seed, self.stored_line_bits());
 
@@ -191,7 +219,7 @@ impl Cache {
         if self.config.access_mode() == AccessMode::Parallel {
             for w in 0..ways {
                 let line = &mut self.lines[base + w];
-                if !line.valid {
+                if !line.valid() {
                     continue;
                 }
                 self.stats.line_reads += 1;
@@ -245,16 +273,14 @@ impl Cache {
         let base = set * ways;
         let hit_way = (0..ways).find(|&w| {
             let l = &self.lines[base + w];
-            l.valid && l.tag == tag
+            l.valid() && l.tag == tag
         });
         match hit_way {
             Some(w) => {
                 self.stats.write_hits += 1;
                 let (seed, bits) = (self.ones_seed, self.stored_line_bits());
                 let line = &mut self.lines[base + w];
-                line.dirty = true;
-                line.unchecked = 0;
-                line.version += 1;
+                line.rewrite(true);
                 observer.line_write(hook_ones::<O>(seed, bits, line.key(set)));
                 self.policy.on_access(set, w);
                 AccessResult {
@@ -306,7 +332,7 @@ impl Cache {
         let ways = self.config.associativity();
         let base = set * ways;
         let (seed, bits) = (self.ones_seed, self.stored_line_bits());
-        let (way, evicted) = match (0..ways).find(|&w| !self.lines[base + w].valid) {
+        let (way, evicted) = match (0..ways).find(|&w| !self.lines[base + w].valid()) {
             Some(w) => (w, None),
             None => {
                 let w = self.policy.victim(set);
@@ -314,28 +340,23 @@ impl Cache {
                 let victim = &self.lines[base + w];
                 let info = EvictionInfo {
                     address: self.config.join_address(victim.tag, set),
-                    dirty: victim.dirty,
+                    dirty: victim.dirty(),
                     unchecked_reads: victim.unchecked,
                 };
                 self.stats.evictions += 1;
-                if victim.dirty {
+                if victim.dirty() {
                     self.stats.dirty_evictions += 1;
                 }
                 let key = victim.key(set);
                 let ones = hook_ones::<O>(seed, bits, key);
-                observer.eviction_keyed(key, victim.dirty, ones, victim.unchecked);
+                observer.eviction_keyed(key, victim.dirty(), ones, victim.unchecked);
                 (w, Some(info))
             }
         };
         self.stats.fills += 1;
         let line = &mut self.lines[base + way];
-        *line = Line {
-            valid: true,
-            dirty,
-            tag,
-            unchecked: 0,
-            version: line.version + 1,
-        };
+        line.tag = tag;
+        line.rewrite(dirty);
         observer.line_write(hook_ones::<O>(seed, bits, line.key(set)));
         self.policy.on_fill(set, way);
         evicted
@@ -355,7 +376,7 @@ impl Cache {
         let (seed, bits) = (self.ones_seed, self.stored_line_bits());
         let mut scrubbed = 0;
         for (idx, line) in self.lines.iter_mut().enumerate() {
-            if !line.valid {
+            if !line.valid() {
                 continue;
             }
             self.stats.line_reads += 1;
@@ -363,7 +384,7 @@ impl Cache {
             let key = line.key(idx / ways);
             let ones = hook_ones::<O>(seed, bits, key);
             observer.line_read(ones);
-            observer.scrub_check_keyed(key, line.dirty, ones, line.unchecked + 1);
+            observer.scrub_check_keyed(key, line.dirty(), ones, line.unchecked + 1);
             line.unchecked = 0;
             scrubbed += 1;
         }
@@ -377,13 +398,13 @@ impl Cache {
         let base = set * ways;
         (0..ways).any(|w| {
             let l = &self.lines[base + w];
-            l.valid && l.tag == tag
+            l.valid() && l.tag == tag
         })
     }
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 }
 
@@ -818,7 +839,7 @@ mod tests {
         let ways = c.config.associativity();
         c.lines[set * ways..(set + 1) * ways]
             .iter()
-            .filter(|l| l.valid)
+            .filter(|l| l.valid())
             .map(|l| l.key(set))
             .collect()
     }

@@ -77,6 +77,89 @@ impl HierarchyConfig {
     }
 }
 
+/// A request the SRAM L1s send down to the L2: what the front half of
+/// [`Hierarchy::access`] ([`L1Filter`]) produces and its back half
+/// ([`L2Level`]) applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum L2Op {
+    /// A demand read, or a store miss's write-allocate fetch, of the line
+    /// holding this address.
+    Read(u64),
+    /// A dirty L1 victim's full-line write-back to this address.
+    Writeback(u64),
+}
+
+/// The split SRAM L1s: the front half of a [`Hierarchy`].
+///
+/// The hierarchy is non-inclusive, so nothing the L2 does reaches back
+/// into the L1s: the stream of [`L2Op`]s they emit depends only on the
+/// trace. A consumer may therefore run the L1s and the L2 on different
+/// threads and get exactly the hierarchy's behaviour.
+#[derive(Debug)]
+pub struct L1Filter {
+    l1i: Cache,
+    l1d: Cache,
+}
+
+impl L1Filter {
+    /// Drives one access through the L1s, handing each request it sends
+    /// to the L2 to `emit` in the order the L2 must see them: at most one
+    /// read, then at most one write-back.
+    #[inline]
+    pub fn access(&mut self, access: MemoryAccess, mut emit: impl FnMut(L2Op)) {
+        let r = match access.kind {
+            // Instruction lines are never dirty; no write-back.
+            AccessKind::InstrFetch => self.l1i.read(access.address, &mut ()),
+            AccessKind::Load => self.l1d.read(access.address, &mut ()),
+            // Write-allocate: a store miss fetches the line from L2 first.
+            AccessKind::Store => self.l1d.write(access.address, &mut ()),
+        };
+        if !r.hit {
+            emit(L2Op::Read(access.address));
+            if let Some(ev) = r.evicted.filter(|e| e.dirty) {
+                emit(L2Op::Writeback(ev.address));
+            }
+        }
+    }
+}
+
+/// The shared STT-MRAM L2 and the memory traffic below it: the back half
+/// of a [`Hierarchy`], driven by the [`L2Op`]s of an [`L1Filter`].
+#[derive(Debug)]
+pub struct L2Level {
+    l2: Cache,
+    memory_reads: u64,
+    memory_writes: u64,
+}
+
+impl L2Level {
+    /// Mutable access to the L2 (e.g. to reset its counters or scrub it).
+    pub fn l2_mut(&mut self) -> &mut Cache {
+        &mut self.l2
+    }
+
+    /// Applies one L1 request; L2 events are delivered to `observer`.
+    #[inline]
+    pub fn apply<O: AccessObserver>(&mut self, op: L2Op, observer: &mut O) {
+        let r = match op {
+            L2Op::Read(address) => {
+                let r = self.l2.read(address, observer);
+                if !r.hit {
+                    self.memory_reads += 1;
+                }
+                r
+            }
+            // The dirty L1 victim carries the complete line, so a miss
+            // allocates without fetching from memory — unlike a
+            // demand-store write-allocate, no `memory_reads` is charged.
+            L2Op::Writeback(address) => self.l2.install_writeback(address, observer),
+        };
+        if r.evicted.is_some_and(|e| e.dirty) {
+            self.memory_writes += 1;
+        }
+    }
+}
+
 /// A split-L1 + shared-L2 hierarchy driven access by access.
 ///
 /// Policies (matching gem5's classic memory system, which the paper used):
@@ -87,6 +170,11 @@ impl HierarchyConfig {
 /// The [`AccessObserver`] passed to [`access`](Self::access) receives
 /// events from the **L2 only** — the STT-MRAM level whose reliability the
 /// study analyses. The SRAM L1s are immune to read disturbance.
+///
+/// An access runs front then back: the [`L1Filter`] turns it into
+/// [`L2Op`]s and the [`L2Level`] applies them.
+/// [`into_parts`](Self::into_parts) hands the two halves out separately,
+/// so a caller can run them apart.
 ///
 /// # Examples
 ///
@@ -101,11 +189,8 @@ impl HierarchyConfig {
 /// ```
 #[derive(Debug)]
 pub struct Hierarchy {
-    l1i: Cache,
-    l1d: Cache,
-    l2: Cache,
-    memory_reads: u64,
-    memory_writes: u64,
+    front: L1Filter,
+    back: L2Level,
 }
 
 impl Hierarchy {
@@ -113,11 +198,15 @@ impl Hierarchy {
     /// kind (instantiated separately per level).
     pub fn new(config: HierarchyConfig, replacement: Replacement) -> Self {
         Self {
-            l1i: Cache::new(config.l1i, replacement),
-            l1d: Cache::new(config.l1d, replacement),
-            l2: Cache::new(config.l2, replacement),
-            memory_reads: 0,
-            memory_writes: 0,
+            front: L1Filter {
+                l1i: Cache::new(config.l1i, replacement),
+                l1d: Cache::new(config.l1d, replacement),
+            },
+            back: L2Level {
+                l2: Cache::new(config.l2, replacement),
+                memory_reads: 0,
+                memory_writes: 0,
+            },
         }
     }
 
@@ -133,40 +222,51 @@ impl Hierarchy {
     /// ```
     pub fn cache(&self, level: Level) -> &Cache {
         match level {
-            Level::L1I => &self.l1i,
-            Level::L1D => &self.l1d,
-            Level::L2 => &self.l2,
+            Level::L1I => self.l1i(),
+            Level::L1D => self.l1d(),
+            Level::L2 => self.l2(),
         }
     }
 
     /// The L1 instruction cache.
     pub fn l1i(&self) -> &Cache {
-        &self.l1i
+        &self.front.l1i
     }
 
     /// The L1 data cache.
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        &self.front.l1d
     }
 
     /// The shared L2.
     pub fn l2(&self) -> &Cache {
-        &self.l2
+        &self.back.l2
     }
 
     /// Mutable access to the L2 (e.g. to declare ECC check bits).
     pub fn l2_mut(&mut self) -> &mut Cache {
-        &mut self.l2
+        &mut self.back.l2
     }
 
     /// Reads that reached main memory (L2 misses).
     pub fn memory_reads(&self) -> u64 {
-        self.memory_reads
+        self.back.memory_reads
     }
 
     /// Writes that reached main memory (dirty L2 evictions).
     pub fn memory_writes(&self) -> u64 {
-        self.memory_writes
+        self.back.memory_writes
+    }
+
+    /// Takes the hierarchy apart into its front half (the L1s) and its
+    /// back half (the L2), e.g. to drive them on different threads.
+    pub fn into_parts(self) -> (L1Filter, L2Level) {
+        (self.front, self.back)
+    }
+
+    /// Puts a hierarchy back together from [`into_parts`](Self::into_parts).
+    pub fn from_parts(front: L1Filter, back: L2Level) -> Self {
+        Self { front, back }
     }
 
     /// Publishes per-level stats into `registry` as `cache.l1i.*`,
@@ -174,48 +274,22 @@ impl Hierarchy {
     /// accumulating onto prior emissions (see [`CacheStats::emit`]). Call
     /// once per completed simulation pass.
     pub fn emit_metrics(&self, registry: &reap_obs::Registry) {
-        self.l1i.stats().emit(registry, "l1i");
-        self.l1d.stats().emit(registry, "l1d");
-        self.l2.stats().emit(registry, "l2");
+        self.l1i().stats().emit(registry, "l1i");
+        self.l1d().stats().emit(registry, "l1d");
+        self.l2().stats().emit(registry, "l2");
         registry
             .counter("cache.memory.reads")
-            .add(self.memory_reads);
+            .add(self.memory_reads());
         registry
             .counter("cache.memory.writes")
-            .add(self.memory_writes);
+            .add(self.memory_writes());
     }
 
-    /// Drives one access through the hierarchy. L2 events are delivered to
-    /// `observer`.
+    /// Drives one access through the hierarchy: the L1s, then the L2
+    /// requests they send. L2 events are delivered to `observer`.
     pub fn access<O: AccessObserver>(&mut self, access: MemoryAccess, observer: &mut O) {
-        match access.kind {
-            AccessKind::InstrFetch => {
-                let r = self.l1i.read(access.address, &mut ());
-                if !r.hit {
-                    // Instruction lines are never dirty; no write-back.
-                    self.l2_read(access.address, observer);
-                }
-            }
-            AccessKind::Load => {
-                let r = self.l1d.read(access.address, &mut ());
-                if !r.hit {
-                    self.l2_read(access.address, observer);
-                    if let Some(ev) = r.evicted.filter(|e| e.dirty) {
-                        self.l2_writeback(ev.address, observer);
-                    }
-                }
-            }
-            AccessKind::Store => {
-                let r = self.l1d.write(access.address, &mut ());
-                if !r.hit {
-                    // Write-allocate: fetch the line from L2 first.
-                    self.l2_read(access.address, observer);
-                    if let Some(ev) = r.evicted.filter(|e| e.dirty) {
-                        self.l2_writeback(ev.address, observer);
-                    }
-                }
-            }
-        }
+        let back = &mut self.back;
+        self.front.access(access, |op| back.apply(op, observer));
     }
 
     /// Drives a whole trace; returns the number of accesses simulated.
@@ -230,28 +304,6 @@ impl Hierarchy {
             n += 1;
         }
         n
-    }
-
-    fn l2_read<O: AccessObserver>(&mut self, address: u64, observer: &mut O) {
-        let r = self.l2.read(address, observer);
-        if !r.hit {
-            self.memory_reads += 1;
-        }
-        if let Some(ev) = r.evicted.filter(|e| e.dirty) {
-            let _ = ev;
-            self.memory_writes += 1;
-        }
-    }
-
-    fn l2_writeback<O: AccessObserver>(&mut self, address: u64, observer: &mut O) {
-        // The dirty L1 victim carries the complete line, so a miss
-        // allocates without fetching from memory — unlike a demand-store
-        // write-allocate, no `memory_reads` is charged.
-        let r = self.l2.install_writeback(address, observer);
-        if let Some(ev) = r.evicted.filter(|e| e.dirty) {
-            let _ = ev;
-            self.memory_writes += 1;
-        }
     }
 }
 
@@ -378,6 +430,58 @@ mod tests {
         h.access(MemoryAccess::load(64), &mut obs); // L2 read of set 1: set empty
         h.access(MemoryAccess::load(2048 * 64), &mut obs); // same L2 set as line 0
         assert_eq!(obs.0, 1, "the resident line 0 was concealed-read");
+    }
+
+    #[test]
+    fn halves_driven_apart_match_the_hierarchy() {
+        #[derive(Default, PartialEq, Debug)]
+        struct Keys(Vec<(u64, u64, u64, u64)>);
+        impl AccessObserver for Keys {
+            const NEEDS_WEIGHTS: bool = false;
+            fn demand_read_keyed(&mut self, k: crate::LineKey, _: u32, n: u64) {
+                self.0.push((k.tag, k.set, k.version, n));
+            }
+            fn eviction_keyed(&mut self, k: crate::LineKey, dirty: bool, _: u32, n: u64) {
+                self.0
+                    .push((k.tag, k.set, k.version, n | u64::from(dirty) << 63));
+            }
+        }
+        // Loads and stores over 96 KB thrash the L1D with dirty victims;
+        // fetches over a 40 KB loop exercise the L1I.
+        let trace: Vec<MemoryAccess> = (0..20_000u64)
+            .map(|i| {
+                let a = i.wrapping_mul(0x9e37_79b9) % (96 * 1024);
+                match i % 5 {
+                    0 => MemoryAccess::store(a),
+                    1 => MemoryAccess::fetch((1 << 30) | ((i * 64) % (40 * 1024))),
+                    _ => MemoryAccess::load(a),
+                }
+            })
+            .collect();
+        let mut whole = hierarchy();
+        let mut whole_keys = Keys::default();
+        for &a in &trace {
+            whole.access(a, &mut whole_keys);
+        }
+
+        let (mut front, mut back) = hierarchy().into_parts();
+        let mut ops = Vec::new();
+        for &a in &trace {
+            front.access(a, |op| ops.push(op));
+        }
+        assert!(ops.iter().any(|op| matches!(op, L2Op::Writeback(_))));
+        let mut keys = Keys::default();
+        for op in ops {
+            back.apply(op, &mut keys);
+        }
+        let apart = Hierarchy::from_parts(front, back);
+
+        assert_eq!(keys, whole_keys);
+        for level in [Level::L1I, Level::L1D, Level::L2] {
+            assert_eq!(apart.cache(level).stats(), whole.cache(level).stats());
+        }
+        assert_eq!(apart.memory_reads(), whole.memory_reads());
+        assert_eq!(apart.memory_writes(), whole.memory_writes());
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod timing;
 
 pub use cache::{sample_ones, sample_ones_multi, sample_ones_multi_batch, Cache, EvictionInfo};
 pub use config::{AccessMode, CacheConfig, CacheConfigBuilder, ConfigError};
-pub use hierarchy::{Hierarchy, HierarchyConfig, Level};
+pub use hierarchy::{Hierarchy, HierarchyConfig, L1Filter, L2Level, L2Op, Level};
 pub use observer::{AccessObserver, LineKey};
 pub use replacement::{PolicyState, Replacement, ReplacementPolicy};
 pub use stats::CacheStats;

@@ -406,6 +406,11 @@ pub fn run_sweep_campaign(
             || None,
             move |kernel, job: SweepJob| job.rows(store.as_ref(), kernel),
             |i, outcome| {
+                // The simulated kill has fired: a killed process journals
+                // nothing that lands after it, so neither does this one.
+                if interrupt_after.is_some_and(|n| done_this_run as u64 >= n) {
+                    return ControlFlow::Break(());
+                }
                 if let Ok(Ok(rows)) = &outcome.result {
                     if let Some(writer) = writer.as_mut() {
                         // A checkpoint write failure must not kill the
@@ -441,14 +446,10 @@ pub fn run_sweep_campaign(
         )
     };
 
-    let completed_now = outcomes
-        .iter()
-        .filter(|o| matches!(&o.result, Ok(Ok(_))))
-        .count();
-    if interrupt_after.is_some_and(|n| completed_now as u64 >= n) {
+    if interrupt_after.is_some_and(|n| done_this_run as u64 >= n) {
         return Err(CampaignError::Interrupted {
-            completed: completed_now,
-            remaining: workloads.len() - completed_now,
+            completed: done_this_run,
+            remaining: workloads.len() - done_this_run,
         });
     }
 
@@ -681,17 +682,52 @@ mod tests {
         let CampaignError::Interrupted { completed, .. } = err else {
             panic!("expected interrupt: {err}");
         };
-        assert!(completed >= 4);
+        assert_eq!(completed, 4);
 
         // Phase 2: resume without injection.
         let mut cfg = quick(SweepMode::EccSweep);
         cfg.checkpoint = Some(path.clone());
         cfg.resume = true;
         let resumed = run_sweep_campaign(&cfg, keep_going).unwrap();
-        assert!(resumed.resumed >= 4, "resumed {} jobs", resumed.resumed);
+        assert_eq!(resumed.resumed, 4);
         assert_eq!(resumed.failed, 0);
         assert_eq!(rows_bits(&clean), rows_bits(&resumed));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn an_interrupt_journals_exactly_n_results_at_two_workers() {
+        let clean = run_sweep_campaign(&quick(SweepMode::EccSweep), keep_going).unwrap();
+        for run in 0..4 {
+            let path = tmp(&format!("interrupt-j2-{run}.jsonl"));
+            std::fs::remove_file(&path).ok();
+            let mut cfg = CampaignConfig::new(3_000, 11, SweepMode::EccSweep, 2);
+            cfg.checkpoint = Some(path.clone());
+            cfg.supervisor.fault_plan = Some(FaultPlan {
+                interrupt_after: Some(5),
+                ..FaultPlan::default()
+            });
+            let mut seen = 0;
+            let err = run_sweep_campaign(&cfg, |_| {
+                seen += 1;
+                ControlFlow::Continue(())
+            })
+            .unwrap_err();
+            assert!(
+                matches!(err, CampaignError::Interrupted { completed: 5, .. }),
+                "run {run}: {err}"
+            );
+            assert_eq!(seen, 5, "run {run}: the hook saw only what was journaled");
+            let journaled = checkpoint::load(&path).unwrap().completed.len();
+            assert_eq!(journaled, 5, "run {run}");
+
+            cfg.supervisor.fault_plan = None;
+            cfg.resume = true;
+            let resumed = run_sweep_campaign(&cfg, keep_going).unwrap();
+            assert_eq!(resumed.resumed, 5, "run {run}");
+            assert_eq!(rows_bits(&clean), rows_bits(&resumed), "run {run}");
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

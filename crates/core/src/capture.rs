@@ -424,8 +424,16 @@ impl CaptureObserver {
         Self::default()
     }
 
-    /// The events recorded so far (since the capture loop last coded them
-    /// into frames), in simulation order.
+    /// An empty recorder with room for `records` events.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(records),
+        }
+    }
+
+    /// The events recorded so far (since the capture last coded them
+    /// into frames, which it does at the end of every access), in
+    /// simulation order.
     pub fn records(&self) -> &[ExposureRecord] {
         &self.records
     }

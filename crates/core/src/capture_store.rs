@@ -657,7 +657,13 @@ impl<S: FrameSink> FrameEncoder<S> {
     pub(crate) fn with_sink(sink: S) -> Self {
         Self {
             sink,
-            frame: vec![0; 8],
+            frame: {
+                // Room for a frame of 8-byte records (they average about
+                // 6 B), so a capture's back stage rarely grows it.
+                let mut frame = Vec::with_capacity(8 + 8 * FRAME_RECORDS as usize);
+                frame.resize(8, 0);
+                frame
+            },
             prev: [0; 4],
             open: 0,
             count: 0,
@@ -843,6 +849,10 @@ pub(crate) struct EntryWriter {
     tmp: TempFile,
     path: PathBuf,
     fingerprint: u64,
+    /// The failing-writer seam, read when the writer is created: a
+    /// capture's back stage may put the frames from another thread.
+    #[cfg(test)]
+    fail_from: u64,
 }
 
 impl EntryWriter {
@@ -869,6 +879,8 @@ impl EntryWriter {
             tmp,
             path: store.entry_path(key),
             fingerprint,
+            #[cfg(test)]
+            fail_from: tests::FAIL_WRITES_FROM.get(),
         })
     }
 
@@ -880,6 +892,7 @@ impl EntryWriter {
             mut tmp,
             path,
             fingerprint,
+            ..
         } = self;
         let bytes = out.offset;
         let mut file = out.writer.into_inner().map_err(|e| CaptureStoreError::Io {
@@ -904,7 +917,7 @@ impl FrameSink for EntryWriter {
 
     fn put(&mut self, frame: &[u8]) -> Result<(), CaptureStoreError> {
         #[cfg(test)]
-        tests::injected_write_failure(self.out.offset)?;
+        tests::injected_write_failure(self.out.offset, self.fail_from)?;
         self.out.put(frame)
     }
 }
@@ -1391,7 +1404,7 @@ impl CaptureStore {
         workload: SpecWorkload,
         seed: u64,
     ) -> Result<ExposureCapture, SimulationError> {
-        let mut frames = match EntryWriter::create(self, key) {
+        let frames = match EntryWriter::create(self, key) {
             Ok(writer) => FrameEncoder::with_sink(writer),
             Err(e) => {
                 warn(format_args!(
@@ -1400,7 +1413,7 @@ impl CaptureStore {
                 return sim.capture(workload.stream(seed));
             }
         };
-        let pass = sim.capture_into(workload.stream(seed), &mut frames)?;
+        let (pass, frames) = sim.capture_into(workload.stream(seed), frames)?;
         let committed = frames.finish().and_then(|(count, frame_bytes, writer)| {
             let header = V2Header {
                 line_bits: pass.line_bits as u64,
@@ -1547,14 +1560,19 @@ mod tests {
     thread_local! {
         /// The warnings store calls on this test thread printed.
         pub(super) static WARNINGS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-        /// Entry writes on this test thread fail from this byte offset on.
-        static FAIL_WRITES_FROM: Cell<u64> = const { Cell::new(u64::MAX) };
+        /// Entry writers created on this test thread fail from this byte
+        /// offset on.
+        pub(super) static FAIL_WRITES_FROM: Cell<u64> = const { Cell::new(u64::MAX) };
     }
 
     /// The failing-writer seam of [`EntryWriter`]: an I/O error for a
-    /// frame put at or past [`FAIL_WRITES_FROM`].
-    pub(super) fn injected_write_failure(offset: u64) -> Result<(), CaptureStoreError> {
-        if offset < FAIL_WRITES_FROM.get() {
+    /// frame put at or past `fail_from`, the writer's copy of
+    /// [`FAIL_WRITES_FROM`].
+    pub(super) fn injected_write_failure(
+        offset: u64,
+        fail_from: u64,
+    ) -> Result<(), CaptureStoreError> {
+        if offset < fail_from {
             return Ok(());
         }
         Err(CaptureStoreError::Io {
@@ -1883,6 +1901,38 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_failure_mid_capture_ends_both_stages_and_leaves_no_temp_file() {
+        let dir = scratch("sink-failure-stages");
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        let (sim, key) = scrubbed_sim();
+        let total = sim.config().warmup_accesses + sim.config().measure_accesses;
+        for two_stage in [false, true] {
+            // The first frame is written, the second fails.
+            FAIL_WRITES_FROM.set(ENTRY_HEADER_BYTES as u64 + 1);
+            let frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+            FAIL_WRITES_FROM.set(u64::MAX);
+            let pulled = AtomicU64::new(0);
+            let trace = SpecWorkload::Gcc.stream(8).inspect(|_| {
+                pulled.fetch_add(1, Ordering::Relaxed);
+            });
+            let (pass, frames) = sim.capture_staged(trace, frames, two_stage).unwrap();
+            assert_eq!(pass.two_stage, two_stage);
+            let err = frames.finish().map(drop).unwrap_err();
+            assert!(err.to_string().contains("injected write failure"), "{err}");
+            // Both stages stopped well before the end of the window.
+            let pulled = pulled.load(Ordering::Relaxed);
+            assert!(
+                pulled < total / 2,
+                "two-stage {two_stage}: {pulled} of {total}"
+            );
+            assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
+            assert!(!store.entry_path(&key).exists());
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn an_uncreatable_temp_file_captures_in_memory() {
         let dir = scratch("uncreatable");
         std::fs::remove_dir_all(&dir).ok();
@@ -1909,11 +1959,10 @@ mod tests {
         let (sim, key) = scrubbed_sim();
 
         // A capture that returns an error (the trace runs out).
-        let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+        let frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
         assert_eq!(temp_files(&dir).len(), 1);
         let short = SpecWorkload::Gcc.stream(8).take(30_000);
-        assert!(sim.capture_into(short, &mut frames).is_err());
-        drop(frames);
+        assert!(sim.capture_into(short, frames).is_err());
         assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
 
         // A capture that panics.

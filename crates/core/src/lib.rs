@@ -55,6 +55,7 @@ pub mod readpath;
 pub mod report;
 pub mod scheme;
 pub mod simulator;
+mod stages;
 pub mod supervise;
 pub mod sweep;
 

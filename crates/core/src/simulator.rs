@@ -1,13 +1,13 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{
-    CaptureObserver, EventSource, ExposureCapture, ExposureStream, HierarchySnapshot,
-};
-use crate::capture_store::{FrameEncoder, FrameSink, FRAME_RECORDS};
+use crate::capture::{EventSource, ExposureCapture, ExposureStream, HierarchySnapshot};
+use crate::capture_store::{FrameEncoder, FrameSink};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
 use crate::report::Report;
+use crate::stages;
+use crate::supervise::CoreClaim;
 use reap_cache::{sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacement};
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
@@ -178,11 +178,14 @@ pub(crate) struct CapturePass {
     pub(crate) line_bits: usize,
     /// The content-weight hash seed of the captured cache.
     pub(crate) ones_seed: u64,
+    /// Whether the back stage ran on a helper thread.
+    pub(crate) two_stage: bool,
 }
 
 impl CapturePass {
     /// Counts the pass in the `sim.capture.*` and `cache.*` counters:
-    /// `events` records coded into `frame_bytes` bytes of frames. Called
+    /// `events` records coded into `frame_bytes` bytes of frames, and one
+    /// `two_stage` or `inline` capture. Called
     /// once for the pass a capture keeps, so a pass abandoned to a failed
     /// store write is not counted twice.
     pub(crate) fn emit_metrics(&self, events: u64, frame_bytes: u64) {
@@ -192,6 +195,13 @@ impl CapturePass {
         let registry = reap_obs::global();
         registry.counter("sim.capture.exposure_events").add(events);
         registry.counter("sim.capture.frame_bytes").add(frame_bytes);
+        registry
+            .counter(if self.two_stage {
+                "sim.capture.two_stage"
+            } else {
+                "sim.capture.inline"
+            })
+            .add(1);
         self.snapshot.emit_metrics(registry);
     }
 }
@@ -230,11 +240,17 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimulationError`] if the ECC code or array model cannot
-    /// be constructed, or a rate/count parameter is zero.
+    /// be constructed, a rate/count parameter is zero, or the L2 blocks
+    /// are narrower than 8 bytes.
     pub fn new(config: SimulationConfig) -> Result<Self, SimulationError> {
         if config.measure_accesses == 0 {
             return Err(SimulationError::BadParameter(
                 "measure_accesses must be positive",
+            ));
+        }
+        if config.hierarchy.l2.block_bytes() < stages::MIN_L2_BLOCK_BYTES {
+            return Err(SimulationError::BadParameter(
+                "L2 blocks must be at least 8 bytes",
             ));
         }
         if !(config.access_rate_hz.is_finite() && config.access_rate_hz > 0.0) {
@@ -323,8 +339,7 @@ impl Simulator {
     where
         I: IntoIterator<Item = MemoryAccess>,
     {
-        let mut frames = FrameEncoder::new();
-        let pass = self.capture_into(trace, &mut frames)?;
+        let (pass, frames) = self.capture_into(trace, FrameEncoder::new())?;
         let Ok((count, frame_bytes, frames)) = frames.finish();
         pass.emit_metrics(count, frame_bytes);
         Ok(ExposureCapture::from_source(
@@ -343,9 +358,14 @@ impl Simulator {
 
     /// The trace pass of [`capture`](Self::capture): drives `trace`
     /// through the hierarchy, coding the exposure records into `frames`
-    /// as they are recorded, and returns the rest of the capture. The
-    /// frames' sink decides where they go: memory for a store-less
-    /// capture, the entry's file for a store-backed one.
+    /// as they are recorded, and returns the rest of the capture with the
+    /// encoder. The frames' sink decides where they go: memory for a
+    /// store-less capture, the entry's file for a store-backed one.
+    ///
+    /// The pass runs in two stages ([`crate::stages`]): the trace and the
+    /// L1s, then the L2, the recorder and the encoder. The second runs on
+    /// a helper thread when the process's core budget shows a core idle,
+    /// and inline otherwise, with the same frames either way.
     ///
     /// Stops early once the sink has failed, since its caller discards
     /// the pass. Emits no `sim.capture.*` or `cache.*` counters: the
@@ -354,11 +374,30 @@ impl Simulator {
     pub(crate) fn capture_into<I, S>(
         &self,
         trace: I,
-        frames: &mut FrameEncoder<S>,
-    ) -> Result<CapturePass, SimulationError>
+        frames: FrameEncoder<S>,
+    ) -> Result<(CapturePass, FrameEncoder<S>), SimulationError>
     where
         I: IntoIterator<Item = MemoryAccess>,
-        S: FrameSink,
+        S: FrameSink + Send + 'static,
+        S::Error: Send,
+    {
+        let helper = CoreClaim::idle();
+        self.capture_staged(trace, frames, helper.is_some())
+    }
+
+    /// [`capture_into`](Self::capture_into) with the choice made:
+    /// `two_stage` runs the back stage on a helper thread (unless none
+    /// can start), otherwise inline.
+    pub(crate) fn capture_staged<I, S>(
+        &self,
+        trace: I,
+        frames: FrameEncoder<S>,
+        two_stage: bool,
+    ) -> Result<(CapturePass, FrameEncoder<S>), SimulationError>
+    where
+        I: IntoIterator<Item = MemoryAccess>,
+        S: FrameSink + Send + 'static,
+        S::Error: Send,
     {
         let mut span = reap_obs::span("capture");
         let total_accesses = self.config.warmup_accesses + self.config.measure_accesses;
@@ -371,64 +410,28 @@ impl Simulator {
         // is ECC-independent even though the driving cache carries this
         // simulator's check bits.
         hierarchy.l2_mut().set_check_bits(self.check_bits);
-        let mut observer = CaptureObserver::new();
-
-        let mut iter = trace.into_iter();
-        for _ in 0..self.config.warmup_accesses {
-            let Some(a) = iter.next() else {
-                return Err(SimulationError::BadParameter(
-                    "trace shorter than warm-up budget",
-                ));
-            };
-            hierarchy.access(a, &mut ());
-            if let Some(p) = &progress {
-                p.tick(1);
-            }
-        }
-        hierarchy.l2_mut().reset_stats();
-        let mut since_scrub = 0u64;
-        for _ in 0..self.config.measure_accesses {
-            let Some(a) = iter.next() else {
-                return Err(SimulationError::BadParameter(
-                    "trace shorter than access budget",
-                ));
-            };
-            hierarchy.access(a, &mut observer);
-            // Periodic scrubbing (behavioural, see `SimulationConfig`):
-            // checks and exposure-resets every valid L2 line. No terminal
-            // scrub — period 0 stays bit-identical to the historical
-            // unscrubbed capture.
-            if self.config.scrub_period > 0 {
-                since_scrub += 1;
-                if since_scrub >= self.config.scrub_period {
-                    hierarchy.l2_mut().scrub(&mut observer);
-                    since_scrub = 0;
-                }
-            }
-            // Records reach the frame encoder a frame's worth at a time,
-            // so the capture never holds more than one frame of raw
-            // records.
-            if observer.records().len() >= FRAME_RECORDS as usize {
-                observer.drain_into(frames);
-                if frames.failed() {
-                    break;
-                }
-            }
-            if let Some(p) = &progress {
-                p.tick(1);
-            }
-        }
+        let (mut l1, l2) = hierarchy.into_parts();
+        let staged = stages::run(
+            &self.config,
+            &mut trace.into_iter(),
+            &mut l1,
+            l2,
+            frames,
+            progress.as_ref(),
+            two_stage,
+        )?;
         if let Some(p) = &progress {
             p.finish();
         }
-
-        observer.drain_into(frames);
         span.add_events(total_accesses);
-        Ok(CapturePass {
+        let hierarchy = Hierarchy::from_parts(l1, staged.l2);
+        let pass = CapturePass {
             snapshot: HierarchySnapshot::of(&hierarchy),
             line_bits: self.config.hierarchy.l2.line_bits(),
             ones_seed: hierarchy.l2().ones_seed(),
-        })
+            two_stage: staged.two_stage,
+        };
+        Ok((pass, staged.frames))
     }
 
     /// Phase 2: evaluates a captured exposure stream at this simulator's
@@ -818,6 +821,29 @@ mod tests {
             Simulator::new(config),
             Err(SimulationError::BadParameter(_))
         ));
+    }
+
+    #[test]
+    fn l2_blocks_narrower_than_a_capture_op_rejected() {
+        let l2 = |block_bytes| {
+            reap_cache::CacheConfig::builder()
+                .name("L2")
+                .size_bytes(64 * 1024)
+                .associativity(8)
+                .block_bytes(block_bytes)
+                .build()
+                .unwrap()
+        };
+        for (block_bytes, ok) in [(4, false), (8, true)] {
+            let config = SimulationConfig {
+                hierarchy: HierarchyConfig {
+                    l2: l2(block_bytes),
+                    ..HierarchyConfig::paper()
+                },
+                ..quick_config()
+            };
+            assert_eq!(Simulator::new(config).is_ok(), ok, "{block_bytes} B blocks");
+        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   *inside* the supervision boundary, proving the recovery paths;
 //! * each worker lends state built by `init` (a replay kernel's tables)
 //!   to its attempts and rebuilds it after an attempt that fails;
+//! * every worker holds one core of a process-wide budget while it
+//!   runs, registered before any worker starts; a capture takes a
+//!   second core for its back stage only when the budget shows one idle
+//!   ([`crate::Simulator::capture`]);
 //! * the batch returns `Vec<JobOutcome<R>>` in input order, and an
 //!   `on_result` callback observes completions on the calling thread as
 //!   they happen (checkpoint writers and folds hook in here) and can
@@ -32,10 +36,11 @@
 //! `{pool}.supervised.{ok,failed,retries,panics,timeouts}` counters.
 
 use std::cell::Cell;
+use std::num::NonZeroUsize;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Once};
+use std::sync::{mpsc, Arc, Mutex, Once, OnceLock};
 use std::time::Duration;
 
 use reap_fault::FaultPlan;
@@ -66,14 +71,21 @@ fn silence_supervised_panics() {
 
 /// Marks the current thread as inside a supervised attempt for the guard's
 /// lifetime; the flag is restored even when the attempt unwinds.
-struct AttemptMarker {
+pub(crate) struct AttemptMarker {
     prev: bool,
 }
 
 impl AttemptMarker {
     fn enter() -> Self {
+        Self::inherit(true)
+    }
+
+    /// Carries the spawning thread's flag onto a thread a supervised
+    /// attempt hands work to (a capture's back stage), so its panics stay
+    /// as quiet as the attempt's own.
+    pub(crate) fn inherit(in_attempt: bool) -> Self {
         Self {
-            prev: IN_SUPERVISED_ATTEMPT.with(|c| c.replace(true)),
+            prev: IN_SUPERVISED_ATTEMPT.with(|c| c.replace(in_attempt)),
         }
     }
 }
@@ -82,6 +94,58 @@ impl Drop for AttemptMarker {
     fn drop(&mut self) {
         let prev = self.prev;
         IN_SUPERVISED_ATTEMPT.with(|c| c.set(prev));
+    }
+}
+
+/// Whether the calling thread is inside a supervised attempt.
+pub(crate) fn in_supervised_attempt() -> bool {
+    IN_SUPERVISED_ATTEMPT.with(Cell::get)
+}
+
+/// Cores this process keeps busy: the registered workers of every
+/// running supervised pool, plus the back-stage threads of two-stage
+/// captures. A count that publishes no other data, so `Relaxed`.
+static BUSY_CORES: AtomicUsize = AtomicUsize::new(0);
+
+/// The host's cores, as `available_parallelism` reports them (cgroup
+/// quotas included), read once.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// One core of the process-wide core budget, held by a pool worker or a
+/// capture's back stage and handed back on drop.
+#[derive(Debug)]
+pub(crate) struct CoreClaim(());
+
+impl CoreClaim {
+    /// Registers one pool worker. Always succeeds: the pool's `-j` is the
+    /// user's choice.
+    fn register() -> Self {
+        BUSY_CORES.fetch_add(1, Ordering::Relaxed);
+        Self(())
+    }
+
+    /// Claims a core for a capture's back stage if one is idle: the
+    /// host's cores, less the busy ones, less the calling thread itself
+    /// unless it already holds a core as a pool worker. `None` when that
+    /// leaves nothing free; the capture then runs its stages inline.
+    pub(crate) fn idle() -> Option<Self> {
+        let cores = host_cores();
+        let caller = usize::from(!in_supervised_attempt());
+        BUSY_CORES
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+                (busy + caller < cores).then_some(busy + 1)
+            })
+            .ok()
+            .map(|_| Self(()))
+    }
+}
+
+impl Drop for CoreClaim {
+    fn drop(&mut self) {
+        BUSY_CORES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -363,8 +427,11 @@ where
 
     let telemetry = span.is_recording();
     let mut results: Vec<Option<JobOutcome<R>>> = (0..total).map(|_| None).collect();
+    // Every worker holds a core of the budget before any of them starts,
+    // so a capture on the first worker already sees the pool as busy.
+    let cores: Vec<CoreClaim> = (0..workers).map(|_| CoreClaim::register()).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
+        for (w, core) in cores.into_iter().enumerate() {
             let sender = sender.clone();
             let slots = &slots;
             let next = &next;
@@ -373,6 +440,9 @@ where
             let (init, f) = (&init, &f);
             let pool = pool_name;
             scope.spawn(move || {
+                // Handed back as the worker leaves: a capture that
+                // starts after that may take the core.
+                let _core = core;
                 let started = telemetry.then(std::time::Instant::now);
                 let mut state = Some(init());
                 let job_span_name = telemetry.then(|| format!("{pool}.job"));
@@ -963,6 +1033,23 @@ mod tests {
             RetryBackoff::parse_spec("100:2:50:9").is_err(),
             "extra field"
         );
+    }
+
+    #[test]
+    fn a_pool_as_wide_as_the_host_leaves_no_core_idle() {
+        // Every worker is registered before any starts, so even the
+        // first job sees the whole pool busy.
+        let cores = host_cores();
+        let idle = pool_map_supervised(
+            (0..2 * cores).collect(),
+            cores,
+            "core_budget",
+            &strict(),
+            || (),
+            |(), _: usize| CoreClaim::idle().is_some(),
+            keep_going,
+        );
+        assert!(idle.iter().all(|o| o.result == Ok(false)), "{idle:?}");
     }
 
     #[test]

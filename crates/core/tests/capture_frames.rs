@@ -1,6 +1,6 @@
 //! A fresh capture is `reap-capture/2` frames from the start.
-//! `Simulator::capture` codes its records into frames a few thousand at
-//! a time while it runs; these tests pin that the result is byte for
+//! `Simulator::capture` codes its records into frames access by access
+//! while it runs; these tests pin that the result is byte for
 //! byte what encoding the whole record vector at once yields. Every
 //! frame is cut after exactly 4096 records, wherever the cut falls:
 //! exactly on a frame boundary, one record either side of it, or in the

@@ -45,18 +45,21 @@ pub const JSONL_SCHEMA: &str = "reap-obs/2";
 /// these.
 pub const TIMING_KEYS: &[&str] = &["start_us", "dur_us", "wall_s", "rate_per_s", "thread"];
 
-/// Whether a metric's *value* is wall-clock-derived and therefore varies
-/// between otherwise identical runs: the per-worker
-/// `.busy_s`/`.idle_s`/`.utilization` gauges and the automatic
-/// `span.{name}.us` latency histograms. Together with [`TIMING_KEYS`]
-/// and the `process` record, these are the only run-variant content of
-/// an export; determinism tests and the report's `--no-timings` mode
-/// drop them.
+/// Whether a metric's *value* varies between otherwise identical runs:
+/// the wall-clock-derived per-worker `.busy_s`/`.idle_s`/`.utilization`
+/// gauges and automatic `span.{name}.us` latency histograms, and the
+/// `sim.capture.two_stage`/`.inline` counters, which count where the
+/// captures' back stages ran and so depend on the host's idle cores.
+/// Together with [`TIMING_KEYS`] and the `process` record, these are the
+/// only run-variant content of an export; determinism tests and the
+/// report's `--no-timings` mode drop them.
 pub fn is_run_variant_metric(name: &str) -> bool {
     name.ends_with(".busy_s")
         || name.ends_with(".idle_s")
         || name.ends_with(".utilization")
         || (name.starts_with("span.") && name.ends_with(".us"))
+        || name == "sim.capture.two_stage"
+        || name == "sim.capture.inline"
 }
 
 /// A JSON-lines schema version accepted by the readers.

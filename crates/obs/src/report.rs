@@ -257,6 +257,22 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         let _ = writeln!(out);
     }
 
+    // Where the captures' back stages ran: on a helper thread when a
+    // core was idle, inline otherwise. Depends on the host and on `-j`.
+    if options.timings {
+        let two_stage = counter("sim.capture.two_stage");
+        let inline = counter("sim.capture.inline");
+        if two_stage.is_some() || inline.is_some() {
+            let _ = writeln!(
+                out,
+                "captures: {} two-stage, {} inline",
+                two_stage.unwrap_or(0),
+                inline.unwrap_or(0),
+            );
+            let _ = writeln!(out);
+        }
+    }
+
     if snapshot
         .counters
         .iter()
@@ -274,9 +290,10 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         );
         let _ = writeln!(
             out,
-            "       rows computed {}   resumed {}",
+            "       rows computed {}   resumed {}   journals collected {}",
             c("rows.computed"),
             c("rows.resumed"),
+            c("journals.collected"),
         );
         let _ = writeln!(
             out,
@@ -294,7 +311,10 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         .counters
         .iter()
         .filter(|(n, _)| {
-            !n.contains(".worker.") && !n.starts_with("capture_store.") && !n.starts_with("serve.")
+            !n.contains(".worker.")
+                && !n.starts_with("capture_store.")
+                && !n.starts_with("serve.")
+                && !is_run_variant_metric(n)
         })
         .collect();
     if !other_counters.is_empty() {
@@ -633,8 +653,16 @@ mod tests {
         r.gauge("capture_store.bytes_per_event").set(6.24);
         r.counter("sim.capture.exposure_events").add(1000);
         r.counter("sim.capture.frame_bytes").add(5_500);
+        r.counter("sim.capture.two_stage").add(3);
+        r.counter("sim.capture.inline").add(18);
 
         let text = render_report(&r.snapshot(), &ReportOptions::default());
+        assert!(text.contains("captures: 3 two-stage, 18 inline"), "{text}");
+        assert!(!text.contains("sim.capture.two_stage"), "{text}");
+        // Where the back stages ran depends on the host and on `-j`.
+        let stable = render_report(&r.snapshot(), &ReportOptions { timings: false });
+        assert!(!stable.contains("two-stage"), "{stable}");
+        assert!(!stable.contains("sim.capture.inline"), "{stable}");
         assert!(text.contains("replay"), "{text}");
         assert!(text.contains("p95"), "{text}");
         assert!(text.contains("ecc_sweep"), "{text}");
@@ -655,15 +683,20 @@ mod tests {
         r.counter("serve.rows.resumed").add(21);
         r.counter("serve.conn.refused").add(1);
         r.counter("serve.conn.disconnected").add(2);
+        r.counter("serve.journals.collected").add(3);
         let text = render_report(&r.snapshot(), &ReportOptions::default());
         assert!(text.contains("serve: jobs accepted 5"), "{text}");
         assert!(text.contains("completed 4"), "{text}");
         assert!(text.contains("busy 2"), "{text}");
-        assert!(text.contains("rows computed 63   resumed 21"), "{text}");
+        assert!(
+            text.contains("rows computed 63   resumed 21   journals collected 3"),
+            "{text}"
+        );
         assert!(!text.contains("cache"), "{text}");
         assert!(text.contains("refused 1"), "{text}");
         // Summarized counters stay out of the generic counter table.
         assert!(!text.contains("serve.jobs.accepted"), "{text}");
+        assert!(!text.contains("serve.journals.collected"), "{text}");
     }
 
     #[test]
