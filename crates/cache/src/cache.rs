@@ -5,56 +5,111 @@ use crate::observer::{AccessObserver, LineKey};
 use crate::replacement::{PolicyState, Replacement, ReplacementPolicy};
 use crate::stats::CacheStats;
 
-/// Metadata of one cache line, 24 bytes: a 1 MB L2 of 64 B blocks keeps
-/// 384 KiB of it.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    /// Reads (concealed) since the last ECC check or rewrite. A demand
-    /// read reports `unchecked + 1` and resets this to zero.
-    unchecked: u64,
-    /// The valid and dirty bits above the content version, which every
-    /// rewrite bumps so resampled contents differ. Its 62 bits outlast
-    /// any simulation.
-    state: u64,
-}
-
-/// [`Line::state`] bit: the line holds data.
+/// The tag an empty way holds. A real tag is all ones only when it spans
+/// the whole address (1-byte blocks in a single set); the tag match asks
+/// the state row about that one value ([`find_way`]).
+const EMPTY: u64 = u64::MAX;
+/// State-row bit: the way holds data.
 const VALID: u64 = 1 << 63;
-/// [`Line::state`] bit: the line differs from memory.
+/// State-row bit: the line differs from memory.
 const DIRTY: u64 = 1 << 62;
-/// [`Line::state`] bits of the content version.
+/// State-row bits of the content version, which every rewrite bumps so
+/// resampled contents differ. Its 62 bits outlast any simulation.
 const VERSION: u64 = DIRTY - 1;
 
-impl Line {
-    fn valid(&self) -> bool {
-        self.state & VALID != 0
-    }
+/// One set's line metadata: three rows of `ways` words, way `w` at index
+/// `w` of each.
+///
+/// Fills take the first empty way and nothing empties a way, so the valid
+/// ways of a set are always a prefix of its rows.
+struct SetRows<'a> {
+    set: usize,
+    /// The tag of each valid way, [`EMPTY`] in the others.
+    tags: &'a mut [u64],
+    /// Reads (concealed) since the last ECC check or rewrite. A demand
+    /// read reports `unchecked + 1` and resets this to zero.
+    unchecked: &'a mut [u64],
+    /// [`VALID`] and [`DIRTY`] above the content version.
+    state: &'a mut [u64],
+}
 
-    fn dirty(&self) -> bool {
-        self.state & DIRTY != 0
-    }
-
-    fn version(&self) -> u64 {
-        self.state & VERSION
-    }
-
-    /// Rewrites the content: a new version, marked valid and dirty as
-    /// given, with no unchecked reads.
-    fn rewrite(&mut self, dirty: bool) {
-        let flags = if dirty { VALID | DIRTY } else { VALID };
-        self.state = flags | ((self.version() + 1) & VERSION);
-        self.unchecked = 0;
-    }
-
-    /// The content key of this line, resident in `set`.
-    fn key(&self, set: usize) -> LineKey {
-        LineKey {
-            tag: self.tag,
-            set: set as u64,
-            version: self.version(),
+impl<'a> SetRows<'a> {
+    /// The rows of `set` in `meta`, which stores each set's tag,
+    /// unchecked and state rows back to back.
+    #[inline]
+    fn of(meta: &'a mut [u64], ways: usize, set: usize) -> Self {
+        let (tags, rest) = meta[set * 3 * ways..(set + 1) * 3 * ways].split_at_mut(ways);
+        let (unchecked, state) = rest.split_at_mut(ways);
+        Self {
+            set,
+            tags,
+            unchecked,
+            state,
         }
     }
+
+    /// Number of valid ways. A full set, the usual case, is told by its
+    /// last tag alone: empty ways hold [`EMPTY`], so a last tag that is not
+    /// `EMPTY` is a valid way, and the valid prefix spans the row.
+    #[inline]
+    fn valid(&self) -> usize {
+        let ways = self.tags.len();
+        if self.tags[ways - 1] != EMPTY {
+            ways
+        } else {
+            valid_ways(self.state)
+        }
+    }
+
+    #[inline]
+    fn find(&self, tag: u64) -> Option<usize> {
+        find_way(self.tags, self.state, tag)
+    }
+
+    fn dirty(&self, way: usize) -> bool {
+        self.state[way] & DIRTY != 0
+    }
+
+    /// The content key of the line in `way`.
+    #[inline]
+    fn key(&self, way: usize) -> LineKey {
+        LineKey {
+            tag: self.tags[way],
+            set: self.set as u64,
+            version: self.state[way] & VERSION,
+        }
+    }
+
+    /// Rewrites the content of `way`: a new version, marked valid and
+    /// dirty as given, with no unchecked reads.
+    #[inline]
+    fn rewrite(&mut self, way: usize, dirty: bool) {
+        let flags = if dirty { VALID | DIRTY } else { VALID };
+        self.state[way] = flags | (((self.state[way] & VERSION) + 1) & VERSION);
+        self.unchecked[way] = 0;
+    }
+}
+
+/// Number of valid ways in a set with this state row: the length of its
+/// valid prefix.
+#[inline]
+fn valid_ways(state: &[u64]) -> usize {
+    state.partition_point(|&s| s & VALID != 0)
+}
+
+/// The way of a set with these tag and state rows that holds `tag`, if
+/// any. One branch-free pass keeps the first matching way. Valid ways hold
+/// distinct tags and precede the empty ones, so the first match is the
+/// valid holder whenever there is one; only a tag equal to [`EMPTY`] can
+/// match an empty way, and the state row settles that case.
+#[inline]
+fn find_way(tags: &[u64], state: &[u64], tag: u64) -> Option<usize> {
+    let ways = tags.len();
+    let mut hit = ways;
+    for (w, &t) in tags.iter().enumerate().rev() {
+        hit = if t == tag { w } else { hit };
+    }
+    (hit < ways && (tag != EMPTY || state[hit] & VALID != 0)).then_some(hit)
 }
 
 /// The `line_ones` argument `O`'s hooks receive for the content `key`:
@@ -129,7 +184,9 @@ pub struct Cache {
     /// Enum-dispatched: the policy hooks run once or more per access, and
     /// static dispatch lets them inline into the access loop.
     policy: PolicyState,
-    lines: Vec<Line>,
+    /// Line metadata, 24 bytes per line in one [`SetRows`] block per set:
+    /// a 1 MB L2 of 64 B blocks keeps 384 KiB of it.
+    meta: Vec<u64>,
     stats: CacheStats,
     ones_seed: u64,
     /// Extra check bits per line (e.g. 64 for 8x (72,64) SEC-DED),
@@ -148,11 +205,14 @@ impl Cache {
         let sets = config.num_sets();
         let ways = config.associativity();
         let policy = replacement.build_state(sets, ways);
-        let lines = vec![Line::default(); sets * ways];
+        let mut meta = vec![0; sets * 3 * ways];
+        for block in meta.chunks_exact_mut(3 * ways) {
+            block[..ways].fill(EMPTY);
+        }
         Self {
             config,
             policy,
-            lines,
+            meta,
             stats: CacheStats::default(),
             ones_seed,
             check_bits: 0,
@@ -167,7 +227,7 @@ impl Cache {
     /// from the current width, so resident lines would change weight.
     pub fn set_check_bits(&mut self, check_bits: usize) {
         debug_assert!(
-            self.lines.iter().all(|l| !l.valid()),
+            self.valid_lines() == 0,
             "check bits must be set before any line is filled"
         );
         self.check_bits = check_bits;
@@ -207,44 +267,38 @@ impl Cache {
     pub fn read<O: AccessObserver>(&mut self, address: u64, observer: &mut O) -> AccessResult {
         self.stats.reads += 1;
         let (tag, set) = self.config.split_address(address);
-        let ways = self.config.associativity();
-        let base = set * ways;
-        let hit_way = (0..ways).find(|&w| {
-            let l = &self.lines[base + w];
-            l.valid() && l.tag == tag
-        });
+        let parallel = self.config.access_mode() == AccessMode::Parallel;
         let (seed, bits) = (self.ones_seed, self.stored_line_bits());
+        let ways = self.config.associativity();
+        let rows = SetRows::of(&mut self.meta, ways, set);
+        let hit_way = rows.find(tag);
 
-        // Parallel mode: every valid way in the set is physically read.
-        if self.config.access_mode() == AccessMode::Parallel {
-            for w in 0..ways {
-                let line = &mut self.lines[base + w];
-                if !line.valid() {
-                    continue;
-                }
-                self.stats.line_reads += 1;
-                observer.line_read(hook_ones::<O>(seed, bits, line.key(set)));
-                if hit_way != Some(w) {
-                    line.unchecked += 1;
-                    self.stats.concealed_reads += 1;
-                    self.policy.on_concealed_read(set, w);
-                }
+        if parallel {
+            // Every valid way in the set is physically read. The requested
+            // way's read is counted in the row too and reported below.
+            let valid = rows.valid();
+            self.stats.line_reads += valid as u64;
+            for w in 0..valid {
+                observer.line_read(hook_ones::<O>(seed, bits, rows.key(w)));
             }
+            for unchecked in &mut rows.unchecked[..valid] {
+                *unchecked += 1;
+            }
+            self.stats.concealed_reads += (valid - usize::from(hit_way.is_some())) as u64;
+            self.policy.on_concealed_reads(set, valid, hit_way);
         } else if let Some(w) = hit_way {
             // Serial mode: only the matching way is read.
-            let line = &self.lines[base + w];
             self.stats.line_reads += 1;
-            observer.line_read(hook_ones::<O>(seed, bits, line.key(set)));
+            observer.line_read(hook_ones::<O>(seed, bits, rows.key(w)));
         }
 
         match hit_way {
             Some(w) => {
-                let line = &mut self.lines[base + w];
-                let n = line.unchecked + 1;
-                line.unchecked = 0;
+                let n = rows.unchecked[w] + u64::from(!parallel);
+                rows.unchecked[w] = 0;
                 self.stats.read_hits += 1;
                 self.stats.demand_checks += 1;
-                let key = line.key(set);
+                let key = rows.key(w);
                 observer.demand_read_keyed(key, hook_ones::<O>(seed, bits, key), n);
                 self.policy.on_access(set, w);
                 AccessResult {
@@ -269,19 +323,14 @@ impl Cache {
     pub fn write<O: AccessObserver>(&mut self, address: u64, observer: &mut O) -> AccessResult {
         self.stats.writes += 1;
         let (tag, set) = self.config.split_address(address);
+        let (seed, bits) = (self.ones_seed, self.stored_line_bits());
         let ways = self.config.associativity();
-        let base = set * ways;
-        let hit_way = (0..ways).find(|&w| {
-            let l = &self.lines[base + w];
-            l.valid() && l.tag == tag
-        });
-        match hit_way {
+        let mut rows = SetRows::of(&mut self.meta, ways, set);
+        match rows.find(tag) {
             Some(w) => {
                 self.stats.write_hits += 1;
-                let (seed, bits) = (self.ones_seed, self.stored_line_bits());
-                let line = &mut self.lines[base + w];
-                line.rewrite(true);
-                observer.line_write(hook_ones::<O>(seed, bits, line.key(set)));
+                rows.rewrite(w, true);
+                observer.line_write(hook_ones::<O>(seed, bits, rows.key(w)));
                 self.policy.on_access(set, w);
                 AccessResult {
                     hit: true,
@@ -330,34 +379,33 @@ impl Cache {
         observer: &mut O,
     ) -> Option<EvictionInfo> {
         let ways = self.config.associativity();
-        let base = set * ways;
         let (seed, bits) = (self.ones_seed, self.stored_line_bits());
-        let (way, evicted) = match (0..ways).find(|&w| !self.lines[base + w].valid()) {
-            Some(w) => (w, None),
-            None => {
-                let w = self.policy.victim(set);
-                debug_assert!(w < ways, "victim way out of range");
-                let victim = &self.lines[base + w];
-                let info = EvictionInfo {
-                    address: self.config.join_address(victim.tag, set),
-                    dirty: victim.dirty(),
-                    unchecked_reads: victim.unchecked,
-                };
-                self.stats.evictions += 1;
-                if victim.dirty() {
-                    self.stats.dirty_evictions += 1;
-                }
-                let key = victim.key(set);
-                let ones = hook_ones::<O>(seed, bits, key);
-                observer.eviction_keyed(key, victim.dirty(), ones, victim.unchecked);
-                (w, Some(info))
+        let mut rows = SetRows::of(&mut self.meta, ways, set);
+        let valid = rows.valid();
+        let (way, evicted) = if valid < ways {
+            (valid, None)
+        } else {
+            let w = self.policy.victim(set);
+            debug_assert!(w < ways, "victim way out of range");
+            let (victim_dirty, unchecked) = (rows.dirty(w), rows.unchecked[w]);
+            let info = EvictionInfo {
+                address: self.config.join_address(rows.tags[w], set),
+                dirty: victim_dirty,
+                unchecked_reads: unchecked,
+            };
+            self.stats.evictions += 1;
+            if victim_dirty {
+                self.stats.dirty_evictions += 1;
             }
+            let key = rows.key(w);
+            let ones = hook_ones::<O>(seed, bits, key);
+            observer.eviction_keyed(key, victim_dirty, ones, unchecked);
+            (w, Some(info))
         };
         self.stats.fills += 1;
-        let line = &mut self.lines[base + way];
-        line.tag = tag;
-        line.rewrite(dirty);
-        observer.line_write(hook_ones::<O>(seed, bits, line.key(set)));
+        rows.tags[way] = tag;
+        rows.rewrite(way, dirty);
+        observer.line_write(hook_ones::<O>(seed, bits, rows.key(way)));
         self.policy.on_fill(set, way);
         evicted
     }
@@ -372,22 +420,22 @@ impl Cache {
     /// [`AccessObserver::scrub_check`], and the rewrite heals the line.
     /// Returns the number of lines scrubbed.
     pub fn scrub<O: AccessObserver>(&mut self, observer: &mut O) -> u64 {
-        let ways = self.config.associativity();
         let (seed, bits) = (self.ones_seed, self.stored_line_bits());
+        let ways = self.config.associativity();
         let mut scrubbed = 0;
-        for (idx, line) in self.lines.iter_mut().enumerate() {
-            if !line.valid() {
-                continue;
+        for set in 0..self.config.num_sets() {
+            let rows = SetRows::of(&mut self.meta, ways, set);
+            for w in 0..rows.valid() {
+                let key = rows.key(w);
+                let ones = hook_ones::<O>(seed, bits, key);
+                observer.line_read(ones);
+                observer.scrub_check_keyed(key, rows.dirty(w), ones, rows.unchecked[w] + 1);
+                rows.unchecked[w] = 0;
+                scrubbed += 1;
             }
-            self.stats.line_reads += 1;
-            self.stats.scrub_checks += 1;
-            let key = line.key(idx / ways);
-            let ones = hook_ones::<O>(seed, bits, key);
-            observer.line_read(ones);
-            observer.scrub_check_keyed(key, line.dirty(), ones, line.unchecked + 1);
-            line.unchecked = 0;
-            scrubbed += 1;
         }
+        self.stats.line_reads += scrubbed;
+        self.stats.scrub_checks += scrubbed;
         scrubbed
     }
 
@@ -395,16 +443,17 @@ impl Cache {
     pub fn contains(&self, address: u64) -> bool {
         let (tag, set) = self.config.split_address(address);
         let ways = self.config.associativity();
-        let base = set * ways;
-        (0..ways).any(|w| {
-            let l = &self.lines[base + w];
-            l.valid() && l.tag == tag
-        })
+        let (tags, rest) = self.meta[set * 3 * ways..(set + 1) * 3 * ways].split_at(ways);
+        find_way(tags, &rest[ways..], tag).is_some()
     }
 
     /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid()).count()
+        let ways = self.config.associativity();
+        self.meta
+            .chunks_exact(3 * ways)
+            .map(|block| valid_ways(&block[2 * ways..]))
+            .sum()
     }
 }
 
@@ -835,13 +884,9 @@ mod tests {
     }
 
     /// Keys of the valid lines of `set`, in way order.
-    fn resident(c: &Cache, set: usize) -> Vec<LineKey> {
-        let ways = c.config.associativity();
-        c.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .filter(|l| l.valid())
-            .map(|l| l.key(set))
-            .collect()
+    fn resident(c: &mut Cache, set: usize) -> Vec<LineKey> {
+        let rows = SetRows::of(&mut c.meta, c.config.associativity(), set);
+        (0..rows.valid()).map(|w| rows.key(w)).collect()
     }
 
     #[test]
@@ -861,7 +906,7 @@ mod tests {
             for step in 0..60u64 {
                 let address = (step * 7 % 13) * 64;
                 let (tag, set) = c.config.split_address(address);
-                let before = resident(&c, set);
+                let before = resident(&mut c, set);
                 let mut log = WeightLog::default();
                 let is_write = step % 3 == 0;
                 if is_write {
@@ -869,7 +914,7 @@ mod tests {
                 } else {
                     c.read(address, &mut log);
                 }
-                let after = resident(&c, set);
+                let after = resident(&mut c, set);
 
                 for (key, ones) in &log.keyed {
                     assert_eq!(*ones, weight(key), "step {step}: keyed hook on {key:?}");
@@ -895,7 +940,7 @@ mod tests {
             assert!(keyed_events > 20, "demands and evictions were exercised");
 
             let valid: Vec<u32> = (0..c.config.num_sets())
-                .flat_map(|set| resident(&c, set))
+                .flat_map(|set| resident(&mut c, set))
                 .map(|k| weight(&k))
                 .collect();
             let mut log = WeightLog::default();

@@ -52,6 +52,10 @@ pub struct CacheConfig {
     associativity: usize,
     block_bytes: usize,
     access_mode: AccessMode,
+    /// `log2(block_bytes)`: the byte-offset bits below a line address.
+    block_shift: u32,
+    /// `log2(num_sets())`: the set-index bits below a tag.
+    set_shift: u32,
 }
 
 impl CacheConfig {
@@ -87,12 +91,12 @@ impl CacheConfig {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.size_bytes / (self.block_bytes * self.associativity)
+        1 << self.set_shift
     }
 
     /// Total number of lines.
     pub fn num_lines(&self) -> usize {
-        self.size_bytes / self.block_bytes
+        self.size_bytes >> self.block_shift
     }
 
     /// Data bits per line.
@@ -100,17 +104,28 @@ impl CacheConfig {
         self.block_bytes * 8
     }
 
-    /// Splits a byte address into `(tag, set_index)`.
+    /// Splits a byte address into `(tag, set_index)`: the line address
+    /// is `address / block_bytes`, its set is `line % num_sets()` and its
+    /// tag `line / num_sets()`.
+    ///
+    /// [`build`](CacheConfigBuilder::build) admits only power-of-two
+    /// block sizes and set counts, which lets the split be two shifts
+    /// and a mask. The tag keeps the
+    /// `64 - log2(block_bytes) - log2(num_sets())` high address bits; it
+    /// spans all 64 only for 1-byte blocks in a single set.
+    #[inline]
     pub fn split_address(&self, address: u64) -> (u64, usize) {
-        let line = address / self.block_bytes as u64;
-        let set = (line % self.num_sets() as u64) as usize;
-        let tag = line / self.num_sets() as u64;
-        (tag, set)
+        let line = address >> self.block_shift;
+        let set = (line & ((1u64 << self.set_shift) - 1)) as usize;
+        (line >> self.set_shift, set)
     }
 
-    /// Reconstructs the line-granular address from `(tag, set_index)`.
+    /// Reconstructs the line-granular address from `(tag, set_index)`,
+    /// the inverse of [`split_address`](Self::split_address) on its
+    /// outputs.
+    #[inline]
     pub fn join_address(&self, tag: u64, set: usize) -> u64 {
-        (tag * self.num_sets() as u64 + set as u64) * self.block_bytes as u64
+        ((tag << self.set_shift) | set as u64) << self.block_shift
     }
 }
 
@@ -205,6 +220,8 @@ impl CacheConfigBuilder {
             associativity,
             block_bytes,
             access_mode: self.access_mode,
+            block_shift: block_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
         })
     }
 }

@@ -118,6 +118,39 @@ enum PolicyInner {
     LeastErrorRate(LeastErrorRate),
 }
 
+impl PolicyState {
+    /// [`on_concealed_read`](ReplacementPolicy::on_concealed_read) for
+    /// every way in `0..valid` of `set` but `requested`, in way order. It
+    /// dispatches once per access rather than once per way, so a policy
+    /// that ignores concealed reads does no per-way work for them.
+    #[inline]
+    pub(crate) fn on_concealed_reads(
+        &mut self,
+        set: usize,
+        valid: usize,
+        requested: Option<usize>,
+    ) {
+        fn each<P: ReplacementPolicy>(
+            p: &mut P,
+            set: usize,
+            valid: usize,
+            requested: Option<usize>,
+        ) {
+            for way in (0..valid).filter(|&w| Some(w) != requested) {
+                p.on_concealed_read(set, way);
+            }
+        }
+        match &mut self.inner {
+            PolicyInner::Lru(p) => each(p, set, valid, requested),
+            PolicyInner::TreePlru(p) => each(p, set, valid, requested),
+            PolicyInner::Fifo(p) => each(p, set, valid, requested),
+            PolicyInner::Random(p) => each(p, set, valid, requested),
+            PolicyInner::Srrip(p) => each(p, set, valid, requested),
+            PolicyInner::LeastErrorRate(p) => each(p, set, valid, requested),
+        }
+    }
+}
+
 impl ReplacementPolicy for PolicyState {
     fn on_access(&mut self, set: usize, way: usize) {
         match &mut self.inner {

@@ -220,3 +220,79 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    /// Shift-and-mask indexing is the division arithmetic it replaces,
+    /// and splitting then joining keeps the line address, for any block
+    /// size, any power-of-two set count and any way count, including
+    /// ones that are not powers of two.
+    #[test]
+    fn address_split_matches_division(
+        block_pow in 0u32..=12,
+        sets_pow in 0u32..=12,
+        ways in prop_oneof![Just(12usize), Just(24), 1usize..=16],
+        address in any::<u64>(),
+    ) {
+        let (block, sets) = (1usize << block_pow, 1usize << sets_pow);
+        let config = CacheConfig::builder()
+            .name("T")
+            .size_bytes(sets * ways * block)
+            .associativity(ways)
+            .block_bytes(block)
+            .build()
+            .unwrap();
+        prop_assert_eq!(config.num_sets(), sets);
+        let (block, sets) = (block as u64, sets as u64);
+        let line = address / block;
+        let (tag, set) = config.split_address(address);
+        prop_assert_eq!((tag, set as u64), (line / sets, line % sets));
+        let joined = config.join_address(tag, set);
+        prop_assert_eq!(joined, (tag * sets + set as u64) * block);
+        prop_assert_eq!(joined, address - address % block);
+        prop_assert_eq!(config.split_address(joined), (tag, set));
+    }
+
+    /// With 1-byte blocks in a single set the tag is the whole address,
+    /// so the all-ones tag that marks an empty way is also a real one.
+    /// Driven over the top eight addresses, the cache must still match a
+    /// plain LRU list: no empty way passes for the line at `u64::MAX`.
+    #[test]
+    fn empty_way_marker_never_aliases_a_real_tag(
+        ways in 1usize..=4,
+        serial in any::<bool>(),
+        ops in proptest::collection::vec(((u64::MAX - 7)..=u64::MAX, any::<bool>()), 1..40),
+    ) {
+        let mode = if serial { AccessMode::Serial } else { AccessMode::Parallel };
+        let config = CacheConfig::builder()
+            .name("T")
+            .size_bytes(ways)
+            .associativity(ways)
+            .block_bytes(1)
+            .access_mode(mode)
+            .build()
+            .unwrap();
+        let mut c = Cache::new(config, Replacement::Lru);
+        prop_assert!(!c.contains(u64::MAX), "an empty cache holds nothing");
+        // Most recent last.
+        let mut lru: Vec<u64> = Vec::new();
+        for (address, write) in ops {
+            let r = if write { c.write(address, &mut ()) } else { c.read(address, &mut ()) };
+            let held = lru.iter().position(|&a| a == address);
+            prop_assert_eq!(r.hit, held.is_some(), "address {:#x}", address);
+            let evicted = match held {
+                Some(i) => {
+                    lru.remove(i);
+                    None
+                }
+                None if lru.len() == ways => Some(lru.remove(0)),
+                None => None,
+            };
+            lru.push(address);
+            prop_assert_eq!(r.evicted.map(|e| e.address), evicted);
+            prop_assert_eq!(c.valid_lines(), lru.len());
+            for a in (u64::MAX - 7)..=u64::MAX {
+                prop_assert_eq!(c.contains(a), lru.contains(&a), "contains {:#x}", a);
+            }
+        }
+    }
+}

@@ -456,6 +456,7 @@ impl AccessObserver for CaptureObserver {
     /// each analysis point's width), so the cache need not sample it.
     const NEEDS_WEIGHTS: bool = false;
 
+    #[inline]
     fn demand_read_keyed(&mut self, key: LineKey, _line_ones: u32, unchecked_reads: u64) {
         self.records.push(ExposureRecord {
             kind: ExposureKind::Demand,
@@ -464,6 +465,7 @@ impl AccessObserver for CaptureObserver {
         });
     }
 
+    #[inline]
     fn eviction_keyed(&mut self, key: LineKey, dirty: bool, _line_ones: u32, unchecked_reads: u64) {
         if dirty && unchecked_reads > 0 {
             self.records.push(ExposureRecord {

@@ -109,10 +109,7 @@ macro_rules! impl_int_range {
             fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "cannot sample from empty range");
                 let span = (self.end as u128).wrapping_sub(self.start as u128);
-                // Multiply-shift bounded sampling; the modulo bias over a
-                // 64-bit draw is < 2^-64 per call — irrelevant here.
-                let draw = rng.next_u64() as u128 % span;
-                (self.start as u128 + draw) as $t
+                (self.start as u128 + bounded(rng, span)) as $t
             }
         }
 
@@ -121,11 +118,24 @@ macro_rules! impl_int_range {
                 let (start, end) = (*self.start(), *self.end());
                 assert!(start <= end, "cannot sample from empty range");
                 let span = (end as u128).wrapping_sub(start as u128) + 1;
-                let draw = rng.next_u64() as u128 % span;
-                (start as u128 + draw) as $t
+                (start as u128 + bounded(rng, span)) as $t
             }
         }
     )*};
+}
+
+/// One 64-bit draw reduced modulo `span` (`1 ..= 2^64`); the modulo bias
+/// is below 2^-64 per call — irrelevant here. A span that fits in 64 bits
+/// takes a 64-bit remainder, which gives the same value as the 128-bit
+/// one without its software division; only `2^64` (a full inclusive
+/// `u64` range) needs 128 bits.
+#[inline]
+fn bounded<R: RngCore + ?Sized>(rng: &mut R, span: u128) -> u128 {
+    let draw = rng.next_u64();
+    match u64::try_from(span) {
+        Ok(span) => u128::from(draw % span),
+        Err(_) => u128::from(draw) % span,
+    }
 }
 
 impl_int_range!(u8, u16, u32, u64, usize);
@@ -299,6 +309,89 @@ mod tests {
             let v = rng.gen_range(3..=5u64);
             assert!((3..=5).contains(&v));
         }
+    }
+
+    /// The integer draws are pinned: taking a 64-bit remainder where the
+    /// span fits must not move any of them, and the full inclusive `u64`
+    /// range keeps the 128-bit one.
+    #[test]
+    fn integer_range_draws_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(2019);
+        let mut draws = |sample: &mut dyn FnMut(&mut StdRng) -> u64| -> [u64; 4] {
+            [(); 4].map(|()| sample(&mut rng))
+        };
+        assert_eq!(draws(&mut |r| r.gen_range(0..10u64)), [4, 3, 1, 3]);
+        assert_eq!(
+            draws(&mut |r| r.gen_range(5..1_000_003u64)),
+            [674971, 197674, 642182, 640335]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..u64::MAX)),
+            [
+                9395566515551586242,
+                17038811544664011036,
+                7553629298226914028,
+                7591815280772877494
+            ]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range((u64::MAX - 3)..u64::MAX)),
+            [u64::MAX - 3, u64::MAX - 1, u64::MAX - 1, u64::MAX - 2]
+        );
+        assert_eq!(draws(&mut |r| r.gen_range(3..=5u64)), [4, 3, 5, 4]);
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..=(u64::MAX - 1))),
+            [
+                5146719164902826880,
+                13291459234147259410,
+                6568145322512953155,
+                14314751229173515380
+            ]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..=u64::MAX)),
+            [
+                11432118591513676954,
+                5209086379287473111,
+                8193451098728595988,
+                562820008293100555
+            ]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(1..=u64::MAX)),
+            [
+                18419779722708426337,
+                5300991563892750750,
+                5624392238943614608,
+                7124349157127045798
+            ]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..300_000usize) as u64),
+            [6076, 262119, 93787, 277989]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..usize::MAX) as u64),
+            [
+                1639926090785134513,
+                7315461977009242600,
+                5921262734487576253,
+                6094740443255526363
+            ]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..=7999usize) as u64),
+            [2072, 2957, 7525, 27]
+        );
+        assert_eq!(
+            draws(&mut |r| r.gen_range(0..=usize::MAX) as u64),
+            [
+                1662833378818849497,
+                16489591623453863824,
+                17358241815674948326,
+                11362600182720608038
+            ]
+        );
     }
 
     #[test]

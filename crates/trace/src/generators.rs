@@ -105,7 +105,12 @@ impl Iterator for StridedStream {
 
     fn next(&mut self) -> Option<MemoryAccess> {
         let addr = self.base + self.cursor as u64 * LINE_BYTES;
-        self.cursor = (self.cursor + self.stride_lines) % self.lines;
+        // The cursor stays below `lines`, so a stride that does not wrap
+        // needs no division.
+        self.cursor += self.stride_lines;
+        if self.cursor >= self.lines {
+            self.cursor %= self.lines;
+        }
         Some(MemoryAccess {
             address: addr,
             kind: self.kind.pick(&mut self.rng),
@@ -132,6 +137,10 @@ impl Iterator for StridedStream {
 pub struct ZipfHotSet {
     base: u64,
     cdf: Vec<f64>,
+    /// Cutpoint (guide) table over `cdf`: `guide[k]` is the first rank
+    /// whose CDF reaches `k / guide.len()`. Its length is a power of two,
+    /// so a draw's bucket and every bucket edge are exact in `f64`.
+    guide: Vec<u32>,
     permutation: Vec<u32>,
     kind: KindModel,
     rng: StdRng,
@@ -159,6 +168,17 @@ impl ZipfHotSet {
         for v in &mut cdf {
             *v /= total;
         }
+        let buckets = lines.next_power_of_two();
+        let mut rank = 0;
+        let guide = (0..buckets)
+            .map(|k| {
+                let edge = k as f64 / buckets as f64;
+                while rank < lines - 1 && cdf[rank] < edge {
+                    rank += 1;
+                }
+                rank as u32
+            })
+            .collect();
         let mut permutation: Vec<u32> = (0..lines as u32).collect();
         // Fisher-Yates with the generator's own RNG.
         for i in (1..lines).rev() {
@@ -168,6 +188,7 @@ impl ZipfHotSet {
         Self {
             base,
             cdf,
+            guide,
             permutation,
             kind,
             rng,
@@ -176,7 +197,23 @@ impl ZipfHotSet {
 
     fn sample_rank(&mut self) -> usize {
         let u: f64 = self.rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(u)
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` selects:
+    /// `cdf.partition_point(|&c| c < u)`, capped at the last rank.
+    ///
+    /// `u` lies in guide bucket `k = floor(u * len)`, whose lower edge
+    /// `k / len` is at most `u`, so the answer is at or after `guide[k]`;
+    /// the walk steps forward from there to it. A bucket holds about one
+    /// rank on average, so the walk is short.
+    fn rank_of(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let mut rank = self.guide[(u * self.guide.len() as f64) as usize] as usize;
+        while rank < last && self.cdf[rank] < u {
+            rank += 1;
+        }
+        rank
     }
 }
 
@@ -405,6 +442,29 @@ mod tests {
             "top = {}, median = {median}",
             freqs[0]
         );
+    }
+
+    proptest::proptest! {
+        /// The guide-table draw is the CDF binary search it replaces, at
+        /// the draws most likely to split them: zero, every CDF value and
+        /// its neighbours on either side, and the largest draw below one.
+        #[test]
+        fn zipf_guide_table_equals_binary_search(
+            lines in proptest::prop_oneof![1usize..=64, 65usize..=8000],
+            s in 0.5f64..1.5,
+            seed in 0u64..1 << 20,
+        ) {
+            let z = ZipfHotSet::new(0, lines, s, DATA, seed);
+            let last = z.cdf.len() - 1;
+            let edges = z.cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+            for u in [0.0, 1.0f64.next_down()].into_iter().chain(edges) {
+                if !(0.0..1.0).contains(&u) {
+                    continue;
+                }
+                let expected = z.cdf.partition_point(|&c| c < u).min(last);
+                proptest::prop_assert_eq!(z.rank_of(u), expected, "u = {u:e}");
+            }
+        }
     }
 
     #[test]
