@@ -11,14 +11,16 @@
 //!    stream walk and weight draws across points;
 //! 2. **batched** — one [`Simulator::replay_batch`] walk for all points;
 //! 3. **kernel** — each capture's records are decoded and their line
-//!    weights sampled once, with [`sample_ones_multi_batch`] on 64-record
-//!    blocks as the replay feeder does, outside the timers. The same
-//!    records and weights are then scored by the batched kernel
-//!    ([`MultiReplayAggregator::record_block`] on 64-record blocks) and
-//!    by one independent [`ReplayAggregator`] per point, the kernel's
-//!    bit-identity reference. `kernel_speedup` is the reference time
-//!    over the kernel time, and `kernel_ns_per_event_point` the kernel's
-//!    absolute cost.
+//!    weights sampled once per stored width, with
+//!    [`sample_ones_multi_batch`] on 64-record blocks as the replay
+//!    feeder does, outside the timers. The same records and weights are
+//!    then scored by the batched kernel through the entry the replay
+//!    feeder uses ([`MultiReplayAggregator::record_block_by_width`] on
+//!    64-record blocks) and by one independent [`ReplayAggregator`] per
+//!    point, the kernel's bit-identity reference. The points interleave
+//!    widths, so the kernel's point → width-group map is exercised.
+//!    `kernel_speedup` is the reference time over the kernel time, and
+//!    `kernel_ns_per_event_point` the kernel's absolute cost.
 //!
 //! The reports must agree bit-for-bit across all paths (the bench fails
 //! otherwise — it doubles as an end-to-end identity check at realistic
@@ -44,12 +46,13 @@ use reap_trace::SpecWorkload;
 use std::time::{Duration, Instant};
 
 /// Exit floors of `kernel_speedup` at full and at smoke budget. On a
-/// 2-core Xeon the batched kernel scores these inputs 11.1x faster than
-/// per-point aggregators at full budget (4.4–5.1x over ten smoke runs),
-/// while the retired scalar batched kernel managed 5.3x (3.1–3.5x): a
-/// kernel that falls back to scalar speed fails.
-const KERNEL_SPEEDUP_FLOOR: f64 = 8.0;
-const KERNEL_SPEEDUP_FLOOR_SMOKE: f64 = 3.9;
+/// 2-core Xeon the width-grouped kernel scores these inputs 14.0x
+/// faster than per-point aggregators at full budget (6.0–6.9x over ten
+/// smoke runs), while the per-point lane kernel it replaced managed
+/// 11.0–11.5x over three full runs (4.4–5.1x over twenty smoke runs): a
+/// kernel that loses the width grouping fails.
+const KERNEL_SPEEDUP_FLOOR: f64 = 12.5;
+const KERNEL_SPEEDUP_FLOOR_SMOKE: f64 = 5.2;
 
 /// Records decoded, sampled and scored per chunk of the kernel timing:
 /// bounds the bench's buffers while keeping each timed span long.
@@ -96,17 +99,15 @@ fn aggregator_bits(a: &ReplayAggregator) -> ([u64; 4], [u64; 3]) {
 /// two agree bit for bit.
 fn time_kernel(points: &[Simulator], capture: &ExposureCapture) -> (Duration, Duration) {
     let kernel_points = Simulator::batch_kernel_points(points, capture);
-    let npts = kernel_points.len();
-    let mut widths: Vec<usize> = kernel_points.iter().map(|&(_, w)| w as usize).collect();
-    widths.sort_unstable();
-    widths.dedup();
+    let mut multi = MultiReplayAggregator::new(kernel_points.clone());
+    let widths = multi.stored_widths().to_vec();
     let nw = widths.len();
+    // Which per-width weight each reference aggregator scores.
     let slot: Vec<usize> = kernel_points
         .iter()
         .map(|&(_, w)| widths.binary_search(&(w as usize)).expect("width present"))
         .collect();
 
-    let mut multi = MultiReplayAggregator::new(kernel_points.clone());
     let mut solo: Vec<ReplayAggregator> = kernel_points
         .iter()
         .map(|&(model, width)| ReplayAggregator::new(model, width))
@@ -115,8 +116,7 @@ fn time_kernel(points: &[Simulator], capture: &ExposureCapture) -> (Duration, Du
     let mut events = capture.iter().expect("capture stream");
     let mut kinds: Vec<(ExposureKind, u64)> = Vec::with_capacity(CHUNK);
     let mut keys: Vec<(u64, u64, u64)> = Vec::with_capacity(CHUNK);
-    let mut by_width = vec![0u32; BLOCK * nw];
-    let mut by_point = vec![0u32; CHUNK * npts];
+    let mut by_width = vec![0u32; CHUNK * nw];
     loop {
         kinds.clear();
         keys.clear();
@@ -132,31 +132,21 @@ fn time_kernel(points: &[Simulator], capture: &ExposureCapture) -> (Duration, Du
         if kinds.is_empty() {
             break;
         }
-        let n = kinds.len();
-        for (b, block) in keys.chunks(BLOCK).enumerate() {
-            let out = &mut by_width[..block.len() * nw];
+        let by_width = &mut by_width[..kinds.len() * nw];
+        for (block, out) in keys.chunks(BLOCK).zip(by_width.chunks_mut(BLOCK * nw)) {
             sample_ones_multi_batch(capture.ones_seed(), block, &widths, out);
-            for (row, ones) in out.chunks(nw).enumerate() {
-                let at = (b * BLOCK + row) * npts;
-                for (p, &s) in slot.iter().enumerate() {
-                    by_point[at + p] = ones[s];
-                }
-            }
         }
 
         let t0 = Instant::now();
-        for (records, ones) in kinds
-            .chunks(BLOCK)
-            .zip(by_point[..n * npts].chunks(BLOCK * npts))
-        {
-            multi.record_block(records, ones);
+        for (records, ones) in kinds.chunks(BLOCK).zip(by_width.chunks(BLOCK * nw)) {
+            multi.record_block_by_width(records, ones);
         }
         kernel += t0.elapsed();
 
         let t1 = Instant::now();
-        for (p, agg) in solo.iter_mut().enumerate() {
+        for (agg, &s) in solo.iter_mut().zip(&slot) {
             for (r, &(kind, reads)) in kinds.iter().enumerate() {
-                agg.record(kind, by_point[r * npts + p], reads);
+                agg.record(kind, by_width[r * nw + s], reads);
             }
         }
         reference += t1.elapsed();

@@ -189,19 +189,24 @@ impl CapturePass {
     /// once for the pass a capture keeps, so a pass abandoned to a failed
     /// store write is not counted twice.
     pub(crate) fn emit_metrics(&self, events: u64, frame_bytes: u64) {
-        if !reap_obs::enabled() {
-            return;
+        if reap_obs::enabled() {
+            self.count_into(reap_obs::global(), events, frame_bytes);
         }
-        let registry = reap_obs::global();
+    }
+
+    /// [`emit_metrics`](Self::emit_metrics) into `registry`. Both mode
+    /// counters are registered on every pass (the mode that did not run
+    /// by 0), so the set of exported metric names does not depend on
+    /// whether the host had a core idle.
+    fn count_into(&self, registry: &reap_obs::Registry, events: u64, frame_bytes: u64) {
         registry.counter("sim.capture.exposure_events").add(events);
         registry.counter("sim.capture.frame_bytes").add(frame_bytes);
         registry
-            .counter(if self.two_stage {
-                "sim.capture.two_stage"
-            } else {
-                "sim.capture.inline"
-            })
-            .add(1);
+            .counter("sim.capture.two_stage")
+            .add(u64::from(self.two_stage));
+        registry
+            .counter("sim.capture.inline")
+            .add(u64::from(!self.two_stage));
         self.snapshot.emit_metrics(registry);
     }
 }
@@ -548,7 +553,7 @@ impl Simulator {
                 .add(points.len() as u64);
         }
 
-        let fed = Self::feed_batch(points, capture, multi);
+        let fed = Self::feed_batch(capture, multi);
         let aggregators = multi.take_reports();
         fed?;
         Ok(Self::assemble_batch(points, capture, aggregators))
@@ -574,43 +579,31 @@ impl Simulator {
 
     /// Streams the capture once in blocks of [`Self::FEED_BLOCK`]
     /// records, resampling each record's weight once per *distinct*
-    /// stored width and scattering to the per-point slots the kernel
-    /// expects. Each block is handed to
-    /// [`MultiReplayAggregator::record_block`] as `(records, ones)` —
-    /// `records[r]` is `(kind, unchecked_reads)` and
-    /// `ones[r * points.len() ..]` its per-point weights, in capture
-    /// order.
+    /// stored width — the kernel's
+    /// [`stored_widths`](MultiReplayAggregator::stored_widths) — and
+    /// handing each block to
+    /// [`MultiReplayAggregator::record_block_by_width`] as `(records,
+    /// ones)`: `records[r]` is `(kind, unchecked_reads)` and `ones[r *
+    /// widths ..]` its per-width weights, in capture order. Every point
+    /// of a width scores that width's weight, so nothing is scattered
+    /// to points.
     ///
     /// Blocking serves both halves of the pipeline: one record's hash
     /// walk is a serial feedback chain, so `sample_ones_multi_batch`
     /// steps four records' chains in lockstep to hide the latency, and
-    /// the vectorized kernel register-blocks its running sums across
-    /// each block. The block buffers are reused across the stream — no
-    /// per-record allocation.
+    /// the kernel register-blocks its running sums across each block.
+    /// The block buffers are reused across the stream — no per-record
+    /// allocation.
     fn feed_batch(
-        points: &[Simulator],
         capture: &ExposureCapture,
         multi: &mut MultiReplayAggregator,
     ) -> Result<(), SimulationError> {
-        let stored_bits: Vec<usize> = points
-            .iter()
-            .map(|sim| capture.line_bits() + sim.check_bits)
-            .collect();
-        let mut widths = stored_bits.clone();
-        widths.sort_unstable();
-        widths.dedup();
-        let width_index: Vec<usize> = stored_bits
-            .iter()
-            .map(|w| widths.binary_search(w).expect("width present"))
-            .collect();
-
+        let widths = multi.stored_widths().to_vec();
         let seed = capture.ones_seed();
         let nw = widths.len();
-        let npts = points.len();
         let mut keys: Vec<(u64, u64, u64)> = Vec::with_capacity(Self::FEED_BLOCK);
         let mut kinds: Vec<(ExposureKind, u64)> = Vec::with_capacity(Self::FEED_BLOCK);
-        let mut ones_by_width = vec![0u32; Self::FEED_BLOCK * nw];
-        let mut ones_by_point = vec![0u32; Self::FEED_BLOCK * npts];
+        let mut ones = vec![0u32; Self::FEED_BLOCK * nw];
         let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
         loop {
             keys.clear();
@@ -634,13 +627,9 @@ impl Simulator {
             // four records' walks interleaved — bit-identical to a
             // per-width `sample_ones` (property-tested in reap-cache)
             // at a fraction of the per-record hashing latency.
-            sample_ones_multi_batch(seed, &keys, &widths, &mut ones_by_width[..keys.len() * nw]);
-            for row in 0..keys.len() {
-                for (i, &w) in width_index.iter().enumerate() {
-                    ones_by_point[row * npts + i] = ones_by_width[row * nw + w];
-                }
-            }
-            multi.record_block(&kinds, &ones_by_point[..keys.len() * npts]);
+            let ones = &mut ones[..keys.len() * nw];
+            sample_ones_multi_batch(seed, &keys, &widths, ones);
+            multi.record_block_by_width(&kinds, ones);
         }
     }
 
@@ -751,6 +740,28 @@ mod tests {
             measure_accesses: 30_000,
             ..SimulationConfig::default()
         }
+    }
+
+    #[test]
+    fn an_inline_capture_exports_both_capture_mode_counters() {
+        let sim = Simulator::new(quick_config()).unwrap();
+        let (pass, _) = sim
+            .capture_staged(SpecWorkload::Gcc.stream(8), FrameEncoder::new(), false)
+            .unwrap();
+        assert!(!pass.two_stage);
+        let registry = reap_obs::Registry::new();
+        pass.count_into(&registry, 5, 40);
+        let mut jsonl = Vec::new();
+        reap_obs::export::write_jsonl(&registry.snapshot(), &mut jsonl).unwrap();
+        let jsonl = String::from_utf8(jsonl).unwrap();
+        for name in ["sim.capture.two_stage", "sim.capture.inline"] {
+            assert!(
+                jsonl.contains(&format!("\"name\":\"{name}\"")),
+                "{name} missing from {jsonl}"
+            );
+        }
+        assert_eq!(registry.counter("sim.capture.two_stage").get(), 0);
+        assert_eq!(registry.counter("sim.capture.inline").get(), 1);
     }
 
     #[test]

@@ -38,9 +38,9 @@ fn mix(seed: u64, j: u64) -> u64 {
 }
 
 /// An adversarial analysis-point set for the kernel properties: up to
-/// two full 4-wide lane chunks plus a remainder, heterogeneous stored
-/// widths and disturb probabilities (optionally including the certain
-/// failure corner `P = 1`), mixed correction strengths.
+/// nine points, heterogeneous stored widths and disturb probabilities
+/// (optionally including the certain failure corner `P = 1`), mixed
+/// correction strengths.
 fn kernel_points(num_points: usize, seed: u64, certain: bool) -> Vec<(AccumulationModel, u32)> {
     (0..num_points)
         .map(|p| {
@@ -52,6 +52,29 @@ fn kernel_points(num_points: usize, seed: u64, certain: bool) -> Vec<(Accumulati
             let t = 1 + (mix(seed ^ 0x7e57, p as u64) % 3) as usize;
             let width = 64 + (mix(seed ^ 0x91d7, p as u64) % 500) as u32;
             (AccumulationModel::new(p_rd, t), width)
+        })
+        .collect()
+}
+
+/// A width-grouped analysis-point set: [`kernel_points`]' models, with
+/// widths drawn from a pool of `pool` values in a seeded order, so points
+/// of one width interleave with the others and groups of up to
+/// `num_points` lanes form.
+fn grouped_kernel_points(
+    num_points: usize,
+    pool: usize,
+    seed: u64,
+    certain: bool,
+) -> Vec<(AccumulationModel, u32)> {
+    let widths: Vec<u32> = (0..pool as u64)
+        .map(|i| 64 + (mix(seed ^ 0x3a11, i) % 500) as u32)
+        .collect();
+    kernel_points(num_points, seed, certain)
+        .into_iter()
+        .enumerate()
+        .map(|(p, (model, _))| {
+            let g = mix(seed ^ 0x0dd, p as u64) % pool as u64;
+            (model, widths[g as usize])
         })
         .collect()
 }
@@ -530,6 +553,89 @@ proptest! {
         });
         blocked.record_block(&block, &block_ones);
         for batch in [vectorized.finish(), blocked.finish()] {
+            for (got, want) in batch.iter().zip(&solo) {
+                prop_assert_eq!(
+                    got.conventional().expected_failures().to_bits(),
+                    want.conventional().expected_failures().to_bits()
+                );
+                prop_assert_eq!(got.conventional().events(), want.conventional().events());
+                prop_assert_eq!(
+                    got.reap().expected_failures().to_bits(),
+                    want.reap().expected_failures().to_bits()
+                );
+                prop_assert_eq!(got.reap().events(), want.reap().events());
+                prop_assert_eq!(
+                    got.serial().expected_failures().to_bits(),
+                    want.serial().expected_failures().to_bits()
+                );
+                prop_assert_eq!(got.serial().events(), want.serial().events());
+                prop_assert_eq!(
+                    got.writeback_exposure().to_bits(),
+                    want.writeback_exposure().to_bits()
+                );
+                prop_assert_eq!(got.histogram(), want.histogram());
+            }
+        }
+    }
+
+    /// The width-grouped kernel is pinned bit-identical to independent
+    /// per-point [`ReplayAggregator`]s when points share stored widths:
+    /// widths come from a pool of two or three values in interleaved
+    /// order, groups reach 40 lanes (so the group loop splits them into
+    /// blocks of at most 8), and the same records are fed through the
+    /// per-width entry and through the per-point `record_block`. Weights
+    /// are drawn per width, occasionally one past the width to exercise
+    /// the clamp; every failure sum, event count and histogram bin must
+    /// agree to the bit.
+    #[test]
+    fn grouped_kernel_is_bit_identical_to_per_point_aggregators(
+        num_points in 1usize..=40,
+        pool in 2usize..=3,
+        seed in any::<u64>(),
+        certain in any::<bool>(),
+        records in kernel_record_strategy(),
+    ) {
+        let points = grouped_kernel_points(num_points, pool, seed, certain);
+        let mut by_width = MultiReplayAggregator::new(points.clone());
+        let mut by_point = MultiReplayAggregator::new(points.clone());
+        let widths = by_width.stored_widths().to_vec();
+        let slot: Vec<usize> = points
+            .iter()
+            .map(|&(_, w)| widths.binary_search(&(w as usize)).expect("width present"))
+            .collect();
+        let mut solo: Vec<ReplayAggregator> = points
+            .iter()
+            .map(|&(model, width)| ReplayAggregator::new(model, width))
+            .collect();
+        let (mut block, mut width_ones, mut point_ones) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, &(tag, ones_seed, n)) in records.iter().enumerate() {
+            let kind = match tag {
+                0 => ExposureKind::Demand,
+                1 => ExposureKind::DirtyScrub,
+                _ => ExposureKind::DirtyEviction,
+            };
+            let n = if kind == ExposureKind::Demand { n.max(1) } else { n };
+            let ones: Vec<u32> = widths
+                .iter()
+                .enumerate()
+                .map(|(g, &w)| (mix(ones_seed, g as u64) % (w as u64 + 2)) as u32)
+                .collect();
+            for (agg, &s) in solo.iter_mut().zip(&slot) {
+                agg.record(kind, ones[s], n);
+            }
+            block.push((kind, n));
+            width_ones.extend_from_slice(&ones);
+            point_ones.extend(slot.iter().map(|&s| ones[s]));
+            if block.len() == 64 || i + 1 == records.len() {
+                by_width.record_block_by_width(&block, &width_ones);
+                by_point.record_block(&block, &point_ones);
+                block.clear();
+                width_ones.clear();
+                point_ones.clear();
+            }
+        }
+        for batch in [by_width.finish(), by_point.finish()] {
+            prop_assert_eq!(batch.len(), solo.len());
             for (got, want) in batch.iter().zip(&solo) {
                 prop_assert_eq!(
                     got.conventional().expected_failures().to_bits(),

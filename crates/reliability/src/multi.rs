@@ -9,34 +9,47 @@
 //! point before moving to the next record, so the stream is traversed
 //! exactly once.
 //!
-//! [`MultiReplayAggregator`] is the one batched kernel. All per-point
-//! state lives in flat structure-of-arrays lanes (`conv_sum[p]`,
-//! `reap_sum[p]`, …), the per-record hot path walks points in explicit
-//! 4-wide chunks (table gathers, dense memo probes and the three scheme
-//! accumulations are all straight-line array arithmetic the compiler can
-//! vectorize), and both the Eq. (3) conventional tail *and* the Eq. (6)
-//! REAP term are memoized over the dense small-`N` region, so the
-//! `exp_m1` transcendental runs once per distinct `(point, ones, N)` key
-//! instead of once per record.
+//! [`MultiReplayAggregator`] is the one batched kernel. It is organised
+//! around *width groups*: every point with the same stored line width
+//! (say, the seven read currents of one ECC strength) sees the same line
+//! weight `ones` and the same `N` in a record, so a group reads one
+//! weight, computes one table index and one memo row per record, and
+//! runs its lanes through one const-generic loop. Both the Eq. (3)
+//! conventional tail *and* the Eq. (6) REAP term are memoized over the
+//! dense small-`N` region, so the `exp_m1` transcendental runs once per
+//! distinct `(point, ones, N)` key instead of once per record.
 //!
 //! Data-layout tricks:
 //!
-//! * the per-point `single_read_table`s are stacked into one
-//!   point-innermost `stride × points` matrix (`stride = global
-//!   max_ones + 1`, each column pre-clamped to its own point's width),
-//!   so one record's per-point gather — a handful of distinct `ones`
-//!   values across adjacent `p` — touches a couple of cache lines
-//!   inside a single contiguous allocation; a parallel matrix caches
-//!   `ln(1 − u)` so the Eq. (6) REAP term needs one `exp_m1` per key
-//!   instead of `ln_1p` + `exp_m1`;
-//! * the conventional tail `fail_conventional(ones, N)` is memoized in a
-//!   dense `(point, ones, N)` table for `N ≤ 64` — the `N` distribution
-//!   is heavily concentrated at small values (most demand reads conceal
-//!   nothing), so the binomial tail series runs once per distinct key
-//!   instead of once per record;
+//! * points are grouped by stored width, ascending, with a point →
+//!   `(group, lane)` map so reports still come back in construction
+//!   order. Each group owns its tables, sums and histogram lanes;
+//! * a group's `single_read_table`s are stacked lane-innermost as
+//!   `[ones][lane]` for `ones ∈ 0..=width`, so one record's gather is
+//!   one contiguous run of lanes; a parallel table caches `ln(1 − u)` so
+//!   the Eq. (6) REAP term needs one `exp_m1` per key instead of `ln_1p`
+//!   + `exp_m1`;
+//! * the memo covers `N ≤ 64` — the `N` distribution is heavily
+//!   concentrated at small values (most demand reads conceal nothing).
+//!   It is one table with a row per `(ones, N)` key, and each row holds
+//!   every group's `[conv lanes | reap lanes]` segment, so a record
+//!   touches one contiguous segment per group and one NaN test per lane
+//!   block says whether any of its cells is still uncomputed;
+//! * the hot loop is `demand_block::<K>` for `K ∈ 1..=8` lanes, with the
+//!   running sums in registers across a whole run of demand records.
+//!   Groups wider than eight lanes run as several blocks. Memo misses
+//!   and keys outside the memo (`N > 64`, or a weight past the width)
+//!   leave the loop for cold helpers;
+//! * [`record_block_by_width`] takes one weight per record per *width*
+//!   (exactly the layout `sample_ones_multi_batch` writes), so the
+//!   replay feeder never scatters weights to points. The per-point
+//!   entries ([`record`], [`record_block`]) gather each group's weight
+//!   from its first lane; a record whose same-width points carry
+//!   *different* weights (only a hand-fed stream can) is scored point by
+//!   point on the one-lane path, in its place in the stream;
 //! * histogram bin membership and event counts depend only on the record
 //!   (`N` and kind), not on the point, so the kernel keeps *one* shared
-//!   count vector and per-point failure lanes, rebuilding per-point
+//!   count vector and per-lane failure sums, rebuilding per-point
 //!   [`LogHistogram`]s only at [`finish`].
 //!
 //! # Bit-identity contract
@@ -51,6 +64,11 @@
 //! this contract against per-point [`ReplayAggregator`]s.
 //!
 //! [`finish`]: MultiReplayAggregator::finish
+//! [`record`]: MultiReplayAggregator::record
+//! [`record_block`]: MultiReplayAggregator::record_block
+//! [`record_block_by_width`]: MultiReplayAggregator::record_block_by_width
+
+use std::ops::Range;
 
 use crate::histogram::LogHistogram;
 use crate::model::AccumulationModel;
@@ -62,15 +80,19 @@ use crate::replay::{ExposureKind, ReplayAggregator};
 /// bit-identical — the memos only cache, never approximate).
 const MEMO_MAX_READS: u64 = 64;
 
-/// Lane width of the explicit point-chunking in the vectorized kernel.
-const LANES: usize = 4;
+/// Memo rows per `ones` value: one per `N ∈ 0..=MEMO_MAX_READS`.
+const MEMO_W: usize = MEMO_MAX_READS as usize + 1;
+
+/// Most lanes one pass of the group loop keeps in registers; wider
+/// groups run as several blocks.
+const MAX_LANES: usize = 8;
 
 /// XOR mask for memo cells: a cell stores `bits(value) ^ MEMO_XOR`, so
 /// the zero cells a freshly zero-allocated memo starts with decode to a
 /// quiet NaN (the "not computed" sentinel). Zeroed allocation is backed
 /// by copy-on-write zero pages, so building the memos costs nothing
 /// until cells are actually probed — the kernel's fixed setup cost no
-/// longer scales with `points × stride` on short captures. A computed
+/// longer scales with `points × width` on short captures. A computed
 /// term whose bits happened to equal the mask would re-encode to zero
 /// and merely be recomputed on the next probe; terms are finite
 /// probabilities, never NaN, so that cannot occur.
@@ -91,6 +113,12 @@ fn memo_put(value: f64) -> u64 {
 /// Number of log₂ histogram bins a `u64` read count can land in.
 const HIST_BINS: usize = 64;
 
+/// Log₂ histogram bin of a demand read count (`n ≥ 1`).
+#[inline(always)]
+fn bin_of(n: u64) -> usize {
+    (63 - n.leading_zeros()) as usize
+}
+
 /// Eq. (6) REAP term `1 − (1 − u)^N` from the precomputed `ln(1 − u)`,
 /// with the degenerate corners pinned exactly as in
 /// [`AccumulationModel::fail_reap`]: zero reads can't fail, and a
@@ -107,9 +135,272 @@ fn reap_term(u: f64, ln1m_u: f64, n_reads: u64) -> f64 {
     }
 }
 
+/// Dense memo of `fail_conventional(ones, N)` and the Eq. (6) REAP term
+/// for `N ∈ 0..=MEMO_MAX_READS`, shared by all groups. The row of key
+/// `(ones, N)` starts at `(ones * MEMO_W + N) * row_len` and holds, for
+/// each group in turn, its conventional lanes and then its REAP lanes,
+/// so one record touches one contiguous segment per group. A row holds
+/// two cells per point, whatever the grouping, so the kernel touches as
+/// many pages as one point-innermost table would: per-group memos, or
+/// `N`-major rows, commit more pages on the same stream. Cells hold
+/// `bits(value) ^ MEMO_XOR`, so the all-zero state a fresh zeroed
+/// allocation starts in decodes to NaN — the "not yet computed"
+/// sentinel — without a fill pass, and untouched pages are never
+/// committed. See [`memo_get`]/[`memo_put`].
+#[derive(Debug, Clone)]
+struct Memo {
+    cells: Vec<u64>,
+    /// Cells per row: two per point.
+    row_len: usize,
+}
+
+/// The points that share one stored width, as the lanes of one loop.
+#[derive(Debug, Clone)]
+struct WidthGroup {
+    /// The stored line width every lane shares.
+    width: u32,
+    /// Per-lane accumulation models.
+    models: Vec<AccumulationModel>,
+    /// Lane-innermost `[ones][lane]` for `ones ∈ 0..=width`:
+    /// `fail_single(ones)` of each lane's model.
+    single: Vec<f64>,
+    /// `ln(1 − single[..])` for the Eq. (6) closed form, same layout.
+    ln1m_single: Vec<f64>,
+    /// Offset of this group's `[conv lanes | reap lanes]` segment in
+    /// every row of the shared memo.
+    memo_at: usize,
+    /// Per-lane running sums.
+    conv_sum: Vec<f64>,
+    reap_sum: Vec<f64>,
+    serial_sum: Vec<f64>,
+    wb_sum: Vec<f64>,
+    /// Lane-innermost `[bin][lane]` per-bin conventional failure sums.
+    hist_fail: Vec<f64>,
+}
+
+impl WidthGroup {
+    fn new(width: u32, models: Vec<AccumulationModel>, memo_at: usize) -> Self {
+        let lanes = models.len();
+        let mut single = Vec::with_capacity((width as usize + 1) * lanes);
+        let mut ln1m_single = Vec::with_capacity(single.capacity());
+        for ones in 0..=width {
+            for model in &models {
+                let u = model.fail_single(ones);
+                single.push(u);
+                ln1m_single.push((-u).ln_1p());
+            }
+        }
+        Self {
+            width,
+            models,
+            single,
+            ln1m_single,
+            memo_at,
+            conv_sum: vec![0.0; lanes],
+            reap_sum: vec![0.0; lanes],
+            serial_sum: vec![0.0; lanes],
+            wb_sum: vec![0.0; lanes],
+            hist_fail: vec![0.0; HIST_BINS * lanes],
+        }
+    }
+
+    fn lanes(&self) -> usize {
+        self.models.len()
+    }
+
+    /// Start of this group's segment in the memo row of `(ones, n)`,
+    /// or `None` outside the memoized region.
+    #[inline(always)]
+    fn memo_row(&self, memo: &Memo, ones: u32, n: u64) -> Option<usize> {
+        (n <= MEMO_MAX_READS && ones <= self.width)
+            .then(|| (ones as usize * MEMO_W + n as usize) * memo.row_len + self.memo_at)
+    }
+
+    /// Scores a run of demand records on every lane: `ones[r * stride +
+    /// at]` is record `r`'s weight at this group's width.
+    fn demand_run(
+        &mut self,
+        memo: &mut Memo,
+        run: &[(ExposureKind, u64)],
+        ones: &[u32],
+        stride: usize,
+        at: usize,
+    ) {
+        let lanes = self.lanes();
+        let mut lane0 = 0;
+        while lane0 < lanes {
+            let k = (lanes - lane0).min(MAX_LANES);
+            let block = lane0..lane0 + k;
+            match k {
+                1 => self.demand_block::<1>(memo, block, run, ones, stride, at),
+                2 => self.demand_block::<2>(memo, block, run, ones, stride, at),
+                3 => self.demand_block::<3>(memo, block, run, ones, stride, at),
+                4 => self.demand_block::<4>(memo, block, run, ones, stride, at),
+                5 => self.demand_block::<5>(memo, block, run, ones, stride, at),
+                6 => self.demand_block::<6>(memo, block, run, ones, stride, at),
+                7 => self.demand_block::<7>(memo, block, run, ones, stride, at),
+                _ => self.demand_block::<MAX_LANES>(memo, block, run, ones, stride, at),
+            }
+            lane0 += k;
+        }
+    }
+
+    /// The hot loop: `K` lanes of a run of demand records, their running
+    /// sums held in registers across the run. Per lane the additions
+    /// still happen in record order, so the float sums are those of a
+    /// per-record, per-point walk.
+    fn demand_block<const K: usize>(
+        &mut self,
+        memo: &mut Memo,
+        block: Range<usize>,
+        run: &[(ExposureKind, u64)],
+        ones: &[u32],
+        stride: usize,
+        at: usize,
+    ) {
+        debug_assert_eq!(block.len(), K);
+        let lanes = self.lanes();
+        let lane0 = block.start;
+        let mut cs: [f64; K] = self.conv_sum[block.clone()].try_into().expect("K lanes");
+        let mut rs: [f64; K] = self.reap_sum[block.clone()].try_into().expect("K lanes");
+        let mut ss: [f64; K] = self.serial_sum[block.clone()].try_into().expect("K lanes");
+        for (r, &(_, n)) in run.iter().enumerate() {
+            let o = ones[r * stride + at];
+            let ti = (o.min(self.width) as usize) * lanes + lane0;
+            let u: [f64; K] = self.single[ti..ti + K].try_into().expect("K lanes");
+            let (pc, pr) = match self.memo_row(memo, o, n) {
+                Some(row) => {
+                    let mi = row + lane0;
+                    let cells = &memo.cells[mi..mi + lanes + K];
+                    let pc: [f64; K] = std::array::from_fn(|l| memo_get(cells[l]));
+                    let pr: [f64; K] = std::array::from_fn(|l| memo_get(cells[lanes + l]));
+                    let mut probe = 0.0;
+                    for l in 0..K {
+                        probe += pc[l] + pr[l];
+                    }
+                    // Cached cells are finite probabilities and NaN marks
+                    // "not computed", so one NaN test covers the block.
+                    if probe.is_nan() {
+                        self.fill_memo::<K>(memo, mi, lane0, o, n, ti)
+                    } else {
+                        (pc, pr)
+                    }
+                }
+                None => self.terms::<K>(lane0, o, n, ti),
+            };
+            let hi = bin_of(n) * lanes + lane0;
+            let hist = &mut self.hist_fail[hi..hi + K];
+            for l in 0..K {
+                cs[l] += pc[l];
+                rs[l] += pr[l];
+                ss[l] += u[l];
+                hist[l] += pc[l];
+            }
+        }
+        self.conv_sum[block.clone()].copy_from_slice(&cs);
+        self.reap_sum[block.clone()].copy_from_slice(&rs);
+        self.serial_sum[block].copy_from_slice(&ss);
+    }
+
+    /// The `K` lanes' `(conventional, REAP)` terms of key `(ones, n)`,
+    /// computed directly; `ti` indexes the lanes' `single` entries.
+    #[cold]
+    #[inline(never)]
+    fn terms<const K: usize>(
+        &self,
+        lane0: usize,
+        ones: u32,
+        n: u64,
+        ti: usize,
+    ) -> ([f64; K], [f64; K]) {
+        (
+            std::array::from_fn(|l| self.models[lane0 + l].fail_conventional(ones, n)),
+            std::array::from_fn(|l| reap_term(self.single[ti + l], self.ln1m_single[ti + l], n)),
+        )
+    }
+
+    /// [`terms`](Self::terms) through the memo row segment at `mi`:
+    /// computes and stores the cells still uncomputed, reads the rest.
+    #[cold]
+    #[inline(never)]
+    fn fill_memo<const K: usize>(
+        &self,
+        memo: &mut Memo,
+        mi: usize,
+        lane0: usize,
+        ones: u32,
+        n: u64,
+        ti: usize,
+    ) -> ([f64; K], [f64; K]) {
+        let lanes = self.lanes();
+        let mut pc = [0.0; K];
+        let mut pr = [0.0; K];
+        for l in 0..K {
+            pc[l] = memo_get(memo.cells[mi + l]);
+            if pc[l].is_nan() {
+                pc[l] = self.models[lane0 + l].fail_conventional(ones, n);
+                memo.cells[mi + l] = memo_put(pc[l]);
+            }
+            pr[l] = memo_get(memo.cells[mi + lanes + l]);
+            if pr[l].is_nan() {
+                pr[l] = reap_term(self.single[ti + l], self.ln1m_single[ti + l], n);
+                memo.cells[mi + lanes + l] = memo_put(pr[l]);
+            }
+        }
+        (pc, pr)
+    }
+
+    /// Scores one dirty-scrub or dirty-eviction record on `block`'s
+    /// lanes: the conventional tail only, into the conventional or the
+    /// write-back sums.
+    fn dirty(
+        &mut self,
+        memo: &mut Memo,
+        block: Range<usize>,
+        kind: ExposureKind,
+        ones: u32,
+        n: u64,
+    ) {
+        let row = self.memo_row(memo, ones, n);
+        for l in block {
+            let p_conv = match row {
+                Some(row) => {
+                    let cached = memo_get(memo.cells[row + l]);
+                    if cached.is_nan() {
+                        let value = self.models[l].fail_conventional(ones, n);
+                        memo.cells[row + l] = memo_put(value);
+                        value
+                    } else {
+                        cached
+                    }
+                }
+                None => self.models[l].fail_conventional(ones, n),
+            };
+            match kind {
+                ExposureKind::DirtyScrub => self.conv_sum[l] += p_conv,
+                ExposureKind::DirtyEviction => self.wb_sum[l] += p_conv,
+                ExposureKind::Demand => unreachable!("demand records take the run path"),
+            }
+        }
+    }
+
+    /// Zeroes the sums and histogram lanes; tables and memo survive.
+    fn reset(&mut self) {
+        for sums in [
+            &mut self.conv_sum,
+            &mut self.reap_sum,
+            &mut self.serial_sum,
+            &mut self.wb_sum,
+            &mut self.hist_fail,
+        ] {
+            sums.fill(0.0);
+        }
+    }
+}
+
 /// Scores a captured exposure stream against many analysis points in a
-/// single pass — the vectorized structure-of-arrays kernel,
-/// bit-identical to independent per-point [`ReplayAggregator`]s.
+/// single pass — the width-grouped kernel, bit-identical to independent
+/// per-point [`ReplayAggregator`]s.
 ///
 /// # Examples
 ///
@@ -139,43 +430,27 @@ fn reap_term(u: f64, ln1m_u: f64, n_reads: u64) -> f64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiReplayAggregator {
-    /// Per-point accumulation models, indexed like every lane array.
+    /// Per-point accumulation models, in construction order.
     models: Vec<AccumulationModel>,
-    /// Per-point stored line widths (`max_ones`).
+    /// Per-point stored line widths (`max_ones`), in construction order.
     widths: Vec<u32>,
-    /// Row length of the stacked tables: global `max_ones + 1`.
-    stride: usize,
-    /// Point-innermost `stride × points`: `single[n * points + p] =
-    /// fail_single(min(n, max_ones_p))`, reproducing each point's own
-    /// clamp-to-last-entry lookup semantics. Points are innermost so one
-    /// record's per-point gather (few distinct `ones` values, adjacent
-    /// `p`) touches a couple of cache lines, not one row per point.
-    single: Vec<f64>,
-    /// `ln(1 − single[..])` for the Eq. (6) closed form, same layout.
-    ln1m_single: Vec<f64>,
-    /// Dense memo of `fail_conventional(ones, N)` and the Eq. (6) REAP
-    /// term for `N ∈ [0, MEMO_MAX_READS]`. The two are always probed
-    /// together for the same `(ones, N, p)` key, so they interleave in
-    /// one table: the conventional value at
-    /// `((ones * 65 + N) * points + p) * 2` and the REAP term right
-    /// after it — a 4-lane probe's eight loads then land in one
-    /// 64-byte line instead of two. Point-innermost for the same
-    /// gather locality as the stacked tables. Cells hold
-    /// `bits(value) ^ MEMO_XOR`, so the all-zero state a fresh zeroed
-    /// allocation starts in decodes to NaN — the "not yet computed"
-    /// sentinel — without a multi-megabyte fill pass, and untouched
-    /// pages are never committed. See [`memo_get`]/[`memo_put`].
-    /// Caching the (pure) terms keeps `exp_m1` off the per-record
-    /// path.
-    memo: Vec<u64>,
-    /// Per-point running sums — the lanes the hot loop writes.
-    conv_sum: Vec<f64>,
-    reap_sum: Vec<f64>,
-    serial_sum: Vec<f64>,
-    wb_sum: Vec<f64>,
-    /// Point-innermost `HIST_BINS × points` per-bin conventional
-    /// failure sums (one record hits one bin across all points).
-    hist_fail: Vec<f64>,
+    /// Per-point `(group, lane)`.
+    slots: Vec<(usize, usize)>,
+    /// Per group, the point of its first lane: where the per-point
+    /// entries read the group's weight.
+    firsts: Vec<usize>,
+    /// `(point, first point of its group)` for every other lane: the
+    /// pairs whose weights must agree for a record to take the group
+    /// loop.
+    twins: Vec<(usize, usize)>,
+    /// One group per distinct width, ascending.
+    groups: Vec<WidthGroup>,
+    /// The groups' shared term memo.
+    memo: Memo,
+    /// The groups' widths, ascending — the per-width feed's row layout.
+    group_widths: Vec<usize>,
+    /// Per-width weights the per-point entries gather a block into.
+    gathered: Vec<u32>,
     /// Shared per-bin demand counts (bin membership depends only on `N`,
     /// so every point's count vector is identical).
     hist_counts: Vec<u64>,
@@ -192,47 +467,67 @@ pub struct MultiReplayAggregator {
 
 impl MultiReplayAggregator {
     /// Creates a batched aggregator for the given `(model, max_ones)`
-    /// analysis points. `max_ones` is the stored line width in bits for
-    /// that point (data + check bits), exactly as passed to
-    /// [`ReplayAggregator::new`].
+    /// analysis points, in any order. `max_ones` is the stored line
+    /// width in bits for that point (data + check bits), exactly as
+    /// passed to [`ReplayAggregator::new`].
     ///
     /// # Panics
     ///
     /// Panics if `points` is empty or any `max_ones == 0`.
     pub fn new(points: Vec<(AccumulationModel, u32)>) -> Self {
         assert!(!points.is_empty(), "need at least one analysis point");
-        let stride = points
+        let mut group_widths: Vec<u32> = points
             .iter()
             .map(|&(_, w)| {
                 assert!(w > 0, "line width must be positive");
-                w as usize + 1
+                w
             })
-            .max()
-            .expect("non-empty");
-        let npts = points.len();
-        let mut single = Vec::with_capacity(npts * stride);
-        let mut ln1m_single = Vec::with_capacity(npts * stride);
-        for n in 0..stride {
-            for &(model, max_ones) in &points {
-                let u = model.fail_single((n as u32).min(max_ones));
-                single.push(u);
-                ln1m_single.push((-u).ln_1p());
-            }
-        }
-        let memo_cells = npts * stride * (MEMO_MAX_READS as usize + 1);
+            .collect();
+        group_widths.sort_unstable();
+        group_widths.dedup();
+        let mut members: Vec<Vec<AccumulationModel>> = vec![Vec::new(); group_widths.len()];
+        let mut firsts = vec![0; group_widths.len()];
+        let mut twins = Vec::new();
+        let slots = points
+            .iter()
+            .enumerate()
+            .map(|(p, &(model, w))| {
+                let g = group_widths.binary_search(&w).expect("width present");
+                if members[g].is_empty() {
+                    firsts[g] = p;
+                } else {
+                    twins.push((p, firsts[g]));
+                }
+                members[g].push(model);
+                (g, members[g].len() - 1)
+            })
+            .collect();
+        let mut memo_at = 0;
+        let groups = group_widths
+            .iter()
+            .zip(members)
+            .map(|(&w, models)| {
+                let at = memo_at;
+                memo_at += 2 * models.len();
+                WidthGroup::new(w, models, at)
+            })
+            .collect();
+        let max_width = *group_widths.last().expect("non-empty") as usize;
+        let memo = Memo {
+            cells: vec![0; (max_width + 1) * MEMO_W * 2 * points.len()],
+            row_len: 2 * points.len(),
+        };
         let (models, widths) = points.into_iter().unzip();
         Self {
             models,
             widths,
-            stride,
-            single,
-            ln1m_single,
-            memo: vec![0; memo_cells * 2],
-            conv_sum: vec![0.0; npts],
-            reap_sum: vec![0.0; npts],
-            serial_sum: vec![0.0; npts],
-            wb_sum: vec![0.0; npts],
-            hist_fail: vec![0.0; npts * HIST_BINS],
+            slots,
+            firsts,
+            twins,
+            groups,
+            memo,
+            group_widths: group_widths.into_iter().map(|w| w as usize).collect(),
+            gathered: Vec::new(),
             hist_counts: vec![0; HIST_BINS],
             hist_len: 0,
             hist_max_n: 0,
@@ -246,10 +541,17 @@ impl MultiReplayAggregator {
         self.models.len()
     }
 
+    /// The distinct stored widths among the points, ascending: the row
+    /// layout [`record_block_by_width`](Self::record_block_by_width)
+    /// takes, and the `widths` argument `sample_ones_multi_batch` fills
+    /// that layout from.
+    pub fn stored_widths(&self) -> &[usize] {
+        &self.group_widths
+    }
+
     /// Scores one exposure record against every point. `line_ones[p]` is
     /// the stored-`1` count of the line *as sampled for point `p`'s
-    /// stored width* — widths differ across ECC strengths, so the caller
-    /// samples once per distinct width and scatters.
+    /// stored width*.
     ///
     /// Records must be fed in capture order (the bit-identity contract).
     ///
@@ -264,35 +566,19 @@ impl MultiReplayAggregator {
             self.models.len(),
             "one ones-count per analysis point"
         );
-        match kind {
-            ExposureKind::Demand => {
-                self.record_demand_run(&[(ExposureKind::Demand, unchecked_reads)], line_ones)
-            }
-            ExposureKind::DirtyScrub => {
-                self.scrub_events += 1;
-                for (p, &ones) in line_ones.iter().enumerate() {
-                    let p_conv = self.conventional_tail(p, ones, unchecked_reads);
-                    self.conv_sum[p] += p_conv;
-                }
-            }
-            ExposureKind::DirtyEviction => {
-                for (p, &ones) in line_ones.iter().enumerate() {
-                    let p_conv = self.conventional_tail(p, ones, unchecked_reads);
-                    self.wb_sum[p] += p_conv;
-                }
-            }
-        }
+        self.record_block(&[(kind, unchecked_reads)], line_ones);
     }
 
     /// Scores a block of exposure records at once: `records[r]` is
     /// `(kind, unchecked_reads)` and `ones[r * points .. (r+1) * points]`
     /// its per-point stored-`1` counts, exactly as [`record`](Self::record)
     /// would take them. Bit-identical to calling `record` per item in
-    /// order — runs of consecutive demand records are handed to the
-    /// run-blocked hot loop, which keeps each lane's running sums in
-    /// registers across the run instead of a load/add/store round trip
-    /// per record (per point the additions still happen in record
-    /// order, so the float sums are unchanged).
+    /// order.
+    ///
+    /// Each group's weight is read from its first lane, and the block
+    /// runs through [`record_block_by_width`](Self::record_block_by_width);
+    /// a record whose same-width points carry different weights is
+    /// scored point by point instead, in its place in the stream.
     ///
     /// # Panics
     ///
@@ -305,35 +591,100 @@ impl MultiReplayAggregator {
             records.len() * npts,
             "one ones-count per record per analysis point"
         );
+        let mut gathered = std::mem::take(&mut self.gathered);
+        gathered.clear();
+        let mut start = 0;
+        for (r, row) in ones.chunks_exact(npts).enumerate() {
+            if self.twins.iter().all(|&(p, first)| row[p] == row[first]) {
+                gathered.extend(self.firsts.iter().map(|&first| row[first]));
+            } else {
+                self.record_block_by_width(&records[start..r], &gathered);
+                gathered.clear();
+                self.record_per_point(records[r], row);
+                start = r + 1;
+            }
+        }
+        self.record_block_by_width(&records[start..], &gathered);
+        self.gathered = gathered;
+    }
+
+    /// Scores a block of exposure records with one weight per stored
+    /// width: `records[r]` is `(kind, unchecked_reads)` and `ones[r *
+    /// widths + g]` the record's stored-`1` count at
+    /// [`stored_widths`](Self::stored_widths)`()[g]` — every point of
+    /// that width scores that weight. This is the replay feeder's entry:
+    /// `sample_ones_multi_batch` writes exactly this layout. Runs of
+    /// consecutive demand records go through the group loop, which
+    /// keeps each lane's running sums in registers across the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ones.len() != records.len() * self.stored_widths().len()`,
+    /// or on a demand record with `unchecked_reads == 0`.
+    pub fn record_block_by_width(&mut self, records: &[(ExposureKind, u64)], ones: &[u32]) {
+        let nw = self.groups.len();
+        assert_eq!(
+            ones.len(),
+            records.len() * nw,
+            "one ones-count per record per stored width"
+        );
         let mut i = 0;
         while i < records.len() {
             let (kind, reads) = records[i];
-            match kind {
-                ExposureKind::Demand => {
-                    let mut j = i + 1;
-                    while j < records.len() && records[j].0 == ExposureKind::Demand {
-                        j += 1;
-                    }
-                    self.record_demand_run(&records[i..j], &ones[i * npts..j * npts]);
-                    i = j;
+            if kind == ExposureKind::Demand {
+                let mut j = i + 1;
+                while j < records.len() && records[j].0 == ExposureKind::Demand {
+                    j += 1;
                 }
-                _ => {
-                    self.record(kind, &ones[i * npts..(i + 1) * npts], reads);
-                    i += 1;
+                let run = &records[i..j];
+                self.count_demand_run(run);
+                for (g, group) in self.groups.iter_mut().enumerate() {
+                    group.demand_run(&mut self.memo, run, &ones[i * nw..j * nw], nw, g);
                 }
+                i = j;
+            } else {
+                if kind == ExposureKind::DirtyScrub {
+                    self.scrub_events += 1;
+                }
+                for (g, group) in self.groups.iter_mut().enumerate() {
+                    let lanes = 0..group.lanes();
+                    group.dirty(&mut self.memo, lanes, kind, ones[i * nw + g], reads);
+                }
+                i += 1;
             }
         }
     }
 
-    /// The demand hot path: record-level bookkeeping for the whole run
-    /// first, then the per-point work in explicit 4-wide lanes with the
-    /// running sums register-blocked across the run. Every record in
-    /// `run` is a demand record; `ones` is record-major,
-    /// `run.len() * points` wide.
-    fn record_demand_run(&mut self, run: &[(ExposureKind, u64)], ones: &[u32]) {
+    /// Scores one record whose same-width points carry different
+    /// weights: each point on its own one-lane path.
+    fn record_per_point(&mut self, (kind, reads): (ExposureKind, u64), line_ones: &[u32]) {
+        match kind {
+            ExposureKind::Demand => self.count_demand_run(&[(kind, reads)]),
+            ExposureKind::DirtyScrub => self.scrub_events += 1,
+            ExposureKind::DirtyEviction => {}
+        }
+        for (&(g, lane), ones) in self.slots.iter().zip(line_ones) {
+            let group = &mut self.groups[g];
+            match kind {
+                ExposureKind::Demand => group.demand_block::<1>(
+                    &mut self.memo,
+                    lane..lane + 1,
+                    &[(kind, reads)],
+                    &[*ones],
+                    1,
+                    0,
+                ),
+                _ => group.dirty(&mut self.memo, lane..lane + 1, kind, *ones, reads),
+            }
+        }
+    }
+
+    /// Record-level bookkeeping of a run of demand records: the shared
+    /// histogram counts and the demand event count.
+    fn count_demand_run(&mut self, run: &[(ExposureKind, u64)]) {
         for &(_, n) in run {
             assert!(n >= 1, "N counts the demand read itself, so N >= 1");
-            let bin = (63 - n.leading_zeros()) as usize;
+            let bin = bin_of(n);
             if bin >= self.hist_len {
                 self.hist_len = bin + 1;
             }
@@ -343,143 +694,6 @@ impl MultiReplayAggregator {
             }
         }
         self.demand_events += run.len() as u64;
-
-        let stride = self.stride;
-        let memo_w = MEMO_MAX_READS as usize + 1;
-        let npts = self.models.len();
-
-        let mut p = 0;
-        while p + LANES <= npts {
-            // The four lanes' sums live in registers for the whole run;
-            // per point the additions still happen in record order, so
-            // this is the same float sum the per-record path produces.
-            let mut cs = [0.0f64; LANES];
-            let mut rs = [0.0f64; LANES];
-            let mut ss = [0.0f64; LANES];
-            cs.copy_from_slice(&self.conv_sum[p..p + LANES]);
-            rs.copy_from_slice(&self.reap_sum[p..p + LANES]);
-            ss.copy_from_slice(&self.serial_sum[p..p + LANES]);
-            for (r, &(_, n)) in run.iter().enumerate() {
-                let row = &ones[r * npts..(r + 1) * npts];
-                let bin = (63 - n.leading_zeros()) as usize;
-                let memoable = n <= MEMO_MAX_READS;
-                // 4-wide gather from the stacked single table. ln(1-u)
-                // is only needed to *compute* a REAP term, so it stays
-                // out of the steady-state loop and is loaded on memo
-                // misses only.
-                let mut u = [0.0f64; LANES];
-                let mut ti = [0usize; LANES];
-                for l in 0..LANES {
-                    ti[l] = (row[p + l] as usize).min(stride - 1) * npts + p + l;
-                    u[l] = self.single[ti[l]];
-                }
-                let mut pc = [0.0f64; LANES];
-                let mut pr = [0.0f64; LANES];
-                // 4-wide dense memo probe. Sampled ones-counts are
-                // always within each point's width, so the
-                // all-lanes-in-range test only fails on out-of-contract
-                // callers (who still get the per-lane clamp semantics
-                // via the slow path).
-                let in_range = memoable && (0..LANES).all(|l| (row[p + l] as usize) < stride);
-                if in_range {
-                    let mut mi = [0usize; LANES];
-                    for l in 0..LANES {
-                        mi[l] = ((row[p + l] as usize * memo_w + n as usize) * npts + p + l) * 2;
-                    }
-                    for l in 0..LANES {
-                        pc[l] = memo_get(self.memo[mi[l]]);
-                        pr[l] = memo_get(self.memo[mi[l] + 1]);
-                    }
-                    // Cached cells are finite probabilities and NaN
-                    // marks "not computed", so one NaN-sum test covers
-                    // all lanes.
-                    let probe = pc[0] + pc[1] + pc[2] + pc[3] + pr[0] + pr[1] + pr[2] + pr[3];
-                    if probe.is_nan() {
-                        for l in 0..LANES {
-                            if pc[l].is_nan() {
-                                let v = self.models[p + l].fail_conventional(row[p + l], n);
-                                self.memo[mi[l]] = memo_put(v);
-                                pc[l] = v;
-                            }
-                            if pr[l].is_nan() {
-                                let v = reap_term(u[l], self.ln1m_single[ti[l]], n);
-                                self.memo[mi[l] + 1] = memo_put(v);
-                                pr[l] = v;
-                            }
-                        }
-                    }
-                } else {
-                    for l in 0..LANES {
-                        let (c, rr) = self.demand_terms(p + l, row[p + l], n, u[l]);
-                        pc[l] = c;
-                        pr[l] = rr;
-                    }
-                }
-                // Straight-line lane accumulation into the register
-                // sums; only the histogram (whose bin varies by record)
-                // writes through to memory here.
-                for l in 0..LANES {
-                    cs[l] += pc[l];
-                    rs[l] += pr[l];
-                    ss[l] += u[l];
-                    self.hist_fail[bin * npts + p + l] += pc[l];
-                }
-            }
-            self.conv_sum[p..p + LANES].copy_from_slice(&cs);
-            self.reap_sum[p..p + LANES].copy_from_slice(&rs);
-            self.serial_sum[p..p + LANES].copy_from_slice(&ss);
-            p += LANES;
-        }
-        // Remainder points, one lane at a time, same register blocking.
-        while p < npts {
-            let mut c = self.conv_sum[p];
-            let mut rsum = self.reap_sum[p];
-            let mut s = self.serial_sum[p];
-            for (r, &(_, n)) in run.iter().enumerate() {
-                let ones_p = ones[r * npts + p];
-                let bin = (63 - n.leading_zeros()) as usize;
-                let idx = (ones_p as usize).min(stride - 1) * npts + p;
-                let u = self.single[idx];
-                let (pc, pr) = self.demand_terms(p, ones_p, n, u);
-                c += pc;
-                rsum += pr;
-                s += u;
-                self.hist_fail[bin * npts + p] += pc;
-            }
-            self.conv_sum[p] = c;
-            self.reap_sum[p] = rsum;
-            self.serial_sum[p] = s;
-            p += 1;
-        }
-    }
-
-    /// Memoized `(fail_conventional, reap_term)` for one point — the
-    /// scalar fallback shared by the remainder loop and the mixed
-    /// in-range/out-of-range lane path. Loads `ln(1-u)` itself, and
-    /// only when it actually has to evaluate the REAP term.
-    #[inline]
-    fn demand_terms(&mut self, p: usize, ones: u32, n: u64, u: f64) -> (f64, f64) {
-        let npts = self.models.len();
-        let l1m_at = (ones as usize).min(self.stride - 1) * npts + p;
-        if n <= MEMO_MAX_READS && (ones as usize) < self.stride {
-            let mi = ((ones as usize * (MEMO_MAX_READS as usize + 1) + n as usize) * npts + p) * 2;
-            let mut pc = memo_get(self.memo[mi]);
-            if pc.is_nan() {
-                pc = self.models[p].fail_conventional(ones, n);
-                self.memo[mi] = memo_put(pc);
-            }
-            let mut pr = memo_get(self.memo[mi + 1]);
-            if pr.is_nan() {
-                pr = reap_term(u, self.ln1m_single[l1m_at], n);
-                self.memo[mi + 1] = memo_put(pr);
-            }
-            (pc, pr)
-        } else {
-            (
-                self.models[p].fail_conventional(ones, n),
-                reap_term(u, self.ln1m_single[l1m_at], n),
-            )
-        }
     }
 
     /// Scores a whole stream of `(kind, line_ones, unchecked_reads)`
@@ -521,75 +735,49 @@ impl MultiReplayAggregator {
     /// returns the per-point reports of every record fed so far and
     /// zeroes the sums, histogram and event counts, so the next stream
     /// starts from scratch. The stacked `single`/`ln(1 − u)` tables and
-    /// the memo survive. Memo cells cache a pure function of
+    /// the memos survive. Memo cells cache a pure function of
     /// `(model, ones, N)`, so a reused aggregator is bit-identical to a
     /// fresh one — it only skips rebuilding the tables and re-deriving
     /// the terms a previous stream already computed, and keeps one memo
     /// allocation alive instead of one per stream.
     pub fn take_reports(&mut self) -> Vec<ReplayAggregator> {
         let conv_events = self.demand_events + self.scrub_events;
-        let shared_counts = self.hist_counts[..self.hist_len].to_vec();
-        let npts = self.models.len();
+        let shared_counts = &self.hist_counts[..self.hist_len];
         let reports = self
             .models
             .iter()
             .zip(&self.widths)
-            .enumerate()
-            .map(|(p, (&model, &width))| {
+            .zip(&self.slots)
+            .map(|((&model, &width), &(g, lane))| {
+                let group = &self.groups[g];
+                let lanes = group.lanes();
                 let histogram = LogHistogram::from_parts(
-                    shared_counts.clone(),
+                    shared_counts.to_vec(),
                     (0..self.hist_len)
-                        .map(|bin| self.hist_fail[bin * npts + p])
+                        .map(|bin| group.hist_fail[bin * lanes + lane])
                         .collect(),
                     self.hist_max_n,
                 );
                 ReplayAggregator::from_parts(
                     model,
                     width,
-                    FailureAggregator::from_parts(self.conv_sum[p], conv_events),
-                    FailureAggregator::from_parts(self.reap_sum[p], self.demand_events),
-                    FailureAggregator::from_parts(self.serial_sum[p], self.demand_events),
+                    FailureAggregator::from_parts(group.conv_sum[lane], conv_events),
+                    FailureAggregator::from_parts(group.reap_sum[lane], self.demand_events),
+                    FailureAggregator::from_parts(group.serial_sum[lane], self.demand_events),
                     histogram,
-                    self.wb_sum[p],
+                    group.wb_sum[lane],
                 )
             })
             .collect();
-        for sums in [
-            &mut self.conv_sum,
-            &mut self.reap_sum,
-            &mut self.serial_sum,
-            &mut self.wb_sum,
-        ] {
-            sums.fill(0.0);
+        for group in &mut self.groups {
+            group.reset();
         }
-        self.hist_fail.fill(0.0);
         self.hist_counts.fill(0);
         self.hist_len = 0;
         self.hist_max_n = 0;
         self.demand_events = 0;
         self.scrub_events = 0;
         reports
-    }
-
-    /// `fail_conventional(ones, n_reads)` for point `p`, memoized over
-    /// the dense small-`N` region. The memo stores exact outputs of the
-    /// pure model function, so hits and misses are bit-identical.
-    fn conventional_tail(&mut self, p: usize, ones: u32, n_reads: u64) -> f64 {
-        if n_reads <= MEMO_MAX_READS && (ones as usize) < self.stride {
-            let idx = ((ones as usize * (MEMO_MAX_READS as usize + 1) + n_reads as usize)
-                * self.models.len()
-                + p)
-                * 2;
-            let cached = memo_get(self.memo[idx]);
-            if !cached.is_nan() {
-                return cached;
-            }
-            let value = self.models[p].fail_conventional(ones, n_reads);
-            self.memo[idx] = memo_put(value);
-            value
-        } else {
-            self.models[p].fail_conventional(ones, n_reads)
-        }
     }
 }
 
@@ -605,8 +793,7 @@ mod tests {
         ]
     }
 
-    /// Wider point set so the 4-wide main loop and the remainder loop
-    /// both run (7 = one full chunk + 3 remainder lanes).
+    /// Seven distinct widths: seven one-lane groups.
     fn seven_points() -> Vec<(AccumulationModel, u32)> {
         vec![
             (AccumulationModel::new(1e-6, 1), 522),
@@ -746,7 +933,7 @@ mod tests {
     }
 
     #[test]
-    fn full_and_remainder_lanes_match_solo_bitwise() {
+    fn one_lane_groups_match_solo_bitwise() {
         let pts = seven_points();
         let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
         let records = pseudo_records(&widths, 500);
@@ -825,7 +1012,7 @@ mod tests {
         // 10_000 exceeds every width; each point clamps to its own max.
         let records = vec![(ExposureKind::Demand, vec![10_000, 10_000, 10_000], 5)];
         assert_matches_solo(&records);
-        // Same through the 4-wide main loop.
+        // Same across seven one-lane groups.
         let pts = seven_points();
         let records = vec![(ExposureKind::Demand, vec![10_000; 7], 5)];
         assert_matches_solo_at(pts, &records);
@@ -856,8 +1043,9 @@ mod tests {
 
     #[test]
     fn a_reused_aggregator_matches_a_fresh_one_per_stream() {
-        // 1 and 3 points run only remainder lanes, 5 and 21 a mix of
-        // full 4-wide chunks and remainders.
+        // 1, 3 and 5 points form one-lane groups; at 21 points the
+        // first and last share a width, and the per-point streams give
+        // them different weights, so the per-point fallback runs too.
         for n in [1, 3, 5, 21] {
             let pts = n_points(n);
             let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
@@ -932,6 +1120,100 @@ mod tests {
         let mut hotter = pts;
         hotter[4].0 = AccumulationModel::new(0.5, 1);
         assert!(!multi.matches_points(&hotter));
+    }
+
+    /// `n` points whose widths cycle through three values, so the groups
+    /// interleave in construction order.
+    fn grouped_points(n: usize) -> Vec<(AccumulationModel, u32)> {
+        const WIDTHS: [u32; 3] = [542, 130, 522];
+        (0..n)
+            .map(|p| {
+                let p_rd = 10f64.powi(-(2 + (p % 7) as i32));
+                (AccumulationModel::new(p_rd, 1 + p % 3), WIDTHS[p % 3])
+            })
+            .collect()
+    }
+
+    /// Feeds a stream with one weight per record per stored width to the
+    /// per-width entry, to the per-point entries (each point given its
+    /// width's weight) and to per-point aggregators, and asserts all
+    /// three agree bit for bit.
+    fn assert_grouped_matches_solo(pts: Vec<(AccumulationModel, u32)>, count: u64) {
+        let mut by_width = MultiReplayAggregator::new(pts.clone());
+        let widths: Vec<u32> = by_width.stored_widths().iter().map(|&w| w as u32).collect();
+        let slot: Vec<usize> = pts
+            .iter()
+            .map(|&(_, w)| widths.binary_search(&w).expect("width present"))
+            .collect();
+        let records = seeded_records(&widths, count, 0xbeef, true);
+        let mut by_point = MultiReplayAggregator::new(pts.clone());
+        let mut solo: Vec<ReplayAggregator> = pts
+            .iter()
+            .map(|&(m, w)| ReplayAggregator::new(m, w))
+            .collect();
+        for chunk in records.chunks(64) {
+            let recs: Vec<(ExposureKind, u64)> = chunk.iter().map(|&(k, _, n)| (k, n)).collect();
+            let flat: Vec<u32> = chunk.iter().flat_map(|(_, o, _)| o.clone()).collect();
+            by_width.record_block_by_width(&recs, &flat);
+            let scattered: Vec<u32> = chunk
+                .iter()
+                .flat_map(|(_, o, _)| slot.iter().map(|&s| o[s]))
+                .collect();
+            by_point.record_block(&recs, &scattered);
+        }
+        for (kind, ones, n) in &records {
+            for (agg, &s) in solo.iter_mut().zip(&slot) {
+                agg.record(*kind, ones[s], *n);
+            }
+        }
+        for batch in [by_width.finish(), by_point.finish()] {
+            assert_eq!(batch.len(), solo.len());
+            for (got, want) in batch.iter().zip(&solo) {
+                assert_bit_equal(got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn width_groups_match_solo_bitwise() {
+        // 3 groups of 1, of 7 (the explorer's grid), and of 9 and 14
+        // lanes, which the group loop splits into blocks of at most 8.
+        for n in [3, 21, 27, 40] {
+            assert_grouped_matches_solo(grouped_points(n), 600);
+        }
+    }
+
+    #[test]
+    fn stored_widths_are_distinct_and_ascending() {
+        let multi = MultiReplayAggregator::new(grouped_points(21));
+        assert_eq!(multi.stored_widths(), &[130, 522, 542]);
+    }
+
+    #[test]
+    fn same_width_points_with_different_weights_fall_back_per_point() {
+        // Two groups of three; every third record gives one group's
+        // points three different weights, the rest one weight per group.
+        let pts = grouped_points(6);
+        let mut records = Vec::new();
+        for (i, (kind, ones, n)) in seeded_records(&[542, 130, 522], 300, 0xf00d, true)
+            .into_iter()
+            .enumerate()
+        {
+            let mut per_point: Vec<u32> = (0..6).map(|p| ones[p % 3]).collect();
+            if i % 3 == 0 {
+                per_point[3] /= 2;
+                per_point[4] = (per_point[4] + 7).min(130);
+            }
+            records.push((kind, per_point, n));
+        }
+        assert_matches_solo_at(pts, &records);
+    }
+
+    #[test]
+    #[should_panic(expected = "one ones-count per record per stored width")]
+    fn rejects_mismatched_width_block() {
+        let mut multi = MultiReplayAggregator::new(grouped_points(6));
+        multi.record_block_by_width(&[(ExposureKind::Demand, 1)], &[1, 2]);
     }
 
     #[test]
