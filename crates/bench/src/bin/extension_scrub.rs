@@ -71,7 +71,8 @@ fn capture_with_scrub(
         warmup,
         accesses,
         period.unwrap_or(0),
-    );
+    )
+    .expect("the capture's scoped entry is writable");
     span.add_events(warmup + accesses);
     (capture, scrub_checks)
 }

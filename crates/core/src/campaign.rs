@@ -82,8 +82,8 @@ impl SweepJob {
     /// job's workload, budget and seed — the one `store` serves, or a
     /// fresh trace pass — at every point of the job's mode in one batched
     /// replay through the caller's reusable `kernel`. A capture that
-    /// fails mid-replay is recaptured in memory and its store entry
-    /// healed ([`Experiment::score`]).
+    /// fails mid-replay is recaptured, into its store entry when the
+    /// store may write ([`Experiment::score`]).
     ///
     /// # Errors
     ///

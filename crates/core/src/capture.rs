@@ -34,14 +34,15 @@
 //! ```
 
 use crate::capture_store::{
-    frame_decoder, reopen_entry, FrameChain, FrameEncoder, FrameSink, V2Decoder,
+    reopen_entry, seal_entry, EntryWriter, FrameEncoder, FrameSink, TempFile, V2Decoder,
 };
+use crate::simulator::SimulationError;
 use reap_cache::{AccessObserver, CacheStats, Hierarchy, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// One scored exposure event: what happened, to which content version,
@@ -114,55 +115,35 @@ pub trait ExposureStream {
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect>;
 }
 
-/// Where a capture's events live: a store-less fresh capture holds them
-/// as `reap-capture/2` frames in memory, a store-backed one (loaded, or
-/// written by the capture itself) in its entry, which each pass re-opens.
-/// Either way replay decodes them a frame at a time, verifying each
-/// frame's checksum as it goes.
-#[derive(Clone)]
-pub(crate) enum EventSource {
-    Frames(Arc<[Box<[u8]>]>),
-    Entry { path: PathBuf, fingerprint: u64 },
+/// Where a capture's events live: a `reap-capture/2` entry file, which
+/// each replay pass re-opens and decodes a frame at a time, verifying each
+/// frame's checksum as it goes. A store's entry outlives the capture; a
+/// scoped entry is shared by the capture's clones and deleted when the
+/// last of them drops.
+#[derive(Debug, Clone)]
+pub(crate) struct EventSource {
+    pub(crate) path: PathBuf,
+    pub(crate) fingerprint: u64,
+    /// A scoped entry's file; `None` for a store's entry.
+    pub(crate) scoped: Option<Arc<TempFile>>,
 }
 
-impl fmt::Debug for EventSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Frames(frames) => f.debug_tuple("Frames").field(&frames.len()).finish(),
-            Self::Entry { path, fingerprint } => f
-                .debug_struct("Entry")
-                .field("path", path)
-                .field("fingerprint", &format_args!("{fingerprint:016x}"))
-                .finish(),
-        }
-    }
-}
-
-/// A borrowed pass over a capture's events, in capture order.
-///
-/// Implements [`ExposureStream`]: it decodes a fresh capture's frames
-/// straight from memory and a store entry's from its re-opened file.
-pub struct ExposureEvents<'a> {
+/// A pass over a capture's events, in capture order, decoded from its
+/// re-opened entry file. Implements [`ExposureStream`].
+pub struct ExposureEvents {
     total: u64,
-    inner: EventsInner<'a>,
+    decoder: V2Decoder<BufReader<File>>,
 }
 
-enum EventsInner<'a> {
-    Frames(V2Decoder<FrameChain<'a>>),
-    Entry(V2Decoder<BufReader<File>>),
-}
-
-impl ExposureStream for ExposureEvents<'_> {
+impl ExposureStream for ExposureEvents {
     fn len(&self) -> u64 {
         self.total
     }
 
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
-        match &mut self.inner {
-            EventsInner::Frames(decoder) => decoder.next_record(),
-            EventsInner::Entry(decoder) => decoder.next_record(),
-        }
-        .map_err(|e| StreamDefect::new(e.to_string()))
+        self.decoder
+            .next_record()
+            .map_err(|e| StreamDefect::new(e.to_string()))
     }
 }
 
@@ -243,9 +224,15 @@ pub struct ExposureCapture {
 }
 
 impl ExposureCapture {
-    /// Assembles a capture from its parts, encoding `events` into
-    /// frames. Used by harnesses (e.g. scrub-period studies) that drive a
-    /// [`Hierarchy`] manually with a [`CaptureObserver`].
+    /// Assembles a capture from its parts, encoding `events` into a
+    /// scoped entry, as a store-less capture holds them. Used by harnesses
+    /// (e.g. scrub-period studies) that drive a [`Hierarchy`] manually
+    /// with a [`CaptureObserver`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::ScopedEntry`] if the entry cannot be
+    /// written.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         events: Vec<ExposureRecord>,
@@ -257,12 +244,15 @@ impl ExposureCapture {
         warmup_accesses: u64,
         measure_accesses: u64,
         scrub_period: u64,
-    ) -> Self {
-        let mut frames = FrameEncoder::new();
+    ) -> Result<Self, SimulationError> {
+        let writer = EntryWriter::scoped()?;
+        let path = writer.path().to_owned();
+        let mut frames = FrameEncoder::with_sink(writer);
         frames.extend(&events);
-        let Ok((count, _, frames)) = frames.finish();
-        Self::from_source(
-            EventSource::Frames(frames.into()),
+        let (source, count, _) = seal_entry(frames, snapshot, line_bits, ones_seed)
+            .map_err(|source| SimulationError::ScopedEntry { path, source })?;
+        Ok(Self::from_source(
+            source,
             count,
             snapshot,
             line_bits,
@@ -272,12 +262,11 @@ impl ExposureCapture {
             warmup_accesses,
             measure_accesses,
             scrub_period,
-        )
+        ))
     }
 
     /// Assembles a capture whose `count` events live in `source`: the
-    /// frames [`crate::Simulator::capture`] coded as it recorded them, or
-    /// the store entry [`crate::CaptureStore`] loaded or wrote.
+    /// entry a capture streamed, or one [`crate::CaptureStore`] loaded.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_source(
         source: EventSource,
@@ -332,35 +321,29 @@ impl ExposureCapture {
         self.count
     }
 
-    /// A store-less fresh capture's `reap-capture/2` frames, one slice
-    /// per frame; in order they are byte for byte what follows the header
-    /// of a store entry. `None` for a store-backed capture, including a
-    /// fresh one streamed into its entry.
-    pub fn frames(&self) -> Option<&[Box<[u8]>]> {
-        match &self.source {
-            EventSource::Frames(frames) => Some(frames),
-            EventSource::Entry { .. } => None,
-        }
+    /// The `reap-capture/2` entry file the events live in: a store's
+    /// entry, or a scoped one, a file named for the process in the system
+    /// temp dir that is deleted when the last clone of this capture drops.
+    /// A scoped entry is stamped with fingerprint 0.
+    pub fn entry_path(&self) -> &Path {
+        &self.source.path
+    }
+
+    /// Whether the events live in a scoped entry rather than a store's.
+    pub(crate) fn is_scoped(&self) -> bool {
+        self.source.scoped.is_some()
     }
 
     /// Opens a bounded-memory pass over the events, in capture order.
     ///
-    /// A fresh capture decodes its in-memory frames as the caller pulls;
-    /// a store-backed one re-opens its entry and decodes the file. Either
-    /// way each frame's checksum is verified as it is read, and a defect
-    /// surfaces from [`ExposureStream::next_record`]. Fails up front only
-    /// if a store entry cannot be re-opened or its header no longer
-    /// checks out.
-    pub fn iter(&self) -> Result<ExposureEvents<'_>, StreamDefect> {
-        let inner = match &self.source {
-            EventSource::Frames(frames) => EventsInner::Frames(frame_decoder(frames, self.count)),
-            EventSource::Entry { path, fingerprint } => {
-                EventsInner::Entry(reopen_entry(path, *fingerprint, self.count)?)
-            }
-        };
+    /// The pass re-opens the entry file and decodes it frame by frame,
+    /// verifying each frame's checksum as it is read; a defect surfaces
+    /// from [`ExposureStream::next_record`]. Fails up front only if the
+    /// entry cannot be re-opened or its header no longer checks out.
+    pub fn iter(&self) -> Result<ExposureEvents, StreamDefect> {
         Ok(ExposureEvents {
             total: self.count,
-            inner,
+            decoder: reopen_entry(&self.source.path, self.source.fingerprint, self.count)?,
         })
     }
 
@@ -565,28 +548,39 @@ mod tests {
             0,
             0,
         )
+        .expect("scoped entry")
     }
 
     #[test]
-    fn memory_capture_iter_matches_events() {
+    fn scoped_capture_iter_matches_events() {
         let records = sample_records();
         let capture = frame_capture(records.clone());
+        assert!(capture.is_scoped());
         assert_eq!(capture.event_count(), records.len() as u64);
-        assert_eq!(capture.frames().map(<[_]>::len), Some(1));
         assert_eq!(drain(&capture), records);
         assert_eq!(capture.events(), records.as_slice());
     }
 
     #[test]
-    fn corrupt_in_memory_frames_fail_their_checksum() {
-        let mut capture = frame_capture(sample_records());
-        let EventSource::Frames(frames) = &mut capture.source else {
-            panic!("a capture built from parts holds frames");
-        };
-        Arc::get_mut(frames).expect("sole owner")[0][12] ^= 0x01;
+    fn a_corrupt_scoped_entry_fails_its_checksum() {
+        let capture = frame_capture(sample_records());
+        // A payload byte of the one frame, past the header and the frame's
+        // own 8-byte head.
+        reap_fault::flip_byte(capture.entry_path(), 353 + 12, 0x01).unwrap();
         let mut stream = capture.iter().expect("open");
         let defect = stream.next_record().expect_err("flipped payload bit");
         assert!(defect.to_string().contains("checksum"), "{defect}");
+    }
+
+    #[test]
+    fn a_scoped_entry_lives_as_long_as_the_last_clone() {
+        let capture = frame_capture(sample_records());
+        let path = capture.entry_path().to_owned();
+        let clone = capture.clone();
+        drop(capture);
+        assert_eq!(drain(&clone), sample_records());
+        drop(clone);
+        assert!(!path.exists(), "{}", path.display());
     }
 
     #[test]

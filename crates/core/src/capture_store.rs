@@ -14,10 +14,12 @@
 //! is followed by delta/varint-coded records in independently
 //! checksummed frames, which decode frame-by-frame straight into the
 //! replay iterator without materializing. One frame encoder codes records
-//! into frames while the trace runs. A store-backed fresh capture streams
-//! each frame straight into its entry's temp file as it is sealed, so its
-//! memory is one frame whatever the window; a store-less capture keeps
-//! the frames in memory as its only form:
+//! into frames while the trace runs, and every fresh capture streams each
+//! frame straight into an entry file as it is sealed, so its memory is one
+//! frame whatever the window. A store-backed capture's file is its store
+//! entry; any other capture's is a *scoped* entry, a file named for the
+//! process in [`std::env::temp_dir`], deleted when the last clone of the
+//! capture drops:
 //!
 //! ```text
 //! magic            "RCAP"     (4 bytes)
@@ -90,14 +92,13 @@ use crate::simulator::{SimulationConfig, SimulationError, Simulator};
 use reap_cache::{AccessMode, CacheConfig, CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
-use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The seed of the [`CaptureKey::fingerprint`] chain, and nothing else.
 /// It names the retired fixed-width format but must stay byte for byte:
@@ -113,7 +114,7 @@ const VERSION: u8 = 2;
 /// Records per full v2 frame. Bounds replay memory to one decoded frame
 /// (~160 KB of records) and bounds the blast radius of corruption to a
 /// single frame's checksum.
-pub(crate) const FRAME_RECORDS: u32 = 4096;
+const FRAME_RECORDS: u32 = 4096;
 /// Worst-case encoded size of one v2 record: a kind byte plus four
 /// 10-byte LEB128 varints. Used to bound declared payload lengths.
 const MAX_RECORD_BYTES: u32 = 1 + 4 * 10;
@@ -562,25 +563,6 @@ pub(crate) trait FrameSink {
     fn put(&mut self, frame: &[u8]) -> Result<(), Self::Error>;
 }
 
-/// In-memory frames, one allocation each, so a growing capture never
-/// copies the frames it already holds.
-impl FrameSink for Vec<Box<[u8]>> {
-    type Error = Infallible;
-
-    fn put(&mut self, frame: &[u8]) -> Result<(), Infallible> {
-        self.push(frame.into());
-        Ok(())
-    }
-}
-
-impl<S: FrameSink> FrameSink for &mut S {
-    type Error = S::Error;
-
-    fn put(&mut self, frame: &[u8]) -> Result<(), S::Error> {
-        (**self).put(frame)
-    }
-}
-
 /// A writer and the bytes put into it so far: the offset its errors name.
 struct WriteSink<W> {
     writer: W,
@@ -619,15 +601,14 @@ impl<W: Write> FrameSink for WriteSink<W> {
 /// checksum) and put into the sink every 4096 records, so the frame cuts
 /// depend only on the record sequence and never on how it was fed. The
 /// sealed frames, in order, are byte for byte the bytes that follow the
-/// header of a v2 entry. [`crate::Simulator::capture`] drains its
-/// observer into an encoder over in-memory frames, a store-less
-/// capture's only form; a store-backed capture drains into one over an
-/// [`EntryWriter`], which writes each frame to disk as it is sealed.
+/// header of a v2 entry. A capture drains its observer into an encoder
+/// over an [`EntryWriter`], which writes each frame to disk as it is
+/// sealed.
 ///
 /// The sink's first error ends the stream: later frames are coded but
 /// not put, [`failed`](Self::failed) turns true and
 /// [`finish`](Self::finish) returns the error.
-pub(crate) struct FrameEncoder<S: FrameSink = Vec<Box<[u8]>>> {
+pub(crate) struct FrameEncoder<S: FrameSink> {
     sink: S,
     /// The open frame: 8 frame-header bytes, filled in when it is sealed,
     /// then its payload.
@@ -643,13 +624,6 @@ pub(crate) struct FrameEncoder<S: FrameSink = Vec<Box<[u8]>>> {
     bytes: u64,
     /// The first error the sink returned.
     error: Option<S::Error>,
-}
-
-impl FrameEncoder {
-    /// An encoder into in-memory frames, with no records.
-    pub(crate) fn new() -> Self {
-        Self::with_sink(Vec::new())
-    }
 }
 
 impl<S: FrameSink> FrameEncoder<S> {
@@ -745,16 +719,6 @@ struct V2Header {
 }
 
 impl V2Header {
-    /// The header of `capture`'s entry.
-    fn of(capture: &ExposureCapture) -> Self {
-        Self {
-            line_bits: capture.line_bits() as u64,
-            ones_seed: capture.ones_seed(),
-            snapshot: *capture.snapshot(),
-            count: capture.event_count(),
-        }
-    }
-
     /// The header as written, stamped with `fingerprint`: the fixed
     /// fields, then their checksum.
     fn to_bytes(self, fingerprint: u64) -> Vec<u8> {
@@ -790,32 +754,37 @@ pub fn write_capture_v2<W: Write>(
     fingerprint: u64,
     capture: &ExposureCapture,
 ) -> Result<u64, CaptureStoreError> {
+    let header = V2Header {
+        line_bits: capture.line_bits() as u64,
+        ones_seed: capture.ones_seed(),
+        snapshot: *capture.snapshot(),
+        count: capture.event_count(),
+    };
     let mut out = WriteSink { writer, offset: 0 };
-    out.put(&V2Header::of(capture).to_bytes(fingerprint))?;
-    put_frames(capture, &mut out)?;
+    out.put(&header.to_bytes(fingerprint))?;
+    let (_, _, mut out) = reencode(capture, out)?.finish()?;
     out.flush()?;
     Ok(out.offset)
 }
 
-/// Puts `capture`'s frames into `sink` in order: a fresh capture's own
-/// frames verbatim, a store-backed one's re-encoded from its records.
-fn put_frames<S>(capture: &ExposureCapture, mut sink: S) -> Result<(), CaptureStoreError>
+/// An encoder into `sink` holding `capture`'s records, re-encoded from
+/// its entry (so each frame's checksum is verified on the way).
+fn reencode<S>(capture: &ExposureCapture, sink: S) -> Result<FrameEncoder<S>, CaptureStoreError>
 where
     S: FrameSink<Error = CaptureStoreError>,
 {
-    if let Some(frames) = capture.frames() {
-        return frames.iter().try_for_each(|frame| sink.put(frame));
-    }
     let mut encoder = FrameEncoder::with_sink(sink);
     let mut events = capture.iter().map_err(defect_to_io)?;
     while let Some(record) = events.next_record().map_err(defect_to_io)? {
         encoder.push(&record);
     }
-    encoder.finish().map(drop)
+    Ok(encoder)
 }
 
-/// A temp file that deletes itself when dropped, unless kept.
-struct TempFile {
+/// A file that deletes itself when dropped, unless kept: a store write's
+/// temp file, or a scoped entry.
+#[derive(Debug)]
+pub(crate) struct TempFile {
     path: PathBuf,
     keep: bool,
 }
@@ -828,26 +797,37 @@ impl Drop for TempFile {
     }
 }
 
-/// Numbers the temp files of one process, so concurrent writes of the
-/// same entry never share one.
-static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+/// `{pid}.{seq}`: names the temp files of one process apart, so
+/// concurrent writes of the same entry never share one.
+fn temp_suffix() -> String {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    )
+}
 
-/// Writes one store entry as it is produced: the one write path of a
-/// [`CaptureStore`].
+/// Writes one entry as it is produced: the one write path of every
+/// capture, into a [`CaptureStore`] or into a scoped entry.
 ///
-/// [`create`](Self::create) opens a temp file beside the entry, named
-/// `{fingerprint}.rcap.tmp.{pid}.{seq}` so that no two writes share one,
-/// and reserves the header. Frames are written straight through as they
-/// are put ([`FrameSink`]), so a capture streamed into a writer holds one
-/// frame at a time, never the whole capture.
-/// [`commit`](Self::commit) then writes the header, whose snapshot and
-/// record count are known only at the end, and renames the file into
-/// place, so readers see the whole entry or none. A writer dropped
-/// uncommitted (an error or a panic mid-capture) deletes its temp file.
+/// A store writer ([`for_store`](Self::for_store)) opens a temp file
+/// beside the entry, named `{fingerprint}.rcap.tmp.{pid}.{seq}` so that
+/// no two writes share one; a scoped writer ([`scoped`](Self::scoped))
+/// opens `reap-capture.{pid}.{seq}.rcap` in the system temp dir (which
+/// `TMPDIR` steers). Either reserves the header. Frames are written
+/// straight through as they are put ([`FrameSink`]), so a capture
+/// streamed into a writer holds one frame at a time, never the whole
+/// capture. [`seal_entry`] then writes the header, whose snapshot and
+/// record count are known only at the end. A store entry is
+/// renamed into place, so readers see the whole entry or none; a scoped
+/// entry stays where it is. A writer dropped uncommitted (an error or a
+/// panic mid-capture) deletes its file.
 pub(crate) struct EntryWriter {
     out: WriteSink<BufWriter<File>>,
     tmp: TempFile,
-    path: PathBuf,
+    /// The store entry the file is renamed to; `None` when scoped.
+    dest: Option<PathBuf>,
     fingerprint: u64,
     /// The failing-writer seam, read when the writer is created: a
     /// capture's back stage may put the frames from another thread.
@@ -857,59 +837,120 @@ pub(crate) struct EntryWriter {
 
 impl EntryWriter {
     /// Opens the temp file of `key`'s entry in `store`.
-    fn create(store: &CaptureStore, key: &CaptureKey) -> Result<Self, CaptureStoreError> {
-        let io_err = |source| CaptureStoreError::Io { offset: 0, source };
-        std::fs::create_dir_all(&store.dir).map_err(io_err)?;
+    fn for_store(store: &CaptureStore, key: &CaptureKey) -> Result<Self, CaptureStoreError> {
+        std::fs::create_dir_all(&store.dir)
+            .map_err(|source| CaptureStoreError::Io { offset: 0, source })?;
         let fingerprint = key.fingerprint();
-        let path = store.dir.join(format!(
-            "{fingerprint:016x}.rcap.tmp.{}.{}",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = File::create(&path).map_err(io_err)?;
+        let name = format!("{fingerprint:016x}.rcap.tmp.{}", temp_suffix());
+        Self::create(
+            store.dir.join(name),
+            Some(store.entry_path(key)),
+            fingerprint,
+        )
+    }
+
+    /// Opens a scoped entry, stamped with fingerprint 0: it is never
+    /// looked up by key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::ScopedEntry`], naming the entry's path,
+    /// if it cannot be created.
+    pub(crate) fn scoped() -> Result<Self, SimulationError> {
+        #[cfg(not(test))]
+        let dir = std::env::temp_dir();
+        #[cfg(test)]
+        let dir = tests::SCOPED_DIR
+            .with_borrow(Clone::clone)
+            .unwrap_or_else(std::env::temp_dir);
+        let path = dir.join(format!("reap-capture.{}.rcap", temp_suffix()));
+        Self::create(path.clone(), None, 0)
+            .map_err(|source| SimulationError::ScopedEntry { path, source })
+    }
+
+    /// Creates the file at `path` and reserves the header.
+    fn create(
+        path: PathBuf,
+        dest: Option<PathBuf>,
+        fingerprint: u64,
+    ) -> Result<Self, CaptureStoreError> {
+        let file =
+            File::create(&path).map_err(|source| CaptureStoreError::Io { offset: 0, source })?;
         let tmp = TempFile { path, keep: false };
         let mut out = WriteSink {
             writer: BufWriter::new(file),
             offset: 0,
         };
-        // Reserved for the header, which `commit` writes over.
+        // Reserved for the header, which `seal_entry` writes over.
         out.put(&[0; ENTRY_HEADER_BYTES])?;
         Ok(Self {
             out,
             tmp,
-            path: store.entry_path(key),
+            dest,
             fingerprint,
             #[cfg(test)]
-            fail_from: tests::FAIL_WRITES_FROM.get(),
+            fail_from: tests::FAIL_WRITES_FROM.replace(u64::MAX),
         })
     }
 
-    /// Writes `header` over the reserved bytes, renames the entry into
-    /// place and accounts the write, returning the entry's path.
-    fn commit(self, header: &V2Header) -> Result<PathBuf, CaptureStoreError> {
-        let Self {
-            out,
-            mut tmp,
-            path,
-            fingerprint,
-            ..
-        } = self;
-        let bytes = out.offset;
-        let mut file = out.writer.into_inner().map_err(|e| CaptureStoreError::Io {
-            offset: bytes,
-            source: e.into_error(),
-        })?;
-        let io_err = |source| CaptureStoreError::Io { offset: 0, source };
-        file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-        file.write_all(&header.to_bytes(fingerprint))
-            .map_err(io_err)?;
-        drop(file);
-        std::fs::rename(&tmp.path, &path).map_err(io_err)?;
-        tmp.keep = true;
-        bump("capture_store.write");
-        emit_entry_io("capture_store.bytes_written", bytes, header.count);
-        Ok(path)
+    /// The file being written.
+    pub(crate) fn path(&self) -> &Path {
+        &self.tmp.path
     }
+}
+
+/// Seals the last frame of `frames` and commits their entry: writes the
+/// header of a capture with `snapshot`, `line_bits` and `ones_seed` over
+/// the reserved bytes and returns the entry as a capture's event source,
+/// with the record count and the bytes of the frames. A store entry is
+/// renamed into place and its write accounted; a scoped one is handed to
+/// the source, which deletes it when the last capture holding it drops.
+pub(crate) fn seal_entry(
+    frames: FrameEncoder<EntryWriter>,
+    snapshot: HierarchySnapshot,
+    line_bits: usize,
+    ones_seed: u64,
+) -> Result<(EventSource, u64, u64), CaptureStoreError> {
+    let (count, frame_bytes, writer) = frames.finish()?;
+    let EntryWriter {
+        out,
+        mut tmp,
+        dest,
+        fingerprint,
+        ..
+    } = writer;
+    let bytes = out.offset;
+    let mut file = out.writer.into_inner().map_err(|e| CaptureStoreError::Io {
+        offset: bytes,
+        source: e.into_error(),
+    })?;
+    let header = V2Header {
+        line_bits: line_bits as u64,
+        ones_seed,
+        snapshot,
+        count,
+    };
+    let io_err = |source| CaptureStoreError::Io { offset: 0, source };
+    file.seek(SeekFrom::Start(0)).map_err(io_err)?;
+    file.write_all(&header.to_bytes(fingerprint))
+        .map_err(io_err)?;
+    drop(file);
+    let (path, scoped) = match dest {
+        None => (tmp.path.clone(), Some(Arc::new(tmp))),
+        Some(path) => {
+            std::fs::rename(&tmp.path, &path).map_err(io_err)?;
+            tmp.keep = true;
+            bump("capture_store.write");
+            emit_entry_io("capture_store.bytes_written", bytes, count);
+            (path, None)
+        }
+    };
+    let source = EventSource {
+        path,
+        fingerprint,
+        scoped,
+    };
+    Ok((source, count, frame_bytes))
 }
 
 impl FrameSink for EntryWriter {
@@ -923,8 +964,7 @@ impl FrameSink for EntryWriter {
 }
 
 /// Frame-at-a-time decoder of a `reap-capture/2` stream, the one decoder
-/// of the format: it reads store entries from disk and a fresh capture's
-/// frames from memory alike. [`open`](Self::open) checks the header;
+/// of the format. [`open`](Self::open) checks the header;
 /// [`read_frame`](Self::read_frame) verifies each frame's checksum as
 /// replay reaches it, the only place frame checksums are checked. Holds
 /// at most one decoded frame (≤ `frame_len` records), so replay runs in
@@ -1008,13 +1048,7 @@ impl<R: Read> V2Decoder<R> {
             snapshot,
             count,
         };
-        Ok((header, Self::frames_at(reader, offset, count, frame_len)))
-    }
-
-    /// A decoder over the frame region of a stream of `count` records,
-    /// starting at byte `offset` of the entry.
-    fn frames_at(reader: R, offset: u64, count: u64, frame_len: u32) -> Self {
-        Self {
+        let decoder = Self {
             reader,
             offset,
             count,
@@ -1024,7 +1058,8 @@ impl<R: Read> V2Decoder<R> {
             frame_pos: 0,
             payload: Vec::new(),
             probed: false,
-        }
+        };
+        Ok((header, decoder))
     }
 
     /// Yields the next record, reading and verifying the next frame when
@@ -1205,37 +1240,6 @@ pub fn read_capture_v2<R: Read>(
     })
 }
 
-/// A fresh capture's in-memory frames read as one byte stream, straight
-/// from their slices.
-pub(crate) struct FrameChain<'a> {
-    rest: &'a [Box<[u8]>],
-    current: &'a [u8],
-}
-
-impl Read for FrameChain<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        while self.current.is_empty() {
-            let Some((first, rest)) = self.rest.split_first() else {
-                return Ok(0);
-            };
-            self.current = first;
-            self.rest = rest;
-        }
-        self.current.read(buf)
-    }
-}
-
-/// A decoder over a fresh capture's `count` records held as in-memory
-/// frames (as [`FrameEncoder::finish`] yields them). Offsets in its
-/// errors are those the frames take in a v2 entry.
-pub(crate) fn frame_decoder(frames: &[Box<[u8]>], count: u64) -> V2Decoder<FrameChain<'_>> {
-    let chain = FrameChain {
-        rest: frames,
-        current: &[],
-    };
-    V2Decoder::frames_at(chain, V2_HEADER_BYTES as u64 + 8, count, FRAME_RECORDS)
-}
-
 /// A directory of fingerprint-addressed capture entries.
 ///
 /// Cloneable and `Sync`: campaign workers share one store and hit
@@ -1309,7 +1313,23 @@ impl CaptureStore {
             Ok((header, _)) => {
                 bump("capture_store.hit");
                 emit_entry_io("capture_store.bytes_read", bytes, header.count);
-                Some(entry_capture(path, key, &header))
+                let source = EventSource {
+                    path,
+                    fingerprint: key.fingerprint(),
+                    scoped: None,
+                };
+                Some(ExposureCapture::from_source(
+                    source,
+                    header.count,
+                    header.snapshot,
+                    header.line_bits as usize,
+                    header.ones_seed,
+                    key.hierarchy.clone(),
+                    key.replacement,
+                    key.warmup_accesses,
+                    key.measure_accesses,
+                    key.scrub_period,
+                ))
             }
             Err(e) => {
                 bump("capture_store.invalid");
@@ -1328,24 +1348,29 @@ impl CaptureStore {
     /// # Errors
     ///
     /// Returns [`CaptureStoreError::Io`] when the directory, temp file or
-    /// rename fails. Callers on the hot path treat this as a warning (the
-    /// capture is still in memory), not a failure.
+    /// rename fails, or the capture's own entry fails as it is re-read.
+    /// Callers on the hot path treat this as a warning (the capture keeps
+    /// its own entry), not a failure.
     pub fn store(
         &self,
         key: &CaptureKey,
         capture: &ExposureCapture,
     ) -> Result<PathBuf, CaptureStoreError> {
-        let mut writer = EntryWriter::create(self, key)?;
-        put_frames(capture, &mut writer)?;
-        writer.commit(&V2Header::of(capture))
+        let frames = reencode(capture, EntryWriter::for_store(self, key)?)?;
+        let sealed = seal_entry(
+            frames,
+            *capture.snapshot(),
+            capture.line_bits(),
+            capture.ones_seed(),
+        );
+        Ok(sealed?.0.path)
     }
 
     /// The store-aware capture entry point: serve `sim`'s capture of
     /// `workload` at `seed` from disk when possible, otherwise run the
-    /// trace pass. Under a `ReadWrite` policy the pass streams its frames
-    /// straight into the new entry and returns it store-backed, so its
-    /// memory does not grow with the window; under `Off` and `Read` the
-    /// fresh capture keeps its frames in memory.
+    /// trace pass. The pass streams its frames into an entry file, so its
+    /// memory does not grow with the window: under a `ReadWrite` policy
+    /// the new store entry, under `Off` and `Read` a scoped entry.
     ///
     /// Under `ReadWrite`, threads of one process that ask for the same
     /// entry at once run one trace pass: the first writes the entry, the
@@ -1381,7 +1406,7 @@ impl CaptureStore {
             return Ok(capture);
         }
         let capture = if self.policy == CapturePolicy::ReadWrite {
-            self.capture_to_entry(sim, &key, workload, seed)?
+            self.capture_to_entry(sim, workload, seed)?
         } else {
             sim.capture(workload.stream(seed))?
         };
@@ -1389,53 +1414,40 @@ impl CaptureStore {
         Ok(capture)
     }
 
-    /// Captures `workload` at `seed` straight into `key`'s entry, holding
+    /// Captures `workload` at `seed` straight into its entry, holding
     /// one frame at a time, and returns the entry as a store-backed
-    /// capture built from the header the writer wrote, exactly as
-    /// [`load`](Self::load) builds one from the header it reads.
+    /// capture built from the header the writer wrote, as
+    /// [`load`](Self::load) builds one from the header it reads. The miss
+    /// path of [`load_or_capture`](Self::load_or_capture), and the heal of
+    /// [`crate::Experiment::score`].
     ///
     /// Fails open: if the temp file cannot be created, or a write fails
-    /// mid-capture, it warns and captures in memory instead. The trace is
-    /// deterministic, so a recapture costs time, never correctness.
-    fn capture_to_entry(
+    /// mid-capture, it warns and captures into a scoped entry instead.
+    /// The trace is deterministic, so a recapture costs time, never
+    /// correctness.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimulationError`] from the trace pass, or from the
+    /// scoped fallback.
+    pub(crate) fn capture_to_entry(
         &self,
         sim: &Simulator,
-        key: &CaptureKey,
         workload: SpecWorkload,
         seed: u64,
     ) -> Result<ExposureCapture, SimulationError> {
-        let frames = match EntryWriter::create(self, key) {
-            Ok(writer) => FrameEncoder::with_sink(writer),
-            Err(e) => {
-                warn(format_args!(
-                    "capture store write failed: {e}; capturing in memory"
-                ));
-                return sim.capture(workload.stream(seed));
-            }
+        let key = CaptureKey::new(workload, seed, sim.config());
+        let failed = match EntryWriter::for_store(self, &key) {
+            Ok(writer) => match sim.capture_to(workload.stream(seed), writer)? {
+                Ok(capture) => return Ok(capture),
+                Err(e) => e,
+            },
+            Err(e) => e,
         };
-        let (pass, frames) = sim.capture_into(workload.stream(seed), frames)?;
-        let committed = frames.finish().and_then(|(count, frame_bytes, writer)| {
-            let header = V2Header {
-                line_bits: pass.line_bits as u64,
-                ones_seed: pass.ones_seed,
-                snapshot: pass.snapshot,
-                count,
-            };
-            let path = writer.commit(&header)?;
-            Ok((path, header, frame_bytes))
-        });
-        match committed {
-            Ok((path, header, frame_bytes)) => {
-                pass.emit_metrics(header.count, frame_bytes);
-                Ok(entry_capture(path, key, &header))
-            }
-            Err(e) => {
-                warn(format_args!(
-                    "capture store write failed: {e}; recapturing in memory"
-                ));
-                sim.capture(workload.stream(seed))
-            }
-        }
+        warn(format_args!(
+            "capture store write failed: {failed}; capturing into a scoped entry"
+        ));
+        sim.capture(workload.stream(seed))
     }
 }
 
@@ -1469,27 +1481,6 @@ impl Drop for EntryClaim {
         claimed.retain(|p| *p != self.0);
         RELEASED.notify_all();
     }
-}
-
-/// `key`'s entry at `path`, whose header is `header`, as a store-backed
-/// capture: the one constructor of a loaded entry and of one a capture
-/// has just streamed.
-fn entry_capture(path: PathBuf, key: &CaptureKey, header: &V2Header) -> ExposureCapture {
-    ExposureCapture::from_source(
-        EventSource::Entry {
-            path,
-            fingerprint: key.fingerprint(),
-        },
-        header.count,
-        header.snapshot,
-        header.line_bits as usize,
-        header.ones_seed,
-        key.hierarchy.clone(),
-        key.replacement,
-        key.warmup_accesses,
-        key.measure_accesses,
-        key.scrub_period,
-    )
 }
 
 /// Re-opens the entry at `path` for one replay pass, leaving the decoder
@@ -1551,7 +1542,7 @@ fn emit_entry_io(counter: &str, bytes: u64, events: u64) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::experiment::Experiment;
     use crate::scheme::ProtectionScheme;
@@ -1560,9 +1551,31 @@ mod tests {
     thread_local! {
         /// The warnings store calls on this test thread printed.
         pub(super) static WARNINGS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-        /// Entry writers created on this test thread fail from this byte
-        /// offset on.
+        /// The next entry writer created on this test thread fails from
+        /// this byte offset on.
         pub(super) static FAIL_WRITES_FROM: Cell<u64> = const { Cell::new(u64::MAX) };
+        /// Where scoped entries created on this test thread go, instead
+        /// of the temp dir.
+        pub(super) static SCOPED_DIR: RefCell<Option<PathBuf>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f` with the scoped entries this thread creates in `dir`
+    /// (created if it can be) instead of the temp dir. Parallel tests
+    /// share the temp dir, so a test that checks what is left in one
+    /// needs its own.
+    pub(crate) fn with_scoped_dir<R>(dir: &Path, f: impl FnOnce() -> R) -> R {
+        std::fs::create_dir_all(dir).ok();
+        SCOPED_DIR.set(Some(dir.to_owned()));
+        let result = f();
+        SCOPED_DIR.set(None);
+        result
+    }
+
+    /// The files left in a scoped directory.
+    pub(crate) fn scoped_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .map(|entries| entries.map(|e| e.unwrap().path()).collect())
+            .unwrap_or_default()
     }
 
     /// The failing-writer seam of [`EntryWriter`]: an I/O error for a
@@ -1581,7 +1594,7 @@ mod tests {
         })
     }
 
-    fn scratch(tag: &str) -> PathBuf {
+    pub(crate) fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("reap-capstore-unit-{tag}-{}", std::process::id()))
     }
 
@@ -1788,11 +1801,12 @@ mod tests {
                 0,
                 0,
                 0,
-            );
+            )
+            .unwrap();
             let key = CaptureKey::new(SpecWorkload::Hmmer, n as u64, &SimulationConfig::default());
 
             // Fed as the capture loop feeds it: the burst in one piece.
-            let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+            let mut frames = FrameEncoder::with_sink(EntryWriter::for_store(&store, &key).unwrap());
             let (a, b) = (
                 burst.start.min(n as u64) as usize,
                 burst.end.min(n as u64) as usize,
@@ -1800,13 +1814,9 @@ mod tests {
             for part in [&records[..a], &records[a..b], &records[b..]] {
                 frames.extend(part);
             }
-            let (count, frame_bytes, writer) = frames.finish().unwrap();
+            let (source, count, frame_bytes) = seal_entry(frames, snapshot, 512, 9).unwrap();
             assert_eq!(count, n as u64);
-            let header = V2Header {
-                count,
-                ..V2Header::of(&capture)
-            };
-            let path = writer.commit(&header).unwrap();
+            let path = source.path;
             let streamed = std::fs::read(&path).unwrap();
             let want = encode(&capture, key.fingerprint());
             assert!(streamed == want, "{n} events: streamed entry differs");
@@ -1832,43 +1842,49 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
         let (sim, key) = scrubbed_sim();
-        let in_memory = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
+        let scoped = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
         assert!(
-            in_memory.event_count() > 2 * u64::from(FRAME_RECORDS),
+            scoped.event_count() > 2 * u64::from(FRAME_RECORDS),
             "must span several frames"
         );
+        let want = std::fs::read(scoped.entry_path()).unwrap();
 
         let fresh = store.load_or_capture(&sim, SpecWorkload::Gcc, 8).unwrap();
-        assert!(
-            fresh.frames().is_none(),
-            "a store-backed capture holds no frames"
-        );
+        assert!(!fresh.is_scoped(), "a store-backed capture");
+        assert_eq!(fresh.entry_path(), store.entry_path(&key));
         let entry = std::fs::read(store.entry_path(&key)).unwrap();
-        assert!(entry == encode(&in_memory, key.fingerprint()));
-        assert_eq!(fresh.event_count(), in_memory.event_count());
-        assert_eq!(fresh.snapshot(), in_memory.snapshot());
-        assert_eq!(fresh.line_bits(), in_memory.line_bits());
-        assert_eq!(fresh.ones_seed(), in_memory.ones_seed());
+        // The scoped entry's frames, under a header stamped with the key.
+        assert!(entry[ENTRY_HEADER_BYTES..] == want[ENTRY_HEADER_BYTES..]);
+        assert!(entry == encode(&scoped, key.fingerprint()));
+        assert_eq!(fresh.event_count(), scoped.event_count());
+        assert_eq!(fresh.snapshot(), scoped.snapshot());
+        assert_eq!(fresh.line_bits(), scoped.line_bits());
+        assert_eq!(fresh.ones_seed(), scoped.ones_seed());
         assert_eq!(
             report_bits(&sim.replay(&fresh).unwrap()),
-            report_bits(&sim.replay(&in_memory).unwrap())
+            report_bits(&sim.replay(&scoped).unwrap())
         );
         assert!(temp_files(&dir).is_empty());
 
-        // Read and Off policies keep a fresh capture in memory.
+        // Read and Off policies stream a fresh capture into a scoped entry
+        // of the same bytes.
         for policy in [CapturePolicy::Read, CapturePolicy::Off] {
             let other = scratch(&format!("streamed-fresh-{policy}"));
             let capture = CaptureStore::new(&other, policy)
                 .load_or_capture(&sim, SpecWorkload::Gcc, 8)
                 .unwrap();
-            assert!(capture.frames() == in_memory.frames(), "{policy}");
+            assert!(capture.is_scoped(), "{policy}");
+            assert!(
+                std::fs::read(capture.entry_path()).unwrap() == want,
+                "{policy}"
+            );
             assert!(!other.exists(), "{policy} must not write");
         }
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn a_write_failure_mid_capture_recaptures_in_memory() {
+    fn a_write_failure_mid_capture_recaptures_into_a_scoped_entry() {
         let dir = scratch("write-failure");
         std::fs::remove_dir_all(&dir).ok();
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
@@ -1878,11 +1894,12 @@ mod tests {
         // The first frame is written, the second fails.
         FAIL_WRITES_FROM.set(ENTRY_HEADER_BYTES as u64 + 1);
         WARNINGS.take();
-        let got = store.load_or_capture(&sim, SpecWorkload::Gcc, 8);
-        FAIL_WRITES_FROM.set(u64::MAX);
-        let got = got.unwrap();
+        let got = store.load_or_capture(&sim, SpecWorkload::Gcc, 8).unwrap();
 
-        assert!(got.frames() == want.frames(), "recaptured in memory");
+        assert!(got.is_scoped(), "recaptured into a scoped entry");
+        assert!(
+            std::fs::read(got.entry_path()).unwrap() == std::fs::read(want.entry_path()).unwrap()
+        );
         assert_eq!(got.snapshot(), want.snapshot());
         assert_eq!(
             report_bits(&sim.replay(&got).unwrap()),
@@ -1892,7 +1909,7 @@ mod tests {
         assert!(
             warnings.len() == 1
                 && warnings[0].contains("injected write failure")
-                && warnings[0].contains("recapturing in memory"),
+                && warnings[0].contains("capturing into a scoped entry"),
             "{warnings:?}"
         );
         assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
@@ -1910,8 +1927,7 @@ mod tests {
         for two_stage in [false, true] {
             // The first frame is written, the second fails.
             FAIL_WRITES_FROM.set(ENTRY_HEADER_BYTES as u64 + 1);
-            let frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
-            FAIL_WRITES_FROM.set(u64::MAX);
+            let frames = FrameEncoder::with_sink(EntryWriter::for_store(&store, &key).unwrap());
             let pulled = AtomicU64::new(0);
             let trace = SpecWorkload::Gcc.stream(8).inspect(|_| {
                 pulled.fetch_add(1, Ordering::Relaxed);
@@ -1933,7 +1949,7 @@ mod tests {
     }
 
     #[test]
-    fn an_uncreatable_temp_file_captures_in_memory() {
+    fn an_uncreatable_temp_file_captures_into_a_scoped_entry() {
         let dir = scratch("uncreatable");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::write(&dir, b"a file where the store directory should be").unwrap();
@@ -1942,10 +1958,15 @@ mod tests {
         WARNINGS.take();
         let got = store.load_or_capture(&sim, SpecWorkload::Gcc, 8).unwrap();
         let want = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
-        assert!(got.frames() == want.frames());
+        assert!(got.is_scoped());
+        assert!(
+            std::fs::read(got.entry_path()).unwrap() == std::fs::read(want.entry_path()).unwrap()
+        );
         let warnings = WARNINGS.take();
         assert!(
-            warnings.iter().any(|w| w.contains("capturing in memory")),
+            warnings
+                .iter()
+                .any(|w| w.contains("capturing into a scoped entry")),
             "{warnings:?}"
         );
         std::fs::remove_file(dir).ok();
@@ -1959,15 +1980,15 @@ mod tests {
         let (sim, key) = scrubbed_sim();
 
         // A capture that returns an error (the trace runs out).
-        let frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+        let frames = FrameEncoder::with_sink(EntryWriter::for_store(&store, &key).unwrap());
         assert_eq!(temp_files(&dir).len(), 1);
         let short = SpecWorkload::Gcc.stream(8).take(30_000);
-        assert!(sim.capture_into(short, frames).is_err());
+        assert!(sim.capture_staged(short, frames, false).is_err());
         assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
 
         // A capture that panics.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut frames = FrameEncoder::with_sink(EntryWriter::create(&store, &key).unwrap());
+            let mut frames = FrameEncoder::with_sink(EntryWriter::for_store(&store, &key).unwrap());
             frames.extend(&small_capture().0.events());
             assert_eq!(temp_files(&dir).len(), 1);
             panic!("capture aborted");
@@ -1976,6 +1997,89 @@ mod tests {
         assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
         assert!(!store.entry_path(&key).exists());
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_store_less_capture_lives_in_the_temp_dir_until_dropped() {
+        let (sim, _) = scrubbed_sim();
+        let capture = sim.capture(SpecWorkload::Gcc.stream(8)).unwrap();
+        let path = capture.entry_path().to_owned();
+        assert_eq!(path.parent(), Some(std::env::temp_dir().as_path()));
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let prefix = format!("reap-capture.{}.", std::process::id());
+        assert!(name.starts_with(&prefix), "{name}");
+        assert!(capture.is_scoped() && path.exists());
+        drop(capture);
+        assert!(!path.exists(), "{}", path.display());
+    }
+
+    #[test]
+    fn scoped_entries_leave_no_file_after_a_clean_or_failed_capture() {
+        let (sim, _) = scrubbed_sim();
+
+        // A clean capture and replay: the entry lives while the capture
+        // does.
+        let dir = scratch("scoped-clean");
+        let capture = with_scoped_dir(&dir, || sim.capture(SpecWorkload::Gcc.stream(8)).unwrap());
+        assert_eq!(scoped_files(&dir), [capture.entry_path()]);
+        sim.replay(&capture).unwrap();
+        drop(capture);
+        assert!(scoped_files(&dir).is_empty(), "{:?}", scoped_files(&dir));
+
+        // A capture that errors: the trace is shorter than the budget.
+        let short = SpecWorkload::Gcc.stream(8).take(30_000);
+        let err = with_scoped_dir(&dir, || sim.capture(short)).unwrap_err();
+        assert!(matches!(err, SimulationError::BadParameter(_)), "{err}");
+        assert!(scoped_files(&dir).is_empty(), "{:?}", scoped_files(&dir));
+
+        // A sink failure mid-capture: the first frame is written, the
+        // second fails.
+        FAIL_WRITES_FROM.set(ENTRY_HEADER_BYTES as u64 + 1);
+        let err = with_scoped_dir(&dir, || sim.capture(SpecWorkload::Gcc.stream(8))).unwrap_err();
+        let SimulationError::ScopedEntry { path, .. } = &err else {
+            panic!("want a scoped-entry error, got {err}");
+        };
+        assert_eq!(path.parent(), Some(dir.as_path()));
+        assert!(err.to_string().contains("injected write failure"), "{err}");
+        assert!(scoped_files(&dir).is_empty(), "{:?}", scoped_files(&dir));
+        std::fs::remove_dir(dir).ok();
+    }
+
+    #[test]
+    fn an_unwritable_scoped_directory_is_a_typed_error_naming_the_path() {
+        let blocker = scratch("scoped-unwritable");
+        std::fs::remove_dir_all(&blocker).ok();
+        std::fs::write(&blocker, b"a file where a directory should be").unwrap();
+        let dir = blocker.join("entries");
+        let (sim, _) = scrubbed_sim();
+        let err = with_scoped_dir(&dir, || sim.capture(SpecWorkload::Gcc.stream(8))).unwrap_err();
+        let SimulationError::ScopedEntry { path, .. } = &err else {
+            panic!("want a scoped-entry error, got {err}");
+        };
+        assert!(path.starts_with(&dir), "{}", path.display());
+        assert!(
+            err.to_string().contains(&dir.display().to_string()),
+            "{err}"
+        );
+        // The same for a capture assembled from its parts.
+        let snapshot = *small_capture().0.snapshot();
+        let parts = with_scoped_dir(&dir, || {
+            ExposureCapture::from_parts(
+                Vec::new(),
+                snapshot,
+                512,
+                9,
+                HierarchyConfig::paper(),
+                Replacement::Lru,
+                0,
+                0,
+                0,
+            )
+        });
+        assert!(
+            matches!(parts, Err(SimulationError::ScopedEntry { ref path, .. }) if path.starts_with(&dir))
+        );
+        std::fs::remove_file(blocker).ok();
     }
 
     #[test]
@@ -2160,7 +2264,8 @@ mod tests {
             0,
             0,
             0,
-        );
+        )
+        .unwrap();
         let buf = encode(&capture, 77);
         let payload = read_capture_v2(&buf[..], 77).unwrap();
         assert_eq!(payload.events, events);

@@ -1,7 +1,7 @@
 //! High-level experiment builder — the one-call entry point.
 
 use crate::capture::ExposureCapture;
-use crate::capture_store::{self, CaptureKey, CapturePolicy, CaptureStore};
+use crate::capture_store::{self, CapturePolicy, CaptureStore};
 use crate::report::Report;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
 use reap_cache::{HierarchyConfig, Replacement};
@@ -172,13 +172,14 @@ impl Experiment {
     /// one-off replay. The reports are bit-identical either way.
     ///
     /// This is also the one recovery body for a capture that fails while
-    /// it is replayed: a store entry that vanished, or a frame that fails
-    /// its checksum (loads check only the header). That is never an
-    /// error. The defect is reported on stderr and the points are scored
-    /// again from a fresh capture taken in memory, so recovery never
-    /// re-reads the entry it found rotten. A store-backed capture counts a
-    /// `capture_store.invalid`, and under a `ReadWrite` store its entry is
-    /// rewritten from the fresh capture; a failed write only warns.
+    /// it is replayed: an entry that vanished, or a frame that fails its
+    /// checksum (loads check only the header). That is never an error.
+    /// The defect is reported on stderr and the points are scored again
+    /// from a fresh capture, which never re-reads the entry found rotten.
+    /// A store-backed capture counts a `capture_store.invalid`, and under
+    /// a `ReadWrite` store the fresh capture streams straight into its
+    /// entry, as a miss does; a failed write only warns. Otherwise the
+    /// fresh capture streams into a scoped entry.
     ///
     /// # Errors
     ///
@@ -196,17 +197,16 @@ impl Experiment {
             other => return Ok(other?),
         };
         eprintln!("warning: capture failed mid-replay ({defect}); recapturing");
-        let fresh = self.capture()?;
-        // Only a store-backed capture has no in-memory frames.
-        if capture.frames().is_none() {
+        if !capture.is_scoped() {
             capture_store::bump("capture_store.invalid");
-            if let Some(store) = store.filter(|s| s.policy() == CapturePolicy::ReadWrite) {
-                let key = CaptureKey::new(self.workload, self.seed, &self.config);
-                if let Err(e) = store.store(&key, &fresh) {
-                    eprintln!("warning: capture store write failed: {e}");
-                }
-            }
         }
+        let fresh = match store.filter(|s| s.policy() == CapturePolicy::ReadWrite) {
+            Some(store) if !capture.is_scoped() => {
+                let sim = Simulator::new(self.config.clone())?;
+                store.capture_to_entry(&sim, self.workload, self.seed)?
+            }
+            _ => self.capture()?,
+        };
         Ok(replay_reusing(points, &fresh, kernel)?)
     }
 

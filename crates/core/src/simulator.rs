@@ -1,7 +1,7 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{EventSource, ExposureCapture, ExposureStream, HierarchySnapshot};
-use crate::capture_store::{FrameEncoder, FrameSink};
+use crate::capture::{ExposureCapture, ExposureStream, HierarchySnapshot};
+use crate::capture_store::{seal_entry, CaptureStoreError, EntryWriter, FrameEncoder, FrameSink};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
@@ -15,6 +15,7 @@ use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
 use reap_reliability::{AccumulationModel, ExposureKind, MultiReplayAggregator, ReplayAggregator};
 use reap_trace::MemoryAccess;
 use std::fmt;
+use std::path::PathBuf;
 
 /// Line-level ECC strength protecting the STT-MRAM L2.
 ///
@@ -131,6 +132,14 @@ pub enum SimulationError {
     /// vanished, or a frame failed its checksum as replay read it.
     /// [`crate::Experiment::score`] falls back to a fresh capture.
     CaptureStream(crate::capture::StreamDefect),
+    /// A capture's scoped entry, under the system temp dir, could not be
+    /// written.
+    ScopedEntry {
+        /// The entry's path.
+        path: PathBuf,
+        /// The underlying failure.
+        source: CaptureStoreError,
+    },
 }
 
 impl fmt::Display for SimulationError {
@@ -143,6 +152,11 @@ impl fmt::Display for SimulationError {
                 write!(f, "capture incompatible with this configuration: {what}")
             }
             SimulationError::CaptureStream(defect) => write!(f, "{defect}"),
+            SimulationError::ScopedEntry { path, source } => write!(
+                f,
+                "cannot write capture entry {} (set TMPDIR to a writable directory): {source}",
+                path.display()
+            ),
         }
     }
 }
@@ -153,6 +167,7 @@ impl std::error::Error for SimulationError {
             SimulationError::Code(e) => Some(e),
             SimulationError::Array(e) => Some(e),
             SimulationError::CaptureStream(e) => Some(e),
+            SimulationError::ScopedEntry { source, .. } => Some(source),
             SimulationError::BadParameter(_) | SimulationError::CaptureMismatch(_) => None,
         }
     }
@@ -336,63 +351,70 @@ impl Simulator {
     /// only the *behavioural* configuration (hierarchy geometry,
     /// replacement policy, access budgets) is pinned by the capture.
     ///
+    /// The events stream into a scoped entry, a file named for the
+    /// process in [`std::env::temp_dir`] that is deleted when the last
+    /// clone of the capture drops, so the capture holds one frame at a
+    /// time whatever the window.
+    ///
     /// # Errors
     ///
     /// Returns [`SimulationError::BadParameter`] if the trace ends before
-    /// the configured access budget.
+    /// the configured access budget, and [`SimulationError::ScopedEntry`]
+    /// if the scoped entry cannot be written.
     pub fn capture<I>(&self, trace: I) -> Result<ExposureCapture, SimulationError>
     where
         I: IntoIterator<Item = MemoryAccess>,
     {
-        let (pass, frames) = self.capture_into(trace, FrameEncoder::new())?;
-        let Ok((count, frame_bytes, frames)) = frames.finish();
-        pass.emit_metrics(count, frame_bytes);
-        Ok(ExposureCapture::from_source(
-            EventSource::Frames(frames.into()),
-            count,
-            pass.snapshot,
-            pass.line_bits,
-            pass.ones_seed,
-            self.config.hierarchy.clone(),
-            self.config.replacement,
-            self.config.warmup_accesses,
-            self.config.measure_accesses,
-            self.config.scrub_period,
-        ))
+        let writer = EntryWriter::scoped()?;
+        let path = writer.path().to_owned();
+        self.capture_to(trace, writer)?
+            .map_err(|source| SimulationError::ScopedEntry { path, source })
     }
 
-    /// The trace pass of [`capture`](Self::capture): drives `trace`
-    /// through the hierarchy, coding the exposure records into `frames`
-    /// as they are recorded, and returns the rest of the capture with the
-    /// encoder. The frames' sink decides where they go: memory for a
-    /// store-less capture, the entry's file for a store-backed one.
+    /// The trace pass streamed into `writer`'s entry, committed: the
+    /// capture, or the writer's error (the inner `Err`), which leaves no
+    /// file behind.
     ///
     /// The pass runs in two stages ([`crate::stages`]): the trace and the
     /// L1s, then the L2, the recorder and the encoder. The second runs on
     /// a helper thread when the process's core budget shows a core idle,
-    /// and inline otherwise, with the same frames either way.
-    ///
-    /// Stops early once the sink has failed, since its caller discards
-    /// the pass. Emits no `sim.capture.*` or `cache.*` counters: the
-    /// caller emits them through [`CapturePass::emit_metrics`] for the
-    /// pass it keeps.
-    pub(crate) fn capture_into<I, S>(
+    /// and inline otherwise, with the same entry either way. It stops
+    /// early once the writer has failed, and emits the `sim.capture.*`
+    /// and `cache.*` counters only for a capture it commits.
+    pub(crate) fn capture_to<I>(
         &self,
         trace: I,
-        frames: FrameEncoder<S>,
-    ) -> Result<(CapturePass, FrameEncoder<S>), SimulationError>
+        writer: EntryWriter,
+    ) -> Result<Result<ExposureCapture, CaptureStoreError>, SimulationError>
     where
         I: IntoIterator<Item = MemoryAccess>,
-        S: FrameSink + Send + 'static,
-        S::Error: Send,
     {
         let helper = CoreClaim::idle();
-        self.capture_staged(trace, frames, helper.is_some())
+        let frames = FrameEncoder::with_sink(writer);
+        let (pass, frames) = self.capture_staged(trace, frames, helper.is_some())?;
+        let sealed = seal_entry(frames, pass.snapshot, pass.line_bits, pass.ones_seed);
+        Ok(sealed.map(|(source, count, frame_bytes)| {
+            pass.emit_metrics(count, frame_bytes);
+            ExposureCapture::from_source(
+                source,
+                count,
+                pass.snapshot,
+                pass.line_bits,
+                pass.ones_seed,
+                self.config.hierarchy.clone(),
+                self.config.replacement,
+                self.config.warmup_accesses,
+                self.config.measure_accesses,
+                self.config.scrub_period,
+            )
+        }))
     }
 
-    /// [`capture_into`](Self::capture_into) with the choice made:
-    /// `two_stage` runs the back stage on a helper thread (unless none
-    /// can start), otherwise inline.
+    /// The trace pass: drives `trace` through the hierarchy, coding the
+    /// exposure records into `frames` as they are recorded, and returns
+    /// the rest of the capture with the encoder. `two_stage` runs the
+    /// back stage on a helper thread (unless none can start), otherwise
+    /// inline. Emits no `sim.capture.*` or `cache.*` counters.
     pub(crate) fn capture_staged<I, S>(
         &self,
         trace: I,
@@ -746,7 +768,11 @@ mod tests {
     fn an_inline_capture_exports_both_capture_mode_counters() {
         let sim = Simulator::new(quick_config()).unwrap();
         let (pass, _) = sim
-            .capture_staged(SpecWorkload::Gcc.stream(8), FrameEncoder::new(), false)
+            .capture_staged(
+                SpecWorkload::Gcc.stream(8),
+                FrameEncoder::with_sink(EntryWriter::scoped().unwrap()),
+                false,
+            )
             .unwrap();
         assert!(!pass.two_stage);
         let registry = reap_obs::Registry::new();

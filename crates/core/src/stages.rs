@@ -27,7 +27,7 @@
 //! code that a one-capture process would otherwise add to its peak RSS.
 //! The back stage owns what it drives (the L2, the recorder, the
 //! encoder) while it runs and hands it back at the end, and allocates
-//! nothing but what its sink keeps (an in-memory capture's frames).
+//! nothing.
 //!
 //! [`CoreClaim`]: crate::supervise::CoreClaim
 
@@ -688,6 +688,8 @@ impl<T> Drop for Lease<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture_store::tests::{scoped_files, scratch, with_scoped_dir};
+    use crate::capture_store::{seal_entry, CaptureStoreError, EntryWriter};
     use crate::simulator::{CapturePass, Simulator};
     use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
     use proptest::prelude::*;
@@ -703,22 +705,25 @@ mod tests {
         }
     }
 
-    /// A capture's pass, record count and frames.
-    type Captured = (CapturePass, u64, Vec<Box<[u8]>>);
+    /// A capture's pass, record count and entry bytes.
+    type Captured = (CapturePass, u64, Vec<u8>);
 
-    /// One in-memory capture, both stages on this thread or not.
+    /// One capture into a scoped entry, both stages on this thread or not.
     fn capture(
         sim: &Simulator,
         trace: impl IntoIterator<Item = MemoryAccess>,
         two_stage: bool,
     ) -> Result<Captured, SimulationError> {
-        let (pass, frames) = sim.capture_staged(trace, FrameEncoder::new(), two_stage)?;
-        let Ok((count, _, frames)) = frames.finish();
-        Ok((pass, count, frames))
+        let frames = FrameEncoder::with_sink(EntryWriter::scoped()?);
+        let (pass, frames) = sim.capture_staged(trace, frames, two_stage)?;
+        let (source, count, _) =
+            seal_entry(frames, pass.snapshot, pass.line_bits, pass.ones_seed).unwrap();
+        let bytes = std::fs::read(&source.path).unwrap();
+        Ok((pass, count, bytes))
     }
 
     proptest! {
-        /// The back stage on a helper thread codes the very frames, and
+        /// The back stage on a helper thread codes the very entry, and
         /// leaves the very counters, that it codes inline.
         #[test]
         fn two_stage_and_inline_captures_are_byte_identical(
@@ -746,14 +751,14 @@ mod tests {
             })
             .unwrap();
             let workload = SpecWorkload::ALL[workload];
-            let (inline, inline_count, inline_frames) =
+            let (inline, inline_count, inline_entry) =
                 capture(&sim, workload.stream(seed), false).unwrap();
-            let (staged, staged_count, staged_frames) =
+            let (staged, staged_count, staged_entry) =
                 capture(&sim, workload.stream(seed), true).unwrap();
             prop_assert!(!inline.two_stage);
             prop_assert!(staged.two_stage);
             prop_assert_eq!(inline_count, staged_count);
-            prop_assert!(inline_frames == staged_frames, "frames differ");
+            prop_assert!(inline_entry == staged_entry, "entries differ");
             prop_assert_eq!(inline.snapshot, staged.snapshot);
             prop_assert_eq!(inline.ones_seed, staged.ones_seed);
         }
@@ -780,19 +785,26 @@ mod tests {
         }
     }
 
-    /// A sink that panics on its `n`th frame.
-    struct PanickingSink(u32);
+    /// An entry writer that panics on its `n`th frame.
+    struct PanickingSink(u32, EntryWriter);
 
     impl FrameSink for PanickingSink {
-        type Error = std::convert::Infallible;
+        type Error = CaptureStoreError;
 
-        fn put(&mut self, _: &[u8]) -> Result<(), Self::Error> {
+        fn put(&mut self, frame: &[u8]) -> Result<(), Self::Error> {
             self.0 = self.0.saturating_sub(1);
             assert!(self.0 > 0, "sink exploded");
-            Ok(())
+            self.1.put(frame)
         }
     }
 
+    /// The scoped directory of one job of the stage-panic test.
+    fn panic_dir((two_stage, in_back): (bool, bool)) -> std::path::PathBuf {
+        scratch(&format!("stage-panic-{two_stage}-{in_back}"))
+    }
+
+    /// A panic in either stage, inline or on a helper, is the job's panic,
+    /// and the unwinding deletes the capture's scoped entry.
     #[test]
     fn a_panic_in_either_stage_is_the_supervised_jobs_panic() {
         let sim = std::sync::Arc::new(Simulator::new(config(1_000, 60_000)).unwrap());
@@ -815,18 +827,21 @@ mod tests {
             || (),
             move |(), (two_stage, in_back): (bool, bool)| {
                 let sim = &job_sim;
-                if in_back {
-                    let frames = FrameEncoder::with_sink(PanickingSink(3));
-                    let trace = SpecWorkload::Gcc.stream(1);
-                    sim.capture_staged(trace, frames, two_stage).map(|_| ())
-                } else {
-                    let trace = SpecWorkload::Gcc.stream(1).enumerate().map(|(i, a)| {
-                        assert!(i < 30_000, "trace exploded");
-                        a
-                    });
-                    sim.capture_staged(trace, FrameEncoder::new(), two_stage)
-                        .map(|_| ())
-                }
+                with_scoped_dir(&panic_dir((two_stage, in_back)), || {
+                    let writer = EntryWriter::scoped()?;
+                    if in_back {
+                        let frames = FrameEncoder::with_sink(PanickingSink(3, writer));
+                        let trace = SpecWorkload::Gcc.stream(1);
+                        sim.capture_staged(trace, frames, two_stage).map(|_| ())
+                    } else {
+                        let trace = SpecWorkload::Gcc.stream(1).enumerate().map(|(i, a)| {
+                            assert!(i < 30_000, "trace exploded");
+                            a
+                        });
+                        let frames = FrameEncoder::with_sink(writer);
+                        sim.capture_staged(trace, frames, two_stage).map(|_| ())
+                    }
+                })
             },
             |_, _| ControlFlow::Continue(()),
         );
@@ -841,6 +856,9 @@ mod tests {
                 "two-stage {two_stage}, back {in_back}: {:?}",
                 outcome.result.map(|r| r.is_ok())
             );
+            let dir = panic_dir((two_stage, in_back));
+            assert!(scoped_files(&dir).is_empty(), "{:?}", scoped_files(&dir));
+            std::fs::remove_dir(dir).ok();
         }
         // The helper that caught the back stage's panic takes the next
         // capture.

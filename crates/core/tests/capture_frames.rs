@@ -1,10 +1,10 @@
-//! A fresh capture is `reap-capture/2` frames from the start.
+//! A fresh capture is a `reap-capture/2` entry from the start.
 //! `Simulator::capture` codes its records into frames access by access
-//! while it runs; these tests pin that the result is byte for
-//! byte what encoding the whole record vector at once yields. Every
-//! frame is cut after exactly 4096 records, wherever the cut falls:
-//! exactly on a frame boundary, one record either side of it, or in the
-//! middle of a scrub burst.
+//! while it runs, writing each into its scoped entry; these tests pin
+//! that the entry's bytes are byte for byte what encoding the whole
+//! record vector at once yields. Every frame is cut after exactly 4096
+//! records, wherever the cut falls: exactly on a frame boundary, one
+//! record either side of it, or in the middle of a scrub burst.
 
 use reap_cache::Hierarchy;
 use reap_core::capture_store::write_capture_v2;
@@ -17,6 +17,8 @@ use reap_trace::{MemoryAccess, SpecWorkload};
 
 /// Records per full frame, as the format fixes it.
 const FRAME: usize = 4096;
+/// Bytes of an entry's header, before its first frame.
+const ENTRY_HEADER_BYTES: usize = 353;
 
 /// The frame region of a v2 entry, coded straight from the format
 /// description in the `capture_store` module docs: an oracle that shares
@@ -88,9 +90,10 @@ fn record_vector(experiment: &Experiment, trace: &[MemoryAccess]) -> Vec<Exposur
 }
 
 /// Captures `trace` fresh and checks it against the record vector: the
-/// in-memory frames match the spec encoding, the stored entry matches
-/// `write_capture_v2` over a capture assembled from the vector, and both
-/// a streamed pass and `events()` give back the vector. Returns it.
+/// frames of its entry file match the spec encoding, the whole file
+/// matches the entry of a capture assembled from the vector, the stored
+/// entry matches `write_capture_v2` over that capture, and both a
+/// streamed pass and `events()` give back the vector. Returns it.
 fn check_fresh_capture(experiment: &Experiment, trace: &[MemoryAccess]) -> Vec<ExposureRecord> {
     let config = experiment.config();
     let budget = (config.warmup_accesses + config.measure_accesses) as usize;
@@ -101,14 +104,9 @@ fn check_fresh_capture(experiment: &Experiment, trace: &[MemoryAccess]) -> Vec<E
         .expect("capture");
     let records = record_vector(experiment, trace);
 
-    let frames = capture.frames().expect("a fresh capture holds frames");
-    assert_eq!(
-        frames.len(),
-        records.len().div_ceil(FRAME),
-        "one slice per frame"
-    );
+    let entry = std::fs::read(capture.entry_path()).expect("read the entry");
     assert!(
-        frames.concat() == spec_frames(&records),
+        entry[ENTRY_HEADER_BYTES..] == spec_frames(&records),
         "frames differ from the spec encoding"
     );
 
@@ -123,6 +121,11 @@ fn check_fresh_capture(experiment: &Experiment, trace: &[MemoryAccess]) -> Vec<E
         config.warmup_accesses,
         config.measure_accesses,
         config.scrub_period,
+    )
+    .expect("scoped entry");
+    assert!(
+        entry == std::fs::read(from_vector.entry_path()).expect("read the entry"),
+        "the entry differs from that of the vector"
     );
     let mut want = Vec::new();
     write_capture_v2(&mut want, key.fingerprint(), &from_vector).expect("encode");

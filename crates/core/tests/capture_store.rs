@@ -72,7 +72,7 @@ fn report_bits(r: &reap_core::Report) -> [u64; 4] {
 proptest! {
     /// A store round-trip preserves the capture exactly — the loaded
     /// entry's events, metadata and every replayed report are
-    /// bit-identical to the in-memory original, for arbitrary workloads,
+    /// bit-identical to the fresh original, for arbitrary workloads,
     /// seeds and replacement policies.
     #[test]
     fn store_round_trip_is_bit_identical(
@@ -140,7 +140,7 @@ proptest! {
             0,
             0,
             0,
-        );
+        ).expect("scoped entry");
         let mut encoded = Vec::new();
         let bytes = write_capture_v2(&mut encoded, fingerprint, &capture).expect("encode");
         prop_assert_eq!(bytes, encoded.len() as u64);

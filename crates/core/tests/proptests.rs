@@ -297,9 +297,10 @@ proptest! {
     /// and the L2 stats reset land after a weightless warm-up of any
     /// length; scrub periods include every access. Every weight the
     /// reference was handed equals `sample_ones` of its line key. The
-    /// capture holds its records only as frames, coded while it ran: a
-    /// streamed pass over them, and the frames themselves, equal those of
-    /// a capture assembled from the reference's whole record vector.
+    /// capture holds its records only as the frames of its entry, coded
+    /// while it ran: a streamed pass over them, and the entry's bytes, equal
+    /// those of a capture assembled from the reference's whole record
+    /// vector.
     #[test]
     fn capture_records_match_a_weighed_serial_drive(
         workload_index in 0usize..21,
@@ -376,9 +377,10 @@ proptest! {
             warmup,
             measure,
             scrub_period,
-        );
-        let frames = capture.frames().expect("a fresh capture holds frames");
-        prop_assert!(Some(frames) == whole.frames(), "frames depend on how records were fed");
+        ).expect("scoped entry");
+        let fed = std::fs::read(capture.entry_path()).expect("read entry");
+        let want = std::fs::read(whole.entry_path()).expect("read entry");
+        prop_assert!(fed == want, "entries depend on how records were fed");
         prop_assert_eq!(capture.events(), reference.records.as_slice());
         prop_assert_eq!(*capture.snapshot(), HierarchySnapshot::of(&hierarchy));
         prop_assert!(reference.weighed >= reference.records.len() as u64);

@@ -242,8 +242,8 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         let _ = writeln!(out);
     }
 
-    // The frames of fresh captures: what a store-less capture holds in
-    // memory per event, and what a store-backed one streams to disk.
+    // The frames of fresh captures: what each streamed into its entry
+    // file per event.
     if let (Some(events @ 1..), Some(bytes)) = (
         counter("sim.capture.exposure_events"),
         counter("sim.capture.frame_bytes"),
