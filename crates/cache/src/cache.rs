@@ -542,9 +542,11 @@ pub fn sample_ones_multi(
 /// stream is a serial feedback chain (`z_{k+1} = splitmix(z_k)`), so a
 /// single walk is latency-bound — every word waits on the one before
 /// it. Different lines' chains are independent, though, and stepping
-/// four of them in lockstep hides that latency behind instruction-level
-/// parallelism: the batched replay feeder's per-*block* win on top of
-/// [`sample_ones_multi`]'s per-record one.
+/// eight of them in lockstep hides that latency (and the software
+/// popcount the baseline x86-64 target compiles `count_ones` to) behind
+/// instruction-level parallelism: the batched replay feeder's
+/// per-*block* win on top of [`sample_ones_multi`]'s per-record one.
+/// A block's last `keys.len() % 8` lines take [`sample_ones_multi`].
 ///
 /// `keys` are `(tag, set, version)` triples; `widths` must be ascending;
 /// `out` must hold `keys.len() * widths.len()` slots.
@@ -554,7 +556,7 @@ pub fn sample_ones_multi_batch(
     widths: &[usize],
     out: &mut [u32],
 ) {
-    const R: usize = 4;
+    const R: usize = 8;
     let nw = widths.len();
     debug_assert_eq!(keys.len() * nw, out.len());
     debug_assert!(widths.windows(2).all(|w| w[0] <= w[1]));
@@ -575,7 +577,7 @@ pub fn sample_ones_multi_batch(
         // Same cursor as `sample_ones_multi` — bits fully popcounted
         // into `full`, plus the not-yet-consumed word for `[covered,
         // covered + 64)` if a partial take produced it — but widened to
-        // four records, so each `z_{k+1} = splitmix(z_k)` feedback step
+        // eight records, so each `z_{k+1} = splitmix(z_k)` feedback step
         // runs once per chain back to back and the chains overlap in
         // the pipeline.
         let mut covered = 0usize;

@@ -195,13 +195,14 @@ proptest! {
     }
 
     /// The block sampler is defined as `sample_ones` evaluated per
-    /// (record, width); the four-chain interleave must be invisible.
-    /// Key counts straddle the 4-record lockstep boundary so both the
-    /// interleaved rows and the per-record tail are exercised.
+    /// (record, width); the eight-chain interleave must be invisible.
+    /// Key counts (1–20) straddle the 8-record lockstep boundary twice,
+    /// so blocks with no full row, one or two rows, and every tail
+    /// length are exercised.
     #[test]
     fn block_sampling_matches_single_width(
         seed in any::<u64>(),
-        keys in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..11),
+        keys in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..21),
         raw in proptest::collection::vec(0usize..600, 1..6),
     ) {
         let mut widths = raw;

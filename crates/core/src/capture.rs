@@ -135,11 +135,38 @@ pub struct ExposureEvents {
     decoder: V2Decoder<BufReader<File>>,
 }
 
+/// A block of decoded records as two columns, index for index: the
+/// `(tag, set, version)` line keys the weight sampler hashes and the
+/// `(kind, unchecked_reads)` pairs the replay kernel scores.
+pub type EventBlock<'a> = (&'a [(u64, u64, u64)], &'a [(ExposureKind, u64)]);
+
+impl ExposureEvents {
+    /// Yields up to `max` (at least one) of the next records as an
+    /// [`EventBlock`]. The slices borrow the decoded frame, so a block
+    /// costs no copy, and never span a frame: a block may end short at a
+    /// frame edge. Empty slices mark the end of the stream. Yields
+    /// the same records, in the same order, as
+    /// [`next_record`](ExposureStream::next_record), and a frame that
+    /// fails its checksum yields none of its records to either.
+    ///
+    /// # Errors
+    ///
+    /// A [`StreamDefect`] (I/O error, checksum mismatch, malformed frame)
+    /// ends the stream.
+    #[inline]
+    pub fn next_block(&mut self, max: usize) -> Result<EventBlock<'_>, StreamDefect> {
+        self.decoder
+            .next_block(max)
+            .map_err(|e| StreamDefect::new(e.to_string()))
+    }
+}
+
 impl ExposureStream for ExposureEvents {
     fn len(&self) -> u64 {
         self.total
     }
 
+    #[inline]
     fn next_record(&mut self) -> Result<Option<ExposureRecord>, StreamDefect> {
         self.decoder
             .next_record()

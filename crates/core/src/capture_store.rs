@@ -85,7 +85,8 @@
 //! ```
 
 use crate::capture::{
-    EventSource, ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot, StreamDefect,
+    EventBlock, EventSource, ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot,
+    StreamDefect,
 };
 use crate::checkpoint::fnv;
 use crate::simulator::{SimulationConfig, SimulationError, Simulator};
@@ -532,16 +533,20 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Decodes one LEB128 varint from `payload` at `*pos`, advancing it.
-/// `None` on truncation, a non-terminating encoding, or 64-bit overflow.
-/// Always inlined: it is the inner loop of every frame decode.
+/// Decodes one LEB128 varint from `payload` at `*pos`, advancing it and
+/// folding each byte it reads into the FNV-1a state `hash`, so a frame is
+/// checksummed in the pass that parses it: `hash` always covers exactly
+/// the bytes before `*pos`. `None` on truncation, a non-terminating
+/// encoding, or 64-bit overflow. Always inlined: it is the inner loop of
+/// every frame decode.
 #[inline(always)]
-fn get_varint(payload: &[u8], pos: &mut usize) -> Option<u64> {
+fn get_varint(payload: &[u8], pos: &mut usize, hash: &mut u64) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
         let byte = *payload.get(*pos)?;
         *pos += 1;
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
         let low = u64::from(byte & 0x7f);
         if shift > 63 || (shift == 63 && low > 1) {
             return None;
@@ -965,10 +970,15 @@ impl FrameSink for EntryWriter {
 
 /// Frame-at-a-time decoder of a `reap-capture/2` stream, the one decoder
 /// of the format. [`open`](Self::open) checks the header;
-/// [`read_frame`](Self::read_frame) verifies each frame's checksum as
-/// replay reaches it, the only place frame checksums are checked. Holds
-/// at most one decoded frame (≤ `frame_len` records), so replay runs in
-/// bounded memory.
+/// [`read_frame`](Self::read_frame) decodes each frame as replay reaches
+/// it, the only place frame checksums are checked. It parses and
+/// checksums a frame in one pass, folding every payload byte into the
+/// FNV-1a state as it decodes, and releases the frame's records only once
+/// the checksum verifies. The records land in two columns, `(tag, set,
+/// version)` keys and `(kind, N)` pairs — what the weight sampler and the
+/// kernel take — so [`next_block`](Self::next_block) hands them out
+/// without a copy. Holds at most one decoded frame (≤ `frame_len`
+/// records), so replay runs in bounded memory.
 pub(crate) struct V2Decoder<R: Read> {
     reader: R,
     offset: u64,
@@ -976,9 +986,14 @@ pub(crate) struct V2Decoder<R: Read> {
     count: u64,
     /// Records per full frame.
     frame_len: u32,
-    yielded: u64,
-    frame: Vec<ExposureRecord>,
-    frame_pos: usize,
+    /// Records of the frames read so far, the current one included.
+    decoded: u64,
+    /// The current frame's line keys `(tag, set, version)`...
+    keys: Vec<(u64, u64, u64)>,
+    /// ...and `(kind, unchecked_reads)`, index for index.
+    kinds: Vec<(ExposureKind, u64)>,
+    /// Records of the current frame handed out so far.
+    pos: usize,
     /// Reusable raw-payload buffer: one allocation serves every frame.
     payload: Vec<u8>,
     /// Whether the end-of-stream trailing-bytes probe has run.
@@ -1053,9 +1068,10 @@ impl<R: Read> V2Decoder<R> {
             offset,
             count,
             frame_len,
-            yielded: 0,
-            frame: Vec::new(),
-            frame_pos: 0,
+            decoded: 0,
+            keys: Vec::new(),
+            kinds: Vec::new(),
+            pos: 0,
             payload: Vec::new(),
             probed: false,
         };
@@ -1063,60 +1079,90 @@ impl<R: Read> V2Decoder<R> {
     }
 
     /// Yields the next record, reading and verifying the next frame when
-    /// the buffered one is exhausted. After the final record, probes that
+    /// the current one is exhausted. After the final record, probes that
     /// the stream ends exactly (once).
     #[inline]
     pub(crate) fn next_record(&mut self) -> Result<Option<ExposureRecord>, CaptureStoreError> {
-        match self.frame.get(self.frame_pos) {
-            Some(&record) => {
-                self.frame_pos += 1;
-                self.yielded += 1;
-                Ok(Some(record))
-            }
-            None => self.next_frame_record(),
+        if self.pos == self.keys.len() {
+            self.advance()?;
         }
+        let (Some(&(tag, set, version)), Some(&(kind, unchecked_reads))) =
+            (self.keys.get(self.pos), self.kinds.get(self.pos))
+        else {
+            return Ok(None);
+        };
+        self.pos += 1;
+        Ok(Some(ExposureRecord {
+            kind,
+            key: LineKey { tag, set, version },
+            unchecked_reads,
+        }))
     }
 
-    /// [`next_record`](Self::next_record) at a frame boundary: kept out
-    /// of line so the per-record path stays small enough to inline.
+    /// Yields up to `max` (at least one) of the next records as column
+    /// slices `(keys, kinds)`, index for index, reading and verifying the
+    /// next frame when the current one is exhausted. A block never spans
+    /// a frame: it ends early at the frame's last record. Empty slices
+    /// mark the end of the stream, which has then passed the same
+    /// trailing-bytes probe as [`next_record`](Self::next_record).
+    #[inline]
+    pub(crate) fn next_block(&mut self, max: usize) -> Result<EventBlock<'_>, CaptureStoreError> {
+        debug_assert!(max > 0, "an empty block reads as the end of the stream");
+        if self.pos == self.keys.len() {
+            self.advance()?;
+        }
+        let start = self.pos;
+        self.pos = self.keys.len().min(start + max);
+        Ok((&self.keys[start..self.pos], &self.kinds[start..self.pos]))
+    }
+
+    /// Moves past an exhausted frame: reads the next one or, once every
+    /// declared record has been decoded, probes (once) that the stream
+    /// ends exactly and leaves the columns exhausted. Kept out of line so
+    /// the per-record path stays small enough to inline.
     #[inline(never)]
-    fn next_frame_record(&mut self) -> Result<Option<ExposureRecord>, CaptureStoreError> {
-        loop {
-            if self.frame_pos < self.frame.len() {
-                let record = self.frame[self.frame_pos];
-                self.frame_pos += 1;
-                self.yielded += 1;
-                return Ok(Some(record));
-            }
-            if self.yielded == self.count {
-                if !self.probed {
-                    self.probed = true;
-                    let mut probe = [0u8; 1];
-                    match self.reader.read_exact(&mut probe) {
-                        Ok(()) => {
-                            return Err(CaptureStoreError::TrailingBytes {
-                                offset: self.offset,
-                            })
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {}
-                        Err(source) => {
-                            return Err(CaptureStoreError::Io {
-                                offset: self.offset,
-                                source,
-                            })
-                        }
-                    }
-                }
-                return Ok(None);
-            }
-            self.read_frame()?;
+    fn advance(&mut self) -> Result<(), CaptureStoreError> {
+        if self.decoded < self.count {
+            return self.read_frame();
         }
+        if !self.probed {
+            self.probed = true;
+            let mut probe = [0u8; 1];
+            match self.reader.read_exact(&mut probe) {
+                Ok(()) => {
+                    return Err(CaptureStoreError::TrailingBytes {
+                        offset: self.offset,
+                    })
+                }
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+                Err(source) => {
+                    return Err(CaptureStoreError::Io {
+                        offset: self.offset,
+                        source,
+                    })
+                }
+            }
+        }
+        Ok(())
     }
 
+    /// Reads, decodes and verifies the next frame into the columns.
+    ///
+    /// One pass parses the payload and folds each byte it reads into the
+    /// frame checksum. A parse error stops the pass early; the rest of
+    /// the payload is then hashed on its own, so a corrupt frame reports
+    /// [`CaptureStoreError::ChecksumMismatch`] ahead of any
+    /// [`Malformed`](CaptureStoreError::Malformed) or
+    /// [`UnknownKind`](CaptureStoreError::UnknownKind) error its bytes
+    /// would raise. The columns hold the frame's records only once the
+    /// checksum and the parse both succeed, and are empty otherwise.
     fn read_frame(&mut self) -> Result<(), CaptureStoreError> {
+        self.keys.clear();
+        self.kinds.clear();
+        self.pos = 0;
         let frame_offset = self.offset;
         let section = Section::Record {
-            index: self.yielded,
+            index: self.decoded,
         };
         let mut head = [0u8; 8];
         fill(&mut self.reader, &mut head, &mut self.offset, section)?;
@@ -1128,7 +1174,7 @@ impl<R: Read> V2Decoder<R> {
                 detail: "frame record count out of range",
             });
         }
-        if u64::from(records) > self.count - self.yielded {
+        if u64::from(records) > self.count - self.decoded {
             return Err(CaptureStoreError::Malformed {
                 offset: frame_offset,
                 detail: "frames exceed the declared record count",
@@ -1150,66 +1196,73 @@ impl<R: Read> V2Decoder<R> {
         )?;
         let checksum_offset = self.offset;
         let found = read_u64(&mut self.reader, &mut self.offset, section)?;
-        let expected = fnv1a(fnv1a(FNV_BASIS, &head), &self.payload);
-        if found != expected {
-            return Err(CaptureStoreError::ChecksumMismatch {
+
+        let (payload, keys, kinds) = (&self.payload[..], &mut self.keys, &mut self.kinds);
+        keys.reserve(records as usize);
+        kinds.reserve(records as usize);
+        let mut hash = fnv1a(FNV_BASIS, &head);
+        let mut pos = 0usize;
+        let parsed = 'parse: {
+            let mut prev = [0u64; 4];
+            for i in 0..u64::from(records) {
+                let Some(&tag_byte) = payload.get(pos) else {
+                    break 'parse Err(CaptureStoreError::Malformed {
+                        offset: frame_offset,
+                        detail: "record truncated within frame payload",
+                    });
+                };
+                pos += 1;
+                hash = (hash ^ u64::from(tag_byte)).wrapping_mul(FNV_PRIME);
+                let kind = match tag_byte {
+                    0 => ExposureKind::Demand,
+                    1 => ExposureKind::DirtyScrub,
+                    2 => ExposureKind::DirtyEviction,
+                    other => {
+                        break 'parse Err(CaptureStoreError::UnknownKind {
+                            found: other,
+                            record: self.decoded + i,
+                            offset: frame_offset,
+                        })
+                    }
+                };
+                let mut cur = [0u64; 4];
+                for (p, c) in prev.iter_mut().zip(cur.iter_mut()) {
+                    let Some(coded) = get_varint(payload, &mut pos, &mut hash) else {
+                        break 'parse Err(CaptureStoreError::Malformed {
+                            offset: frame_offset,
+                            detail: "bad varint in frame payload",
+                        });
+                    };
+                    *c = unzigzag_delta(*p, coded);
+                    *p = *c;
+                }
+                keys.push((cur[0], cur[1], cur[2]));
+                kinds.push((kind, cur[3]));
+            }
+            if pos != payload.len() {
+                break 'parse Err(CaptureStoreError::Malformed {
+                    offset: frame_offset,
+                    detail: "unconsumed bytes in frame payload",
+                });
+            }
+            Ok(())
+        };
+        let expected = fnv1a(hash, &payload[pos..]);
+        let verified = if found == expected {
+            parsed
+        } else {
+            Err(CaptureStoreError::ChecksumMismatch {
                 expected,
                 found,
                 offset: checksum_offset,
-            });
+            })
+        };
+        if let Err(e) = verified {
+            self.keys.clear();
+            self.kinds.clear();
+            return Err(e);
         }
-
-        self.frame.clear();
-        self.frame_pos = 0;
-        let mut pos = 0usize;
-        let mut prev = [0u64; 4];
-        for i in 0..u64::from(records) {
-            let Some(&tag_byte) = self.payload.get(pos) else {
-                return Err(CaptureStoreError::Malformed {
-                    offset: frame_offset,
-                    detail: "record truncated within frame payload",
-                });
-            };
-            pos += 1;
-            let kind = match tag_byte {
-                0 => ExposureKind::Demand,
-                1 => ExposureKind::DirtyScrub,
-                2 => ExposureKind::DirtyEviction,
-                other => {
-                    return Err(CaptureStoreError::UnknownKind {
-                        found: other,
-                        record: self.yielded + i,
-                        offset: frame_offset,
-                    })
-                }
-            };
-            let mut cur = [0u64; 4];
-            for (p, c) in prev.iter_mut().zip(cur.iter_mut()) {
-                let Some(coded) = get_varint(&self.payload, &mut pos) else {
-                    return Err(CaptureStoreError::Malformed {
-                        offset: frame_offset,
-                        detail: "bad varint in frame payload",
-                    });
-                };
-                *c = unzigzag_delta(*p, coded);
-                *p = *c;
-            }
-            self.frame.push(ExposureRecord {
-                kind,
-                key: LineKey {
-                    tag: cur[0],
-                    set: cur[1],
-                    version: cur[2],
-                },
-                unchecked_reads: cur[3],
-            });
-        }
-        if pos != self.payload.len() {
-            return Err(CaptureStoreError::Malformed {
-                offset: frame_offset,
-                detail: "unconsumed bytes in frame payload",
-            });
-        }
+        self.decoded += u64::from(records);
         Ok(())
     }
 }
@@ -2105,9 +2158,10 @@ pub(crate) mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert!(buf.len() <= 10);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Some(v), "v = {v}");
+            let (mut pos, mut hash) = (0, FNV_BASIS);
+            assert_eq!(get_varint(&buf, &mut pos, &mut hash), Some(v), "v = {v}");
             assert_eq!(pos, buf.len());
+            assert_eq!(hash, fnv1a(FNV_BASIS, &buf), "v = {v}");
         }
         for (cur, prev) in [
             (0u64, 0u64),
@@ -2129,13 +2183,16 @@ pub(crate) mod tests {
     #[test]
     fn unterminated_varint_is_rejected() {
         // Ten continuation bytes and an eleventh payload byte: overflow.
+        // The hash covers exactly the bytes read before the defect.
         let buf = [0xff; 11];
-        let mut pos = 0;
-        assert_eq!(get_varint(&buf, &mut pos), None);
+        let (mut pos, mut hash) = (0, FNV_BASIS);
+        assert_eq!(get_varint(&buf, &mut pos, &mut hash), None);
+        assert_eq!(hash, fnv1a(FNV_BASIS, &buf[..pos]));
         // Truncation mid-varint.
         let buf = [0x80, 0x80];
-        let mut pos = 0;
-        assert_eq!(get_varint(&buf, &mut pos), None);
+        let (mut pos, mut hash) = (0, FNV_BASIS);
+        assert_eq!(get_varint(&buf, &mut pos, &mut hash), None);
+        assert_eq!((pos, hash), (2, fnv1a(FNV_BASIS, &buf)));
     }
 
     #[test]
@@ -2196,42 +2253,243 @@ pub(crate) mod tests {
         ));
     }
 
+    /// Records with small, varied deltas, so every field codes in one
+    /// varint byte: a full frame's payload is short enough to flip every
+    /// byte of it in a test.
+    fn compact_records(count: u64) -> Vec<ExposureRecord> {
+        (0..count)
+            .map(|i| ExposureRecord {
+                kind: match i % 5 {
+                    0 => ExposureKind::DirtyScrub,
+                    1 => ExposureKind::DirtyEviction,
+                    _ => ExposureKind::Demand,
+                },
+                key: LineKey {
+                    tag: i % 7,
+                    set: i % 13,
+                    version: i / 3,
+                },
+                unchecked_reads: i % 11 + 1,
+            })
+            .collect()
+    }
+
+    /// A capture of `events`, built from parts.
+    fn capture_of(events: Vec<ExposureRecord>) -> ExposureCapture {
+        ExposureCapture::from_parts(
+            events,
+            *small_capture().0.snapshot(),
+            512,
+            9,
+            HierarchyConfig::paper(),
+            Replacement::Lru,
+            0,
+            0,
+            0,
+        )
+        .unwrap()
+    }
+
+    /// `(head offset, payload length)` of every frame of an entry.
+    fn frame_spans(entry: &[u8]) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut at = ENTRY_HEADER_BYTES;
+        while at < entry.len() {
+            let len = u32::from_le_bytes(entry[at + 4..at + 8].try_into().unwrap()) as usize;
+            spans.push((at, len));
+            at += 8 + len + 8;
+        }
+        assert_eq!(at, entry.len(), "frames tile the entry");
+        spans
+    }
+
+    /// Which check an error came from, and where.
+    fn error_site(e: &CaptureStoreError) -> String {
+        match e {
+            CaptureStoreError::ChecksumMismatch { offset, .. } => format!("checksum@{offset}"),
+            CaptureStoreError::Malformed { offset, detail } => {
+                format!("malformed@{offset}: {detail}")
+            }
+            CaptureStoreError::UnknownKind { offset, .. } => format!("kind@{offset}"),
+            CaptureStoreError::Truncated { offset, .. } => format!("truncated@{offset}"),
+            other => other.to_string(),
+        }
+    }
+
+    /// What each frame-head byte flip of the two-frame entry in
+    /// `v2_frame_corruption_truncation_and_trailing_bytes_are_caught`
+    /// reports, head bytes in order: the errors of the two-pass decoder
+    /// (checksum, then parse) that the one-pass decoder replaced.
+    const HEAD_FLIP_ERRORS: [&str; 16] = [
+        "malformed@353: frame record count out of range",
+        "malformed@353: frame record count out of range",
+        "malformed@353: frame record count out of range",
+        "malformed@353: frame record count out of range",
+        "checksum@20842",
+        "truncated@361",
+        "truncated@361",
+        "malformed@353: frame payload length out of range",
+        "checksum@20943",
+        "malformed@20849: frame record count out of range",
+        "malformed@20849: frame record count out of range",
+        "malformed@20849: frame record count out of range",
+        "truncated@20944",
+        "malformed@20849: frame payload length out of range",
+        "malformed@20849: frame payload length out of range",
+        "malformed@20849: frame payload length out of range",
+    ];
+
     #[test]
     fn v2_frame_corruption_truncation_and_trailing_bytes_are_caught() {
-        let (capture, key) = small_capture();
-        let fp = key.fingerprint();
-        let clean = encode(&capture, fp);
-        assert!(
-            clean.len() > V2_HEADER_BYTES + 8,
-            "capture must have frames"
+        // One full frame and a short tail frame.
+        let entry = encode(
+            &capture_of(compact_records(u64::from(FRAME_RECORDS) + 17)),
+            5,
+        );
+        let spans = frame_spans(&entry);
+        assert_eq!(spans.len(), 2);
+
+        // Every payload byte of every frame, flipped in turn, reads as
+        // that frame's checksum failure: the one-pass decoder finishes
+        // hashing a frame whose parse stopped early and reports the
+        // checksum first. A flipped continuation bit (0x80) derails the
+        // varints and turns a kind byte unknown; a flipped low bit (0x01)
+        // mostly decodes to a wrong value that only the checksum sees.
+        let mask = |at: usize| if at.is_multiple_of(2) { 0x80 } else { 0x01 };
+        for &(head, len) in &spans {
+            let checksum_at = (head + 8 + len) as u64;
+            for at in head + 8..head + 8 + len {
+                let mut buf = entry.clone();
+                buf[at] ^= mask(at);
+                match read_capture_v2(&buf[..], 5).unwrap_err() {
+                    CaptureStoreError::ChecksumMismatch { offset, .. } => {
+                        assert_eq!(offset, checksum_at, "flip at byte {at}")
+                    }
+                    other => panic!("flip at byte {at}: {other}"),
+                }
+            }
+        }
+        // The same flips in the tail frame under a re-sealed checksum
+        // show what the checksum preempts: parse errors of both kinds.
+        let (head, len) = spans[1];
+        let mut parse_errors = std::collections::BTreeSet::new();
+        for at in head + 8..head + 8 + len {
+            let mut buf = entry.clone();
+            buf[at] ^= mask(at);
+            let sum = fnv1a(FNV_BASIS, &buf[head..head + 8 + len]);
+            buf[head + 8 + len..].copy_from_slice(&sum.to_le_bytes());
+            if let Err(e) = read_capture_v2(&buf[..], 5) {
+                assert!(!matches!(e, CaptureStoreError::ChecksumMismatch { .. }));
+                parse_errors.insert(error_site(&e).split('@').next().unwrap().to_owned());
+            }
+        }
+        assert_eq!(
+            parse_errors.into_iter().collect::<Vec<_>>(),
+            ["kind", "malformed"]
         );
 
-        // Any single-bit flip in the frame region fails the load.
-        for at in [
-            V2_HEADER_BYTES + 8,  // first frame's record count
-            V2_HEADER_BYTES + 20, // deep in the first frame's payload
-            clean.len() - 1,      // final frame checksum
-        ] {
-            let mut buf = clean.clone();
-            buf[at] ^= 0x20;
-            assert!(
-                read_capture_v2(&buf[..], fp).is_err(),
-                "flip at byte {at} must not decode"
-            );
+        // Flips in a frame head are caught before its payload is parsed,
+        // as they always were: by the head's range checks, by running
+        // off the end, or by the checksum, which covers the head.
+        let mut head_errors = Vec::new();
+        for &(head, _) in &spans {
+            for at in head..head + 8 {
+                let mut buf = entry.clone();
+                buf[at] ^= mask(at);
+                head_errors.push(error_site(&read_capture_v2(&buf[..], 5).unwrap_err()));
+            }
         }
+        assert_eq!(head_errors, HEAD_FLIP_ERRORS);
 
+        let clean = encode(&small_capture().0, 5);
         let cut = &clean[..clean.len() - 3];
         assert!(matches!(
-            read_capture_v2(cut, fp).unwrap_err(),
+            read_capture_v2(cut, 5).unwrap_err(),
             CaptureStoreError::Truncated { .. } | CaptureStoreError::ChecksumMismatch { .. }
         ));
 
         let mut extended = clean.clone();
         extended.push(0);
         assert!(matches!(
-            read_capture_v2(&extended[..], fp).unwrap_err(),
+            read_capture_v2(&extended[..], 5).unwrap_err(),
             CaptureStoreError::TrailingBytes { .. }
         ));
+    }
+
+    #[test]
+    fn block_and_record_readers_agree_across_frame_edges() {
+        let frame = FRAME_RECORDS as usize;
+        let events = compact_records(2 * u64::from(FRAME_RECORDS) + 17);
+        let entry = encode(&capture_of(events.clone()), 5);
+        let records = |entry: &[u8]| {
+            let (_, mut decoder) = V2Decoder::open(entry, 5).unwrap();
+            let mut got = Vec::new();
+            loop {
+                match decoder.next_record() {
+                    Ok(Some(record)) => got.push(record),
+                    Ok(None) => return (got, None),
+                    Err(e) => return (got, Some(e)),
+                }
+            }
+        };
+        let blocks = |entry: &[u8], max: usize| {
+            let (_, mut decoder) = V2Decoder::open(entry, 5).unwrap();
+            let mut got = Vec::new();
+            loop {
+                let (keys, kinds) = match decoder.next_block(max) {
+                    Ok(block) => block,
+                    Err(e) => return (got, Some(e)),
+                };
+                if keys.is_empty() {
+                    // The end is sticky.
+                    assert!(decoder.next_block(max).unwrap().0.is_empty());
+                    return (got, None);
+                }
+                let first = got.len();
+                assert_eq!(keys.len(), kinds.len());
+                assert!(keys.len() <= max, "block of {} > {max}", keys.len());
+                assert_eq!(
+                    first / frame,
+                    (first + keys.len() - 1) / frame,
+                    "block of {max} at record {first} spans a frame"
+                );
+                got.extend(keys.iter().zip(kinds).map(
+                    |(&(tag, set, version), &(kind, unchecked_reads))| ExposureRecord {
+                        kind,
+                        key: LineKey { tag, set, version },
+                        unchecked_reads,
+                    },
+                ));
+            }
+        };
+
+        let (by_record, end) = records(&entry);
+        assert!(end.is_none());
+        assert_eq!(by_record, events);
+        for max in [1, 63, 64, 4096, 5000] {
+            let (by_block, end) = blocks(&entry, max);
+            assert!(end.is_none(), "block size {max}");
+            assert_eq!(by_block, by_record, "block size {max}");
+        }
+
+        // A corrupt middle frame yields none of its records to either
+        // reader: both stop after the first frame, at its checksum.
+        let spans = frame_spans(&entry);
+        let (head, len) = spans[1];
+        let mut corrupt = entry.clone();
+        corrupt[head + 8 + len / 2] ^= 0x01;
+        let checksum_at = (head + 8 + len) as u64;
+        let (got, end) = records(&corrupt);
+        assert_eq!(got, events[..frame]);
+        assert_eq!(error_site(&end.unwrap()), format!("checksum@{checksum_at}"));
+        for max in [1, 63, 64, 4096, 5000] {
+            let (got, end) = blocks(&corrupt, max);
+            assert_eq!(got, events[..frame], "block size {max}");
+            assert_eq!(
+                error_site(&end.expect("corrupt frame")),
+                format!("checksum@{checksum_at}")
+            );
+        }
     }
 
     #[test]
@@ -2254,19 +2512,7 @@ pub(crate) mod tests {
                 unchecked_reads: (i * 7) % 1000,
             })
             .collect();
-        let capture = ExposureCapture::from_parts(
-            events.clone(),
-            *small_capture().0.snapshot(),
-            512,
-            9,
-            HierarchyConfig::paper(),
-            Replacement::Lru,
-            0,
-            0,
-            0,
-        )
-        .unwrap();
-        let buf = encode(&capture, 77);
+        let buf = encode(&capture_of(events.clone()), 77);
         let payload = read_capture_v2(&buf[..], 77).unwrap();
         assert_eq!(payload.events, events);
     }

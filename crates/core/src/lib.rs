@@ -63,7 +63,7 @@ pub use campaign::{
     CampaignConfig, CampaignError, CampaignOutcome, SweepJob, SweepMode, WorkloadOutcome,
 };
 pub use capture::{
-    CaptureObserver, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
+    CaptureObserver, EventBlock, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
     HierarchySnapshot, StreamDefect,
 };
 pub use capture_store::{CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError};

@@ -1,6 +1,6 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{ExposureCapture, ExposureStream, HierarchySnapshot};
+use crate::capture::{ExposureCapture, HierarchySnapshot};
 use crate::capture_store::{seal_entry, CaptureStoreError, EntryWriter, FrameEncoder, FrameSink};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
@@ -12,7 +12,7 @@ use reap_cache::{sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacemen
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
-use reap_reliability::{AccumulationModel, ExposureKind, MultiReplayAggregator, ReplayAggregator};
+use reap_reliability::{AccumulationModel, MultiReplayAggregator, ReplayAggregator};
 use reap_trace::MemoryAccess;
 use std::fmt;
 use std::path::PathBuf;
@@ -599,7 +599,7 @@ impl Simulator {
             .collect()
     }
 
-    /// Streams the capture once in blocks of [`Self::FEED_BLOCK`]
+    /// Streams the capture once in blocks of up to [`Self::FEED_BLOCK`]
     /// records, resampling each record's weight once per *distinct*
     /// stored width — the kernel's
     /// [`stored_widths`](MultiReplayAggregator::stored_widths) — and
@@ -610,12 +610,17 @@ impl Simulator {
     /// of a width scores that width's weight, so nothing is scattered
     /// to points.
     ///
+    /// The blocks are [`ExposureEvents::next_block`]'s column slices of
+    /// the decoded frame — keys to the sampler, `(kind, N)` pairs to the
+    /// kernel — so no record is copied between the decoder and either.
     /// Blocking serves both halves of the pipeline: one record's hash
     /// walk is a serial feedback chain, so `sample_ones_multi_batch`
-    /// steps four records' chains in lockstep to hide the latency, and
+    /// steps eight records' chains in lockstep to hide the latency, and
     /// the kernel register-blocks its running sums across each block.
-    /// The block buffers are reused across the stream — no per-record
+    /// The weight buffer is reused across the stream — no per-record
     /// allocation.
+    ///
+    /// [`ExposureEvents::next_block`]: crate::ExposureEvents::next_block
     fn feed_batch(
         capture: &ExposureCapture,
         multi: &mut MultiReplayAggregator,
@@ -623,35 +628,22 @@ impl Simulator {
         let widths = multi.stored_widths().to_vec();
         let seed = capture.ones_seed();
         let nw = widths.len();
-        let mut keys: Vec<(u64, u64, u64)> = Vec::with_capacity(Self::FEED_BLOCK);
-        let mut kinds: Vec<(ExposureKind, u64)> = Vec::with_capacity(Self::FEED_BLOCK);
         let mut ones = vec![0u32; Self::FEED_BLOCK * nw];
         let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
         loop {
-            keys.clear();
-            kinds.clear();
-            while keys.len() < Self::FEED_BLOCK {
-                match events
-                    .next_record()
-                    .map_err(SimulationError::CaptureStream)?
-                {
-                    Some(event) => {
-                        keys.push((event.key.tag, event.key.set, event.key.version));
-                        kinds.push((event.kind, event.unchecked_reads));
-                    }
-                    None => break,
-                }
-            }
+            let (keys, kinds) = events
+                .next_block(Self::FEED_BLOCK)
+                .map_err(SimulationError::CaptureStream)?;
             if keys.is_empty() {
                 return Ok(());
             }
             // One shared-prefix hash walk covers every distinct width,
-            // four records' walks interleaved — bit-identical to a
+            // eight records' walks interleaved — bit-identical to a
             // per-width `sample_ones` (property-tested in reap-cache)
             // at a fraction of the per-record hashing latency.
             let ones = &mut ones[..keys.len() * nw];
-            sample_ones_multi_batch(seed, &keys, &widths, ones);
-            multi.record_block_by_width(&kinds, ones);
+            sample_ones_multi_batch(seed, keys, &widths, ones);
+            multi.record_block_by_width(kinds, ones);
         }
     }
 

@@ -270,21 +270,20 @@ impl WidthGroup {
             let u: [f64; K] = self.single[ti..ti + K].try_into().expect("K lanes");
             let (pc, pr) = match self.memo_row(memo, o, n) {
                 Some(row) => {
+                    // Straight-line: test the cells, fill any still
+                    // uncomputed in place, then read them. Returning the
+                    // filled terms instead would merge them with the hit
+                    // path's through a stack slot, a store-forwarding
+                    // stall on every record.
                     let mi = row + lane0;
+                    if Self::uncomputed::<K>(&memo.cells[mi..mi + lanes + K], lanes) {
+                        self.fill_memo::<K>(memo, mi, lane0, o, n, ti);
+                    }
                     let cells = &memo.cells[mi..mi + lanes + K];
-                    let pc: [f64; K] = std::array::from_fn(|l| memo_get(cells[l]));
-                    let pr: [f64; K] = std::array::from_fn(|l| memo_get(cells[lanes + l]));
-                    let mut probe = 0.0;
-                    for l in 0..K {
-                        probe += pc[l] + pr[l];
-                    }
-                    // Cached cells are finite probabilities and NaN marks
-                    // "not computed", so one NaN test covers the block.
-                    if probe.is_nan() {
-                        self.fill_memo::<K>(memo, mi, lane0, o, n, ti)
-                    } else {
-                        (pc, pr)
-                    }
+                    (
+                        std::array::from_fn::<f64, K, _>(|l| memo_get(cells[l])),
+                        std::array::from_fn::<f64, K, _>(|l| memo_get(cells[lanes + l])),
+                    )
                 }
                 None => self.terms::<K>(lane0, o, n, ti),
             };
@@ -319,8 +318,22 @@ impl WidthGroup {
         )
     }
 
-    /// [`terms`](Self::terms) through the memo row segment at `mi`:
-    /// computes and stores the cells still uncomputed, reads the rest.
+    /// Whether any of `K` lanes' conventional cells (`cells[..K]`) or
+    /// REAP cells (`cells[lanes..lanes + K]`) is still uncomputed. Cached
+    /// cells are finite probabilities and NaN marks "not computed", so
+    /// one NaN test of their sum covers the block.
+    #[inline(always)]
+    fn uncomputed<const K: usize>(cells: &[u64], lanes: usize) -> bool {
+        let mut probe = 0.0;
+        for l in 0..K {
+            probe += memo_get(cells[l]) + memo_get(cells[lanes + l]);
+        }
+        probe.is_nan()
+    }
+
+    /// Computes and stores the memo row segment at `mi`'s cells still
+    /// uncomputed: [`terms`](Self::terms) written into the memo, which
+    /// the caller then reads.
     #[cold]
     #[inline(never)]
     fn fill_memo<const K: usize>(
@@ -331,23 +344,18 @@ impl WidthGroup {
         ones: u32,
         n: u64,
         ti: usize,
-    ) -> ([f64; K], [f64; K]) {
+    ) {
         let lanes = self.lanes();
-        let mut pc = [0.0; K];
-        let mut pr = [0.0; K];
         for l in 0..K {
-            pc[l] = memo_get(memo.cells[mi + l]);
-            if pc[l].is_nan() {
-                pc[l] = self.models[lane0 + l].fail_conventional(ones, n);
-                memo.cells[mi + l] = memo_put(pc[l]);
+            if memo_get(memo.cells[mi + l]).is_nan() {
+                let value = self.models[lane0 + l].fail_conventional(ones, n);
+                memo.cells[mi + l] = memo_put(value);
             }
-            pr[l] = memo_get(memo.cells[mi + lanes + l]);
-            if pr[l].is_nan() {
-                pr[l] = reap_term(self.single[ti + l], self.ln1m_single[ti + l], n);
-                memo.cells[mi + lanes + l] = memo_put(pr[l]);
+            if memo_get(memo.cells[mi + lanes + l]).is_nan() {
+                let value = reap_term(self.single[ti + l], self.ln1m_single[ti + l], n);
+                memo.cells[mi + lanes + l] = memo_put(value);
             }
         }
-        (pc, pr)
     }
 
     /// Scores one dirty-scrub or dirty-eviction record on `block`'s
