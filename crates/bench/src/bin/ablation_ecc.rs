@@ -9,8 +9,7 @@
 //! roughly a third of the trace-driving cost.
 
 use reap_bench::{access_budget, enable_telemetry, print_csv, print_two_phase_summary};
-use reap_core::sweep::replay_ecc_sweep;
-use reap_core::{Experiment, ProtectionScheme};
+use reap_core::{EccStrength, Experiment, ProtectionScheme};
 use reap_trace::SpecWorkload;
 
 fn main() {
@@ -33,7 +32,13 @@ fn main() {
             .workload(w)
             .accesses(accesses)
             .seed(2019);
-        for (ecc, report) in replay_ecc_sweep(&base).expect("valid configuration") {
+        let points = base
+            .simulators_at(&EccStrength::ALL)
+            .expect("valid configuration");
+        let reports = base
+            .run_at(&points, None, &mut None)
+            .expect("valid configuration");
+        for (ecc, report) in EccStrength::ALL.into_iter().zip(reports) {
             let conv = report.expected_failures(ProtectionScheme::Conventional);
             let reap = report.expected_failures(ProtectionScheme::Reap);
             let gain = report.mttf_improvement(ProtectionScheme::Reap);

@@ -27,7 +27,6 @@
 
 use reap_bench::{access_budget, peak_rss_bytes, reset_peak_rss};
 use reap_core::capture_store::{CapturePolicy, CaptureStore};
-use reap_core::sweep::replay_ecc_sweep_with;
 use reap_core::{EccStrength, Experiment, ProtectionScheme, Report};
 use reap_trace::SpecWorkload;
 use std::time::Instant;
@@ -53,7 +52,13 @@ fn sweep_all(accesses: u64, store: &CaptureStore) -> (f64, Vec<Vec<(EccStrength,
                 .workload(w)
                 .accesses(accesses)
                 .seed(reap_bench::DEFAULT_SEED);
-            replay_ecc_sweep_with(&experiment, Some(store)).expect("sweep")
+            let points = experiment
+                .simulators_at(&EccStrength::ALL)
+                .expect("valid points");
+            let reports = experiment
+                .run_at(&points, Some(store), &mut None)
+                .expect("sweep");
+            EccStrength::ALL.into_iter().zip(reports).collect()
         })
         .collect();
     (t0.elapsed().as_secs_f64(), results)

@@ -6,7 +6,7 @@
 //! the "no concealed reads" (N = 1) population reads 100; both axes are
 //! log-scale quantities, so bins are powers of two.
 
-use reap_bench::{access_budget, print_csv, run_workload};
+use reap_bench::{access_budget, frequency_cells, print_csv, run_workload};
 use reap_trace::SpecWorkload;
 
 fn main() {
@@ -35,18 +35,18 @@ fn main() {
             if bin.count == 0 {
                 continue;
             }
-            let freq = hist.normalized_frequency(i).unwrap_or(f64::NAN);
+            let (freq, freq_csv) = frequency_cells(hist.normalized_frequency(i));
             println!(
-                "{:>7}..{:<7} {:>12} {:>16.4} {:>18.3e}",
-                bin.lo, bin.hi, bin.count, freq, bin.failure_probability
+                "{:>7}..{:<7} {:>12} {freq} {:>18.3e}",
+                bin.lo, bin.hi, bin.count, bin.failure_probability
             );
             rows.push(format!(
-                "{},{},{},{},{:.6},{:.6e}",
+                "{},{},{},{},{},{:.6e}",
                 w.name(),
                 bin.lo,
                 bin.hi,
                 bin.count,
-                freq,
+                freq_csv,
                 bin.failure_probability
             ));
         }

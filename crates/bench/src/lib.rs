@@ -94,6 +94,17 @@ pub fn print_csv(header: &str, rows: &[String]) {
     }
 }
 
+/// A Fig. 3 normalized frequency as its table cell (16 wide, 4
+/// decimals) and its CSV cell (6 decimals). Without an N = 1 population
+/// to normalize by there is no frequency: the table shows `-` and the
+/// CSV cell is empty.
+pub fn frequency_cells(freq: Option<f64>) -> (String, String) {
+    match freq {
+        Some(f) => (format!("{f:>16.4}"), format!("{f:.6}")),
+        None => (format!("{:>16}", "-"), String::new()),
+    }
+}
+
 /// Formats an MTTF-improvement entry the way the paper's Fig. 5 labels do.
 pub fn format_improvement(workload: SpecWorkload, gain: f64) -> String {
     format!("{:<12} {:>10.1}x", workload.name(), gain)
@@ -255,6 +266,18 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn geometric_mean_rejects_nonpositive() {
         let _ = geometric_mean(&[1.0, 0.0]);
+    }
+
+    #[test]
+    fn a_missing_frequency_prints_a_dash_and_an_empty_csv_cell() {
+        assert_eq!(
+            frequency_cells(Some(12.5)),
+            (format!("{:>16}", "12.5000"), "12.500000".to_owned())
+        );
+        assert_eq!(
+            frequency_cells(None),
+            (format!("{:>16}", "-"), String::new())
+        );
     }
 
     #[test]

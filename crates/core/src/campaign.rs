@@ -1,36 +1,37 @@
-//! Fault-tolerant sweep campaigns: supervision + checkpoint/resume.
+//! Fault-tolerant task runs: supervision + checkpoint/resume.
 //!
-//! [`run_sweep_campaign`] is `reap sweep` and every `reap serve` job:
-//! the 21-workload Fig. 5/6 batch, one [`SweepJob`] per workload, run on
-//! the supervised pool ([`crate::supervise`]) so a panic or hang in one
-//! configuration is retried, then reported — never fatal to the batch —
-//! and completed jobs stream into a [`crate::checkpoint`] journal so a
-//! killed campaign resumes where it stopped. A resumed campaign's rows are
-//! **bit-identical** to an uninterrupted run's: each job depends only on
-//! its own configuration and seed, and checkpointed floats round-trip
-//! exactly. A daemon streams each workload through the campaign's
-//! per-workload hook, so it serves the offline sweep's rows.
+//! One task engine ([`TaskRunner`]) runs `reap sweep`, every `reap
+//! serve` job and `reap explore`: journal groups of (configuration,
+//! workload) tasks on the supervised pool ([`crate::supervise`]), so a
+//! panic or hang in one task is retried, then reported, and each
+//! finished group streams into a [`crate::checkpoint`] journal, so a
+//! killed run resumes where it stopped. [`run_sweep_campaign`] is its
+//! 21-workload Fig. 5/6 preset, one [`SweepJob`] per group, where a
+//! failed workload is isolated, never fatal to the batch. A resumed
+//! run's rows are **bit-identical** to an uninterrupted run's: each task
+//! depends only on its own configuration and seed, a group folds its
+//! tasks in task order, and checkpointed floats round-trip exactly.
 //!
 //! The [`reap_fault::FaultPlan`] armed through
 //! [`SupervisorConfig::fault_plan`] drives all of this machinery in
 //! tests and the CI smoke job: injected panics exercise retry and
 //! isolation, injected delays exercise deadlines, and
-//! `interrupt_after` simulates a mid-run `SIGKILL` at a deterministic
-//! point (the checkpoint stays valid because every result line is
-//! flushed before the next job is counted).
+//! `interrupt_after` simulates a mid-run `SIGKILL` after a deterministic
+//! number of journaled groups (each group's line is flushed before the
+//! next one is counted).
 
 use crate::capture_store::CaptureStore;
-use crate::checkpoint::{self, CheckpointMeta, SweepRow};
+use crate::checkpoint::{self, CheckpointMeta, OpenJournal, SweepRow};
 use crate::experiment::{Experiment, ExperimentError};
 use crate::simulator::EccStrength;
 use crate::supervise::{pool_map_supervised, JobError, JobOutcome, SupervisorConfig};
+use reap_obs::json;
 use reap_reliability::MultiReplayAggregator;
 use reap_trace::SpecWorkload;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub use crate::checkpoint::CheckpointError;
 
@@ -87,7 +88,7 @@ impl SweepJob {
     ///
     /// # Errors
     ///
-    /// As [`Experiment::score`]; store defects fall back to recapture.
+    /// As [`Experiment::run_at`]; store defects fall back to recapture.
     pub fn rows(
         &self,
         store: Option<&CaptureStore>,
@@ -97,10 +98,9 @@ impl SweepJob {
             .workload(self.workload)
             .accesses(self.accesses)
             .seed(self.seed);
-        let capture = experiment.capture_with(store)?;
         let strengths = self.mode.points(experiment.config().ecc);
         let points = experiment.simulators_at(&strengths)?;
-        let reports = experiment.score(&points, &capture, store, kernel)?;
+        let reports = experiment.run_at(&points, store, kernel)?;
         // A standard row's strength is the configuration's, so it
         // carries none.
         let tagged = self.mode == SweepMode::EccSweep;
@@ -201,26 +201,6 @@ pub struct WorkloadOutcome {
     pub from_checkpoint: bool,
 }
 
-impl WorkloadOutcome {
-    /// A pool result for `workload`, computed this run.
-    fn fresh(
-        workload: SpecWorkload,
-        outcome: JobOutcome<Result<Vec<SweepRow>, ExperimentError>>,
-    ) -> Self {
-        let result = match outcome.result {
-            Ok(Ok(rows)) => Ok(rows),
-            Ok(Err(e)) => Err(JobFailure::Experiment(e)),
-            Err(e) => Err(JobFailure::Supervision(e)),
-        };
-        Self {
-            workload,
-            result,
-            attempts: outcome.attempts,
-            from_checkpoint: false,
-        }
-    }
-}
-
 /// One workload as [`run_sweep_campaign`]'s hook sees it when it
 /// becomes final, borrowed from the journal or from the pool's result.
 #[derive(Debug, Clone, Copy)]
@@ -296,9 +276,178 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
+/// One group's final state: its rows or its first failure in task
+/// order, the most attempts one of its tasks spent, and whether it was
+/// journaled before the run.
+type GroupOutcome<R> = (Result<Vec<R>, JobFailure>, u32, bool);
+
+/// The one task engine behind `reap sweep`, `reap serve` and both
+/// passes of `reap explore` (DESIGN §8, "One task engine").
+pub(crate) struct TaskRunner<R> {
+    /// The journal, if any: the groups it held and no run has served
+    /// yet, its writer and its repair warning.
+    pub(crate) journal: Option<OpenJournal<R>>,
+    encode: fn(&R) -> String,
+    /// Groups journaled over all runs: the simulated kill's clock.
+    done: usize,
+}
+
+impl<R> TaskRunner<R> {
+    /// A runner over the journal at `checkpoint`, opened by
+    /// [`checkpoint::open_journal`] with the row codec `parse`/`encode`.
+    pub(crate) fn open(
+        checkpoint: Option<&Path>,
+        meta: &CheckpointMeta,
+        resume: bool,
+        parse: fn(&json::Value) -> Result<R, String>,
+        encode: fn(&R) -> String,
+    ) -> Result<Self, CheckpointError> {
+        let journal = checkpoint
+            .map(|path| checkpoint::open_journal(path, meta, resume, parse))
+            .transpose()?;
+        Ok(Self {
+            journal,
+            encode,
+            done: 0,
+        })
+    }
+
+    /// Runs `groups` (journal key, tasks) and returns their outcomes in
+    /// input order. Journaled groups are served from the journal; the
+    /// rest's tasks run on the pool, group-major, each reduced to its
+    /// part by `task` on a worker. Once a group's last task lands,
+    /// `fold(g, parts)` turns its parts, in task order, into rows, which
+    /// are journaled. `on_group(g, result, from_checkpoint)` sees every
+    /// journaled group, then each pooled one once journaled or at its
+    /// first failure; a `Break` cancels the unfinished tasks, whose
+    /// groups never reach it.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Interrupted`] once the fault plan's
+    /// `interrupt_after` groups are journaled; like a killed process,
+    /// the runner journals and reports nothing that lands after that.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<T, P, F>(
+        &mut self,
+        groups: Vec<(String, Vec<T>)>,
+        pool: &str,
+        parallelism: usize,
+        supervisor: &SupervisorConfig,
+        task: F,
+        fold: impl Fn(usize, Vec<P>) -> Vec<R>,
+        mut on_group: impl FnMut(usize, Result<&[R], &(dyn Error + 'static)>, bool) -> ControlFlow<()>,
+    ) -> Result<Vec<GroupOutcome<R>>, CampaignError>
+    where
+        T: Clone + Send + 'static,
+        P: Clone + Send + 'static,
+        F: Fn(&mut Option<MultiReplayAggregator>, T) -> Result<P, ExperimentError>
+            + Send
+            + Sync
+            + 'static,
+    {
+        // Group `g` owns pool jobs `spans[g]`; its rows land in `rows[g]`.
+        let (mut keys, mut spans, mut owner, mut jobs) = (vec![], vec![], vec![], vec![]);
+        let (mut rows, mut stopped) = (vec![], false);
+        for (g, (key, tasks)) in groups.into_iter().enumerate() {
+            let held = self.journal.as_mut().and_then(|j| {
+                let at = j.completed.iter().position(|(k, _)| *k == key)?;
+                Some(j.completed.swap_remove(at).1)
+            });
+            let start = jobs.len();
+            match &held {
+                Some(held) => stopped |= on_group(g, Ok(held), true).is_break(),
+                None => {
+                    owner.extend(std::iter::repeat_n(g, tasks.len()));
+                    jobs.extend(tasks);
+                }
+            }
+            rows.push(held);
+            keys.push(key);
+            spans.push(start..jobs.len());
+        }
+        let interrupt_after = supervisor.fault_plan.and_then(|p| p.interrupt_after);
+        let fired = move |done: usize| interrupt_after.is_some_and(|n| done as u64 >= n);
+        let mut parts: Vec<Option<P>> = owner.iter().map(|_| None).collect();
+        let mut failed = vec![false; spans.len()];
+        let on_result = |i: usize, outcome: &JobOutcome<Result<P, ExperimentError>>| {
+            // The simulated kill has fired: a killed process journals
+            // nothing that lands after it.
+            if fired(self.done) {
+                return ControlFlow::Break(());
+            }
+            let (g, span) = (owner[i], spans[owner[i]].clone());
+            let result = match &outcome.result {
+                // A group is final at its first failure.
+                _ if failed[g] => return ControlFlow::Continue(()),
+                // Only a `Break` cancels, and it already stopped the run.
+                Err(JobError::Cancelled) => return ControlFlow::Break(()),
+                Err(e) => Err(e as &(dyn Error + 'static)),
+                Ok(Err(e)) => Err(e as _),
+                Ok(Ok(part)) => {
+                    parts[i] = Some(part.clone());
+                    if parts[span.clone()].iter().any(Option::is_none) {
+                        return ControlFlow::Continue(());
+                    }
+                    let landed = parts[span].iter_mut().flat_map(Option::take).collect();
+                    let folded = rows[g].insert(fold(g, landed));
+                    if let Some(journal) = self.journal.as_mut() {
+                        let encoded: Vec<String> = folded.iter().map(self.encode).collect();
+                        // A journal write failure must not kill the run;
+                        // the rows are still in memory.
+                        if let Err(e) = journal.writer.record_json_rows(&keys[g], &encoded) {
+                            eprintln!("warning: {e}");
+                        }
+                    }
+                    self.done += 1;
+                    Ok(&folded[..])
+                }
+            };
+            failed[g] = result.is_err();
+            if on_group(g, result, false).is_break() || fired(self.done) {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(())
+        };
+        if stopped {
+            // A `Break` while the journal was served cancels every task.
+            jobs.clear();
+        }
+        let workers = parallelism.max(1);
+        let outcomes =
+            pool_map_supervised(jobs, workers, pool, supervisor, || None, task, on_result);
+        if fired(self.done) {
+            return Err(CampaignError::Interrupted {
+                completed: self.done,
+                remaining: rows.iter().filter(|rows| rows.is_none()).count(),
+            });
+        }
+
+        let mut outcomes = outcomes.into_iter();
+        let outcomes = rows.into_iter().zip(spans).map(|(rows, span)| {
+            // Only a journaled group has rows and no tasks.
+            let from_checkpoint = rows.is_some() && span.is_empty();
+            let tasks: Vec<_> = outcomes.by_ref().take(span.len()).collect();
+            let attempts = tasks.iter().map(|o| o.attempts).max().unwrap_or(0);
+            // A group without rows failed, or its tasks never ran.
+            let result = rows.ok_or_else(|| {
+                let failure = tasks.into_iter().find_map(|o| match o.result {
+                    Ok(Ok(_)) => None,
+                    Ok(Err(e)) => Some(JobFailure::Experiment(e)),
+                    Err(e) => Some(JobFailure::Supervision(e)),
+                });
+                failure.unwrap_or(JobFailure::Supervision(JobError::Cancelled))
+            });
+            (result, attempts, from_checkpoint)
+        });
+        Ok(outcomes.collect())
+    }
+}
+
 /// Runs the full 21-workload campaign under supervision, streaming
 /// completed jobs into the checkpoint (when configured) and skipping
-/// jobs the checkpoint already holds (when resuming).
+/// jobs the checkpoint already holds (when resuming): the
+/// [`TaskRunner`] with one group of one [`SweepJob`] per workload.
 ///
 /// `on_outcome` sees each workload as it becomes final: first every
 /// journal-resumed one (`from_checkpoint`), in canonical order, then
@@ -330,151 +479,71 @@ pub fn run_sweep_campaign(
     // reports show checkpoint/supervision overhead as campaign minus
     // pool time.
     let _campaign_span = reap_obs::span("campaign");
-    let meta = config.meta();
-
-    let mut completed: HashMap<String, Vec<SweepRow>> = HashMap::new();
-    let mut checkpoint_warning = None;
-    let mut writer = None;
-    if let Some(path) = &config.checkpoint {
-        let journal =
-            checkpoint::open_journal(path, &meta, config.resume, checkpoint::row_from_json)?;
-        completed = journal.completed.into_iter().collect();
-        checkpoint_warning = journal.warning;
-        writer = Some(journal.writer);
-    }
-
-    // One slot per workload in canonical order; journaled ones are final.
-    let slots: Vec<Option<WorkloadOutcome>> = SpecWorkload::ALL
+    let mut runner = TaskRunner::open(
+        config.checkpoint.as_deref(),
+        &config.meta(),
+        config.resume,
+        checkpoint::row_from_json,
+        checkpoint::row_to_json,
+    )?;
+    let groups = SpecWorkload::ALL
         .into_iter()
         .map(|workload| {
-            completed
-                .remove(workload.name())
-                .map(|rows| WorkloadOutcome {
-                    workload,
-                    result: Ok(rows),
-                    attempts: 0,
-                    from_checkpoint: true,
-                })
+            let job = SweepJob {
+                workload,
+                accesses: config.accesses,
+                seed: config.seed,
+                mode: config.mode,
+            };
+            (workload.name().to_owned(), vec![job])
         })
         .collect();
-    let mut stopped = false;
-    for outcome in slots.iter().flatten() {
-        let view = WorkloadView {
-            workload: outcome.workload,
-            result: outcome.result.as_deref().map_err(|e| e as _),
-            from_checkpoint: true,
-        };
-        stopped |= on_outcome(view).is_break();
-    }
-    let pending: Vec<SweepJob> = SpecWorkload::ALL
-        .into_iter()
-        .zip(&slots)
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(workload, _)| SweepJob {
-            workload,
-            accesses: config.accesses,
-            seed: config.seed,
-            mode: config.mode,
-        })
-        .collect();
-    let resumed = slots.len() - pending.len();
-
-    // Fan the pending jobs out under supervision, each worker reusing
-    // one replay kernel across its jobs. Results stream back on this
-    // thread: checkpoint them, hand them to the hook and honour the
-    // simulated kill.
-    let interrupt_after = config.supervisor.fault_plan.and_then(|p| p.interrupt_after);
-    // Each workload addresses its own store entry (the fingerprint covers
-    // the workload), so concurrent workers never contend on one file.
-    let store = config.capture_store.clone();
-    let workloads: Vec<SpecWorkload> = pending.iter().map(|job| job.workload).collect();
-    let mut done_this_run = 0usize;
     // The pool names predate the supervised pool; metric names and CI
     // greps depend on them.
-    let pool_name = match config.mode {
+    let pool = match config.mode {
         SweepMode::Standard => "run_parallel",
         SweepMode::EccSweep => "ecc_sweep",
     };
-    let outcomes = if stopped {
-        pending.iter().map(|_| JobOutcome::cancelled()).collect()
-    } else {
-        pool_map_supervised(
-            pending,
-            config.parallelism.max(1),
-            pool_name,
-            &config.supervisor,
-            || None,
-            move |kernel, job: SweepJob| job.rows(store.as_ref(), kernel),
-            |i, outcome| {
-                // The simulated kill has fired: a killed process journals
-                // nothing that lands after it, so neither does this one.
-                if interrupt_after.is_some_and(|n| done_this_run as u64 >= n) {
-                    return ControlFlow::Break(());
-                }
-                if let Ok(Ok(rows)) = &outcome.result {
-                    if let Some(writer) = writer.as_mut() {
-                        // A checkpoint write failure must not kill the
-                        // campaign mid-flight; the rows are still in
-                        // memory and will be reported. Surface it on
-                        // stderr.
-                        if let Err(e) = writer.record(workloads[i].name(), rows) {
-                            eprintln!("warning: {e}");
-                        }
-                    }
-                    done_this_run += 1;
-                }
-                let result: Result<&[SweepRow], &(dyn Error + 'static)> = match &outcome.result {
-                    Ok(Ok(rows)) => Ok(rows),
-                    Ok(Err(e)) => Err(e),
-                    // Only a `Break` cancels, and it already stopped the run.
-                    Err(JobError::Cancelled) => return ControlFlow::Break(()),
-                    Err(e) => Err(e),
-                };
-                let view = WorkloadView {
-                    workload: workloads[i],
-                    result,
-                    from_checkpoint: false,
-                };
-                if on_outcome(view).is_break()
-                    || interrupt_after.is_some_and(|n| done_this_run as u64 >= n)
-                {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        )
-    };
-
-    if interrupt_after.is_some_and(|n| done_this_run as u64 >= n) {
-        return Err(CampaignError::Interrupted {
-            completed: done_this_run,
-            remaining: workloads.len() - done_this_run,
-        });
-    }
-
-    // Stitch checkpointed and freshly computed results back into
-    // canonical workload order.
-    let mut fresh = outcomes.into_iter();
+    // Each workload addresses its own store entry (the fingerprint covers
+    // the workload), so concurrent workers never contend on one file.
+    let store = config.capture_store.clone();
+    let outcomes = runner.run(
+        groups,
+        pool,
+        config.parallelism,
+        &config.supervisor,
+        move |kernel, job: SweepJob| job.rows(store.as_ref(), kernel),
+        |_, mut parts| parts.pop().expect("one task per workload"),
+        |g, result, from_checkpoint| {
+            let workload = SpecWorkload::ALL[g];
+            on_outcome(WorkloadView {
+                workload,
+                result,
+                from_checkpoint,
+            })
+        },
+    )?;
     let outcomes: Vec<WorkloadOutcome> = SpecWorkload::ALL
         .into_iter()
-        .zip(slots)
-        .map(|(workload, slot)| {
-            slot.unwrap_or_else(|| {
-                let o = fresh.next().expect("one pool outcome per pending job");
-                WorkloadOutcome::fresh(workload, o)
-            })
-        })
+        .zip(outcomes)
+        .map(
+            |(workload, (result, attempts, from_checkpoint))| WorkloadOutcome {
+                workload,
+                result,
+                attempts,
+                from_checkpoint,
+            },
+        )
         .collect();
     Ok(CampaignOutcome {
-        resumed,
+        resumed: outcomes.iter().filter(|o| o.from_checkpoint).count(),
         recovered: outcomes
             .iter()
             .filter(|o| o.result.is_ok() && o.attempts > 1)
             .count(),
         failed: outcomes.iter().filter(|o| o.result.is_err()).count(),
         outcomes,
-        checkpoint_warning,
+        checkpoint_warning: runner.journal.and_then(|j| j.warning),
     })
 }
 

@@ -246,23 +246,9 @@ impl CheckpointWriter {
         })
     }
 
-    /// Appends one completed job and flushes, so a kill after this call
-    /// never loses the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on write failure.
-    pub fn record(&mut self, key: &str, rows: &[SweepRow]) -> Result<(), CheckpointError> {
-        let rows: Vec<String> = rows.iter().map(row_to_json).collect();
-        self.record_json_rows(key, &rows)
-    }
-
     /// Appends one completed job whose rows are already serialized as
-    /// JSON objects — the row-type-agnostic primitive [`record`]
-    /// (sweep rows) and the explorer (explore rows) both write through.
-    /// Flushes like [`record`].
-    ///
-    /// [`record`]: Self::record
+    /// JSON objects (by the run's row codec, such as [`row_to_json`])
+    /// and flushes, so a kill after this call never loses the result.
     ///
     /// # Errors
     ///
@@ -605,6 +591,12 @@ mod tests {
         dir.join(name)
     }
 
+    /// Journals `rows` under `key` in the sweep row codec.
+    fn record(w: &mut CheckpointWriter, key: &str, rows: &[SweepRow]) {
+        let rows: Vec<String> = rows.iter().map(row_to_json).collect();
+        w.record_json_rows(key, &rows).unwrap();
+    }
+
     fn sample_rows() -> Vec<SweepRow> {
         vec![
             SweepRow {
@@ -632,8 +624,8 @@ mod tests {
         let meta = CheckpointMeta::new("ecc-sweep", 400_000, 2019, &["a".into(), "b".into()]);
         {
             let mut w = CheckpointWriter::create(&path, &meta).unwrap();
-            w.record("hmmer", &sample_rows()).unwrap();
-            w.record("mcf", &sample_rows()[..1]).unwrap();
+            record(&mut w, "hmmer", &sample_rows());
+            record(&mut w, "mcf", &sample_rows()[..1]);
         }
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.meta, meta);
@@ -657,14 +649,16 @@ mod tests {
     fn append_after_reopen_preserves_earlier_results() {
         let path = tmp("append.jsonl");
         let meta = CheckpointMeta::new("standard", 1000, 1, &["x".into()]);
-        CheckpointWriter::create(&path, &meta)
-            .unwrap()
-            .record("first", &sample_rows()[..1])
-            .unwrap();
-        CheckpointWriter::append_to(&path)
-            .unwrap()
-            .record("second", &sample_rows()[1..])
-            .unwrap();
+        record(
+            &mut CheckpointWriter::create(&path, &meta).unwrap(),
+            "first",
+            &sample_rows()[..1],
+        );
+        record(
+            &mut CheckpointWriter::append_to(&path).unwrap(),
+            "second",
+            &sample_rows()[1..],
+        );
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.completed.len(), 2);
         assert_eq!(loaded.completed[1].0, "second");
@@ -676,8 +670,8 @@ mod tests {
         let meta = CheckpointMeta::new("standard", 1000, 1, &[]);
         {
             let mut w = CheckpointWriter::create(&path, &meta).unwrap();
-            w.record("done", &sample_rows()[..1]).unwrap();
-            w.record("cut", &sample_rows()[..1]).unwrap();
+            record(&mut w, "done", &sample_rows()[..1]);
+            record(&mut w, "cut", &sample_rows()[..1]);
         }
         // Chop into the middle of the last line: crash-interrupted write.
         let len = std::fs::metadata(&path).unwrap().len();
@@ -695,8 +689,8 @@ mod tests {
         let meta = CheckpointMeta::new("standard", 1000, 1, &[]);
         {
             let mut w = CheckpointWriter::create(&path, &meta).unwrap();
-            w.record("a", &sample_rows()[..1]).unwrap();
-            w.record("b", &sample_rows()[..1]).unwrap();
+            record(&mut w, "a", &sample_rows()[..1]);
+            record(&mut w, "b", &sample_rows()[..1]);
         }
         let text = std::fs::read_to_string(&path).unwrap();
         let broken = text.replacen("\"type\":\"result\"", "garbage here", 1);

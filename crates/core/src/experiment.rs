@@ -135,10 +135,29 @@ impl Experiment {
     /// instantiated (bad geometry, unsupported node, zero budget). Store
     /// defects are never errors: they fall back to recapture.
     pub fn run_with(self, store: Option<&CaptureStore>) -> Result<Report, ExperimentError> {
-        let capture = self.capture_with(store)?;
         let points = self.simulators_at(&[self.config.ecc])?;
-        let mut reports = self.score(&points, &capture, store, &mut None)?;
+        let mut reports = self.run_at(&points, store, &mut None)?;
         Ok(reports.pop().expect("one point in, one report out"))
+    }
+
+    /// Captures once ([`capture_with`](Self::capture_with): from `store`
+    /// when it holds the entry, else a trace pass) and scores the capture
+    /// at every simulator in `points` through the caller's `kernel`
+    /// ([`score`](Self::score)): the body of [`run_with`](Self::run_with),
+    /// every sweep job and every explore task. Each report is
+    /// bit-identical to a from-scratch [`run`](Self::run) at its point.
+    ///
+    /// # Errors
+    ///
+    /// As [`score`](Self::score) and [`capture_with`](Self::capture_with).
+    pub fn run_at(
+        &self,
+        points: &[Simulator],
+        store: Option<&CaptureStore>,
+        kernel: &mut Option<MultiReplayAggregator>,
+    ) -> Result<Vec<Report>, ExperimentError> {
+        let capture = self.capture_with(store)?;
+        self.score(points, &capture, store, kernel)
     }
 
     /// One simulator per strength in `strengths`, each this experiment's
@@ -149,7 +168,7 @@ impl Experiment {
     ///
     /// Returns [`ExperimentError`] when a configuration cannot be
     /// instantiated.
-    pub(crate) fn simulators_at(
+    pub fn simulators_at(
         &self,
         strengths: &[EccStrength],
     ) -> Result<Vec<Simulator>, ExperimentError> {
@@ -363,6 +382,27 @@ mod tests {
                 .to_bits()
         );
         assert_eq!(replayed.l2_stats(), direct.l2_stats());
+    }
+
+    #[test]
+    fn ecc_sweep_matches_direct_runs_bit_for_bit() {
+        let experiment = Experiment::paper_hierarchy()
+            .workload(SpecWorkload::Namd)
+            .budgets(1_000, 15_000)
+            .seed(7);
+        let points = experiment.simulators_at(&EccStrength::ALL).unwrap();
+        let swept = experiment.run_at(&points, None, &mut None).unwrap();
+        assert_eq!(swept.len(), EccStrength::ALL.len());
+        for (ecc, report) in EccStrength::ALL.into_iter().zip(swept) {
+            let direct = experiment.clone().ecc(ecc).run().unwrap();
+            for scheme in ProtectionScheme::ALL {
+                assert_eq!(
+                    report.expected_failures(scheme).to_bits(),
+                    direct.expected_failures(scheme).to_bits(),
+                    "replayed {ecc} must match a from-scratch run"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,17 +18,16 @@
 //! points costs `W×S` trace passes per workload (zero when the store is
 //! warm), never `W×S×E×R`.
 //!
-//! A pool task is one `(combo, workload)` pair, so even a one-combo
-//! grid keeps every worker busy. Tasks run on the supervised pool
-//! ([`crate::supervise`]) under [`ExploreConfig::supervisor`], so a
-//! panicking or stuck task is retried like a sweep job. A combo's
-//! simulators are built once and shared by its tasks; each worker keeps
-//! one replay kernel (its lookup tables and memo) and reuses it for
-//! every task whose analysis points match. A task returns only its
-//! workload's sums: the calling thread slots them into their combo and,
-//! once the combo's last workload arrives, folds the sums in canonical
-//! workload order and journals the combo, so rows do not depend on which
-//! workload finished first and a retried task cannot disturb a fold.
+//! Both passes run on the sweep's task engine ([`crate::campaign`]):
+//! one journal group per combo and one supervised pool task per
+//! `(combo, workload)` pair, so even a one-combo grid keeps every worker
+//! busy, and a panicking or stuck task is retried like a sweep job. A
+//! combo's simulators are built once and shared by its tasks; each
+//! worker reuses one replay kernel (its lookup tables and memo) across
+//! its tasks. A task returns only its workload's sums, which the runner
+//! folds in canonical workload order once the combo's last workload
+//! lands, so rows do not depend on which workload finished first.
+//! Unlike the sweep, a combo that fails every attempt fails the run.
 //!
 //! After the base grid, one **refinement pass** subdivides the
 //! continuous dimensions (`read-current`, `scrub`) around each front
@@ -63,19 +62,20 @@
 //! `ways=8 ecc=sec read-current=1.0 scrub=0`. Values are sorted and
 //! deduplicated; listing order never matters.
 
+use crate::campaign::{CampaignError, JobFailure, TaskRunner};
 use crate::capture_store::CaptureStore;
-use crate::checkpoint::{self, CheckpointError, CheckpointMeta};
+use crate::checkpoint::{CheckpointError, CheckpointMeta};
 use crate::experiment::{Experiment, ExperimentError};
 use crate::scheme::ProtectionScheme;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
-use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
+use crate::supervise::{JobError, SupervisorConfig};
 use reap_cache::{ConfigError, HierarchyConfig};
 use reap_mtj::{MtjParams, ParamsError};
 use reap_nvarray::{estimate, ArraySpec, MemTech, TechnologyNode};
 use reap_obs::json;
 use reap_reliability::{pareto_front_indices, Mttf, MultiReplayAggregator, ParetoPoint};
 use reap_trace::SpecWorkload;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -572,6 +572,14 @@ pub enum ExploreError {
     Checkpoint(CheckpointError),
     /// A task failed every supervised attempt (panics, timeouts).
     Supervision(JobError),
+    /// The armed fault plan's `interrupt_after` fired — the simulated
+    /// `SIGKILL`. Completed combos are safe in the checkpoint.
+    Interrupted {
+        /// Combos journaled during this run before the interrupt.
+        completed: usize,
+        /// Combos the interrupted pass still had pending.
+        remaining: usize,
+    },
 }
 
 impl fmt::Display for ExploreError {
@@ -584,6 +592,14 @@ impl fmt::Display for ExploreError {
             ExploreError::Experiment(e) => write!(f, "{e}"),
             ExploreError::Checkpoint(e) => write!(f, "{e}"),
             ExploreError::Supervision(e) => write!(f, "{e}"),
+            ExploreError::Interrupted {
+                completed,
+                remaining,
+            } => write!(
+                f,
+                "exploration interrupted after {completed} combos ({remaining} pending); \
+                 resume with --resume"
+            ),
         }
     }
 }
@@ -598,6 +614,7 @@ impl Error for ExploreError {
             ExploreError::Experiment(e) => Some(e),
             ExploreError::Checkpoint(e) => Some(e),
             ExploreError::Supervision(e) => Some(e),
+            ExploreError::Interrupted { .. } => None,
         }
     }
 }
@@ -629,6 +646,30 @@ impl From<ExperimentError> for ExploreError {
 impl From<CheckpointError> for ExploreError {
     fn from(e: CheckpointError) -> Self {
         ExploreError::Checkpoint(e)
+    }
+}
+
+impl From<JobFailure> for ExploreError {
+    fn from(e: JobFailure) -> Self {
+        match e {
+            JobFailure::Supervision(e) => ExploreError::Supervision(e),
+            JobFailure::Experiment(e) => ExploreError::Experiment(e),
+        }
+    }
+}
+
+impl From<CampaignError> for ExploreError {
+    fn from(e: CampaignError) -> Self {
+        match e {
+            CampaignError::Checkpoint(e) => ExploreError::Checkpoint(e),
+            CampaignError::Interrupted {
+                completed,
+                remaining,
+            } => ExploreError::Interrupted {
+                completed,
+                remaining,
+            },
+        }
     }
 }
 
@@ -678,7 +719,8 @@ fn area_mm2_for(
 /// and each point's L2 area.
 struct ComboRun {
     job: ComboJob,
-    hierarchy: HierarchyConfig,
+    /// The combo's capture configuration, at no workload yet.
+    experiment: Experiment,
     sims: Vec<Simulator>,
     area_mm2: Vec<f64>,
 }
@@ -693,28 +735,28 @@ struct WorkloadSums {
 }
 
 impl ComboRun {
-    fn new(job: ComboJob, accesses: u64) -> Result<Self, ExploreError> {
-        let hierarchy = HierarchyConfig::paper_with_l2_ways(job.ways)?;
+    fn new(job: ComboJob, accesses: u64, seed: u64) -> Result<Self, ExploreError> {
+        let experiment = Experiment::paper_hierarchy()
+            .hierarchy(HierarchyConfig::paper_with_l2_ways(job.ways)?)
+            .scrub(job.scrub)
+            .accesses(accesses)
+            .seed(seed);
+        let base = experiment.config();
         let base_read = MtjParams::default().read_current();
-        let tech_nm = SimulationConfig::default().tech_nm;
         let mut sims = Vec::with_capacity(job.points.len());
         let mut area_mm2 = Vec::with_capacity(job.points.len());
         for &(ecc, scale) in &job.points {
             let config = SimulationConfig {
-                hierarchy: hierarchy.clone(),
                 ecc,
                 mtj: MtjParams::default().with_read_current(scale * base_read)?,
-                warmup_accesses: accesses / 10,
-                measure_accesses: accesses,
-                scrub_period: job.scrub,
-                ..SimulationConfig::default()
+                ..base.clone()
             };
             sims.push(Simulator::new(config)?);
-            area_mm2.push(area_mm2_for(&hierarchy, ecc, tech_nm)?);
+            area_mm2.push(area_mm2_for(&base.hierarchy, ecc, base.tech_nm)?);
         }
         Ok(Self {
             job,
-            hierarchy,
+            experiment,
             sims,
             area_mm2,
         })
@@ -722,23 +764,15 @@ impl ComboRun {
 
     /// Scores one workload at every analysis point: one capture
     /// (store-served when possible) and one batched replay through the
-    /// worker's reusable kernel.
+    /// worker's reusable kernel ([`Experiment::run_at`]).
     fn score(
         &self,
         workload: SpecWorkload,
-        accesses: u64,
-        seed: u64,
         store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
-    ) -> Result<WorkloadSums, ExploreError> {
-        let experiment = Experiment::paper_hierarchy()
-            .hierarchy(self.hierarchy.clone())
-            .scrub(self.job.scrub)
-            .accesses(accesses)
-            .seed(seed)
-            .workload(workload);
-        let capture = experiment.capture_with(store)?;
-        let reports = experiment.score(&self.sims, &capture, store, kernel)?;
+    ) -> Result<WorkloadSums, ExperimentError> {
+        let experiment = self.experiment.clone().workload(workload);
+        let reports = experiment.run_at(&self.sims, store, kernel)?;
         Ok(WorkloadSums {
             duration: reports[0].duration_seconds(),
             fail: reports
@@ -756,12 +790,12 @@ impl ComboRun {
     /// into per-point rows — the same additions in the same order
     /// whatever order the workloads finished in, so rows are
     /// bit-identical at any parallelism.
-    fn fold<'a>(&self, parts: impl Iterator<Item = &'a WorkloadSums>) -> Vec<ExploreRow> {
+    fn fold(&self, parts: Vec<WorkloadSums>) -> Vec<ExploreRow> {
         let npts = self.job.points.len();
         let mut fail = vec![0.0f64; npts];
         let mut energy = vec![0.0f64; npts];
         let mut duration = 0.0f64;
-        for part in parts {
+        for part in &parts {
             duration += part.duration;
             for i in 0..npts {
                 fail[i] += part.fail[i];
@@ -787,6 +821,51 @@ impl ComboRun {
             })
             .collect()
     }
+}
+
+/// Scores `jobs` on the task runner, one group per combo and one task
+/// per workload, returning their rows in job order and counting the
+/// journaled combos into `resumed`. The first failed combo fails the run.
+fn run_combos(
+    runner: &mut TaskRunner<ExploreRow>,
+    config: &ExploreConfig,
+    jobs: Vec<ComboJob>,
+    pool: &str,
+    resumed: &mut usize,
+) -> Result<Vec<ExploreRow>, ExploreError> {
+    let combos = jobs
+        .into_iter()
+        .map(|job| ComboRun::new(job, config.accesses, config.seed).map(Arc::new))
+        .collect::<Result<Vec<_>, _>>()?;
+    let groups = combos
+        .iter()
+        .map(|combo| {
+            let tasks = config
+                .workloads
+                .iter()
+                .map(|&workload| (Arc::clone(combo), workload))
+                .collect();
+            (combo.job.key(), tasks)
+        })
+        .collect();
+    let store = config.capture_store.clone();
+    let outcomes = runner.run(
+        groups,
+        pool,
+        config.parallelism,
+        &config.supervisor,
+        move |kernel, (combo, workload): (Arc<ComboRun>, SpecWorkload)| {
+            combo.score(workload, store.as_ref(), kernel)
+        },
+        |g, parts| combos[g].fold(parts),
+        |_, _, _| ControlFlow::Continue(()),
+    )?;
+    let mut rows = Vec::new();
+    for (result, _, from_checkpoint) in outcomes {
+        *resumed += usize::from(from_checkpoint);
+        rows.extend(result?);
+    }
+    Ok(rows)
 }
 
 /// Indices of the Pareto front of `rows` (MTTF ↑, energy ↓, area ↓).
@@ -855,17 +934,18 @@ fn refinement_candidates(
 ///
 /// Deterministic by construction: each (combo, workload) task depends
 /// only on its own inputs and each combo folds its workloads in
-/// canonical order (results are identical at any `parallelism`), rows checkpoint
-/// bit-exactly, and the refinement set is a pure function of the base
-/// rows — so a killed-and-resumed exploration reproduces an
+/// canonical order (results are identical at any `parallelism`), rows
+/// checkpoint bit-exactly, and the refinement set is a pure function of
+/// the base rows — so a killed-and-resumed exploration reproduces an
 /// uninterrupted one bit for bit.
 ///
 /// # Errors
 ///
 /// Returns [`ExploreError`] when the grid exceeds the point budget, a
-/// design point cannot be instantiated, a capture or replay fails, or
-/// the checkpoint file cannot be created, parsed, or belongs to a
-/// different exploration.
+/// design point cannot be instantiated, a capture or replay fails, a
+/// task fails every supervised attempt, the checkpoint file cannot be
+/// created, parsed, or belongs to a different exploration, or the fault
+/// plan's simulated kill fires ([`ExploreError::Interrupted`]).
 pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let _span = reap_obs::span("explore");
     let grid = &config.grid;
@@ -903,102 +983,15 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let keys: Vec<String> = base_jobs.iter().map(ComboJob::key).collect();
     let meta = CheckpointMeta::new(&mode_tag, config.accesses, config.seed, &keys);
 
-    let mut completed: HashMap<String, Vec<ExploreRow>> = HashMap::new();
-    let mut checkpoint_warning = None;
-    let mut writer = None;
-    if let Some(path) = &config.checkpoint {
-        let journal = checkpoint::open_journal(path, &meta, config.resume, explore_row_from_json)?;
-        completed = journal.completed.into_iter().collect();
-        checkpoint_warning = journal.warning;
-        writer = Some(journal.writer);
-    }
+    let mut runner = TaskRunner::open(
+        config.checkpoint.as_deref(),
+        &meta,
+        config.resume,
+        explore_row_from_json,
+        explore_row_to_json,
+    )?;
     let mut resumed = 0usize;
-
-    // Runs `jobs` (skipping checkpointed ones) and returns each job's
-    // rows in input order. A pool task is one (combo, workload) pair and
-    // returns that workload's sums; this thread folds a combo once its
-    // last workload arrives and streams its rows into the journal, so
-    // the journal only ever holds whole combos.
-    let nw = config.workloads.len();
-    let mut run_phase = |jobs: &[ComboJob],
-                         pool: &str,
-                         resumed: &mut usize|
-     -> Result<Vec<Vec<ExploreRow>>, ExploreError> {
-        let pending: Vec<&ComboJob> = jobs
-            .iter()
-            .filter(|j| !completed.contains_key(&j.key()))
-            .collect();
-        *resumed += jobs.len() - pending.len();
-        let combos = pending
-            .iter()
-            .map(|&job| ComboRun::new(job.clone(), config.accesses))
-            .collect::<Result<Vec<_>, _>>()?;
-        let combos = Arc::new(combos);
-        // Task `c * nw + w` scores workload `w` of combo `c`.
-        let tasks: Vec<usize> = (0..combos.len() * nw).collect();
-        let score = {
-            let combos = Arc::clone(&combos);
-            let workloads = config.workloads.clone();
-            let store = config.capture_store.clone();
-            let (accesses, seed) = (config.accesses, config.seed);
-            move |kernel: &mut Option<MultiReplayAggregator>, task: usize| {
-                let (c, w) = (task / nw, task % nw);
-                combos[c].score(workloads[w], accesses, seed, store.as_ref(), kernel)
-            }
-        };
-        let mut parts: Vec<Vec<Option<WorkloadSums>>> = vec![vec![None; nw]; combos.len()];
-        let mut fresh: HashMap<String, Vec<ExploreRow>> = HashMap::new();
-        let outcomes = pool_map_supervised(
-            tasks,
-            config.parallelism.max(1),
-            pool,
-            &config.supervisor,
-            || None,
-            score,
-            |i, outcome| {
-                let Ok(Ok(sums)) = &outcome.result else {
-                    return ControlFlow::Continue(());
-                };
-                let (c, w) = (i / nw, i % nw);
-                parts[c][w] = Some(sums.clone());
-                if parts[c].iter().all(Option::is_some) {
-                    let combo = &combos[c];
-                    let rows = combo.fold(parts[c].iter().flatten());
-                    let key = combo.job.key();
-                    if let Some(journal) = writer.as_mut() {
-                        let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
-                        // A journal write failure must not kill the run;
-                        // the rows are still in memory. Surface it on
-                        // stderr.
-                        if let Err(e) = journal.record_json_rows(&key, &encoded) {
-                            eprintln!("warning: {e}");
-                        }
-                    }
-                    fresh.insert(key, rows);
-                }
-                ControlFlow::Continue(())
-            },
-        );
-        for outcome in outcomes {
-            outcome.result.map_err(ExploreError::Supervision)??;
-        }
-        Ok(jobs
-            .iter()
-            .map(|j| {
-                let key = j.key();
-                completed
-                    .get(&key)
-                    .cloned()
-                    .or_else(|| fresh.remove(&key))
-                    .expect("every job is checkpointed or freshly computed")
-            })
-            .collect())
-    };
-
-    let mut rows: Vec<ExploreRow> = run_phase(&base_jobs, "explore_grid", &mut resumed)?
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut rows = run_combos(&mut runner, config, base_jobs, "explore_grid", &mut resumed)?;
 
     // Refinement: subdivide the continuous dimensions around the base
     // front, within the point budget.
@@ -1036,13 +1029,13 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
                 }
             })
             .collect();
-        if !refine_jobs.is_empty() {
-            rows.extend(
-                run_phase(&refine_jobs, "explore_refine", &mut resumed)?
-                    .into_iter()
-                    .flatten(),
-            );
-        }
+        rows.extend(run_combos(
+            &mut runner,
+            config,
+            refine_jobs,
+            "explore_refine",
+            &mut resumed,
+        )?);
     }
 
     rows.sort_unstable_by(|a, b| {
@@ -1058,13 +1051,14 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
         refined_points,
         truncated,
         resumed,
-        checkpoint_warning,
+        checkpoint_warning: runner.journal.and_then(|j| j.warning),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint;
     use reap_fault::{FaultAction, FaultPlan};
 
     #[test]
@@ -1163,6 +1157,12 @@ mod tests {
             assert_eq!(parsed.area_mm2.to_bits(), row.area_mm2.to_bits());
             assert_eq!(parsed.refined, row.refined);
         }
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
     }
 
     fn quick(grid: &str) -> ExploreConfig {
@@ -1271,9 +1271,7 @@ mod tests {
 
     #[test]
     fn the_journal_holds_whole_combos_under_stable_keys() {
-        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("explore-keys.jsonl");
+        let path = tmp("explore-keys.jsonl");
         std::fs::remove_file(&path).ok();
 
         let mut config = quick("ways=4,8 ecc=sec,dec read-current=0.8,1.0 scrub=0,2k");
@@ -1337,8 +1335,6 @@ mod tests {
 
     #[test]
     fn injected_panics_recover_to_the_clean_rows_front_and_journal() {
-        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let plan = FaultPlan {
             seed: 13,
             panic_rate: 0.3,
@@ -1348,8 +1344,8 @@ mod tests {
         // them must draw a panic for the test to mean anything.
         assert!((0..4).any(|task| plan.decide(task, 1) == FaultAction::Panic));
         for jobs in [1, 3] {
-            let clean_path = dir.join(format!("explore-clean-j{jobs}.jsonl"));
-            let faulty_path = dir.join(format!("explore-faulty-j{jobs}.jsonl"));
+            let clean_path = tmp(&format!("explore-clean-j{jobs}.jsonl"));
+            let faulty_path = tmp(&format!("explore-faulty-j{jobs}.jsonl"));
             let mut config = quick("ecc=sec,dec read-current=0.8,1.0 scrub=0,2k");
             config.parallelism = jobs;
             config.checkpoint = Some(clean_path.clone());
@@ -1374,9 +1370,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_the_exploration_and_journal_only_whole_combos() {
-        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("explore-exhausted.jsonl");
+        let path = tmp("explore-exhausted.jsonl");
         let plan = FaultPlan {
             seed: 3,
             panic_rate: 0.3,
@@ -1429,33 +1423,55 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_rerun_resumes_every_job_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("explore-resume.jsonl");
-        std::fs::remove_file(&path).ok();
-
-        let fresh = explore(&quick("ecc=sec,dec read-current=0.8,1.0 scrub=0,2k")).unwrap();
-
-        let mut config = quick("ecc=sec,dec read-current=0.8,1.0 scrub=0,2k");
+    fn a_finished_or_killed_run_resumes_bit_identically() {
+        let grid = "ecc=sec,dec read-current=0.8,1.0 scrub=0,2k";
+        let fresh = explore(&quick(grid)).unwrap();
+        let path = tmp("explore-resume.jsonl");
+        let mut config = quick(grid);
         config.checkpoint = Some(path.clone());
         let cold = explore(&config).unwrap();
         assert_eq!(cold.resumed, 0);
         assert_eq!(row_bits(&fresh.rows), row_bits(&cold.rows));
+        let whole = journal_groups(&path);
+        assert_eq!(whole.len(), 5, "two base combos and three refined");
 
-        config.resume = true;
-        let resumed = explore(&config).unwrap();
-        assert!(resumed.resumed > 0);
-        assert_eq!(row_bits(&fresh.rows), row_bits(&resumed.rows));
-        assert_eq!(fresh.front, resumed.front);
+        // Resume the finished journal, then kill fresh runs at `-j 2`
+        // after one combo (base pass) and after three (refinement pass),
+        // three times each.
+        for kill in [None, Some(1), Some(1), Some(1), Some(3), Some(3), Some(3)] {
+            let mut config = quick(grid);
+            config.checkpoint = Some(path.clone());
+            if kill.is_some() {
+                config.supervisor.fault_plan = Some(FaultPlan {
+                    interrupt_after: kill,
+                    ..FaultPlan::default()
+                });
+                let err = explore(&config).unwrap_err();
+                assert!(
+                    matches!(err, ExploreError::Interrupted { completed, .. } if Some(completed as u64) == kill),
+                    "{err}"
+                );
+                config.supervisor.fault_plan = None;
+            }
+            // Exactly that many combos, each whole: the clean run's group
+            // under the same key, bit for bit.
+            let journaled = journal_groups(&path);
+            assert_eq!(journaled.len() as u64, kill.unwrap_or(5), "{kill:?}");
+            assert!(journaled.iter().all(|group| whole.contains(group)));
+
+            config.resume = true;
+            let resumed = explore(&config).unwrap();
+            assert_eq!(resumed.resumed as u64, kill.unwrap_or(5), "{kill:?}");
+            assert_eq!(row_bits(&fresh.rows), row_bits(&resumed.rows));
+            assert_eq!(fresh.front, resumed.front);
+            assert_eq!(journal_groups(&path), whole);
+        }
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn a_foreign_checkpoint_is_refused() {
-        let dir = std::env::temp_dir().join(format!("reap-explore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("explore-foreign.jsonl");
+        let path = tmp("explore-foreign.jsonl");
         std::fs::remove_file(&path).ok();
 
         let mut config = quick("ecc=sec read-current=0.8,1.0");

@@ -57,7 +57,6 @@ pub mod scheme;
 pub mod simulator;
 mod stages;
 pub mod supervise;
-pub mod sweep;
 
 pub use campaign::{
     CampaignConfig, CampaignError, CampaignOutcome, SweepJob, SweepMode, WorkloadOutcome,

@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use reap_core::capture_store::{write_capture_v2, CaptureKey, CapturePolicy, CaptureStore};
-use reap_core::sweep::replay_ecc_sweep_with;
 use reap_core::{EccStrength, Experiment, ProtectionScheme, SimulationConfig, Simulator};
 use reap_trace::SpecWorkload;
 use std::path::PathBuf;
@@ -83,7 +82,9 @@ proptest! {
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
 
         // Reference sweep and a populated store entry.
-        let clean = replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
+        let points = experiment.simulators_at(&EccStrength::ALL).expect("valid points");
+        let sweep = || experiment.run_at(&points, Some(&store), &mut None);
+        let clean = sweep().expect("cold sweep");
         let key = CaptureKey::new(workload, seed, experiment.config());
         let path = store.entry_path(&key);
         let entry = std::fs::read(&path).expect("entry exists");
@@ -118,10 +119,9 @@ proptest! {
 
         // The store-backed sweep must silently recapture to the same bits
         // as the clean run, counting the defect.
-        let recovered = replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep");
+        let recovered = sweep().expect("warm sweep");
         prop_assert_eq!(clean.len(), recovered.len());
-        for ((ecc_a, a), (ecc_b, b)) in clean.iter().zip(&recovered) {
-            prop_assert_eq!(ecc_a, ecc_b);
+        for (a, b) in clean.iter().zip(&recovered) {
             prop_assert_eq!(report_bits(a), report_bits(b));
         }
         prop_assert!(
@@ -137,8 +137,8 @@ proptest! {
             counter("capture_store.hit"),
             trace_passes(),
         );
-        let healed = replay_ecc_sweep_with(&experiment, Some(&store)).expect("healed sweep");
-        for ((_, a), (_, b)) in clean.iter().zip(&healed) {
+        let healed = sweep().expect("healed sweep");
+        for (a, b) in clean.iter().zip(&healed) {
             prop_assert_eq!(report_bits(a), report_bits(b));
         }
         prop_assert_eq!(counter("capture_store.invalid"), invalid1);

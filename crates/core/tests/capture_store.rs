@@ -12,9 +12,9 @@ use reap_cache::{CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_core::capture_store::{
     read_capture_v2, write_capture_v2, CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError,
 };
-use reap_core::sweep::replay_ecc_sweep_with;
 use reap_core::{
-    Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot, ProtectionScheme, Simulator,
+    EccStrength, Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot, ProtectionScheme,
+    Simulator,
 };
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
@@ -161,17 +161,18 @@ fn warm_sweeps_agree_with_fresh_capture() {
         .workload(SpecWorkload::Soplex)
         .budgets(500, 6_000)
         .seed(77);
-    let fresh = replay_ecc_sweep_with(&experiment, None).expect("fresh sweep");
+    let points = experiment.simulators_at(&EccStrength::ALL).unwrap();
+    let sweep = |store| experiment.run_at(&points, store, &mut None);
+    let fresh = sweep(None).expect("fresh sweep");
 
     let dir = scratch("warm");
     let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
-    replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
-    let warm = replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep");
+    sweep(Some(&store)).expect("cold sweep");
+    let warm = sweep(Some(&store)).expect("warm sweep");
     std::fs::remove_dir_all(dir).ok();
 
     assert_eq!(warm.len(), fresh.len());
-    for ((ecc_a, a), (ecc_b, b)) in fresh.iter().zip(&warm) {
-        assert_eq!(ecc_a, ecc_b);
+    for (a, b) in fresh.iter().zip(&warm) {
         assert_eq!(report_bits(a), report_bits(b));
     }
 }

@@ -689,7 +689,8 @@ proptest! {
         let path = scratch("roundtrip");
         let meta = CheckpointMeta::new("standard", 1, 2, &["prop".to_owned()]);
         let mut writer = CheckpointWriter::create(&path, &meta).expect("create");
-        writer.record("prop", &rows).expect("record");
+        let encoded: Vec<String> = rows.iter().map(checkpoint::row_to_json).collect();
+        writer.record_json_rows("prop", &encoded).expect("record");
         drop(writer);
 
         let loaded = checkpoint::load(&path).expect("load");
@@ -732,7 +733,8 @@ proptest! {
                 efail_conv: f64::from_bits(mix(s, 3)),
                 max_n: mix(s, 4),
             };
-            writer.record(key, std::slice::from_ref(&row)).expect("record");
+            let encoded = [checkpoint::row_to_json(&row)];
+            writer.record_json_rows(key, &encoded).expect("record");
             written.push((key.clone(), row));
         }
         drop(writer);
