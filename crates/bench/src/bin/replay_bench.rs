@@ -14,12 +14,15 @@
 //!    weights sampled once per stored width, with
 //!    [`sample_ones_multi_batch`] on 64-record blocks as the replay
 //!    feeder does, outside the timers. The same records and weights are
-//!    then scored by the batched kernel through the entry the replay
-//!    feeder uses ([`MultiReplayAggregator::record_block_by_width`] on
-//!    64-record blocks) and by one independent [`ReplayAggregator`] per
-//!    point, the kernel's bit-identity reference. The points interleave
-//!    widths, so the kernel's point → width-group map is exercised.
-//!    `kernel_speedup` is the reference time over the kernel time, and
+//!    then scored, tally and fold, by the batched kernel through the
+//!    entry the replay feeder uses
+//!    ([`MultiReplayAggregator::record_block_by_width`] on 64-record
+//!    blocks, one kernel reused across the captures as a replay worker
+//!    reuses its own) and by one independent [`ReplayAggregator`] per
+//!    point, the kernel's bit-identity reference: one tally per point,
+//!    folded without a memo. The points interleave widths, so the kernel's
+//!    point → width-group map is exercised. `kernel_speedup` is the
+//!    reference time over the kernel time, and
 //!    `kernel_ns_per_event_point` the kernel's absolute cost.
 //!
 //! The reports must agree bit-for-bit across all paths (the bench fails
@@ -39,22 +42,19 @@ use reap_cache::sample_ones_multi_batch;
 use reap_core::capture_store::write_capture_v2;
 use reap_core::{EccStrength, Experiment, ExposureCapture, ProtectionScheme, Simulator};
 use reap_mtj::MtjParams;
-use reap_reliability::{ExposureKind, MultiReplayAggregator, ReplayAggregator};
+use reap_reliability::{ExposureKind, MultiReplayAggregator, ReplayAggregator, ReplayScore};
 use reap_trace::SpecWorkload;
 use std::time::{Duration, Instant};
 
 /// Exit floors of `kernel_speedup` at full and at smoke budget. On a
-/// 2-core Xeon the width-grouped kernel with its stall-free memo read
-/// scores these inputs 15.6–15.9x faster than per-point aggregators at
-/// full budget (three runs; 5.6–6.4x over six smoke runs). The same
-/// kernel reading its memo through a stack slot managed 13.7–14.0x
-/// beside it (5.3–6.0x smoke), and the per-point lane kernel before
-/// width grouping 11.0–11.5x (4.4–5.1x over twenty smoke runs). So a
-/// kernel that loses the width grouping fails at either budget, and one
-/// that loses the memo-read fix fails at full budget; smoke runs
-/// overlap too much to tell the last two apart.
-const KERNEL_SPEEDUP_FLOOR: f64 = 14.5;
-const KERNEL_SPEEDUP_FLOOR_SMOKE: f64 = 5.2;
+/// 2-core Xeon the per-width cell-tally kernel, reused across captures,
+/// scores these inputs 3.46–3.57x faster than per-point aggregators at
+/// full budget (three runs; 2.90–3.52x over six smoke runs). The same
+/// kernel tallying per point instead of per width managed 1.32–1.33x
+/// (three full runs; 1.74–1.93x over six smoke runs). So a kernel that
+/// loses the per-width tally fails at either budget.
+const KERNEL_SPEEDUP_FLOOR: f64 = 2.5;
+const KERNEL_SPEEDUP_FLOOR_SMOKE: f64 = 2.4;
 
 /// Records decoded, sampled and scored per chunk of the kernel timing:
 /// bounds the bench's buffers while keeping each timed span long.
@@ -78,8 +78,8 @@ fn failure_bits(r: &reap_core::Report) -> [u64; 4] {
     ]
 }
 
-/// Bit pattern of every observable a per-point aggregator carries.
-fn aggregator_bits(a: &ReplayAggregator) -> ([u64; 4], [u64; 3]) {
+/// Bit pattern of every observable a per-point score carries.
+fn score_bits(a: &ReplayScore) -> ([u64; 4], [u64; 3]) {
     (
         [
             a.conventional().expected_failures().to_bits(),
@@ -95,13 +95,19 @@ fn aggregator_bits(a: &ReplayAggregator) -> ([u64; 4], [u64; 3]) {
     )
 }
 
-/// Scores `capture` at `points` by the batched kernel and by one
-/// [`ReplayAggregator`] per point, fed the same decoded records and
-/// sampled weights, and returns `(kernel, reference)` time. Asserts the
-/// two agree bit for bit.
-fn time_kernel(points: &[Simulator], capture: &ExposureCapture) -> (Duration, Duration) {
+/// Scores `capture` at `points` by the batched kernel `multi` (built
+/// once and reused across captures, as each replay worker reuses its
+/// kernel) and by one fresh [`ReplayAggregator`] per point, fed the same
+/// decoded records and sampled weights, and returns `(kernel,
+/// reference)` time, each tally and fold. Asserts the two agree bit for
+/// bit.
+fn time_kernel(
+    points: &[Simulator],
+    capture: &ExposureCapture,
+    multi: &mut MultiReplayAggregator,
+) -> (Duration, Duration) {
     let kernel_points = Simulator::batch_kernel_points(points, capture);
-    let mut multi = MultiReplayAggregator::new(kernel_points.clone());
+    assert!(multi.matches_points(&kernel_points));
     let widths = multi.stored_widths().to_vec();
     let nw = widths.len();
     // Which per-width weight each reference aggregator scores.
@@ -154,10 +160,18 @@ fn time_kernel(points: &[Simulator], capture: &ExposureCapture) -> (Duration, Du
         }
         reference += t1.elapsed();
     }
-    for (p, (got, want)) in multi.finish().iter().zip(&solo).enumerate() {
+    let t0 = Instant::now();
+    let scores = multi.take_reports();
+    kernel += t0.elapsed();
+    let t1 = Instant::now();
+    for agg in &solo {
+        agg.score();
+    }
+    reference += t1.elapsed();
+    for (p, (got, want)) in scores.iter().zip(&solo).enumerate() {
         assert_eq!(
-            aggregator_bits(got),
-            aggregator_bits(want),
+            score_bits(got),
+            score_bits(want.score()),
             "batched kernel diverged from per-point aggregators (point {p})"
         );
         assert_eq!(got.histogram(), want.histogram());
@@ -215,6 +229,7 @@ fn main() {
     let (mut kernel, mut reference) = (Duration::ZERO, Duration::ZERO);
     let mut events = 0u64;
     let mut bytes = 0u64;
+    let mut multi: Option<MultiReplayAggregator> = None;
     for w in workloads {
         let capture = Experiment::paper_hierarchy()
             .workload(w)
@@ -247,7 +262,10 @@ fn main() {
             );
         }
 
-        let (k, r) = time_kernel(&points, &capture);
+        let multi = multi.get_or_insert_with(|| {
+            MultiReplayAggregator::new(Simulator::batch_kernel_points(&points, &capture))
+        });
+        let (k, r) = time_kernel(&points, &capture, multi);
         kernel += k;
         reference += r;
     }

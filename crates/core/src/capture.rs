@@ -38,7 +38,7 @@ use crate::capture_store::{
 };
 use crate::simulator::SimulationError;
 use reap_cache::{AccessObserver, CacheStats, Hierarchy, HierarchyConfig, LineKey, Replacement};
-use reap_reliability::ExposureKind;
+use reap_reliability::{ExposureKind, TalliedCells};
 use std::fmt;
 use std::fs::File;
 use std::io::BufReader;
@@ -97,9 +97,9 @@ impl std::error::Error for StreamDefect {}
 /// This is the replay input surface: [`crate::Simulator::replay`] and
 /// [`crate::Simulator::replay_batch`] pull records one at a time, so a
 /// disk-backed stream (e.g. a `reap-capture/2` store entry) replays in
-/// O(1) memory instead of materializing an owned `Vec`. Records must be
-/// yielded in capture order — the scoring sums are floating-point and
-/// ordering is part of the bit-identity contract.
+/// O(1) memory instead of materializing an owned `Vec`. Records are
+/// yielded in capture order; scores do not depend on that order, since
+/// replay counts records into `(kind, ones, N)` cells before it folds.
 pub trait ExposureStream {
     /// Total records the stream will yield (known up front).
     fn len(&self) -> u64;
@@ -413,6 +413,67 @@ impl ExposureCapture {
     /// scrubbing).
     pub fn scrub_period(&self) -> u64 {
         self.scrub_period
+    }
+
+    /// This capture reduced to `cells`, its records' cells: what a later
+    /// scoring at other points reads instead of the records.
+    pub(crate) fn tallied(&self, cells: TalliedCells) -> TalliedCapture {
+        TalliedCapture {
+            cells,
+            count: self.count,
+            snapshot: self.snapshot,
+            line_bits: self.line_bits,
+            hierarchy: self.hierarchy.clone(),
+            replacement: self.replacement,
+            warmup_accesses: self.warmup_accesses,
+            measure_accesses: self.measure_accesses,
+            scrub_period: self.scrub_period,
+        }
+    }
+}
+
+/// A capture after one scoring pass: its records reduced to their
+/// `(kind, ones, N)` cells per stored width, with the behavioural
+/// configuration and hierarchy counters a report needs — a few KB where
+/// the capture's records take MBs. Built by
+/// [`crate::Simulator::tally_batch_into`];
+/// [`crate::Simulator::replay_tallied`] scores it at any points whose
+/// stored widths it holds, bit-identically to a replay of the capture
+/// and without reading a record.
+#[derive(Debug, Clone)]
+pub struct TalliedCapture {
+    cells: TalliedCells,
+    /// Records the capture held.
+    count: u64,
+    snapshot: HierarchySnapshot,
+    line_bits: usize,
+    // Behavioural fingerprint, checked before the cells are scored.
+    pub(crate) hierarchy: HierarchyConfig,
+    pub(crate) replacement: Replacement,
+    pub(crate) warmup_accesses: u64,
+    pub(crate) measure_accesses: u64,
+    pub(crate) scrub_period: u64,
+}
+
+impl TalliedCapture {
+    /// The records' cells, one list per stored width.
+    pub fn cells(&self) -> &TalliedCells {
+        &self.cells
+    }
+
+    /// Records the capture held: the events a fold of the cells scores.
+    pub fn event_count(&self) -> u64 {
+        self.count
+    }
+
+    /// Final hierarchy counters of the capture run.
+    pub fn snapshot(&self) -> &HierarchySnapshot {
+        &self.snapshot
+    }
+
+    /// Data bits per L2 line.
+    pub fn line_bits(&self) -> usize {
+        self.line_bits
     }
 }
 

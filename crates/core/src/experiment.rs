@@ -1,12 +1,12 @@
 //! High-level experiment builder — the one-call entry point.
 
-use crate::capture::ExposureCapture;
+use crate::capture::{ExposureCapture, TalliedCapture};
 use crate::capture_store::{self, CapturePolicy, CaptureStore};
 use crate::report::Report;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
 use reap_cache::{HierarchyConfig, Replacement};
 use reap_mtj::MtjParams;
-use reap_reliability::MultiReplayAggregator;
+use reap_reliability::{AccumulationModel, MultiReplayAggregator};
 use reap_trace::SpecWorkload;
 use std::fmt;
 
@@ -156,8 +156,25 @@ impl Experiment {
         store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
     ) -> Result<Vec<Report>, ExperimentError> {
+        Ok(self.run_tallied(points, store, kernel)?.0)
+    }
+
+    /// [`run_at`](Self::run_at) that also hands back the capture reduced
+    /// to its cells ([`Simulator::tally_batch_into`]), so points of the
+    /// same stored widths can be scored later without the capture
+    /// ([`Simulator::replay_tallied`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`run_at`](Self::run_at).
+    pub fn run_tallied(
+        &self,
+        points: &[Simulator],
+        store: Option<&CaptureStore>,
+        kernel: &mut Option<MultiReplayAggregator>,
+    ) -> Result<(Vec<Report>, TalliedCapture), ExperimentError> {
         let capture = self.capture_with(store)?;
-        self.score(points, &capture, store, kernel)
+        self.score_tallied(points, &capture, store, kernel)
     }
 
     /// One simulator per strength in `strengths`, each this experiment's
@@ -211,6 +228,17 @@ impl Experiment {
         store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
     ) -> Result<Vec<Report>, ExperimentError> {
+        Ok(self.score_tallied(points, capture, store, kernel)?.0)
+    }
+
+    /// [`score`](Self::score), handing back the scored capture's cells.
+    fn score_tallied(
+        &self,
+        points: &[Simulator],
+        capture: &ExposureCapture,
+        store: Option<&CaptureStore>,
+        kernel: &mut Option<MultiReplayAggregator>,
+    ) -> Result<(Vec<Report>, TalliedCapture), ExperimentError> {
         let defect = match replay_reusing(points, capture, kernel) {
             Err(SimulationError::CaptureStream(defect)) => defect,
             other => return Ok(other?),
@@ -282,22 +310,28 @@ impl Experiment {
     }
 }
 
-/// Replays `capture` at `points` through `kernel`, rebuilding it only
-/// when the batch's analysis points differ from the ones it was built
-/// for. The old kernel is freed before the new one is allocated, so a
-/// caller never holds two memos.
+/// Replays `capture` at `points` through `kernel` ([`kernel_for`]).
 fn replay_reusing(
     points: &[Simulator],
     capture: &ExposureCapture,
     kernel: &mut Option<MultiReplayAggregator>,
-) -> Result<Vec<Report>, SimulationError> {
+) -> Result<(Vec<Report>, TalliedCapture), SimulationError> {
     let wanted = Simulator::batch_kernel_points(points, capture);
+    Simulator::tally_batch_into(points, capture, kernel_for(kernel, wanted))
+}
+
+/// The caller's reusable kernel for the analysis points `wanted`,
+/// rebuilt only when it was built for others. The old kernel is freed
+/// before the new one is allocated, so a caller never holds two memos.
+pub(crate) fn kernel_for(
+    kernel: &mut Option<MultiReplayAggregator>,
+    wanted: Vec<(AccumulationModel, u32)>,
+) -> &mut MultiReplayAggregator {
     if !kernel.as_ref().is_some_and(|k| k.matches_points(&wanted)) {
         *kernel = None;
         *kernel = Some(MultiReplayAggregator::new(wanted));
     }
-    let kernel = kernel.as_mut().expect("kernel was just built");
-    Simulator::replay_batch_into(points, capture, kernel)
+    kernel.as_mut().expect("kernel was just built")
 }
 
 /// Error raised by [`Experiment::run`].

@@ -23,7 +23,7 @@
 //! `(combo, workload)` pair, so even a one-combo grid keeps every worker
 //! busy, and a panicking or stuck task is retried like a sweep job. A
 //! combo's simulators are built once and shared by its tasks; each
-//! worker reuses one replay kernel (its lookup tables and memo) across
+//! worker reuses one replay kernel (its fold tables and memo) across
 //! its tasks. A task returns only its workload's sums, which the runner
 //! folds in canonical workload order once the combo's last workload
 //! lands, so rows do not depend on which workload finished first.
@@ -35,7 +35,15 @@
 //! candidate point. The candidate list is budgeted by
 //! [`ExploreConfig::max_points`] (truncation is counted and logged) and
 //! derived deterministically from the base rows, so a resumed run
-//! refines exactly the same points.
+//! refines exactly the same points. When refinement is on, each base
+//! task hands its workload's capture on reduced to its cells
+//! ([`TalliedCapture`]), a few KB, and a read-current midpoint of a
+//! combo scored in this run folds over them
+//! ([`Simulator::replay_tallied`]) with no capture load, decode or
+//! sample. A combo resumed from the journal has no cells, and a scrub
+//! midpoint is a new behavioural combo, so those still replay captures.
+//! Cells fold bit-identically to the capture they came from, so rows do
+//! not depend on which path scored them.
 //!
 //! Completed combos stream into a `reap-checkpoint/1` journal opened by
 //! [`checkpoint::open_journal`] with the explorer's row codec; every
@@ -63,9 +71,10 @@
 //! deduplicated; listing order never matters.
 
 use crate::campaign::{CampaignError, JobFailure, TaskRunner};
+use crate::capture::TalliedCapture;
 use crate::capture_store::CaptureStore;
 use crate::checkpoint::{CheckpointError, CheckpointMeta};
-use crate::experiment::{Experiment, ExperimentError};
+use crate::experiment::{kernel_for, Experiment, ExperimentError};
 use crate::scheme::ProtectionScheme;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
 use crate::supervise::{JobError, SupervisorConfig};
@@ -75,6 +84,7 @@ use reap_nvarray::{estimate, ArraySpec, MemTech, TechnologyNode};
 use reap_obs::json;
 use reap_reliability::{pareto_front_indices, Mttf, MultiReplayAggregator, ParetoPoint};
 use reap_trace::SpecWorkload;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -723,19 +733,34 @@ struct ComboRun {
     experiment: Experiment,
     sims: Vec<Simulator>,
     area_mm2: Vec<f64>,
+    /// Whether a task hands its capture's cells on with its sums, for
+    /// the refinement pass.
+    keep_cells: bool,
 }
 
 /// One workload's contribution to a combo: its measured duration and,
-/// per analysis point, expected REAP failures and REAP energy.
+/// per analysis point, expected REAP failures and REAP energy — plus,
+/// in a base pass that refinement follows, the workload's capture
+/// reduced to its cells.
 #[derive(Clone)]
 struct WorkloadSums {
     duration: f64,
     fail: Vec<f64>,
     energy: Vec<f64>,
+    cells: Option<Arc<TalliedCapture>>,
 }
 
+/// Per base combo `(ways, scrub)` whose every workload was scored in
+/// this run, the workloads' tallied captures in `--workloads` order.
+type RetainedCells = BTreeMap<(usize, u64), Vec<Arc<TalliedCapture>>>;
+
 impl ComboRun {
-    fn new(job: ComboJob, accesses: u64, seed: u64) -> Result<Self, ExploreError> {
+    fn new(
+        job: ComboJob,
+        accesses: u64,
+        seed: u64,
+        keep_cells: bool,
+    ) -> Result<Self, ExploreError> {
         let experiment = Experiment::paper_hierarchy()
             .hierarchy(HierarchyConfig::paper_with_l2_ways(job.ways)?)
             .scrub(job.scrub)
@@ -759,20 +784,37 @@ impl ComboRun {
             experiment,
             sims,
             area_mm2,
+            keep_cells,
         })
     }
 
-    /// Scores one workload at every analysis point: one capture
-    /// (store-served when possible) and one batched replay through the
-    /// worker's reusable kernel ([`Experiment::run_at`]).
+    /// Scores one workload at every analysis point through the worker's
+    /// reusable kernel: from `cells`, the workload's capture as a base
+    /// task of this combo tallied it, with no capture read; otherwise
+    /// from one capture (store-served when possible) and one batched
+    /// replay ([`Experiment::run_tallied`]).
     fn score(
         &self,
         workload: SpecWorkload,
+        cells: Option<&TalliedCapture>,
         store: Option<&CaptureStore>,
         kernel: &mut Option<MultiReplayAggregator>,
     ) -> Result<WorkloadSums, ExperimentError> {
-        let experiment = self.experiment.clone().workload(workload);
-        let reports = experiment.run_at(&self.sims, store, kernel)?;
+        let (reports, cells) = match cells {
+            Some(tallied) => {
+                let wanted = Simulator::kernel_points(&self.sims, tallied.line_bits());
+                let kernel = kernel_for(kernel, wanted);
+                (
+                    Simulator::replay_tallied(&self.sims, tallied, kernel)?,
+                    None,
+                )
+            }
+            None => {
+                let experiment = self.experiment.clone().workload(workload);
+                let (reports, tallied) = experiment.run_tallied(&self.sims, store, kernel)?;
+                (reports, self.keep_cells.then(|| Arc::new(tallied)))
+            }
+        };
         Ok(WorkloadSums {
             duration: reports[0].duration_seconds(),
             fail: reports
@@ -783,6 +825,7 @@ impl ComboRun {
                 .iter()
                 .map(|r| r.energy(ProtectionScheme::Reap).total())
                 .collect(),
+            cells,
         })
     }
 
@@ -826,38 +869,57 @@ impl ComboRun {
 /// Scores `jobs` on the task runner, one group per combo and one task
 /// per workload, returning their rows in job order and counting the
 /// journaled combos into `resumed`. The first failed combo fails the run.
+///
+/// A combo with `cells` held for every workload scores from them, with
+/// no capture read. With `keep_cells`, the cells of every combo scored
+/// from captures are handed back for a later pass.
 fn run_combos(
     runner: &mut TaskRunner<ExploreRow>,
     config: &ExploreConfig,
     jobs: Vec<ComboJob>,
+    cells: &RetainedCells,
+    keep_cells: bool,
     pool: &str,
     resumed: &mut usize,
-) -> Result<Vec<ExploreRow>, ExploreError> {
+) -> Result<(Vec<ExploreRow>, RetainedCells), ExploreError> {
     let combos = jobs
         .into_iter()
-        .map(|job| ComboRun::new(job, config.accesses, config.seed).map(Arc::new))
+        .map(|job| ComboRun::new(job, config.accesses, config.seed, keep_cells).map(Arc::new))
         .collect::<Result<Vec<_>, _>>()?;
     let groups = combos
         .iter()
         .map(|combo| {
+            let held = cells.get(&(combo.job.ways, combo.job.scrub));
             let tasks = config
                 .workloads
                 .iter()
-                .map(|&workload| (Arc::clone(combo), workload))
+                .enumerate()
+                .map(|(w, &workload)| {
+                    let cells = held.map(|held| Arc::clone(&held[w]));
+                    (Arc::clone(combo), workload, cells)
+                })
                 .collect();
             (combo.job.key(), tasks)
         })
         .collect();
     let store = config.capture_store.clone();
+    let retained = RefCell::new(RetainedCells::new());
     let outcomes = runner.run(
         groups,
         pool,
         config.parallelism,
         &config.supervisor,
-        move |kernel, (combo, workload): (Arc<ComboRun>, SpecWorkload)| {
-            combo.score(workload, store.as_ref(), kernel)
+        move |kernel, (combo, workload, cells): ScoreTask| {
+            combo.score(workload, cells.as_deref(), store.as_ref(), kernel)
         },
-        |g, parts| combos[g].fold(parts),
+        |g, mut parts: Vec<WorkloadSums>| {
+            let job = &combos[g].job;
+            let cells: Option<Vec<_>> = parts.iter_mut().map(|p| p.cells.take()).collect();
+            if let Some(cells) = cells {
+                retained.borrow_mut().insert((job.ways, job.scrub), cells);
+            }
+            combos[g].fold(parts)
+        },
         |_, _, _| ControlFlow::Continue(()),
     )?;
     let mut rows = Vec::new();
@@ -865,8 +927,12 @@ fn run_combos(
         *resumed += usize::from(from_checkpoint);
         rows.extend(result?);
     }
-    Ok(rows)
+    Ok((rows, retained.into_inner()))
 }
+
+/// One explore task: a combo, a workload, and that workload's tallied
+/// capture when one is held.
+type ScoreTask = (Arc<ComboRun>, SpecWorkload, Option<Arc<TalliedCapture>>);
 
 /// Indices of the Pareto front of `rows` (MTTF ↑, energy ↓, area ↓).
 pub fn front_of(rows: &[ExploreRow]) -> Vec<usize> {
@@ -991,7 +1057,17 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
         explore_row_to_json,
     )?;
     let mut resumed = 0usize;
-    let mut rows = run_combos(&mut runner, config, base_jobs, "explore_grid", &mut resumed)?;
+    // A refinement pass scores its read-current midpoints over the cells
+    // the base pass tallied, so the base pass keeps them.
+    let (mut rows, retained) = run_combos(
+        &mut runner,
+        config,
+        base_jobs,
+        &RetainedCells::new(),
+        config.refine,
+        "explore_grid",
+        &mut resumed,
+    )?;
 
     // Refinement: subdivide the continuous dimensions around the base
     // front, within the point budget.
@@ -1029,14 +1105,18 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
                 }
             })
             .collect();
-        rows.extend(run_combos(
+        let (refined, _) = run_combos(
             &mut runner,
             config,
             refine_jobs,
+            &retained,
+            false,
             "explore_refine",
             &mut resumed,
-        )?);
+        )?;
+        rows.extend(refined);
     }
+    drop(retained);
 
     rows.sort_unstable_by(|a, b| {
         (a.ways, a.scrub, a.ecc.t())
@@ -1232,6 +1312,37 @@ mod tests {
             .find(|r| r.ecc == EccStrength::Dec)
             .unwrap();
         assert!(dec.area_mm2 > sec.area_mm2);
+    }
+
+    #[test]
+    fn refined_points_from_cells_match_a_replay_of_the_captures() {
+        let job = |points, refined| ComboJob {
+            ways: 8,
+            scrub: 0,
+            points,
+            refined,
+        };
+        let base_points = vec![(EccStrength::Sec, 0.8), (EccStrength::Dec, 1.0)];
+        let base = ComboRun::new(job(base_points, false), 4_000, 11, true).unwrap();
+        let midpoints = vec![(EccStrength::Sec, 0.9), (EccStrength::Dec, 0.85)];
+        let refined = ComboRun::new(job(midpoints, true), 4_000, 11, false).unwrap();
+        let bits = |s: &WorkloadSums| {
+            let mut bits = vec![s.duration.to_bits()];
+            bits.extend(s.fail.iter().chain(&s.energy).map(|v| v.to_bits()));
+            bits
+        };
+        // One kernel across every call, as a worker reuses its own.
+        let mut kernel = None;
+        for workload in [SpecWorkload::Hmmer, SpecWorkload::Mcf] {
+            let sums = base.score(workload, None, None, &mut kernel).unwrap();
+            let cells = sums.cells.expect("a base task keeps its cells");
+            let from_cells = refined
+                .score(workload, Some(&cells), None, &mut kernel)
+                .unwrap();
+            let from_capture = refined.score(workload, None, None, &mut kernel).unwrap();
+            assert!(from_cells.cells.is_none() && from_capture.cells.is_none());
+            assert_eq!(bits(&from_cells), bits(&from_capture), "{workload}");
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use campaign::{
 };
 pub use capture::{
     CaptureObserver, EventBlock, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
-    HierarchySnapshot, StreamDefect,
+    HierarchySnapshot, StreamDefect, TalliedCapture,
 };
 pub use capture_store::{CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError};
 pub use checkpoint::{CheckpointError, SweepRow};

@@ -5,7 +5,7 @@ use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::readpath::ReadPathModel;
 use crate::scheme::ProtectionScheme;
 use reap_cache::CacheStats;
-use reap_reliability::{LogHistogram, Mttf, ReplayAggregator};
+use reap_reliability::{LogHistogram, Mttf, ReplayScore};
 use std::fmt;
 
 /// Aggregated results of one simulation run, queryable per
@@ -54,7 +54,7 @@ impl Report {
     /// capture/replay evaluation (called by [`crate::Simulator`]).
     pub(crate) fn assemble(
         snapshot: &HierarchySnapshot,
-        aggregator: &ReplayAggregator,
+        aggregator: &ReplayScore,
         energy_model: EnergyModel,
         readpath_model: ReadPathModel,
         duration_seconds: f64,

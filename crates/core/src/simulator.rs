@@ -1,6 +1,6 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{ExposureCapture, HierarchySnapshot};
+use crate::capture::{ExposureCapture, HierarchySnapshot, TalliedCapture};
 use crate::capture_store::{seal_entry, CaptureStoreError, EntryWriter, FrameEncoder, FrameSink};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
@@ -12,7 +12,7 @@ use reap_cache::{sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacemen
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
-use reap_reliability::{AccumulationModel, MultiReplayAggregator, ReplayAggregator};
+use reap_reliability::{AccumulationModel, MultiReplayAggregator, ReplayScore};
 use reap_trace::MemoryAccess;
 use std::fmt;
 use std::path::PathBuf;
@@ -467,8 +467,8 @@ impl Simulator {
     ///
     /// A one-point [`replay_batch`](Self::replay_batch): each recorded
     /// event's line weight is resampled from its content version key at
-    /// *this* configuration's stored width, and the events are scored in
-    /// capture order by the batched kernel — making the result
+    /// *this* configuration's stored width, and the events are counted
+    /// into cells and folded by the batched kernel — making the result
     /// bit-identical to a direct [`run_single_pass`](Self::run_single_pass)
     /// of the same trace at this configuration. Cost is O(events),
     /// independent of the trace length.
@@ -486,22 +486,38 @@ impl Simulator {
     /// *behavioural* configuration (hierarchy, replacement, budgets) —
     /// the analysis point (ECC, MTJ, node, rate) is free to differ.
     fn check_capture(&self, capture: &ExposureCapture) -> Result<(), SimulationError> {
-        if *capture.hierarchy() != self.config.hierarchy {
+        self.check_behaviour(
+            capture.hierarchy(),
+            capture.replacement(),
+            (capture.warmup_accesses(), capture.measure_accesses()),
+            capture.scrub_period(),
+        )
+    }
+
+    /// [`check_capture`](Self::check_capture) on a capture's behavioural
+    /// configuration: its hierarchy, replacement policy, `(warm-up,
+    /// measured)` budgets and scrub period.
+    fn check_behaviour(
+        &self,
+        hierarchy: &HierarchyConfig,
+        replacement: Replacement,
+        budgets: (u64, u64),
+        scrub_period: u64,
+    ) -> Result<(), SimulationError> {
+        if *hierarchy != self.config.hierarchy {
             return Err(SimulationError::CaptureMismatch(
                 "hierarchy geometry differs",
             ));
         }
-        if capture.replacement() != self.config.replacement {
+        if replacement != self.config.replacement {
             return Err(SimulationError::CaptureMismatch(
                 "replacement policy differs",
             ));
         }
-        if capture.warmup_accesses() != self.config.warmup_accesses
-            || capture.measure_accesses() != self.config.measure_accesses
-        {
+        if budgets != (self.config.warmup_accesses, self.config.measure_accesses) {
             return Err(SimulationError::CaptureMismatch("access budgets differ"));
         }
-        if capture.scrub_period() != self.config.scrub_period {
+        if scrub_period != self.config.scrub_period {
             return Err(SimulationError::CaptureMismatch("scrub period differs"));
         }
         Ok(())
@@ -516,9 +532,9 @@ impl Simulator {
     /// (property-tested), and the stream is walked once:
     /// per record, the line weight is resampled once per *distinct*
     /// stored width among the points (ECC strengths share a width when
-    /// their check-bit counts match) and scored against all points by a
-    /// [`MultiReplayAggregator`], whose stacked lookup tables and
-    /// small-`N` memo keep the per-point cost to a few table reads.
+    /// their check-bit counts match) and counted into that width's cell
+    /// tally; a [`MultiReplayAggregator`] then folds every point over
+    /// its width's cells.
     ///
     /// # Errors
     ///
@@ -537,11 +553,10 @@ impl Simulator {
 
     /// [`replay_batch`](Self::replay_batch) into a caller-owned kernel:
     /// scores `capture` at every point through `multi` and hands back the
-    /// reports, leaving `multi` emptied by
-    /// [`MultiReplayAggregator::take_reports`] but holding its tables and
-    /// memo, ready for the next capture. A caller replaying many captures
-    /// at the same points builds the kernel once; the results are
-    /// bit-identical to a fresh kernel per capture.
+    /// reports, leaving `multi`'s tallies empty but its fold tables and
+    /// memo in place, ready for the next capture. A caller replaying many
+    /// captures at the same points builds the kernel once; the results
+    /// are bit-identical to a fresh kernel per capture.
     ///
     /// `multi` must hold no records fed outside this call. A stream that
     /// fails mid-replay leaves it empty too, so a retry starts clean.
@@ -559,6 +574,22 @@ impl Simulator {
         capture: &ExposureCapture,
         multi: &mut MultiReplayAggregator,
     ) -> Result<Vec<Report>, SimulationError> {
+        Ok(Self::tally_batch_into(points, capture, multi)?.0)
+    }
+
+    /// [`replay_batch_into`](Self::replay_batch_into) that also hands
+    /// back the capture reduced to its cells, which
+    /// [`replay_tallied`](Self::replay_tallied) scores at other points of
+    /// the same stored widths without reading the capture again.
+    ///
+    /// # Errors
+    ///
+    /// As [`replay_batch_into`](Self::replay_batch_into).
+    pub fn tally_batch_into(
+        points: &[Simulator],
+        capture: &ExposureCapture,
+        multi: &mut MultiReplayAggregator,
+    ) -> Result<(Vec<Report>, TalliedCapture), SimulationError> {
         for sim in points {
             sim.check_capture(capture)?;
         }
@@ -567,18 +598,68 @@ impl Simulator {
                 "replay kernel was built for different analysis points",
             ));
         }
+        let _span = Self::replay_span(points, capture.event_count());
+        let fed = Self::feed_batch(capture, multi);
+        let cells = multi
+            .take_cells()
+            .expect("the per-width feed tallies every record per width");
+        fed?;
+        let tallied = capture.tallied(cells);
+        let scores = multi.score_cells(tallied.cells());
+        Ok((Self::assemble_batch(points, &tallied, scores), tallied))
+    }
+
+    /// Scores a [`TalliedCapture`] at every point through `multi`: one
+    /// fold of each stored width's cells, with no record decoded or
+    /// weight sampled. Bit-identical to
+    /// [`replay_batch_into`](Self::replay_batch_into) of the capture it
+    /// was tallied from. Counted as a replay of the capture's events.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::CaptureMismatch`] if any point's
+    /// behavioural configuration differs from the capture's, and
+    /// [`SimulationError::BadParameter`] if `multi` was built for other
+    /// analysis points or `tallied` lacks a stored width of them.
+    pub fn replay_tallied(
+        points: &[Simulator],
+        tallied: &TalliedCapture,
+        multi: &mut MultiReplayAggregator,
+    ) -> Result<Vec<Report>, SimulationError> {
+        for sim in points {
+            sim.check_behaviour(
+                &tallied.hierarchy,
+                tallied.replacement,
+                (tallied.warmup_accesses, tallied.measure_accesses),
+                tallied.scrub_period,
+            )?;
+        }
+        if !multi.matches_points(&Self::kernel_points(points, tallied.line_bits())) {
+            return Err(SimulationError::BadParameter(
+                "replay kernel was built for different analysis points",
+            ));
+        }
+        if !multi.covers(tallied.cells()) {
+            return Err(SimulationError::BadParameter(
+                "tallied capture lacks a stored width of these points",
+            ));
+        }
+        let _span = Self::replay_span(points, tallied.event_count());
+        let scores = multi.score_cells(tallied.cells());
+        Ok(Self::assemble_batch(points, tallied, scores))
+    }
+
+    /// The `replay_batch` span of one batch, counting its capture's
+    /// events and its points.
+    fn replay_span(points: &[Simulator], events: u64) -> reap_obs::SpanGuard<'static> {
         let mut span = reap_obs::span("replay_batch");
-        span.add_events(capture.event_count());
+        span.add_events(events);
         if span.is_recording() {
             reap_obs::global()
                 .counter("sim.replay_batch.points")
                 .add(points.len() as u64);
         }
-
-        let fed = Self::feed_batch(capture, multi);
-        let aggregators = multi.take_reports();
-        fed?;
-        Ok(Self::assemble_batch(points, capture, aggregators))
+        span
     }
 
     /// Per-point `(model, stored width)` pairs the batch kernel is built
@@ -588,12 +669,21 @@ impl Simulator {
         points: &[Simulator],
         capture: &ExposureCapture,
     ) -> Vec<(AccumulationModel, u32)> {
+        Self::kernel_points(points, capture.line_bits())
+    }
+
+    /// [`batch_kernel_points`](Self::batch_kernel_points) for lines of
+    /// `line_bits` data bits.
+    pub(crate) fn kernel_points(
+        points: &[Simulator],
+        line_bits: usize,
+    ) -> Vec<(AccumulationModel, u32)> {
         points
             .iter()
             .map(|sim| {
                 (
                     AccumulationModel::new(sim.p_rd, sim.config.ecc.t()),
-                    (capture.line_bits() + sim.check_bits) as u32,
+                    (line_bits + sim.check_bits) as u32,
                 )
             })
             .collect()
@@ -613,12 +703,10 @@ impl Simulator {
     /// The blocks are [`ExposureEvents::next_block`]'s column slices of
     /// the decoded frame — keys to the sampler, `(kind, N)` pairs to the
     /// kernel — so no record is copied between the decoder and either.
-    /// Blocking serves both halves of the pipeline: one record's hash
-    /// walk is a serial feedback chain, so `sample_ones_multi_batch`
-    /// steps eight records' chains in lockstep to hide the latency, and
-    /// the kernel register-blocks its running sums across each block.
-    /// The weight buffer is reused across the stream — no per-record
-    /// allocation.
+    /// Blocking serves the sampler: one record's hash walk is a serial
+    /// feedback chain, so `sample_ones_multi_batch` steps eight records'
+    /// chains in lockstep to hide the latency. The weight buffer is
+    /// reused across the stream — no per-record allocation.
     ///
     /// [`ExposureEvents::next_block`]: crate::ExposureEvents::next_block
     fn feed_batch(
@@ -650,21 +738,21 @@ impl Simulator {
     /// Records fed per sampler block by [`feed_batch`](Self::feed_batch).
     const FEED_BLOCK: usize = 64;
 
-    /// Zips finished aggregators back onto their points as [`Report`]s.
+    /// Zips folded scores back onto their points as [`Report`]s.
     fn assemble_batch(
         points: &[Simulator],
-        capture: &ExposureCapture,
-        aggregators: Vec<ReplayAggregator>,
+        tallied: &TalliedCapture,
+        scores: Vec<ReplayScore>,
     ) -> Vec<Report> {
         points
             .iter()
-            .zip(aggregators)
-            .map(|(sim, aggregator)| {
+            .zip(scores)
+            .map(|(sim, score)| {
                 let duration_seconds =
                     sim.config.measure_accesses as f64 / sim.config.access_rate_hz;
                 Report::assemble(
-                    capture.snapshot(),
-                    &aggregator,
+                    tallied.snapshot(),
+                    &score,
                     sim.energy_model,
                     sim.readpath_model,
                     duration_seconds,
@@ -733,7 +821,7 @@ impl Simulator {
         }
         Ok(Report::assemble(
             &snapshot,
-            &observer.into_aggregator(),
+            &observer.into_aggregator().into_score(),
             self.energy_model,
             self.readpath_model,
             duration_seconds,

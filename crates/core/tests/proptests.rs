@@ -457,9 +457,8 @@ proptest! {
     /// bit-identical to a fresh kernel per capture
     /// ([`Simulator::replay_batch`]): every scheme sum, writeback
     /// exposure, histogram bin and energy total agrees, at 1, 3, 5 and 21
-    /// analysis points (remainder lanes alone and beside full 4-wide
-    /// chunks), with scrubbing off and on (dirty scrubs beside dirty
-    /// evictions).
+    /// analysis points, with scrubbing off and on (dirty scrubs beside
+    /// dirty evictions).
     #[test]
     fn a_reused_replay_kernel_matches_a_fresh_one_per_capture(
         first in 0usize..21,
@@ -517,11 +516,10 @@ proptest! {
         }
     }
 
-    /// The vectorized batched kernel is pinned bit-identical to
-    /// independent per-point [`ReplayAggregator`]s for arbitrary record
-    /// streams, fed record by record and in blocks: every failure sum,
-    /// event count and histogram bin agrees to the bit across
-    /// adversarial point counts (full 4-wide chunks plus remainders),
+    /// The batched kernel is pinned bit-identical to independent
+    /// per-point [`ReplayAggregator`]s for arbitrary record streams, fed
+    /// record by record and in blocks: every failure sum, event count and
+    /// histogram bin agrees to the bit across point counts, distinct
     /// stored widths, disturb probabilities (including the
     /// certain-failure corner), out-of-range ones counts and read counts
     /// spanning the memo boundary up to `u64::MAX`.
@@ -583,12 +581,11 @@ proptest! {
     /// The width-grouped kernel is pinned bit-identical to independent
     /// per-point [`ReplayAggregator`]s when points share stored widths:
     /// widths come from a pool of two or three values in interleaved
-    /// order, groups reach 40 lanes (so the group loop splits them into
-    /// blocks of at most 8), and the same records are fed through the
-    /// per-width entry and through the per-point `record_block`. Weights
-    /// are drawn per width, occasionally one past the width to exercise
-    /// the clamp; every failure sum, event count and histogram bin must
-    /// agree to the bit.
+    /// order, groups reach 40 points, and the same records are fed
+    /// through the per-width entry and through the per-point
+    /// `record_block`. Weights are drawn per width, occasionally one past
+    /// the width to exercise the clamp; every failure sum, event count
+    /// and histogram bin must agree to the bit.
     #[test]
     fn grouped_kernel_is_bit_identical_to_per_point_aggregators(
         num_points in 1usize..=40,

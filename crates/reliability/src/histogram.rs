@@ -60,9 +60,9 @@ impl LogHistogram {
     }
 
     /// Reassembles a histogram from externally accumulated bins — the
-    /// hand-off point for the batched kernel, which shares one count
-    /// vector across points (bin membership depends only on `N`) and
-    /// keeps per-point failure sums in flat lanes. `counts` and
+    /// hand-off point for the cell fold, which shares one count vector
+    /// across the points of a width (bin membership depends only on `N`)
+    /// and sums each point's per-bin failure separately. `counts` and
     /// `failure` must be the same length, grown exactly as `record`
     /// would have grown them (highest touched bin + 1).
     pub(crate) fn from_parts(counts: Vec<u64>, failure: Vec<f64>, max_n: u64) -> Self {

@@ -11,12 +11,15 @@
 //!   tracking both event frequency and failure contribution per bin;
 //! * [`montecarlo`] — bit-level fault injection against real ECC codecs
 //!   (from [`reap_ecc`]) that validates the analytical model end to end;
-//! * [`replay`] — the scoring engine of the two-phase capture/replay
-//!   simulation: evaluates a captured exposure stream under any ECC/MTJ
-//!   analysis point, bit-identical to a live single-pass observer;
-//! * [`multi`] — the batched sweep kernel: scores *all* analysis points
-//!   in one pass over the stream, bit-identical to independent per-point
-//!   replays;
+//! * `tally` — exposure records counted per `(kind, ones, N)` cell,
+//!   and the one fold that scores analysis points over those counts in a
+//!   canonical order;
+//! * [`replay`] — the one-point scorer of the two-phase capture/replay
+//!   simulation: a tally and a fold, bit-identical to a live single-pass
+//!   observer;
+//! * [`multi`] — the batched sweep kernel: one tally per stored width
+//!   scores *all* analysis points, bit-identical to independent
+//!   per-point replays;
 //! * [`pareto`] — dominance and front extraction over (MTTF, energy,
 //!   area) for the design-space explorer, total-ordered so degenerate
 //!   points can never mis-sort the front.
@@ -50,6 +53,7 @@ pub mod mttf;
 pub mod multi;
 pub mod pareto;
 pub mod replay;
+mod tally;
 
 pub use histogram::LogHistogram;
 pub use model::{uncorrectable_probability, AccumulationModel};
@@ -57,4 +61,5 @@ pub use montecarlo::{McLineResult, MonteCarloLine};
 pub use mttf::{FailureAggregator, Mttf};
 pub use multi::MultiReplayAggregator;
 pub use pareto::{pareto_front_indices, ParetoPoint};
-pub use replay::{ExposureKind, ReplayAggregator};
+pub use replay::{ExposureKind, ReplayAggregator, ReplayScore};
+pub use tally::TalliedCells;

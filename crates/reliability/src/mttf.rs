@@ -46,9 +46,9 @@ impl FailureAggregator {
     }
 
     /// Reassembles an aggregator from an externally accumulated sum and
-    /// event count — the hand-off point for the batched kernel, which
-    /// keeps its per-point sums in flat lanes and only materializes
-    /// `FailureAggregator`s at `finish()`.
+    /// event count — the hand-off point for the cell fold, which sums
+    /// every point of a width at once and only then materializes
+    /// `FailureAggregator`s.
     pub(crate) fn from_parts(expected_failures: f64, events: u64) -> Self {
         Self {
             expected_failures,

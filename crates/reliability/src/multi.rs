@@ -1,414 +1,72 @@
-//! Batched multi-point replay: score every sweep point in one pass.
+//! Batched multi-point replay: score every sweep point from one tally.
 //!
 //! An ECC sweep (`Experiment::run_at`, `reap sweep --ecc-sweep`) evaluates
 //! the same captured exposure stream under several analysis points — one
-//! per `EccStrength` × MTJ operating point. Walking the stream once per
-//! point repeats all the per-record bookkeeping (and the stream itself
-//! falls out of cache between walks). [`MultiReplayAggregator`] instead
-//! carries the state of *all* points and scores each record against every
-//! point before moving to the next record, so the stream is traversed
-//! exactly once.
+//! per `EccStrength` × MTJ operating point. [`MultiReplayAggregator`] is
+//! the one batched kernel, organised around *width groups*: every point
+//! with the same stored line width (say, the seven read currents of one
+//! ECC strength) sees the same line weight `ones` and the same `N` in a
+//! record. So the kernel keeps **one cell tally per stored width**
+//! (`tally.rs`): a record costs one counter increment per width,
+//! whatever the number of points.
 //!
-//! [`MultiReplayAggregator`] is the one batched kernel. It is organised
-//! around *width groups*: every point with the same stored line width
-//! (say, the seven read currents of one ECC strength) sees the same line
-//! weight `ones` and the same `N` in a record, so a group reads one
-//! weight, computes one table index and one memo row per record, and
-//! runs its lanes through one const-generic loop. Both the Eq. (3)
-//! conventional tail *and* the Eq. (6) REAP term are memoized over the
-//! dense small-`N` region, so the `exp_m1` transcendental runs once per
-//! distinct `(point, ones, N)` key instead of once per record.
+//! Scoring folds each width's cells once for all of its points, in the
+//! canonical cell order, adding `count × term` to every point's sums.
+//! Conventional (Eq. (3)) terms are memoized per `(ones, N ≤ 64)` key in
+//! one table shared by all widths and kept across captures, so a kernel
+//! reused over many captures of a sweep computes each term once. The
+//! Eq. (6) REAP term is one `exp_m1` per cell and point.
 //!
-//! Data-layout tricks:
-//!
-//! * points are grouped by stored width, ascending, with a point →
-//!   `(group, lane)` map so reports still come back in construction
-//!   order. Each group owns its tables, sums and histogram lanes;
-//! * a group's `single_read_table`s are stacked lane-innermost as
-//!   `[ones][lane]` for `ones ∈ 0..=width`, so one record's gather is
-//!   one contiguous run of lanes; a parallel table caches `ln(1 − u)` so
-//!   the Eq. (6) REAP term needs one `exp_m1` per key instead of `ln_1p`
-//!   + `exp_m1`;
-//! * the memo covers `N ≤ 64` — the `N` distribution is heavily
-//!   concentrated at small values (most demand reads conceal nothing).
-//!   It is one table with a row per `(ones, N)` key, and each row holds
-//!   every group's `[conv lanes | reap lanes]` segment, so a record
-//!   touches one contiguous segment per group and one NaN test per lane
-//!   block says whether any of its cells is still uncomputed;
-//! * the hot loop is `demand_block::<K>` for `K ∈ 1..=8` lanes, with the
-//!   running sums in registers across a whole run of demand records.
-//!   Groups wider than eight lanes run as several blocks. Memo misses
-//!   and keys outside the memo (`N > 64`, or a weight past the width)
-//!   leave the loop for cold helpers;
+//! * points may come in any order; a point → `(group, lane)` map returns
+//!   scores in construction order;
 //! * [`record_block_by_width`] takes one weight per record per *width*
-//!   (exactly the layout `sample_ones_multi_batch` writes), so the
-//!   replay feeder never scatters weights to points. The per-point
-//!   entries ([`record`], [`record_block`]) gather each group's weight
-//!   from its first lane; a record whose same-width points carry
-//!   *different* weights (only a hand-fed stream can) is scored point by
-//!   point on the one-lane path, in its place in the stream;
-//! * histogram bin membership and event counts depend only on the record
-//!   (`N` and kind), not on the point, so the kernel keeps *one* shared
-//!   count vector and per-lane failure sums, rebuilding per-point
-//!   [`LogHistogram`]s only at [`finish`].
+//!   (exactly the layout `sample_ones_multi_batch` writes), so the replay
+//!   feeder never scatters weights to points. The per-point entries
+//!   ([`record`], [`record_block`]) read each group's weight from its
+//!   first point; a record whose same-width points carry *different*
+//!   weights (only a hand-fed stream can) is tallied per point instead,
+//!   and those points are folded one by one over their width's cells
+//!   merged with their own;
+//! * [`take_cells`] hands out a stream's cells per width, and
+//!   [`score_cells`] folds any kernel's points over them — how `reap
+//!   explore` scores refined points without decoding a capture again.
 //!
 //! # Bit-identity contract
 //!
-//! The kernel is **bit-identical** to running `points.len()` independent
-//! [`ReplayAggregator`]s over the stream in capture order: each point's
-//! floating-point sums see the same values in the same order (records
-//! outer, points inner preserves per-point record order), the stacked
-//! rows reproduce the per-point clamp semantics exactly, and every
-//! memoized value is the output of the same pure function on the same
-//! inputs. The unit tests below and `crates/core/tests/proptests.rs` pin
-//! this contract against per-point [`ReplayAggregator`]s.
+//! Every result is a function of the multiset of `(kind, ones, N)` cells
+//! a point saw, folded in one fixed order: so the kernel is
+//! **bit-identical** to independent per-point [`ReplayAggregator`]s (the
+//! one-point case of the same tally and fold), however the stream was
+//! split into calls and blocks, and at any thread count. Memoized terms
+//! are outputs of the same pure function on the same inputs. The unit
+//! tests below, `tests/proptests.rs` and `crates/core/tests/proptests.rs`
+//! pin this contract.
 //!
-//! [`finish`]: MultiReplayAggregator::finish
 //! [`record`]: MultiReplayAggregator::record
 //! [`record_block`]: MultiReplayAggregator::record_block
 //! [`record_block_by_width`]: MultiReplayAggregator::record_block_by_width
+//! [`take_cells`]: MultiReplayAggregator::take_cells
+//! [`score_cells`]: MultiReplayAggregator::score_cells
 
-use std::ops::Range;
-
-use crate::histogram::LogHistogram;
 use crate::model::AccumulationModel;
-use crate::mttf::FailureAggregator;
-use crate::replay::{ExposureKind, ReplayAggregator};
+use crate::replay::{ExposureKind, ReplayScore};
+use crate::tally::{CellList, CellTally, Lanes, Memo, TalliedCells};
 
-/// Largest `N` covered by the dense `fail_conventional`/`fail_reap`
-/// memos. Beyond this the terms are computed directly (still
-/// bit-identical — the memos only cache, never approximate).
-const MEMO_MAX_READS: u64 = 64;
+#[cfg(doc)]
+use crate::replay::ReplayAggregator;
 
-/// Memo rows per `ones` value: one per `N ∈ 0..=MEMO_MAX_READS`.
-const MEMO_W: usize = MEMO_MAX_READS as usize + 1;
-
-/// Most lanes one pass of the group loop keeps in registers; wider
-/// groups run as several blocks.
-const MAX_LANES: usize = 8;
-
-/// XOR mask for memo cells: a cell stores `bits(value) ^ MEMO_XOR`, so
-/// the zero cells a freshly zero-allocated memo starts with decode to a
-/// quiet NaN (the "not computed" sentinel). Zeroed allocation is backed
-/// by copy-on-write zero pages, so building the memos costs nothing
-/// until cells are actually probed — the kernel's fixed setup cost no
-/// longer scales with `points × width` on short captures. A computed
-/// term whose bits happened to equal the mask would re-encode to zero
-/// and merely be recomputed on the next probe; terms are finite
-/// probabilities, never NaN, so that cannot occur.
-const MEMO_XOR: u64 = 0x7ff8_0000_0000_0000;
-
-/// Decodes a memo cell (NaN = not computed).
-#[inline(always)]
-fn memo_get(cell: u64) -> f64 {
-    f64::from_bits(cell ^ MEMO_XOR)
-}
-
-/// Encodes a computed term into its memo-cell representation.
-#[inline(always)]
-fn memo_put(value: f64) -> u64 {
-    value.to_bits() ^ MEMO_XOR
-}
-
-/// Number of log₂ histogram bins a `u64` read count can land in.
-const HIST_BINS: usize = 64;
-
-/// Log₂ histogram bin of a demand read count (`n ≥ 1`).
-#[inline(always)]
-fn bin_of(n: u64) -> usize {
-    (63 - n.leading_zeros()) as usize
-}
-
-/// Eq. (6) REAP term `1 − (1 − u)^N` from the precomputed `ln(1 − u)`,
-/// with the degenerate corners pinned exactly as in
-/// [`AccumulationModel::fail_reap`]: zero reads can't fail, and a
-/// certainly-failing read (`u = 1`, where `ln(1 − u) = −inf`) fails for
-/// any `N ≥ 1`. Without the guards `0 × −inf` goes NaN.
-#[inline]
-fn reap_term(u: f64, ln1m_u: f64, n_reads: u64) -> f64 {
-    if u == 0.0 || n_reads == 0 {
-        0.0
-    } else if u == 1.0 {
-        1.0
-    } else {
-        -(n_reads as f64 * ln1m_u).exp_m1()
-    }
-}
-
-/// Dense memo of `fail_conventional(ones, N)` and the Eq. (6) REAP term
-/// for `N ∈ 0..=MEMO_MAX_READS`, shared by all groups. The row of key
-/// `(ones, N)` starts at `(ones * MEMO_W + N) * row_len` and holds, for
-/// each group in turn, its conventional lanes and then its REAP lanes,
-/// so one record touches one contiguous segment per group. A row holds
-/// two cells per point, whatever the grouping, so the kernel touches as
-/// many pages as one point-innermost table would: per-group memos, or
-/// `N`-major rows, commit more pages on the same stream. Cells hold
-/// `bits(value) ^ MEMO_XOR`, so the all-zero state a fresh zeroed
-/// allocation starts in decodes to NaN — the "not yet computed"
-/// sentinel — without a fill pass, and untouched pages are never
-/// committed. See [`memo_get`]/[`memo_put`].
-#[derive(Debug, Clone)]
-struct Memo {
-    cells: Vec<u64>,
-    /// Cells per row: two per point.
-    row_len: usize,
-}
-
-/// The points that share one stored width, as the lanes of one loop.
+/// The points that share one stored width: their fold lanes, their
+/// tally and their offset in the memo's rows.
 #[derive(Debug, Clone)]
 struct WidthGroup {
-    /// The stored line width every lane shares.
-    width: u32,
-    /// Per-lane accumulation models.
-    models: Vec<AccumulationModel>,
-    /// Lane-innermost `[ones][lane]` for `ones ∈ 0..=width`:
-    /// `fail_single(ones)` of each lane's model.
-    single: Vec<f64>,
-    /// `ln(1 − single[..])` for the Eq. (6) closed form, same layout.
-    ln1m_single: Vec<f64>,
-    /// Offset of this group's `[conv lanes | reap lanes]` segment in
-    /// every row of the shared memo.
+    lanes: Lanes,
+    tally: CellTally,
     memo_at: usize,
-    /// Per-lane running sums.
-    conv_sum: Vec<f64>,
-    reap_sum: Vec<f64>,
-    serial_sum: Vec<f64>,
-    wb_sum: Vec<f64>,
-    /// Lane-innermost `[bin][lane]` per-bin conventional failure sums.
-    hist_fail: Vec<f64>,
 }
 
-impl WidthGroup {
-    fn new(width: u32, models: Vec<AccumulationModel>, memo_at: usize) -> Self {
-        let lanes = models.len();
-        let mut single = Vec::with_capacity((width as usize + 1) * lanes);
-        let mut ln1m_single = Vec::with_capacity(single.capacity());
-        for ones in 0..=width {
-            for model in &models {
-                let u = model.fail_single(ones);
-                single.push(u);
-                ln1m_single.push((-u).ln_1p());
-            }
-        }
-        Self {
-            width,
-            models,
-            single,
-            ln1m_single,
-            memo_at,
-            conv_sum: vec![0.0; lanes],
-            reap_sum: vec![0.0; lanes],
-            serial_sum: vec![0.0; lanes],
-            wb_sum: vec![0.0; lanes],
-            hist_fail: vec![0.0; HIST_BINS * lanes],
-        }
-    }
-
-    fn lanes(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Start of this group's segment in the memo row of `(ones, n)`,
-    /// or `None` outside the memoized region.
-    #[inline(always)]
-    fn memo_row(&self, memo: &Memo, ones: u32, n: u64) -> Option<usize> {
-        (n <= MEMO_MAX_READS && ones <= self.width)
-            .then(|| (ones as usize * MEMO_W + n as usize) * memo.row_len + self.memo_at)
-    }
-
-    /// Scores a run of demand records on every lane: `ones[r * stride +
-    /// at]` is record `r`'s weight at this group's width.
-    fn demand_run(
-        &mut self,
-        memo: &mut Memo,
-        run: &[(ExposureKind, u64)],
-        ones: &[u32],
-        stride: usize,
-        at: usize,
-    ) {
-        let lanes = self.lanes();
-        let mut lane0 = 0;
-        while lane0 < lanes {
-            let k = (lanes - lane0).min(MAX_LANES);
-            let block = lane0..lane0 + k;
-            match k {
-                1 => self.demand_block::<1>(memo, block, run, ones, stride, at),
-                2 => self.demand_block::<2>(memo, block, run, ones, stride, at),
-                3 => self.demand_block::<3>(memo, block, run, ones, stride, at),
-                4 => self.demand_block::<4>(memo, block, run, ones, stride, at),
-                5 => self.demand_block::<5>(memo, block, run, ones, stride, at),
-                6 => self.demand_block::<6>(memo, block, run, ones, stride, at),
-                7 => self.demand_block::<7>(memo, block, run, ones, stride, at),
-                _ => self.demand_block::<MAX_LANES>(memo, block, run, ones, stride, at),
-            }
-            lane0 += k;
-        }
-    }
-
-    /// The hot loop: `K` lanes of a run of demand records, their running
-    /// sums held in registers across the run. Per lane the additions
-    /// still happen in record order, so the float sums are those of a
-    /// per-record, per-point walk.
-    fn demand_block<const K: usize>(
-        &mut self,
-        memo: &mut Memo,
-        block: Range<usize>,
-        run: &[(ExposureKind, u64)],
-        ones: &[u32],
-        stride: usize,
-        at: usize,
-    ) {
-        debug_assert_eq!(block.len(), K);
-        let lanes = self.lanes();
-        let lane0 = block.start;
-        let mut cs: [f64; K] = self.conv_sum[block.clone()].try_into().expect("K lanes");
-        let mut rs: [f64; K] = self.reap_sum[block.clone()].try_into().expect("K lanes");
-        let mut ss: [f64; K] = self.serial_sum[block.clone()].try_into().expect("K lanes");
-        for (r, &(_, n)) in run.iter().enumerate() {
-            let o = ones[r * stride + at];
-            let ti = (o.min(self.width) as usize) * lanes + lane0;
-            let u: [f64; K] = self.single[ti..ti + K].try_into().expect("K lanes");
-            let (pc, pr) = match self.memo_row(memo, o, n) {
-                Some(row) => {
-                    // Straight-line: test the cells, fill any still
-                    // uncomputed in place, then read them. Returning the
-                    // filled terms instead would merge them with the hit
-                    // path's through a stack slot, a store-forwarding
-                    // stall on every record.
-                    let mi = row + lane0;
-                    if Self::uncomputed::<K>(&memo.cells[mi..mi + lanes + K], lanes) {
-                        self.fill_memo::<K>(memo, mi, lane0, o, n, ti);
-                    }
-                    let cells = &memo.cells[mi..mi + lanes + K];
-                    (
-                        std::array::from_fn::<f64, K, _>(|l| memo_get(cells[l])),
-                        std::array::from_fn::<f64, K, _>(|l| memo_get(cells[lanes + l])),
-                    )
-                }
-                None => self.terms::<K>(lane0, o, n, ti),
-            };
-            let hi = bin_of(n) * lanes + lane0;
-            let hist = &mut self.hist_fail[hi..hi + K];
-            for l in 0..K {
-                cs[l] += pc[l];
-                rs[l] += pr[l];
-                ss[l] += u[l];
-                hist[l] += pc[l];
-            }
-        }
-        self.conv_sum[block.clone()].copy_from_slice(&cs);
-        self.reap_sum[block.clone()].copy_from_slice(&rs);
-        self.serial_sum[block].copy_from_slice(&ss);
-    }
-
-    /// The `K` lanes' `(conventional, REAP)` terms of key `(ones, n)`,
-    /// computed directly; `ti` indexes the lanes' `single` entries.
-    #[cold]
-    #[inline(never)]
-    fn terms<const K: usize>(
-        &self,
-        lane0: usize,
-        ones: u32,
-        n: u64,
-        ti: usize,
-    ) -> ([f64; K], [f64; K]) {
-        (
-            std::array::from_fn(|l| self.models[lane0 + l].fail_conventional(ones, n)),
-            std::array::from_fn(|l| reap_term(self.single[ti + l], self.ln1m_single[ti + l], n)),
-        )
-    }
-
-    /// Whether any of `K` lanes' conventional cells (`cells[..K]`) or
-    /// REAP cells (`cells[lanes..lanes + K]`) is still uncomputed. Cached
-    /// cells are finite probabilities and NaN marks "not computed", so
-    /// one NaN test of their sum covers the block.
-    #[inline(always)]
-    fn uncomputed<const K: usize>(cells: &[u64], lanes: usize) -> bool {
-        let mut probe = 0.0;
-        for l in 0..K {
-            probe += memo_get(cells[l]) + memo_get(cells[lanes + l]);
-        }
-        probe.is_nan()
-    }
-
-    /// Computes and stores the memo row segment at `mi`'s cells still
-    /// uncomputed: [`terms`](Self::terms) written into the memo, which
-    /// the caller then reads.
-    #[cold]
-    #[inline(never)]
-    fn fill_memo<const K: usize>(
-        &self,
-        memo: &mut Memo,
-        mi: usize,
-        lane0: usize,
-        ones: u32,
-        n: u64,
-        ti: usize,
-    ) {
-        let lanes = self.lanes();
-        for l in 0..K {
-            if memo_get(memo.cells[mi + l]).is_nan() {
-                let value = self.models[lane0 + l].fail_conventional(ones, n);
-                memo.cells[mi + l] = memo_put(value);
-            }
-            if memo_get(memo.cells[mi + lanes + l]).is_nan() {
-                let value = reap_term(self.single[ti + l], self.ln1m_single[ti + l], n);
-                memo.cells[mi + lanes + l] = memo_put(value);
-            }
-        }
-    }
-
-    /// Scores one dirty-scrub or dirty-eviction record on `block`'s
-    /// lanes: the conventional tail only, into the conventional or the
-    /// write-back sums.
-    fn dirty(
-        &mut self,
-        memo: &mut Memo,
-        block: Range<usize>,
-        kind: ExposureKind,
-        ones: u32,
-        n: u64,
-    ) {
-        let row = self.memo_row(memo, ones, n);
-        for l in block {
-            let p_conv = match row {
-                Some(row) => {
-                    let cached = memo_get(memo.cells[row + l]);
-                    if cached.is_nan() {
-                        let value = self.models[l].fail_conventional(ones, n);
-                        memo.cells[row + l] = memo_put(value);
-                        value
-                    } else {
-                        cached
-                    }
-                }
-                None => self.models[l].fail_conventional(ones, n),
-            };
-            match kind {
-                ExposureKind::DirtyScrub => self.conv_sum[l] += p_conv,
-                ExposureKind::DirtyEviction => self.wb_sum[l] += p_conv,
-                ExposureKind::Demand => unreachable!("demand records take the run path"),
-            }
-        }
-    }
-
-    /// Zeroes the sums and histogram lanes; tables and memo survive.
-    fn reset(&mut self) {
-        for sums in [
-            &mut self.conv_sum,
-            &mut self.reap_sum,
-            &mut self.serial_sum,
-            &mut self.wb_sum,
-            &mut self.hist_fail,
-        ] {
-            sums.fill(0.0);
-        }
-    }
-}
-
-/// Scores a captured exposure stream against many analysis points in a
-/// single pass — the width-grouped kernel, bit-identical to independent
-/// per-point [`ReplayAggregator`]s.
+/// Scores a captured exposure stream against many analysis points from
+/// one tally per stored width, bit-identical to independent per-point
+/// [`ReplayAggregator`]s.
 ///
 /// # Examples
 ///
@@ -430,10 +88,7 @@ impl WidthGroup {
 /// solo[0].record(ExposureKind::Demand, 260, 40);
 /// solo[1].record(ExposureKind::Demand, 265, 40);
 /// for (got, want) in multi.finish().iter().zip(&solo) {
-///     assert_eq!(
-///         got.conventional().expected_failures(),
-///         want.conventional().expected_failures(),
-///     );
+///     assert_eq!(got, want.score());
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -448,29 +103,20 @@ pub struct MultiReplayAggregator {
     /// entries read the group's weight.
     firsts: Vec<usize>,
     /// `(point, first point of its group)` for every other lane: the
-    /// pairs whose weights must agree for a record to take the group
-    /// loop.
+    /// pairs whose weights must agree for a record to be tallied per
+    /// width.
     twins: Vec<(usize, usize)>,
     /// One group per distinct width, ascending.
     groups: Vec<WidthGroup>,
-    /// The groups' shared term memo.
+    /// The groups' shared conventional-term memo.
     memo: Memo,
     /// The groups' widths, ascending — the per-width feed's row layout.
     group_widths: Vec<usize>,
     /// Per-width weights the per-point entries gather a block into.
     gathered: Vec<u32>,
-    /// Shared per-bin demand counts (bin membership depends only on `N`,
-    /// so every point's count vector is identical).
-    hist_counts: Vec<u64>,
-    /// Allocated-bin watermark, mirroring `LogHistogram`'s growth:
-    /// highest touched bin + 1.
-    hist_len: usize,
-    /// Largest demand `N` observed (shared across points).
-    hist_max_n: u64,
-    /// Demand records seen (= per-point reap/serial event counts).
-    demand_events: u64,
-    /// Dirty-scrub records seen (demand + scrub = conventional events).
-    scrub_events: u64,
+    /// Per point, the records whose same-width points carried different
+    /// weights; `None` until the first such record.
+    own: Option<Vec<CellTally>>,
 }
 
 impl MultiReplayAggregator {
@@ -514,17 +160,18 @@ impl MultiReplayAggregator {
         let groups = group_widths
             .iter()
             .zip(members)
-            .map(|(&w, models)| {
+            .map(|(&width, models)| {
                 let at = memo_at;
-                memo_at += 2 * models.len();
-                WidthGroup::new(w, models, at)
+                memo_at += models.len();
+                WidthGroup {
+                    lanes: Lanes::new(width, models),
+                    tally: CellTally::new(width),
+                    memo_at: at,
+                }
             })
             .collect();
-        let max_width = *group_widths.last().expect("non-empty") as usize;
-        let memo = Memo {
-            cells: vec![0; (max_width + 1) * MEMO_W * 2 * points.len()],
-            row_len: 2 * points.len(),
-        };
+        let max_width = *group_widths.last().expect("non-empty");
+        let memo = Memo::new(max_width, points.len());
         let (models, widths) = points.into_iter().unzip();
         Self {
             models,
@@ -536,11 +183,7 @@ impl MultiReplayAggregator {
             memo,
             group_widths: group_widths.into_iter().map(|w| w as usize).collect(),
             gathered: Vec::new(),
-            hist_counts: vec![0; HIST_BINS],
-            hist_len: 0,
-            hist_max_n: 0,
-            demand_events: 0,
-            scrub_events: 0,
+            own: None,
         }
     }
 
@@ -561,8 +204,6 @@ impl MultiReplayAggregator {
     /// the stored-`1` count of the line *as sampled for point `p`'s
     /// stored width*.
     ///
-    /// Records must be fed in capture order (the bit-identity contract).
-    ///
     /// # Panics
     ///
     /// Panics if `line_ones.len() != self.num_points()`, or on a demand
@@ -580,13 +221,12 @@ impl MultiReplayAggregator {
     /// Scores a block of exposure records at once: `records[r]` is
     /// `(kind, unchecked_reads)` and `ones[r * points .. (r+1) * points]`
     /// its per-point stored-`1` counts, exactly as [`record`](Self::record)
-    /// would take them. Bit-identical to calling `record` per item in
-    /// order.
+    /// would take them. Bit-identical to calling `record` per item.
     ///
-    /// Each group's weight is read from its first lane, and the block
+    /// Each group's weight is read from its first point, and the block
     /// runs through [`record_block_by_width`](Self::record_block_by_width);
     /// a record whose same-width points carry different weights is
-    /// scored point by point instead, in its place in the stream.
+    /// tallied per point instead.
     ///
     /// # Panics
     ///
@@ -621,9 +261,8 @@ impl MultiReplayAggregator {
     /// widths + g]` the record's stored-`1` count at
     /// [`stored_widths`](Self::stored_widths)`()[g]` — every point of
     /// that width scores that weight. This is the replay feeder's entry:
-    /// `sample_ones_multi_batch` writes exactly this layout. Runs of
-    /// consecutive demand records go through the group loop, which
-    /// keeps each lane's running sums in registers across the run.
+    /// `sample_ones_multi_batch` writes exactly this layout. Each record
+    /// is one count in each width's tally.
     ///
     /// # Panics
     ///
@@ -636,79 +275,29 @@ impl MultiReplayAggregator {
             records.len() * nw,
             "one ones-count per record per stored width"
         );
-        let mut i = 0;
-        while i < records.len() {
-            let (kind, reads) = records[i];
-            if kind == ExposureKind::Demand {
-                let mut j = i + 1;
-                while j < records.len() && records[j].0 == ExposureKind::Demand {
-                    j += 1;
-                }
-                let run = &records[i..j];
-                self.count_demand_run(run);
-                for (g, group) in self.groups.iter_mut().enumerate() {
-                    group.demand_run(&mut self.memo, run, &ones[i * nw..j * nw], nw, g);
-                }
-                i = j;
-            } else {
-                if kind == ExposureKind::DirtyScrub {
-                    self.scrub_events += 1;
-                }
-                for (g, group) in self.groups.iter_mut().enumerate() {
-                    let lanes = 0..group.lanes();
-                    group.dirty(&mut self.memo, lanes, kind, ones[i * nw + g], reads);
-                }
-                i += 1;
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            for (&(kind, reads), row) in records.iter().zip(ones.chunks_exact(nw)) {
+                group.tally.add(kind, row[g], reads);
             }
         }
     }
 
-    /// Scores one record whose same-width points carry different
-    /// weights: each point on its own one-lane path.
+    /// Tallies one record whose same-width points carry different
+    /// weights into every point's own tally.
     fn record_per_point(&mut self, (kind, reads): (ExposureKind, u64), line_ones: &[u32]) {
-        match kind {
-            ExposureKind::Demand => self.count_demand_run(&[(kind, reads)]),
-            ExposureKind::DirtyScrub => self.scrub_events += 1,
-            ExposureKind::DirtyEviction => {}
+        let widths = &self.widths;
+        let own = self
+            .own
+            .get_or_insert_with(|| widths.iter().map(|&w| CellTally::new(w)).collect());
+        for (tally, &ones) in own.iter_mut().zip(line_ones) {
+            tally.add(kind, ones, reads);
         }
-        for (&(g, lane), ones) in self.slots.iter().zip(line_ones) {
-            let group = &mut self.groups[g];
-            match kind {
-                ExposureKind::Demand => group.demand_block::<1>(
-                    &mut self.memo,
-                    lane..lane + 1,
-                    &[(kind, reads)],
-                    &[*ones],
-                    1,
-                    0,
-                ),
-                _ => group.dirty(&mut self.memo, lane..lane + 1, kind, *ones, reads),
-            }
-        }
-    }
-
-    /// Record-level bookkeeping of a run of demand records: the shared
-    /// histogram counts and the demand event count.
-    fn count_demand_run(&mut self, run: &[(ExposureKind, u64)]) {
-        for &(_, n) in run {
-            assert!(n >= 1, "N counts the demand read itself, so N >= 1");
-            let bin = bin_of(n);
-            if bin >= self.hist_len {
-                self.hist_len = bin + 1;
-            }
-            self.hist_counts[bin] += 1;
-            if n > self.hist_max_n {
-                self.hist_max_n = n;
-            }
-        }
-        self.demand_events += run.len() as u64;
     }
 
     /// Scores a whole stream of `(kind, line_ones, unchecked_reads)`
-    /// records, in iteration order — the streaming-feeder counterpart of
-    /// [`record`](Self::record), for callers that pull records off a
-    /// bounded-memory iterator instead of holding a slice. Exactly
-    /// equivalent to calling `record` per item.
+    /// records — the streaming-feeder counterpart of
+    /// [`record`](Self::record). Exactly equivalent to calling `record`
+    /// per item.
     ///
     /// # Panics
     ///
@@ -732,66 +321,114 @@ impl MultiReplayAggregator {
                 .all(|(&(model, width), (&m, &w))| model == m && width == w)
     }
 
-    /// Tears the batch apart into one [`ReplayAggregator`] per point, in
-    /// construction order, each indistinguishable from an independent
-    /// replay of the stream.
-    pub fn finish(mut self) -> Vec<ReplayAggregator> {
+    /// Tears the batch apart into one [`ReplayScore`] per point, in
+    /// construction order, each identical to an independent
+    /// [`ReplayAggregator`]'s over the stream.
+    pub fn finish(mut self) -> Vec<ReplayScore> {
         self.take_reports()
     }
 
-    /// [`finish`](Self::finish) without giving up the kernel tables:
-    /// returns the per-point reports of every record fed so far and
-    /// zeroes the sums, histogram and event counts, so the next stream
-    /// starts from scratch. The stacked `single`/`ln(1 − u)` tables and
-    /// the memos survive. Memo cells cache a pure function of
+    /// [`finish`](Self::finish) without giving up the kernel: returns
+    /// the per-point scores of every record fed so far and empties the
+    /// tallies, so the next stream starts from scratch. The fold tables
+    /// and the memo survive. Memo cells cache a pure function of
     /// `(model, ones, N)`, so a reused aggregator is bit-identical to a
-    /// fresh one — it only skips rebuilding the tables and re-deriving
-    /// the terms a previous stream already computed, and keeps one memo
-    /// allocation alive instead of one per stream.
-    pub fn take_reports(&mut self) -> Vec<ReplayAggregator> {
-        let conv_events = self.demand_events + self.scrub_events;
-        let shared_counts = &self.hist_counts[..self.hist_len];
-        let reports = self
-            .models
+    /// fresh one; it only skips rebuilding the tables and re-deriving
+    /// terms an earlier stream already computed.
+    pub fn take_reports(&mut self) -> Vec<ReplayScore> {
+        if let Some(cells) = self.take_cells() {
+            return self.score_cells(&cells);
+        }
+        let own = self
+            .own
+            .take()
+            .expect("no per-width cells means own tallies");
+        let lists: Vec<CellList> = self.groups.iter().map(|g| g.tally.cells()).collect();
+        let scores = self
+            .slots
             .iter()
-            .zip(&self.widths)
-            .zip(&self.slots)
-            .map(|((&model, &width), &(g, lane))| {
+            .zip(&own)
+            .map(|(&(g, lane), tally)| {
+                let cells = CellList::merge(&lists[g], &tally.cells());
                 let group = &self.groups[g];
-                let lanes = group.lanes();
-                let histogram = LogHistogram::from_parts(
-                    shared_counts.to_vec(),
-                    (0..self.hist_len)
-                        .map(|bin| group.hist_fail[bin * lanes + lane])
-                        .collect(),
-                    self.hist_max_n,
-                );
-                ReplayAggregator::from_parts(
-                    model,
-                    width,
-                    FailureAggregator::from_parts(group.conv_sum[lane], conv_events),
-                    FailureAggregator::from_parts(group.reap_sum[lane], self.demand_events),
-                    FailureAggregator::from_parts(group.serial_sum[lane], self.demand_events),
-                    histogram,
-                    group.wb_sum[lane],
-                )
+                let memo = Some((&mut self.memo, group.memo_at));
+                let mut score = group.lanes.fold(lane..lane + 1, &cells, memo);
+                score.pop().expect("one lane in, one score out")
             })
             .collect();
         for group in &mut self.groups {
-            group.reset();
+            group.tally.clear();
         }
-        self.hist_counts.fill(0);
-        self.hist_len = 0;
-        self.hist_max_n = 0;
-        self.demand_events = 0;
-        self.scrub_events = 0;
-        reports
+        scores
+    }
+
+    /// Hands out the cells of every record fed so far, one list per
+    /// stored width, and empties the tallies. Returns `None`, and keeps
+    /// the records, when a record gave same-width points different
+    /// weights: such a stream has no per-width cells, and only
+    /// [`take_reports`](Self::take_reports) scores it.
+    pub fn take_cells(&mut self) -> Option<TalliedCells> {
+        if self.own.is_some() {
+            return None;
+        }
+        let lists = self
+            .groups
+            .iter_mut()
+            .map(|group| {
+                let cells = group.tally.cells();
+                group.tally.clear();
+                cells
+            })
+            .collect();
+        let widths = self.groups.iter().map(|g| g.lanes.width()).collect();
+        Some(TalliedCells::new(widths, lists))
+    }
+
+    /// Whether `cells` hold every stored width this kernel's points need.
+    pub fn covers(&self, cells: &TalliedCells) -> bool {
+        self.groups
+            .iter()
+            .all(|group| cells.at(group.lanes.width()).is_some())
+    }
+
+    /// Scores this kernel's points over `cells`, one [`ReplayScore`] per
+    /// point in construction order: each width's points fold that
+    /// width's cells. Identical to the scores of the stream the cells
+    /// were tallied from. The kernel's own tallies are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` lack a stored width of the points
+    /// (see [`covers`](Self::covers)).
+    pub fn score_cells(&mut self, cells: &TalliedCells) -> Vec<ReplayScore> {
+        let mut by_group: Vec<std::vec::IntoIter<ReplayScore>> = self
+            .groups
+            .iter()
+            .map(|group| {
+                let width = group.lanes.width();
+                let list = cells
+                    .at(width)
+                    .unwrap_or_else(|| panic!("no cells tallied at stored width {width}"));
+                let memo = Some((&mut self.memo, group.memo_at));
+                group
+                    .lanes
+                    .fold(0..group.lanes.len(), list, memo)
+                    .into_iter()
+            })
+            .collect();
+        // Lanes are numbered in construction order within a group, so
+        // each group's scores are handed out in order.
+        self.slots
+            .iter()
+            .map(|&(g, _)| by_group[g].next().expect("one score per lane"))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::ReplayAggregator;
 
     fn points() -> Vec<(AccumulationModel, u32)> {
         vec![
@@ -814,7 +451,7 @@ mod tests {
         ]
     }
 
-    fn assert_bit_equal(got: &ReplayAggregator, want: &ReplayAggregator) {
+    fn assert_bit_equal(got: &ReplayScore, want: &ReplayScore) {
         assert_eq!(
             got.conventional().expected_failures().to_bits(),
             want.conventional().expected_failures().to_bits()
@@ -868,10 +505,10 @@ mod tests {
             blocked.record_block(&recs, &flat);
         }
         for (got, want) in multi.finish().iter().zip(&solo) {
-            assert_bit_equal(got, want);
+            assert_bit_equal(got, want.score());
         }
         for (got, want) in blocked.finish().iter().zip(&solo) {
-            assert_bit_equal(got, want);
+            assert_bit_equal(got, want.score());
         }
     }
 
@@ -1001,16 +638,13 @@ mod tests {
 
     #[test]
     fn memo_hits_and_misses_agree() {
-        // Repeat the exact same key so the second call is a memo hit.
+        // Repeat the exact same key so the second call is a memo hit;
+        // N = 64 is the memo's last column, 65 past it.
         let records = vec![
             (ExposureKind::Demand, vec![260, 260, 260], 3),
             (ExposureKind::Demand, vec![260, 260, 260], 3),
-            (ExposureKind::Demand, vec![260, 260, 260], MEMO_MAX_READS),
-            (
-                ExposureKind::Demand,
-                vec![260, 260, 260],
-                MEMO_MAX_READS + 1,
-            ),
+            (ExposureKind::Demand, vec![260, 260, 260], 64),
+            (ExposureKind::Demand, vec![260, 260, 260], 65),
         ];
         assert_matches_solo(&records);
     }
@@ -1177,7 +811,7 @@ mod tests {
         for batch in [by_width.finish(), by_point.finish()] {
             assert_eq!(batch.len(), solo.len());
             for (got, want) in batch.iter().zip(&solo) {
-                assert_bit_equal(got, want);
+                assert_bit_equal(got, want.score());
             }
         }
     }
@@ -1185,7 +819,7 @@ mod tests {
     #[test]
     fn width_groups_match_solo_bitwise() {
         // 3 groups of 1, of 7 (the explorer's grid), and of 9 and 14
-        // lanes, which the group loop splits into blocks of at most 8.
+        // lanes.
         for n in [3, 21, 27, 40] {
             assert_grouped_matches_solo(grouped_points(n), 600);
         }
@@ -1235,5 +869,57 @@ mod tests {
     fn rejects_mismatched_ones_slice() {
         let mut multi = MultiReplayAggregator::new(points());
         multi.record(ExposureKind::Demand, &[1], 1);
+    }
+
+    #[test]
+    fn cells_score_other_points_of_the_same_widths() {
+        // Tally at one set of points, score the cells at another that
+        // shares the widths: the same as replaying the stream there.
+        let (tallied_at, scored_at) = (grouped_points(6), grouped_points(21));
+        let records = seeded_records(&[130, 522, 542], 500, 0xce11, true);
+        let mut tally = MultiReplayAggregator::new(tallied_at);
+        let mut direct = MultiReplayAggregator::new(scored_at.clone());
+        for (kind, ones, n) in &records {
+            let at = |pts: &[(AccumulationModel, u32)]| -> Vec<u32> {
+                pts.iter()
+                    .map(|&(_, w)| ones[[130, 522, 542].binary_search(&w).unwrap()])
+                    .collect()
+            };
+            tally.record(*kind, &at(&grouped_points(6)), *n);
+            direct.record(*kind, &at(&scored_at), *n);
+        }
+        let cells = tally.take_cells().expect("per-width stream");
+        assert_eq!(cells.widths(), &[130, 522, 542]);
+        assert!(cells.cell_count() > 0);
+        let mut other = MultiReplayAggregator::new(scored_at);
+        assert!(other.covers(&cells));
+        let from_cells = other.score_cells(&cells);
+        for (got, want) in from_cells.iter().zip(&direct.finish()) {
+            assert_bit_equal(got, want);
+        }
+        // The tallies were emptied.
+        assert_eq!(tally.take_cells().unwrap().cell_count(), 0);
+        let narrow = MultiReplayAggregator::new(vec![(AccumulationModel::new(1e-6, 1), 288)]);
+        assert!(!narrow.covers(&cells));
+    }
+
+    #[test]
+    fn per_point_records_withhold_the_cells_but_keep_the_scores() {
+        let pts = grouped_points(6);
+        let mut multi = MultiReplayAggregator::new(pts.clone());
+        let mut solo: Vec<ReplayAggregator> = pts
+            .iter()
+            .map(|&(m, w)| ReplayAggregator::new(m, w))
+            .collect();
+        let row = [100, 7, 200, 101, 8, 201];
+        multi.record(ExposureKind::Demand, &row, 3);
+        for (agg, &ones) in solo.iter_mut().zip(&row) {
+            agg.record(ExposureKind::Demand, ones, 3);
+        }
+        assert!(multi.take_cells().is_none());
+        for (got, want) in multi.take_reports().iter().zip(&solo) {
+            assert_bit_equal(got, want.score());
+        }
+        assert!(multi.take_cells().is_some(), "the fallback state is spent");
     }
 }

@@ -4,15 +4,20 @@
 //! through the cache once, recording each exposure event's accumulated
 //! read count `N` and content-version key) and *replay* (evaluate the
 //! recorded stream under any ECC strength / MTJ operating point). This
-//! module is the replay half's scoring engine: [`ReplayAggregator`]
-//! consumes `(kind, line weight, N)` records in capture order and
-//! accumulates the same Eq. (3)/(6) failure sums a live
-//! `ReliabilityObserver` would, bit for bit — the live observer *is* a
-//! thin wrapper over this type, so there is exactly one copy of the math.
+//! module holds the one-point scorer: [`ReplayAggregator`] tallies
+//! `(kind, line weight, N)` records into cells (`tally.rs`) and
+//! folds them into a [`ReplayScore`], the Eq. (3)/(6) failure sums a
+//! live `ReliabilityObserver` reports. It is the one-point case of the
+//! batched kernel (`MultiReplayAggregator`): the same tally and the same
+//! fold, so a single pass, a per-point replay and a batched replay agree
+//! bit for bit by construction.
+
+use std::sync::OnceLock;
 
 use crate::histogram::LogHistogram;
 use crate::model::AccumulationModel;
 use crate::mttf::FailureAggregator;
+use crate::tally::{CellTally, Lanes};
 
 /// The three exposure-event classes that reach the reliability laws.
 ///
@@ -36,9 +41,8 @@ pub enum ExposureKind {
     DirtyEviction,
 }
 
-/// Accumulates Eq. (3)/(6) failure probabilities from exposure records.
-///
-/// One instance scores all schemes simultaneously:
+/// One analysis point's scored failure sums: what a fold of a stream's
+/// cells yields, and what report assembly reads.
 ///
 /// * **conventional** — `P_unc(N·n, p, t)` (Eq. (3)): the `N` reads since
 ///   the last check accumulate into one big binomial experiment;
@@ -46,24 +50,9 @@ pub enum ExposureKind {
 ///   reads was individually checked and corrected;
 /// * **serial / restore** — `P_unc(n, p, t)`: each demand read faces
 ///   exactly one read's disturbance.
-///
-/// Per-read probabilities are looked up from a table over the line weight
-/// `n` (0 ..= stored bits), making the per-record cost O(1).
-///
-/// # Examples
-///
-/// ```
-/// use reap_reliability::{AccumulationModel, ExposureKind, ReplayAggregator};
-///
-/// let mut agg = ReplayAggregator::new(AccumulationModel::sec(1e-8), 576);
-/// agg.record(ExposureKind::Demand, 288, 100);
-/// assert!(agg.conventional().expected_failures() > agg.reap().expected_failures());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReplayAggregator {
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayScore {
     model: AccumulationModel,
-    /// `fail_single(n)` for n in 0..=max_ones.
-    single_read_table: Vec<f64>,
     conventional: FailureAggregator,
     reap: FailureAggregator,
     serial: FailureAggregator,
@@ -74,103 +63,23 @@ pub struct ReplayAggregator {
     writeback_exposure: f64,
 }
 
-impl ReplayAggregator {
-    /// Creates an aggregator for lines of at most `max_ones` stored `1`s
-    /// (i.e. the stored line width in bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_ones == 0`.
-    pub fn new(model: AccumulationModel, max_ones: u32) -> Self {
-        assert!(max_ones > 0, "line width must be positive");
-        let single_read_table = (0..=max_ones).map(|n| model.fail_single(n)).collect();
-        Self {
-            model,
-            single_read_table,
-            conventional: FailureAggregator::new(),
-            reap: FailureAggregator::new(),
-            serial: FailureAggregator::new(),
-            histogram: LogHistogram::new(),
-            writeback_exposure: 0.0,
-        }
-    }
-
-    /// Reassembles an aggregator from externally accumulated state — the
-    /// hand-off point for the batched multi-point kernel
-    /// (`MultiReplayAggregator::finish`), which accumulates per-point
-    /// state itself and then presents each point as an ordinary
-    /// `ReplayAggregator` to downstream report assembly.
-    ///
-    /// The lookup table is rebuilt from `(model, max_ones)` exactly as
-    /// [`ReplayAggregator::new`] would, so the result is indistinguishable
-    /// from an aggregator that recorded the same stream directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_ones == 0`.
-    pub fn from_parts(
+impl ReplayScore {
+    /// Assembles a score from folded sums.
+    pub(crate) fn from_parts(
         model: AccumulationModel,
-        max_ones: u32,
         conventional: FailureAggregator,
         reap: FailureAggregator,
         serial: FailureAggregator,
         histogram: LogHistogram,
         writeback_exposure: f64,
     ) -> Self {
-        let mut agg = Self::new(model, max_ones);
-        agg.conventional = conventional;
-        agg.reap = reap;
-        agg.serial = serial;
-        agg.histogram = histogram;
-        agg.writeback_exposure = writeback_exposure;
-        agg
-    }
-
-    /// Scores one exposure record. Records must be fed in capture order:
-    /// the running sums are floating-point, so ordering is part of the
-    /// bit-identity contract with a single-pass run.
-    pub fn record(&mut self, kind: ExposureKind, line_ones: u32, unchecked_reads: u64) {
-        match kind {
-            ExposureKind::Demand => {
-                let p_conv = self.model.fail_conventional(line_ones, unchecked_reads);
-                self.conventional.record(p_conv);
-                // Eq. (6): 1 - (1 - u)^N from the table entry, without
-                // recomputing the binomial tail. The u ∈ {0, 1} corners
-                // are pinned exactly as in `AccumulationModel::fail_reap`
-                // (0 × -inf would otherwise go NaN at u = 1, N = 0).
-                let u = self.single(line_ones);
-                let p_reap = if u == 0.0 || unchecked_reads == 0 {
-                    0.0
-                } else if u == 1.0 {
-                    1.0
-                } else {
-                    -(unchecked_reads as f64 * (-u).ln_1p()).exp_m1()
-                };
-                self.reap.record(p_reap);
-                self.serial.record(u);
-                self.histogram.record(unchecked_reads, p_conv);
-            }
-            ExposureKind::DirtyScrub => {
-                self.conventional
-                    .record(self.model.fail_conventional(line_ones, unchecked_reads));
-            }
-            ExposureKind::DirtyEviction => {
-                self.writeback_exposure += self.model.fail_conventional(line_ones, unchecked_reads);
-            }
-        }
-    }
-
-    /// Scores a whole stream of `(kind, line_ones, unchecked_reads)`
-    /// records, in iteration order. A convenience for streaming feeders
-    /// (the capture-replay path pulls records off a bounded-memory
-    /// iterator rather than holding a slice); exactly equivalent to
-    /// calling [`record`](Self::record) per item.
-    pub fn record_all<I>(&mut self, records: I)
-    where
-        I: IntoIterator<Item = (ExposureKind, u32, u64)>,
-    {
-        for (kind, line_ones, unchecked_reads) in records {
-            self.record(kind, line_ones, unchecked_reads);
+        Self {
+            model,
+            conventional,
+            reap,
+            serial,
+            histogram,
+            writeback_exposure,
         }
     }
 
@@ -205,12 +114,121 @@ impl ReplayAggregator {
     pub fn writeback_exposure(&self) -> f64 {
         self.writeback_exposure
     }
+}
 
-    fn single(&self, n_ones: u32) -> f64 {
-        *self
-            .single_read_table
-            .get(n_ones as usize)
-            .unwrap_or_else(|| self.single_read_table.last().expect("non-empty table"))
+/// Scores exposure records at one analysis point: a tally of their
+/// `(kind, ones, N)` cells, folded into a [`ReplayScore`] when a sum is
+/// read (and again only after more records arrive).
+///
+/// Per-read probabilities come from a table over the line weight `n`
+/// (0 ..= stored bits); a weight past the width reads the widest entry
+/// for the single-read and REAP terms.
+///
+/// # Examples
+///
+/// ```
+/// use reap_reliability::{AccumulationModel, ExposureKind, ReplayAggregator};
+///
+/// let mut agg = ReplayAggregator::new(AccumulationModel::sec(1e-8), 576);
+/// agg.record(ExposureKind::Demand, 288, 100);
+/// assert!(agg.conventional().expected_failures() > agg.reap().expected_failures());
+/// ```
+#[derive(Debug, Clone)]
+pub struct ReplayAggregator {
+    model: AccumulationModel,
+    width: u32,
+    tally: CellTally,
+    /// The fold of `tally`, once a sum has been read.
+    score: OnceLock<ReplayScore>,
+}
+
+impl ReplayAggregator {
+    /// Creates an aggregator for lines of at most `max_ones` stored `1`s
+    /// (i.e. the stored line width in bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_ones == 0`.
+    pub fn new(model: AccumulationModel, max_ones: u32) -> Self {
+        assert!(max_ones > 0, "line width must be positive");
+        Self {
+            model,
+            width: max_ones,
+            tally: CellTally::new(max_ones),
+            score: OnceLock::new(),
+        }
+    }
+
+    /// Scores one exposure record. The result does not depend on the
+    /// order records arrive in: they are counted, and the fold visits
+    /// their cells in one canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a demand record with `unchecked_reads == 0` (every
+    /// demand read counts itself, so `N ≥ 1`).
+    pub fn record(&mut self, kind: ExposureKind, line_ones: u32, unchecked_reads: u64) {
+        self.tally.add(kind, line_ones, unchecked_reads);
+        self.score.take();
+    }
+
+    /// Scores a whole stream of `(kind, line_ones, unchecked_reads)`
+    /// records. Exactly equivalent to calling [`record`](Self::record)
+    /// per item.
+    pub fn record_all<I>(&mut self, records: I)
+    where
+        I: IntoIterator<Item = (ExposureKind, u32, u64)>,
+    {
+        for (kind, line_ones, unchecked_reads) in records {
+            self.record(kind, line_ones, unchecked_reads);
+        }
+    }
+
+    /// The folded sums of every record so far.
+    pub fn score(&self) -> &ReplayScore {
+        self.score.get_or_init(|| {
+            let lanes = Lanes::new(self.width, vec![self.model]);
+            let mut scores = lanes.fold(0..1, &self.tally.cells(), None);
+            scores.pop().expect("one lane in, one score out")
+        })
+    }
+
+    /// Consumes the aggregator, yielding its folded sums.
+    pub fn into_score(self) -> ReplayScore {
+        self.score();
+        self.score.into_inner().expect("just folded")
+    }
+
+    /// The accumulation model in force.
+    pub fn model(&self) -> &AccumulationModel {
+        &self.model
+    }
+
+    /// Expected failures under the conventional scheme.
+    pub fn conventional(&self) -> &FailureAggregator {
+        self.score().conventional()
+    }
+
+    /// Expected failures under REAP.
+    pub fn reap(&self) -> &FailureAggregator {
+        self.score().reap()
+    }
+
+    /// Expected failures under the serial tag-first scheme and the
+    /// disruptive-restore baseline (one read's disturbance per demand).
+    pub fn serial(&self) -> &FailureAggregator {
+        self.score().serial()
+    }
+
+    /// The concealed-read histogram with per-bin conventional failure
+    /// contribution (Fig. 3 data).
+    pub fn histogram(&self) -> &LogHistogram {
+        self.score().histogram()
+    }
+
+    /// Unchecked failure probability carried out by dirty evictions.
+    pub fn writeback_exposure(&self) -> f64 {
+        self.score().writeback_exposure()
     }
 }
 
@@ -223,10 +241,15 @@ mod tests {
     }
 
     #[test]
-    fn table_matches_direct_model() {
-        let agg = aggregator();
+    fn serial_term_matches_direct_model() {
         for n in [0u32, 1, 100, 288, 576] {
-            assert_eq!(agg.single(n), agg.model().fail_single(n), "n = {n}");
+            let mut agg = aggregator();
+            agg.record(ExposureKind::Demand, n, 1);
+            assert_eq!(
+                agg.serial().expected_failures(),
+                agg.model().fail_single(n),
+                "n = {n}"
+            );
         }
     }
 
@@ -303,8 +326,43 @@ mod tests {
 
     #[test]
     fn out_of_range_ones_clamp_to_widest_entry() {
-        let agg = aggregator();
-        assert_eq!(agg.single(10_000), agg.single(576));
+        let (mut wide, mut widest) = (aggregator(), aggregator());
+        wide.record(ExposureKind::Demand, 10_000, 3);
+        widest.record(ExposureKind::Demand, 576, 3);
+        assert_eq!(wide.serial(), widest.serial());
+        assert_eq!(wide.reap(), widest.reap());
+        // The conventional law sees the raw weight.
+        assert_eq!(
+            wide.conventional().expected_failures(),
+            wide.model().fail_conventional(10_000, 3)
+        );
+    }
+
+    #[test]
+    fn the_score_follows_later_records() {
+        let mut agg = aggregator();
+        agg.record(ExposureKind::Demand, 288, 2);
+        let first = agg.reap().expected_failures();
+        agg.record(ExposureKind::Demand, 288, 2);
+        assert_eq!(agg.reap().events(), 2);
+        assert_eq!(agg.reap().expected_failures(), 2.0 * first);
+        assert_eq!(agg.clone().into_score(), *agg.score());
+    }
+
+    #[test]
+    fn record_order_does_not_move_a_bit() {
+        let stream = [
+            (ExposureKind::Demand, 288u32, 1000u64),
+            (ExposureKind::DirtyScrub, 300, 40),
+            (ExposureKind::Demand, 100, 3),
+            (ExposureKind::DirtyEviction, 288, 500),
+            (ExposureKind::Demand, 101, 3),
+        ];
+        let mut forward = aggregator();
+        forward.record_all(stream);
+        let mut backward = aggregator();
+        backward.record_all(stream.into_iter().rev());
+        assert_eq!(forward.score(), backward.score());
     }
 
     #[test]
