@@ -20,6 +20,8 @@
 //! bench also reports the peak RSS of the cold pass (each fresh capture
 //! streamed into its entry a frame at a time, then replayed from it) and
 //! of the warm pass (streamed from disk) — the memory claims in numbers.
+//! Before the pair it draws every workload's trace once on its own, with
+//! no cache behind it, and reports the trace layer's cost per access.
 //! Results land in
 //! `BENCH_capture.json` (override the path with the first argument).
 //!
@@ -42,16 +44,37 @@ fn failure_bits(r: &Report) -> [u64; 4] {
     ]
 }
 
+/// The experiment every pass runs for workload `w`.
+fn experiment(w: SpecWorkload, accesses: u64) -> Experiment {
+    Experiment::paper_hierarchy()
+        .workload(w)
+        .accesses(accesses)
+        .seed(reap_bench::DEFAULT_SEED)
+}
+
+/// Draws every workload's trace once, warm-up and measured window as a
+/// cold capture draws it, and returns the wall time per access in ns.
+fn trace_ns_per_access(accesses: u64) -> f64 {
+    let mut drawn = 0;
+    let t0 = Instant::now();
+    for w in SpecWorkload::ALL {
+        let experiment = experiment(w, accesses);
+        let n = experiment.config().warmup_accesses + experiment.config().measure_accesses;
+        for access in w.stream(reap_bench::DEFAULT_SEED).take(n as usize) {
+            std::hint::black_box(access);
+        }
+        drawn += n;
+    }
+    t0.elapsed().as_secs_f64() * 1e9 / drawn as f64
+}
+
 /// One store-backed ECC sweep over every workload, timed.
 fn sweep_all(accesses: u64, store: &CaptureStore) -> (f64, Vec<Vec<(EccStrength, Report)>>) {
     let t0 = Instant::now();
     let results = SpecWorkload::ALL
         .iter()
         .map(|&w| {
-            let experiment = Experiment::paper_hierarchy()
-                .workload(w)
-                .accesses(accesses)
-                .seed(reap_bench::DEFAULT_SEED);
+            let experiment = experiment(w, accesses);
             let points = experiment
                 .simulators_at(&EccStrength::ALL)
                 .expect("valid points");
@@ -186,12 +209,14 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
+    let trace_ns = trace_ns_per_access(accesses);
     let run = run_store(accesses);
     let speedup = run.cold_s / run.warm_s;
     let bytes_per_event = run.bytes as f64 / run.events.max(1) as f64;
     println!(
-        "cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   {} B on disk \
-         ({bytes_per_event:.2} B/event)   peak RSS cold {} warm {}",
+        "trace {trace_ns:.1} ns/access   cold {:.3} s   warm {:.3} s   \
+         speedup {speedup:.2}x   {} B on disk ({bytes_per_event:.2} B/event)   \
+         peak RSS cold {} warm {}",
         run.cold_s,
         run.warm_s,
         run.bytes,
@@ -202,7 +227,8 @@ fn main() {
     let rss = |b: Option<u64>| b.map_or("null".to_string(), |b| b.to_string());
     let json = format!(
         "{{\n  \"accesses\": {accesses},\n  \"workloads\": {},\n  \"points\": {points},\n  \
-         \"cold_s\": {:.6},\n  \"warm_s\": {:.6},\n  \"speedup\": {speedup:.3},\n  \
+         \"trace_ns_per_access\": {trace_ns:.2},\n  \"cold_s\": {:.6},\n  \
+         \"warm_s\": {:.6},\n  \"speedup\": {speedup:.3},\n  \
          \"hits\": {},\n  \"exposure_events\": {},\n  \"store_bytes\": {},\n  \
          \"bytes_per_event\": {bytes_per_event:.3},\n  \"bytes_written\": {},\n  \
          \"bytes_read\": {},\n  \"cold_peak_rss_bytes\": {},\n  \

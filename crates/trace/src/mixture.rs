@@ -8,14 +8,52 @@ use crate::record::MemoryAccess;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A component stream with its selection weight.
-type Component = (f64, Box<dyn Iterator<Item = MemoryAccess> + Send>);
+/// Accesses a [`Mixture`] draws per refill: it picks the components of
+/// this many accesses at once, then each component fills its share of the
+/// block in one call.
+const BLOCK: usize = 1024;
+
+// Block positions are stored as `u16`.
+const _: () = assert!(BLOCK <= 1 << 16);
+
+/// A component stream that fills its share of a block.
+trait Fill: Send {
+    /// Writes the stream's next accesses to `block` at `positions`, in
+    /// order, and returns how many it wrote: fewer than `positions.len()`
+    /// only when the stream ended.
+    fn fill(&mut self, positions: &[u16], block: &mut [MemoryAccess]) -> usize;
+}
+
+/// The one [`Fill`]: monomorphized per component type, so the component's
+/// `next` inlines into the fill loop instead of being a virtual call per
+/// access.
+struct Component<I>(I);
+
+impl<I: Iterator<Item = MemoryAccess> + Send> Fill for Component<I> {
+    fn fill(&mut self, positions: &[u16], block: &mut [MemoryAccess]) -> usize {
+        for (filled, &position) in positions.iter().enumerate() {
+            match self.0.next() {
+                Some(access) => block[usize::from(position)] = access,
+                None => return filled,
+            }
+        }
+        positions.len()
+    }
+}
 
 /// A weighted interleaving of component streams.
 ///
-/// Every call to `next` picks one component with probability proportional
-/// to its weight and forwards that component's next access. This models a
-/// program whose instruction mix interleaves several data structures.
+/// Every access comes from one component, picked with probability
+/// proportional to its weight. This models a program whose instruction mix
+/// interleaves several data structures.
+///
+/// The mixture draws a block of 1024 picks at a time from its own RNG, one
+/// uniform draw per access, and each component then fills its share of the
+/// block in one call. A component's accesses therefore depend only on how
+/// many it is asked for, and the stream equals the one picked access by
+/// access. That needs components that share no state: one must not read
+/// what another advanced. The stream ends at the first access whose
+/// component is exhausted, and stays ended.
 ///
 /// # Examples
 ///
@@ -31,9 +69,17 @@ type Component = (f64, Box<dyn Iterator<Item = MemoryAccess> + Send>);
 /// assert!(workload.next().is_some());
 /// ```
 pub struct Mixture {
-    components: Vec<Component>,
+    components: Vec<Box<dyn Fill>>,
     cumulative: Vec<f64>,
     rng: StdRng,
+    /// The current block; `block[cursor..]` is still to be emitted. It is
+    /// cut short only at the access where the stream ended.
+    block: Vec<MemoryAccess>,
+    cursor: usize,
+    /// Block positions grouped by component, ascending within each group.
+    positions: Vec<u16>,
+    /// Per-component scratch of the counting sort.
+    ends: Vec<usize>,
 }
 
 impl std::fmt::Debug for Mixture {
@@ -55,8 +101,11 @@ impl Mixture {
 }
 
 /// Builder for [`Mixture`].
+///
+/// Components must not share state (see [`Mixture`]): the mixture asks
+/// each for up to 1024 accesses ahead of the one it emits.
 pub struct MixtureBuilder {
-    components: Vec<Component>,
+    components: Vec<(f64, Box<dyn Fill>)>,
     seed: u64,
 }
 
@@ -71,6 +120,9 @@ impl std::fmt::Debug for MixtureBuilder {
 impl MixtureBuilder {
     /// Adds a component stream with the given positive weight.
     ///
+    /// A finite stream ends the mixture at the first access picked from it
+    /// after its last one, and the mixture stays ended.
+    ///
     /// # Panics
     ///
     /// Panics if `weight` is not finite and positive.
@@ -83,7 +135,7 @@ impl MixtureBuilder {
             weight.is_finite() && weight > 0.0,
             "component weight must be positive"
         );
-        self.components.push((weight, Box::new(stream)));
+        self.components.push((weight, Box::new(Component(stream))));
         self
     }
 
@@ -99,19 +151,70 @@ impl MixtureBuilder {
         );
         let total: f64 = self.components.iter().map(|(w, _)| w).sum();
         let mut acc = 0.0;
-        let cumulative = self
+        let (cumulative, components): (Vec<f64>, Vec<_>) = self
             .components
-            .iter()
-            .map(|(w, _)| {
+            .into_iter()
+            .map(|(w, stream)| {
                 acc += w / total;
-                acc
+                (acc, stream)
             })
-            .collect();
+            .unzip();
         Mixture {
-            components: self.components,
+            ends: vec![0; components.len()],
+            components,
             cumulative,
             rng: StdRng::seed_from_u64(self.seed),
+            block: vec![MemoryAccess::fetch(0); BLOCK],
+            cursor: BLOCK,
+            positions: vec![0; BLOCK],
         }
+    }
+}
+
+impl Mixture {
+    /// Draws the next block of accesses. Only called on a full block.
+    fn refill(&mut self) {
+        let last = self.components.len() - 1;
+        self.ends.fill(0);
+        // One draw per access, mapped to the component the per-access
+        // `cumulative.partition_point(|&c| c < u)` finds: the table is
+        // sorted, so that is the count of entries below `u`, capped at the
+        // last component. Each pick waits in its slot's address until the
+        // component overwrites it.
+        for slot in &mut self.block {
+            let u: f64 = self.rng.gen();
+            let below: usize = self.cumulative.iter().map(|&c| usize::from(c < u)).sum();
+            let pick = below.min(last);
+            slot.address = pick as u64;
+            self.ends[pick] += 1;
+        }
+        // Counting sort of the positions by pick, stable: `ends` holds each
+        // group's start, then advances to its end.
+        let mut start = 0;
+        for end in &mut self.ends {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        for (position, slot) in self.block.iter().enumerate() {
+            let end = &mut self.ends[slot.address as usize];
+            self.positions[*end] = position as u16;
+            *end += 1;
+        }
+        // Each component fills its group. One that runs out ends the
+        // stream at its first unfilled position.
+        let mut len = BLOCK;
+        let mut start = 0;
+        for (component, &end) in self.components.iter_mut().zip(&self.ends) {
+            let group = &self.positions[start..end];
+            let filled = component.fill(group, &mut self.block);
+            if let Some(&position) = group.get(filled) {
+                len = len.min(usize::from(position));
+            }
+            start = end;
+        }
+        self.block.truncate(len);
+        self.cursor = 0;
     }
 }
 
@@ -119,12 +222,15 @@ impl Iterator for Mixture {
     type Item = MemoryAccess;
 
     fn next(&mut self) -> Option<MemoryAccess> {
-        let u: f64 = self.rng.gen();
-        let idx = self
-            .cumulative
-            .partition_point(|&c| c < u)
-            .min(self.components.len() - 1);
-        self.components[idx].1.next()
+        if self.cursor == self.block.len() {
+            if self.block.len() < BLOCK {
+                return None;
+            }
+            self.refill();
+        }
+        let access = *self.block.get(self.cursor)?;
+        self.cursor += 1;
+        Some(access)
     }
 }
 

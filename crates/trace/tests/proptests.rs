@@ -1,10 +1,78 @@
 //! Property-based tests for the trace generators.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use reap_trace::generators::{
-    KindModel, PointerChase, StridedStream, UniformRandom, ZipfHotSet, LINE_BYTES,
+    KindModel, LoopNest, PointerChase, StridedStream, UniformRandom, ZipfHotSet, LINE_BYTES,
 };
-use reap_trace::{Mixture, SpecWorkload, TraceStats};
+use reap_trace::{MemoryAccess, Mixture, SpecWorkload, TraceStats};
+
+type Stream = Box<dyn Iterator<Item = MemoryAccess> + Send>;
+
+/// One mixture component: generator (strided, uniform, Zipf, stencil),
+/// weight, and the length of a finite stream.
+type ComponentSpec = (u8, f64, Option<usize>);
+
+/// Component `index` of a mixture, in a region of its own.
+fn component((generator, _, len): ComponentSpec, index: usize, seed: u64) -> Stream {
+    let base = (index as u64 + 1) << 32;
+    let data = KindModel::Data { read_fraction: 0.6 };
+    let seed = seed ^ index as u64;
+    let stream: Stream = match generator {
+        0 => Box::new(StridedStream::new(base, 96, 3, data, seed)),
+        1 => Box::new(UniformRandom::new(base, 200, data, seed)),
+        2 => Box::new(ZipfHotSet::new(base, 300, 1.1, data, seed)),
+        _ => Box::new(LoopNest::new(base, 6, 9, true, seed)),
+    };
+    match len {
+        Some(len) => Box::new(stream.take(len)),
+        None => stream,
+    }
+}
+
+/// The per-access mixture that the block-drawn [`Mixture`] replaced, kept
+/// as its oracle: one draw and one component call per access.
+struct PerAccess {
+    components: Vec<Stream>,
+    cumulative: Vec<f64>,
+    rng: StdRng,
+}
+
+impl PerAccess {
+    fn new(seed: u64, specs: &[ComponentSpec]) -> Self {
+        let total: f64 = specs.iter().map(|s| s.1).sum();
+        let mut acc = 0.0;
+        Self {
+            components: specs
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| component(s, i, seed))
+                .collect(),
+            cumulative: specs
+                .iter()
+                .map(|s| {
+                    acc += s.1 / total;
+                    acc
+                })
+                .collect(),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+}
+
+impl Iterator for PerAccess {
+    type Item = MemoryAccess;
+
+    fn next(&mut self) -> Option<MemoryAccess> {
+        let u: f64 = self.rng.gen();
+        let idx = self
+            .cumulative
+            .partition_point(|&c| c < u)
+            .min(self.components.len() - 1);
+        self.components[idx].next()
+    }
+}
 
 proptest! {
     /// Every generator keeps its addresses inside `[base, base + lines*64)`.
@@ -69,6 +137,38 @@ proptest! {
         let first = m.take(n).filter(|a| a.address < 0x1000_0000).count() as f64 / n as f64;
         let expected = w1 / (w1 + w2);
         prop_assert!((first - expected).abs() < 0.03, "expected {expected}, got {first}");
+    }
+
+    /// The block-drawn mixture emits the per-access oracle's stream, for
+    /// any component count, weights down to the 1e-6 floor of a workload's
+    /// instruction weight, and lengths on either side of a block edge. A
+    /// finite component ends both streams at the same access, and the
+    /// mixture stays ended.
+    #[test]
+    fn block_drawn_mixture_matches_per_access_picks(
+        specs in proptest::collection::vec(
+            (
+                0u8..4,
+                prop_oneof![Just(1e-6), 1e-6f64..1e-3, 0.05f64..20.0],
+                prop_oneof![Just(None), Just(None), (0usize..3000).prop_map(Some)],
+            ),
+            1..21,
+        ),
+        seed in any::<u64>(),
+        len in prop_oneof![Just(0usize), Just(1), Just(1023), Just(1024), Just(1025), Just(5000)],
+    ) {
+        let mut builder = Mixture::builder(seed);
+        for (i, &spec) in specs.iter().enumerate() {
+            builder = builder.component(spec.1, component(spec, i, seed));
+        }
+        let mut mixture = builder.build();
+        let want: Vec<_> = PerAccess::new(seed, &specs).take(len).collect();
+        let got: Vec<_> = mixture.by_ref().take(len).collect();
+        prop_assert_eq!(got.len(), want.len());
+        prop_assert!(got == want, "streams diverge");
+        if got.len() < len {
+            prop_assert!(mixture.next().is_none() && mixture.next().is_none());
+        }
     }
 
     /// Workload streams are pure functions of the seed.
