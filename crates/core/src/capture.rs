@@ -159,6 +159,25 @@ impl ExposureEvents {
             .next_block(max)
             .map_err(|e| StreamDefect::new(e.to_string()))
     }
+
+    /// Narrows the pass to the frames whose index is `phase` modulo
+    /// `stride`, from the next frame on. The other frames' payloads are
+    /// skipped unverified: a pass over the other phases verifies them.
+    pub(crate) fn only_frames(&mut self, phase: u64, stride: u64) {
+        self.decoder.only_frames(phase, stride);
+    }
+
+    /// The index of the frame being read: after a defect, the frame it
+    /// was found in.
+    pub(crate) fn frame_index(&self) -> u64 {
+        self.decoder.frame_index()
+    }
+
+    /// Reserves the decode buffers for a typical full frame, so the pass
+    /// allocates nothing more as it reads such frames.
+    pub(crate) fn reserve_frame(&mut self) {
+        self.decoder.reserve_frame();
+    }
 }
 
 impl ExposureStream for ExposureEvents {

@@ -115,7 +115,7 @@ const VERSION: u8 = 2;
 /// Records per full v2 frame. Bounds replay memory to one decoded frame
 /// (~160 KB of records) and bounds the blast radius of corruption to a
 /// single frame's checksum.
-const FRAME_RECORDS: u32 = 4096;
+pub(crate) const FRAME_RECORDS: u32 = 4096;
 /// Worst-case encoded size of one v2 record: a kind byte plus four
 /// 10-byte LEB128 varints. Used to bound declared payload lengths.
 const MAX_RECORD_BYTES: u32 = 1 + 4 * 10;
@@ -123,7 +123,7 @@ const MAX_RECORD_BYTES: u32 = 1 + 4 * 10;
 /// checksum).
 const V2_HEADER_BYTES: usize = 4 + 1 + 8 + 8 + 8 + 38 * 8 + 8 + 4;
 /// The whole v2 header as written: the fixed fields and their checksum.
-const ENTRY_HEADER_BYTES: usize = V2_HEADER_BYTES + 8;
+pub(crate) const ENTRY_HEADER_BYTES: usize = V2_HEADER_BYTES + 8;
 /// FNV-1a 64-bit offset basis — the seed of both the fingerprint chain
 /// and the frame checksums.
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -979,6 +979,12 @@ impl FrameSink for EntryWriter {
 /// kernel take — so [`next_block`](Self::next_block) hands them out
 /// without a copy. Holds at most one decoded frame (≤ `frame_len`
 /// records), so replay runs in bounded memory.
+///
+/// Frames are independent (delta state restarts in each, and each has its
+/// own length and checksum), so a decoder narrowed to a part of the
+/// frames ([`only_frames`](Self::only_frames)) reads every other frame's
+/// header and skips its payload unverified: the decoder of the part that
+/// owns the frame verifies it.
 pub(crate) struct V2Decoder<R: Read> {
     reader: R,
     offset: u64,
@@ -986,8 +992,15 @@ pub(crate) struct V2Decoder<R: Read> {
     count: u64,
     /// Records per full frame.
     frame_len: u32,
-    /// Records of the frames read so far, the current one included.
+    /// Records of the frames read or skipped so far, the current one
+    /// included.
     decoded: u64,
+    /// Frames read or skipped so far, the current one included.
+    frames: u64,
+    /// The frames decoded are those whose index is `phase` modulo
+    /// `stride`; the others are skipped.
+    phase: u64,
+    stride: u64,
     /// The current frame's line keys `(tag, set, version)`...
     keys: Vec<(u64, u64, u64)>,
     /// ...and `(kind, unchecked_reads)`, index for index.
@@ -1069,6 +1082,9 @@ impl<R: Read> V2Decoder<R> {
             count,
             frame_len,
             decoded: 0,
+            frames: 0,
+            phase: 0,
+            stride: 1,
             keys: Vec::new(),
             kinds: Vec::new(),
             pos: 0,
@@ -1076,6 +1092,30 @@ impl<R: Read> V2Decoder<R> {
             probed: false,
         };
         Ok((header, decoder))
+    }
+
+    /// Narrows the decoder to the frames whose index is `phase` modulo
+    /// `stride`, from the next frame on: it decodes those and skips the
+    /// rest after checking their headers.
+    pub(crate) fn only_frames(&mut self, phase: u64, stride: u64) {
+        debug_assert!(phase < stride);
+        (self.phase, self.stride) = (phase, stride);
+    }
+
+    /// The index of the frame being read: after an error, the frame it
+    /// stopped at.
+    pub(crate) fn frame_index(&self) -> u64 {
+        self.frames
+    }
+
+    /// Reserves the columns for a full frame, and the payload buffer for
+    /// a full frame of twice the smallest records, so decoding such
+    /// frames allocates nothing more.
+    pub(crate) fn reserve_frame(&mut self) {
+        let records = self.frame_len as usize;
+        self.keys.reserve(records);
+        self.kinds.reserve(records);
+        self.payload.reserve(10 * records);
     }
 
     /// Yields the next record, reading and verifying the next frame when
@@ -1116,14 +1156,18 @@ impl<R: Read> V2Decoder<R> {
         Ok((&self.keys[start..self.pos], &self.kinds[start..self.pos]))
     }
 
-    /// Moves past an exhausted frame: reads the next one or, once every
-    /// declared record has been decoded, probes (once) that the stream
-    /// ends exactly and leaves the columns exhausted. Kept out of line so
-    /// the per-record path stays small enough to inline.
+    /// Moves past an exhausted frame: reads the next one of this
+    /// decoder's frames, skipping the others, or, once every declared
+    /// record has been passed, probes (once) that the stream ends exactly
+    /// and leaves the columns exhausted. Kept out of line so the
+    /// per-record path stays small enough to inline.
     #[inline(never)]
     fn advance(&mut self) -> Result<(), CaptureStoreError> {
-        if self.decoded < self.count {
-            return self.read_frame();
+        while self.decoded < self.count {
+            if self.frames % self.stride == self.phase {
+                return self.read_frame();
+            }
+            self.skip_frame()?;
         }
         if !self.probed {
             self.probed = true;
@@ -1164,36 +1208,7 @@ impl<R: Read> V2Decoder<R> {
         let section = Section::Record {
             index: self.decoded,
         };
-        let mut head = [0u8; 8];
-        fill(&mut self.reader, &mut head, &mut self.offset, section)?;
-        let records = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
-        let payload_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        if records == 0 || records > self.frame_len {
-            return Err(CaptureStoreError::Malformed {
-                offset: frame_offset,
-                detail: "frame record count out of range",
-            });
-        }
-        if u64::from(records) > self.count - self.decoded {
-            return Err(CaptureStoreError::Malformed {
-                offset: frame_offset,
-                detail: "frames exceed the declared record count",
-            });
-        }
-        if payload_len > records * MAX_RECORD_BYTES || payload_len < 5 * records {
-            return Err(CaptureStoreError::Malformed {
-                offset: frame_offset,
-                detail: "frame payload length out of range",
-            });
-        }
-        self.payload.clear();
-        self.payload.resize(payload_len as usize, 0);
-        fill(
-            &mut self.reader,
-            &mut self.payload,
-            &mut self.offset,
-            section,
-        )?;
+        let (head, records) = self.read_head_and_payload()?;
         let checksum_offset = self.offset;
         let found = read_u64(&mut self.reader, &mut self.offset, section)?;
 
@@ -1263,7 +1278,63 @@ impl<R: Read> V2Decoder<R> {
             return Err(e);
         }
         self.decoded += u64::from(records);
+        self.frames += 1;
         Ok(())
+    }
+
+    /// Passes over a frame of another part: checks its header as
+    /// [`read_frame`](Self::read_frame) does and reads its payload and
+    /// checksum unverified.
+    fn skip_frame(&mut self) -> Result<(), CaptureStoreError> {
+        let section = Section::Record {
+            index: self.decoded,
+        };
+        let (_, records) = self.read_head_and_payload()?;
+        read_u64(&mut self.reader, &mut self.offset, section)?;
+        self.decoded += u64::from(records);
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// Reads the next frame's header, checks its record count and payload
+    /// length, and reads its payload into `payload`. Returns the header
+    /// bytes and the record count.
+    fn read_head_and_payload(&mut self) -> Result<([u8; 8], u32), CaptureStoreError> {
+        let frame_offset = self.offset;
+        let section = Section::Record {
+            index: self.decoded,
+        };
+        let mut head = [0u8; 8];
+        fill(&mut self.reader, &mut head, &mut self.offset, section)?;
+        let records = u32::from_le_bytes(head[..4].try_into().expect("4 bytes"));
+        let payload_len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+        if records == 0 || records > self.frame_len {
+            return Err(CaptureStoreError::Malformed {
+                offset: frame_offset,
+                detail: "frame record count out of range",
+            });
+        }
+        if u64::from(records) > self.count - self.decoded {
+            return Err(CaptureStoreError::Malformed {
+                offset: frame_offset,
+                detail: "frames exceed the declared record count",
+            });
+        }
+        if payload_len > records * MAX_RECORD_BYTES || payload_len < 5 * records {
+            return Err(CaptureStoreError::Malformed {
+                offset: frame_offset,
+                detail: "frame payload length out of range",
+            });
+        }
+        self.payload.clear();
+        self.payload.resize(payload_len as usize, 0);
+        fill(
+            &mut self.reader,
+            &mut self.payload,
+            &mut self.offset,
+            section,
+        )?;
+        Ok((head, records))
     }
 }
 
@@ -1562,8 +1633,8 @@ pub(crate) fn reopen_entry(
     Ok(decoder)
 }
 
-/// Reports a fail-open store problem on stderr.
-fn warn(message: fmt::Arguments<'_>) {
+/// Reports a fail-open store or capture problem on stderr.
+pub(crate) fn warn(message: fmt::Arguments<'_>) {
     #[cfg(test)]
     tests::WARNINGS.with(|w| w.borrow_mut().push(message.to_string()));
     eprintln!("warning: {message}");
@@ -1602,8 +1673,9 @@ pub(crate) mod tests {
     use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// The warnings store calls on this test thread printed.
-        pub(super) static WARNINGS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+        /// The warnings store and replay calls on this test thread
+        /// printed.
+        pub(crate) static WARNINGS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
         /// The next entry writer created on this test thread fails from
         /// this byte offset on.
         pub(super) static FAIL_WRITES_FROM: Cell<u64> = const { Cell::new(u64::MAX) };

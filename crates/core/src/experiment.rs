@@ -243,7 +243,9 @@ impl Experiment {
             Err(SimulationError::CaptureStream(defect)) => defect,
             other => return Ok(other?),
         };
-        eprintln!("warning: capture failed mid-replay ({defect}); recapturing");
+        capture_store::warn(format_args!(
+            "capture failed mid-replay ({defect}); recapturing"
+        ));
         if !capture.is_scoped() {
             capture_store::bump("capture_store.invalid");
         }

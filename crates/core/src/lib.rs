@@ -50,6 +50,7 @@ pub mod checkpoint;
 pub mod energy;
 pub mod experiment;
 pub mod explore;
+mod helper;
 pub mod observer;
 pub mod readpath;
 pub mod report;

@@ -1,8 +1,11 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{ExposureCapture, HierarchySnapshot, TalliedCapture};
+use crate::capture::{
+    ExposureCapture, ExposureEvents, HierarchySnapshot, StreamDefect, TalliedCapture,
+};
 use crate::capture_store::{seal_entry, CaptureStoreError, EntryWriter, FrameEncoder, FrameSink};
 use crate::energy::EnergyModel;
+use crate::helper::Helper;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
 use crate::report::Report;
@@ -12,7 +15,9 @@ use reap_cache::{sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacemen
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
-use reap_reliability::{AccumulationModel, MultiReplayAggregator, ReplayScore};
+use reap_reliability::{
+    AccumulationModel, ExposureKind, MultiReplayAggregator, ReplayScore, WidthTallies,
+};
 use reap_trace::MemoryAccess;
 use std::fmt;
 use std::path::PathBuf;
@@ -224,6 +229,15 @@ impl CapturePass {
             .add(u64::from(!self.two_stage));
         self.snapshot.emit_metrics(registry);
     }
+}
+
+/// The helper thread's part of a split replay: its pass over the odd
+/// frames, the tallies it counts them into, and its weight buffer.
+struct Part {
+    events: ExposureEvents,
+    tallies: WidthTallies,
+    widths: Vec<usize>,
+    ones: Vec<u32>,
 }
 
 /// Runs a configured simulation over a trace.
@@ -582,6 +596,16 @@ impl Simulator {
     /// [`replay_tallied`](Self::replay_tallied) scores at other points of
     /// the same stored widths without reading the capture again.
     ///
+    /// When the process's core budget shows a core idle, the replay is
+    /// split: the calling thread counts the capture's even frames into
+    /// `multi`, and a parked helper thread its odd frames into `multi`'s
+    /// [`twin`](MultiReplayAggregator::twin). The two parts' cells merge
+    /// into the whole capture's, and one fold scores them. Counts are
+    /// integers and the fold order is canonical, so the reports and
+    /// cells are bit-identical to a whole replay on one thread. A defect
+    /// in either part fails the replay with the defect of the earliest
+    /// bad frame, and a panic in the helper's part resumes here.
+    ///
     /// # Errors
     ///
     /// As [`replay_batch_into`](Self::replay_batch_into).
@@ -599,11 +623,27 @@ impl Simulator {
             ));
         }
         let _span = Self::replay_span(points, capture.event_count());
-        let fed = Self::feed_batch(capture, multi);
+        let core = CoreClaim::idle();
+        #[cfg(test)]
+        let split = tests::FORCE_SPLIT
+            .with(|f| f.get())
+            .unwrap_or(core.is_some());
+        #[cfg(not(test))]
+        let split = core.is_some();
+        let helper = split.then(Helper::take).flatten();
+        Self::count_replay(helper.is_some());
+        let fed = match helper {
+            Some(helper) => Self::feed_split(capture, multi, helper).map(Some),
+            None => Self::feed_whole(capture, multi).map(|()| None),
+        };
+        drop(core);
         let cells = multi
             .take_cells()
             .expect("the per-width feed tallies every record per width");
-        fed?;
+        let cells = match fed? {
+            Some(mut twin) => cells.merge(&twin.take_cells()),
+            None => cells,
+        };
         let tallied = capture.tallied(cells);
         let scores = multi.score_cells(tallied.cells());
         Ok((Self::assemble_batch(points, &tallied, scores), tallied))
@@ -689,39 +729,133 @@ impl Simulator {
             .collect()
     }
 
-    /// Streams the capture once in blocks of up to [`Self::FEED_BLOCK`]
-    /// records, resampling each record's weight once per *distinct*
-    /// stored width — the kernel's
-    /// [`stored_widths`](MultiReplayAggregator::stored_widths) — and
-    /// handing each block to
-    /// [`MultiReplayAggregator::record_block_by_width`] as `(records,
-    /// ones)`: `records[r]` is `(kind, unchecked_reads)` and `ones[r *
-    /// widths ..]` its per-width weights, in capture order. Every point
-    /// of a width scores that width's weight, so nothing is scattered
-    /// to points.
+    /// Counts the replay in `sim.replay.split` or `sim.replay.whole`.
+    /// Both counters are registered on every replay (the mode that did
+    /// not run by 0), so the set of exported metric names does not
+    /// depend on whether the host had a core idle.
+    fn count_replay(split: bool) {
+        if reap_obs::enabled() {
+            let registry = reap_obs::global();
+            registry.counter("sim.replay.split").add(u64::from(split));
+            registry.counter("sim.replay.whole").add(u64::from(!split));
+        }
+    }
+
+    /// The whole replay on the calling thread: every record of the
+    /// capture counted into `multi` ([`feed`](Self::feed)).
+    fn feed_whole(
+        capture: &ExposureCapture,
+        multi: &mut MultiReplayAggregator,
+    ) -> Result<(), SimulationError> {
+        let widths = multi.stored_widths().to_vec();
+        let mut ones = vec![0u32; Self::FEED_BLOCK * widths.len()];
+        let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
+        Self::feed(
+            &mut events,
+            capture.ones_seed(),
+            &widths,
+            &mut ones,
+            |kinds, ones| {
+                multi.record_block_by_width(kinds, ones);
+            },
+        )
+        .map_err(SimulationError::CaptureStream)
+    }
+
+    /// The replay split in two parts by frame parity: `helper` counts the
+    /// odd frames into a twin of `multi`'s tallies while this thread
+    /// counts the even ones into `multi`. Hands back the twin; the
+    /// caller's part is left in `multi`.
+    ///
+    /// The helper's job allocates nothing while the frames are like the
+    /// ones a capture writes: its decoder, buffers and tallies are all
+    /// allocated here and moved in, and handed back to be freed here.
+    ///
+    /// # Errors
+    ///
+    /// The defect of the earliest bad frame either part found; at a tie,
+    /// the defect of the part that decodes the frame.
+    fn feed_split(
+        capture: &ExposureCapture,
+        multi: &mut MultiReplayAggregator,
+        helper: Helper,
+    ) -> Result<WidthTallies, SimulationError> {
+        let widths = multi.stored_widths().to_vec();
+        let seed = capture.ones_seed();
+        let open = |phase| {
+            let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
+            events.only_frames(phase, 2);
+            events.reserve_frame();
+            Ok::<_, SimulationError>(events)
+        };
+        let mut mine = open(0)?;
+        let mut part = Part {
+            events: open(1)?,
+            tallies: multi.twin(),
+            widths: widths.clone(),
+            ones: vec![0; Self::FEED_BLOCK * widths.len()],
+        };
+        let lease = helper.run(move || {
+            let Part {
+                events,
+                tallies,
+                widths,
+                ones,
+            } = &mut part;
+            let fed = Self::feed(events, seed, widths, ones, |kinds, ones| {
+                tallies.record_block_by_width(kinds, ones);
+            });
+            (fed, part)
+        });
+        let mut ones = vec![0u32; Self::FEED_BLOCK * widths.len()];
+        let fed = Self::feed(&mut mine, seed, &widths, &mut ones, |kinds, ones| {
+            multi.record_block_by_width(kinds, ones);
+        });
+        let (theirs, part) = lease.join();
+        let defects = [
+            fed.err().map(|defect| (mine.frame_index(), 0, defect)),
+            theirs
+                .err()
+                .map(|defect| (part.events.frame_index(), 1, defect)),
+        ];
+        match defects
+            .into_iter()
+            .flatten()
+            .min_by_key(|&(frame, phase, _)| (frame, (frame + phase) % 2))
+        {
+            Some((_, _, defect)) => Err(SimulationError::CaptureStream(defect)),
+            None => Ok(part.tallies),
+        }
+    }
+
+    /// Streams `events` in blocks of up to [`Self::FEED_BLOCK`] records,
+    /// resampling each record's weight once per *distinct* stored width
+    /// (`widths`, the kernel's
+    /// [`stored_widths`](MultiReplayAggregator::stored_widths)) into
+    /// `ones`, and hands each block to `record` as `(records, ones)`:
+    /// `records[r]` is `(kind, unchecked_reads)` and `ones[r * widths
+    /// ..]` its per-width weights, in capture order — the layout
+    /// [`MultiReplayAggregator::record_block_by_width`] takes. Every
+    /// point of a width scores that width's weight, so nothing is
+    /// scattered to points.
     ///
     /// The blocks are [`ExposureEvents::next_block`]'s column slices of
     /// the decoded frame — keys to the sampler, `(kind, N)` pairs to the
     /// kernel — so no record is copied between the decoder and either.
     /// Blocking serves the sampler: one record's hash walk is a serial
     /// feedback chain, so `sample_ones_multi_batch` steps eight records'
-    /// chains in lockstep to hide the latency. The weight buffer is
-    /// reused across the stream — no per-record allocation.
-    ///
-    /// [`ExposureEvents::next_block`]: crate::ExposureEvents::next_block
-    fn feed_batch(
-        capture: &ExposureCapture,
-        multi: &mut MultiReplayAggregator,
-    ) -> Result<(), SimulationError> {
-        let widths = multi.stored_widths().to_vec();
-        let seed = capture.ones_seed();
+    /// chains in lockstep to hide the latency. The weight buffer is the
+    /// caller's, reused across the stream: the loop allocates nothing.
+    fn feed(
+        events: &mut ExposureEvents,
+        seed: u64,
+        widths: &[usize],
+        ones: &mut [u32],
+        mut record: impl FnMut(&[(ExposureKind, u64)], &[u32]),
+    ) -> Result<(), StreamDefect> {
         let nw = widths.len();
-        let mut ones = vec![0u32; Self::FEED_BLOCK * nw];
-        let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
         loop {
-            let (keys, kinds) = events
-                .next_block(Self::FEED_BLOCK)
-                .map_err(SimulationError::CaptureStream)?;
+            let (keys, kinds) = events.next_block(Self::FEED_BLOCK)?;
             if keys.is_empty() {
                 return Ok(());
             }
@@ -730,12 +864,12 @@ impl Simulator {
             // per-width `sample_ones` (property-tested in reap-cache)
             // at a fraction of the per-record hashing latency.
             let ones = &mut ones[..keys.len() * nw];
-            sample_ones_multi_batch(seed, keys, &widths, ones);
-            multi.record_block_by_width(kinds, ones);
+            sample_ones_multi_batch(seed, keys, widths, ones);
+            record(kinds, ones);
         }
     }
 
-    /// Records fed per sampler block by [`feed_batch`](Self::feed_batch).
+    /// Records fed per sampler block by [`feed`](Self::feed).
     const FEED_BLOCK: usize = 64;
 
     /// Zips folded scores back onto their points as [`Report`]s.
@@ -831,10 +965,18 @@ impl Simulator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scheme::ProtectionScheme;
+    use reap_reliability::ExposureKind;
     use reap_trace::SpecWorkload;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Forces a replay on this thread to split (`Some(true)`) or run
+        /// whole (`Some(false)`) whatever the core budget shows.
+        pub(crate) static FORCE_SPLIT: Cell<Option<bool>> = const { Cell::new(None) };
+    }
 
     fn quick_config() -> SimulationConfig {
         SimulationConfig {
@@ -1169,6 +1311,284 @@ mod tests {
         for (got, want) in reused.iter().zip(&fresh) {
             assert_eq!(failure_bits(got), failure_bits(want));
         }
+    }
+
+    /// A capture of `records` synthetic records at `config`: demand
+    /// reads, dirty evictions and, when the config scrubs, dirty scrubs,
+    /// with small and large `N` alike.
+    fn synthetic_capture(config: &SimulationConfig, records: u64, seed: u64) -> ExposureCapture {
+        let mut state = seed;
+        let events = (0..records)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let kind = match state % 7 {
+                    0 if config.scrub_period > 0 => ExposureKind::DirtyScrub,
+                    1 => ExposureKind::DirtyEviction,
+                    _ => ExposureKind::Demand,
+                };
+                let reads = (state >> 33) % if state.is_multiple_of(11) { 5_000 } else { 40 };
+                crate::capture::ExposureRecord {
+                    kind,
+                    key: reap_cache::LineKey {
+                        tag: (state >> 16) & 0xffff,
+                        set: (state >> 8) & 1023,
+                        version: state >> 52,
+                    },
+                    unchecked_reads: reads + u64::from(kind == ExposureKind::Demand),
+                }
+            })
+            .collect();
+        ExposureCapture::from_parts(
+            events,
+            HierarchySnapshot::of(&Hierarchy::new(
+                config.hierarchy.clone(),
+                config.replacement,
+            )),
+            config.hierarchy.l2.line_bits(),
+            seed,
+            config.hierarchy.clone(),
+            config.replacement,
+            config.warmup_accesses,
+            config.measure_accesses,
+            config.scrub_period,
+        )
+        .unwrap()
+    }
+
+    /// `tally_batch_into` with the replay forced to split or to run whole.
+    fn tally_forced(
+        split: bool,
+        points: &[Simulator],
+        capture: &ExposureCapture,
+    ) -> Result<(Vec<Report>, TalliedCapture), SimulationError> {
+        let mut multi = MultiReplayAggregator::new(Simulator::batch_kernel_points(points, capture));
+        FORCE_SPLIT.set(Some(split));
+        let tallied = Simulator::tally_batch_into(points, capture, &mut multi);
+        FORCE_SPLIT.set(None);
+        tallied
+    }
+
+    proptest::proptest! {
+        /// A replay split across the caller and a helper counts the very
+        /// cells, and scores the very reports, that a whole replay does:
+        /// at 0 to 7 frames, scrubbed or not, over 1 to 4 stored widths.
+        #[test]
+        fn a_split_replay_matches_a_whole_one_bit_for_bit(
+            frames in 0usize..5,
+            tail in 1u64..=4096,
+            scrub in 0usize..3,
+            widths in 1usize..=4,
+            seed in 0u64..1_000_000,
+        ) {
+            let frames = [0u64, 1, 2, 3, 7][frames];
+            let records = if frames == 0 { 0 } else { (frames - 1) * 4096 + tail };
+            let config = SimulationConfig {
+                scrub_period: [0, 1, 700][scrub],
+                ..quick_config()
+            };
+            let capture = synthetic_capture(&config, records, seed);
+            proptest::prop_assert_eq!(
+                capture.event_count().div_ceil(u64::from(crate::capture_store::FRAME_RECORDS)),
+                frames
+            );
+
+            // The feeds themselves, at up to four stored widths.
+            let kernel_points: Vec<(AccumulationModel, u32)> = [522, 542, 288, 532]
+                .iter()
+                .take(widths)
+                .enumerate()
+                .map(|(i, &w)| (AccumulationModel::new(10f64.powi(-5 - i as i32), 1 + i % 3), w))
+                .collect();
+            let mut whole = MultiReplayAggregator::new(kernel_points.clone());
+            Simulator::feed_whole(&capture, &mut whole).unwrap();
+            let whole_cells = whole.take_cells().unwrap();
+            let mut split = MultiReplayAggregator::new(kernel_points);
+            let helper = Helper::take().expect("a helper thread starts");
+            let mut twin = Simulator::feed_split(&capture, &mut split, helper).unwrap();
+            let split_cells = split.take_cells().unwrap().merge(&twin.take_cells());
+            proptest::prop_assert!(split_cells == whole_cells, "cells differ");
+            for (a, b) in split.score_cells(&split_cells).iter().zip(&whole.score_cells(&whole_cells)) {
+                proptest::prop_assert_eq!(a, b);
+            }
+
+            // The reports, at up to three ECC strengths.
+            let points: Vec<Simulator> = EccStrength::ALL
+                .into_iter()
+                .take(widths.min(3))
+                .map(|ecc| Simulator::new(SimulationConfig { ecc, ..config.clone() }).unwrap())
+                .collect();
+            let (split_reports, split_tallied) = tally_forced(true, &points, &capture).unwrap();
+            let (whole_reports, whole_tallied) = tally_forced(false, &points, &capture).unwrap();
+            proptest::prop_assert!(split_tallied.cells() == whole_tallied.cells(), "cells differ");
+            for (a, b) in split_reports.iter().zip(&whole_reports) {
+                proptest::prop_assert_eq!(failure_bits(a), failure_bits(b));
+                proptest::prop_assert_eq!(a.histogram(), b.histogram());
+                proptest::prop_assert_eq!(a.l2_stats(), b.l2_stats());
+            }
+        }
+    }
+
+    /// The byte ranges of a capture entry's frames, in order.
+    fn frame_spans(entry: &[u8]) -> Vec<std::ops::Range<usize>> {
+        let mut at = crate::capture_store::ENTRY_HEADER_BYTES;
+        let mut spans = Vec::new();
+        while at < entry.len() {
+            let payload = u32::from_le_bytes(entry[at + 4..at + 8].try_into().unwrap()) as usize;
+            spans.push(at..at + 8 + payload + 8);
+            at += 8 + payload + 8;
+        }
+        spans
+    }
+
+    /// However a split replay's parts meet a damaged entry, it fails with
+    /// the defect a whole replay reports: that of the earliest bad frame.
+    #[test]
+    fn a_split_replay_reports_the_defect_of_the_earliest_bad_frame() {
+        let config = SimulationConfig {
+            scrub_period: 700,
+            ..quick_config()
+        };
+        let points = [Simulator::new(config.clone()).unwrap()];
+        let clean =
+            std::fs::read(synthetic_capture(&config, 5 * 4096 + 9, 3).entry_path()).unwrap();
+        let spans = frame_spans(&clean);
+        assert_eq!(spans.len(), 6);
+        // A flipped payload byte in one or two frames, a flipped record
+        // count or payload length, and a file cut short in a frame.
+        type Rot = Box<dyn Fn(&mut Vec<u8>)>;
+        let flip = |frames: &'static [usize], at: fn(&std::ops::Range<usize>) -> usize| -> Rot {
+            let spans = spans.clone();
+            Box::new(move |entry: &mut Vec<u8>| {
+                for &f in frames {
+                    entry[at(&spans[f])] ^= 0x40;
+                }
+            })
+        };
+        let payload_byte = |span: &std::ops::Range<usize>| span.start + 8 + (span.len() - 16) / 2;
+        let record_count = |span: &std::ops::Range<usize>| span.start + 1;
+        let payload_len = |span: &std::ops::Range<usize>| span.start + 4;
+        let cut = |frame: usize| -> Rot {
+            let end = spans[frame].start + 20;
+            Box::new(move |entry: &mut Vec<u8>| entry.truncate(end))
+        };
+        let rots: Vec<(&str, Rot)> = vec![
+            ("payload 0", flip(&[0], payload_byte)),
+            ("payload 1", flip(&[1], payload_byte)),
+            ("payload 1, 2", flip(&[1, 2], payload_byte)),
+            ("payload 2, 3", flip(&[2, 3], payload_byte)),
+            ("payload 5", flip(&[5], payload_byte)),
+            ("count 1", flip(&[1], record_count)),
+            ("count 2, payload 4", flip(&[2], record_count)),
+            ("length 3", flip(&[3], payload_len)),
+            ("length 2", flip(&[2], payload_len)),
+            ("cut in 3", cut(3)),
+            ("cut in 4", cut(4)),
+        ];
+        for (what, rot) in rots {
+            let capture = synthetic_capture(&config, 5 * 4096 + 9, 3);
+            let mut entry = clean.clone();
+            rot(&mut entry);
+            std::fs::write(capture.entry_path(), &entry).unwrap();
+            let whole = tally_forced(false, &points, &capture).err();
+            let split = tally_forced(true, &points, &capture).err();
+            assert!(
+                matches!(whole, Some(SimulationError::CaptureStream(_))),
+                "{what}: {whole:?}"
+            );
+            assert_eq!(
+                split.map(|e| e.to_string()),
+                whole.map(|e| e.to_string()),
+                "{what}"
+            );
+        }
+    }
+
+    /// A frame that fails its checksum in either part of a split replay
+    /// costs one warning and a recapture, and the scores of a clean run.
+    #[test]
+    fn a_corrupt_frame_in_either_part_recaptures_to_the_same_reports() {
+        use crate::capture_store::tests::WARNINGS;
+        let experiment = crate::Experiment::paper_hierarchy()
+            .workload(SpecWorkload::Gcc)
+            .budgets(1_000, 60_000)
+            .scrub(2_500)
+            .seed(8);
+        let points = experiment.simulators_at(&EccStrength::ALL).unwrap();
+        let clean = experiment.capture().unwrap();
+        let want: Vec<[u64; 4]> = tally_forced(false, &points, &clean)
+            .unwrap()
+            .0
+            .iter()
+            .map(failure_bits)
+            .collect();
+        for frame in [0, 1] {
+            let capture = experiment.capture().unwrap();
+            let mut entry = std::fs::read(capture.entry_path()).unwrap();
+            let spans = frame_spans(&entry);
+            assert!(spans.len() > 2, "the entry must span frames");
+            let span = &spans[frame];
+            entry[span.start + 8 + (span.len() - 16) / 2] ^= 0x40;
+            std::fs::write(capture.entry_path(), &entry).unwrap();
+            WARNINGS.take();
+            FORCE_SPLIT.set(Some(true));
+            let got = experiment.score(&points, &capture, None, &mut None);
+            FORCE_SPLIT.set(None);
+            let got: Vec<[u64; 4]> = got.unwrap().iter().map(failure_bits).collect();
+            assert_eq!(got, want, "frame {frame}");
+            let warnings = WARNINGS.take();
+            assert_eq!(warnings.len(), 1, "frame {frame}: {warnings:?}");
+            assert!(
+                warnings[0].starts_with("capture failed mid-replay ("),
+                "{warnings:?}"
+            );
+        }
+    }
+
+    /// A panic in the helper's part resumes on the caller with its
+    /// payload, and the helper parks again for the next capture.
+    #[test]
+    fn a_panic_in_the_helpers_part_resumes_on_the_caller() {
+        let config = quick_config();
+        let points = [Simulator::new(config.clone()).unwrap()];
+        // A demand record that counts no read breaks the tally's
+        // contract; it sits in frame 1, the helper's.
+        let mut events = synthetic_capture(&config, 3 * 4096, 5).events();
+        events[4096 + 17] = crate::capture::ExposureRecord {
+            kind: ExposureKind::Demand,
+            unchecked_reads: 0,
+            ..events[4096 + 17]
+        };
+        let capture = ExposureCapture::from_parts(
+            events,
+            HierarchySnapshot::of(&Hierarchy::new(
+                config.hierarchy.clone(),
+                config.replacement,
+            )),
+            config.hierarchy.l2.line_bits(),
+            5,
+            config.hierarchy.clone(),
+            config.replacement,
+            config.warmup_accesses,
+            config.measure_accesses,
+            config.scrub_period,
+        )
+        .unwrap();
+        let panic = std::panic::catch_unwind(|| tally_forced(true, &points, &capture))
+            .expect_err("the helper's part panics");
+        FORCE_SPLIT.set(None);
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("N counts the demand read itself, so N >= 1"));
+        let sim = Simulator::new(config).unwrap();
+        let frames = FrameEncoder::with_sink(EntryWriter::scoped().unwrap());
+        let (pass, _) = sim
+            .capture_staged(SpecWorkload::Gcc.stream(2), frames, true)
+            .unwrap();
+        assert!(pass.two_stage);
     }
 
     #[test]

@@ -15,31 +15,28 @@
 //!   the access ends.
 //!
 //! When the process's core budget ([`CoreClaim`]) shows a core idle, the
-//! back stage runs on a helper thread, and a ring of [`RING_BLOCKS`]
-//! preallocated blocks carries the ops over and back. Otherwise the
-//! calling thread applies each block itself as soon as it is full.
-//! Either way the L2 sees the same ops in the same order, and frame cuts
-//! depend only on the record sequence, so both runs give the same frames
-//! byte for byte.
+//! back stage runs on a parked [`Helper`] thread, and a ring of
+//! [`RING_BLOCKS`] preallocated blocks carries the ops over and back.
+//! Otherwise the calling thread applies each block itself as soon as it
+//! is full. Either way the L2 sees the same ops in the same order, and
+//! frame cuts depend only on the record sequence, so both runs give the
+//! same frames byte for byte.
 //!
-//! Helper threads have a small stack and park between captures instead
-//! of exiting: a thread's exit path touches about 0.2 MiB of C library
-//! code that a one-capture process would otherwise add to its peak RSS.
 //! The back stage owns what it drives (the L2, the recorder, the
 //! encoder) while it runs and hands it back at the end, and allocates
-//! nothing.
+//! nothing. Between captures the same helpers run the parts of replays
+//! split across cores ([`crate::Simulator::tally_batch_into`]).
 //!
 //! [`CoreClaim`]: crate::supervise::CoreClaim
 
 use crate::capture::CaptureObserver;
 use crate::capture_store::{FrameEncoder, FrameSink};
+use crate::helper::Helper;
 use crate::simulator::{SimulationConfig, SimulationError};
-use crate::supervise::{in_supervised_attempt, AttemptMarker};
 use reap_cache::{L1Filter, L2Level, L2Op};
 use reap_obs::Progress;
 use reap_trace::MemoryAccess;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -48,8 +45,6 @@ use std::time::{Duration, Instant};
 const BLOCK_OPS: usize = 1024;
 /// Blocks in the ring: one filling, one applying, one waiting.
 const RING_BLOCKS: usize = 3;
-/// Stack of the back-stage thread: the L2 and the encoder need little.
-const BACK_STACK_BYTES: usize = 256 << 10;
 /// How long a stage waiting on the other polls before it sleeps: longer
 /// than the other stage takes over a block, so a steady capture never
 /// sleeps. A stage that slept on every block would cost a wake-up per
@@ -183,21 +178,13 @@ where
 {
     let line_shift = back.line_shift;
     let ring = Arc::new(Ring::new());
-    let done = Arc::new(Slot::new());
-    let job = {
-        let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
-        let quiet = in_supervised_attempt();
-        move || {
-            let _quiet = AttemptMarker::inherit(quiet);
+    let lease = {
+        let ring = Arc::clone(&ring);
+        helper.run(move || {
             let mut back = back;
-            let outcome = catch_unwind(AssertUnwindSafe(|| run_back(&ring, &mut back)));
-            done.put(outcome.map(|()| back));
-        }
-    };
-    helper.0.put(Box::new(job));
-    let lease = Lease {
-        helper: Some(helper),
-        done,
+            run_back(&ring, &mut back);
+            back
+        })
     };
     // Declared after the lease, so a panic here ends the front stage
     // before the lease waits for the back stage.
@@ -214,10 +201,7 @@ where
     );
     end.failed = result.is_err();
     drop(end);
-    match lease.finish() {
-        Ok(back) => (result, back),
-        Err(panic) => resume_unwind(panic),
-    }
+    (result, lease.join())
 }
 
 /// The front stage's loop: the trace through the L1s, ops into blocks.
@@ -582,105 +566,6 @@ fn run_back<S: FrameSink>(ring: &Ring, back: &mut Back<S>) {
         });
         if !applied {
             return;
-        }
-    }
-}
-
-/// A job for a helper thread.
-type Job = Box<dyn FnOnce() + Send>;
-
-/// A value handed from one thread to another.
-struct Slot<T> {
-    value: Mutex<Option<T>>,
-    filled: Condvar,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Self {
-            value: Mutex::new(None),
-            filled: Condvar::new(),
-        }
-    }
-
-    fn put(&self, value: T) {
-        *self.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
-        self.filled.notify_one();
-    }
-
-    /// Waits for the value and takes it.
-    fn take(&self) -> T {
-        let mut value = self.value.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(value) = value.take() {
-                return value;
-            }
-            value = self
-                .filled
-                .wait(value)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// A parked helper thread, known by the slot it takes jobs from.
-struct Helper(Arc<Slot<Job>>);
-
-/// Helper threads parked between captures. They are never joined: each
-/// lives as long as the process, and each job catches its own panic and
-/// hands it to the capture that gave the job.
-static PARKED: Mutex<Vec<Helper>> = Mutex::new(Vec::new());
-
-impl Helper {
-    /// A parked helper, or a new one. `None` if no thread could start.
-    fn take() -> Option<Self> {
-        if let Some(helper) = PARKED.lock().unwrap_or_else(PoisonError::into_inner).pop() {
-            return Some(helper);
-        }
-        let jobs = Arc::new(Slot::<Job>::new());
-        let inbox = Arc::clone(&jobs);
-        std::thread::Builder::new()
-            .name("capture-back".to_owned())
-            .stack_size(BACK_STACK_BYTES)
-            .spawn(move || loop {
-                (inbox.take())();
-            })
-            .ok()?;
-        Some(Self(jobs))
-    }
-
-    fn park(self) {
-        PARKED
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(self);
-    }
-}
-
-/// One back-stage job on a helper: the helper goes back to the parked
-/// ones once the job is done, also when the front stage unwinds.
-struct Lease<T> {
-    helper: Option<Helper>,
-    /// The job's outcome.
-    done: Arc<Slot<std::thread::Result<T>>>,
-}
-
-impl<T> Lease<T> {
-    /// Waits for the job's outcome.
-    fn finish(mut self) -> std::thread::Result<T> {
-        let outcome = self.done.take();
-        if let Some(helper) = self.helper.take() {
-            helper.park();
-        }
-        outcome
-    }
-}
-
-impl<T> Drop for Lease<T> {
-    fn drop(&mut self) {
-        if let Some(helper) = self.helper.take() {
-            drop(self.done.take());
-            helper.park();
         }
     }
 }

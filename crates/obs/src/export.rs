@@ -47,9 +47,11 @@ pub const TIMING_KEYS: &[&str] = &["start_us", "dur_us", "wall_s", "rate_per_s",
 
 /// Whether a metric's *value* varies between otherwise identical runs:
 /// the wall-clock-derived per-worker `.busy_s`/`.idle_s`/`.utilization`
-/// gauges and automatic `span.{name}.us` latency histograms, and the
+/// gauges and automatic `span.{name}.us` latency histograms, the
 /// `sim.capture.two_stage`/`.inline` counters, which count where the
-/// captures' back stages ran and so depend on the host's idle cores.
+/// captures' back stages ran, and the `sim.replay.split`/`.whole`
+/// counters, which count the replays split across cores: both depend on
+/// the host's idle cores.
 /// Together with [`TIMING_KEYS`] and the `process` record, these are the
 /// only run-variant content of an export; determinism tests and the
 /// report's `--no-timings` mode drop them.
@@ -60,6 +62,8 @@ pub fn is_run_variant_metric(name: &str) -> bool {
         || (name.starts_with("span.") && name.ends_with(".us"))
         || name == "sim.capture.two_stage"
         || name == "sim.capture.inline"
+        || name == "sim.replay.split"
+        || name == "sim.replay.whole"
 }
 
 /// A JSON-lines schema version accepted by the readers.

@@ -258,18 +258,32 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
     }
 
     // Where the captures' back stages ran: on a helper thread when a
-    // core was idle, inline otherwise. Depends on the host and on `-j`.
+    // core was idle, inline otherwise; and whether the replays split
+    // across a helper the same way. Depends on the host and on `-j`.
     if options.timings {
-        let two_stage = counter("sim.capture.two_stage");
-        let inline = counter("sim.capture.inline");
-        if two_stage.is_some() || inline.is_some() {
-            let _ = writeln!(
-                out,
-                "captures: {} two-stage, {} inline",
-                two_stage.unwrap_or(0),
-                inline.unwrap_or(0),
-            );
-            let _ = writeln!(out);
+        for (what, modes) in [
+            (
+                "captures",
+                [
+                    ("two-stage", "sim.capture.two_stage"),
+                    ("inline", "sim.capture.inline"),
+                ],
+            ),
+            (
+                "replays",
+                [("split", "sim.replay.split"), ("whole", "sim.replay.whole")],
+            ),
+        ] {
+            let [(a, a_count), (b, b_count)] = modes.map(|(mode, name)| (mode, counter(name)));
+            if a_count.is_some() || b_count.is_some() {
+                let _ = writeln!(
+                    out,
+                    "{what}: {} {a}, {} {b}",
+                    a_count.unwrap_or(0),
+                    b_count.unwrap_or(0),
+                );
+                let _ = writeln!(out);
+            }
         }
     }
 
@@ -697,6 +711,22 @@ mod tests {
         // Summarized counters stay out of the generic counter table.
         assert!(!text.contains("serve.jobs.accepted"), "{text}");
         assert!(!text.contains("serve.journals.collected"), "{text}");
+    }
+
+    #[test]
+    fn report_counts_split_and_whole_replays_only_with_timings() {
+        let r = Registry::new();
+        drop(r.span("replay_batch"));
+        r.counter("sim.replay.split").add(1);
+        r.counter("sim.replay.whole").add(20);
+        let text = render_report(&r.snapshot(), &ReportOptions::default());
+        assert!(text.contains("replays: 1 split, 20 whole"), "{text}");
+        assert!(!text.contains("sim.replay.split"), "{text}");
+        assert!(!text.contains("captures:"), "{text}");
+        // Whether a replay found a core idle depends on the host and `-j`.
+        let stable = render_report(&r.snapshot(), &ReportOptions { timings: false });
+        assert!(!stable.contains("replays:"), "{stable}");
+        assert!(!stable.contains("sim.replay.whole"), "{stable}");
     }
 
     #[test]

@@ -62,4 +62,4 @@ pub use mttf::{FailureAggregator, Mttf};
 pub use multi::MultiReplayAggregator;
 pub use pareto::{pareto_front_indices, ParetoPoint};
 pub use replay::{ExposureKind, ReplayAggregator, ReplayScore};
-pub use tally::TalliedCells;
+pub use tally::{TalliedCells, WidthTallies};

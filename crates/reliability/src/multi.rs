@@ -29,7 +29,10 @@
 //!   merged with their own;
 //! * [`take_cells`] hands out a stream's cells per width, and
 //!   [`score_cells`] folds any kernel's points over them — how `reap
-//!   explore` scores refined points without decoding a capture again.
+//!   explore` scores refined points without decoding a capture again;
+//! * [`twin`] is a tally-only copy of the kernel's per-width tallies: a
+//!   part of a stream counted into it elsewhere merges with the kernel's
+//!   own cells into the whole stream's ([`TalliedCells::merge`]).
 //!
 //! # Bit-identity contract
 //!
@@ -47,20 +50,20 @@
 //! [`record_block_by_width`]: MultiReplayAggregator::record_block_by_width
 //! [`take_cells`]: MultiReplayAggregator::take_cells
 //! [`score_cells`]: MultiReplayAggregator::score_cells
+//! [`twin`]: MultiReplayAggregator::twin
 
 use crate::model::AccumulationModel;
 use crate::replay::{ExposureKind, ReplayScore};
-use crate::tally::{CellList, CellTally, Lanes, Memo, TalliedCells};
+use crate::tally::{CellList, CellTally, Lanes, Memo, TalliedCells, WidthTallies};
 
 #[cfg(doc)]
 use crate::replay::ReplayAggregator;
 
-/// The points that share one stored width: their fold lanes, their
-/// tally and their offset in the memo's rows.
+/// The points that share one stored width: their fold lanes and their
+/// offset in the memo's rows.
 #[derive(Debug, Clone)]
 struct WidthGroup {
     lanes: Lanes,
-    tally: CellTally,
     memo_at: usize,
 }
 
@@ -108,6 +111,8 @@ pub struct MultiReplayAggregator {
     twins: Vec<(usize, usize)>,
     /// One group per distinct width, ascending.
     groups: Vec<WidthGroup>,
+    /// One cell tally per group.
+    tallies: WidthTallies,
     /// The groups' shared conventional-term memo.
     memo: Memo,
     /// The groups' widths, ascending — the per-width feed's row layout.
@@ -165,13 +170,11 @@ impl MultiReplayAggregator {
                 memo_at += models.len();
                 WidthGroup {
                     lanes: Lanes::new(width, models),
-                    tally: CellTally::new(width),
                     memo_at: at,
                 }
             })
             .collect();
-        let max_width = *group_widths.last().expect("non-empty");
-        let memo = Memo::new(max_width, points.len());
+        let memo = Memo::new(&group_widths, points.len());
         let (models, widths) = points.into_iter().unzip();
         Self {
             models,
@@ -180,6 +183,7 @@ impl MultiReplayAggregator {
             firsts,
             twins,
             groups,
+            tallies: WidthTallies::new(&group_widths),
             memo,
             group_widths: group_widths.into_iter().map(|w| w as usize).collect(),
             gathered: Vec::new(),
@@ -269,17 +273,17 @@ impl MultiReplayAggregator {
     /// Panics if `ones.len() != records.len() * self.stored_widths().len()`,
     /// or on a demand record with `unchecked_reads == 0`.
     pub fn record_block_by_width(&mut self, records: &[(ExposureKind, u64)], ones: &[u32]) {
-        let nw = self.groups.len();
-        assert_eq!(
-            ones.len(),
-            records.len() * nw,
-            "one ones-count per record per stored width"
-        );
-        for (g, group) in self.groups.iter_mut().enumerate() {
-            for (&(kind, reads), row) in records.iter().zip(ones.chunks_exact(nw)) {
-                group.tally.add(kind, row[g], reads);
-            }
-        }
+        self.tallies.record_block_by_width(records, ones);
+    }
+
+    /// Empty tallies at this kernel's stored widths, without its fold
+    /// tables or memo: what counts a part of a stream apart from the
+    /// kernel. Its [`take_cells`](WidthTallies::take_cells) merged with
+    /// this kernel's ([`TalliedCells::merge`]) are the cells of both
+    /// parts' records.
+    pub fn twin(&self) -> WidthTallies {
+        let widths: Vec<u32> = self.groups.iter().map(|g| g.lanes.width()).collect();
+        WidthTallies::twin(&widths)
     }
 
     /// Tallies one record whose same-width points carry different
@@ -288,7 +292,7 @@ impl MultiReplayAggregator {
         let widths = &self.widths;
         let own = self
             .own
-            .get_or_insert_with(|| widths.iter().map(|&w| CellTally::new(w)).collect());
+            .get_or_insert_with(|| widths.iter().map(|&w| CellTally::new(w, false)).collect());
         for (tally, &ones) in own.iter_mut().zip(line_ones) {
             tally.add(kind, ones, reads);
         }
@@ -343,7 +347,7 @@ impl MultiReplayAggregator {
             .own
             .take()
             .expect("no per-width cells means own tallies");
-        let lists: Vec<CellList> = self.groups.iter().map(|g| g.tally.cells()).collect();
+        let lists = self.tallies.lists();
         let scores = self
             .slots
             .iter()
@@ -356,9 +360,7 @@ impl MultiReplayAggregator {
                 score.pop().expect("one lane in, one score out")
             })
             .collect();
-        for group in &mut self.groups {
-            group.tally.clear();
-        }
+        self.tallies.clear();
         scores
     }
 
@@ -371,17 +373,7 @@ impl MultiReplayAggregator {
         if self.own.is_some() {
             return None;
         }
-        let lists = self
-            .groups
-            .iter_mut()
-            .map(|group| {
-                let cells = group.tally.cells();
-                group.tally.clear();
-                cells
-            })
-            .collect();
-        let widths = self.groups.iter().map(|g| g.lanes.width()).collect();
-        Some(TalliedCells::new(widths, lists))
+        Some(self.tallies.take_cells())
     }
 
     /// Whether `cells` hold every stored width this kernel's points need.
@@ -646,6 +638,21 @@ mod tests {
             (ExposureKind::Demand, vec![260, 260, 260], 64),
             (ExposureKind::Demand, vec![260, 260, 260], 65),
         ];
+        assert_matches_solo(&records);
+    }
+
+    #[test]
+    fn weights_outside_the_memo_window_are_scored_uncached() {
+        // The memo holds `width / 2 ± 6σ` rows; these weights fall outside
+        // it at every width, with N inside its columns, twice each so the
+        // second would be a hit if it were cached.
+        let mut records = Vec::new();
+        for ones in [0, 3, 150, 400, 522] {
+            for n in [1, 64, 1] {
+                records.push((ExposureKind::Demand, vec![ones, ones + 5, ones + 10], n));
+                records.push((ExposureKind::DirtyScrub, vec![ones, ones, ones], n));
+            }
+        }
         assert_matches_solo(&records);
     }
 

@@ -154,7 +154,7 @@ impl ReplayAggregator {
         Self {
             model,
             width: max_ones,
-            tally: CellTally::new(max_ones),
+            tally: CellTally::new(max_ones, false),
             score: OnceLock::new(),
         }
     }

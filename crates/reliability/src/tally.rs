@@ -9,9 +9,12 @@
 //! few thousand distinct cells per stored width.
 //!
 //! * [`CellTally`] counts one stored width's records: densely for
-//!   `N ≤ 64` and `ones ≤ width` (almost every record), sorted and sparse
-//!   outside that region. Counting is an integer increment, so a tally
-//!   does not depend on the order, the blocks or the calls it was fed in.
+//!   `N ≤ 64` and `ones` in a window around `width / 2` (almost every
+//!   record), sorted and sparse outside that region. Counting is an
+//!   integer increment, so a tally does not depend on the order, the
+//!   blocks or the calls it was fed in.
+//! * [`WidthTallies`] holds one tally per stored width: the counting
+//!   half of a replay kernel, without its fold tables or memo.
 //! * [`CellList`] is a tally packed into its non-empty cells in canonical
 //!   order, a few bytes a cell. [`TalliedCells`] holds one list per
 //!   stored width: everything a fold needs, with no record left.
@@ -66,15 +69,36 @@ struct Cell {
     count: u64,
 }
 
+/// The `ones` rows a table starts with for lines of `width` stored bits:
+/// `width / 2 ± 6σ`, clamped to `0..=width`. Content weights are
+/// Binomial(width, ½), so σ = √width / 2 and the window is `3·√width`
+/// rows either side of the mean (about ±70 at 522 bits); a weight
+/// outside it turns up about once in 10⁹ records.
+fn ones_window(width: u32) -> Range<u32> {
+    let reach = window_reach(width);
+    let mid = width / 2;
+    mid.saturating_sub(reach)..(mid + reach + 1).min(width + 1)
+}
+
+/// Rows [`ones_window`] reaches either side of `width / 2`: 6σ.
+fn window_reach(width: u32) -> u32 {
+    (3.0 * f64::from(width).sqrt()).ceil() as u32 + 1
+}
+
 /// Records counted per `(kind, ones, N)` cell for one stored width.
 #[derive(Debug, Clone)]
 pub(crate) struct CellTally {
     width: u32,
-    /// `[kind][ones ∈ 0..=width][N ∈ 0..=64]` counts modulo 2¹⁶: a count
-    /// that wraps carries 2¹⁶ into the sparse side. Zero-allocated, so
-    /// only the pages of rows that records touch are ever committed, and
-    /// 16-bit cells keep those pages few.
-    dense: Vec<u16>,
+    /// The `ones` rows the dense table holds: [`ones_window`] at first,
+    /// widened on demand by a record that falls outside it.
+    window: Range<u32>,
+    /// Per kind, `[ones - window.start][N ∈ 0..=64]` counts modulo 2¹⁶:
+    /// a count that wraps carries 2¹⁶ into the sparse side. A kind's
+    /// table is allocated by its first record, and holds only the
+    /// window's rows: a zero-allocation is committed in full once the
+    /// allocator serves it from reused heap, which it zero-fills. 16-bit
+    /// cells keep the tables small.
+    dense: [Vec<u16>; KINDS],
     /// Per kind, the `ones` rows touched so far (`lo..hi`): the rows
     /// packing scans and clearing zeroes.
     touched: [Range<u32>; KINDS],
@@ -97,15 +121,31 @@ const UNTOUCHED: Range<u32> = Range {
 /// distinct cells.
 const PENDING_MIN: usize = 1024;
 
+/// Cells a reserved tally's sparse side has room for, merging included:
+/// that of a capture of millions of records fits (about 1 600 distinct
+/// cells in a 2M-access window).
+const SPARSE_ROOM: usize = 4096;
+
 impl CellTally {
-    /// An empty tally for lines of `width` stored bits.
-    pub(crate) fn new(width: u32) -> Self {
+    /// An empty tally for lines of `width` stored bits. A `reserved`
+    /// tally allocates now what counting a capture's records needs (every
+    /// kind's table, and room for the sparse side of a capture of millions
+    /// of records), so counting allocates nothing; otherwise a kind's
+    /// table is allocated by its first record.
+    pub(crate) fn new(width: u32, reserved: bool) -> Self {
+        let window = ones_window(width);
+        let (table, room) = if reserved {
+            (window.len() * DENSE_W, SPARSE_ROOM)
+        } else {
+            (0, 0)
+        };
         Self {
             width,
-            dense: vec![0; KINDS * (width as usize + 1) * DENSE_W],
+            dense: std::array::from_fn(|_| vec![0; table]),
+            window,
             touched: std::array::from_fn(|_| UNTOUCHED),
-            sparse: Vec::new(),
-            pending: Vec::new(),
+            sparse: Vec::with_capacity(room),
+            pending: Vec::with_capacity(room / 2),
         }
     }
 
@@ -122,19 +162,69 @@ impl CellTally {
             "N counts the demand read itself, so N >= 1"
         );
         let k = kind_index(kind);
-        if reads <= DENSE_MAX_READS && ones <= self.width {
-            let row = k as usize * (self.width as usize + 1) + ones as usize;
-            let count = &mut self.dense[row * DENSE_W + reads as usize];
-            *count = count.wrapping_add(1);
-            if *count == 0 {
-                self.add_sparse((k, ones, reads), 1 << 16);
-            }
-            let rows = &mut self.touched[k as usize];
-            rows.start = rows.start.min(ones);
-            rows.end = rows.end.max(ones + 1);
+        // One unsigned compare tests both ends of the window, and a
+        // kind's table is empty until its first record.
+        let row = ones.wrapping_sub(self.window.start);
+        let rows = self.window.end - self.window.start;
+        let count = if reads <= DENSE_MAX_READS && row < rows {
+            self.dense[k as usize].get_mut(row as usize * DENSE_W + reads as usize)
         } else {
-            self.add_sparse((k, ones, reads), 1);
+            None
+        };
+        let Some(count) = count else {
+            self.add_outside(kind, ones, reads);
+            return;
+        };
+        *count = count.wrapping_add(1);
+        if *count == 0 {
+            self.add_sparse((k, ones, reads), 1 << 16);
         }
+        let touched = &mut self.touched[k as usize];
+        touched.start = touched.start.min(ones);
+        touched.end = touched.end.max(ones + 1);
+    }
+
+    /// Counts a record outside the dense tables: into the sparse side,
+    /// or, for a weight within the width and `N ≤ 64`, into its kind's
+    /// table, allocated or widened to hold it.
+    #[cold]
+    #[inline(never)]
+    fn add_outside(&mut self, kind: ExposureKind, ones: u32, reads: u64) {
+        if reads > DENSE_MAX_READS || ones > self.width {
+            self.add_sparse((kind_index(kind), ones, reads), 1);
+            return;
+        }
+        if !self.window.contains(&ones) {
+            self.widen(ones);
+        }
+        let table = &mut self.dense[kind_index(kind) as usize];
+        if table.is_empty() {
+            *table = vec![0; self.window.len() * DENSE_W];
+        }
+        self.add(kind, ones, reads);
+    }
+
+    /// Widens the dense window to hold row `ones` (`≤ width`) and the
+    /// initial window's reach past it, and moves the touched rows across.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, ones: u32) {
+        let reach = window_reach(self.width);
+        let window = self.window.start.min(ones.saturating_sub(reach))
+            ..self.window.end.max((ones + reach + 1).min(self.width + 1));
+        for (table, touched) in self.dense.iter_mut().zip(&self.touched) {
+            if table.is_empty() {
+                continue;
+            }
+            let mut wider = vec![0; window.len() * DENSE_W];
+            for ones in touched.clone() {
+                let from = (ones - self.window.start) as usize * DENSE_W;
+                let to = (ones - window.start) as usize * DENSE_W;
+                wider[to..to + DENSE_W].copy_from_slice(&table[from..from + DENSE_W]);
+            }
+            *table = wider;
+        }
+        self.window = window;
     }
 
     #[cold]
@@ -142,15 +232,15 @@ impl CellTally {
     fn add_sparse(&mut self, key: Key, count: u64) {
         self.pending.push(Cell { key, count });
         if self.pending.len() >= self.sparse.len().max(PENDING_MIN) {
-            self.sparse = merge_pending(&self.sparse, &mut self.pending);
-            self.pending.clear();
+            merge_pending(&mut self.sparse, &mut self.pending);
         }
     }
 
     /// The non-empty cells, packed in canonical order.
     pub(crate) fn cells(&self) -> CellList {
         let mut list = CellWriter::default();
-        let sparse = merge_pending(&self.sparse, &mut self.pending.clone());
+        let mut sparse = self.sparse.clone();
+        merge_pending(&mut sparse, &mut self.pending.clone());
         merge_cells(self.dense_cells(), sparse.into_iter(), |cell| {
             list.push(cell)
         });
@@ -159,11 +249,10 @@ impl CellTally {
 
     /// The dense region's non-empty cells in canonical order.
     fn dense_cells(&self) -> impl Iterator<Item = Cell> + '_ {
-        let rows_per_kind = self.width as usize + 1;
         (0..KINDS as u8).flat_map(move |k| {
             self.touched[k as usize].clone().flat_map(move |ones| {
-                let at = (k as usize * rows_per_kind + ones as usize) * DENSE_W;
-                self.dense[at..at + DENSE_W]
+                let at = (ones - self.window.start) as usize * DENSE_W;
+                self.dense[k as usize][at..at + DENSE_W]
                     .iter()
                     .enumerate()
                     .filter(|&(_, &count)| count > 0)
@@ -175,32 +264,69 @@ impl CellTally {
         })
     }
 
-    /// Empties the tally, keeping its dense allocation.
+    /// Empties the tally, keeping its dense tables and window.
     pub(crate) fn clear(&mut self) {
-        let rows_per_kind = self.width as usize + 1;
-        for (k, rows) in self.touched.iter_mut().enumerate() {
-            if rows.start < rows.end {
-                let lo = (k * rows_per_kind + rows.start as usize) * DENSE_W;
-                let hi = (k * rows_per_kind + rows.end as usize) * DENSE_W;
-                self.dense[lo..hi].fill(0);
+        for (table, touched) in self.dense.iter_mut().zip(&mut self.touched) {
+            if touched.start < touched.end {
+                let lo = (touched.start - self.window.start) as usize * DENSE_W;
+                let hi = (touched.end - self.window.start) as usize * DENSE_W;
+                table[lo..hi].fill(0);
             }
-            *rows = UNTOUCHED;
+            *touched = UNTOUCHED;
         }
         self.sparse = Vec::new();
         self.pending = Vec::new();
     }
 }
 
-/// `sparse` with the `pending` cells counted in, sorted; sorts `pending`.
-fn merge_pending(sparse: &[Cell], pending: &mut [Cell]) -> Vec<Cell> {
+/// Counts the `pending` cells into the key-sorted `sparse` cells, in
+/// place, and empties `pending`. Allocates only if `sparse` lacks room
+/// for both.
+fn merge_pending(sparse: &mut Vec<Cell>, pending: &mut Vec<Cell>) {
     pending.sort_unstable_by_key(|cell| cell.key);
-    let runs = pending.chunk_by(|a, b| a.key == b.key).map(|run| Cell {
-        key: run[0].key,
-        count: run.iter().map(|cell| cell.count).sum(),
+    pending.dedup_by(|cell, run| {
+        let same = cell.key == run.key;
+        if same {
+            run.count += cell.count;
+        }
+        same
     });
-    let mut merged = Vec::with_capacity(sparse.len() + pending.len());
-    merge_cells(sparse.iter().copied(), runs, |cell| merged.push(cell));
-    merged
+    // Merge from the back into the room past the merged cells. `out`
+    // stays at or past `i`, the end of the merged cells not yet moved,
+    // by one more per key found on both sides.
+    let (mut i, mut j) = (sparse.len(), pending.len());
+    sparse.resize(
+        i + j,
+        Cell {
+            key: (0, 0, 0),
+            count: 0,
+        },
+    );
+    let mut out = sparse.len();
+    while j > 0 {
+        out -= 1;
+        let next = pending[j - 1];
+        sparse[out] = match sparse[..i].last() {
+            Some(&cell) if cell.key > next.key => {
+                i -= 1;
+                cell
+            }
+            Some(&cell) if cell.key == next.key => {
+                (i, j) = (i - 1, j - 1);
+                Cell {
+                    key: cell.key,
+                    count: cell.count + next.count,
+                }
+            }
+            _ => {
+                j -= 1;
+                next
+            }
+        };
+    }
+    sparse.copy_within(out.., i);
+    sparse.truncate(sparse.len() - (out - i));
+    pending.clear();
 }
 
 /// Merges two key-sorted cell sequences into `emit`, in key order,
@@ -355,31 +481,155 @@ impl TalliedCells {
         let g = self.widths.binary_search(&width).ok()?;
         Some(&self.lists[g])
     }
+
+    /// The cells of `self`'s records and `other`'s together: per width,
+    /// the two lists merged, counts of a shared cell added. Scores of the
+    /// merge are bit-identical to those of one stream holding both
+    /// streams' records, since a fold reads only the counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two were tallied at different stored widths.
+    pub fn merge(&self, other: &TalliedCells) -> TalliedCells {
+        assert_eq!(self.widths, other.widths, "cells of other stored widths");
+        let lists = self
+            .lists
+            .iter()
+            .zip(&other.lists)
+            .map(|(a, b)| CellList::merge(a, b))
+            .collect();
+        Self::new(self.widths.clone(), lists)
+    }
+}
+
+/// Records counted per `(kind, ones, N)` cell, one tally per stored
+/// width: the counting half of a
+/// [`MultiReplayAggregator`](crate::MultiReplayAggregator), without its
+/// fold tables or memo.
+///
+/// A kernel's [`twin`](crate::MultiReplayAggregator::twin) counts part of
+/// a stream apart from the kernel, on another thread say; the two parts'
+/// [`TalliedCells`] then [`merge`](TalliedCells::merge) into the cells of
+/// the whole stream.
+#[derive(Debug, Clone)]
+pub struct WidthTallies {
+    /// Stored widths, ascending.
+    widths: Vec<u32>,
+    /// One tally per width.
+    tallies: Vec<CellTally>,
+}
+
+impl WidthTallies {
+    /// Empty tallies for the distinct, ascending stored `widths`.
+    pub(crate) fn new(widths: &[u32]) -> Self {
+        Self::with(widths, false)
+    }
+
+    /// [`new`](Self::new) with everything counting needs allocated now:
+    /// tallies that count a replay part on a helper thread, which must
+    /// not allocate.
+    pub(crate) fn twin(widths: &[u32]) -> Self {
+        Self::with(widths, true)
+    }
+
+    fn with(widths: &[u32], reserved: bool) -> Self {
+        debug_assert!(widths.windows(2).all(|w| w[0] < w[1]));
+        Self {
+            widths: widths.to_vec(),
+            tallies: widths
+                .iter()
+                .map(|&w| CellTally::new(w, reserved))
+                .collect(),
+        }
+    }
+
+    /// Counts a block of records with one weight per stored width:
+    /// `records[r]` is `(kind, unchecked_reads)` and `ones[r * widths +
+    /// g]` the record's stored-`1` count at the `g`-th width — the layout
+    /// `sample_ones_multi_batch` writes. Allocates nothing unless a
+    /// record falls outside the dense region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ones.len()` is not `records.len()` times the number of
+    /// widths, or on a demand record with `unchecked_reads == 0`.
+    pub fn record_block_by_width(&mut self, records: &[(ExposureKind, u64)], ones: &[u32]) {
+        let nw = self.tallies.len();
+        assert_eq!(
+            ones.len(),
+            records.len() * nw,
+            "one ones-count per record per stored width"
+        );
+        for (g, tally) in self.tallies.iter_mut().enumerate() {
+            for (&(kind, reads), row) in records.iter().zip(ones.chunks_exact(nw)) {
+                tally.add(kind, row[g], reads);
+            }
+        }
+    }
+
+    /// The cells of every width, packed, without emptying the tallies.
+    pub(crate) fn lists(&self) -> Vec<CellList> {
+        self.tallies.iter().map(CellTally::cells).collect()
+    }
+
+    /// Empties every tally, keeping their tables.
+    pub(crate) fn clear(&mut self) {
+        self.tallies.iter_mut().for_each(CellTally::clear);
+    }
+
+    /// Hands out the cells of every record counted so far, one list per
+    /// stored width, and empties the tallies.
+    pub fn take_cells(&mut self) -> TalliedCells {
+        let lists = self.lists();
+        self.clear();
+        TalliedCells::new(self.widths.clone(), lists)
+    }
 }
 
 /// XOR mask for memo cells: a cell stores `bits(value) ^ MEMO_XOR`, so
 /// the zero cells a freshly zero-allocated memo starts with decode to a
-/// quiet NaN (the "not computed" sentinel), and untouched pages are
-/// never committed. Terms are finite probabilities, never NaN, so a
-/// computed term never reads as uncomputed.
+/// quiet NaN (the "not computed" sentinel). Terms are finite
+/// probabilities, never NaN, so a computed term never reads as
+/// uncomputed.
 const MEMO_XOR: u64 = 0x7ff8_0000_0000_0000;
 
-/// Memo of `fail_conventional(ones, N)` for `N ≤ 64`, shared by every
-/// width of a kernel and kept across captures. The row of key
-/// `(ones, N)` starts at `(ones · 65 + N) · row_len` and holds one cell
-/// per point, each width's points side by side.
+/// Memo of `fail_conventional(ones, N)` for `N ≤ 64` and `ones` in the
+/// union of the kernel's widths' [`ones_window`]s, shared by every width
+/// of a kernel and kept across captures. The row of key `(ones, N)`
+/// starts at `((ones − window.start) · 65 + N) · row_len` and holds one
+/// cell per point, each width's points side by side. A key outside the
+/// window is computed uncached. The table holds only the window's rows:
+/// a zero-allocation is committed in full once the allocator serves it
+/// from reused heap, which it zero-fills. It is allocated by the first
+/// fold, not with the kernel, so a replay's decode buffers are freed by
+/// then.
 #[derive(Debug, Clone)]
 pub(crate) struct Memo {
+    /// Empty until the first fold.
     cells: Vec<u64>,
+    window: Range<u32>,
     row_len: usize,
 }
 
 impl Memo {
-    /// A memo for `points` points of stored widths up to `max_width`.
-    pub(crate) fn new(max_width: u32, points: usize) -> Self {
+    /// A memo for `points` points of the stored `widths`.
+    pub(crate) fn new(widths: &[u32], points: usize) -> Self {
+        let window = widths
+            .iter()
+            .map(|&w| ones_window(w))
+            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
+            .unwrap_or(0..0);
         Self {
-            cells: vec![0; (max_width as usize + 1) * DENSE_W * points],
+            cells: Vec::new(),
+            window,
             row_len: points,
+        }
+    }
+
+    /// Allocates the table, if not yet done.
+    fn commit(&mut self) {
+        if self.cells.is_empty() {
+            self.cells = vec![0; self.window.len() * DENSE_W * self.row_len];
         }
     }
 }
@@ -454,6 +704,9 @@ impl Lanes {
         cells: &CellList,
         mut memo: Option<(&mut Memo, usize)>,
     ) -> Vec<ReplayScore> {
+        if let Some((memo, _)) = memo.as_mut() {
+            memo.commit();
+        }
         let (l0, k, nl) = (lanes.start, lanes.len(), self.len());
         let (mut conv, mut reap) = (vec![0.0f64; k], vec![0.0f64; k]);
         let (mut serial, mut wb) = (vec![0.0f64; k], vec![0.0f64; k]);
@@ -533,8 +786,13 @@ impl Lanes {
     ) {
         let models = &self.models[l0..l0 + out.len()];
         match memo {
-            Some((memo, at)) if reads <= DENSE_MAX_READS && ones <= self.width => {
-                let row = (ones as usize * DENSE_W + reads as usize) * memo.row_len + *at + l0;
+            Some((memo, at))
+                if reads <= DENSE_MAX_READS
+                    && ones <= self.width
+                    && memo.window.contains(&ones) =>
+            {
+                let key = (ones - memo.window.start) as usize * DENSE_W + reads as usize;
+                let row = key * memo.row_len + *at + l0;
                 let cells = &mut memo.cells[row..row + out.len()];
                 for ((term, cell), model) in out.iter_mut().zip(cells).zip(models) {
                     let cached = f64::from_bits(*cell ^ MEMO_XOR);
@@ -566,7 +824,7 @@ mod tests {
 
     #[test]
     fn cells_come_out_in_canonical_order_with_counts() {
-        let mut tally = CellTally::new(16);
+        let mut tally = CellTally::new(16, false);
         let records = [
             (ExposureKind::DirtyEviction, 3, 9),
             (ExposureKind::Demand, 5, 1),
@@ -596,7 +854,7 @@ mod tests {
 
     #[test]
     fn sparse_merges_keep_counts() {
-        let mut tally = CellTally::new(8);
+        let mut tally = CellTally::new(8, false);
         for i in 0..3 * PENDING_MIN as u64 {
             tally.add(ExposureKind::Demand, 3, 100 + i % 7);
         }
@@ -611,7 +869,7 @@ mod tests {
 
     #[test]
     fn a_wrapped_dense_count_carries_into_the_sparse_side() {
-        let mut tally = CellTally::new(8);
+        let mut tally = CellTally::new(8, false);
         for _ in 0..(1 << 16) + 3 {
             tally.add(ExposureKind::Demand, 4, 2);
         }
@@ -626,7 +884,7 @@ mod tests {
 
     #[test]
     fn clear_empties_every_region() {
-        let mut tally = CellTally::new(8);
+        let mut tally = CellTally::new(8, false);
         tally.add(ExposureKind::Demand, 3, 2);
         tally.add(ExposureKind::Demand, 30, 2);
         tally.add(ExposureKind::DirtyEviction, 3, 200);
@@ -638,7 +896,7 @@ mod tests {
 
     #[test]
     fn merged_lists_add_shared_cells() {
-        let (mut a, mut b) = (CellTally::new(8), CellTally::new(8));
+        let (mut a, mut b) = (CellTally::new(8, false), CellTally::new(8, false));
         a.add(ExposureKind::Demand, 2, 3);
         a.add(ExposureKind::Demand, 2, 90);
         b.add(ExposureKind::Demand, 2, 3);
@@ -654,8 +912,49 @@ mod tests {
     }
 
     #[test]
+    fn weights_outside_the_initial_window_widen_it_and_keep_their_cells() {
+        let width = 522;
+        let window = ones_window(width);
+        assert!(0 < window.start && window.end <= width, "{window:?}");
+        let kinds = [
+            ExposureKind::Demand,
+            ExposureKind::DirtyScrub,
+            ExposureKind::DirtyEviction,
+        ];
+        let weights = [
+            width / 2,
+            window.start - 1,
+            0,
+            width,
+            window.end,
+            1,
+            window.start,
+        ];
+        let mut tally = CellTally::new(width, false);
+        for round in 0..2 {
+            let mut want = std::collections::BTreeMap::new();
+            for &ones in &weights {
+                for kind in kinds {
+                    for reads in [1, 64, 65] {
+                        tally.add(kind, ones, reads);
+                        *want.entry((kind_index(kind), ones, reads)).or_insert(0) += 1;
+                    }
+                }
+            }
+            assert_eq!(
+                list_of(&tally),
+                want.into_iter().collect::<Vec<_>>(),
+                "round {round}"
+            );
+            assert!(tally.window.start == 0 && tally.window.end == width + 1);
+            tally.clear();
+            assert!(list_of(&tally).is_empty());
+        }
+    }
+
+    #[test]
     fn varints_round_trip_extremes() {
-        let mut tally = CellTally::new(4);
+        let mut tally = CellTally::new(4, false);
         tally.add(ExposureKind::Demand, u32::MAX, u64::MAX);
         tally.add(ExposureKind::DirtyEviction, 4, 1 << 40);
         assert_eq!(
