@@ -19,7 +19,7 @@
 use reap_bench::{access_budget, enable_telemetry, print_csv, TwoPhaseSummary, DEFAULT_SEED};
 use reap_cache::{Hierarchy, HierarchyConfig, Replacement};
 use reap_core::{
-    CaptureObserver, EccStrength, ExposureCapture, HierarchySnapshot, ProtectionScheme,
+    Behaviour, CaptureObserver, EccStrength, ExposureCapture, HierarchySnapshot, ProtectionScheme,
     SimulationConfig, Simulator,
 };
 use reap_trace::SpecWorkload;
@@ -66,11 +66,13 @@ fn capture_with_scrub(
         HierarchySnapshot::of(&hierarchy),
         line_bits,
         ones_seed,
-        config,
-        Replacement::Lru,
-        warmup,
-        accesses,
-        period.unwrap_or(0),
+        Behaviour {
+            hierarchy: config,
+            replacement: Replacement::Lru,
+            warmup_accesses: warmup,
+            measure_accesses: accesses,
+            scrub_period: period.unwrap_or(0),
+        },
     )
     .expect("the capture's scoped entry is writable");
     span.add_events(warmup + accesses);
@@ -83,14 +85,15 @@ fn capture_with_scrub(
 fn replay_all(capture: &ExposureCapture) -> [(f64, f64); 3] {
     // The points share the capture's behavioural configuration — scrub
     // period included — and differ only in ECC strength.
+    let behaviour = capture.behaviour();
     let points = EccStrength::ALL.map(|ecc| {
         Simulator::new(SimulationConfig {
-            hierarchy: capture.hierarchy().clone(),
-            replacement: capture.replacement(),
+            hierarchy: behaviour.hierarchy.clone(),
+            replacement: behaviour.replacement,
             ecc,
-            warmup_accesses: capture.warmup_accesses(),
-            measure_accesses: capture.measure_accesses(),
-            scrub_period: capture.scrub_period(),
+            warmup_accesses: behaviour.warmup_accesses,
+            measure_accesses: behaviour.measure_accesses,
+            scrub_period: behaviour.scrub_period,
             ..SimulationConfig::default()
         })
         .expect("paper configuration is valid")

@@ -105,11 +105,6 @@ pub fn frequency_cells(freq: Option<f64>) -> (String, String) {
     }
 }
 
-/// Formats an MTTF-improvement entry the way the paper's Fig. 5 labels do.
-pub fn format_improvement(workload: SpecWorkload, gain: f64) -> String {
-    format!("{:<12} {:>10.1}x", workload.name(), gain)
-}
-
 /// Convenience: the Fig. 5/6 per-workload sweep across all profiles,
 /// run on the supervised pool over the machine's cores (simulations are
 /// independent and deterministic, so scheduling never changes results).

@@ -271,7 +271,7 @@ impl Hierarchy {
 
     /// Publishes per-level stats into `registry` as `cache.l1i.*`,
     /// `cache.l1d.*`, `cache.l2.*` plus `cache.memory.reads`/`.writes`,
-    /// accumulating onto prior emissions (see [`CacheStats::emit`]). Call
+    /// accumulating onto prior emissions (see [`crate::CacheStats::emit`]). Call
     /// once per completed simulation pass.
     pub fn emit_metrics(&self, registry: &reap_obs::Registry) {
         self.l1i().stats().emit(registry, "l1i");

@@ -1,6 +1,6 @@
 //! Fault-tolerant task runs: supervision + checkpoint/resume.
 //!
-//! One task engine ([`TaskRunner`]) runs `reap sweep`, every `reap
+//! One task engine (`TaskRunner`) runs `reap sweep`, every `reap
 //! serve` job and `reap explore`: journal groups of (configuration,
 //! workload) tasks on the supervised pool ([`crate::supervise`]), so a
 //! panic or hang in one task is retried, then reported, and each
@@ -447,7 +447,7 @@ impl<R> TaskRunner<R> {
 /// Runs the full 21-workload campaign under supervision, streaming
 /// completed jobs into the checkpoint (when configured) and skipping
 /// jobs the checkpoint already holds (when resuming): the
-/// [`TaskRunner`] with one group of one [`SweepJob`] per workload.
+/// task engine with one group of one [`SweepJob`] per workload.
 ///
 /// `on_outcome` sees each workload as it becomes final: first every
 /// journal-resumed one (`from_checkpoint`), in canonical order, then

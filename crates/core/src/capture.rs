@@ -34,7 +34,7 @@
 //! ```
 
 use crate::capture_store::{
-    reopen_entry, seal_entry, EntryWriter, FrameEncoder, FrameSink, TempFile, V2Decoder,
+    reopen_entry, seal_entry, EntryWriter, FrameEncoder, FrameSink, TempFile, V2Decoder, V2Header,
 };
 use crate::simulator::SimulationError;
 use reap_cache::{AccessObserver, CacheStats, Hierarchy, HierarchyConfig, LineKey, Replacement};
@@ -239,104 +239,80 @@ impl HierarchySnapshot {
     }
 }
 
+/// The behavioural configuration a capture is pinned to: hierarchy
+/// geometry, replacement policy, the `(warm-up, measured)` access budgets
+/// and the scrub period. These decide which exposure events occur at all,
+/// so a capture, its store key and its cells are valid only under the
+/// behaviour they were taken under. ECC strength, MTJ parameters,
+/// technology node and access rate are analysis-side and free to vary.
+///
+/// Derived from a configuration by [`crate::SimulationConfig::behaviour`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Behaviour {
+    /// Cache geometries.
+    pub hierarchy: HierarchyConfig,
+    /// Replacement policy for all levels.
+    pub replacement: Replacement,
+    /// Accesses simulated before measurement starts.
+    pub warmup_accesses: u64,
+    /// Accesses measured (and recorded) after warm-up.
+    pub measure_accesses: u64,
+    /// L2 scrub period in measured accesses (0 = no scrubbing): a scrub
+    /// resets per-line exposure, changing the recorded events.
+    pub scrub_period: u64,
+}
+
 /// The analysis-independent artefact of one capture pass: everything a
 /// replay needs to evaluate any `(EccStrength, MtjParams)` point without
 /// touching the trace again.
 ///
-/// A capture is only valid for analysis points that share the
-/// *behavioural* configuration it was taken under — hierarchy geometry,
-/// replacement policy, access budgets and scrub period — because those
-/// change which events occur at all. [`crate::Simulator::replay`]
-/// enforces this. ECC strength, MTJ parameters, technology node and
-/// access rate are analysis-side and free to vary.
+/// A capture is only valid for analysis points that share its
+/// [`Behaviour`], which [`crate::Simulator::replay`] enforces.
 #[derive(Debug, Clone)]
 pub struct ExposureCapture {
     source: EventSource,
-    /// Records the source holds.
-    count: u64,
-    snapshot: HierarchySnapshot,
-    /// Data bits per L2 line (check bits are an analysis-side choice).
-    line_bits: usize,
-    /// Seed of the content-weight hash used by the captured cache.
-    ones_seed: u64,
-    // Behavioural fingerprint, checked at replay time.
-    hierarchy: HierarchyConfig,
-    replacement: Replacement,
-    warmup_accesses: u64,
-    measure_accesses: u64,
-    /// L2 scrub period in accesses (0 = no scrubbing) — behavioural: a
-    /// scrub resets per-line exposure, changing the recorded events.
-    scrub_period: u64,
+    /// The entry's header: record count, hierarchy counters, data bits
+    /// per L2 line and the content-weight hash seed.
+    header: V2Header,
+    behaviour: Behaviour,
 }
 
 impl ExposureCapture {
     /// Assembles a capture from its parts, encoding `events` into a
     /// scoped entry, as a store-less capture holds them. Used by harnesses
     /// (e.g. scrub-period studies) that drive a [`Hierarchy`] manually
-    /// with a [`CaptureObserver`].
+    /// with a [`CaptureObserver`]. `line_bits` is the data bits per L2
+    /// line and `ones_seed` the content-weight hash seed of the driven
+    /// cache.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::ScopedEntry`] if the entry cannot be
     /// written.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         events: Vec<ExposureRecord>,
         snapshot: HierarchySnapshot,
         line_bits: usize,
         ones_seed: u64,
-        hierarchy: HierarchyConfig,
-        replacement: Replacement,
-        warmup_accesses: u64,
-        measure_accesses: u64,
-        scrub_period: u64,
+        behaviour: Behaviour,
     ) -> Result<Self, SimulationError> {
         let writer = EntryWriter::scoped()?;
         let path = writer.path().to_owned();
         let mut frames = FrameEncoder::with_sink(writer);
         frames.extend(&events);
-        let (source, count, _) = seal_entry(frames, snapshot, line_bits, ones_seed)
+        let (source, header, _) = seal_entry(frames, snapshot, line_bits, ones_seed)
             .map_err(|source| SimulationError::ScopedEntry { path, source })?;
-        Ok(Self::from_source(
-            source,
-            count,
-            snapshot,
-            line_bits,
-            ones_seed,
-            hierarchy,
-            replacement,
-            warmup_accesses,
-            measure_accesses,
-            scrub_period,
-        ))
+        Ok(Self::from_source(source, header, behaviour))
     }
 
-    /// Assembles a capture whose `count` events live in `source`: the
-    /// entry a capture streamed, or one [`crate::CaptureStore`] loaded.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_source(
-        source: EventSource,
-        count: u64,
-        snapshot: HierarchySnapshot,
-        line_bits: usize,
-        ones_seed: u64,
-        hierarchy: HierarchyConfig,
-        replacement: Replacement,
-        warmup_accesses: u64,
-        measure_accesses: u64,
-        scrub_period: u64,
-    ) -> Self {
+    /// Assembles a capture whose events live in `source` under `header`:
+    /// the entry a capture streamed, or one [`crate::CaptureStore`]
+    /// loaded.
+    pub(crate) fn from_source(source: EventSource, header: V2Header, behaviour: Behaviour) -> Self {
         Self {
             source,
-            count,
-            snapshot,
-            line_bits,
-            ones_seed,
-            hierarchy,
-            replacement,
-            warmup_accesses,
-            measure_accesses,
-            scrub_period,
+            header,
+            behaviour,
         }
     }
 
@@ -352,7 +328,7 @@ impl ExposureCapture {
     pub fn events(&self) -> Vec<ExposureRecord> {
         let decode = || {
             let mut stream = self.iter()?;
-            let mut events = Vec::with_capacity(self.count.min(1 << 24) as usize);
+            let mut events = Vec::with_capacity(self.header.count.min(1 << 24) as usize);
             while let Some(record) = stream.next_record()? {
                 events.push(record);
             }
@@ -364,7 +340,7 @@ impl ExposureCapture {
     /// Total recorded events, without touching the event data. O(1) for
     /// every source.
     pub fn event_count(&self) -> u64 {
-        self.count
+        self.header.count
     }
 
     /// The `reap-capture/2` entry file the events live in: a store's
@@ -388,50 +364,33 @@ impl ExposureCapture {
     /// entry cannot be re-opened or its header no longer checks out.
     pub fn iter(&self) -> Result<ExposureEvents, StreamDefect> {
         Ok(ExposureEvents {
-            total: self.count,
-            decoder: reopen_entry(&self.source.path, self.source.fingerprint, self.count)?,
+            total: self.header.count,
+            decoder: reopen_entry(
+                &self.source.path,
+                self.source.fingerprint,
+                self.header.count,
+            )?,
         })
     }
 
     /// Final hierarchy counters of the capture run.
     pub fn snapshot(&self) -> &HierarchySnapshot {
-        &self.snapshot
+        &self.header.snapshot
     }
 
     /// Data bits per L2 line.
     pub fn line_bits(&self) -> usize {
-        self.line_bits
+        self.header.line_bits as usize
     }
 
     /// The content-weight hash seed the captured cache used.
     pub fn ones_seed(&self) -> u64 {
-        self.ones_seed
+        self.header.ones_seed
     }
 
-    /// The hierarchy geometry the capture was taken under.
-    pub fn hierarchy(&self) -> &HierarchyConfig {
-        &self.hierarchy
-    }
-
-    /// The replacement policy the capture was taken under.
-    pub fn replacement(&self) -> Replacement {
-        self.replacement
-    }
-
-    /// Warm-up accesses driven before the measurement window.
-    pub fn warmup_accesses(&self) -> u64 {
-        self.warmup_accesses
-    }
-
-    /// Accesses measured (and recorded) after warm-up.
-    pub fn measure_accesses(&self) -> u64 {
-        self.measure_accesses
-    }
-
-    /// L2 scrub period in accesses the capture was taken under (0 = no
-    /// scrubbing).
-    pub fn scrub_period(&self) -> u64 {
-        self.scrub_period
+    /// The behavioural configuration the capture was taken under.
+    pub fn behaviour(&self) -> &Behaviour {
+        &self.behaviour
     }
 
     /// This capture reduced to `cells`, its records' cells: what a later
@@ -439,39 +398,26 @@ impl ExposureCapture {
     pub(crate) fn tallied(&self, cells: TalliedCells) -> TalliedCapture {
         TalliedCapture {
             cells,
-            count: self.count,
-            snapshot: self.snapshot,
-            line_bits: self.line_bits,
-            hierarchy: self.hierarchy.clone(),
-            replacement: self.replacement,
-            warmup_accesses: self.warmup_accesses,
-            measure_accesses: self.measure_accesses,
-            scrub_period: self.scrub_period,
+            header: self.header,
+            behaviour: self.behaviour.clone(),
         }
     }
 }
 
 /// A capture after one scoring pass: its records reduced to their
-/// `(kind, ones, N)` cells per stored width, with the behavioural
-/// configuration and hierarchy counters a report needs — a few KB where
-/// the capture's records take MBs. Built by
-/// [`crate::Simulator::tally_batch_into`];
+/// `(kind, ones, N)` cells per stored width, with the [`Behaviour`] and
+/// hierarchy counters a report needs — a few KB where the capture's
+/// records take MBs. Built by [`crate::Simulator::tally_batch_into`];
 /// [`crate::Simulator::replay_tallied`] scores it at any points whose
 /// stored widths it holds, bit-identically to a replay of the capture
 /// and without reading a record.
 #[derive(Debug, Clone)]
 pub struct TalliedCapture {
     cells: TalliedCells,
-    /// Records the capture held.
-    count: u64,
-    snapshot: HierarchySnapshot,
-    line_bits: usize,
-    // Behavioural fingerprint, checked before the cells are scored.
-    pub(crate) hierarchy: HierarchyConfig,
-    pub(crate) replacement: Replacement,
-    pub(crate) warmup_accesses: u64,
-    pub(crate) measure_accesses: u64,
-    pub(crate) scrub_period: u64,
+    /// The capture's entry header (its record count, counters and line
+    /// width).
+    header: V2Header,
+    behaviour: Behaviour,
 }
 
 impl TalliedCapture {
@@ -482,17 +428,22 @@ impl TalliedCapture {
 
     /// Records the capture held: the events a fold of the cells scores.
     pub fn event_count(&self) -> u64 {
-        self.count
+        self.header.count
     }
 
     /// Final hierarchy counters of the capture run.
     pub fn snapshot(&self) -> &HierarchySnapshot {
-        &self.snapshot
+        &self.header.snapshot
     }
 
     /// Data bits per L2 line.
     pub fn line_bits(&self) -> usize {
-        self.line_bits
+        self.header.line_bits as usize
+    }
+
+    /// The behavioural configuration the capture was taken under.
+    pub fn behaviour(&self) -> &Behaviour {
+        &self.behaviour
     }
 }
 
@@ -649,11 +600,13 @@ mod tests {
             },
             512,
             7,
-            HierarchyConfig::paper(),
-            Replacement::Lru,
-            0,
-            0,
-            0,
+            Behaviour {
+                hierarchy: HierarchyConfig::paper(),
+                replacement: Replacement::Lru,
+                warmup_accesses: 0,
+                measure_accesses: 0,
+                scrub_period: 0,
+            },
         )
         .expect("scoped entry")
     }

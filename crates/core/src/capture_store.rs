@@ -85,12 +85,12 @@
 //! ```
 
 use crate::capture::{
-    EventBlock, EventSource, ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot,
-    StreamDefect,
+    Behaviour, EventBlock, EventSource, ExposureCapture, ExposureRecord, ExposureStream,
+    HierarchySnapshot, StreamDefect,
 };
 use crate::checkpoint::fnv;
 use crate::simulator::{SimulationConfig, SimulationError, Simulator};
-use reap_cache::{AccessMode, CacheConfig, CacheStats, HierarchyConfig, LineKey, Replacement};
+use reap_cache::{AccessMode, CacheConfig, CacheStats, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
 use std::error::Error;
@@ -175,11 +175,7 @@ impl fmt::Display for CapturePolicy {
 pub struct CaptureKey {
     workload: SpecWorkload,
     seed: u64,
-    hierarchy: HierarchyConfig,
-    replacement: Replacement,
-    warmup_accesses: u64,
-    measure_accesses: u64,
-    scrub_period: u64,
+    behaviour: Behaviour,
 }
 
 impl CaptureKey {
@@ -189,26 +185,23 @@ impl CaptureKey {
         Self {
             workload,
             seed,
-            hierarchy: config.hierarchy.clone(),
-            replacement: config.replacement,
-            warmup_accesses: config.warmup_accesses,
-            measure_accesses: config.measure_accesses,
-            scrub_period: config.scrub_period,
+            behaviour: config.behaviour(),
         }
     }
 
     /// The 64-bit content address: an FNV-1a chain (the checkpoint
     /// fingerprint hash) over the schema tag, workload, seed, every
-    /// geometric field of all three cache levels, the replacement policy
-    /// and the access budgets.
+    /// geometric field of all three cache levels, the replacement policy,
+    /// the access budgets and, when scrubbing is on, the scrub period.
     pub fn fingerprint(&self) -> u64 {
+        let b = &self.behaviour;
         let mut h = fnv(FNV_BASIS, CAPTURE_SCHEMA.as_bytes());
         h = fnv(h, self.workload.name().as_bytes());
         h = fnv(h, &self.seed.to_le_bytes());
-        for level in [&self.hierarchy.l1i, &self.hierarchy.l1d, &self.hierarchy.l2] {
+        for level in [&b.hierarchy.l1i, &b.hierarchy.l1d, &b.hierarchy.l2] {
             h = hash_level(h, level);
         }
-        let (tag, seed) = match self.replacement {
+        let (tag, seed) = match b.replacement {
             Replacement::Lru => (0u8, 0u64),
             Replacement::TreePlru => (1, 0),
             Replacement::Fifo => (2, 0),
@@ -218,12 +211,12 @@ impl CaptureKey {
         };
         h = fnv(h, &[tag]);
         h = fnv(h, &seed.to_le_bytes());
-        h = fnv(h, &self.warmup_accesses.to_le_bytes());
-        h = fnv(h, &self.measure_accesses.to_le_bytes());
+        h = fnv(h, &b.warmup_accesses.to_le_bytes());
+        h = fnv(h, &b.measure_accesses.to_le_bytes());
         // Hashed only when scrubbing is on: every pre-existing store
         // entry (all captured at period 0) keeps its address.
-        if self.scrub_period > 0 {
-            h = fnv(h, &self.scrub_period.to_le_bytes());
+        if b.scrub_period > 0 {
+            h = fnv(h, &b.scrub_period.to_le_bytes());
         }
         h
     }
@@ -716,11 +709,11 @@ impl<S: FrameSink> FrameEncoder<S> {
 /// The fixed header of a v2 entry: what [`V2Decoder::open`] verifies and
 /// [`V2Header::to_bytes`] writes.
 #[derive(Debug, Clone, Copy)]
-struct V2Header {
-    line_bits: u64,
-    ones_seed: u64,
-    snapshot: HierarchySnapshot,
-    count: u64,
+pub(crate) struct V2Header {
+    pub(crate) line_bits: u64,
+    pub(crate) ones_seed: u64,
+    pub(crate) snapshot: HierarchySnapshot,
+    pub(crate) count: u64,
 }
 
 impl V2Header {
@@ -907,7 +900,7 @@ impl EntryWriter {
 /// Seals the last frame of `frames` and commits their entry: writes the
 /// header of a capture with `snapshot`, `line_bits` and `ones_seed` over
 /// the reserved bytes and returns the entry as a capture's event source,
-/// with the record count and the bytes of the frames. A store entry is
+/// with the header it wrote and the bytes of the frames. A store entry is
 /// renamed into place and its write accounted; a scoped one is handed to
 /// the source, which deletes it when the last capture holding it drops.
 pub(crate) fn seal_entry(
@@ -915,7 +908,7 @@ pub(crate) fn seal_entry(
     snapshot: HierarchySnapshot,
     line_bits: usize,
     ones_seed: u64,
-) -> Result<(EventSource, u64, u64), CaptureStoreError> {
+) -> Result<(EventSource, V2Header, u64), CaptureStoreError> {
     let (count, frame_bytes, writer) = frames.finish()?;
     let EntryWriter {
         out,
@@ -955,7 +948,7 @@ pub(crate) fn seal_entry(
         fingerprint,
         scoped,
     };
-    Ok((source, count, frame_bytes))
+    Ok((source, header, frame_bytes))
 }
 
 impl FrameSink for EntryWriter {
@@ -1444,15 +1437,8 @@ impl CaptureStore {
                 };
                 Some(ExposureCapture::from_source(
                     source,
-                    header.count,
-                    header.snapshot,
-                    header.line_bits as usize,
-                    header.ones_seed,
-                    key.hierarchy.clone(),
-                    key.replacement,
-                    key.warmup_accesses,
-                    key.measure_accesses,
-                    key.scrub_period,
+                    header,
+                    key.behaviour.clone(),
                 ))
             }
             Err(e) => {
@@ -1670,6 +1656,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::experiment::Experiment;
     use crate::scheme::ProtectionScheme;
+    use reap_cache::HierarchyConfig;
     use std::cell::{Cell, RefCell};
 
     thread_local! {
@@ -1857,8 +1844,7 @@ pub(crate) mod tests {
         assert_eq!(loaded.events(), capture.events());
         assert_eq!(loaded.line_bits(), capture.line_bits());
         assert_eq!(loaded.ones_seed(), capture.ones_seed());
-        assert_eq!(loaded.warmup_accesses(), capture.warmup_accesses());
-        assert_eq!(loaded.measure_accesses(), capture.measure_accesses());
+        assert_eq!(loaded.behaviour(), capture.behaviour());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1921,11 +1907,13 @@ pub(crate) mod tests {
                 snapshot,
                 512,
                 9,
-                HierarchyConfig::paper(),
-                Replacement::Lru,
-                0,
-                0,
-                0,
+                Behaviour {
+                    hierarchy: HierarchyConfig::paper(),
+                    replacement: Replacement::Lru,
+                    warmup_accesses: 0,
+                    measure_accesses: 0,
+                    scrub_period: 0,
+                },
             )
             .unwrap();
             let key = CaptureKey::new(SpecWorkload::Hmmer, n as u64, &SimulationConfig::default());
@@ -1939,8 +1927,8 @@ pub(crate) mod tests {
             for part in [&records[..a], &records[a..b], &records[b..]] {
                 frames.extend(part);
             }
-            let (source, count, frame_bytes) = seal_entry(frames, snapshot, 512, 9).unwrap();
-            assert_eq!(count, n as u64);
+            let (source, header, frame_bytes) = seal_entry(frames, snapshot, 512, 9).unwrap();
+            assert_eq!(header.count, n as u64);
             let path = source.path;
             let streamed = std::fs::read(&path).unwrap();
             let want = encode(&capture, key.fingerprint());
@@ -2194,11 +2182,13 @@ pub(crate) mod tests {
                 snapshot,
                 512,
                 9,
-                HierarchyConfig::paper(),
-                Replacement::Lru,
-                0,
-                0,
-                0,
+                Behaviour {
+                    hierarchy: HierarchyConfig::paper(),
+                    replacement: Replacement::Lru,
+                    warmup_accesses: 0,
+                    measure_accesses: 0,
+                    scrub_period: 0,
+                },
             )
         });
         assert!(
@@ -2353,11 +2343,13 @@ pub(crate) mod tests {
             *small_capture().0.snapshot(),
             512,
             9,
-            HierarchyConfig::paper(),
-            Replacement::Lru,
-            0,
-            0,
-            0,
+            Behaviour {
+                hierarchy: HierarchyConfig::paper(),
+                replacement: Replacement::Lru,
+                warmup_accesses: 0,
+                measure_accesses: 0,
+                scrub_period: 0,
+            },
         )
         .unwrap()
     }

@@ -103,11 +103,6 @@ impl Experiment {
         self
     }
 
-    /// The configured workload.
-    pub fn configured_workload(&self) -> SpecWorkload {
-        self.workload
-    }
-
     /// Immutable view of the underlying simulation configuration.
     pub fn config(&self) -> &SimulationConfig {
         &self.config
@@ -372,7 +367,7 @@ mod tests {
             .accesses(10_000)
             .seed(99)
             .ecc(EccStrength::Dec);
-        assert_eq!(e.configured_workload(), SpecWorkload::Lbm);
+        assert_eq!(e.workload, SpecWorkload::Lbm);
         assert_eq!(e.config().measure_accesses, 10_000);
         assert_eq!(e.config().warmup_accesses, 1_000);
         assert_eq!(e.config().ecc, EccStrength::Dec);

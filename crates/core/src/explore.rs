@@ -12,7 +12,7 @@
 //! `read-current` — they only change how events are scored). The
 //! explorer exploits that split: one capture per (geometry, scrub,
 //! workload), served from the [`CaptureStore`] when one is configured,
-//! then one batched replay ([`Simulator::replay_batch_into`]) scores
+//! then one batched replay ([`Simulator::tally_batch_into`]) scores
 //! *every* analysis point against that capture in a single pass over
 //! the events. A grid of `W×S` behavioural combos and `E×R` analysis
 //! points costs `W×S` trace passes per workload (zero when the store is
@@ -46,7 +46,7 @@
 //! not depend on which path scored them.
 //!
 //! Completed combos stream into a `reap-checkpoint/1` journal opened by
-//! [`checkpoint::open_journal`] with the explorer's row codec; every
+//! [`crate::checkpoint::open_journal`] with the explorer's row codec; every
 //! float travels as its IEEE-754 bit pattern, making a
 //! killed-and-resumed exploration **bit-identical** to an uninterrupted
 //! one — and, because each task depends only on its own inputs and the
@@ -486,7 +486,7 @@ impl ExploreRow {
 /// Serializes one row for the checkpoint journal — every float as its
 /// IEEE-754 bit pattern in hex, integers as decimal strings (the
 /// workspace JSON parser's numbers are f64), mirroring
-/// [`checkpoint::row_to_json`].
+/// [`crate::checkpoint::row_to_json`].
 pub fn explore_row_to_json(r: &ExploreRow) -> String {
     format!(
         "{{\"ways\":\"{}\",\"scrub\":\"{}\",\"ecc\":\"{}\",\"read_scale\":\"{:016x}\",\"mttf_s\":\"{:016x}\",\"energy_j\":\"{:016x}\",\"area_mm2\":\"{:016x}\",\"refined\":\"{}\"}}",

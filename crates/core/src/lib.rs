@@ -63,8 +63,8 @@ pub use campaign::{
     CampaignConfig, CampaignError, CampaignOutcome, SweepJob, SweepMode, WorkloadOutcome,
 };
 pub use capture::{
-    CaptureObserver, EventBlock, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
-    HierarchySnapshot, StreamDefect, TalliedCapture,
+    Behaviour, CaptureObserver, EventBlock, ExposureCapture, ExposureEvents, ExposureRecord,
+    ExposureStream, HierarchySnapshot, StreamDefect, TalliedCapture,
 };
 pub use capture_store::{CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError};
 pub use checkpoint::{CheckpointError, SweepRow};

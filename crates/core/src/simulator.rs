@@ -1,7 +1,7 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
 use crate::capture::{
-    ExposureCapture, ExposureEvents, HierarchySnapshot, StreamDefect, TalliedCapture,
+    Behaviour, ExposureCapture, ExposureEvents, HierarchySnapshot, StreamDefect, TalliedCapture,
 };
 use crate::capture_store::{seal_entry, CaptureStoreError, EntryWriter, FrameEncoder, FrameSink};
 use crate::energy::EnergyModel;
@@ -120,6 +120,20 @@ impl Default for SimulationConfig {
     }
 }
 
+impl SimulationConfig {
+    /// The behavioural half of this configuration: what a capture taken
+    /// under it is pinned to.
+    pub fn behaviour(&self) -> Behaviour {
+        Behaviour {
+            hierarchy: self.hierarchy.clone(),
+            replacement: self.replacement,
+            warmup_accesses: self.warmup_accesses,
+            measure_accesses: self.measure_accesses,
+            scrub_period: self.scrub_period,
+        }
+    }
+}
+
 /// Error constructing or running a simulation.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -130,8 +144,8 @@ pub enum SimulationError {
     Array(SpecError),
     /// A parameter was out of range.
     BadParameter(&'static str),
-    /// A replay was attempted against a capture whose behavioural
-    /// configuration (hierarchy, replacement, budgets) does not match.
+    /// A replay was attempted against a capture whose [`Behaviour`] does
+    /// not match.
     CaptureMismatch(&'static str),
     /// A capture failed while being pulled — typically its store entry
     /// vanished, or a frame failed its checksum as replay read it.
@@ -362,8 +376,7 @@ impl Simulator {
     ///
     /// The resulting [`ExposureCapture`] can be replayed at any ECC
     /// strength, MTJ operating point, technology node or access rate —
-    /// only the *behavioural* configuration (hierarchy geometry,
-    /// replacement policy, access budgets) is pinned by the capture.
+    /// only the [`Behaviour`] is pinned by the capture.
     ///
     /// The events stream into a scoped entry, a file named for the
     /// process in [`std::env::temp_dir`] that is deleted when the last
@@ -407,20 +420,9 @@ impl Simulator {
         let frames = FrameEncoder::with_sink(writer);
         let (pass, frames) = self.capture_staged(trace, frames, helper.is_some())?;
         let sealed = seal_entry(frames, pass.snapshot, pass.line_bits, pass.ones_seed);
-        Ok(sealed.map(|(source, count, frame_bytes)| {
-            pass.emit_metrics(count, frame_bytes);
-            ExposureCapture::from_source(
-                source,
-                count,
-                pass.snapshot,
-                pass.line_bits,
-                pass.ones_seed,
-                self.config.hierarchy.clone(),
-                self.config.replacement,
-                self.config.warmup_accesses,
-                self.config.measure_accesses,
-                self.config.scrub_period,
-            )
+        Ok(sealed.map(|(source, header, frame_bytes)| {
+            pass.emit_metrics(header.count, frame_bytes);
+            ExposureCapture::from_source(source, header, self.config.behaviour())
         }))
     }
 
@@ -490,51 +492,32 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimulationError::CaptureMismatch`] if the capture was
-    /// taken under a different behavioural configuration.
+    /// taken under a different [`Behaviour`].
     pub fn replay(&self, capture: &ExposureCapture) -> Result<Report, SimulationError> {
         let mut reports = Self::replay_batch(std::slice::from_ref(self), capture)?;
         Ok(reports.pop().expect("one point in, one report out"))
     }
 
-    /// Verifies that `capture` was taken under this simulator's
-    /// *behavioural* configuration (hierarchy, replacement, budgets) —
-    /// the analysis point (ECC, MTJ, node, rate) is free to differ.
-    fn check_capture(&self, capture: &ExposureCapture) -> Result<(), SimulationError> {
-        self.check_behaviour(
-            capture.hierarchy(),
-            capture.replacement(),
-            (capture.warmup_accesses(), capture.measure_accesses()),
-            capture.scrub_period(),
-        )
-    }
-
-    /// [`check_capture`](Self::check_capture) on a capture's behavioural
-    /// configuration: its hierarchy, replacement policy, `(warm-up,
-    /// measured)` budgets and scrub period.
-    fn check_behaviour(
-        &self,
-        hierarchy: &HierarchyConfig,
-        replacement: Replacement,
-        budgets: (u64, u64),
-        scrub_period: u64,
-    ) -> Result<(), SimulationError> {
-        if *hierarchy != self.config.hierarchy {
-            return Err(SimulationError::CaptureMismatch(
-                "hierarchy geometry differs",
-            ));
-        }
-        if replacement != self.config.replacement {
-            return Err(SimulationError::CaptureMismatch(
-                "replacement policy differs",
-            ));
-        }
-        if budgets != (self.config.warmup_accesses, self.config.measure_accesses) {
-            return Err(SimulationError::CaptureMismatch("access budgets differ"));
-        }
-        if scrub_period != self.config.scrub_period {
-            return Err(SimulationError::CaptureMismatch("scrub period differs"));
-        }
-        Ok(())
+    /// Verifies that a capture taken under `behaviour` may be scored
+    /// here: the [`Behaviour`] must be this simulator's, while the
+    /// analysis point (ECC, MTJ, node, rate) is free to differ. The one
+    /// check for records and cells alike.
+    fn check_behaviour(&self, behaviour: &Behaviour) -> Result<(), SimulationError> {
+        let config = &self.config;
+        let mismatch = if behaviour.hierarchy != config.hierarchy {
+            "hierarchy geometry differs"
+        } else if behaviour.replacement != config.replacement {
+            "replacement policy differs"
+        } else if (behaviour.warmup_accesses, behaviour.measure_accesses)
+            != (config.warmup_accesses, config.measure_accesses)
+        {
+            "access budgets differ"
+        } else if behaviour.scrub_period != config.scrub_period {
+            "scrub period differs"
+        } else {
+            return Ok(());
+        };
+        Err(SimulationError::CaptureMismatch(mismatch))
     }
 
     /// Batched phase 2: evaluates one captured exposure stream at *every*
@@ -553,7 +536,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimulationError::CaptureMismatch`] if any point's
-    /// behavioural configuration differs from the capture's.
+    /// [`Behaviour`] differs from the capture's.
     pub fn replay_batch(
         points: &[Simulator],
         capture: &ExposureCapture,
@@ -562,39 +545,20 @@ impl Simulator {
             return Ok(Vec::new());
         }
         let mut multi = MultiReplayAggregator::new(Self::batch_kernel_points(points, capture));
-        Self::replay_batch_into(points, capture, &mut multi)
+        Ok(Self::tally_batch_into(points, capture, &mut multi)?.0)
     }
 
-    /// [`replay_batch`](Self::replay_batch) into a caller-owned kernel:
-    /// scores `capture` at every point through `multi` and hands back the
-    /// reports, leaving `multi`'s tallies empty but its fold tables and
-    /// memo in place, ready for the next capture. A caller replaying many
-    /// captures at the same points builds the kernel once; the results
-    /// are bit-identical to a fresh kernel per capture.
+    /// [`replay_batch`](Self::replay_batch) into a caller-owned kernel,
+    /// also handing back the capture reduced to its cells, which
+    /// [`replay_tallied`](Self::replay_tallied) scores at other points of
+    /// the same stored widths without reading the capture again. The
+    /// kernel is left with empty tallies but its fold tables and memo in
+    /// place, ready for the next capture: a caller replaying many
+    /// captures at the same points builds it once, and the results are
+    /// bit-identical to a fresh kernel per capture.
     ///
     /// `multi` must hold no records fed outside this call. A stream that
     /// fails mid-replay leaves it empty too, so a retry starts clean.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::CaptureMismatch`] if any point's
-    /// behavioural configuration differs from the capture's,
-    /// [`SimulationError::BadParameter`] if `multi` was built for other
-    /// analysis points than [`batch_kernel_points`](Self::batch_kernel_points)
-    /// of this batch, and [`SimulationError::CaptureStream`] if the
-    /// capture fails while being streamed.
-    pub fn replay_batch_into(
-        points: &[Simulator],
-        capture: &ExposureCapture,
-        multi: &mut MultiReplayAggregator,
-    ) -> Result<Vec<Report>, SimulationError> {
-        Ok(Self::tally_batch_into(points, capture, multi)?.0)
-    }
-
-    /// [`replay_batch_into`](Self::replay_batch_into) that also hands
-    /// back the capture reduced to its cells, which
-    /// [`replay_tallied`](Self::replay_tallied) scores at other points of
-    /// the same stored widths without reading the capture again.
     ///
     /// When the process's core budget shows a core idle, the replay is
     /// split: the calling thread counts the capture's even frames into
@@ -608,14 +572,19 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// As [`replay_batch_into`](Self::replay_batch_into).
+    /// Returns [`SimulationError::CaptureMismatch`] if any point's
+    /// [`Behaviour`] differs from the capture's,
+    /// [`SimulationError::BadParameter`] if `multi` was built for other
+    /// analysis points than [`batch_kernel_points`](Self::batch_kernel_points)
+    /// of this batch, and [`SimulationError::CaptureStream`] if the
+    /// capture fails while being streamed.
     pub fn tally_batch_into(
         points: &[Simulator],
         capture: &ExposureCapture,
         multi: &mut MultiReplayAggregator,
     ) -> Result<(Vec<Report>, TalliedCapture), SimulationError> {
         for sim in points {
-            sim.check_capture(capture)?;
+            sim.check_behaviour(capture.behaviour())?;
         }
         if !multi.matches_points(&Self::batch_kernel_points(points, capture)) {
             return Err(SimulationError::BadParameter(
@@ -637,9 +606,7 @@ impl Simulator {
             None => Self::feed_whole(capture, multi).map(|()| None),
         };
         drop(core);
-        let cells = multi
-            .take_cells()
-            .expect("the per-width feed tallies every record per width");
+        let cells = multi.take_cells();
         let cells = match fed? {
             Some(mut twin) => cells.merge(&twin.take_cells()),
             None => cells,
@@ -652,13 +619,13 @@ impl Simulator {
     /// Scores a [`TalliedCapture`] at every point through `multi`: one
     /// fold of each stored width's cells, with no record decoded or
     /// weight sampled. Bit-identical to
-    /// [`replay_batch_into`](Self::replay_batch_into) of the capture it
+    /// [`tally_batch_into`](Self::tally_batch_into) of the capture it
     /// was tallied from. Counted as a replay of the capture's events.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::CaptureMismatch`] if any point's
-    /// behavioural configuration differs from the capture's, and
+    /// [`Behaviour`] differs from the capture's, and
     /// [`SimulationError::BadParameter`] if `multi` was built for other
     /// analysis points or `tallied` lacks a stored width of them.
     pub fn replay_tallied(
@@ -667,12 +634,7 @@ impl Simulator {
         multi: &mut MultiReplayAggregator,
     ) -> Result<Vec<Report>, SimulationError> {
         for sim in points {
-            sim.check_behaviour(
-                &tallied.hierarchy,
-                tallied.replacement,
-                (tallied.warmup_accesses, tallied.measure_accesses),
-                tallied.scrub_period,
-            )?;
+            sim.check_behaviour(tallied.behaviour())?;
         }
         if !multi.matches_points(&Self::kernel_points(points, tallied.line_bits())) {
             return Err(SimulationError::BadParameter(
@@ -704,7 +666,7 @@ impl Simulator {
 
     /// Per-point `(model, stored width)` pairs the batch kernel is built
     /// from — what a kernel passed to
-    /// [`replay_batch_into`](Self::replay_batch_into) must match.
+    /// [`tally_batch_into`](Self::tally_batch_into) must match.
     pub fn batch_kernel_points(
         points: &[Simulator],
         capture: &ExposureCapture,
@@ -1199,7 +1161,7 @@ pub(crate) mod tests {
         // The scrub period is behavioural: an unscrubbed simulator must
         // refuse a scrubbed capture, and vice versa.
         let capture = sim.capture(SpecWorkload::Gcc.stream(5)).unwrap();
-        assert_eq!(capture.scrub_period(), 5_000);
+        assert_eq!(capture.behaviour().scrub_period, 5_000);
         let unscrubbed = Simulator::new(quick_config()).unwrap();
         let err = unscrubbed.replay(&capture).unwrap_err();
         assert!(matches!(err, SimulationError::CaptureMismatch(_)));
@@ -1273,7 +1235,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replay_batch_into_refuses_a_kernel_built_for_other_points() {
+    fn tally_batch_into_refuses_a_kernel_built_for_other_points() {
         let capture = Simulator::new(quick_config())
             .unwrap()
             .capture(SpecWorkload::Gcc.stream(1))
@@ -1299,18 +1261,90 @@ pub(crate) mod tests {
             sims(&[EccStrength::Dec, EccStrength::Sec]),
             Vec::new(),
         ] {
-            let err = Simulator::replay_batch_into(&other, &capture, &mut kernel).unwrap_err();
+            let err = Simulator::tally_batch_into(&other, &capture, &mut kernel).unwrap_err();
             assert!(
                 matches!(err, SimulationError::BadParameter(m) if m.contains("analysis points")),
                 "{err}"
             );
         }
         // A refusal leaves the kernel as it was.
-        let reused = Simulator::replay_batch_into(&sec_dec, &capture, &mut kernel).unwrap();
+        let (reused, _) = Simulator::tally_batch_into(&sec_dec, &capture, &mut kernel).unwrap();
         let fresh = Simulator::replay_batch(&sec_dec, &capture).unwrap();
         for (got, want) in reused.iter().zip(&fresh) {
             assert_eq!(failure_bits(got), failure_bits(want));
         }
+    }
+
+    /// Cells tallied under one behaviour are refused by points of
+    /// another, with the message a capture's records get; points of the
+    /// same behaviour score them.
+    #[test]
+    fn replay_tallied_refuses_points_of_another_behaviour() {
+        let config = quick_config();
+        let capture = Simulator::new(config.clone())
+            .unwrap()
+            .capture(SpecWorkload::Gcc.stream(1))
+            .unwrap();
+        let points = [Simulator::new(config.clone()).unwrap()];
+        let mut multi =
+            MultiReplayAggregator::new(Simulator::batch_kernel_points(&points, &capture));
+        let (want, tallied) = Simulator::tally_batch_into(&points, &capture, &mut multi).unwrap();
+        assert_eq!(tallied.behaviour(), &config.behaviour());
+        let others = [
+            (
+                SimulationConfig {
+                    hierarchy: HierarchyConfig {
+                        l2: reap_cache::CacheConfig::builder()
+                            .name("L2")
+                            .size_bytes(512 * 1024)
+                            .associativity(8)
+                            .block_bytes(64)
+                            .build()
+                            .unwrap(),
+                        ..HierarchyConfig::paper()
+                    },
+                    ..config.clone()
+                },
+                "hierarchy geometry differs",
+            ),
+            (
+                SimulationConfig {
+                    replacement: Replacement::Fifo,
+                    ..config.clone()
+                },
+                "replacement policy differs",
+            ),
+            (
+                SimulationConfig {
+                    warmup_accesses: 1_000,
+                    ..config.clone()
+                },
+                "access budgets differ",
+            ),
+            (
+                SimulationConfig {
+                    scrub_period: 700,
+                    ..config.clone()
+                },
+                "scrub period differs",
+            ),
+        ];
+        for (other, message) in others {
+            let other = [Simulator::new(other).unwrap()];
+            let mut kernel =
+                MultiReplayAggregator::new(Simulator::batch_kernel_points(&other, &capture));
+            for err in [
+                Simulator::replay_tallied(&other, &tallied, &mut kernel).unwrap_err(),
+                Simulator::replay_batch(&other, &capture).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, SimulationError::CaptureMismatch(m) if m == message),
+                    "{err}"
+                );
+            }
+        }
+        let got = Simulator::replay_tallied(&points, &tallied, &mut multi).unwrap();
+        assert_eq!(failure_bits(&got[0]), failure_bits(&want[0]));
     }
 
     /// A capture of `records` synthetic records at `config`: demand
@@ -1348,11 +1382,7 @@ pub(crate) mod tests {
             )),
             config.hierarchy.l2.line_bits(),
             seed,
-            config.hierarchy.clone(),
-            config.replacement,
-            config.warmup_accesses,
-            config.measure_accesses,
-            config.scrub_period,
+            config.behaviour(),
         )
         .unwrap()
     }
@@ -1403,11 +1433,11 @@ pub(crate) mod tests {
                 .collect();
             let mut whole = MultiReplayAggregator::new(kernel_points.clone());
             Simulator::feed_whole(&capture, &mut whole).unwrap();
-            let whole_cells = whole.take_cells().unwrap();
+            let whole_cells = whole.take_cells();
             let mut split = MultiReplayAggregator::new(kernel_points);
             let helper = Helper::take().expect("a helper thread starts");
             let mut twin = Simulator::feed_split(&capture, &mut split, helper).unwrap();
-            let split_cells = split.take_cells().unwrap().merge(&twin.take_cells());
+            let split_cells = split.take_cells().merge(&twin.take_cells());
             proptest::prop_assert!(split_cells == whole_cells, "cells differ");
             for (a, b) in split.score_cells(&split_cells).iter().zip(&whole.score_cells(&whole_cells)) {
                 proptest::prop_assert_eq!(a, b);
@@ -1568,11 +1598,7 @@ pub(crate) mod tests {
             )),
             config.hierarchy.l2.line_bits(),
             5,
-            config.hierarchy.clone(),
-            config.replacement,
-            config.warmup_accesses,
-            config.measure_accesses,
-            config.scrub_period,
+            config.behaviour(),
         )
         .unwrap();
         let panic = std::panic::catch_unwind(|| tally_forced(true, &points, &capture))

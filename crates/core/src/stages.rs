@@ -601,10 +601,10 @@ mod tests {
     ) -> Result<Captured, SimulationError> {
         let frames = FrameEncoder::with_sink(EntryWriter::scoped()?);
         let (pass, frames) = sim.capture_staged(trace, frames, two_stage)?;
-        let (source, count, _) =
+        let (source, header, _) =
             seal_entry(frames, pass.snapshot, pass.line_bits, pass.ones_seed).unwrap();
         let bytes = std::fs::read(&source.path).unwrap();
-        Ok((pass, count, bytes))
+        Ok((pass, header.count, bytes))
     }
 
     proptest! {

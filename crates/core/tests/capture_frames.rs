@@ -116,11 +116,7 @@ fn check_fresh_capture(experiment: &Experiment, trace: &[MemoryAccess]) -> Vec<E
         *capture.snapshot(),
         capture.line_bits(),
         capture.ones_seed(),
-        config.hierarchy.clone(),
-        config.replacement,
-        config.warmup_accesses,
-        config.measure_accesses,
-        config.scrub_period,
+        config.behaviour(),
     )
     .expect("scoped entry");
     assert!(

@@ -13,8 +13,8 @@ use reap_core::capture_store::{
     read_capture_v2, write_capture_v2, CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError,
 };
 use reap_core::{
-    EccStrength, Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot, ProtectionScheme,
-    Simulator,
+    Behaviour, EccStrength, Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot,
+    ProtectionScheme, Simulator,
 };
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
@@ -135,11 +135,13 @@ proptest! {
             },
             line_bits,
             ones_seed,
-            HierarchyConfig::paper(),
-            Replacement::Lru,
-            0,
-            0,
-            0,
+            Behaviour {
+                hierarchy: HierarchyConfig::paper(),
+                replacement: Replacement::Lru,
+                warmup_accesses: 0,
+                measure_accesses: 0,
+                scrub_period: 0,
+            },
         ).expect("scoped entry");
         let mut encoded = Vec::new();
         let bytes = write_capture_v2(&mut encoded, fingerprint, &capture).expect("encode");

@@ -93,8 +93,8 @@ fn kernel_record_strategy() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
 }
 
 /// Feeds one raw record list to an aggregator via its `record` calls,
-/// scattering per-point ones counts (occasionally out of range, to
-/// exercise the clamp path) from the record's ones seed.
+/// scattering per-width ones counts (occasionally out of range, to
+/// exercise the clamp path) from the record's ones seed to the points.
 fn feed_kernel<F: FnMut(ExposureKind, &[u32], u64)>(
     records: &[(u8, u64, u64)],
     points: &[(AccumulationModel, u32)],
@@ -113,8 +113,11 @@ fn feed_kernel<F: FnMut(ExposureKind, &[u32], u64)>(
         } else {
             n
         };
-        for (p, slot) in ones.iter_mut().enumerate() {
-            *slot = (mix(ones_seed, p as u64) % (u64::from(points[p].1) + 2)) as u32;
+        // Drawn per stored width, not per point: a line has one weight
+        // at a given width, so two points that collide on a width must
+        // carry the same one.
+        for (slot, &(_, width)) in ones.iter_mut().zip(points) {
+            *slot = (mix(ones_seed, u64::from(width)) % (u64::from(width) + 2)) as u32;
         }
         record(kind, &ones, n);
     }
@@ -372,11 +375,7 @@ proptest! {
             *capture.snapshot(),
             capture.line_bits(),
             capture.ones_seed(),
-            config.hierarchy.clone(),
-            replacement,
-            warmup,
-            measure,
-            scrub_period,
+            config.behaviour(),
         ).expect("scoped entry");
         let fed = std::fs::read(capture.entry_path()).expect("read entry");
         let want = std::fs::read(whole.entry_path()).expect("read entry");
@@ -453,7 +452,7 @@ proptest! {
     }
 
     /// A replay kernel reused across captures
-    /// ([`Simulator::replay_batch_into`] on one aggregator) is
+    /// ([`Simulator::tally_batch_into`] on one aggregator) is
     /// bit-identical to a fresh kernel per capture
     /// ([`Simulator::replay_batch`]): every scheme sum, writeback
     /// exposure, histogram bin and energy total agrees, at 1, 3, 5 and 21
@@ -492,7 +491,7 @@ proptest! {
         let mut kernel =
             MultiReplayAggregator::new(Simulator::batch_kernel_points(&points, &captures[0]));
         for capture in &captures {
-            let reused = Simulator::replay_batch_into(&points, capture, &mut kernel)
+            let (reused, _) = Simulator::tally_batch_into(&points, capture, &mut kernel)
                 .expect("reused replay");
             let fresh = Simulator::replay_batch(&points, capture).expect("fresh");
             prop_assert_eq!(reused.len(), num_points);

@@ -34,7 +34,7 @@ const STALE_TMP_AGE: Duration = Duration::from_secs(60);
 /// temporaries (the old fixed `.tmp` suffix did exactly that).
 ///
 /// Leftover temporaries from a previous killed writer are swept on the
-/// way (see [`STALE_TMP_AGE`]).
+/// way: those left untouched for a minute.
 pub fn write_metrics_atomic(path: &Path) -> io::Result<()> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     remove_stale_tmps(path, STALE_TMP_AGE);

@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency (the build environment has no registry access)
 //! structured telemetry: a thread-safe [`Registry`] of named counters,
-//! gauges and log-bucketed histograms; hierarchical phase [`span`]s that
+//! gauges and log-bucketed histograms; hierarchical phase [`span()`]s that
 //! record wall-clock, event counts and derived rates; exporters for
 //! human-readable tables, schema-stable JSON-lines (`reap-obs/2`) and
 //! Chrome `trace_event` JSON ([`export`]); snapshot comparison and run
@@ -14,7 +14,7 @@
 //!
 //! Telemetry is off until [`set_enabled`]`(true)`. While off, every
 //! instrumentation point in the stack costs one relaxed atomic load and a
-//! predictable branch: [`span`] returns an inert guard, and
+//! predictable branch: [`span()`] returns an inert guard, and
 //! [`StaticCounter::add`] returns immediately. Instrumented hot loops are
 //! therefore free to keep their instrumentation unconditionally.
 //!
@@ -28,7 +28,7 @@
 //! ## Two registries, one pattern
 //!
 //! Production code records into the process-wide registry ([`global`])
-//! through the gated free functions ([`span`], [`counter`], [`gauge`],
+//! through the gated free functions ([`span()`], [`counter`], [`gauge`],
 //! [`histogram`]); tests construct private [`Registry`] instances and
 //! assert on their snapshots without touching global state.
 //!

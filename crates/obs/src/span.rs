@@ -85,7 +85,7 @@ struct ActiveSpan<'a> {
 
 /// RAII guard for an in-flight span; records into the registry on drop.
 ///
-/// An inert guard (from [`crate::span`] while telemetry is disabled) costs
+/// An inert guard (from [`crate::span()`] while telemetry is disabled) costs
 /// nothing beyond its `Option` tag.
 #[must_use = "a span measures the scope it lives in"]
 pub struct SpanGuard<'a> {

@@ -19,14 +19,13 @@
 //!
 //! * points may come in any order; a point → `(group, lane)` map returns
 //!   scores in construction order;
-//! * [`record_block_by_width`] takes one weight per record per *width*
-//!   (exactly the layout `sample_ones_multi_batch` writes), so the replay
-//!   feeder never scatters weights to points. The per-point entries
-//!   ([`record`], [`record_block`]) read each group's weight from its
-//!   first point; a record whose same-width points carry *different*
-//!   weights (only a hand-fed stream can) is tallied per point instead,
-//!   and those points are folded one by one over their width's cells
-//!   merged with their own;
+//! * the kernel has one feed, [`record_block_by_width`]: one weight per
+//!   record per *width* (exactly the layout `sample_ones_multi_batch`
+//!   writes), so the replay feeder never scatters weights to points. The
+//!   per-point entries ([`record`], [`record_block`]) gather each width's
+//!   weight from its first point into that layout. A line has one
+//!   stored-`1` count at a given width, so they reject a row whose
+//!   same-width points disagree;
 //! * [`take_cells`] hands out a stream's cells per width, and
 //!   [`score_cells`] folds any kernel's points over them — how `reap
 //!   explore` scores refined points without decoding a capture again;
@@ -54,7 +53,7 @@
 
 use crate::model::AccumulationModel;
 use crate::replay::{ExposureKind, ReplayScore};
-use crate::tally::{CellList, CellTally, Lanes, Memo, TalliedCells, WidthTallies};
+use crate::tally::{Lanes, Memo, TalliedCells, WidthTallies};
 
 #[cfg(doc)]
 use crate::replay::ReplayAggregator;
@@ -106,8 +105,7 @@ pub struct MultiReplayAggregator {
     /// entries read the group's weight.
     firsts: Vec<usize>,
     /// `(point, first point of its group)` for every other lane: the
-    /// pairs whose weights must agree for a record to be tallied per
-    /// width.
+    /// pairs whose weights the per-point entries require to agree.
     twins: Vec<(usize, usize)>,
     /// One group per distinct width, ascending.
     groups: Vec<WidthGroup>,
@@ -119,9 +117,6 @@ pub struct MultiReplayAggregator {
     group_widths: Vec<usize>,
     /// Per-width weights the per-point entries gather a block into.
     gathered: Vec<u32>,
-    /// Per point, the records whose same-width points carried different
-    /// weights; `None` until the first such record.
-    own: Option<Vec<CellTally>>,
 }
 
 impl MultiReplayAggregator {
@@ -187,7 +182,6 @@ impl MultiReplayAggregator {
             memo,
             group_widths: group_widths.into_iter().map(|w| w as usize).collect(),
             gathered: Vec::new(),
-            own: None,
         }
     }
 
@@ -206,13 +200,14 @@ impl MultiReplayAggregator {
 
     /// Scores one exposure record against every point. `line_ones[p]` is
     /// the stored-`1` count of the line *as sampled for point `p`'s
-    /// stored width*.
+    /// stored width*, so points of one width carry one weight.
     ///
     /// # Panics
     ///
-    /// Panics if `line_ones.len() != self.num_points()`, or on a demand
-    /// record with `unchecked_reads == 0` (every demand read counts
-    /// itself, so `N ≥ 1`).
+    /// Panics if `line_ones.len() != self.num_points()`, if two points of
+    /// one stored width carry different weights, or on a demand record
+    /// with `unchecked_reads == 0` (every demand read counts itself, so
+    /// `N ≥ 1`).
     pub fn record(&mut self, kind: ExposureKind, line_ones: &[u32], unchecked_reads: u64) {
         assert_eq!(
             line_ones.len(),
@@ -227,15 +222,15 @@ impl MultiReplayAggregator {
     /// its per-point stored-`1` counts, exactly as [`record`](Self::record)
     /// would take them. Bit-identical to calling `record` per item.
     ///
-    /// Each group's weight is read from its first point, and the block
-    /// runs through [`record_block_by_width`](Self::record_block_by_width);
-    /// a record whose same-width points carry different weights is
-    /// tallied per point instead.
+    /// Each width's weight is gathered from its first point, and the
+    /// block runs through
+    /// [`record_block_by_width`](Self::record_block_by_width).
     ///
     /// # Panics
     ///
-    /// Panics if `ones.len() != records.len() * self.num_points()`, or
-    /// on a demand record with `unchecked_reads == 0`.
+    /// Panics if `ones.len() != records.len() * self.num_points()`, if a
+    /// row gives two points of one stored width different weights, or on
+    /// a demand record with `unchecked_reads == 0`.
     pub fn record_block(&mut self, records: &[(ExposureKind, u64)], ones: &[u32]) {
         let npts = self.models.len();
         assert_eq!(
@@ -245,18 +240,14 @@ impl MultiReplayAggregator {
         );
         let mut gathered = std::mem::take(&mut self.gathered);
         gathered.clear();
-        let mut start = 0;
-        for (r, row) in ones.chunks_exact(npts).enumerate() {
-            if self.twins.iter().all(|&(p, first)| row[p] == row[first]) {
-                gathered.extend(self.firsts.iter().map(|&first| row[first]));
-            } else {
-                self.record_block_by_width(&records[start..r], &gathered);
-                gathered.clear();
-                self.record_per_point(records[r], row);
-                start = r + 1;
-            }
+        for row in ones.chunks_exact(npts) {
+            assert!(
+                self.twins.iter().all(|&(p, first)| row[p] == row[first]),
+                "points of one stored width need one ones-count"
+            );
+            gathered.extend(self.firsts.iter().map(|&first| row[first]));
         }
-        self.record_block_by_width(&records[start..], &gathered);
+        self.record_block_by_width(records, &gathered);
         self.gathered = gathered;
     }
 
@@ -286,35 +277,6 @@ impl MultiReplayAggregator {
         WidthTallies::twin(&widths)
     }
 
-    /// Tallies one record whose same-width points carry different
-    /// weights into every point's own tally.
-    fn record_per_point(&mut self, (kind, reads): (ExposureKind, u64), line_ones: &[u32]) {
-        let widths = &self.widths;
-        let own = self
-            .own
-            .get_or_insert_with(|| widths.iter().map(|&w| CellTally::new(w, false)).collect());
-        for (tally, &ones) in own.iter_mut().zip(line_ones) {
-            tally.add(kind, ones, reads);
-        }
-    }
-
-    /// Scores a whole stream of `(kind, line_ones, unchecked_reads)`
-    /// records — the streaming-feeder counterpart of
-    /// [`record`](Self::record). Exactly equivalent to calling `record`
-    /// per item.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any item's `line_ones.len() != self.num_points()`.
-    pub fn record_all<'a, I>(&mut self, records: I)
-    where
-        I: IntoIterator<Item = (ExposureKind, &'a [u32], u64)>,
-    {
-        for (kind, line_ones, unchecked_reads) in records {
-            self.record(kind, line_ones, unchecked_reads);
-        }
-    }
-
     /// Whether this aggregator scores exactly `points`, in order — the
     /// check a caller makes before reusing it on another stream.
     pub fn matches_points(&self, points: &[(AccumulationModel, u32)]) -> bool {
@@ -340,40 +302,14 @@ impl MultiReplayAggregator {
     /// fresh one; it only skips rebuilding the tables and re-deriving
     /// terms an earlier stream already computed.
     pub fn take_reports(&mut self) -> Vec<ReplayScore> {
-        if let Some(cells) = self.take_cells() {
-            return self.score_cells(&cells);
-        }
-        let own = self
-            .own
-            .take()
-            .expect("no per-width cells means own tallies");
-        let lists = self.tallies.lists();
-        let scores = self
-            .slots
-            .iter()
-            .zip(&own)
-            .map(|(&(g, lane), tally)| {
-                let cells = CellList::merge(&lists[g], &tally.cells());
-                let group = &self.groups[g];
-                let memo = Some((&mut self.memo, group.memo_at));
-                let mut score = group.lanes.fold(lane..lane + 1, &cells, memo);
-                score.pop().expect("one lane in, one score out")
-            })
-            .collect();
-        self.tallies.clear();
-        scores
+        let cells = self.take_cells();
+        self.score_cells(&cells)
     }
 
     /// Hands out the cells of every record fed so far, one list per
-    /// stored width, and empties the tallies. Returns `None`, and keeps
-    /// the records, when a record gave same-width points different
-    /// weights: such a stream has no per-width cells, and only
-    /// [`take_reports`](Self::take_reports) scores it.
-    pub fn take_cells(&mut self) -> Option<TalliedCells> {
-        if self.own.is_some() {
-            return None;
-        }
-        Some(self.tallies.take_cells())
+    /// stored width, and empties the tallies.
+    pub fn take_cells(&mut self) -> TalliedCells {
+        self.tallies.take_cells()
     }
 
     /// Whether `cells` hold every stored width this kernel's points need.
@@ -514,7 +450,8 @@ mod tests {
 
     /// A pseudo-random stream of every record kind; without `scrub` the
     /// dirty-scrub slots become demand reads, as in a capture taken with
-    /// scrubbing off.
+    /// scrubbing off. Points of one width get one weight, as a line has
+    /// one stored-`1` count at a given width.
     fn seeded_records(
         widths: &[u32],
         count: u64,
@@ -534,8 +471,10 @@ mod tests {
             };
             let ones = widths
                 .iter()
-                .enumerate()
-                .map(|(p, &w)| ((state >> (8 + 4 * (p % 8))) as u32) % (w + 1))
+                .map(|&w| {
+                    let p = widths.iter().position(|&x| x == w).expect("own width");
+                    ((state >> (8 + 4 * (p % 8))) as u32) % (w + 1)
+                })
                 .collect();
             // Mix of memoized small N and direct-computed large N.
             let n = 1 + (state >> 40) % if i % 7 == 0 { 100_000 } else { 8 };
@@ -604,31 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn record_all_matches_per_record_feeding() {
-        let records = [
-            (ExposureKind::Demand, [288u32, 300, 310], 1000u64),
-            (ExposureKind::DirtyScrub, [100, 110, 120], 40),
-            (ExposureKind::DirtyEviction, [288, 300, 310], 500),
-        ];
-        let mut fed = MultiReplayAggregator::new(points());
-        fed.record_all(records.iter().map(|(k, ones, n)| (*k, &ones[..], *n)));
-        let mut reference = MultiReplayAggregator::new(points());
-        for (kind, ones, n) in &records {
-            reference.record(*kind, ones, *n);
-        }
-        for (got, want) in fed.finish().iter().zip(reference.finish().iter()) {
-            assert_eq!(
-                got.conventional().expected_failures().to_bits(),
-                want.conventional().expected_failures().to_bits()
-            );
-            assert_eq!(
-                got.writeback_exposure().to_bits(),
-                want.writeback_exposure().to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn memo_hits_and_misses_agree() {
         // Repeat the exact same key so the second call is a memo hit;
         // N = 64 is the memo's last column, 65 past it.
@@ -693,8 +607,7 @@ mod tests {
     #[test]
     fn a_reused_aggregator_matches_a_fresh_one_per_stream() {
         // 1, 3 and 5 points form one-lane groups; at 21 points the
-        // first and last share a width, and the per-point streams give
-        // them different weights, so the per-point fallback runs too.
+        // first and last share a width, and one weight.
         for n in [1, 3, 5, 21] {
             let pts = n_points(n);
             let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
@@ -839,23 +752,16 @@ mod tests {
     }
 
     #[test]
-    fn same_width_points_with_different_weights_fall_back_per_point() {
-        // Two groups of three; every third record gives one group's
-        // points three different weights, the rest one weight per group.
-        let pts = grouped_points(6);
-        let mut records = Vec::new();
-        for (i, (kind, ones, n)) in seeded_records(&[542, 130, 522], 300, 0xf00d, true)
-            .into_iter()
-            .enumerate()
-        {
-            let mut per_point: Vec<u32> = (0..6).map(|p| ones[p % 3]).collect();
-            if i % 3 == 0 {
-                per_point[3] /= 2;
-                per_point[4] = (per_point[4] + 7).min(130);
-            }
-            records.push((kind, per_point, n));
-        }
-        assert_matches_solo_at(pts, &records);
+    #[should_panic(expected = "points of one stored width need one ones-count")]
+    fn record_block_rejects_a_row_whose_same_width_points_disagree() {
+        // Two groups of three (widths 542, 130, 522 cycling); the second
+        // row gives the two points of width 542 different weights.
+        let mut multi = MultiReplayAggregator::new(grouped_points(6));
+        let rows = [[100, 7, 200, 100, 7, 200], [100, 7, 200, 101, 7, 200]];
+        multi.record_block(
+            &[(ExposureKind::Demand, 3), (ExposureKind::Demand, 4)],
+            rows.as_flattened(),
+        );
     }
 
     #[test]
@@ -895,7 +801,7 @@ mod tests {
             tally.record(*kind, &at(&grouped_points(6)), *n);
             direct.record(*kind, &at(&scored_at), *n);
         }
-        let cells = tally.take_cells().expect("per-width stream");
+        let cells = tally.take_cells();
         assert_eq!(cells.widths(), &[130, 522, 542]);
         assert!(cells.cell_count() > 0);
         let mut other = MultiReplayAggregator::new(scored_at);
@@ -905,28 +811,8 @@ mod tests {
             assert_bit_equal(got, want);
         }
         // The tallies were emptied.
-        assert_eq!(tally.take_cells().unwrap().cell_count(), 0);
+        assert_eq!(tally.take_cells().cell_count(), 0);
         let narrow = MultiReplayAggregator::new(vec![(AccumulationModel::new(1e-6, 1), 288)]);
         assert!(!narrow.covers(&cells));
-    }
-
-    #[test]
-    fn per_point_records_withhold_the_cells_but_keep_the_scores() {
-        let pts = grouped_points(6);
-        let mut multi = MultiReplayAggregator::new(pts.clone());
-        let mut solo: Vec<ReplayAggregator> = pts
-            .iter()
-            .map(|&(m, w)| ReplayAggregator::new(m, w))
-            .collect();
-        let row = [100, 7, 200, 101, 8, 201];
-        multi.record(ExposureKind::Demand, &row, 3);
-        for (agg, &ones) in solo.iter_mut().zip(&row) {
-            agg.record(ExposureKind::Demand, ones, 3);
-        }
-        assert!(multi.take_cells().is_none());
-        for (got, want) in multi.take_reports().iter().zip(&solo) {
-            assert_bit_equal(got, want.score());
-        }
-        assert!(multi.take_cells().is_some(), "the fallback state is spent");
     }
 }

@@ -567,21 +567,11 @@ impl WidthTallies {
         }
     }
 
-    /// The cells of every width, packed, without emptying the tallies.
-    pub(crate) fn lists(&self) -> Vec<CellList> {
-        self.tallies.iter().map(CellTally::cells).collect()
-    }
-
-    /// Empties every tally, keeping their tables.
-    pub(crate) fn clear(&mut self) {
-        self.tallies.iter_mut().for_each(CellTally::clear);
-    }
-
     /// Hands out the cells of every record counted so far, one list per
-    /// stored width, and empties the tallies.
+    /// stored width, and empties the tallies, keeping their tables.
     pub fn take_cells(&mut self) -> TalliedCells {
-        let lists = self.lists();
-        self.clear();
+        let lists = self.tallies.iter().map(CellTally::cells).collect();
+        self.tallies.iter_mut().for_each(CellTally::clear);
         TalliedCells::new(self.widths.clone(), lists)
     }
 }

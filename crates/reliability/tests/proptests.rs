@@ -293,53 +293,6 @@ proptest! {
         }
     }
 
-    /// When `record_block` gives same-width points different weights,
-    /// those records are tallied per point, and every point still equals
-    /// an independent aggregator bit for bit.
-    #[test]
-    fn same_width_points_with_different_weights_match_independent_aggregators(
-        npts in 2usize..9,
-        len in 1usize..300,
-        seed in any::<u64>(),
-    ) {
-        let points = random_points(npts, seed);
-        let stream = random_stream(len, seed ^ 0xd1ff);
-        let mut solo: Vec<ReplayAggregator> =
-            points.iter().map(|&(m, w)| ReplayAggregator::new(m, w)).collect();
-        let mut kernel = MultiReplayAggregator::new(points.clone());
-        let mut state = seed;
-        let rows: Vec<Vec<u32>> = stream
-            .iter()
-            .map(|(_, _, ones)| {
-                state = step(state);
-                points
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &(_, w))| {
-                        // One record in three nudges each point's weight
-                        // by its index, splitting same-width points.
-                        let nudge = if state % 3 == 0 { p as u32 } else { 0 };
-                        weight_at(ones, w) + nudge
-                    })
-                    .collect()
-            })
-            .collect();
-        for (row, (kind, reads, _)) in rows.iter().zip(&stream) {
-            for (agg, &o) in solo.iter_mut().zip(row) {
-                agg.record(*kind, o, *reads);
-            }
-        }
-        for run in random_splits(len, 50, seed) {
-            let records: Vec<(ExposureKind, u64)> =
-                stream[run.clone()].iter().map(|&(k, n, _)| (k, n)).collect();
-            let flat: Vec<u32> = rows[run].iter().flatten().copied().collect();
-            kernel.record_block(&records, &flat);
-        }
-        let got: Vec<Vec<u64>> = kernel.finish().iter().map(score_bits).collect();
-        let want: Vec<Vec<u64>> = solo.iter().map(|a| score_bits(a.score())).collect();
-        prop_assert_eq!(got, want);
-    }
-
     /// Every sum agrees within 1e-12, relative, with a compensated sum of
     /// the same per-record terms taken straight from the model: the
     /// independent check on the tally and its fold.
