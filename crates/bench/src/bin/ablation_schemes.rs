@@ -2,7 +2,7 @@
 //! REAP, serial tag-first (approach 1) and disruptive-restore (refs. 14, 15 of the paper) —
 //! on reliability, energy and access time simultaneously.
 
-use reap_bench::{access_budget, print_csv, run_workload};
+use reap_bench::{access_budget, paper_reports, print_csv};
 use reap_core::ProtectionScheme;
 use reap_trace::SpecWorkload;
 
@@ -14,8 +14,7 @@ fn main() {
         SpecWorkload::CactusAdm,
     ];
     let mut rows = Vec::new();
-    for w in workloads {
-        let report = run_workload(w, accesses);
+    for (w, report) in paper_reports(&workloads, accesses) {
         println!("Ablation A3 — scheme comparison on {w} ({accesses} accesses)");
         println!(
             "{:<30} {:>12} {:>12} {:>14} {:>12}",

@@ -33,13 +33,13 @@ fn main() {
         .workload(SpecWorkload::H264ref)
         .accesses(accesses)
         .seed(DEFAULT_SEED);
-    let capture = base.capture().expect("valid configuration");
     let cards = temperatures.map(|t| at_temperature(&nominal, t).expect("within operating range"));
     let points = cards.map(|card| {
         Simulator::new(base.clone().mtj(card).config().clone()).expect("valid configuration")
     });
-    let reports = Simulator::replay_batch(&points, &capture)
-        .expect("capture shares the behavioural configuration");
+    let reports = base
+        .run_at(&points, None, &mut None)
+        .expect("valid configuration");
     let mut rows = Vec::new();
     for ((t, card), report) in temperatures.into_iter().zip(cards).zip(reports) {
         let p_rd = read_disturbance_probability(&card);

@@ -38,7 +38,6 @@ fn main() {
         .workload(SpecWorkload::Calculix)
         .accesses(accesses)
         .seed(DEFAULT_SEED);
-    let capture = base.capture().expect("valid configuration");
     let stats = sigmas.map(|sigma| {
         let model = VariationModel::new(sigma, 0.0, 0.0);
         let mut rng = StdRng::seed_from_u64(99);
@@ -56,8 +55,9 @@ fn main() {
         };
         Simulator::new(base.clone().mtj(card).config().clone()).expect("valid configuration")
     });
-    let reports = Simulator::replay_batch(&points, &capture)
-        .expect("capture shares the behavioural configuration");
+    let reports = base
+        .run_at(&points, None, &mut None)
+        .expect("valid configuration");
     let mut rows = Vec::new();
     for ((sigma, (mean_p, max_p)), report) in sigmas.into_iter().zip(stats).zip(reports) {
         let conv = report.expected_failures(ProtectionScheme::Conventional);

@@ -5,7 +5,7 @@
 //! checked every read, so the victim is clean up to one read's
 //! disturbance.
 
-use reap_bench::{access_budget, print_csv, run_workload};
+use reap_bench::{access_budget, paper_reports, print_csv};
 use reap_core::ProtectionScheme;
 use reap_trace::SpecWorkload;
 
@@ -19,14 +19,14 @@ fn main() {
         "workload", "dirty ev.", "wb exposure", "demand E[fail]", "wb / demand"
     );
     let mut rows = Vec::new();
-    for w in [
+    let workloads = [
         SpecWorkload::Xalancbmk,
         SpecWorkload::Lbm,
         SpecWorkload::Mcf,
         SpecWorkload::Perlbench,
         SpecWorkload::DealII,
-    ] {
-        let report = run_workload(w, accesses);
+    ];
+    for (w, report) in paper_reports(&workloads, accesses) {
         let exposure = report.writeback_exposure();
         let demand = report.expected_failures(ProtectionScheme::Conventional);
         let dirty = report.l2_stats().dirty_evictions;

@@ -6,7 +6,7 @@
 //! the "no concealed reads" (N = 1) population reads 100; both axes are
 //! log-scale quantities, so bins are powers of two.
 
-use reap_bench::{access_budget, frequency_cells, print_csv, run_workload};
+use reap_bench::{access_budget, frequency_cells, paper_reports, print_csv};
 use reap_trace::SpecWorkload;
 
 fn main() {
@@ -18,8 +18,7 @@ fn main() {
         SpecWorkload::DealII,
     ];
     let mut rows = Vec::new();
-    for w in workloads {
-        let report = run_workload(w, accesses);
+    for (w, report) in paper_reports(&workloads, accesses) {
         let hist = report.histogram();
         println!(
             "Fig. 3({}) — {} ({} measured accesses)",

@@ -5,9 +5,10 @@
 //! 1000x for `namd`, `dealII`, `h264ref`.
 
 use reap_bench::{
-    access_budget, arithmetic_mean, geometric_mean, mttf_gain, print_csv, sweep_all_workloads,
+    access_budget, arithmetic_mean, geometric_mean, mttf_gain, paper_reports, print_csv,
 };
 use reap_core::ProtectionScheme;
+use reap_trace::SpecWorkload;
 
 fn main() {
     let accesses = access_budget();
@@ -21,7 +22,7 @@ fn main() {
 
     let mut gains = Vec::new();
     let mut rows = Vec::new();
-    for (w, report) in sweep_all_workloads(accesses) {
+    for (w, report) in paper_reports(&SpecWorkload::ALL, accesses) {
         let gain = mttf_gain(&report);
         let serial = report.mttf_improvement(ProtectionScheme::SerialTagFirst);
         let mean_n = report.l2_stats().concealed_per_access();

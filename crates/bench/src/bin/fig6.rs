@@ -5,9 +5,10 @@
 //! (`cactusADM`), best case +1.0 % (`xalancbmk`).
 
 use reap_bench::{
-    access_budget, arithmetic_mean, energy_overhead_percent, print_csv, sweep_all_workloads,
+    access_budget, arithmetic_mean, energy_overhead_percent, paper_reports, print_csv,
 };
 use reap_core::ProtectionScheme;
+use reap_trace::SpecWorkload;
 
 fn main() {
     let accesses = access_budget();
@@ -21,7 +22,7 @@ fn main() {
 
     let mut overheads = Vec::new();
     let mut rows = Vec::new();
-    for (w, report) in sweep_all_workloads(accesses) {
+    for (w, report) in paper_reports(&SpecWorkload::ALL, accesses) {
         let reap = energy_overhead_percent(&report);
         let restore = 100.0 * report.energy_overhead(ProtectionScheme::DisruptiveRestore);
         let serial = 100.0 * report.energy_overhead(ProtectionScheme::SerialTagFirst);

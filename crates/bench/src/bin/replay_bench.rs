@@ -5,10 +5,10 @@
 //! currents, so the points mix stored widths *and* `P_rd` values) over
 //! the same captures, end to end and kernel alone:
 //!
-//! 1. **per-point** — one [`Simulator::replay`] walk of the exposure
-//!    stream per analysis point. `replay` is itself a one-point batched
-//!    pass, so `speedup` (per-point over batched) prices amortising the
-//!    stream walk and weight draws across points;
+//! 1. **per-point** — one one-point [`Simulator::replay_batch`] walk of
+//!    the exposure stream per analysis point, so `speedup` (per-point
+//!    over batched) prices amortising the stream walk and weight draws
+//!    across points;
 //! 2. **batched** — one [`Simulator::replay_batch`] walk for all points;
 //! 3. **kernel** — each capture's records are decoded and their line
 //!    weights sampled once per stored width, with
@@ -235,7 +235,7 @@ fn main() {
             .workload(w)
             .accesses(accesses)
             .seed(reap_bench::DEFAULT_SEED)
-            .capture()
+            .capture_with(None)
             .expect("capture");
         events += capture.event_count();
         // Encode into a sink: the byte count is what the store would
@@ -245,7 +245,11 @@ fn main() {
         let t0 = Instant::now();
         let independent: Vec<_> = points
             .iter()
-            .map(|sim| sim.replay(&capture).expect("replay"))
+            .map(|sim| {
+                Simulator::replay_batch(std::slice::from_ref(sim), &capture)
+                    .expect("replay")
+                    .remove(0)
+            })
             .collect();
         per_point_s += t0.elapsed().as_secs_f64();
 

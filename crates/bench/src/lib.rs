@@ -41,21 +41,6 @@ pub fn access_budget() -> u64 {
         .unwrap_or(DEFAULT_ACCESSES)
 }
 
-/// Runs the paper-hierarchy experiment for one workload at the configured
-/// budget.
-///
-/// # Panics
-///
-/// Panics if the paper configuration fails to instantiate (it cannot).
-pub fn run_workload(workload: SpecWorkload, accesses: u64) -> Report {
-    Experiment::paper_hierarchy()
-        .workload(workload)
-        .accesses(accesses)
-        .seed(DEFAULT_SEED)
-        .run()
-        .expect("paper configuration is valid")
-}
-
 /// Geometric mean of strictly positive values.
 ///
 /// # Panics
@@ -105,19 +90,23 @@ pub fn frequency_cells(freq: Option<f64>) -> (String, String) {
     }
 }
 
-/// Convenience: the Fig. 5/6 per-workload sweep across all profiles,
-/// run on the supervised pool over the machine's cores (simulations are
+/// The paper-hierarchy report of each of `workloads` at `accesses`
+/// measured accesses and [`DEFAULT_SEED`], in input order: the Table I
+/// runs of `fig3`, `fig5`, `fig6`, `ablation_schemes` and
+/// `extension_writeback`. Each is one [`Experiment::run`], scored
+/// through [`Experiment::score`](reap_core::Experiment::score), on the
+/// supervised pool over the machine's cores (simulations are
 /// independent and deterministic, so scheduling never changes results).
 ///
 /// # Panics
 ///
 /// Panics if a workload fails every attempt — the paper configuration
 /// is valid, so that is a bug in the simulation stack.
-pub fn sweep_all_workloads(accesses: u64) -> Vec<(SpecWorkload, Report)> {
+pub fn paper_reports(workloads: &[SpecWorkload], accesses: u64) -> Vec<(SpecWorkload, Report)> {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let batch: Vec<Experiment> = SpecWorkload::ALL
-        .into_iter()
-        .map(|w| {
+    let batch: Vec<Experiment> = workloads
+        .iter()
+        .map(|&w| {
             Experiment::paper_hierarchy()
                 .workload(w)
                 .accesses(accesses)
@@ -133,10 +122,10 @@ pub fn sweep_all_workloads(accesses: u64) -> Vec<(SpecWorkload, Report)> {
         |_, experiment| experiment.run(),
         |_, _| ControlFlow::Continue(()),
     );
-    SpecWorkload::ALL
-        .into_iter()
+    workloads
+        .iter()
         .zip(outcomes)
-        .map(|(w, outcome)| {
+        .map(|(&w, outcome)| {
             let report = outcome.result.expect("supervised run");
             (w, report.expect("paper configuration is valid"))
         })
@@ -155,10 +144,10 @@ pub fn enable_telemetry() {
 /// back from the global telemetry (see [`enable_telemetry`]).
 ///
 /// The `capture` and `replay_batch` spans and the
-/// `sim.replay_batch.points` counter are recorded by
-/// `Simulator::capture`/`replay_batch` themselves (or by an experiment's
-/// own `reap_obs::span("capture")` blocks for hand-rolled capture
-/// passes), so regenerators never stopwatch the phases by hand.
+/// `sim.replay_batch.points` counter are recorded by the capture pass
+/// and the batched kernel themselves (or by an experiment's own
+/// `reap_obs::span("capture")` blocks for hand-rolled capture passes),
+/// so regenerators never stopwatch the phases by hand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoPhaseSummary {
     /// Total seconds spent in capture passes.
@@ -289,9 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn quick_workload_run() {
-        let r = run_workload(SpecWorkload::Hmmer, 20_000);
-        assert!(mttf_gain(&r) >= 1.0);
-        assert!(energy_overhead_percent(&r) >= 0.0);
+    fn paper_reports_keep_input_order() {
+        let workloads = [SpecWorkload::Hmmer, SpecWorkload::Mcf];
+        let reports = paper_reports(&workloads, 20_000);
+        assert_eq!(reports.len(), 2);
+        for (&want, (got, r)) in workloads.iter().zip(&reports) {
+            assert_eq!(*got, want);
+            assert!(mttf_gain(r) >= 1.0);
+            assert!(energy_overhead_percent(r) >= 0.0);
+        }
     }
 }

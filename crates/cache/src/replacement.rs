@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Policy selector; [`build`](Replacement::build) instantiates the state
-/// for a given geometry.
+/// Policy selector; [`build_state`](Replacement::build_state)
+/// instantiates the state for a given geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Replacement {
     /// True least-recently-used (per-set recency stack).
@@ -29,19 +29,6 @@ pub enum Replacement {
 }
 
 impl Replacement {
-    /// Instantiates the policy state for `sets × ways` as a trait object.
-    ///
-    /// Kept for callers that want dynamic dispatch over heterogeneous
-    /// policies; the cache's hot path uses
-    /// [`build_state`](Replacement::build_state) instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets == 0` or `ways == 0`.
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.build_state(sets, ways))
-    }
-
     /// Instantiates the policy state for `sets × ways` with static (enum)
     /// dispatch — no per-call vtable indirection, and the policy methods
     /// inline into the cache's access loop.
@@ -446,7 +433,7 @@ mod tests {
 
     #[test]
     fn lru_victimizes_least_recent() {
-        let mut p = Replacement::Lru.build(1, 4);
+        let mut p = Replacement::Lru.build_state(1, 4);
         for w in 0..4 {
             p.on_fill(0, w);
         }
@@ -460,7 +447,7 @@ mod tests {
 
     #[test]
     fn lru_state_is_per_set() {
-        let mut p = Replacement::Lru.build(2, 2);
+        let mut p = Replacement::Lru.build_state(2, 2);
         p.on_fill(0, 0);
         p.on_fill(0, 1);
         p.on_fill(1, 1);
@@ -471,7 +458,7 @@ mod tests {
 
     #[test]
     fn fifo_cycles_in_insertion_order() {
-        let mut p = Replacement::Fifo.build(1, 3);
+        let mut p = Replacement::Fifo.build_state(1, 3);
         assert_eq!(p.victim(0), 0);
         assert_eq!(p.victim(0), 1);
         assert_eq!(p.victim(0), 2);
@@ -480,14 +467,14 @@ mod tests {
 
     #[test]
     fn fifo_ignores_accesses() {
-        let mut p = Replacement::Fifo.build(1, 2);
+        let mut p = Replacement::Fifo.build_state(1, 2);
         p.on_access(0, 1);
         assert_eq!(p.victim(0), 0);
     }
 
     #[test]
     fn tree_plru_avoids_most_recent() {
-        let mut p = Replacement::TreePlru.build(1, 8);
+        let mut p = Replacement::TreePlru.build_state(1, 8);
         for w in 0..8 {
             p.on_fill(0, w);
         }
@@ -499,7 +486,7 @@ mod tests {
 
     #[test]
     fn tree_plru_victim_in_range_for_odd_ways() {
-        let mut p = Replacement::TreePlru.build(4, 6);
+        let mut p = Replacement::TreePlru.build_state(4, 6);
         for s in 0..4 {
             for w in 0..6 {
                 p.on_fill(s, w);
@@ -510,14 +497,14 @@ mod tests {
 
     #[test]
     fn random_victims_cover_all_ways() {
-        let mut p = Replacement::Random(7).build(1, 8);
+        let mut p = Replacement::Random(7).build_state(1, 8);
         let seen: std::collections::HashSet<usize> = (0..200).map(|_| p.victim(0)).collect();
         assert_eq!(seen.len(), 8);
     }
 
     #[test]
     fn srrip_victimizes_distant_rereference() {
-        let mut p = Replacement::Srrip.build(1, 4);
+        let mut p = Replacement::Srrip.build_state(1, 4);
         for w in 0..4 {
             p.on_fill(0, w);
         }
@@ -528,7 +515,7 @@ mod tests {
 
     #[test]
     fn srrip_ages_until_a_victim_exists() {
-        let mut p = Replacement::Srrip.build(1, 2);
+        let mut p = Replacement::Srrip.build_state(1, 2);
         p.on_fill(0, 0);
         p.on_access(0, 0);
         p.on_fill(0, 1);
@@ -540,7 +527,7 @@ mod tests {
 
     #[test]
     fn ler_victimizes_most_exposed_way() {
-        let mut p = Replacement::LeastErrorRate.build(1, 4);
+        let mut p = Replacement::LeastErrorRate.build_state(1, 4);
         for w in 0..4 {
             p.on_fill(0, w);
         }
@@ -553,7 +540,7 @@ mod tests {
 
     #[test]
     fn ler_demand_access_heals_exposure() {
-        let mut p = Replacement::LeastErrorRate.build(1, 2);
+        let mut p = Replacement::LeastErrorRate.build_state(1, 2);
         p.on_fill(0, 0);
         p.on_fill(0, 1);
         for _ in 0..3 {
@@ -566,7 +553,7 @@ mod tests {
 
     #[test]
     fn recency_policies_ignore_concealed_reads() {
-        let mut p = Replacement::Lru.build(1, 2);
+        let mut p = Replacement::Lru.build_state(1, 2);
         p.on_fill(0, 0);
         p.on_fill(0, 1);
         for _ in 0..10 {
@@ -578,7 +565,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn zero_geometry_rejected() {
-        let _ = Replacement::Lru.build(0, 4);
+        let _ = Replacement::Lru.build_state(0, 4);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! strength or the MTJ operating point — those only enter when an event
 //! is *scored*. The capture phase therefore records the stream once
 //! ([`ExposureCapture`]), and any number of analysis points replay it in
-//! O(events) instead of O(trace) each
-//! ([`crate::Simulator::replay`]), bit-identical to a direct
-//! single-pass run at the same configuration.
+//! one O(events) pass ([`crate::Simulator::replay_batch`]), bit-identical
+//! to a direct single-pass run at each configuration.
 //!
 //! # Examples
 //!
@@ -22,11 +21,9 @@
 //! let experiment = Experiment::paper_hierarchy()
 //!     .workload(SpecWorkload::DealII)
 //!     .accesses(30_000);
-//! // One pass over the trace…
-//! let capture = experiment.capture()?;
-//! // …replayed at every ECC strength.
-//! for ecc in EccStrength::ALL {
-//!     let report = experiment.clone().ecc(ecc).replay(&capture)?;
+//! // One pass over the trace, scored at every ECC strength.
+//! let points = experiment.simulators_at(&EccStrength::ALL)?;
+//! for report in experiment.run_at(&points, None, &mut None)? {
 //!     assert!(report.mttf_improvement(ProtectionScheme::Reap) >= 1.0);
 //! }
 //! # Ok(())
@@ -94,8 +91,8 @@ impl std::error::Error for StreamDefect {}
 
 /// A bounded-memory source of [`ExposureRecord`]s with a known length.
 ///
-/// This is the replay input surface: [`crate::Simulator::replay`] and
-/// [`crate::Simulator::replay_batch`] pull records one at a time, so a
+/// This is the replay input surface: [`crate::Simulator::replay_batch`]
+/// pulls records one at a time, so a
 /// disk-backed stream (e.g. a `reap-capture/2` store entry) replays in
 /// O(1) memory instead of materializing an owned `Vec`. Records are
 /// yielded in capture order; scores do not depend on that order, since
@@ -267,7 +264,7 @@ pub struct Behaviour {
 /// touching the trace again.
 ///
 /// A capture is only valid for analysis points that share its
-/// [`Behaviour`], which [`crate::Simulator::replay`] enforces.
+/// [`Behaviour`], which [`crate::Simulator::replay_batch`] enforces.
 #[derive(Debug, Clone)]
 pub struct ExposureCapture {
     source: EventSource,

@@ -237,10 +237,10 @@ fn hash_level(mut h: u64, level: &CacheConfig) -> u64 {
 /// Error decoding (or writing) a serialized capture.
 ///
 /// Every decode variant names the byte offset where reading stopped, so
-/// a damaged entry is diagnosable without a hex editor. Callers going
-/// through [`CaptureStore::load`] never see these — the store maps them
-/// all to a miss — but tests and tools can use
-/// [`read_capture_v2`]/[`write_capture_v2`] directly.
+/// a damaged entry is diagnosable without a hex editor. Callers never
+/// see the decode variants: [`CaptureStore::load`] maps a bad header to
+/// a miss, and replay reports a bad frame as a [`StreamDefect`], which
+/// [`crate::Experiment::score`] heals.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum CaptureStoreError {
@@ -463,22 +463,6 @@ fn stats_from_words(w: &[u64; 12]) -> CacheStats {
         scrub_checks: w[10],
         writeback_installs: w[11],
     }
-}
-
-/// The serializable core of a capture: what an entry stores. The
-/// behavioural configuration is *not* serialized — it is implied by the
-/// fingerprint and re-supplied from the caller's [`CaptureKey`] when the
-/// full [`ExposureCapture`] is reassembled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CapturePayload {
-    /// The recorded exposure events, in simulation order.
-    pub events: Vec<ExposureRecord>,
-    /// Final hierarchy counters of the capture run.
-    pub snapshot: HierarchySnapshot,
-    /// Data bits per L2 line.
-    pub line_bits: usize,
-    /// The content-weight hash seed the captured cache used.
-    pub ones_seed: u64,
 }
 
 fn kind_tag(kind: ExposureKind) -> u8 {
@@ -806,6 +790,61 @@ fn temp_suffix() -> String {
     )
 }
 
+/// The pid in the name of a file a writer deletes when it is done —
+/// a scoped entry `reap-capture.{pid}.{seq}.rcap` or a store temp file
+/// `{fingerprint:016x}.rcap.tmp.{pid}.{seq}` — or `None` for any other
+/// name, a store entry `{fingerprint:016x}.rcap` included.
+fn writer_pid(name: &str) -> Option<u32> {
+    let pid_seq = match name.strip_prefix("reap-capture.") {
+        Some(rest) => rest.strip_suffix(".rcap")?,
+        None => {
+            let (fingerprint, rest) = name.split_once(".rcap.tmp.")?;
+            let hex = fingerprint.len() == 16 && fingerprint.bytes().all(|b| b.is_ascii_hexdigit());
+            hex.then_some(rest)?
+        }
+    };
+    let (pid, seq) = pid_seq.split_once('.')?;
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if !(digits(pid) && digits(seq)) {
+        return None;
+    }
+    pid.parse().ok()
+}
+
+/// Removes from `dir` the files of writers whose process is gone: a
+/// killed process never deletes its scoped entry or store temp file,
+/// and an h264ref entry is 229 MB at 50M accesses. Runs once per
+/// directory per process, before the first writer opens there. A pid
+/// is live while `/proc/{pid}` exists, so the sweep assumes that every
+/// process writing into `dir` shares this process's pid namespace; it
+/// is skipped where `/proc` is absent. Files of live pids, this
+/// process's own and recycled ones included, stay.
+fn sweep_orphans_once(dir: &Path) {
+    static SWEPT: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+    {
+        let mut swept = SWEPT.lock().unwrap_or_else(PoisonError::into_inner);
+        if swept.iter().any(|d| d == dir) {
+            return;
+        }
+        swept.push(dir.to_owned());
+    }
+    if !Path::new("/proc/self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    let own = std::process::id();
+    for entry in entries.flatten() {
+        let pid = entry.file_name().to_str().and_then(writer_pid);
+        if pid.is_some_and(|pid| pid != own && !Path::new(&format!("/proc/{pid}")).exists())
+            && std::fs::remove_file(entry.path()).is_ok()
+        {
+            bump("capture_store.orphans_removed");
+        }
+    }
+}
+
 /// Writes one entry as it is produced: the one write path of every
 /// capture, into a [`CaptureStore`] or into a scoped entry.
 ///
@@ -813,8 +852,10 @@ fn temp_suffix() -> String {
 /// beside the entry, named `{fingerprint}.rcap.tmp.{pid}.{seq}` so that
 /// no two writes share one; a scoped writer ([`scoped`](Self::scoped))
 /// opens `reap-capture.{pid}.{seq}.rcap` in the system temp dir (which
-/// `TMPDIR` steers). Either reserves the header. Frames are written
-/// straight through as they are put ([`FrameSink`]), so a capture
+/// `TMPDIR` steers). The first writer a process opens in a directory
+/// removes the files of writers killed before they could
+/// ([`sweep_orphans_once`]). Either reserves the header. Frames are
+/// written straight through as they are put ([`FrameSink`]), so a capture
 /// streamed into a writer holds one frame at a time, never the whole
 /// capture. [`seal_entry`] then writes the header, whose snapshot and
 /// record count are known only at the end. A store entry is
@@ -838,6 +879,7 @@ impl EntryWriter {
     fn for_store(store: &CaptureStore, key: &CaptureKey) -> Result<Self, CaptureStoreError> {
         std::fs::create_dir_all(&store.dir)
             .map_err(|source| CaptureStoreError::Io { offset: 0, source })?;
+        sweep_orphans_once(&store.dir);
         let fingerprint = key.fingerprint();
         let name = format!("{fingerprint:016x}.rcap.tmp.{}", temp_suffix());
         Self::create(
@@ -861,6 +903,7 @@ impl EntryWriter {
         let dir = tests::SCOPED_DIR
             .with_borrow(Clone::clone)
             .unwrap_or_else(std::env::temp_dir);
+        sweep_orphans_once(&dir);
         let path = dir.join(format!("reap-capture.{}.rcap", temp_suffix()));
         Self::create(path.clone(), None, 0)
             .map_err(|source| SimulationError::ScopedEntry { path, source })
@@ -1331,32 +1374,6 @@ impl<R: Read> V2Decoder<R> {
     }
 }
 
-/// Deserializes a `reap-capture/2` stream into a materialized payload,
-/// verifying the header, every frame checksum and the absence of
-/// trailing bytes. The store instead checks an entry's header in
-/// [`CaptureStore::load`] and hands its frames straight to the replay
-/// iterator, which verifies each frame as it reads it.
-///
-/// # Errors
-///
-/// Returns [`CaptureStoreError`] naming the byte offset on any defect.
-pub fn read_capture_v2<R: Read>(
-    reader: R,
-    expected_fingerprint: u64,
-) -> Result<CapturePayload, CaptureStoreError> {
-    let (header, mut decoder) = V2Decoder::open(reader, expected_fingerprint)?;
-    let mut events = Vec::with_capacity(header.count.min(1 << 20) as usize);
-    while let Some(record) = decoder.next_record()? {
-        events.push(record);
-    }
-    Ok(CapturePayload {
-        events,
-        snapshot: header.snapshot,
-        line_bits: header.line_bits as usize,
-        ones_seed: header.ones_seed,
-    })
-}
-
 /// A directory of fingerprint-addressed capture entries.
 ///
 /// Cloneable and `Sync`: campaign workers share one store and hit
@@ -1722,7 +1739,7 @@ pub(crate) mod tests {
             .unwrap_or_default()
     }
 
-    fn report_bits(r: &crate::Report) -> [u64; 4] {
+    pub(crate) fn report_bits(r: &crate::Report) -> [u64; 4] {
         [
             r.expected_failures(ProtectionScheme::Conventional)
                 .to_bits(),
@@ -1750,7 +1767,7 @@ pub(crate) mod tests {
             .workload(SpecWorkload::Hmmer)
             .budgets(500, 8_000)
             .seed(3);
-        let capture = experiment.capture().unwrap();
+        let capture = experiment.capture_with(None).unwrap();
         let key = CaptureKey::new(SpecWorkload::Hmmer, 3, experiment.config());
         (capture, key)
     }
@@ -1759,6 +1776,28 @@ pub(crate) mod tests {
         let mut buf = Vec::new();
         write_capture_v2(&mut buf, fingerprint, capture).unwrap();
         buf
+    }
+
+    /// `capture` scored at `sim` alone: a one-point batch.
+    pub(crate) fn replay_one(
+        sim: &Simulator,
+        capture: &ExposureCapture,
+    ) -> Result<crate::Report, SimulationError> {
+        Simulator::replay_batch(std::slice::from_ref(sim), capture).map(|mut r| r.remove(0))
+    }
+
+    /// Decodes a whole `reap-capture/2` stream through the replay
+    /// decoder: its header and every record, or the first defect.
+    fn decode(
+        reader: impl Read,
+        fingerprint: u64,
+    ) -> Result<(V2Header, Vec<ExposureRecord>), CaptureStoreError> {
+        let (header, mut decoder) = V2Decoder::open(reader, fingerprint)?;
+        let mut events = Vec::new();
+        while let Some(record) = decoder.next_record()? {
+            events.push(record);
+        }
+        Ok((header, events))
     }
 
     #[test]
@@ -1809,7 +1848,7 @@ pub(crate) mod tests {
         // Cutting into the final frame's checksum stops the read where
         // that checksum starts.
         let cut = &buf[..buf.len() - 3];
-        let err = read_capture_v2(cut, fp).unwrap_err();
+        let err = decode(cut, fp).unwrap_err();
         assert!(
             matches!(err, CaptureStoreError::Truncated { offset, .. } if offset == buf.len() as u64 - 8),
             "{err}"
@@ -1825,7 +1864,7 @@ pub(crate) mod tests {
         // Flip one bit deep in the first frame's payload: the frame
         // checksum catches it before the payload is decoded.
         buf[V2_HEADER_BYTES + 8 + 8 + 12] ^= 0x10;
-        let err = read_capture_v2(&buf[..], fp).unwrap_err();
+        let err = decode(&buf[..], fp).unwrap_err();
         assert!(
             matches!(err, CaptureStoreError::ChecksumMismatch { .. }),
             "{err}"
@@ -1974,8 +2013,8 @@ pub(crate) mod tests {
         assert_eq!(fresh.line_bits(), scoped.line_bits());
         assert_eq!(fresh.ones_seed(), scoped.ones_seed());
         assert_eq!(
-            report_bits(&sim.replay(&fresh).unwrap()),
-            report_bits(&sim.replay(&scoped).unwrap())
+            report_bits(&replay_one(&sim, &fresh).unwrap()),
+            report_bits(&replay_one(&sim, &scoped).unwrap())
         );
         assert!(temp_files(&dir).is_empty());
 
@@ -2015,8 +2054,8 @@ pub(crate) mod tests {
         );
         assert_eq!(got.snapshot(), want.snapshot());
         assert_eq!(
-            report_bits(&sim.replay(&got).unwrap()),
-            report_bits(&sim.replay(&want).unwrap())
+            report_bits(&replay_one(&sim, &got).unwrap()),
+            report_bits(&replay_one(&sim, &want).unwrap())
         );
         let warnings = WARNINGS.take();
         assert!(
@@ -2135,7 +2174,7 @@ pub(crate) mod tests {
         let dir = scratch("scoped-clean");
         let capture = with_scoped_dir(&dir, || sim.capture(SpecWorkload::Gcc.stream(8)).unwrap());
         assert_eq!(scoped_files(&dir), [capture.entry_path()]);
-        sim.replay(&capture).unwrap();
+        replay_one(&sim, &capture).unwrap();
         drop(capture);
         assert!(scoped_files(&dir).is_empty(), "{:?}", scoped_files(&dir));
 
@@ -2195,6 +2234,81 @@ pub(crate) mod tests {
             matches!(parts, Err(SimulationError::ScopedEntry { ref path, .. }) if path.starts_with(&dir))
         );
         std::fs::remove_file(blocker).ok();
+    }
+
+    #[test]
+    fn writer_pids_are_read_from_scoped_and_temp_names_only() {
+        assert_eq!(writer_pid("reap-capture.41.7.rcap"), Some(41));
+        assert_eq!(writer_pid("1ff1277cb109d699.rcap.tmp.41.0"), Some(41));
+        for other in [
+            "1ff1277cb109d699.rcap",
+            "1ff1277cb109d699.rcap.tmp.41",
+            "1ff1277cb109d69.rcap.tmp.41.0",
+            "reap-capture.41.rcap",
+            "reap-capture.+41.7.rcap",
+            "reap-capture.41.7.rcap.bak",
+            "notes.txt",
+        ] {
+            assert_eq!(writer_pid(other), None, "{other}");
+        }
+    }
+
+    /// The first scoped entry and the first store write into a directory
+    /// remove the files of an exited process, and nothing else: not the
+    /// files of this process or of another live one (pid 1), not a store
+    /// entry, not an unrelated file.
+    #[test]
+    fn the_first_writer_in_a_directory_removes_files_of_exited_processes() {
+        if !Path::new("/proc/self").exists() {
+            return;
+        }
+        let mut child = std::process::Command::new("true").spawn().unwrap();
+        let gone = child.id();
+        child.wait().unwrap();
+        let (own, fp) = (std::process::id(), "1ff1277cb109d699");
+        let mut kept = vec![
+            format!("reap-capture.{own}.999999.rcap"),
+            format!("{fp}.rcap.tmp.{own}.999999"),
+            format!("{fp}.rcap.tmp.1.0"),
+            format!("{fp}.rcap"),
+            "notes.txt".to_owned(),
+        ];
+        kept.sort();
+        let orphans = [
+            format!("reap-capture.{gone}.0.rcap"),
+            format!("{fp}.rcap.tmp.{gone}.0"),
+        ];
+        let seeded = |tag| {
+            let dir = scratch(tag);
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            for name in kept.iter().chain(&orphans) {
+                std::fs::write(dir.join(name), b"x").unwrap();
+            }
+            dir
+        };
+        let left = |dir: &Path| {
+            let mut names: Vec<String> = scoped_files(dir)
+                .iter()
+                .map(|p| p.file_name().unwrap().to_str().unwrap().to_owned())
+                .collect();
+            names.sort();
+            std::fs::remove_dir_all(dir).ok();
+            names
+        };
+
+        let (sim, _) = scrubbed_sim();
+        let dir = seeded("orphans-scoped");
+        drop(with_scoped_dir(&dir, || {
+            sim.capture(SpecWorkload::Gcc.stream(8)).unwrap()
+        }));
+        assert_eq!(left(&dir), kept);
+
+        let dir = seeded("orphans-store");
+        let (capture, key) = small_capture();
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        std::fs::remove_file(store.store(&key, &capture).unwrap()).unwrap();
+        assert_eq!(left(&dir), kept);
     }
 
     #[test]
@@ -2261,12 +2375,13 @@ pub(crate) mod tests {
     fn v2_round_trip_preserves_every_field() {
         let (capture, key) = small_capture();
         let buf = encode(&capture, key.fingerprint());
-        let payload = read_capture_v2(&buf[..], key.fingerprint()).unwrap();
-        assert_eq!(payload.events, capture.events());
-        assert_eq!(payload.line_bits, capture.line_bits());
-        assert_eq!(payload.ones_seed, capture.ones_seed());
+        let (header, events) = decode(&buf[..], key.fingerprint()).unwrap();
+        assert_eq!(events, capture.events());
+        assert_eq!(header.line_bits as usize, capture.line_bits());
+        assert_eq!(header.ones_seed, capture.ones_seed());
+        assert_eq!(header.count, capture.event_count());
         assert_eq!(
-            snapshot_words(&payload.snapshot),
+            snapshot_words(&header.snapshot),
             snapshot_words(capture.snapshot())
         );
     }
@@ -2287,22 +2402,36 @@ pub(crate) mod tests {
 
     #[test]
     fn v2_header_defects_are_typed() {
+        // Too short to hold a header: a typed truncation at byte 0.
+        for prefix in [&b""[..], &b"RCAP"[..]] {
+            let err = decode(prefix, 5).unwrap_err();
+            let at_0 = matches!(
+                err,
+                CaptureStoreError::Truncated {
+                    offset: 0,
+                    record: None
+                }
+            );
+            assert!(at_0 && err.to_string().contains("at byte 0"), "{err}");
+        }
         let (capture, key) = small_capture();
         let fp = key.fingerprint();
         let mut buf = encode(&capture, fp);
         buf[0] = b'X';
         assert!(matches!(
-            read_capture_v2(&buf[..], fp).unwrap_err(),
+            decode(&buf[..], fp).unwrap_err(),
             CaptureStoreError::BadMagic { .. }
         ));
-        let mut buf = encode(&capture, fp);
-        buf[4] = 9;
-        assert!(matches!(
-            read_capture_v2(&buf[..], fp).unwrap_err(),
-            CaptureStoreError::UnsupportedVersion { found: 9 }
-        ));
+        for version in [1, 9] {
+            let mut buf = encode(&capture, fp);
+            buf[4] = version;
+            assert!(matches!(
+                decode(&buf[..], fp).unwrap_err(),
+                CaptureStoreError::UnsupportedVersion { found } if found == version
+            ));
+        }
         let buf = encode(&capture, fp);
-        let err = read_capture_v2(&buf[..], fp ^ 1).unwrap_err();
+        let err = decode(&buf[..], fp ^ 1).unwrap_err();
         assert!(matches!(err, CaptureStoreError::FingerprintMismatch { .. }));
         assert!(err.to_string().contains("fingerprint"), "{err}");
         // A flip in an otherwise-unvalidated header field (the snapshot)
@@ -2310,7 +2439,7 @@ pub(crate) mod tests {
         let mut buf = encode(&capture, fp);
         buf[40] ^= 0x04;
         assert!(matches!(
-            read_capture_v2(&buf[..], fp).unwrap_err(),
+            decode(&buf[..], fp).unwrap_err(),
             CaptureStoreError::ChecksumMismatch { .. }
         ));
     }
@@ -2425,7 +2554,7 @@ pub(crate) mod tests {
             for at in head + 8..head + 8 + len {
                 let mut buf = entry.clone();
                 buf[at] ^= mask(at);
-                match read_capture_v2(&buf[..], 5).unwrap_err() {
+                match decode(&buf[..], 5).unwrap_err() {
                     CaptureStoreError::ChecksumMismatch { offset, .. } => {
                         assert_eq!(offset, checksum_at, "flip at byte {at}")
                     }
@@ -2442,7 +2571,7 @@ pub(crate) mod tests {
             buf[at] ^= mask(at);
             let sum = fnv1a(FNV_BASIS, &buf[head..head + 8 + len]);
             buf[head + 8 + len..].copy_from_slice(&sum.to_le_bytes());
-            if let Err(e) = read_capture_v2(&buf[..], 5) {
+            if let Err(e) = decode(&buf[..], 5) {
                 assert!(!matches!(e, CaptureStoreError::ChecksumMismatch { .. }));
                 parse_errors.insert(error_site(&e).split('@').next().unwrap().to_owned());
             }
@@ -2460,7 +2589,7 @@ pub(crate) mod tests {
             for at in head..head + 8 {
                 let mut buf = entry.clone();
                 buf[at] ^= mask(at);
-                head_errors.push(error_site(&read_capture_v2(&buf[..], 5).unwrap_err()));
+                head_errors.push(error_site(&decode(&buf[..], 5).unwrap_err()));
             }
         }
         assert_eq!(head_errors, HEAD_FLIP_ERRORS);
@@ -2468,14 +2597,14 @@ pub(crate) mod tests {
         let clean = encode(&small_capture().0, 5);
         let cut = &clean[..clean.len() - 3];
         assert!(matches!(
-            read_capture_v2(cut, 5).unwrap_err(),
+            decode(cut, 5).unwrap_err(),
             CaptureStoreError::Truncated { .. } | CaptureStoreError::ChecksumMismatch { .. }
         ));
 
         let mut extended = clean.clone();
         extended.push(0);
         assert!(matches!(
-            read_capture_v2(&extended[..], 5).unwrap_err(),
+            decode(&extended[..], 5).unwrap_err(),
             CaptureStoreError::TrailingBytes { .. }
         ));
     }
@@ -2577,8 +2706,7 @@ pub(crate) mod tests {
             })
             .collect();
         let buf = encode(&capture_of(events.clone()), 77);
-        let payload = read_capture_v2(&buf[..], 77).unwrap();
-        assert_eq!(payload.events, events);
+        assert_eq!(decode(&buf[..], 77).unwrap().1, events);
     }
 
     #[test]
@@ -2642,7 +2770,7 @@ pub(crate) mod tests {
         let loaded = store.load(&key).expect("loads read only the header");
         assert!(WARNINGS.take().is_empty());
         assert_eq!(loaded.event_count(), capture.event_count());
-        match sim.replay(&loaded) {
+        match replay_one(&sim, &loaded) {
             Err(SimulationError::CaptureStream(defect)) => {
                 assert!(defect.to_string().contains("checksum"), "{defect}")
             }

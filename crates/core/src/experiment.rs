@@ -108,21 +108,21 @@ impl Experiment {
         &self.config
     }
 
-    /// Runs the experiment.
+    /// Runs the experiment: [`run_with`](Self::run_with) without a
+    /// store, so the capture streams into a scoped entry.
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentError`] when the configuration cannot be
     /// instantiated (bad geometry, unsupported node, zero budget).
     pub fn run(self) -> Result<Report, ExperimentError> {
-        let stream = self.workload.stream(self.seed);
-        let report = Simulator::new(self.config)?.run(stream)?;
-        Ok(report)
+        self.run_with(None)
     }
 
     /// Runs the experiment, sourcing the exposure capture from `store`
-    /// when one is given — bit-identical to [`run`](Self::run) whether
-    /// the capture came from disk or a fresh trace pass.
+    /// when one is given — bit-identical whether the capture came from
+    /// disk or a fresh trace pass, and to the single-pass oracle
+    /// [`Simulator::run_single_pass`].
     ///
     /// # Errors
     ///
@@ -140,7 +140,7 @@ impl Experiment {
     /// at every simulator in `points` through the caller's `kernel`
     /// ([`score`](Self::score)): the body of [`run_with`](Self::run_with),
     /// every sweep job and every explore task. Each report is
-    /// bit-identical to a from-scratch [`run`](Self::run) at its point.
+    /// bit-identical to a [`run`](Self::run) at its point alone.
     ///
     /// # Errors
     ///
@@ -162,7 +162,7 @@ impl Experiment {
     /// # Errors
     ///
     /// As [`run_at`](Self::run_at).
-    pub fn run_tallied(
+    pub(crate) fn run_tallied(
         &self,
         points: &[Simulator],
         store: Option<&CaptureStore>,
@@ -249,30 +249,17 @@ impl Experiment {
                 let sim = Simulator::new(self.config.clone())?;
                 store.capture_to_entry(&sim, self.workload, self.seed)?
             }
-            _ => self.capture()?,
+            _ => self.capture_with(None)?,
         };
         Ok(replay_reusing(points, &fresh, kernel)?)
     }
 
-    /// Phase 1: drives the configured workload through the hierarchy once
-    /// and records the analysis-independent exposure stream.
-    ///
-    /// The capture can then be [`replay`](Self::replay)ed by any
-    /// experiment sharing this one's workload, seed and behavioural
-    /// configuration — typically variants differing only in ECC strength
-    /// or MTJ parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] when the configuration cannot be
-    /// instantiated (bad geometry, unsupported node, zero budget).
-    pub fn capture(&self) -> Result<ExposureCapture, ExperimentError> {
-        self.capture_with(None)
-    }
-
-    /// Phase 1 with an optional [`CaptureStore`]: serve the capture from
-    /// disk when `store` has a matching entry, otherwise drive the trace
-    /// (persisting the result under a read-write policy).
+    /// Phase 1: the exposure capture of this experiment's workload and
+    /// seed, served from `store` when it has a matching entry, otherwise
+    /// a trace pass through the hierarchy (persisted under a read-write
+    /// policy, else streamed into a scoped entry). Any experiment that
+    /// shares the behavioural configuration can score it through
+    /// [`score`](Self::score).
     ///
     /// # Errors
     ///
@@ -289,21 +276,6 @@ impl Experiment {
             None => sim.capture(self.workload.stream(self.seed))?,
         };
         Ok(capture)
-    }
-
-    /// Phase 2: evaluates a captured exposure stream at this experiment's
-    /// analysis point without re-driving the trace.
-    ///
-    /// Bit-identical to [`run`](Self::run) of the same experiment, at
-    /// O(events) cost instead of O(trace).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] when the configuration cannot be
-    /// instantiated or the capture's behavioural configuration differs.
-    pub fn replay(self, capture: &ExposureCapture) -> Result<Report, ExperimentError> {
-        let report = Simulator::new(self.config)?.replay(capture)?;
-        Ok(report)
     }
 }
 
@@ -396,23 +368,31 @@ mod tests {
     }
 
     #[test]
-    fn capture_then_replay_matches_run() {
+    fn capture_then_score_matches_run_and_the_single_pass() {
         let experiment = Experiment::paper_hierarchy()
             .workload(SpecWorkload::Hmmer)
             .budgets(1_000, 20_000)
             .seed(5);
-        let capture = experiment.capture().unwrap();
-        let replayed = experiment.clone().replay(&capture).unwrap();
+        let capture = experiment.capture_with(None).unwrap();
+        let points = experiment.simulators_at(&[EccStrength::Sec]).unwrap();
+        let scored = experiment
+            .score(&points, &capture, None, &mut None)
+            .unwrap()
+            .pop()
+            .unwrap();
+        let single = points[0]
+            .run_single_pass(SpecWorkload::Hmmer.stream(5))
+            .unwrap();
         let direct = experiment.run().unwrap();
-        assert_eq!(
-            replayed
-                .expected_failures(ProtectionScheme::Conventional)
-                .to_bits(),
-            direct
-                .expected_failures(ProtectionScheme::Conventional)
-                .to_bits()
-        );
-        assert_eq!(replayed.l2_stats(), direct.l2_stats());
+        for want in [&single, &direct] {
+            for scheme in ProtectionScheme::ALL {
+                assert_eq!(
+                    scored.expected_failures(scheme).to_bits(),
+                    want.expected_failures(scheme).to_bits()
+                );
+            }
+            assert_eq!(scored.l2_stats(), want.l2_stats());
+        }
     }
 
     #[test]

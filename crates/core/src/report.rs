@@ -207,18 +207,15 @@ impl fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::{SimulationConfig, Simulator};
+    use crate::Experiment;
     use reap_trace::SpecWorkload;
 
     fn report(workload: SpecWorkload) -> Report {
-        let config = SimulationConfig {
-            warmup_accesses: 2_000,
-            measure_accesses: 40_000,
-            ..SimulationConfig::default()
-        };
-        Simulator::new(config)
-            .unwrap()
-            .run(workload.stream(11))
+        Experiment::paper_hierarchy()
+            .workload(workload)
+            .budgets(2_000, 40_000)
+            .seed(11)
+            .run()
             .unwrap()
     }
 

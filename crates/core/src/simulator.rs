@@ -254,7 +254,11 @@ struct Part {
     ones: Vec<u32>,
 }
 
-/// Runs a configured simulation over a trace.
+/// One configured analysis point: captures a trace's exposure stream
+/// ([`capture`](Self::capture)) and scores captures in batches
+/// ([`replay_batch`](Self::replay_batch)). Programs score through
+/// [`crate::Experiment`], whose [`score`](crate::Experiment::score)
+/// also recaptures a capture that fails mid-replay.
 ///
 /// # Examples
 ///
@@ -268,8 +272,10 @@ struct Part {
 ///     measure_accesses: 50_000,
 ///     ..SimulationConfig::default()
 /// };
-/// let report = Simulator::new(config)?.run(SpecWorkload::DealII.stream(1))?;
-/// assert!(report.mttf_improvement(ProtectionScheme::Reap) >= 1.0);
+/// let sim = Simulator::new(config)?;
+/// let capture = sim.capture(SpecWorkload::DealII.stream(1))?;
+/// let reports = Simulator::replay_batch(std::slice::from_ref(&sim), &capture)?;
+/// assert!(reports[0].mttf_improvement(ProtectionScheme::Reap) >= 1.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -345,30 +351,6 @@ impl Simulator {
     /// The derived per-read, per-cell disturbance probability (Eq. (1)).
     pub fn p_rd(&self) -> f64 {
         self.p_rd
-    }
-
-    /// Drives `trace` through the hierarchy and produces the report.
-    ///
-    /// The trace must supply at least `warmup + measure` accesses;
-    /// infinite generator streams always do.
-    ///
-    /// Implemented as [`capture`](Self::capture) followed by
-    /// [`replay`](Self::replay) — bit-identical to the historical
-    /// single-pass evaluation (kept as
-    /// [`run_single_pass`](Self::run_single_pass) and cross-checked by
-    /// property tests), while making the expensive trace pass reusable
-    /// across analysis points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::BadParameter`] if the trace ends before
-    /// the configured access budget.
-    pub fn run<I>(&self, trace: I) -> Result<Report, SimulationError>
-    where
-        I: IntoIterator<Item = MemoryAccess>,
-    {
-        let capture = self.capture(trace)?;
-        self.replay(&capture)
     }
 
     /// Phase 1: drives `trace` through the hierarchy once, recording the
@@ -477,27 +459,6 @@ impl Simulator {
         Ok((pass, staged.frames))
     }
 
-    /// Phase 2: evaluates a captured exposure stream at this simulator's
-    /// analysis point (ECC strength, MTJ parameters, technology node,
-    /// access rate) and produces the report.
-    ///
-    /// A one-point [`replay_batch`](Self::replay_batch): each recorded
-    /// event's line weight is resampled from its content version key at
-    /// *this* configuration's stored width, and the events are counted
-    /// into cells and folded by the batched kernel — making the result
-    /// bit-identical to a direct [`run_single_pass`](Self::run_single_pass)
-    /// of the same trace at this configuration. Cost is O(events),
-    /// independent of the trace length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::CaptureMismatch`] if the capture was
-    /// taken under a different [`Behaviour`].
-    pub fn replay(&self, capture: &ExposureCapture) -> Result<Report, SimulationError> {
-        let mut reports = Self::replay_batch(std::slice::from_ref(self), capture)?;
-        Ok(reports.pop().expect("one point in, one report out"))
-    }
-
     /// Verifies that a capture taken under `behaviour` may be scored
     /// here: the [`Behaviour`] must be this simulator's, while the
     /// analysis point (ECC, MTJ, node, rate) is free to differ. The one
@@ -520,9 +481,11 @@ impl Simulator {
         Err(SimulationError::CaptureMismatch(mismatch))
     }
 
-    /// Batched phase 2: evaluates one captured exposure stream at *every*
-    /// analysis point in `points` in a **single pass** over the events,
-    /// returning one report per point in input order.
+    /// Phase 2: evaluates one captured exposure stream at *every*
+    /// analysis point (ECC strength, MTJ parameters, technology node,
+    /// access rate) in `points` in a **single pass** over the events,
+    /// returning one report per point in input order. Cost is O(events),
+    /// independent of the trace length.
     ///
     /// Each report is bit-identical to a direct
     /// [`run_single_pass`](Self::run_single_pass) at its point
@@ -862,8 +825,9 @@ impl Simulator {
     /// [`ReliabilityObserver`] scoring events as they happen.
     ///
     /// Kept as the reference implementation the capture/replay split is
-    /// property-tested against; [`run`](Self::run) produces bit-identical
-    /// reports at a fraction of the cost for multi-point sweeps.
+    /// property-tested against; [`capture`](Self::capture) then
+    /// [`replay_batch`](Self::replay_batch) produces bit-identical reports
+    /// at a fraction of the cost for multi-point sweeps.
     ///
     /// # Errors
     ///
@@ -929,6 +893,7 @@ impl Simulator {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::capture_store::tests::{replay_one, report_bits};
     use crate::scheme::ProtectionScheme;
     use reap_reliability::ExposureKind;
     use reap_trace::SpecWorkload;
@@ -988,7 +953,8 @@ pub(crate) mod tests {
     #[test]
     fn simulator_reports_improvement_above_one() {
         let sim = Simulator::new(quick_config()).unwrap();
-        let report = sim.run(SpecWorkload::Namd.stream(3)).unwrap();
+        let capture = sim.capture(SpecWorkload::Namd.stream(3)).unwrap();
+        let report = replay_one(&sim, &capture).unwrap();
         let imp = report.mttf_improvement(ProtectionScheme::Reap);
         assert!(imp > 1.0, "improvement = {imp}");
     }
@@ -996,8 +962,11 @@ pub(crate) mod tests {
     #[test]
     fn deterministic_given_seed() {
         let sim = Simulator::new(quick_config()).unwrap();
-        let a = sim.run(SpecWorkload::Gcc.stream(9)).unwrap();
-        let b = sim.run(SpecWorkload::Gcc.stream(9)).unwrap();
+        let run = || {
+            let capture = sim.capture(SpecWorkload::Gcc.stream(9)).unwrap();
+            replay_one(&sim, &capture).unwrap()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(
             a.expected_failures(ProtectionScheme::Conventional),
             b.expected_failures(ProtectionScheme::Conventional)
@@ -1009,7 +978,7 @@ pub(crate) mod tests {
     fn short_trace_is_an_error() {
         let sim = Simulator::new(quick_config()).unwrap();
         let trace: Vec<MemoryAccess> = (0..100).map(|i| MemoryAccess::load(i * 64)).collect();
-        let err = sim.run(trace).unwrap_err();
+        let err = sim.capture(trace).unwrap_err();
         assert!(matches!(err, SimulationError::BadParameter(_)));
 
         // Capture and the oracle name the same budget the trace fell short of.
@@ -1077,70 +1046,18 @@ pub(crate) mod tests {
         );
     }
 
-    fn failure_bits(r: &Report) -> [u64; 4] {
-        [
-            r.expected_failures(ProtectionScheme::Conventional)
-                .to_bits(),
-            r.expected_failures(ProtectionScheme::Reap).to_bits(),
-            r.expected_failures(ProtectionScheme::SerialTagFirst)
-                .to_bits(),
-            r.writeback_exposure().to_bits(),
-        ]
-    }
-
     #[test]
-    fn run_matches_single_pass_bit_for_bit() {
+    fn capture_then_replay_matches_single_pass_bit_for_bit() {
         let sim = Simulator::new(quick_config()).unwrap();
-        let two_phase = sim.run(SpecWorkload::Gcc.stream(5)).unwrap();
+        let capture = sim.capture(SpecWorkload::Gcc.stream(5)).unwrap();
+        let two_phase = replay_one(&sim, &capture).unwrap();
         let single = sim.run_single_pass(SpecWorkload::Gcc.stream(5)).unwrap();
-        assert_eq!(failure_bits(&two_phase), failure_bits(&single));
+        assert_eq!(report_bits(&two_phase), report_bits(&single));
         assert_eq!(two_phase.l2_stats(), single.l2_stats());
         assert_eq!(
             two_phase.histogram().total_count(),
             single.histogram().total_count()
         );
-    }
-
-    #[test]
-    fn one_capture_replays_across_ecc_strengths() {
-        let capture = Simulator::new(quick_config())
-            .unwrap()
-            .capture(SpecWorkload::Namd.stream(3))
-            .unwrap();
-        for ecc in EccStrength::ALL {
-            let config = SimulationConfig {
-                ecc,
-                ..quick_config()
-            };
-            let sim = Simulator::new(config).unwrap();
-            let replayed = sim.replay(&capture).unwrap();
-            let direct = sim.run_single_pass(SpecWorkload::Namd.stream(3)).unwrap();
-            assert_eq!(
-                failure_bits(&replayed),
-                failure_bits(&direct),
-                "replay at {ecc} must match a direct run"
-            );
-        }
-    }
-
-    #[test]
-    fn replay_rejects_behavioural_mismatch() {
-        let capture = Simulator::new(quick_config())
-            .unwrap()
-            .capture(SpecWorkload::Namd.stream(3))
-            .unwrap();
-        let other = SimulationConfig {
-            replacement: Replacement::Fifo,
-            ..quick_config()
-        };
-        let err = Simulator::new(other).unwrap().replay(&capture).unwrap_err();
-        assert!(matches!(err, SimulationError::CaptureMismatch(_)));
-        let other = SimulationConfig {
-            measure_accesses: 10_000,
-            ..quick_config()
-        };
-        let err = Simulator::new(other).unwrap().replay(&capture).unwrap_err();
-        assert!(matches!(err, SimulationError::CaptureMismatch(_)));
     }
 
     #[test]
@@ -1150,9 +1067,10 @@ pub(crate) mod tests {
             ..quick_config()
         };
         let sim = Simulator::new(config.clone()).unwrap();
-        let two_phase = sim.run(SpecWorkload::Gcc.stream(5)).unwrap();
+        let capture = sim.capture(SpecWorkload::Gcc.stream(5)).unwrap();
+        let two_phase = replay_one(&sim, &capture).unwrap();
         let single = sim.run_single_pass(SpecWorkload::Gcc.stream(5)).unwrap();
-        assert_eq!(failure_bits(&two_phase), failure_bits(&single));
+        assert_eq!(report_bits(&two_phase), report_bits(&single));
         assert!(
             two_phase.l2_stats().scrub_checks > 0,
             "periodic scrubbing must actually scrub"
@@ -1160,10 +1078,9 @@ pub(crate) mod tests {
 
         // The scrub period is behavioural: an unscrubbed simulator must
         // refuse a scrubbed capture, and vice versa.
-        let capture = sim.capture(SpecWorkload::Gcc.stream(5)).unwrap();
         assert_eq!(capture.behaviour().scrub_period, 5_000);
         let unscrubbed = Simulator::new(quick_config()).unwrap();
-        let err = unscrubbed.replay(&capture).unwrap_err();
+        let err = replay_one(&unscrubbed, &capture).unwrap_err();
         assert!(matches!(err, SimulationError::CaptureMismatch(_)));
     }
 
@@ -1197,8 +1114,8 @@ pub(crate) mod tests {
             for (sim, got) in points.iter().zip(&batched) {
                 let want = sim.run_single_pass(SpecWorkload::Namd.stream(3)).unwrap();
                 assert_eq!(
-                    failure_bits(got),
-                    failure_bits(&want),
+                    report_bits(got),
+                    report_bits(&want),
                     "batched point (ecc {}, P_rd {}, scrub {scrub_period}) diverged from \
                      the single pass",
                     sim.config.ecc,
@@ -1271,7 +1188,7 @@ pub(crate) mod tests {
         let (reused, _) = Simulator::tally_batch_into(&sec_dec, &capture, &mut kernel).unwrap();
         let fresh = Simulator::replay_batch(&sec_dec, &capture).unwrap();
         for (got, want) in reused.iter().zip(&fresh) {
-            assert_eq!(failure_bits(got), failure_bits(want));
+            assert_eq!(report_bits(got), report_bits(want));
         }
     }
 
@@ -1344,7 +1261,7 @@ pub(crate) mod tests {
             }
         }
         let got = Simulator::replay_tallied(&points, &tallied, &mut multi).unwrap();
-        assert_eq!(failure_bits(&got[0]), failure_bits(&want[0]));
+        assert_eq!(report_bits(&got[0]), report_bits(&want[0]));
     }
 
     /// A capture of `records` synthetic records at `config`: demand
@@ -1453,7 +1370,7 @@ pub(crate) mod tests {
             let (whole_reports, whole_tallied) = tally_forced(false, &points, &capture).unwrap();
             proptest::prop_assert!(split_tallied.cells() == whole_tallied.cells(), "cells differ");
             for (a, b) in split_reports.iter().zip(&whole_reports) {
-                proptest::prop_assert_eq!(failure_bits(a), failure_bits(b));
+                proptest::prop_assert_eq!(report_bits(a), report_bits(b));
                 proptest::prop_assert_eq!(a.histogram(), b.histogram());
                 proptest::prop_assert_eq!(a.l2_stats(), b.l2_stats());
             }
@@ -1546,15 +1463,15 @@ pub(crate) mod tests {
             .scrub(2_500)
             .seed(8);
         let points = experiment.simulators_at(&EccStrength::ALL).unwrap();
-        let clean = experiment.capture().unwrap();
+        let clean = experiment.capture_with(None).unwrap();
         let want: Vec<[u64; 4]> = tally_forced(false, &points, &clean)
             .unwrap()
             .0
             .iter()
-            .map(failure_bits)
+            .map(report_bits)
             .collect();
         for frame in [0, 1] {
-            let capture = experiment.capture().unwrap();
+            let capture = experiment.capture_with(None).unwrap();
             let mut entry = std::fs::read(capture.entry_path()).unwrap();
             let spans = frame_spans(&entry);
             assert!(spans.len() > 2, "the entry must span frames");
@@ -1565,7 +1482,7 @@ pub(crate) mod tests {
             FORCE_SPLIT.set(Some(true));
             let got = experiment.score(&points, &capture, None, &mut None);
             FORCE_SPLIT.set(None);
-            let got: Vec<[u64; 4]> = got.unwrap().iter().map(failure_bits).collect();
+            let got: Vec<[u64; 4]> = got.unwrap().iter().map(report_bits).collect();
             assert_eq!(got, want, "frame {frame}");
             let warnings = WARNINGS.take();
             assert_eq!(warnings.len(), 1, "frame {frame}: {warnings:?}");

@@ -201,7 +201,7 @@ fn score_recovers_a_rotted_entry_and_heals_it_only_under_readwrite() {
     let one = vec![at(experiment.config().ecc)];
     let three: Vec<Simulator> = EccStrength::ALL.into_iter().map(at).collect();
 
-    let fresh = experiment.capture().unwrap();
+    let fresh = experiment.capture_with(None).unwrap();
     assert!(fresh.event_count() > 2 * 4096, "the entry must span frames");
     let mut clean_entry = Vec::new();
     write_capture_v2(&mut clean_entry, key.fingerprint(), &fresh).unwrap();

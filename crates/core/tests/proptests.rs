@@ -261,7 +261,7 @@ proptest! {
         let capture = base
             .clone()
             .ecc(EccStrength::ALL[capture_ecc])
-            .capture()
+            .capture_with(None)
             .expect("capture");
         // …replayed at every strength against the reference single pass.
         for ecc in EccStrength::ALL {
@@ -270,7 +270,11 @@ proptest! {
                 .expect("simulator")
                 .run_single_pass(workload.stream(seed))
                 .expect("single pass");
-            let replayed = point.replay(&capture).expect("replay");
+            let points = point.simulators_at(&[ecc]).expect("point");
+            let replayed = point
+                .score(&points, &capture, None, &mut None)
+                .expect("replay")
+                .remove(0);
             for scheme in ProtectionScheme::ALL {
                 prop_assert_eq!(
                     replayed.expected_failures(scheme).to_bits(),
@@ -334,7 +338,7 @@ proptest! {
             .budgets(warmup, measure)
             .scrub(scrub_period)
             .seed(seed);
-        let capture = experiment.capture().expect("capture");
+        let capture = experiment.capture_with(None).expect("capture");
 
         let config = experiment.config();
         let mut hierarchy = Hierarchy::new(config.hierarchy.clone(), replacement);
@@ -414,7 +418,7 @@ proptest! {
             .budgets(500, 4_000)
             .scrub(scrub_period)
             .seed(seed);
-        let capture = base.clone().capture().expect("capture");
+        let capture = base.clone().capture_with(None).expect("capture");
         // Six heterogeneous points: every ECC width at two MTJ cards.
         let cards = [
             reap_mtj::MtjParams::default(),
@@ -473,7 +477,7 @@ proptest! {
             .map(|k| {
                 base.clone()
                     .workload(SpecWorkload::ALL[(first + 7 * k) % 21])
-                    .capture()
+                    .capture_with(None)
                     .expect("capture")
             })
             .collect();

@@ -166,8 +166,6 @@ fn fill<R: Read>(
 }
 
 /// Error reading a serialized trace.
-///
-/// Formerly `ReadTraceError`; the old name remains as an alias.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum TraceError {
@@ -210,9 +208,6 @@ pub enum TraceError {
         offset: u64,
     },
 }
-
-/// Backwards-compatible alias for [`TraceError`].
-pub type ReadTraceError = TraceError;
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -283,7 +278,7 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         let err = read_trace(&b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00\x00"[..]).unwrap_err();
-        assert!(matches!(err, ReadTraceError::BadMagic { .. }));
+        assert!(matches!(err, TraceError::BadMagic { .. }));
         assert!(err.to_string().contains("not a trace file"));
     }
 
@@ -294,7 +289,7 @@ mod tests {
         buf[4] = 9;
         assert!(matches!(
             read_trace(&buf[..]).unwrap_err(),
-            ReadTraceError::UnsupportedVersion { found: 9 }
+            TraceError::UnsupportedVersion { found: 9 }
         ));
     }
 

@@ -1,10 +1,11 @@
 //! The headline numbers the docs publish are the committed results'.
 //!
-//! Every Fig. 5 and Fig. 6 figure in EXPERIMENTS.md and in README.md's
-//! "Key results" table is recomputed from the `# CSV` blocks of
-//! `results/fig5.txt` and `results/fig6.txt`, at the precision the docs
-//! print it, and so is each result file's own summary. Editing a result
-//! file or a doc cell on its own fails here. No simulation runs.
+//! Every Fig. 3, Fig. 5 and Fig. 6 figure in EXPERIMENTS.md and in
+//! README.md's "Key results" table is recomputed from the `# CSV` blocks
+//! of `results/fig3.txt`, `results/fig5.txt` and `results/fig6.txt`, at
+//! the precision the docs print it, and so is each result file's own
+//! summary. Editing a result file or a doc cell on its own fails here.
+//! No simulation runs.
 
 use std::path::Path;
 
@@ -137,6 +138,121 @@ impl Fig6 {
     /// The paper's best case, xalancbmk, as measured here.
     fn xalancbmk(&self) -> f64 {
         value_of(&self.rows, "xalancbmk")
+    }
+}
+
+/// Fig. 3: one workload's concealed-read histogram at the committed
+/// window.
+struct Fig3 {
+    workload: String,
+    /// Share of events in the upper half of the N bins, percent.
+    upper_events: f64,
+    /// Share of failure probability in those bins, percent.
+    upper_failure: f64,
+    /// The last non-empty bin, `n_lo..n_hi`.
+    last_bin: (u64, u64),
+    /// The file's "max N observed" line.
+    max_n: u64,
+}
+
+impl Fig3 {
+    /// The four workloads in file order. The upper half is `fig3`'s: of
+    /// the `log2(last n_lo) + 1` power-of-two bins up to the last
+    /// non-empty one, those from index half their count on.
+    fn load() -> (Vec<Self>, String) {
+        let text = read("results/fig3.txt");
+        let n_lo = csv_column(&text, "n_lo");
+        let n_hi = csv_column(&text, "n_hi");
+        let events = csv_column(&text, "events");
+        let failure = csv_column(&text, "failure_contribution");
+        let max_n: Vec<u64> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("max N observed: "))
+            .map(|n| n.parse().unwrap_or_else(|e| panic!("{n}: {e}")))
+            .collect();
+        let mut workloads: Vec<String> = n_lo.iter().map(|(w, _)| w.clone()).collect();
+        workloads.dedup();
+        assert_eq!(workloads, ["perlbench", "calculix", "h264ref", "dealII"]);
+        assert_eq!(max_n.len(), workloads.len(), "one max N line per workload");
+        let figs = workloads
+            .into_iter()
+            .zip(max_n)
+            .map(|(workload, max_n)| {
+                let rows: Vec<usize> = (0..n_lo.len()).filter(|&i| n_lo[i].0 == workload).collect();
+                let last = *rows.last().expect("rows");
+                let bin = |i: usize| (n_lo[i].1 as u64).ilog2();
+                let bins = bin(last) + 1;
+                let split = bins / 2;
+                let share = |column: &[(String, f64)]| {
+                    let total: f64 = rows.iter().map(|&i| column[i].1).sum();
+                    let upper: f64 = rows
+                        .iter()
+                        .filter(|&&i| bin(i) >= split)
+                        .map(|&i| column[i].1)
+                        .sum();
+                    100.0 * upper / total
+                };
+                Self {
+                    upper_events: share(&events),
+                    upper_failure: share(&failure),
+                    last_bin: (n_lo[last].1 as u64, n_hi[last].1 as u64),
+                    max_n,
+                    workload,
+                }
+            })
+            .collect();
+        (figs, text)
+    }
+}
+
+/// `n` with a space between thousands, as the docs print counts.
+fn spaced(n: u64) -> String {
+    match n {
+        0..=999 => n.to_string(),
+        _ => format!("{} {:03}", spaced(n / 1000), n % 1000),
+    }
+}
+
+#[test]
+fn fig3_summary_lines_match_its_csv() {
+    let (figs, text) = Fig3::load();
+    for fig in &figs {
+        let line = format!(
+            "upper-half-N bins: {:.4}% of events, {:.1}% of failure probability",
+            fig.upper_events, fig.upper_failure
+        );
+        assert!(text.contains(&line), "results/fig3.txt lacks {line:?}");
+        let (lo, hi) = fig.last_bin;
+        assert!(
+            (lo..hi).contains(&fig.max_n),
+            "{}: max N {} outside its last bin {lo}..{hi}",
+            fig.workload,
+            fig.max_n
+        );
+    }
+}
+
+#[test]
+fn experiments_md_states_the_committed_fig3_numbers() {
+    let (figs, _) = Fig3::load();
+    let doc = read("EXPERIMENTS.md");
+    let fig3 = section(&doc, "## Fig. 3")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    for fig in &figs {
+        for claim in [
+            format!(
+                "{} {:.3} % / {:.1} %",
+                fig.workload, fig.upper_events, fig.upper_failure
+            ),
+            format!("{} ({})", spaced(fig.max_n), fig.workload),
+        ] {
+            assert!(
+                fig3.contains(&claim),
+                "EXPERIMENTS.md Fig. 3 lacks {claim:?}"
+            );
+        }
     }
 }
 
